@@ -15,9 +15,10 @@
 //     disturbed and undisturbed runs;
 //   - fault windows: faults::FaultWindow rate ramps over event ranges
 //     (transport-level chaos);
-//   - kills: timed shard deaths (ShardCrashInjector at a durability
-//     boundary) with a downtime budget, after which the orchestrator
-//     restarts the shard and re-drives it — recovery under fire.
+//   - kills: timed shard deaths (a process crash at one of the shard's
+//     io::FaultyVfs storage ops) with a downtime budget, after which
+//     the orchestrator restarts the shard and re-drives it — recovery
+//     under fire.
 //
 // The identity contract: a manifest whose fault windows are duplicate-
 // only (identity_expected()) must produce a final owner-merged
@@ -56,13 +57,14 @@ struct PhaseSpec {
   bool sweep = false;
 };
 
-/// One timed shard death. Exactly one trigger:
+/// One timed shard death — a process crash at a storage op. Exactly
+/// one trigger:
 ///   at_event     — arm when the head of the stream reaches this seq;
-///                  the shard dies at its next durability boundary.
+///                  the shard dies at its next storage op.
 ///   at_boundary  — arm immediately; the shard dies at this 0-based
-///                  durability-boundary crossing (absolute, counted
-///                  from the run's start — the kill-at-every-boundary
-///                  sweeps iterate this number).
+///                  mutating op of its io::FaultyVfs (absolute,
+///                  counted from the run's start — the kill-at-every-
+///                  op sweeps iterate this number).
 /// After `down_for` further fresh events the orchestrator restarts the
 /// shard (or at end of stream, whichever comes first).
 struct KillSpec {

@@ -99,27 +99,16 @@ ScenarioOutcome ChaosOrchestrator::run(const ChaosRunOptions& options) {
   ro.shard.checkpoint_every = 0;
   ro.shard.checkpoint_retain = manifest_.checkpoint_retain;
 
-  // Per-shard injectable storage: only a disturbed run with [disk]
-  // windows pays for the indirection; otherwise every shard writes
-  // through the real vfs exactly as before.
-  std::vector<std::unique_ptr<io::FaultyVfs>> disk_vfs;
-  if (disturbed && !manifest_.disk_faults.empty()) {
-    disk_vfs.reserve(manifest_.shards);
-    for (std::uint32_t i = 0; i < manifest_.shards; ++i) {
-      disk_vfs.push_back(std::make_unique<io::FaultyVfs>());
-    }
-    ro.shard_vfs = [&disk_vfs](std::uint32_t i) -> io::Vfs* {
-      return disk_vfs[i].get();
-    };
+  // Per-shard injectable storage, on every run: kills are process
+  // crashes at a shard's storage ops, [disk] windows fault the same
+  // device, and the control run reports each shard's op count (the
+  // kill-at-every-op sweeps learn their iteration space there).
+  std::vector<std::unique_ptr<io::FaultyVfs>> vfs;
+  vfs.reserve(manifest_.shards);
+  for (std::uint32_t i = 0; i < manifest_.shards; ++i) {
+    vfs.push_back(std::make_unique<io::FaultyVfs>());
   }
-
-  std::vector<std::uint64_t> crossings(manifest_.shards, 0);
-  std::optional<faults::ShardCrashInjector> injector;
-  ro.crash_hook = [&crossings, &injector](std::uint32_t s,
-                                          service::CrashPoint p) {
-    ++crossings[s];
-    if (injector) (*injector)(s, p);
-  };
+  ro.shard_vfs = [&vfs](std::uint32_t i) -> io::Vfs* { return vfs[i].get(); };
 
   service::ShardRouter router(ro);
   router.start();
@@ -178,9 +167,13 @@ ScenarioOutcome ChaosOrchestrator::run(const ChaosRunOptions& options) {
     s.checkpoint_now();
   };
 
-  const auto on_crash = [&](std::uint32_t victim) {
-    router.mark_down(victim);
-    injector.reset();
+  // The armed kill fired: the victim's process died at a storage op.
+  // Mark it down while its vfs is still dead (buffered WAL bytes die
+  // with the process), then reboot the device so recovery can read
+  // what survived.
+  const auto on_crash = [&]() {
+    router.mark_down(armed->shard);
+    vfs[armed->shard]->reboot();
     down = Downtime{*armed, head + armed->down_for};
     armed.reset();
     ++out.kills;
@@ -195,7 +188,7 @@ ScenarioOutcome ChaosOrchestrator::run(const ChaosRunOptions& options) {
   const auto on_power_cut = [&]() {
     const std::uint32_t victim = disk_active->shard;
     router.mark_down(victim);
-    disk_vfs[victim]->reboot();
+    vfs[victim]->reboot();
     KillSpec spec;
     spec.shard = victim;
     down = Downtime{spec, disk_active->to_event};
@@ -203,6 +196,19 @@ ScenarioOutcome ChaosOrchestrator::run(const ChaosRunOptions& options) {
     ++out.power_cuts;
     ++out.kills;
     ++out.phases[cur_phase].kills;
+  };
+
+  // Routes a fatal storage fault to its disturbance; anything else is
+  // a harness bug. ENOSPC/EIO degrade in place inside the supervisor
+  // and never unwind this far.
+  const auto on_fatal = [&](const io::VfsError& e) {
+    if (e.kind() == io::VfsFaultKind::kProcessCrash && armed) {
+      on_crash();
+    } else if (e.kind() == io::VfsFaultKind::kPowerLoss && disk_active) {
+      on_power_cut();
+    } else {
+      throw;  // called from a catch block: rethrows `e` as caught
+    }
   };
 
   const auto fire_global = [&](const Boundary& b) {
@@ -225,18 +231,11 @@ ScenarioOutcome ChaosOrchestrator::run(const ChaosRunOptions& options) {
         if (b.sweep) router.shard(i).sweep_flags(b.time);
         router.shard(i).checkpoint_now();
         bidx[i] = gb + 1;
-      } catch (const faults::InjectedCrash&) {
-        // Death at the checkpoint boundary: the sweep above ran but
-        // died with the process; do_restart recomputes bidx from what
-        // proved durable.
-        on_crash(i);
       } catch (const io::VfsError& e) {
-        // ENOSPC/EIO at a boundary degrade in place inside the
-        // supervisor and never unwind to here; only a power cut (the
-        // boundary's WAL sync or checkpoint fsync hit the window's
-        // cut_at_op) escapes — the shard "lost power" mid-boundary.
-        if (e.kind() != io::VfsFaultKind::kPowerLoss || !disk_active) throw;
-        on_power_cut();
+        // Death (or a power cut) at the checkpoint boundary: the sweep
+        // above ran but died with the process; do_restart recomputes
+        // bidx from what proved durable.
+        on_fatal(e);
       }
     }
   };
@@ -271,20 +270,23 @@ ScenarioOutcome ChaosOrchestrator::run(const ChaosRunOptions& options) {
     // up): one disturbance at a time keeps recovery analyzable.
     if (!fleet_level()) return;
     const KillSpec& k = manifest_.kills[kill_idx];
-    if (k.use_boundary) {
-      if (k.at_boundary < crossings[k.shard]) {
-        ++out.kills_missed;  // crossing already passed (deferred too long)
-        ++kill_idx;
-        return;
-      }
-      injector.emplace(k.shard, k.at_boundary - crossings[k.shard]);
-      armed = k;
+    io::FaultyVfs& v = *vfs[k.shard];
+    if (k.use_boundary && k.at_boundary < v.ops()) {
+      ++out.kills_missed;  // op already passed (deferred too long)
       ++kill_idx;
-    } else if (head >= k.at_event) {
-      injector.emplace(k.shard, std::uint64_t{0});
-      armed = k;
-      ++kill_idx;
+      return;
     }
+    if (!k.use_boundary && head < k.at_event) return;
+    // The victim's process dies at one op of its vfs: the absolute op
+    // index of an at_boundary kill, the next op of an at_event kill.
+    io::FaultConfig cfg;
+    cfg.fail_from = k.use_boundary ? k.at_boundary : v.ops();
+    cfg.fail_count = 1;
+    cfg.fail_kind = io::VfsFaultKind::kProcessCrash;
+    cfg.seed = cfg.fail_from;  // torn-prefix length of a crashing write
+    v.configure(cfg);
+    armed = k;
+    ++kill_idx;
   };
 
   // Close the active [disk] window: clear the fault plan, then force
@@ -292,7 +294,7 @@ ScenarioOutcome ChaosOrchestrator::run(const ChaosRunOptions& options) {
   // full durability resumes before any later disturbance arms.
   const auto close_disk_window = [&]() {
     const std::uint32_t s = disk_active->shard;
-    disk_vfs[s]->clear_faults();
+    vfs[s]->clear_faults();
     if (!router.is_down(s) &&
         disk_active->kind != DiskFaultSpec::Kind::kPowerLoss &&
         router.shard(s).storage_degraded()) {
@@ -303,7 +305,7 @@ ScenarioOutcome ChaosOrchestrator::run(const ChaosRunOptions& options) {
   };
 
   const auto disk_tick = [&]() {
-    if (disk_vfs.empty()) return;
+    if (!disturbed) return;
     if (disk_active && head >= disk_active->to_event) close_disk_window();
     if (disk_active || armed || down) return;
     while (disk_idx < manifest_.disk_faults.size()) {
@@ -316,7 +318,7 @@ ScenarioOutcome ChaosOrchestrator::run(const ChaosRunOptions& options) {
         continue;
       }
       if (head >= d.from_event && fleet_level()) {
-        io::FaultyVfs& v = *disk_vfs[d.shard];
+        io::FaultyVfs& v = *vfs[d.shard];
         // The window models a fault beginning *now* on an otherwise
         // healthy device: everything the run wrote before it is
         // declared durable (the barrier the fsync knob may have
@@ -372,20 +374,12 @@ ScenarioOutcome ChaosOrchestrator::run(const ChaosRunOptions& options) {
 
     try {
       router.offer(a.event, a.seq);
-    } catch (const faults::InjectedCrash&) {
-      if (!armed) throw;  // cannot happen: only the armed injector throws
-      on_crash(armed->shard);
+    } catch (const io::VfsError& e) {
+      on_fatal(e);
       // Complete the torn delivery: shards ordered after the victim in
       // the route plan have not seen this seq, and later offers would
       // advance their frontiers past it — re-offer before anything
       // newer (the min-frontier contract; see ShardRouter::mark_down).
-      router.offer(a.event, a.seq);
-    } catch (const io::VfsError& e) {
-      // Only a power cut unwinds out of offer() — ENOSPC/EIO degrade in
-      // place inside the supervisor. Same torn-delivery protocol as a
-      // process kill: mark down, complete the delivery to survivors.
-      if (e.kind() != io::VfsFaultKind::kPowerLoss || !disk_active) throw;
-      on_power_cut();
       router.offer(a.event, a.seq);
     }
     ++out.arrivals_total;
@@ -414,14 +408,13 @@ ScenarioOutcome ChaosOrchestrator::run(const ChaosRunOptions& options) {
     if (down && head >= down->restart_at) do_restart();
   }
 
-  // A kill whose trigger never arrived (no further traffic on the
-  // victim) is reported, not silently dropped.
-  if (injector) {
-    injector.reset();
-    if (armed) {
-      armed.reset();
-      ++out.kills_missed;
-    }
+  // A kill whose op never arrived (no further traffic on the victim)
+  // is disarmed before the terminal drain and reported, not silently
+  // dropped.
+  if (armed) {
+    vfs[armed->shard]->clear_faults();
+    armed.reset();
+    ++out.kills_missed;
   }
   while (kill_idx < manifest_.kills.size()) {
     ++out.kills_missed;
@@ -461,7 +454,7 @@ ScenarioOutcome ChaosOrchestrator::run(const ChaosRunOptions& options) {
     out.phases[cur_phase].tier_transitions = t > tier_base ? t - tier_base : 0;
   }
   out.copies_skipped_down = router.copies_skipped_down();
-  out.boundary_crossings = crossings;
+  for (const auto& v : vfs) out.boundary_crossings.push_back(v->ops());
   out.flags = router.take_flagged();
   out.shard_stats.reserve(manifest_.shards);
   for (std::uint32_t i = 0; i < manifest_.shards; ++i) {

@@ -17,12 +17,16 @@
 //   boundary sequences — which is why admission verdicts (a function of
 //   queue depth, i.e. of the pump schedule) align across runs.
 //
-//   Kills. A KillSpec arms a faults::ShardCrashInjector; the victim
-//   dies mid-offer (or mid-checkpoint) by InjectedCrash. The
-//   orchestrator marks it down (ShardRouter::mark_down), immediately
-//   re-offers the interrupted (event, seq) so surviving shards past the
-//   victim still receive it (the min-frontier contract), and keeps
-//   offering live traffic to the survivors. After down_for further
+//   Kills. Every shard writes through its own io::FaultyVfs; a KillSpec
+//   arms a process crash at one of the victim's storage ops, so the
+//   victim dies mid-offer (or mid-checkpoint) with a typed
+//   VfsError(kProcessCrash). The orchestrator marks it down
+//   (ShardRouter::mark_down, while the device is still dead, so
+//   buffered WAL bytes die with the process), reboots its vfs,
+//   immediately re-offers the interrupted (event, seq) so surviving
+//   shards past the victim still receive it (the min-frontier
+//   contract), and keeps offering live traffic to the survivors.
+//   After down_for further
 //   events it restarts the shard (WAL replay + checkpoint load), fires
 //   the boundaries the recovered state proves it missed — the count of
 //   durable sweeps tells it exactly which sweep boundary the state is
@@ -44,7 +48,7 @@
 
 #include "chaos/manifest.h"
 #include "core/detector.h"
-#include "faults/process_faults.h"
+#include "faults/fault_schedule.h"
 #include "service/router.h"
 
 namespace sybil::chaos {
@@ -85,7 +89,7 @@ struct ScenarioOutcome {
   std::uint64_t arrivals_total = 0;
   std::uint64_t kills = 0;
   std::uint64_t recoveries = 0;
-  /// at_boundary kills whose crossing never arrived (disarmed at end).
+  /// at_boundary kills whose op never arrived (disarmed at end).
   std::uint64_t kills_missed = 0;
   std::uint64_t identity_checks = 0;
   std::uint64_t identity_failures = 0;
@@ -96,8 +100,8 @@ struct ScenarioOutcome {
   std::uint64_t power_cuts = 0;           // power-loss cuts fired
   std::uint64_t storage_degraded = 0;     // shards seen storage-degraded
   std::uint64_t storage_recoveries = 0;   // degraded exits forced at close
-  /// Durability-boundary crossings per shard over the whole run (the
-  /// kill-at-every-boundary sweeps learn their iteration space here).
+  /// Mutating storage ops per shard over the whole run — the at_boundary
+  /// index space (the kill-at-every-op sweeps learn it here).
   std::vector<std::uint64_t> boundary_crossings;
   /// Owner-merged final flags and the stats the identity contract pins.
   core::FlagBatch flags;

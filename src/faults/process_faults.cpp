@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <stdexcept>
 
 #include "core/metrics/instrument.h"
 

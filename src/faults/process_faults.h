@@ -1,129 +1,21 @@
-// Process-level fault channels: crash-point injection and torn-write
-// simulation for the crash-tolerant service layer (docs/ROBUSTNESS.md
+// Process-level fault channel: torn-write simulation for the crash-
+// tolerant service layer's corruption tests (docs/ROBUSTNESS.md
 // §Recovery model).
 //
-// Where FaultInjector corrupts the *transport* (what arrives), these
-// channels kill the *process* (what survives): CrashInjector throws a
-// typed InjectedCrash at a chosen durability boundary, simulating the
-// process dying exactly there, and tear_file_tail() mutilates a file's
-// tail the way a torn write / partial flush would — so recovery code
-// can be driven through every crash point and every corruption shape a
-// real deployment faces, deterministically.
-//
-// Layering: this header knows nothing about the service layer. The
-// injector's call operator is templated on the boundary-point type, so
-// it binds to service::CrashHook (or any future hook) without faults
-// linking sybil_service — production binaries stay linkable without the
-// chaos layer, and the service stays linkable without it too.
-//
-// Determinism: a CrashInjector is a pure counter (crash at the Nth
-// boundary crossing, optionally only counting one point kind), and
-// tear_file_tail derives every choice from splitmix64(seed). The same
-// (boundary index, seed) replays the same crash forever.
+// Where FaultInjector corrupts the *transport* (what arrives),
+// tear_file_tail() mutilates what *survives*: it cuts a file's tail the
+// way a torn write / partial flush would, so recovery code can be
+// driven through every corruption shape a real deployment faces,
+// deterministically — every choice derives from splitmix64(seed).
+// Process death itself is injected one layer down, by io::FaultyVfs
+// (a process crash at a chosen storage op), so the service needs no
+// test seam of its own.
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 
 namespace sybil::faults {
-
-/// Thrown by CrashInjector at its configured boundary. Simulated
-/// process death: test harnesses catch it at the top of their drive
-/// loop and abandon the supervisor object, exactly as a kill -9 would.
-class InjectedCrash : public std::runtime_error {
- public:
-  InjectedCrash(std::uint32_t point, std::uint64_t boundary)
-      : std::runtime_error("injected crash at boundary #" +
-                           std::to_string(boundary) + " (point " +
-                           std::to_string(point) + ")"),
-        point_(point),
-        boundary_(boundary) {}
-
-  /// The boundary kind's integer value (e.g. service::CrashPoint).
-  std::uint32_t point() const noexcept { return point_; }
-  /// 0-based index of the crossing that crashed.
-  std::uint64_t boundary() const noexcept { return boundary_; }
-
- private:
-  std::uint32_t point_;
-  std::uint64_t boundary_;
-};
-
-/// Counts durability-boundary crossings and throws InjectedCrash at the
-/// configured one. Generic over the point enum (see header comment);
-/// bind an instance by reference into a hook:
-///
-///   faults::CrashInjector crash(n);
-///   options.crash_hook = std::ref(crash);
-///
-/// After the crash fires the injector disarms itself, so the *next*
-/// supervisor recovering with the same options runs to completion —
-/// one injector models one process lifetime's single fatal fault.
-class CrashInjector {
- public:
-  static constexpr std::uint32_t kAnyPoint = ~std::uint32_t{0};
-
-  /// Crash at the `crash_at`-th crossing (0-based) of `point` (default:
-  /// any point kind counts).
-  explicit CrashInjector(std::uint64_t crash_at,
-                         std::uint32_t point = kAnyPoint) noexcept
-      : crash_at_(crash_at), point_(point) {}
-
-  template <typename Point>
-  void operator()(Point p) {
-    const auto raw = static_cast<std::uint32_t>(p);
-    if (point_ != kAnyPoint && raw != point_) return;
-    const std::uint64_t boundary = crossings_++;
-    if (armed_ && boundary == crash_at_) {
-      armed_ = false;
-      throw InjectedCrash(raw, boundary);
-    }
-  }
-
-  /// Boundary crossings counted so far (filtered by the point kind).
-  std::uint64_t crossings() const noexcept { return crossings_; }
-  /// False once the crash has fired.
-  bool armed() const noexcept { return armed_; }
-  void disarm() noexcept { armed_ = false; }
-
- private:
-  std::uint64_t crash_at_;
-  std::uint32_t point_;
-  std::uint64_t crossings_ = 0;
-  bool armed_ = true;
-};
-
-/// CrashInjector with shard addressing: binds to the sharded service's
-/// two-argument hook (service::ShardCrashHook — `(shard, point)`) and
-/// counts only the targeted shard's boundary crossings, so a sweep can
-/// kill shard k at its Nth durability boundary while every other shard
-/// runs clean. kAnyShard degenerates to a fleet-wide CrashInjector.
-/// Same layering rule as above: generic over the point type, no service
-/// dependency.
-class ShardCrashInjector {
- public:
-  static constexpr std::uint32_t kAnyShard = ~std::uint32_t{0};
-
-  ShardCrashInjector(std::uint32_t shard, std::uint64_t crash_at,
-                     std::uint32_t point = CrashInjector::kAnyPoint) noexcept
-      : shard_(shard), inner_(crash_at, point) {}
-
-  template <typename Point>
-  void operator()(std::uint32_t shard, Point p) {
-    if (shard_ != kAnyShard && shard != shard_) return;
-    inner_(p);
-  }
-
-  /// Boundary crossings counted on the targeted shard.
-  std::uint64_t crossings() const noexcept { return inner_.crossings(); }
-  bool armed() const noexcept { return inner_.armed(); }
-  void disarm() noexcept { inner_.disarm(); }
-
- private:
-  std::uint32_t shard_;
-  CrashInjector inner_;
-};
 
 /// What tear_file_tail did to the file.
 struct TornTailReport {

@@ -11,8 +11,8 @@
 // prefix is read straight out of the chronological row and mutual links
 // are counted by sorted-adjacency intersection with galloping search,
 // instead of hashing the subset and scanning full adjacency lists. The
-// link count is an exact integer either way, so the old and new paths
-// return bit-identical doubles (asserted by the property tests).
+// link count is an exact integer, so the result is bit-identical to a
+// plain scalar count (asserted by the property tests).
 #pragma once
 
 #include <cstdint>
@@ -56,24 +56,6 @@ void first_k_clustering_batch(const NeighborView& view,
 std::vector<double> first_k_clustering_batch(const NeighborView& view,
                                              std::span<const NodeId> subjects,
                                              std::size_t k = 50);
-
-// ---- Deprecated two-handle forms (one release of grace) -------------
-//
-// These predate NeighborView and take two handles to one logical graph
-// (the TimestampedGraph for chronology plus a CsrGraph for lookups).
-// They forward to the same exact integer link count, so results match
-// the view-based forms bit for bit. New code should construct a
-// NeighborView once and use the overloads above; these forwarders will
-// be removed next release.
-
-/// Deprecated: local clustering over an explicit friend subset, links
-/// looked up by scanning `g`'s rows. Zero for < 2 friends.
-double clustering_of_subset(const CsrGraph& g, std::span<const NodeId> subset);
-
-/// Deprecated: first-k clustering from a (TimestampedGraph, CsrGraph)
-/// pair. Builds the prefix from `tg` and counts links in `g`.
-double first_k_clustering(const TimestampedGraph& tg, const CsrGraph& g,
-                          NodeId u, std::size_t k = 50);
 
 /// Local clustering coefficient of every node, computed in parallel
 /// over the fixed chunk partition (deterministic for any SYBIL_THREADS).

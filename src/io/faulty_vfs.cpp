@@ -62,11 +62,13 @@ class FaultyVfsFile final : public VfsFile {
       throw VfsError(VfsFaultKind::kPowerLoss,
                      "power cut at write: " + path_);
     }
-    const bool in_window =
-        op >= cfg.fail_from && op - cfg.fail_from < cfg.fail_count;
-    if (in_window && cfg.fail_kind != VfsFaultKind::kShortWrite) {
-      ++owner_->faults_injected_;
-      SYBIL_METRIC_COUNT("io.vfs.faults", 1);
+    const bool in_window = owner_->in_fail_window_locked(op);
+    // Short writes and process crashes both land a seeded strict prefix.
+    const bool torn = in_window &&
+                      (cfg.fail_kind == VfsFaultKind::kShortWrite ||
+                       cfg.fail_kind == VfsFaultKind::kProcessCrash);
+    if (in_window && !torn) {
+      owner_->note_fault_locked(cfg.fail_kind);
       throw VfsError(cfg.fail_kind, "write failed: " + path_, 0);
     }
     // Byte budget: the crossing write persists the allowed prefix.
@@ -83,9 +85,7 @@ class FaultyVfsFile final : public VfsFile {
       }
     }
     std::uint64_t prefix = allowed;
-    const bool short_hit =
-        in_window && cfg.fail_kind == VfsFaultKind::kShortWrite;
-    if (short_hit && allowed > 0) {
+    if (torn && allowed > 0) {
       prefix = owner_->next_rand_locked() % allowed;  // strict prefix
     }
     if (prefix > 0) {
@@ -95,10 +95,14 @@ class FaultyVfsFile final : public VfsFile {
         owner_->tracked_[path_].written_size += prefix;
       }
     }
-    if (short_hit) {
-      ++owner_->faults_injected_;
-      SYBIL_METRIC_COUNT("io.vfs.faults", 1);
-      throw VfsError(VfsFaultKind::kShortWrite, "short write: " + path_,
+    if (torn) {
+      const VfsFaultKind kind = cfg.fail_kind;
+      owner_->note_fault_locked(kind);
+      throw VfsError(kind,
+                     std::string(kind == VfsFaultKind::kProcessCrash
+                                     ? "process crash at write: "
+                                     : "short write: ") +
+                         path_,
                      static_cast<std::size_t>(prefix));
     }
     if (budget_hit) {
@@ -113,7 +117,7 @@ class FaultyVfsFile final : public VfsFile {
   void fsync() override {
     std::lock_guard<std::mutex> lock(owner_->mutex_);
     if (owner_->dead_ || inner_ == nullptr) return;
-    owner_->account_op_locked("fsync " + path_);
+    owner_->account_op_locked("fsync", path_);
     owner_->note_fsync_locked();
     inner_->fsync();
     if (writable_) {
@@ -210,12 +214,11 @@ std::unique_ptr<VfsFile> FaultyVfs::open(const std::string& path,
                      SnapshotErrorCode::kOpenFailed,
                      "power cut at open: " + path);
     }
-    if (op >= cfg.fail_from && op - cfg.fail_from < cfg.fail_count) {
-      const VfsFaultKind kind =
-          cfg.fail_kind == VfsFaultKind::kShortWrite ? VfsFaultKind::kIoError
-                                                     : cfg.fail_kind;
-      ++faults_injected_;
-      SYBIL_METRIC_COUNT("io.vfs.faults", 1);
+    if (in_fail_window_locked(op)) {
+      const VfsFaultKind kind = cfg.fail_kind == VfsFaultKind::kShortWrite
+                                    ? VfsFaultKind::kIoError
+                                    : cfg.fail_kind;
+      note_fault_locked(kind);  // a crash here: the file never existed
       throw VfsError(kind, SnapshotErrorCode::kOpenFailed,
                      "cannot open " + path);
     }
@@ -238,7 +241,7 @@ std::unique_ptr<VfsFile> FaultyVfs::open(const std::string& path,
 void FaultyVfs::rename(const std::string& from, const std::string& to) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (dead_) return;
-  account_op_locked("rename " + from);
+  account_op_locked("rename", from);
   std::error_code ec;
   const bool target_existed = std::filesystem::exists(to, ec) && !ec;
   inner_->rename(from, to);
@@ -262,7 +265,7 @@ bool FaultyVfs::remove(const std::string& path) noexcept {
 void FaultyVfs::truncate(const std::string& path, std::uint64_t size) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (dead_) return;
-  account_op_locked("truncate " + path);
+  account_op_locked("truncate", path);
   inner_->truncate(path, size);
   const auto it = tracked_.find(path);
   if (it != tracked_.end()) {
@@ -274,7 +277,7 @@ void FaultyVfs::truncate(const std::string& path, std::uint64_t size) {
 void FaultyVfs::sync_parent_dir(const std::string& path) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (dead_) return;
-  account_op_locked("dirsync " + path);
+  account_op_locked("dirsync", path);
   note_fsync_locked();
   inner_->sync_parent_dir(path);
   // Directory barrier: renames published under this directory are now
@@ -283,20 +286,32 @@ void FaultyVfs::sync_parent_dir(const std::string& path) {
   pending_renames_.clear();
 }
 
-void FaultyVfs::account_op_locked(const std::string& what) {
+void FaultyVfs::account_op_locked(const char* what, const std::string& path) {
   const std::uint64_t op = op_count_++;
   if (op == config_.cut_at_op) {
     cut_power_locked();
-    throw VfsError(VfsFaultKind::kPowerLoss, "power cut at " + what);
+    throw VfsError(VfsFaultKind::kPowerLoss,
+                   std::string("power cut at ") + what + " " + path);
   }
-  if (op >= config_.fail_from && op - config_.fail_from < config_.fail_count) {
+  if (in_fail_window_locked(op)) {
     const VfsFaultKind kind = config_.fail_kind == VfsFaultKind::kShortWrite
                                   ? VfsFaultKind::kIoError
                                   : config_.fail_kind;
-    ++faults_injected_;
-    SYBIL_METRIC_COUNT("io.vfs.faults", 1);
-    throw VfsError(kind, what + " failed");
+    note_fault_locked(kind);  // a crash here: the op never took effect
+    throw VfsError(kind, std::string(what) + " " + path + " failed");
   }
+}
+
+bool FaultyVfs::in_fail_window_locked(std::uint64_t op) const {
+  return op >= config_.fail_from && op - config_.fail_from < config_.fail_count;
+}
+
+void FaultyVfs::note_fault_locked(VfsFaultKind kind) {
+  ++faults_injected_;
+  SYBIL_METRIC_COUNT("io.vfs.faults", 1);
+  // kill -9: nothing is torn or undone — what reached the vfs stays, as
+  // it would in the page cache — but nothing reaches it from here on.
+  if (kind == VfsFaultKind::kProcessCrash) dead_ = true;
 }
 
 void FaultyVfs::note_fsync_locked() {

@@ -17,6 +17,14 @@
 //     and renames not yet pinned by a directory fsync are undone when
 //     the target did not pre-exist. All subsequent ops silently no-op
 //     ("dead" mode) until reboot().
+//   - Process crash: the op window armed with kProcessCrash kills the
+//     process (kill -9) at its first op. Bytes already handed to the
+//     vfs survive (they sit in the page cache) and renames already done
+//     stand; a crashing write persists a seeded strict prefix — how a
+//     torn WAL record arises — and any other crashing op never happens.
+//     The device then runs dead until reboot(), so bytes still held in
+//     a BufferedVfsFile die with the process. This is the service's one
+//     crash model: every kill sweep crashes at op k.
 //
 // Determinism: same seed + same op sequence → same faults, byte for
 // byte. `remove` is never injected (it is the cleanup arm of failure
@@ -41,7 +49,9 @@ struct FaultConfig {
   std::uint64_t byte_budget = kNever;
 
   /// Mutating-op window throwing `fail_kind`: [fail_from, fail_from +
-  /// fail_count). fail_from counts ops since construction/configure.
+  /// fail_count). fail_from counts ops since construction (configure
+  /// keeps the count). With kProcessCrash the window's first op kills
+  /// the process (see the fault model above).
   std::uint64_t fail_from = kNever;
   std::uint64_t fail_count = 0;
   VfsFaultKind fail_kind = VfsFaultKind::kIoError;
@@ -117,10 +127,11 @@ class FaultyVfs final : public Vfs {
   };
 
   // All helpers expect mutex_ held.
-  void account_op_locked(const std::string& what);
-  void charge_bytes_locked(const std::string& path, std::uint64_t n);
+  void account_op_locked(const char* what, const std::string& path);
+  bool in_fail_window_locked(std::uint64_t op) const;
   void note_fsync_locked();
   void cut_power_locked();
+  void note_fault_locked(VfsFaultKind kind);
   std::uint64_t next_rand_locked();
 
   Vfs* inner_;

@@ -26,6 +26,8 @@ const char* to_string(VfsFaultKind kind) noexcept {
       return "short-write";
     case VfsFaultKind::kPowerLoss:
       return "power-loss";
+    case VfsFaultKind::kProcessCrash:
+      return "process-crash";
   }
   return "unknown";
 }

@@ -36,9 +36,19 @@ enum class VfsFaultKind {
   kIoError,     // generic I/O failure (EIO, bad sector, ...)
   kShortWrite,  // a write persisted a strict prefix, then failed
   kPowerLoss,   // simulated machine power cut at an fsync barrier
+  kProcessCrash,  // simulated process death (kill -9) at a storage op
 };
 
 const char* to_string(VfsFaultKind kind) noexcept;
+
+/// The one rule for fatal storage faults: power loss and process crash
+/// mean the process is (simulated) dead, so no in-process retry or
+/// degradation may absorb them — callers rethrow. Every other kind is
+/// a disk refusing writes, which the storage-degraded tier rides out.
+constexpr bool is_fatal(VfsFaultKind kind) noexcept {
+  return kind == VfsFaultKind::kPowerLoss ||
+         kind == VfsFaultKind::kProcessCrash;
+}
 
 /// Typed storage error. Derives from SnapshotError so existing catch
 /// sites (and tests pinning SnapshotErrorCode) keep working, while the

@@ -11,11 +11,16 @@
 //     --events 6000000 --fsync never --checkpoint-every 0
 //     --no-final-checkpoint --verify-single   (one line)
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -71,6 +76,44 @@ struct CliOptions {
   bool stats = false;
 };
 
+/// The operator-facing failure: one error line, the usage text, exit 2.
+[[noreturn]] void usage_error(const std::string& what) {
+  std::fprintf(stderr, "sybil_service: %s\n%s", what.c_str(), kUsage);
+  std::exit(2);
+}
+
+/// Strict unsigned parse of `flag`'s value in [min, max]: digits only,
+/// no sign, no trailing bytes, no overflow.
+std::uint64_t parse_count(const char* flag, const std::string& text,
+                          std::uint64_t min,
+                          std::uint64_t max =
+                              std::numeric_limits<std::uint64_t>::max()) {
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [at, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc() || at != end) {
+    usage_error(std::string(flag) + " expects an unsigned integer, got '" +
+                text + "'");
+  }
+  if (v < min || v > max) {
+    usage_error(std::string(flag) + " must be in [" + std::to_string(min) +
+                ", " + std::to_string(max) + "], got " + text);
+  }
+  return v;
+}
+
+/// Strict parse of a positive, finite real value of `flag`.
+double parse_positive(const char* flag, const std::string& text) {
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (text.empty() || end != text.c_str() + text.size() ||
+      !std::isfinite(v) || !(v > 0.0)) {
+    usage_error(std::string(flag) + " expects a positive finite number, got '" +
+                text + "'");
+  }
+  return v;
+}
+
 /// Removes `flag` (with `values` following operands) from argv; returns
 /// the operands or empty when the flag is absent.
 std::vector<std::string> take_flag(int& argc, char** argv, const char* flag,
@@ -78,9 +121,8 @@ std::vector<std::string> take_flag(int& argc, char** argv, const char* flag,
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], flag) != 0) continue;
     if (i + values >= argc) {
-      std::fprintf(stderr, "sybil_service: %s needs %d value(s)\n", flag,
-                   values);
-      std::exit(2);
+      usage_error(std::string(flag) + " needs " + std::to_string(values) +
+                  " value(s)");
     }
     std::vector<std::string> out;
     for (int v = 1; v <= values; ++v) out.emplace_back(argv[i + v]);
@@ -276,25 +318,32 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (const auto v = take_flag(argc, argv, "--shards", 1); !v.empty()) {
-    cli.shards = static_cast<std::uint32_t>(std::stoul(v[0]));
+    cli.shards =
+        static_cast<std::uint32_t>(parse_count("--shards", v[0], 1, 4096));
   }
   if (const auto v = take_flag(argc, argv, "--dir", 1); !v.empty()) {
     cli.dir = v[0];
   }
   if (const auto v = take_flag(argc, argv, "--accounts", 1); !v.empty()) {
-    cli.workload.accounts = static_cast<std::uint32_t>(std::stoul(v[0]));
+    // From the workload's population floor up to the ingestion
+    // account-id bound.
+    cli.workload.accounts = static_cast<std::uint32_t>(
+        parse_count("--accounts", v[0], 16,
+                    core::DetectorOptions{}.ingest.max_account_id));
   }
   if (const auto v = take_flag(argc, argv, "--events", 1); !v.empty()) {
-    cli.workload.events = std::stoull(v[0]);
+    cli.workload.events = parse_count("--events", v[0], 1);
   }
   if (const auto v = take_flag(argc, argv, "--seed", 1); !v.empty()) {
-    cli.workload.seed = std::stoull(v[0]);
+    cli.workload.seed = parse_count("--seed", v[0], 0);
   }
   if (const auto v = take_flag(argc, argv, "--hours", 1); !v.empty()) {
-    cli.workload.hours = std::stod(v[0]);
+    cli.workload.hours = parse_positive("--hours", v[0]);
   }
   if (const auto v = take_flag(argc, argv, "--burst-senders", 1); !v.empty()) {
-    cli.workload.burst_senders = static_cast<std::uint32_t>(std::stoul(v[0]));
+    cli.workload.burst_senders = static_cast<std::uint32_t>(
+        parse_count("--burst-senders", v[0], 1,
+                    std::numeric_limits<std::uint32_t>::max()));
   }
   if (const auto v = take_flag(argc, argv, "--fsync", 1); !v.empty()) {
     if (v[0] == "always") {
@@ -304,18 +353,16 @@ int main(int argc, char** argv) {
     } else if (v[0] == "never") {
       cli.fsync = service::WalFsync::kNever;
     } else {
-      std::fprintf(stderr, "sybil_service: unknown --fsync mode %s\n",
-                   v[0].c_str());
-      return 2;
+      usage_error("--fsync expects always|rotate|never, got '" + v[0] + "'");
     }
   }
   if (const auto v = take_flag(argc, argv, "--segment-records", 1);
       !v.empty()) {
-    cli.segment_records = std::stoull(v[0]);
+    cli.segment_records = parse_count("--segment-records", v[0], 1);
   }
   if (const auto v = take_flag(argc, argv, "--checkpoint-every", 1);
       !v.empty()) {
-    cli.checkpoint_every = std::stoull(v[0]);
+    cli.checkpoint_every = parse_count("--checkpoint-every", v[0], 0);
   }
   if (!take_flag(argc, argv, "--no-final-checkpoint", 0).empty()) {
     cli.final_checkpoint = false;
@@ -328,23 +375,19 @@ int main(int argc, char** argv) {
     scenario_path = v[0];
   }
   if (!take_flag(argc, argv, "--stats", 0).empty()) cli.stats = true;
-  if (argc > 1) {
-    std::fprintf(stderr, "sybil_service: unknown argument %s\n%s", argv[1],
-                 kUsage);
-    return 2;
-  }
+  if (argc > 1) usage_error(std::string("unknown argument ") + argv[1]);
 
   if (!scenario_path.empty()) {
     return run_scenario(scenario_path, cli.dir, cli.stats);
   }
 
-  // Account ids must fit the ingestion bound.
-  if (cli.workload.accounts >
-      core::DetectorOptions{}.ingest.max_account_id) {
-    std::fprintf(stderr,
-                 "sybil_service: --accounts exceeds the ingestion account-id "
-                 "bound\n");
-    return 2;
+  // Cross-flag rules (e.g. --burst-senders below --accounts / 2) are
+  // the options' own validation; they fail typed, never abort.
+  try {
+    cli.workload.validate();
+    router_options(cli, cli.shards, cli.dir).validate();
+  } catch (const std::invalid_argument& e) {
+    usage_error(e.what());
   }
 
   const std::vector<osn::Event> events =

@@ -91,11 +91,6 @@ void ShardRouterOptions::validate() const {
         "ShardRouterOptions::shards must be in [1, " +
         std::to_string(kMaxShards) + "]");
   }
-  if (shard.crash_hook) {
-    throw std::invalid_argument(
-        "ShardRouterOptions::shard.crash_hook must be empty; use the "
-        "shard-addressed ShardRouterOptions::crash_hook");
-  }
   shard.validate();  // template itself must be coherent (dir etc.)
 }
 
@@ -117,10 +112,6 @@ ServiceOptions ShardRouter::shard_options(std::uint32_t i) const {
   o.shard_id = i;
   o.shard_count = options_.shards;
   if (options_.shard_vfs) o.vfs = options_.shard_vfs(i);
-  if (options_.crash_hook) {
-    const ShardCrashHook hook = options_.crash_hook;
-    o.crash_hook = [i, hook](CrashPoint p) { hook(i, p); };
-  }
   return o;
 }
 
@@ -237,8 +228,7 @@ RouteResult ShardRouter::offer_batch(std::span<const osn::Event> events,
     }
     in_batch_ = false;
     // Commit groups in ascending shard order: one fsync per touched
-    // shard, and a deterministic sequence of kWalGroupCommit crash
-    // points for the kill-at-every-boundary sweeps.
+    // shard, and a deterministic storage-op order for the kill sweeps.
     for (std::uint32_t i = 0; i < shards_.size(); ++i) {
       if (group_open_[i]) {
         group_open_[i] = 0;
@@ -262,57 +252,38 @@ RouteResult ShardRouter::offer_batch(std::span<const osn::Event> events,
   return result;
 }
 
-std::size_t ShardRouter::pump(std::size_t max_per_shard) {
-  if (shards_.size() == 1 && shards_[0]) return shards_[0]->pump(max_per_shard);
+template <typename PerShard>
+std::size_t ShardRouter::fan_out(PerShard per_shard) {
+  if (shards_.size() == 1 && shards_[0]) return per_shard(*shards_[0]);
   // One fixed lane (chunk) per shard: disjoint supervisor state, no
-  // durability boundaries crossed, atomic metrics — so the drain is
+  // durability boundaries crossed, atomic metrics — so the result is
   // identical to the serial loop for any SYBIL_THREADS.
-  std::vector<std::size_t> pumped(shards_.size(), 0);
+  std::vector<std::size_t> counts(shards_.size(), 0);
   core::parallel_for(
       shards_.size(),
       [&](const core::ChunkRange& c) {
         for (std::size_t i = c.begin; i < c.end; ++i) {
-          if (shards_[i]) pumped[i] = shards_[i]->pump(max_per_shard);
+          if (shards_[i]) counts[i] = per_shard(*shards_[i]);
         }
       },
       /*grain=*/1);
   std::size_t n = 0;
-  for (std::size_t p : pumped) n += p;
+  for (std::size_t k : counts) n += k;
   return n;
+}
+
+std::size_t ShardRouter::pump(std::size_t max_per_shard) {
+  return fan_out(
+      [max_per_shard](ServiceSupervisor& s) { return s.pump(max_per_shard); });
 }
 
 std::size_t ShardRouter::pump_through(std::uint64_t seq_bound) {
-  if (shards_.size() == 1 && shards_[0]) {
-    return shards_[0]->pump_through(seq_bound);
-  }
-  std::vector<std::size_t> pumped(shards_.size(), 0);
-  core::parallel_for(
-      shards_.size(),
-      [&](const core::ChunkRange& c) {
-        for (std::size_t i = c.begin; i < c.end; ++i) {
-          if (shards_[i]) pumped[i] = shards_[i]->pump_through(seq_bound);
-        }
-      },
-      /*grain=*/1);
-  std::size_t n = 0;
-  for (std::size_t p : pumped) n += p;
-  return n;
+  return fan_out(
+      [seq_bound](ServiceSupervisor& s) { return s.pump_through(seq_bound); });
 }
 
 std::size_t ShardRouter::sweep_flags(graph::Time now) {
-  if (shards_.size() == 1 && shards_[0]) return shards_[0]->sweep_flags(now);
-  std::vector<std::size_t> flagged(shards_.size(), 0);
-  core::parallel_for(
-      shards_.size(),
-      [&](const core::ChunkRange& c) {
-        for (std::size_t i = c.begin; i < c.end; ++i) {
-          if (shards_[i]) flagged[i] = shards_[i]->sweep_flags(now);
-        }
-      },
-      /*grain=*/1);
-  std::size_t n = 0;
-  for (std::size_t f : flagged) n += f;
-  return n;
+  return fan_out([now](ServiceSupervisor& s) { return s.sweep_flags(now); });
 }
 
 void ShardRouter::checkpoint_now() {

@@ -33,7 +33,7 @@
 // shard's WAL with its global seq, so each shard's recovery exposes a
 // redelivery frontier (RecoveryReport::next_seq). The router suppresses
 // re-offered seqs below a shard's frontier, keeping per-shard WALs
-// duplicate-free — replay determinism and the kill-at-every-boundary
+// duplicate-free — replay determinism and the kill-at-every-storage-op
 // sweep therefore hold *per shard*, with designed cross-shard copies
 // accounted explicitly (copies_routed/delivered/suppressed).
 //
@@ -81,23 +81,16 @@ RoutePlan plan_route(const osn::Event& e, std::uint32_t shards) noexcept;
 std::vector<std::uint32_t> route_shards(const osn::Event& e,
                                         std::uint32_t shards);
 
-/// Crash hook with shard addressing: faults::ShardCrashInjector binds
-/// here to kill one shard at a chosen durability boundary while its
-/// peers run clean.
-using ShardCrashHook = std::function<void(std::uint32_t shard, CrashPoint)>;
-
 struct ShardRouterOptions {
   /// Template for every shard. `dir` is the *root*: shard i lives in
-  /// "<dir>/shard-<4 digits>". shard_id/shard_count/crash_hook are
-  /// overwritten per shard; the template's own crash_hook must be empty
-  /// (use the shard-addressed hook below).
+  /// "<dir>/shard-<4 digits>". shard_id/shard_count are overwritten
+  /// per shard.
   ServiceOptions shard{};
   std::uint32_t shards = 1;
-  ShardCrashHook crash_hook{};
   /// Shard-addressed storage backend: when set, shard i's supervisor
   /// runs every durable path through shard_vfs(i) instead of the
-  /// template's `shard.vfs` — how the chaos [disk] section injects
-  /// ENOSPC/EIO/power-loss into exactly one shard's disk while its
+  /// template's `shard.vfs` — how the chaos orchestrator and the kill
+  /// sweeps crash, fill or power-cut exactly one shard's disk while its
   /// peers stay clean. May return null (→ io::default_vfs()).
   std::function<io::Vfs*(std::uint32_t)> shard_vfs{};
 
@@ -153,8 +146,8 @@ class ShardRouter {
   /// that every shard's WAL appends for the batch are group-committed
   /// — ONE fsync per touched shard instead of one per copy (the
   /// dominant cost under WalFsync::kEveryAppend). The batch's
-  /// durability boundary is the commit at the end (CrashPoint::
-  /// kWalGroupCommit per shard, ascending); callers must not
+  /// durability boundary is the commit at the end (one WAL group
+  /// commit per shard, ascending); callers must not
   /// acknowledge the batch upstream before this returns. Verdicts,
   /// accounting and the resulting detector state are identical to the
   /// per-event path. Returns the summed RouteResult.
@@ -196,9 +189,10 @@ class ShardRouter {
   core::FlagBatch take_flagged();
 
   /// Takes shard `i` out of service, destroying its supervisor — the
-  /// in-process analogue of the shard's host dying (buffered WAL bytes
-  /// flush on close, exactly the durability a crashed process's page
-  /// cache would drain). While down: copies routed to it are skipped
+  /// in-process analogue of the shard's host dying. Buffered WAL bytes
+  /// flush on close unless the shard's vfs is dead: after an
+  /// io::FaultyVfs process crash they die with the process, as under
+  /// kill -9 (reboot the vfs only after mark_down). While down: copies routed to it are skipped
   /// and counted in copies_skipped_down() (owed, not routed — the
   /// routed == delivered + suppressed identity keeps holding on the
   /// live fleet), pump/sweep/checkpoint/flush/take_flagged ignore it,
@@ -211,8 +205,8 @@ class ShardRouter {
   /// lower-indexed shards already hold that seq, and advancing past it
   /// would strand it below their frontiers forever (the min-frontier
   /// contract assumes each seq is offered until every live target has
-  /// it). Typically invoked from inside a ShardCrashHook after an
-  /// InjectedCrash unwinds out of offer().
+  /// it). Typically invoked after a fatal io::VfsError (a process
+  /// crash or power cut) unwinds out of offer().
   void mark_down(std::uint32_t i);
   bool is_down(std::uint32_t i) const;
   std::uint32_t down_count() const noexcept;
@@ -268,6 +262,10 @@ class ShardRouter {
 
  private:
   ServiceOptions shard_options(std::uint32_t i) const;
+  /// Runs `per_shard` on every live shard, one parallel lane each, and
+  /// sums the results (pump, pump_through and sweep_flags).
+  template <typename PerShard>
+  std::size_t fan_out(PerShard per_shard);
   void deliver(std::uint32_t i, const osn::Event& e, std::uint64_t seq,
                RouteResult& result);
   void route_one(const osn::Event& e, std::uint64_t seq,

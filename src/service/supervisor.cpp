@@ -34,10 +34,6 @@ bool low_priority(osn::EventType t) noexcept {
          t == osn::EventType::kFriendshipSeeded;
 }
 
-void fire(const CrashHook& hook, CrashPoint p) {
-  if (hook) hook(p);
-}
-
 void append_field(std::string& out, const char* key, std::uint64_t value) {
   if (out.back() != '{') out += ',';
   out += '"';
@@ -363,7 +359,6 @@ RecoveryReport ServiceSupervisor::start() {
   wal_opts.segment_records = options_.wal_segment_records;
   wal_opts.fsync = options_.wal_fsync;
   wal_opts.shard_id = options_.shard_id;
-  wal_opts.crash_hook = options_.crash_hook;
   wal_opts.vfs = options_.vfs;
   wal_ = std::make_unique<WalWriter>(wal_opts, next);
 
@@ -431,8 +426,8 @@ bool ServiceSupervisor::offer(const osn::Event& e, std::uint64_t seq) {
   // enters storage-degraded mode, where the record lands in the WAL
   // writer's bounded in-memory buffer and everything downstream —
   // verdict, counters, queue, detector — proceeds identically to the
-  // undisturbed run. Power loss is the exception: the process is
-  // "dead", so the error propagates.
+  // undisturbed run. Fatal faults (power loss, process crash) are the
+  // exception: the process is "dead", so the error propagates.
   std::uint64_t index;
   if (storage_degraded_) {
     const std::uint64_t buffered = wal_->unsynced_records();
@@ -446,7 +441,7 @@ bool ServiceSupervisor::offer(const osn::Event& e, std::uint64_t seq) {
     try {
       index = wal_->append(e, seq, flags);
     } catch (const io::VfsError& err) {
-      if (err.kind() == io::VfsFaultKind::kPowerLoss) throw;
+      if (io::is_fatal(err.kind())) throw;
       enter_storage_degraded(err);
       if (wal_->next_index() == before) {
         // Rotation failed before anything was appended; now that sync
@@ -500,7 +495,7 @@ std::uint64_t ServiceSupervisor::commit_offer_batch() {
     // fsync failed. Degrade instead of unwinding — the caller simply
     // must not acknowledge the batch upstream yet (and recovery already
     // treats an unsynced group as losable, which is the contract).
-    if (err.kind() == io::VfsFaultKind::kPowerLoss) throw;
+    if (io::is_fatal(err.kind())) throw;
     if (!storage_degraded_) enter_storage_degraded(err);
     SYBIL_SERVICE_METRIC(
         storage_buffered.set(static_cast<double>(wal_->unsynced_records())));
@@ -617,8 +612,6 @@ void ServiceSupervisor::checkpoint_now() {
     SYBIL_SERVICE_METRIC(storage_checkpoints_suspended.add(1));
     return;
   }
-  fire(options_.crash_hook, CrashPoint::kCheckpointCommit);
-
   ServiceCheckpointState state;
   state.wal_position = wal_->next_index();
   state.tier = static_cast<std::uint32_t>(tier_);
@@ -648,14 +641,12 @@ void ServiceSupervisor::checkpoint_now() {
     save_service_checkpoint(checkpoint_path(ckpt_dir, state.wal_position),
                             state, options_.vfs);
   } catch (const io::VfsError& err) {
-    if (err.kind() == io::VfsFaultKind::kPowerLoss) throw;
+    if (io::is_fatal(err.kind())) throw;
     enter_storage_degraded(err);
     ++storage_checkpoints_suspended_;
     SYBIL_SERVICE_METRIC(storage_checkpoints_suspended.add(1));
     return;
   }
-  fire(options_.crash_hook, CrashPoint::kCheckpointCommitted);
-
   // Retention, then WAL pruning up to the oldest *retained* generation
   // — the fallback path must always find the records it would replay.
   prune_checkpoints(ckpt_dir, options_.checkpoint_retain);
@@ -706,7 +697,7 @@ bool ServiceSupervisor::retry_storage_now() {
   try {
     wal_->resume_sync();
   } catch (const io::VfsError& err) {
-    if (err.kind() == io::VfsFaultKind::kPowerLoss) throw;
+    if (io::is_fatal(err.kind())) throw;
     ++storage_retry_failures_;
     SYBIL_SERVICE_METRIC(storage_retry_failures.add(1));
     storage_backoff_ =

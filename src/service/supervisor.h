@@ -16,8 +16,9 @@
 // valid checkpoint generation — falling back past corrupt ones — and
 // replays the WAL suffix, re-executing recorded admission verdicts.
 // The recovered service is byte-identical to one that never crashed:
-// same verdicts, same features, same accounting JSON (tested at every
-// crash point; docs/ROBUSTNESS.md §Recovery model).
+// same verdicts, same features, same accounting JSON (tested with a
+// process crash at every storage op; docs/ROBUSTNESS.md §Recovery
+// model).
 //
 // Overload control: a bounded ingest queue with three degradation
 // tiers (DetectorOptions::overload) — full service, shed-low-priority,
@@ -133,12 +134,10 @@ struct ServiceOptions {
   /// depth); older generations and fully-covered WAL segments are
   /// pruned after each successful checkpoint.
   std::size_t checkpoint_retain = 2;
-  /// Test seam: invoked at every durability boundary (see CrashPoint).
-  CrashHook crash_hook{};
   /// Storage backend for every durable path this supervisor owns — WAL
   /// segments, checkpoint containers, pruning (null → io::default_vfs()).
-  /// Fault-injection tests and the chaos [disk] section hand each shard
-  /// its own io::FaultyVfs.
+  /// Fault-injection tests, the crash sweeps and the chaos orchestrator
+  /// hand each shard its own io::FaultyVfs.
   io::Vfs* vfs = nullptr;
   /// Storage-degraded mode policy (see file comment).
   StorageOptions storage{};
@@ -271,8 +270,8 @@ class ServiceSupervisor {
   /// Forces one storage retry NOW regardless of backoff (the chaos
   /// orchestrator calls this when a fault window closes). Returns true
   /// if the service is fully durable afterwards (including the
-  /// not-degraded case). Throws only for power-loss faults, which are
-  /// not retryable in-process.
+  /// not-degraded case). Throws only for fatal faults (io::is_fatal),
+  /// which are not retryable in-process.
   bool retry_storage_now();
 
   // Storage-incident counters (ops-only, not in stats_json: a degraded

@@ -205,11 +205,6 @@ void WalWriter::open_segment() {
   segment_path_ = path;
   ++segments_opened_;
   SYBIL_METRIC_COUNT("service.wal.segments", 1);
-  if (options_.crash_hook) options_.crash_hook(CrashPoint::kWalRotate);
-}
-
-void WalWriter::write_bytes(const void* data, std::size_t n) {
-  file_->write(data, n);  // buffered: cannot fail
 }
 
 void WalWriter::flush_buffer() {
@@ -240,32 +235,8 @@ std::uint64_t WalWriter::append(const osn::Event& e, std::uint64_t seq,
   rec.type = static_cast<std::uint32_t>(e.type);
   rec.flags = flags;
   const std::uint32_t crc = payload_crc(rec);
-  const auto* bytes = reinterpret_cast<const std::byte*>(&rec);
-  write_bytes(&crc, sizeof(crc));
-  if (options_.crash_hook) {
-    // Two-phase write so a hook throwing at kWalRecordHalf leaves a
-    // genuinely torn record on disk (the flushed first half survives
-    // the simulated crash; the second half was never written).
-    write_bytes(bytes, kRecordPayloadSize / 2);
-    try {
-      if (!sync_suspended_) file_->flush();
-    } catch (const io::VfsError&) {
-      // A storage fault mid-record: complete the record in the buffer
-      // so the on-disk torn prefix is exactly the head of the retained
-      // bytes — the next successful flush heals the tear seamlessly —
-      // then report the record appended-but-not-durable.
-      write_bytes(bytes + kRecordPayloadSize / 2, kRecordPayloadSize / 2);
-      ++unsynced_records_;
-      ++next_index_;
-      SYBIL_METRIC_COUNT("service.wal.appends", 1);
-      SYBIL_METRIC_COUNT("service.wal.bytes", kRecordSize);
-      throw;
-    }
-    options_.crash_hook(CrashPoint::kWalRecordHalf);
-    write_bytes(bytes + kRecordPayloadSize / 2, kRecordPayloadSize / 2);
-  } else {
-    write_bytes(bytes, sizeof(rec));
-  }
+  file_->write(&crc, sizeof(crc));  // buffered: cannot fail
+  file_->write(&rec, sizeof(rec));
   SYBIL_METRIC_COUNT("service.wal.appends", 1);
   SYBIL_METRIC_COUNT("service.wal.bytes", kRecordSize);
   ++unsynced_records_;
@@ -279,7 +250,6 @@ std::uint64_t WalWriter::append(const osn::Event& e, std::uint64_t seq,
     // the record is appended but not durable (see the header contract).
     sync_per_policy();
   }
-  if (options_.crash_hook) options_.crash_hook(CrashPoint::kWalAppend);
   return index;
 }
 
@@ -306,7 +276,6 @@ std::uint64_t WalWriter::commit_group() {
   }
   SYBIL_METRIC_COUNT("service.wal.group_commit.groups", 1);
   SYBIL_METRIC_COUNT("service.wal.group_commit.records", n);
-  if (options_.crash_hook) options_.crash_hook(CrashPoint::kWalGroupCommit);
   return n;
 }
 
@@ -422,7 +391,8 @@ std::vector<WalRecord> scan_wal(const std::string& dir,
             (dropped_bytes + kRecordSize - 1) / kRecordSize;
         try {
           vfs->truncate(path.string(), keep);
-        } catch (const io::VfsError&) {
+        } catch (const io::VfsError& e) {
+          if (io::is_fatal(e.kind())) throw;  // the process died mid-heal
           throw SnapshotError(SnapshotErrorCode::kWriteFailed,
                               "cannot heal WAL segment " + path.string());
         }

@@ -31,13 +31,13 @@
 // for benches. Directory entries are fsync'd when a segment is created
 // (io::Vfs::sync_parent_dir), so a machine crash cannot unlink a synced
 // segment. All file I/O goes through the segment's io::Vfs (WalOptions::
-// vfs), so storage faults — ENOSPC, EIO, short writes, power cuts — are
-// injectable per shard; see suspend_sync()/resume_sync() for how the
-// supervisor rides out a disk-fault window without losing records.
+// vfs), so storage faults — ENOSPC, EIO, short writes, power cuts and
+// process crashes — are injectable per shard; see suspend_sync()/
+// resume_sync() for how the supervisor rides out a disk-fault window
+// without losing records.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -46,34 +46,6 @@
 #include "osn/events.h"
 
 namespace sybil::service {
-
-/// Durability boundaries the service crosses, exposed as a test seam:
-/// the crash hook (if any) is invoked at each, and a hook that throws
-/// simulates the process dying exactly there (faults::CrashInjector).
-/// kWalRecordHalf fires between the two halves of a record write and
-/// yields a genuinely torn tail on disk.
-enum class CrashPoint : std::uint32_t {
-  kWalRecordHalf = 0,
-  kWalAppend = 1,           // record fully written (and synced per policy)
-  kWalRotate = 2,           // new segment created and headered
-  kCheckpointCommit = 3,    // checkpoint container about to commit
-  kCheckpointCommitted = 4, // checkpoint durable, retention not yet pruned
-  kWalGroupCommit = 5,      // group-commit fsync completed (see begin_group)
-};
-
-constexpr const char* to_string(CrashPoint p) noexcept {
-  switch (p) {
-    case CrashPoint::kWalRecordHalf: return "wal-record-half";
-    case CrashPoint::kWalAppend: return "wal-append";
-    case CrashPoint::kWalRotate: return "wal-rotate";
-    case CrashPoint::kCheckpointCommit: return "checkpoint-commit";
-    case CrashPoint::kCheckpointCommitted: return "checkpoint-committed";
-    case CrashPoint::kWalGroupCommit: return "wal-group-commit";
-  }
-  return "unknown";
-}
-
-using CrashHook = std::function<void(CrashPoint)>;
 
 enum class WalFsync : std::uint32_t {
   kEveryAppend = 0,
@@ -91,12 +63,10 @@ struct WalOptions {
   /// instead of replaying the wrong partition's history. Single-instance
   /// services write shard 0.
   std::uint32_t shard_id = 0;
-  /// Test seam; empty in production. A non-empty hook also switches
-  /// appends to a two-phase write so kWalRecordHalf can tear records.
-  CrashHook crash_hook{};
 
-  /// Storage backend (null → io::default_vfs()). Fault-injection tests
-  /// and the chaos [disk] section hand each shard its own FaultyVfs.
+  /// Storage backend (null → io::default_vfs()). Fault-injection tests,
+  /// the crash sweeps and the chaos orchestrator hand each shard its
+  /// own FaultyVfs.
   io::Vfs* vfs = nullptr;
 
   /// Throws std::invalid_argument naming the offending field.
@@ -169,12 +139,12 @@ class WalWriter {
 
   /// Ends the group: one flush+fsync covering every append since
   /// begin_group() (under kEveryAppend; other policies just close the
-  /// group). Fires CrashPoint::kWalGroupCommit after the sync — the
-  /// batch's durability boundary. Returns records committed.
+  /// group) — the batch's durability boundary. Returns records
+  /// committed.
   std::uint64_t commit_group();
 
-  /// Closes an open group WITHOUT the commit fsync or crash point
-  /// (no-op when none is open). For exception unwinding only: the
+  /// Closes an open group WITHOUT the commit fsync (no-op when none
+  /// is open). For exception unwinding only: the
   /// group's records stay buffered and unacknowledged, exactly as if
   /// the process had died before the commit — which is the durability
   /// state recovery already handles.
@@ -218,7 +188,6 @@ class WalWriter {
 
  private:
   void open_segment();
-  void write_bytes(const void* data, std::size_t n);
   void flush_buffer();      // file flush + unsynced reset
   void sync_per_policy();   // flush + fsync unless WalFsync::kNever
 

@@ -20,7 +20,7 @@
 //     per-shard stats byte-identical to its undisturbed control, at
 //     SYBIL_THREADS 1 and 8;
 //   * ScenarioKillSweep (not Chaos*, so the tsan name filter skips it):
-//     each shard killed at every durability-boundary crossing of a
+//     each shard killed (a process crash) at every storage op of a
 //     live-traffic scenario, identity pinned every time.
 #include <gtest/gtest.h>
 
@@ -722,7 +722,7 @@ TEST_F(ChaosScenario, BoundaryKillThatNeverArrivesIsMissed) {
   ScenarioManifest m = small_manifest();
   KillSpec k;
   k.shard = 1;
-  k.at_boundary = 1000000;  // far past any crossing this run makes
+  k.at_boundary = 1000000;  // far past any op this run makes
   k.use_boundary = true;
   k.down_for = 10;
   m.kills = {k};
@@ -756,11 +756,11 @@ TEST_F(ChaosScenario, NonIdentityManifestStillHoldsAccounting) {
 }
 
 // ---------------------------------------------------------------------------
-// Kill-at-every-boundary sweep
+// Kill-at-every-op sweep
 
-/// Learns the per-shard durability-boundary crossing counts from the
-/// undisturbed run, then kills `shard` at crossing k (stride-sampled)
-/// and pins flags + per-shard stats against the control every time.
+/// Learns the per-shard storage-op counts from the undisturbed run,
+/// then kills `shard` at op k (stride-sampled) and pins flags +
+/// per-shard stats against the control every time.
 void sweep_shard(const ScenarioManifest& base, std::uint32_t shard,
                  std::size_t stride, const ScenarioOutcome& control,
                  const std::string& tag) {
@@ -782,10 +782,10 @@ void sweep_shard(const ScenarioManifest& base, std::uint32_t shard,
     run.dir = fresh_dir("sweep_" + tag + "_s" + std::to_string(shard) + "_k" +
                         std::to_string(k));
     const ScenarioOutcome out = orchestrator.run(run);
-    SCOPED_TRACE("crossing " + std::to_string(k));
-    // Crossings late in the run (final flush) can no longer fire — the
-    // injector is disarmed before the terminal drain. Either way the
-    // run must match the control byte for byte.
+    SCOPED_TRACE("op " + std::to_string(k));
+    // Ops before the kill arms (boot) or late in the run (final flush)
+    // can no longer fire — the kill is disarmed before the terminal
+    // drain. Either way the run must match the control byte for byte.
     ASSERT_EQ(out.identity_failures, 0u);
     ASSERT_TRUE(flags_equal(out.flags, control.flags));
     ASSERT_EQ(out.shard_stats, control.shard_stats);

@@ -5,7 +5,7 @@
 //     default) stats_json carries no "defense" object and FlagRecords
 //     stay unannotated, so every byte-identical contract of the
 //     defense-off service is untouched;
-//   * kill-and-recover at EVERY durability boundary of the overloaded
+//   * a process crash at EVERY storage op of the overloaded
 //     500-account ground-truth run WITH the tier on — recovered stats
 //     (including the defense object) and annotated flags are
 //     byte-identical, across SYBIL_THREADS 1 and 8;
@@ -28,15 +28,13 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <iterator>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/metrics/metrics.h"
 #include "core/parallel.h"
-#include "faults/process_faults.h"
+#include "io/faulty_vfs.h"
 #include "osn/network.h"
 #include "service/checkpoint.h"
 #include "service/defense_scorer.h"
@@ -44,6 +42,7 @@
 #include "service/supervisor.h"
 #include "service/workload.h"
 #include "stats/rng.h"
+#include "support/crash_vfs.h"
 
 namespace sybil::service {
 namespace {
@@ -113,14 +112,14 @@ const std::vector<graph::NodeId> kSeeds = {1, 2, 5, 20, 21};
 /// The recovery suite's overloaded single-shard template, with the
 /// defense tier switchable on top.
 ServiceOptions make_options(const std::string& dir, bool defense,
-                            CrashHook hook = {}) {
+                            io::Vfs* vfs = &crashtest::sweep_vfs()) {
   ServiceOptions o;
   o.dir = dir;
-  o.wal_fsync = WalFsync::kNever;
+  o.wal_fsync = WalFsync::kEveryAppend;  // per-record crash points
   o.wal_segment_records = 48;
   o.checkpoint_every = 256;
   o.checkpoint_retain = 2;
-  o.crash_hook = std::move(hook);
+  o.vfs = vfs;
   o.detector.overload.queue_capacity = 260;
   o.detector.overload.shed_watermark = 120;
   o.detector.overload.sweep_only_watermark = 200;
@@ -159,19 +158,19 @@ void drive(ServiceSupervisor& s, const std::vector<osn::Event>& log,
 struct RunResult {
   std::string stats;
   core::FlagBatch flags;
-  std::uint64_t boundaries = 0;
+  std::uint64_t ops = 0;  // storage ops of the uninterrupted run
 };
 
 RunResult run_baseline(const std::vector<osn::Event>& log,
                        const std::string& dir, bool defense) {
   RunResult result;
-  const ServiceOptions opts = make_options(
-      dir, defense, [&result](CrashPoint) { ++result.boundaries; });
-  ServiceSupervisor s(opts);
+  io::FaultyVfs vfs(&crashtest::sweep_vfs());  // counts, injects nothing
+  ServiceSupervisor s(make_options(dir, defense, &vfs));
   const RecoveryReport report = s.start();
   EXPECT_TRUE(report.cold_start);
   drive(s, log, 0);
   EXPECT_TRUE(s.accounting_ok());
+  result.ops = vfs.ops();
   result.stats = s.stats_json();
   result.flags = s.take_flagged();
   return result;
@@ -190,26 +189,30 @@ void expect_flags_equal(const core::FlagBatch& a, const core::FlagBatch& b) {
   }
 }
 
+/// The process crashes at storage op k; a fresh supervisor recovers
+/// and finishes the stream.
 RunResult crash_recover_run(const std::vector<osn::Event>& log,
-                            const std::string& dir, std::uint64_t b) {
-  faults::CrashInjector crash(b);
-  auto victim = std::make_unique<ServiceSupervisor>(
-      make_options(dir, /*defense=*/true, std::ref(crash)));
+                            const std::string& dir, std::uint64_t k) {
+  io::FaultyVfs vfs(&crashtest::sweep_vfs());
+  crashtest::arm_crash(vfs, k);
   bool crashed = false;
-  try {
-    victim->start();
-    drive(*victim, log, 0);
-  } catch (const faults::InjectedCrash&) {
-    crashed = true;
-  }
-  EXPECT_TRUE(crashed) << "boundary " << b << " never crossed";
-  victim.reset();  // simulated process death
+  {
+    ServiceSupervisor victim(make_options(dir, /*defense=*/true, &vfs));
+    try {
+      victim.start();
+      drive(victim, log, 0);
+    } catch (const io::VfsError& e) {
+      EXPECT_EQ(e.kind(), io::VfsFaultKind::kProcessCrash) << e.what();
+      crashed = true;
+    }
+  }  // process death: the dead vfs drops what the victim still buffered
+  EXPECT_TRUE(crashed) << "op " << k << " never reached";
 
   ServiceSupervisor recovered(make_options(dir, /*defense=*/true));
   const RecoveryReport report = recovered.start();
-  EXPECT_TRUE(recovered.accounting_ok()) << "boundary " << b;
+  EXPECT_TRUE(recovered.accounting_ok()) << "op " << k;
   drive(recovered, log, report.next_index, report.checkpoint_position);
-  EXPECT_TRUE(recovered.accounting_ok()) << "boundary " << b;
+  EXPECT_TRUE(recovered.accounting_ok()) << "op " << k;
   RunResult result;
   result.stats = recovered.stats_json();
   result.flags = recovered.take_flagged();
@@ -267,28 +270,28 @@ TEST_F(DefenseService, StatsAndFlagsAreGatedByTheDefenseKnob) {
   }
 }
 
-TEST_F(DefenseService, ByteIdenticalAtEveryCrashPointWithDefenseOn) {
+TEST_F(DefenseService, ByteIdenticalAtEveryStorageOpWithDefenseOn) {
   const std::vector<osn::Event> log = build_log(7);
   ASSERT_GT(log.size(), 500u);
   const RunResult base = run_baseline(log, fresh_dir("sweep_base"), true);
-  ASSERT_GT(base.boundaries, 2 * log.size());
+  ASSERT_GT(base.ops, 2 * log.size());  // a write and an fsync per record
   ASSERT_FALSE(base.flags.records.empty());
   ASSERT_NE(base.stats.find("\"defense\""), std::string::npos);
 
   const std::string dir = fresh_dir("sweep");
-  for (std::uint64_t b = 0; b < base.boundaries; ++b) {
+  for (std::uint64_t k = 0; k < base.ops; ++k) {
     fs::remove_all(dir);
-    const RunResult run = crash_recover_run(log, dir, b);
-    ASSERT_EQ(run.stats, base.stats) << "crash boundary " << b;
+    const RunResult run = crash_recover_run(log, dir, k);
+    ASSERT_EQ(run.stats, base.stats) << "crash at op " << k;
     expect_flags_equal(run.flags, base.flags);
-    if (::testing::Test::HasFailure()) FAIL() << "crash boundary " << b;
+    if (::testing::Test::HasFailure()) FAIL() << "crash at op " << k;
   }
 }
 
 TEST_F(DefenseService, ByteIdenticalAcrossThreadCountsWithDefenseOn) {
   const std::vector<osn::Event> log = build_log(11);
   const RunResult base = run_baseline(log, fresh_dir("thr_base"), true);
-  const std::uint64_t mid = base.boundaries / 2;
+  const std::uint64_t mid = base.ops / 2;
 
   core::set_thread_count(1);
   const RunResult one = crash_recover_run(log, fresh_dir("thr1"), mid);

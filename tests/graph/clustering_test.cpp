@@ -56,32 +56,37 @@ TEST(Clustering, StarHasNoTriangles) {
   EXPECT_DOUBLE_EQ(transitivity(csr), 0.0);
 }
 
-TEST(Clustering, SubsetCoefficient) {
-  const CsrGraph g = triangle_plus_tail();
-  // Subset {1, 2}: linked → cc = 1.
-  const std::vector<NodeId> linked = {1, 2};
-  EXPECT_NEAR(clustering_of_subset(g, linked), 1.0, 1e-12);
-  // Subset {1, 3}: not linked → 0.
-  const std::vector<NodeId> unlinked = {1, 3};
-  EXPECT_DOUBLE_EQ(clustering_of_subset(g, unlinked), 0.0);
-  // Fewer than 2 friends → 0.
-  const std::vector<NodeId> single = {1};
-  EXPECT_DOUBLE_EQ(clustering_of_subset(g, single), 0.0);
-}
-
-TEST(Clustering, FirstKUsesChronologicalPrefix) {
-  // Node 0 first friends with 1 and 2 (linked), later with 3 and 4
-  // (unlinked): first-2 cc = 1, full cc smaller.
-  TimestampedGraph g(5);
+/// Node 0 first befriends 1 and 2 (linked to each other), later 3 and
+/// 4 (unlinked); node 5 befriends 1 and 3 (unlinked); node 4 has one
+/// friend.
+NeighborView first_friends_graph() {
+  TimestampedGraph g(6);
   g.add_edge(0, 1, 1.0);
   g.add_edge(0, 2, 2.0);
   g.add_edge(1, 2, 2.5);
   g.add_edge(0, 3, 3.0);
   g.add_edge(0, 4, 4.0);
-  const CsrGraph csr = CsrGraph::from(g);
-  EXPECT_NEAR(first_k_clustering(g, csr, 0, 2), 1.0, 1e-12);
-  EXPECT_NEAR(first_k_clustering(g, csr, 0, 50),
-              2.0 * 1.0 / (4.0 * 3.0), 1e-12);
+  g.add_edge(5, 1, 5.0);
+  g.add_edge(5, 3, 6.0);
+  return NeighborView::from(g);
+}
+
+TEST(Clustering, SubsetCoefficient) {
+  const NeighborView view = first_friends_graph();
+  // Friends {1, 2}: linked → cc = 1.
+  EXPECT_NEAR(first_k_clustering(view, 0, 2), 1.0, 1e-12);
+  // Friends {1, 3}: not linked → 0.
+  EXPECT_DOUBLE_EQ(first_k_clustering(view, 5, 2), 0.0);
+  // Fewer than 2 friends → 0.
+  EXPECT_DOUBLE_EQ(first_k_clustering(view, 4, 2), 0.0);
+}
+
+TEST(Clustering, FirstKUsesChronologicalPrefix) {
+  // Node 0's first-2 cc = 1; over all four friends it is smaller.
+  const NeighborView view = first_friends_graph();
+  EXPECT_NEAR(first_k_clustering(view, 0, 2), 1.0, 1e-12);
+  EXPECT_NEAR(first_k_clustering(view, 0, 50), 2.0 * 1.0 / (4.0 * 3.0),
+              1e-12);
 }
 
 TEST(Clustering, TransitivityOfTrianglePlusTail) {

@@ -2,16 +2,19 @@
 //
 //   * unit level: appends inside a begin_group()/commit_group() bracket
 //     buffer in the segment file and land with ONE flush at commit;
-//     commit reports the group size and fires CrashPoint::kWalGroupCommit
-//     after the sync; abort closes the bracket without either;
+//     commit reports the group size, and a process crash at the commit
+//     keeps a strict prefix of the group (all of it once the commit's
+//     write is done); abort closes the bracket without the fsync;
 //   * bracket misuse fails loudly (double begin, commit without begin);
 //   * trajectory identity: driving a ShardRouter through offer_batch()
 //     produces byte-identical per-shard stats JSON and merged flags to
 //     the per-event offer() path with the same pump cadence;
-//   * crash sweep: killing the router at EVERY kWalGroupCommit boundary
-//     and resuming from the recovered min frontier reproduces the
-//     uninterrupted run byte-for-byte (the PR 5/6 recovery contract,
-//     extended to the new coalesced durability boundary);
+//   * crash sweep: a process crash at EVERY storage op of a batched
+//     3-shard drive — group commits and the segment rotations inside a
+//     batch before its commit included — then resuming from the
+//     recovered min frontier reproduces the uninterrupted run byte-for-
+//     byte (the PR 5/6 recovery contract, extended to the coalesced
+//     durability boundary);
 //   * the parallel shard pump is byte-identical at SYBIL_THREADS 1 / 8.
 #include <gtest/gtest.h>
 
@@ -21,13 +24,15 @@
 #include <filesystem>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/parallel.h"
-#include "faults/process_faults.h"
+#include "io/faulty_vfs.h"
 #include "service/router.h"
 #include "service/wal.h"
 #include "service/workload.h"
+#include "support/crash_vfs.h"
 
 namespace sybil::service {
 namespace {
@@ -103,68 +108,74 @@ TEST_F(GroupCommit, AppendsBufferUntilTheCommitFlush) {
   EXPECT_EQ(report.torn_tails_healed, 0u);
 }
 
-TEST_F(GroupCommit, CommitFiresTheCrashPointAfterTheSync) {
-  const std::string dir = fresh_dir("boundary");
-  faults::CrashInjector crash(
-      0, static_cast<std::uint32_t>(CrashPoint::kWalGroupCommit));
-  WalOptions opts;
-  opts.dir = dir;
-  opts.fsync = WalFsync::kEveryAppend;
-  opts.crash_hook = std::ref(crash);
-  {
-    WalWriter w(opts, 0);
-    w.begin_group();
-    for (std::uint64_t i = 0; i < 5; ++i) w.append(event_at(i), i, 0);
-    // The hook throws at the commit boundary — AFTER the coalesced
-    // fsync, so the whole group is already durable.
-    EXPECT_THROW(w.commit_group(), faults::InjectedCrash);
-    EXPECT_EQ(crash.crossings(), 1u);
+TEST_F(GroupCommit, CrashAtTheCommitKeepsAStrictPrefixOfTheGroup) {
+  // The commit is one write then one fsync. A crash at the fsync keeps
+  // the whole group (the write already handed it to the vfs); a crash
+  // at the write keeps a seeded strict prefix of it.
+  for (const std::uint64_t commit_op : {1u, 0u}) {
+    const std::string dir = fresh_dir("commit_crash");
+    io::FaultyVfs vfs(&crashtest::sweep_vfs());
+    WalOptions opts;
+    opts.dir = dir;
+    opts.fsync = WalFsync::kEveryAppend;
+    opts.vfs = &vfs;
+    {
+      WalWriter w(opts, 0);
+      w.begin_group();
+      for (std::uint64_t i = 0; i < 5; ++i) w.append(event_at(i), i, 0);
+      crashtest::arm_crash(vfs, vfs.ops() + commit_op);
+      EXPECT_THROW(w.commit_group(), io::VfsError);
+    }
+    WalScanReport report;
+    const std::size_t kept = scan_wal(dir, 0, report).size();
+    if (commit_op == 1) {
+      EXPECT_EQ(kept, 5u);
+      EXPECT_EQ(report.torn_tails_healed, 0u);
+    } else {
+      EXPECT_LT(kept, 5u);
+    }
   }
-  WalScanReport report;
-  EXPECT_EQ(scan_wal(dir, 0, report).size(), 5u);
 }
 
 TEST_F(GroupCommit, BracketMisuseThrowsAndAbortClosesQuietly) {
   const std::string dir = fresh_dir("misuse");
-  std::uint64_t boundary_crossings = 0;
+  io::FaultyVfs vfs(&crashtest::sweep_vfs());
   WalOptions opts;
   opts.dir = dir;
   opts.fsync = WalFsync::kEveryAppend;
-  opts.crash_hook = [&](CrashPoint p) {
-    if (p == CrashPoint::kWalGroupCommit) ++boundary_crossings;
-  };
+  opts.vfs = &vfs;
   WalWriter w(opts, 0);
+  const std::uint64_t fsyncs = vfs.fsyncs();
 
   EXPECT_THROW(w.commit_group(), std::logic_error);
   w.begin_group();
   EXPECT_THROW(w.begin_group(), std::logic_error);
   w.append(event_at(0), 0, 0);
 
-  // Abort is the unwind path: it closes the bracket with neither the
-  // commit fsync nor the crash point, and is idempotent.
+  // Abort is the unwind path: it closes the bracket without the commit
+  // fsync, and is idempotent.
   w.abort_group();
   w.abort_group();
   EXPECT_FALSE(w.in_group());
-  EXPECT_EQ(boundary_crossings, 0u);
+  EXPECT_EQ(vfs.fsyncs(), fsyncs);
 
   // A fresh bracket opens cleanly after an abort.
   w.begin_group();
   w.append(event_at(1), 1, 0);
   EXPECT_EQ(w.commit_group(), 1u);
-  EXPECT_EQ(boundary_crossings, 1u);
+  EXPECT_EQ(vfs.fsyncs(), fsyncs + 1);
 }
 
 // ---- Router-level batch semantics ----------------------------------
 
 ShardRouterOptions router_options(const std::string& dir,
                                   std::uint32_t shards,
-                                  ShardCrashHook hook = {}) {
+                                  io::Vfs* vfs = &crashtest::sweep_vfs()) {
   ShardRouterOptions o;
   o.shards = shards;
-  o.crash_hook = std::move(hook);
   o.shard.dir = dir;
-  o.shard.wal_fsync = WalFsync::kNever;  // sweep speed; the boundary
-                                         // crash point fires regardless
+  o.shard.vfs = vfs;  // skips fsyncs: group commits stay cheap ops
+  o.shard.wal_fsync = WalFsync::kEveryAppend;
   o.shard.wal_segment_records = 32;
   o.shard.checkpoint_every = 96;
   o.shard.checkpoint_retain = 2;
@@ -188,16 +199,24 @@ WorkloadOptions workload_options() {
 
 constexpr std::uint64_t kBatch = 64;
 
+/// [first, last) storage-op indices one offer_batch call issued.
+using OpSpan = std::pair<std::size_t, std::size_t>;
+
 /// Offers log[from..N) in kBatch-sized group-committed runs, pumping
 /// after each — the same cadence drive_serial uses, so the two paths
-/// must agree on every replay-exact counter.
+/// must agree on every replay-exact counter. With an op log, records
+/// the span of ops each offer_batch issued into `batches`.
 void drive_batched(ShardRouter& router, const std::vector<osn::Event>& log,
-                   std::uint64_t from) {
+                   std::uint64_t from,
+                   const std::vector<crashtest::StorageOp>* ops = nullptr,
+                   std::vector<OpSpan>* batches = nullptr) {
   const std::span<const osn::Event> all(log);
   for (std::uint64_t base = from; base < log.size(); base += kBatch) {
     const std::size_t n =
         std::min<std::size_t>(kBatch, log.size() - base);
+    const std::size_t first = ops != nullptr ? ops->size() : 0;
     router.offer_batch(all.subspan(base, n), base);
+    if (ops != nullptr) batches->emplace_back(first, ops->size());
     router.pump();
   }
   router.flush(/*checkpoint=*/true);
@@ -281,58 +300,72 @@ TEST_F(GroupCommit, ParallelPumpByteIdenticalAcrossThreadCounts) {
   expect_runs_equal(run_one, run_eight);
 }
 
-/// Kill the fleet at EVERY group-commit boundary, recover, resume from
-/// the router's min frontier with the same batched drive, and demand
-/// the uninterrupted run's bytes. InjectedCrash unwinds through
-/// offer_batch's abort path, so surviving shards' open groups must not
-/// poison the restarted drive.
+/// A process crash at EVERY storage op of the batched 3-shard drive —
+/// the shards share one device, so each crash kills the whole fleet —
+/// then recovery, a resume from the router's min frontier with the
+/// same batched drive, and the uninterrupted run's bytes. The crash
+/// unwinds through offer_batch's abort path, so surviving shards' open
+/// groups must not poison the restarted drive. Among the points: every
+/// group commit, and segment rotations inside a batch before its commit.
 TEST_F(GroupCommitRecovery, KillAtEveryGroupCommitBoundary) {
   const std::vector<osn::Event> log = synthetic_workload(workload_options());
 
-  ShardRouter clean(router_options(fresh_dir("sweep_clean"), 3));
-  clean.start();
-  drive_batched(clean, log, 0);
-  const CapturedRun want = capture(clean, 7.0);
-
-  // Count the boundaries one uninterrupted batched drive crosses.
-  std::uint64_t boundaries = 0;
+  // The uninterrupted run, logging the storage ops the sweep iterates.
+  std::vector<crashtest::StorageOp> ops;
+  std::vector<OpSpan> batches;
+  CapturedRun want;
   {
-    ShardRouter counter(router_options(
-        fresh_dir("sweep_count"), 3,
-        [&boundaries](std::uint32_t, CrashPoint p) {
-          if (p == CrashPoint::kWalGroupCommit) ++boundaries;
-        }));
-    counter.start();
-    drive_batched(counter, log, 0);
+    crashtest::SweepVfs logged;
+    logged.record(&ops);
+    ShardRouter clean(router_options(fresh_dir("sweep_clean"), 3, &logged));
+    clean.start();
+    drive_batched(clean, log, 0, &ops, &batches);
+    want = capture(clean, 7.0);
   }
-  ASSERT_GT(boundaries, 10u) << "sweep would be vacuous";
+  ASSERT_GT(batches.size(), 5u) << "sweep would be vacuous";
+  // Commits never open a file, so a WAL open inside a batch's op span
+  // is a rotation ahead of that batch's commit.
+  const auto rotation_in_batch = [&](std::size_t k) {
+    if (ops[k].kind != crashtest::StorageOp::Kind::kOpen ||
+        ops[k].path.find("/wal/") == std::string::npos) {
+      return false;
+    }
+    return std::any_of(batches.begin(), batches.end(), [k](const OpSpan& b) {
+      return k >= b.first && k < b.second;
+    });
+  };
 
-  for (std::uint64_t at = 0; at < boundaries; ++at) {
-    const std::string dir =
-        fresh_dir("sweep_" + std::to_string(at));
-    faults::ShardCrashInjector crash(
-        faults::ShardCrashInjector::kAnyShard, at,
-        static_cast<std::uint32_t>(CrashPoint::kWalGroupCommit));
+  const std::string dir = fresh_dir("sweep");
+  std::size_t rotations_in_batch = 0;
+  for (std::uint64_t k = 0; k < ops.size(); ++k) {
+    fs::remove_all(dir);
+    io::FaultyVfs vfs(&crashtest::sweep_vfs());
+    crashtest::arm_crash(vfs, k);
     bool crashed = false;
     {
-      ShardRouter victim(router_options(dir, 3, std::ref(crash)));
-      victim.start();
+      ShardRouter victim(router_options(dir, 3, &vfs));
       try {
+        victim.start();
         drive_batched(victim, log, 0);
-      } catch (const faults::InjectedCrash&) {
+      } catch (const io::VfsError& e) {
+        ASSERT_EQ(e.kind(), io::VfsFaultKind::kProcessCrash) << e.what();
         crashed = true;
       }
-    }
-    ASSERT_TRUE(crashed) << "boundary " << at << " never crossed";
+    }  // process death: buffered bytes of every shard die with it
+    ASSERT_TRUE(crashed) << "op " << k << " never reached";
 
     ShardRouter revived(router_options(dir, 3));
     const RouterRecoveryReport report = revived.start();
+    ASSERT_TRUE(revived.accounting_ok()) << "op " << k;
     ASSERT_LE(report.next_seq, log.size());
     drive_batched(revived, log, report.next_seq);
     const CapturedRun got = capture(revived, 7.0);
-    ASSERT_EQ(got.shard_stats, want.shard_stats) << "boundary " << at;
+    ASSERT_EQ(got.shard_stats, want.shard_stats) << "op " << k;
     expect_runs_equal(got, want);
+    if (rotation_in_batch(k)) ++rotations_in_batch;
   }
+  EXPECT_GT(rotations_in_batch, 0u)
+      << "no crash point landed on a rotation inside offer_batch";
 }
 
 }  // namespace

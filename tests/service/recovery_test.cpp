@@ -1,10 +1,12 @@
 // Recovery-determinism suite (docs/ROBUSTNESS.md §Recovery model):
 //
-//   * kill-and-recover at EVERY durability boundary of a 500-account
-//     ground-truth run — final flag verdicts and the accounting JSON
-//     are byte-identical to the uninterrupted run, including the shed
-//     breakdown (the run deliberately overloads so tier transitions
-//     and shedding are part of what must replay exactly);
+//   * a process crash at EVERY storage op of a 500-account ground-
+//     truth run (io::FaultyVfs), then recovery — final flag verdicts
+//     and the accounting JSON are byte-identical to the uninterrupted
+//     run, including the shed breakdown (the run deliberately overloads
+//     so tier transitions and shedding are part of what must replay
+//     exactly), and the recovered resume points cover every record
+//     index of the log;
 //   * the same, pinned across SYBIL_THREADS=1 and 8;
 //   * a corrupt newest checkpoint falls back to the previous
 //     generation with a typed RecoveryReport — never a crash, never
@@ -14,31 +16,27 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/parallel.h"
 #include "faults/process_faults.h"
+#include "io/faulty_vfs.h"
 #include "osn/network.h"
 #include "service/supervisor.h"
 #include "stats/rng.h"
+#include "support/crash_vfs.h"
 
 namespace sybil::service {
 namespace {
 
 namespace fs = std::filesystem;
 
-class ServiceRecovery : public ::testing::Test {
- protected:
-  // The crash sweep commits thousands of checkpoints to a throwaway
-  // dir; the durability knob exists exactly so such runs skip fsync.
-  static void SetUpTestSuite() { ::setenv("SYBIL_IO_FSYNC", "0", 1); }
-  static void TearDownTestSuite() { ::unsetenv("SYBIL_IO_FSYNC"); }
-};
+// Every run writes through the sweep vfs, which skips the fsyncs
+// themselves: checkpoint fsync and directory fsync stay storage ops a
+// crash can land on, at no cost.
+using ServiceRecovery = ::testing::Test;
 
 std::string fresh_dir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "/sybil_svc_" + name;
@@ -92,16 +90,18 @@ std::vector<osn::Event> build_log(std::uint64_t seed) {
   return net.log().events();
 }
 
-ServiceOptions make_options(const std::string& dir, CrashHook hook = {}) {
+ServiceOptions make_options(const std::string& dir,
+                            io::Vfs* vfs = &crashtest::sweep_vfs()) {
   ServiceOptions o;
   o.dir = dir;
-  // In-process crash simulation: buffered bytes survive the simulated
-  // death (abandoned-object close), so fsync is pure overhead here.
-  o.wal_fsync = WalFsync::kNever;
+  // Per-record flush: every record reaches the vfs as it is appended,
+  // so the crash sweep can stop the log after any record (or inside
+  // one). The sweep vfs makes the fsyncs free.
+  o.wal_fsync = WalFsync::kEveryAppend;
   o.wal_segment_records = 48;
   o.checkpoint_every = 256;
   o.checkpoint_retain = 2;
-  o.crash_hook = std::move(hook);
+  o.vfs = vfs;
   // Watermarks the driver's pump cadence actually crosses, so tier
   // transitions and shedding are inside the determinism property.
   o.detector.overload.queue_capacity = 260;
@@ -143,25 +143,24 @@ void drive(ServiceSupervisor& s, const std::vector<osn::Event>& log,
 struct RunResult {
   std::string stats;
   core::FlagBatch flags;
-  std::uint64_t boundaries = 0;
+  std::uint64_t ops = 0;         // storage ops of the uninterrupted run
+  std::uint64_t next_index = 0;  // where a crashed run's offers resumed
   std::uint64_t shed_total = 0;
   std::uint64_t tier_transitions = 0;
 };
 
-/// The uninterrupted reference run, with a counting hook so the crash
-/// sweep knows how many boundaries the schedule crosses. (The hook
-/// switches WAL appends to two-phase writes, the same I/O pattern the
-/// crashing runs see; detector state is unaffected.)
+/// The uninterrupted reference run, over a fault-free FaultyVfs that
+/// counts the storage ops the crash sweep iterates.
 RunResult run_baseline(const std::vector<osn::Event>& log,
                        const std::string& dir) {
   RunResult result;
-  const ServiceOptions opts = make_options(
-      dir, [&result](CrashPoint) { ++result.boundaries; });
-  ServiceSupervisor s(opts);
+  io::FaultyVfs vfs(&crashtest::sweep_vfs());
+  ServiceSupervisor s(make_options(dir, &vfs));
   const RecoveryReport report = s.start();
   EXPECT_TRUE(report.cold_start);
   drive(s, log, 0);
   EXPECT_TRUE(s.accounting_ok());
+  result.ops = vfs.ops();
   result.stats = s.stats_json();
   result.flags = s.take_flagged();
   result.shed_total = s.shed_total();
@@ -186,51 +185,61 @@ void expect_flags_equal(const core::FlagBatch& a, const core::FlagBatch& b) {
   }
 }
 
-/// Runs to the b-th boundary, dies there, recovers in a fresh
-/// supervisor, finishes the stream, and returns the final state.
+/// Runs the log until the process crashes at storage op k, recovers in
+/// a fresh supervisor, finishes the stream, and returns the final state.
 RunResult crash_recover_run(const std::vector<osn::Event>& log,
-                            const std::string& dir, std::uint64_t b) {
-  faults::CrashInjector crash(b);
-  auto victim = std::make_unique<ServiceSupervisor>(
-      make_options(dir, std::ref(crash)));
+                            const std::string& dir, std::uint64_t k) {
+  io::FaultyVfs vfs(&crashtest::sweep_vfs());
+  crashtest::arm_crash(vfs, k);
   bool crashed = false;
-  try {
-    victim->start();
-    drive(*victim, log, 0);
-  } catch (const faults::InjectedCrash&) {
-    crashed = true;
-  }
-  EXPECT_TRUE(crashed) << "boundary " << b << " never crossed";
-  victim.reset();  // simulated process death
+  {
+    ServiceSupervisor victim(make_options(dir, &vfs));
+    try {
+      victim.start();
+      drive(victim, log, 0);
+    } catch (const io::VfsError& e) {
+      EXPECT_EQ(e.kind(), io::VfsFaultKind::kProcessCrash) << e.what();
+      crashed = true;
+    }
+  }  // process death: the dead vfs drops what the victim still buffered
+  EXPECT_TRUE(crashed) << "op " << k << " never reached";
 
   ServiceSupervisor recovered(make_options(dir));
   const RecoveryReport report = recovered.start();
-  EXPECT_TRUE(recovered.accounting_ok()) << "boundary " << b;
+  EXPECT_TRUE(recovered.accounting_ok()) << "op " << k;
   drive(recovered, log, report.next_index, report.checkpoint_position);
-  EXPECT_TRUE(recovered.accounting_ok()) << "boundary " << b;
+  EXPECT_TRUE(recovered.accounting_ok()) << "op " << k;
   RunResult result;
   result.stats = recovered.stats_json();
   result.flags = recovered.take_flagged();
+  result.next_index = report.next_index;
   return result;
 }
 
-TEST_F(ServiceRecovery, ByteIdenticalAtEveryCrashPoint) {
+TEST_F(ServiceRecovery, ByteIdenticalAtEveryStorageOp) {
   const std::vector<osn::Event> log = build_log(7);
   ASSERT_GT(log.size(), 500u);
   const RunResult base = run_baseline(log, fresh_dir("base"));
-  ASSERT_GT(base.boundaries, 2 * log.size());  // half + append per offer
+  ASSERT_GT(base.ops, 2 * log.size());  // a write and an fsync per record
   ASSERT_FALSE(base.flags.records.empty())
       << "the run must actually flag accounts for the comparison to bite";
   ASSERT_GT(base.shed_total, 0u) << "overload must engage";
   ASSERT_GT(base.tier_transitions, 0u);
 
   const std::string dir = fresh_dir("sweep");
-  for (std::uint64_t b = 0; b < base.boundaries; ++b) {
+  std::vector<bool> resumed_at(log.size() + 1, false);
+  for (std::uint64_t k = 0; k < base.ops; ++k) {
     fs::remove_all(dir);
-    const RunResult run = crash_recover_run(log, dir, b);
-    ASSERT_EQ(run.stats, base.stats) << "crash boundary " << b;
+    const RunResult run = crash_recover_run(log, dir, k);
+    ASSERT_EQ(run.stats, base.stats) << "crash at op " << k;
     expect_flags_equal(run.flags, base.flags);
-    if (::testing::Test::HasFailure()) FAIL() << "crash boundary " << b;
+    if (::testing::Test::HasFailure()) FAIL() << "crash at op " << k;
+    ASSERT_LE(run.next_index, log.size());
+    resumed_at[run.next_index] = true;
+  }
+  // A crash can stop the durable log after any record, torn or not.
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    EXPECT_TRUE(resumed_at[i]) << "no crash point resumed at record " << i;
   }
 }
 
@@ -239,7 +248,7 @@ TEST_F(ServiceRecovery, ByteIdenticalAtEveryCrashPoint) {
 TEST_F(ServiceRecovery, ByteIdenticalAcrossThreadCounts) {
   const std::vector<osn::Event> log = build_log(11);
   const RunResult base = run_baseline(log, fresh_dir("thr_base"));
-  const std::uint64_t mid = base.boundaries / 2;
+  const std::uint64_t mid = base.ops / 2;
 
   core::set_thread_count(1);
   const RunResult one = crash_recover_run(log, fresh_dir("thr1"), mid);

@@ -10,11 +10,12 @@
 //     byte-identical to the 1-shard run, at SYBIL_THREADS=1 and 8;
 //   * per-shard isolation: one overloaded shard sheds and degrades
 //     alone while its peers stay at full service;
-//   * per-shard recovery: kill shard 1 at EVERY durability boundary
-//     while shards 0 and 2 run clean — per-shard stats JSON and the
-//     merged flags are byte-identical to the uninterrupted run; a
-//     strided whole-process kill sweep proves the same for the
-//     min-frontier resume path;
+//   * per-shard recovery: a process crash at EVERY storage op of shard
+//     1 (its own io::FaultyVfs) while shards 0 and 2 run clean — per-
+//     shard stats JSON and the merged flags are byte-identical to the
+//     uninterrupted run; a strided whole-process sweep (one device
+//     under the whole fleet) proves the same for the min-frontier
+//     resume path;
 //   * foreign state fails loudly: a checkpoint or WAL segment written
 //     by another shard identity refuses to load, and a state root with
 //     directories from a larger partition count refuses to start;
@@ -25,18 +26,19 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
-#include <functional>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "core/metrics/metrics.h"
 #include "core/parallel.h"
-#include "faults/process_faults.h"
 #include "io/error.h"
+#include "io/faulty_vfs.h"
 #include "service/router.h"
 #include "service/wal.h"
 #include "service/workload.h"
+#include "support/crash_vfs.h"
 
 namespace sybil::service {
 namespace {
@@ -67,11 +69,9 @@ std::string fresh_dir(const std::string& name) {
 /// these workloads queue, so admission never depends on pump cadence —
 /// the precondition for N-vs-1 and crash-resume equivalence checks.
 ShardRouterOptions make_router_options(const std::string& dir,
-                                       std::uint32_t shards,
-                                       ShardCrashHook hook = {}) {
+                                       std::uint32_t shards) {
   ShardRouterOptions o;
   o.shards = shards;
-  o.crash_hook = std::move(hook);
   o.shard.dir = dir;
   o.shard.wal_fsync = WalFsync::kNever;
   o.shard.wal_segment_records = 32;
@@ -439,22 +439,41 @@ TEST_F(Shard, DeadLetterMetricsAggregateExactly) {
 }
 #endif  // SYBIL_METRICS_COMPILED
 
-/// Uninterrupted 3-shard reference run whose hook counts the victim
-/// shard's durability boundaries (installing a hook also switches WAL
-/// appends to two-phase writes — the I/O pattern the crashing runs
-/// see, so the on-disk artifacts compare like-for-like).
+/// `victim` value that puts the faulty device under every shard.
+constexpr std::uint32_t kWholeFleet = ~std::uint32_t{0};
+
+/// The crash sweeps' 3-shard template: every record reaches its shard's
+/// device as it is appended (kEveryAppend over the fsync-free sweep
+/// vfs), and `faulty` (if any) sits under shard `victim` only — or
+/// under the whole fleet, so one crash kills every shard at once.
+ShardRouterOptions sweep_router_options(const std::string& dir,
+                                        io::FaultyVfs* faulty = nullptr,
+                                        std::uint32_t victim = kWholeFleet) {
+  ShardRouterOptions o = make_router_options(dir, 3);
+  o.shard.wal_fsync = WalFsync::kEveryAppend;
+  o.shard.vfs = &crashtest::sweep_vfs();
+  if (faulty == nullptr) return o;
+  if (victim == kWholeFleet) {
+    o.shard.vfs = faulty;
+  } else {
+    o.shard_vfs = [faulty, victim](std::uint32_t i) -> io::Vfs* {
+      return i == victim ? static_cast<io::Vfs*>(faulty)
+                         : &crashtest::sweep_vfs();
+    };
+  }
+  return o;
+}
+
+/// Uninterrupted reference run over a fault-free FaultyVfs (placed as
+/// in the sweep) whose op count is the sweep's iteration space.
 ShardedRun run_baseline(const std::vector<osn::Event>& log,
                         const std::string& dir, double sweep_at,
-                        std::uint32_t victim, std::uint64_t* boundaries) {
-  ShardRouter router(make_router_options(
-      dir, 3, [victim, boundaries](std::uint32_t shard, CrashPoint) {
-        if (victim == faults::ShardCrashInjector::kAnyShard ||
-            shard == victim) {
-          ++*boundaries;
-        }
-      }));
+                        std::uint32_t victim, std::uint64_t* ops) {
+  io::FaultyVfs vfs(&crashtest::sweep_vfs());
+  ShardRouter router(sweep_router_options(dir, &vfs, victim));
   router.start();
   drive(router, log, 0);
+  *ops = vfs.ops();
   return capture(router, sweep_at);
 }
 
@@ -462,94 +481,103 @@ TEST_F(ShardedRecovery, KillOneShardAtEveryBoundary) {
   constexpr std::uint32_t kVictim = 1;
   const WorkloadOptions w = small_workload(7);
   const std::vector<osn::Event> log = synthetic_workload(w);
-  std::uint64_t boundaries = 0;
+  std::uint64_t ops = 0;
   const ShardedRun base = run_baseline(log, fresh_dir("kill_base"),
-                                       w.hours + 1.0, kVictim, &boundaries);
-  ASSERT_GT(boundaries, log.size() / 2);
+                                       w.hours + 1.0, kVictim, &ops);
+  ASSERT_GT(ops, log.size() / 2);
   ASSERT_FALSE(base.flags.records.empty())
       << "the run must actually flag accounts for the comparison to bite";
 
   const std::string dir = fresh_dir("kill_sweep");
-  for (std::uint64_t b = 0; b < boundaries; ++b) {
+  for (std::uint64_t k = 0; k < ops; ++k) {
     fs::remove_all(dir);
-    faults::ShardCrashInjector crash(kVictim, b);
-    ShardRouter router(make_router_options(dir, 3, std::ref(crash)));
+    io::FaultyVfs vfs(&crashtest::sweep_vfs());
+    crashtest::arm_crash(vfs, k);
+    auto router =
+        std::make_unique<ShardRouter>(sweep_router_options(dir, &vfs, kVictim));
     bool crashed = false;
     bool booted = false;
     try {
-      router.start();
+      router->start();
       booted = true;
-      drive(router, log, 0);
-    } catch (const faults::InjectedCrash&) {
+      drive(*router, log, 0);
+    } catch (const io::VfsError& e) {
+      ASSERT_EQ(e.kind(), io::VfsFaultKind::kProcessCrash) << e.what();
       crashed = true;
     }
-    ASSERT_TRUE(crashed) << "boundary " << b << " never crossed";
+    ASSERT_TRUE(crashed) << "op " << k << " never reached";
 
     ShardedRun run;
     if (booted) {
       // Only the victim restarts; shards 0 and 2 keep their live state.
+      // It goes down while its device is dead (its buffered bytes die
+      // with it), then recovers from what the rebooted device holds.
       // Resume from the *minimum* frontier — the victim may have made
       // the crashing seq durable before a later-ordered shard saw it.
-      router.restart_shard(kVictim);
-      drive(router, log, router.next_seq());
-      run = capture(router, w.hours + 1.0);
+      router->mark_down(kVictim);
+      vfs.reboot();
+      router->restart_shard(kVictim);
+      drive(*router, log, router->next_seq());
+      run = capture(*router, w.hours + 1.0);
     } else {
       // A crash during boot takes the whole process with it: recover
       // the fleet in a fresh router instead.
-      ShardRouter rebooted(make_router_options(dir, 3));
-      const RouterRecoveryReport report = rebooted.start();
-      drive(rebooted, log, report.next_seq);
+      router.reset();
+      ShardRouter rebooted(sweep_router_options(dir));
+      rebooted.start();
+      drive(rebooted, log, rebooted.next_seq());
       run = capture(rebooted, w.hours + 1.0);
     }
     for (std::uint32_t i = 0; i < 3; ++i) {
       ASSERT_EQ(run.shard_stats[i], base.shard_stats[i])
-          << "crash boundary " << b << ", shard " << i;
+          << "crash at op " << k << ", shard " << i;
     }
     expect_flags_equal(run.flags, base.flags);
-    if (::testing::Test::HasFailure()) FAIL() << "crash boundary " << b;
+    if (::testing::Test::HasFailure()) FAIL() << "crash at op " << k;
   }
 }
 
-/// Whole-process death: every shard's in-memory state dies at once and
-/// a fresh router resumes from the min-frontier of the recovered fleet.
-/// Strided because the per-shard sweep above already covers every
-/// boundary kind exhaustively; this pins the multi-shard resume path.
+/// Whole-process death: one device under the whole fleet, so every
+/// shard's in-memory state (and buffered bytes) dies at once and a
+/// fresh router resumes from the min-frontier of the recovered fleet.
+/// Strided because the per-shard sweep above already covers every op
+/// kind exhaustively; this pins the multi-shard resume path.
 TEST_F(ShardedRecovery, WholeProcessKillSweepResumesFromMinFrontier) {
   const WorkloadOptions w = small_workload(9);
   const std::vector<osn::Event> log = synthetic_workload(w);
-  std::uint64_t boundaries = 0;
-  const ShardedRun base =
-      run_baseline(log, fresh_dir("proc_base"), w.hours + 1.0,
-                   faults::ShardCrashInjector::kAnyShard, &boundaries);
+  std::uint64_t ops = 0;
+  const ShardedRun base = run_baseline(log, fresh_dir("proc_base"),
+                                       w.hours + 1.0, kWholeFleet, &ops);
 
   const std::string dir = fresh_dir("proc_sweep");
-  for (std::uint64_t b = 0; b < boundaries; b += 13) {
+  for (std::uint64_t k = 0; k < ops; k += 13) {
     fs::remove_all(dir);
     {
-      faults::ShardCrashInjector crash(faults::ShardCrashInjector::kAnyShard,
-                                       b);
-      ShardRouter victim(make_router_options(dir, 3, std::ref(crash)));
+      io::FaultyVfs vfs(&crashtest::sweep_vfs());
+      crashtest::arm_crash(vfs, k);
+      ShardRouter victim(sweep_router_options(dir, &vfs, kWholeFleet));
       bool crashed = false;
       try {
         victim.start();
         drive(victim, log, 0);
-      } catch (const faults::InjectedCrash&) {
+      } catch (const io::VfsError& e) {
+        ASSERT_EQ(e.kind(), io::VfsFaultKind::kProcessCrash) << e.what();
         crashed = true;
       }
-      ASSERT_TRUE(crashed) << "boundary " << b << " never crossed";
-    }  // simulated process death: the whole router is abandoned
+      ASSERT_TRUE(crashed) << "op " << k << " never reached";
+    }  // process death: the whole router is abandoned on a dead device
 
-    ShardRouter recovered(make_router_options(dir, 3));
+    ShardRouter recovered(sweep_router_options(dir));
     const RouterRecoveryReport report = recovered.start();
-    EXPECT_TRUE(recovered.accounting_ok()) << "boundary " << b;
+    EXPECT_TRUE(recovered.accounting_ok()) << "op " << k;
     drive(recovered, log, report.next_seq);
     const ShardedRun run = capture(recovered, w.hours + 1.0);
     for (std::uint32_t i = 0; i < 3; ++i) {
       ASSERT_EQ(run.shard_stats[i], base.shard_stats[i])
-          << "crash boundary " << b << ", shard " << i;
+          << "crash at op " << k << ", shard " << i;
     }
     expect_flags_equal(run.flags, base.flags);
-    if (::testing::Test::HasFailure()) FAIL() << "crash boundary " << b;
+    if (::testing::Test::HasFailure()) FAIL() << "crash at op " << k;
   }
 }
 

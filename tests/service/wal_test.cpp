@@ -1,17 +1,18 @@
 // WAL unit suite: record round-trips, segment rotation, torn-tail
-// healing (both via the crash hook and via simulated torn writes),
-// pruning, and cold-start scans (docs/FORMATS.md §WAL).
+// healing (both via a process crash mid-record and via simulated torn
+// writes), pruning, and cold-start scans (docs/FORMATS.md §WAL).
 #include "service/wal.h"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <functional>
 #include <string>
 
 #include "faults/process_faults.h"
 #include "io/error.h"
+#include "io/faulty_vfs.h"
 #include "osn/events.h"
+#include "support/crash_vfs.h"
 
 namespace sybil::service {
 namespace {
@@ -143,27 +144,35 @@ TEST(Wal, HealsTornTailFromSimulatedPartialFlush) {
   EXPECT_EQ(scan_wal(dir, 0, again).size(), 10u);
 }
 
-TEST(Wal, CrashHookTearsRecordMidWrite) {
+TEST(Wal, ProcessCrashTearsRecordMidWrite) {
   const std::string dir = fresh_dir("crashhalf");
+  io::FaultyVfs vfs(&crashtest::sweep_vfs());
   WalOptions opts;
   opts.dir = dir;
-  opts.fsync = WalFsync::kNever;
-  faults::CrashInjector crash(
-      3, static_cast<std::uint32_t>(CrashPoint::kWalRecordHalf));
-  opts.crash_hook = std::ref(crash);
+  opts.fsync = WalFsync::kEveryAppend;  // each record is its own write
+  opts.vfs = &vfs;
   {
     WalWriter w(opts, 0);
     for (std::uint64_t i = 0; i < 3; ++i) w.append(event_at(i), i, 0);
-    EXPECT_THROW(w.append(event_at(3), 3, 0), faults::InjectedCrash);
-    EXPECT_EQ(w.next_index(), 3u);  // the torn record never counted
-  }  // simulated death: the flushed first half reaches disk on close
+    // The next op is record 3's write: the process dies inside it, and
+    // the write persists a seeded strict prefix of the record.
+    crashtest::arm_crash(vfs, vfs.ops());
+    try {
+      w.append(event_at(3), 3, 0);
+      FAIL() << "expected a process crash";
+    } catch (const io::VfsError& e) {
+      EXPECT_EQ(e.kind(), io::VfsFaultKind::kProcessCrash);
+      EXPECT_GT(e.bytes_written(), 0u) << "seed must keep a torn prefix";
+      EXPECT_LT(e.bytes_written(), 44u);
+    }
+    EXPECT_TRUE(vfs.dead());
+  }  // process death: the dead device takes no further bytes
   WalScanReport report;
   const auto records = scan_wal(dir, 0, report);
   ASSERT_EQ(records.size(), 3u);
   EXPECT_EQ(report.torn_tails_healed, 1u);
   EXPECT_EQ(report.records_truncated, 1u);
   EXPECT_EQ(report.next_index, 3u);
-  EXPECT_FALSE(crash.armed());
 }
 
 TEST(Wal, PrunesFullyCoveredSegments) {

@@ -14,7 +14,11 @@
 //   * power loss: a cut keeps every fsync'd prefix, tears the unsynced
 //     tail per the seed (byte-identically across re-runs), undoes
 //     renames not pinned by a directory barrier, no-ops all I/O while
-//     dead, and reboot()/settle() behave as documented.
+//     dead, and reboot()/settle() behave as documented;
+//   * process crash (kill -9 at an op): unsynced bytes already handed
+//     to the vfs and unpinned renames survive, a crashing write keeps a
+//     seeded strict prefix, any other crashing op never happens, and
+//     bytes still in a BufferedVfsFile die with the process.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -403,6 +407,58 @@ TEST(StoragePower, SettleDeclaresHistoryDurable) {
   vfs.settle();  // ...but the device quiesced before the fault plan
   vfs.cut_power();
   EXPECT_EQ(slurp(dir + "/final"), "generation");  // intact, rename kept
+}
+
+FaultConfig crash_at(std::uint64_t op, std::uint64_t seed = 0) {
+  FaultConfig cfg;
+  cfg.fail_from = op;
+  cfg.fail_count = 1;
+  cfg.fail_kind = VfsFaultKind::kProcessCrash;
+  cfg.seed = seed;
+  return cfg;
+}
+
+TEST(StorageCrash, KeepsWhatReachedTheVfsAndTearsTheCrashingWrite) {
+  const std::string dir = fresh_dir("crash_write");
+  const std::string path = dir + "/f.bin";
+  FaultyVfs vfs;
+  write_all(vfs, dir + "/tmp", "renamed");
+  vfs.rename(dir + "/tmp", dir + "/final");  // no directory barrier
+  auto f = vfs.open(path, VfsMode::kTruncate);
+  f->write("unsynced", 8);  // never fsync'd: still survives a kill
+  vfs.configure(crash_at(vfs.ops(), /*seed=*/5));
+  const std::string tail(40, 'T');
+  try {
+    f->write(tail.data(), tail.size());
+    FAIL() << "expected kProcessCrash";
+  } catch (const VfsError& e) {
+    EXPECT_EQ(e.kind(), VfsFaultKind::kProcessCrash);
+    EXPECT_LT(e.bytes_written(), tail.size());  // strict prefix
+    EXPECT_EQ(slurp(path), "unsynced" + tail.substr(0, e.bytes_written()));
+  }
+  EXPECT_TRUE(vfs.dead());
+  f->write("late", 4);  // the process is gone: nothing lands
+  EXPECT_EQ(slurp(dir + "/final"), "renamed");  // the rename stands
+  vfs.reboot();
+  EXPECT_FALSE(vfs.dead());
+}
+
+TEST(StorageCrash, CrashingOpNeverHappensAndBufferedBytesDie) {
+  const std::string dir = fresh_dir("crash_rename");
+  FaultyVfs vfs;
+  write_all(vfs, dir + "/tmp", "payload");
+  {
+    BufferedVfsFile buffered(vfs.open(dir + "/log", VfsMode::kTruncate));
+    buffered.write("flushed", 7);
+    buffered.flush();
+    buffered.write("buffered", 8);  // still in the process's memory
+    vfs.configure(crash_at(vfs.ops()));
+    EXPECT_THROW(vfs.rename(dir + "/tmp", dir + "/final"), VfsError);
+  }  // the buffer's destructor flushes into a dead device
+  EXPECT_TRUE(vfs.dead());
+  EXPECT_FALSE(fs::exists(dir + "/final"));
+  EXPECT_EQ(slurp(dir + "/tmp"), "payload");
+  EXPECT_EQ(slurp(dir + "/log"), "flushed");
 }
 
 }  // namespace
