@@ -291,31 +291,25 @@ osn::Event wal_bench_event(std::uint64_t i) {
 
 /// Arg: fsync policy (0 = every append, 2 = never) — the durability
 /// cost per logged event is exactly the gap between the two series.
-/// The kEveryAppend series runs the way the supervisor pump drives it
-/// in production: appends bracketed into 64-record commit groups, one
-/// coalesced fsync per group (WalWriter::begin_group/commit_group).
+/// Both run the way the supervisor pump drives the writer in
+/// production: appends committed in 64-record batches
+/// (WalWriter::commit) — one coalesced fsync per batch under
+/// kEveryAppend, I/O only at segment rotation under kNever.
 void BM_WalAppend(benchmark::State& state) {
   const std::string dir = wal_bench_dir();
   std::filesystem::remove_all(dir);
   service::WalOptions options;
   options.dir = dir;
   options.fsync = static_cast<service::WalFsync>(state.range(0));
-  const bool grouped = options.fsync == service::WalFsync::kEveryAppend;
-  constexpr std::uint64_t kGroup = 64;
+  constexpr std::uint64_t kBatch = 64;
   std::uint64_t i = 0;
   {
     service::WalWriter wal(options, 0);
-    std::uint64_t in_group = 0;
     for (auto _ : state) {
-      if (grouped && in_group == 0) wal.begin_group();
       benchmark::DoNotOptimize(wal.append(wal_bench_event(i), i, 0));
-      ++i;
-      if (grouped && ++in_group == kGroup) {
-        wal.commit_group();
-        in_group = 0;
-      }
+      if (++i % kBatch == 0) wal.commit();
     }
-    if (grouped && in_group > 0) wal.commit_group();
+    wal.commit();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(i));
   state.SetBytesProcessed(static_cast<std::int64_t>(i) * 44);

@@ -433,75 +433,17 @@ CrashRecoveryRun run_crash_recovery(const osn::EventLog& log,
       (fs::temp_directory_path() / "sybil_bench_crash").string();
   fs::remove_all(root);
 
-  if (shards > 1) {
-    // Sharded variant: both passes through an N-way router, every kill
-    // takes the whole fleet down, and each recovery resumes from the
-    // min-frontier across shards (redelivered copies below a shard's
-    // own frontier are suppressed, so per-shard WALs stay exactly-once).
-    service::ShardRouterOptions router_opts;
-    router_opts.shard = service_opts;
-    router_opts.shards = static_cast<std::uint32_t>(shards);
-    {
-      router_opts.shard.dir = root + "/clean";
-      service::ShardRouter clean(router_opts);
-      clean.start();
-      for (std::uint64_t i = 0; i < events.size(); ++i) {
-        clean.offer(events[i], i);
-        if (i % 1024 == 1023) clean.pump();
-      }
-      clean.flush();
-      score_flags(clean.take_flagged(), is_sybil, run.clean_flagged,
-                  run.clean_precision, run.clean_recall);
-    }
-
-    router_opts.shard.dir = root + "/crash";
-    std::uint64_t next = 0;
-    bool finished = false;
-    while (!finished) {
-      service::ShardRouter s(router_opts);
-      const auto t0 = std::chrono::steady_clock::now();
-      const service::RouterRecoveryReport report = s.start();
-      const double ms = std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-      if (next != 0) {
-        run.recovery_total_ms += ms;
-        run.recovery_max_ms = std::max(run.recovery_max_ms, ms);
-        for (const auto& shard_report : report.shards) {
-          run.records_replayed += shard_report.records_replayed;
-        }
-      }
-      next = report.next_seq;
-      const std::uint64_t stop =
-          std::min<std::uint64_t>(events.size(), next + crash_every);
-      for (; next < stop; ++next) {
-        s.offer(events[next], next);
-        if (next % 1024 == 1023) s.pump();
-      }
-      if (stop == events.size()) {
-        s.flush();
-        score_flags(s.take_flagged(), is_sybil, run.recovered_flagged,
-                    run.recovered_precision, run.recovered_recall);
-        finished = true;
-      } else {
-        ++run.crashes;
-      }
-    }
-    fs::remove_all(root);
-
-    if (run.recovered_flagged != run.clean_flagged ||
-        run.recovered_precision != run.clean_precision ||
-        run.recovered_recall != run.clean_recall) {
-      throw std::logic_error(
-          "run_crash_recovery: sharded recovered verdicts differ from "
-          "the uninterrupted run — exactly-once recovery is broken");
-    }
-    return run;
-  }
-
+  // Both passes run through an N-way router (one shard is the
+  // standalone service), every kill takes the whole fleet down, and
+  // each recovery resumes from the min-frontier across shards
+  // (redelivered copies below a shard's own frontier are suppressed,
+  // so per-shard WALs stay exactly-once).
+  service::ShardRouterOptions router_opts;
+  router_opts.shard = service_opts;
+  router_opts.shards = static_cast<std::uint32_t>(shards);
   {
-    service_opts.dir = root + "/clean";
-    service::ServiceSupervisor clean(service_opts);
+    router_opts.shard.dir = root + "/clean";
+    service::ShardRouter clean(router_opts);
     clean.start();
     for (std::uint64_t i = 0; i < events.size(); ++i) {
       clean.offer(events[i], i);
@@ -512,24 +454,26 @@ CrashRecoveryRun run_crash_recovery(const osn::EventLog& log,
                 run.clean_precision, run.clean_recall);
   }
 
-  service_opts.dir = root + "/crash";
+  router_opts.shard.dir = root + "/crash";
   std::uint64_t next = 0;
   bool finished = false;
   while (!finished) {
-    // A fresh supervisor per life: the previous one was dropped with no
-    // flush and no warning — the WAL + checkpoints are all that's left.
-    service::ServiceSupervisor s(service_opts);
+    // A fresh router per life: the previous one was dropped with no
+    // flush and no warning — the WALs + checkpoints are all that's left.
+    service::ShardRouter s(router_opts);
     const auto t0 = std::chrono::steady_clock::now();
-    const service::RecoveryReport report = s.start();
+    const service::RouterRecoveryReport report = s.start();
     const double ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
     if (next != 0) {  // the first start is a cold boot, not a recovery
       run.recovery_total_ms += ms;
       run.recovery_max_ms = std::max(run.recovery_max_ms, ms);
-      run.records_replayed += report.records_replayed;
+      for (const auto& shard_report : report.shards) {
+        run.records_replayed += shard_report.records_replayed;
+      }
     }
-    next = report.next_index;
+    next = report.next_seq;
     const std::uint64_t stop =
         std::min<std::uint64_t>(events.size(), next + crash_every);
     for (; next < stop; ++next) {

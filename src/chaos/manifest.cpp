@@ -48,8 +48,6 @@ const char* fsync_name(service::WalFsync f) {
   switch (f) {
     case service::WalFsync::kEveryAppend:
       return "always";
-    case service::WalFsync::kOnRotate:
-      return "rotate";
     case service::WalFsync::kNever:
       return "never";
   }
@@ -469,12 +467,10 @@ ScenarioManifest parse_manifest(const std::string& text) {
           const std::string& v = l.values[0];
           if (v == "always") {
             m.fsync = service::WalFsync::kEveryAppend;
-          } else if (v == "rotate") {
-            m.fsync = service::WalFsync::kOnRotate;
           } else if (v == "never") {
             m.fsync = service::WalFsync::kNever;
           } else {
-            fail(lineno, "fsync: expected always|rotate|never");
+            fail(lineno, "fsync: expected always|never");
           }
         } else if (l.key == "wal_segment_records") {
           m.wal_segment_records = parse_u64(l);

@@ -171,13 +171,14 @@ std::vector<std::pair<std::uint64_t, std::string>> list_checkpoints(
   return out;
 }
 
-std::uint64_t prune_checkpoints(const std::string& dir, std::size_t retain) {
+std::uint64_t prune_checkpoints(const std::string& dir, std::size_t retain,
+                                io::Vfs* vfs) {
+  if (vfs == nullptr) vfs = io::default_vfs();
   const auto generations = list_checkpoints(dir);
   std::uint64_t removed = 0;
   if (generations.size() <= retain) return removed;
   for (std::size_t i = 0; i + retain < generations.size(); ++i) {
-    std::error_code ec;
-    if (fs::remove(generations[i].second, ec) && !ec) ++removed;
+    if (vfs->remove(generations[i].second)) ++removed;
   }
   if (removed > 0) {
     SYBIL_METRIC_COUNT("service.checkpoint.pruned", removed);

@@ -86,8 +86,9 @@ std::string checkpoint_path(const std::string& dir, std::uint64_t position);
 std::vector<std::pair<std::uint64_t, std::string>> list_checkpoints(
     const std::string& dir);
 
-/// Deletes all but the newest `retain` generations; returns how many
-/// were removed.
-std::uint64_t prune_checkpoints(const std::string& dir, std::size_t retain);
+/// Deletes all but the newest `retain` generations through `vfs` (null
+/// → io::default_vfs()); returns how many were removed.
+std::uint64_t prune_checkpoints(const std::string& dir, std::size_t retain,
+                                io::Vfs* vfs = nullptr);
 
 }  // namespace sybil::service

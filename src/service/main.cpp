@@ -46,7 +46,7 @@ options:
   --seed S              workload seed (default 1)
   --hours H             stream span in simulated hours (default 96)
   --burst-senders K     sybil-like hot senders (default 8)
-  --fsync MODE          WAL durability: always|rotate|never (default always)
+  --fsync MODE          WAL durability: always|never (default always)
   --segment-records R   WAL records per segment (default 4096)
   --checkpoint-every C  checkpoint cadence in WAL records, 0 = manual only
                         (default 10000)
@@ -348,12 +348,10 @@ int main(int argc, char** argv) {
   if (const auto v = take_flag(argc, argv, "--fsync", 1); !v.empty()) {
     if (v[0] == "always") {
       cli.fsync = service::WalFsync::kEveryAppend;
-    } else if (v[0] == "rotate") {
-      cli.fsync = service::WalFsync::kOnRotate;
     } else if (v[0] == "never") {
       cli.fsync = service::WalFsync::kNever;
     } else {
-      usage_error("--fsync expects always|rotate|never, got '" + v[0] + "'");
+      usage_error("--fsync expects always|never, got '" + v[0] + "'");
     }
   }
   if (const auto v = take_flag(argc, argv, "--segment-records", 1);

@@ -167,15 +167,10 @@ void ShardRouter::deliver(std::uint32_t i, const osn::Event& e,
     ++result.suppressed;
     return;
   }
-  if (in_batch_ && !group_open_[i]) {
-    // Lazy group open: a shard that only sees suppressed copies never
-    // opens (or pays the commit of) a group.
-    shards_[i]->begin_offer_batch();
-    group_open_[i] = 1;
-  }
   // Account the copy only after the shard's offer returns: a delivery
-  // that dies mid-WAL-append never happened (the resume re-drives it),
-  // so the copies identity survives a crash unwinding through here.
+  // whose offer throws (a crash at a checkpoint inside it, a full
+  // degraded buffer) never happened — the resume re-drives it — so the
+  // copies identity survives an unwind through here.
   const bool admitted = shards_[i]->offer(e, seq);
   frontier_[i] = seq + 1;
   ++copies_routed_;
@@ -185,67 +180,50 @@ void ShardRouter::deliver(std::uint32_t i, const osn::Event& e,
   if (admitted) ++result.admitted;
 }
 
-void ShardRouter::route_one(const osn::Event& e, std::uint64_t seq,
-                            RouteResult& result) {
-  ++offers_;
-  const auto n = static_cast<std::uint32_t>(shards_.size());
-  const RoutePlan plan = plan_route(e, n);
-  if (plan.broadcast) {
-    for (std::uint32_t i = 0; i < n; ++i) deliver(i, e, seq, result);
-  } else {
-    for (std::uint32_t t = 0; t < plan.count; ++t) {
-      deliver(plan.target[t], e, seq, result);
-    }
-  }
-}
-
 RouteResult ShardRouter::offer(const osn::Event& e, std::uint64_t seq) {
-  if (seq >= kExplicitSeqLimit) {
-    throw std::invalid_argument(
-        "ShardRouter::offer requires an explicit global seq (auto seqs "
-        "cannot define a redelivery frontier)");
-  }
-  RouteResult result;
-  route_one(e, seq, result);
-  return result;
+  return offer_batch({&e, 1}, seq);
 }
 
 RouteResult ShardRouter::offer_batch(std::span<const osn::Event> events,
                                      std::uint64_t base_seq) {
-  if (base_seq + events.size() > kExplicitSeqLimit) {
+  if (base_seq >= kExplicitSeqLimit ||
+      events.size() > kExplicitSeqLimit - base_seq) {
     throw std::invalid_argument(
         "ShardRouter::offer_batch requires explicit global seqs (auto "
         "seqs cannot define a redelivery frontier)");
   }
   RouteResult result;
-  if (group_open_.size() != shards_.size()) {
-    group_open_.assign(shards_.size(), 0);
+  for (auto& s : shards_) {
+    if (s) s->begin_offer_batch();
   }
-  in_batch_ = true;
   try {
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      route_one(events[i], base_seq + i, result);
-    }
-    in_batch_ = false;
-    // Commit groups in ascending shard order: one fsync per touched
-    // shard, and a deterministic storage-op order for the kill sweeps.
-    for (std::uint32_t i = 0; i < shards_.size(); ++i) {
-      if (group_open_[i]) {
-        group_open_[i] = 0;
-        if (shards_[i]) shards_[i]->commit_offer_batch();
+    const auto n = static_cast<std::uint32_t>(shards_.size());
+    for (std::size_t k = 0; k < events.size(); ++k) {
+      ++offers_;
+      const osn::Event& e = events[k];
+      const RoutePlan plan = plan_route(e, n);
+      if (plan.broadcast) {
+        for (std::uint32_t i = 0; i < n; ++i) {
+          deliver(i, e, base_seq + k, result);
+        }
+      } else {
+        for (std::uint32_t t = 0; t < plan.count; ++t) {
+          deliver(plan.target[t], e, base_seq + k, result);
+        }
       }
+    }
+    // Commit in ascending shard order: one WAL commit per shard, and a
+    // deterministic storage-op order for the kill sweeps. A shard that
+    // saw only suppressed copies has nothing pending and issues no I/O.
+    for (auto& s : shards_) {
+      if (s) s->commit_offer_batch();
     }
   } catch (...) {
     // A crash (injected or real) unwinding mid-batch leaves the open
-    // groups unacknowledged; drop them without committing — exactly
-    // the durability state recovery handles — so surviving shards go
-    // back to per-record fsync until the stream is re-driven.
-    in_batch_ = false;
-    for (std::uint32_t i = 0; i < shards_.size(); ++i) {
-      if (group_open_[i]) {
-        group_open_[i] = 0;
-        if (shards_[i]) shards_[i]->abort_offer_batch();
-      }
+    // brackets unacknowledged; close them without committing — exactly
+    // the durability state recovery handles.
+    for (auto& s : shards_) {
+      if (s) s->abort_offer_batch();
     }
     throw;
   }
@@ -328,11 +306,9 @@ void ShardRouter::mark_down(std::uint32_t i) {
   if (down_[i]) {
     throw std::logic_error("ShardRouter::mark_down: shard already down");
   }
-  // The supervisor's destructor closes the WAL FILE*, flushing any
+  // The supervisor's destructor closes the WAL file, flushing any
   // buffered appends — the same bytes a dead host's page cache would
-  // have drained. An open batch group dies unacknowledged with it
-  // (other shards' groups are untouched).
-  if (i < group_open_.size()) group_open_[i] = 0;
+  // have drained.
   shards_[i].reset();
   down_[i] = 1;
 }

@@ -135,22 +135,21 @@ class ShardRouter {
   /// past `shards` — resharding is not a restart, it needs a migration.
   RouterRecoveryReport start();
 
-  /// Routes one event. `seq` must be an explicit global stream seq
-  /// (below kExplicitSeqLimit); offers must replay the same (event,
-  /// seq) pairs in the same order after any rewind — at-least-once
-  /// upstream, exactly-once per shard via the frontiers.
+  /// Routes one event: offer_batch() of one. `seq` must be an explicit
+  /// global stream seq (below kExplicitSeqLimit); offers must replay the
+  /// same (event, seq) pairs in the same order after any rewind —
+  /// at-least-once upstream, exactly-once per shard via the frontiers.
   RouteResult offer(const osn::Event& e, std::uint64_t seq);
 
   /// Routes a contiguous run of the global stream: events[i] carries
-  /// seq base_seq + i. Equivalent to offering each in order, except
-  /// that every shard's WAL appends for the batch are group-committed
-  /// — ONE fsync per touched shard instead of one per copy (the
-  /// dominant cost under WalFsync::kEveryAppend). The batch's
-  /// durability boundary is the commit at the end (one WAL group
-  /// commit per shard, ascending); callers must not
+  /// seq base_seq + i. Every live shard brackets the batch
+  /// (ServiceSupervisor::begin_offer_batch), so its WAL appends commit
+  /// once at the end — ONE fsync per touched shard instead of one per
+  /// copy under WalFsync::kEveryAppend. The commits, in ascending shard
+  /// order, are the batch's durability boundary; callers must not
   /// acknowledge the batch upstream before this returns. Verdicts,
-  /// accounting and the resulting detector state are identical to the
-  /// per-event path. Returns the summed RouteResult.
+  /// accounting and the resulting detector state do not depend on how
+  /// the stream is cut into batches. Returns the summed RouteResult.
   RouteResult offer_batch(std::span<const osn::Event> events,
                           std::uint64_t base_seq);
 
@@ -268,8 +267,6 @@ class ShardRouter {
   std::size_t fan_out(PerShard per_shard);
   void deliver(std::uint32_t i, const osn::Event& e, std::uint64_t seq,
                RouteResult& result);
-  void route_one(const osn::Event& e, std::uint64_t seq,
-                 RouteResult& result);
 
   ShardRouterOptions options_;
   std::vector<std::unique_ptr<ServiceSupervisor>> shards_;
@@ -277,10 +274,6 @@ class ShardRouter {
   std::vector<std::uint64_t> frontier_;
   /// 1 where mark_down() killed the shard (shards_[i] is null there).
   std::vector<unsigned char> down_;
-  /// offer_batch scratch: 1 where shard i has an open WAL commit group
-  /// (opened lazily at its first delivered copy of the batch).
-  std::vector<unsigned char> group_open_;
-  bool in_batch_ = false;
   bool started_ = false;
 
   std::uint64_t offers_ = 0;

@@ -243,6 +243,31 @@ void ServiceSupervisor::reset_state() {
   storage_backoff_ = storage_retry_in_ = 0;
 }
 
+template <typename Action>
+bool ServiceSupervisor::storage_io(Action action) {
+  try {
+    action();
+    return true;
+  } catch (const io::VfsError& err) {
+    if (io::is_fatal(err.kind())) throw;
+    if (storage_degraded_) {
+      // A retry failed: back off further.
+      ++storage_retry_failures_;
+      SYBIL_SERVICE_METRIC(storage_retry_failures.add(1));
+      storage_backoff_ =
+          std::min(storage_backoff_ * 2, options_.storage.retry_backoff_cap);
+    } else {
+      storage_degraded_ = true;
+      storage_error_kind_ = err.kind();
+      storage_backoff_ = options_.storage.retry_backoff;
+      ++storage_entries_;
+      SYBIL_SERVICE_METRIC(storage_entries.add(1));
+    }
+    storage_retry_in_ = storage_backoff_;
+    return false;
+  }
+}
+
 RecoveryReport ServiceSupervisor::start() {
   if (started_) {
     throw std::logic_error("ServiceSupervisor::start called twice");
@@ -351,8 +376,8 @@ RecoveryReport ServiceSupervisor::start() {
   report.torn_tails_healed = scan.torn_tails_healed;
 
   // Appends resume on a fresh segment past everything durable. (The
-  // max guards the kOnRotate/kNever policies, where a checkpoint may
-  // outlive unsynced WAL records it thought it covered.)
+  // max guards the kNever policy, where a checkpoint may outlive
+  // unsynced WAL records it thought it covered.)
   const std::uint64_t next = std::max(from_index, scan.next_index);
   WalOptions wal_opts;
   wal_opts.dir = wal_dir;
@@ -418,41 +443,27 @@ bool ServiceSupervisor::offer(const osn::Event& e, std::uint64_t seq) {
   if (shed) flags |= WalRecordFlags::kShed;
   if (capacity) flags |= WalRecordFlags::kCapacity;
 
-  // Durability first: the verdict is logged before it takes effect, so
-  // a crash between append and enqueue loses only counter increments
-  // that replay re-derives from the record itself.
+  // Durability first: the verdict is logged — and, outside a batch,
+  // committed — before it takes effect, so a crash between append and
+  // enqueue loses only counter increments that replay re-derives from
+  // the record itself.
   //
-  // Storage faults (ENOSPC/EIO) do NOT lose the offer: the supervisor
-  // enters storage-degraded mode, where the record lands in the WAL
-  // writer's bounded in-memory buffer and everything downstream —
+  // Storage faults (ENOSPC/EIO) do NOT lose the offer: the record stays
+  // in the WAL writer's bounded in-memory buffer, the supervisor stops
+  // committing (storage-degraded mode), and everything downstream —
   // verdict, counters, queue, detector — proceeds identically to the
   // undisturbed run. Fatal faults (power loss, process crash) are the
   // exception: the process is "dead", so the error propagates.
-  std::uint64_t index;
   if (storage_degraded_) {
     const std::uint64_t buffered = wal_->unsynced_records();
     if (buffered >= options_.storage.buffer_records) {
       throw StorageBufferOverflow(options_.shard_id, buffered,
                                   options_.storage.buffer_records);
     }
-    index = wal_->append(e, seq, flags);  // suspended: cannot throw
-  } else {
-    const std::uint64_t before = wal_->next_index();
-    try {
-      index = wal_->append(e, seq, flags);
-    } catch (const io::VfsError& err) {
-      if (io::is_fatal(err.kind())) throw;
-      enter_storage_degraded(err);
-      if (wal_->next_index() == before) {
-        // Rotation failed before anything was appended; now that sync
-        // is suspended the append is buffer-only and cannot throw.
-        index = wal_->append(e, seq, flags);
-      } else {
-        // The record IS appended (buffered, not durable); the failure
-        // was the post-append flush/fsync.
-        index = wal_->next_index() - 1;
-      }
-    }
+  }
+  const std::uint64_t index = wal_->append(e, seq, flags);
+  if (!batch_open_ && !storage_degraded_) {
+    storage_io([this] { wal_->commit(); });
   }
   if (storage_degraded_) {
     SYBIL_SERVICE_METRIC(
@@ -483,57 +494,62 @@ bool ServiceSupervisor::offer(const osn::Event& e, std::uint64_t seq) {
 
 void ServiceSupervisor::begin_offer_batch() {
   require_started("begin_offer_batch");
-  wal_->begin_group();
+  if (batch_open_) {
+    throw std::logic_error(
+        "ServiceSupervisor::begin_offer_batch while a batch is open");
+  }
+  batch_open_ = true;
 }
 
 std::uint64_t ServiceSupervisor::commit_offer_batch() {
   require_started("commit_offer_batch");
-  try {
-    return wal_->commit_group();
-  } catch (const io::VfsError& err) {
-    // The group's records are appended and buffered; only the commit
-    // fsync failed. Degrade instead of unwinding — the caller simply
-    // must not acknowledge the batch upstream yet (and recovery already
-    // treats an unsynced group as losable, which is the contract).
-    if (io::is_fatal(err.kind())) throw;
-    if (!storage_degraded_) enter_storage_degraded(err);
+  if (!batch_open_) {
+    throw std::logic_error(
+        "ServiceSupervisor::commit_offer_batch without begin_offer_batch");
+  }
+  batch_open_ = false;
+  // Degraded: the batch stays buffered and the caller must not
+  // acknowledge it upstream yet — recovery already treats an
+  // uncommitted batch as losable, which is the contract.
+  std::uint64_t committed = 0;
+  if (!storage_degraded_) {
+    storage_io([this, &committed] { committed = wal_->commit(); });
+  }
+  if (storage_degraded_) {
     SYBIL_SERVICE_METRIC(
         storage_buffered.set(static_cast<double>(wal_->unsynced_records())));
-    return 0;
   }
+  return committed;
+}
+
+template <typename More>
+std::size_t ServiceSupervisor::drain(More more) {
+  std::size_t n = 0;
+  while (!queue_.empty() && more(queue_.front(), n)) {
+    const WalRecord r = queue_.front();
+    queue_.pop_front();
+    ++pumped_;
+    ++n;
+    detector_.ingest(r.event, r.seq);
+    if (scorer_ != nullptr) scorer_->observe(r.event);
+  }
+  SYBIL_SERVICE_METRIC(queue_depth.set(static_cast<double>(queue_.size())));
+  publish_metrics();
+  return n;
 }
 
 std::size_t ServiceSupervisor::pump(std::size_t max_events) {
   require_started("pump");
-  std::size_t n = 0;
-  while (!queue_.empty() && (max_events == 0 || n < max_events)) {
-    const WalRecord r = queue_.front();
-    queue_.pop_front();
-    ++pumped_;
-    ++n;
-    detector_.ingest(r.event, r.seq);
-    if (scorer_ != nullptr) scorer_->observe(r.event);
-  }
-  SYBIL_SERVICE_METRIC(queue_depth.set(static_cast<double>(queue_.size())));
-  publish_metrics();
-  return n;
+  return drain([max_events](const WalRecord&, std::size_t n) {
+    return max_events == 0 || n < max_events;
+  });
 }
 
 std::size_t ServiceSupervisor::pump_through(std::uint64_t seq_bound) {
   require_started("pump_through");
-  std::size_t n = 0;
-  while (!queue_.empty() && queue_.front().seq < kExplicitSeqLimit &&
-         queue_.front().seq <= seq_bound) {
-    const WalRecord r = queue_.front();
-    queue_.pop_front();
-    ++pumped_;
-    ++n;
-    detector_.ingest(r.event, r.seq);
-    if (scorer_ != nullptr) scorer_->observe(r.event);
-  }
-  SYBIL_SERVICE_METRIC(queue_depth.set(static_cast<double>(queue_.size())));
-  publish_metrics();
-  return n;
+  return drain([seq_bound](const WalRecord& head, std::size_t) {
+    return head.seq < kExplicitSeqLimit && head.seq <= seq_bound;
+  });
 }
 
 std::size_t ServiceSupervisor::sweep_flags(graph::Time now) {
@@ -632,24 +648,22 @@ void ServiceSupervisor::checkpoint_now() {
   if (scorer_ != nullptr) state.defense_state = scorer_->serialize();
 
   const std::string ckpt_dir = options_.dir + "/ckpt";
-  try {
-    // A checkpoint must never claim a position past the durable WAL,
-    // so the WAL syncs first; the container commit is atomic and
-    // removes its temp file on any storage fault, so a failure here
-    // never touches existing generations.
-    wal_->sync();
-    save_service_checkpoint(checkpoint_path(ckpt_dir, state.wal_position),
-                            state, options_.vfs);
-  } catch (const io::VfsError& err) {
-    if (io::is_fatal(err.kind())) throw;
-    enter_storage_degraded(err);
+  // A checkpoint must never claim a position past the durable WAL, so
+  // the WAL syncs first; the container commit is atomic and removes its
+  // temp file on any storage fault, so a failure here never touches
+  // existing generations.
+  if (!storage_io([&] {
+        wal_->sync();
+        save_service_checkpoint(checkpoint_path(ckpt_dir, state.wal_position),
+                                state, options_.vfs);
+      })) {
     ++storage_checkpoints_suspended_;
     SYBIL_SERVICE_METRIC(storage_checkpoints_suspended.add(1));
     return;
   }
   // Retention, then WAL pruning up to the oldest *retained* generation
   // — the fallback path must always find the records it would replay.
-  prune_checkpoints(ckpt_dir, options_.checkpoint_retain);
+  prune_checkpoints(ckpt_dir, options_.checkpoint_retain, options_.vfs);
   const auto generations = list_checkpoints(ckpt_dir);
   if (!generations.empty()) {
     prune_wal(options_.dir + "/wal", generations.front().first, options_.vfs);
@@ -674,16 +688,6 @@ void ServiceSupervisor::flush(bool checkpoint) {
   if (checkpoint) checkpoint_now();
 }
 
-void ServiceSupervisor::enter_storage_degraded(const io::VfsError& err) {
-  storage_degraded_ = true;
-  storage_error_kind_ = err.kind();
-  wal_->suspend_sync();
-  storage_backoff_ = options_.storage.retry_backoff;
-  storage_retry_in_ = storage_backoff_;
-  ++storage_entries_;
-  SYBIL_SERVICE_METRIC(storage_entries.add(1));
-}
-
 void ServiceSupervisor::storage_tick() {
   if (!storage_degraded_) return;
   if (storage_retry_in_ > 0) --storage_retry_in_;
@@ -694,17 +698,7 @@ bool ServiceSupervisor::retry_storage_now() {
   if (!storage_degraded_) return true;
   ++storage_retries_;
   SYBIL_SERVICE_METRIC(storage_retries.add(1));
-  try {
-    wal_->resume_sync();
-  } catch (const io::VfsError& err) {
-    if (io::is_fatal(err.kind())) throw;
-    ++storage_retry_failures_;
-    SYBIL_SERVICE_METRIC(storage_retry_failures.add(1));
-    storage_backoff_ =
-        std::min(storage_backoff_ * 2, options_.storage.retry_backoff_cap);
-    storage_retry_in_ = storage_backoff_;
-    return false;
-  }
+  if (!storage_io([this] { wal_->sync(); })) return false;
   storage_degraded_ = false;
   storage_backoff_ = storage_retry_in_ = 0;
   ++storage_exits_;

@@ -31,19 +31,25 @@
 // extends the hardened-ingest invariant and holds at every instant
 // (accounting_ok()).
 //
+// Durability: the supervisor owns *when* a WAL record becomes durable.
+// An offer appends its record (no I/O) and then commits the WAL
+// (WalWriter::commit) — unless an offer batch is open, whose commit is
+// the one boundary for all of its offers, or storage is degraded.
+//
 // Storage degradation (the fourth degradation response, alongside the
 // three queue tiers): when the disk under the WAL rejects writes
 // (ENOSPC/EIO — io::VfsError), the supervisor does not crash and does
-// not lose the offer. It enters storage-degraded mode: verdicts keep
-// being served from memory, WAL appends accumulate in the writer's
-// bounded in-memory buffer, checkpointing is suspended (counted, not
-// silently skipped), and writes are retried on a deterministic capped
-// exponential backoff. If the buffer fills before the disk recovers,
-// offer() fails loudly with a typed StorageBufferOverflow. When the
-// fault window closes (a retry succeeds), the whole backlog flushes and
-// full durability resumes — a run that degraded through a disk-fault
-// window is byte-identical (flags, stats_json) to one that never did
-// (docs/ROBUSTNESS.md §Storage fault model).
+// not lose the offer. It enters storage-degraded mode, which is simply
+// "do not commit": verdicts keep being served from memory, WAL appends
+// accumulate in the writer's bounded in-memory buffer, checkpointing is
+// suspended (counted, not silently skipped), and a WAL sync is retried
+// on a deterministic capped exponential backoff. If the buffer fills
+// before the disk recovers, offer() fails loudly with a typed
+// StorageBufferOverflow. When the fault window closes (a retry
+// succeeds), the whole backlog flushes and full durability resumes — a
+// run that degraded through a disk-fault window is byte-identical
+// (flags, stats_json) to one that never did (docs/ROBUSTNESS.md
+// §Storage fault model).
 //
 // Threading: the supervisor is single-threaded by design — determinism
 // is the property the recovery proof rests on. SYBIL_THREADS affects
@@ -188,25 +194,27 @@ class ServiceSupervisor {
   /// Admission control + WAL + enqueue for one event. Returns true if
   /// the event was admitted, false if shed (it is still WAL-logged
   /// either way, so recovery reconstructs shed accounting exactly).
-  /// Ban events are always admitted. Throws io::SnapshotError if the
-  /// WAL cannot be written — an event that cannot be made durable is
-  /// never silently applied.
+  /// Ban events are always admitted. Outside an offer batch the record
+  /// is committed before the event takes effect; a non-fatal storage
+  /// fault degrades instead of throwing (see file comment), and fatal
+  /// ones (io::is_fatal) propagate.
   bool offer(const osn::Event& e,
              std::uint64_t seq = core::StreamDetector::kAutoSeq);
 
-  /// Group-commit bracket for a run of offer() calls (WalWriter::
-  /// begin_group). Between these, WAL appends buffer and the single
-  /// commit fsync in commit_offer_batch() is the batch's durability
-  /// boundary — callers must not acknowledge offers upstream until it
-  /// returns. Admission verdicts, accounting and queue effects of each
-  /// offer are unchanged. Returns records committed.
+  /// Offer-batch bracket for a run of offer() calls: between these, no
+  /// offer commits the WAL, and commit_offer_batch()'s single commit is
+  /// the batch's durability boundary — callers must not acknowledge
+  /// offers upstream until it returns. Admission verdicts, accounting
+  /// and queue effects of each offer are unchanged. Misuse (a nested
+  /// begin, a commit without a begin) throws std::logic_error.
+  /// commit_offer_batch() returns the records it made durable (0 while
+  /// storage is degraded: the records stay buffered).
   void begin_offer_batch();
   std::uint64_t commit_offer_batch();
-  /// Unwind path: drops an open group without committing (see
-  /// WalWriter::abort_group). Safe before start() and with no group.
-  void abort_offer_batch() noexcept {
-    if (wal_) wal_->abort_group();
-  }
+  /// Unwind path: closes the bracket without committing — the batch's
+  /// records stay buffered and unacknowledged, exactly as if the
+  /// process had died before the commit. Never writes.
+  void abort_offer_batch() noexcept { batch_open_ = false; }
 
   /// Drains up to `max_events` queued events (0 = all) into the
   /// detector. Returns how many were pumped.
@@ -258,8 +266,8 @@ class ServiceSupervisor {
   /// True while the disk under the WAL is rejecting writes and appends
   /// are accumulating in the bounded in-memory buffer.
   bool storage_degraded() const noexcept { return storage_degraded_; }
-  /// Records currently buffered un-durably (0 when not degraded and
-  /// outside an open offer batch).
+  /// Records currently buffered un-durably (under kEveryAppend: 0 when
+  /// not degraded and outside an open offer batch).
   std::uint64_t storage_buffered() const noexcept {
     return wal_ ? wal_->unsynced_records() : 0;
   }
@@ -267,11 +275,11 @@ class ServiceSupervisor {
   io::VfsFaultKind storage_error_kind() const noexcept {
     return storage_error_kind_;
   }
-  /// Forces one storage retry NOW regardless of backoff (the chaos
-  /// orchestrator calls this when a fault window closes). Returns true
-  /// if the service is fully durable afterwards (including the
-  /// not-degraded case). Throws only for fatal faults (io::is_fatal),
-  /// which are not retryable in-process.
+  /// Forces one storage retry — a WAL sync — NOW regardless of backoff
+  /// (the chaos orchestrator calls this when a fault window closes).
+  /// Returns true if the service is fully durable afterwards (including
+  /// the not-degraded case). Throws only for fatal faults
+  /// (io::is_fatal), which are not retryable in-process.
   bool retry_storage_now();
 
   // Storage-incident counters (ops-only, not in stats_json: a degraded
@@ -336,7 +344,16 @@ class ServiceSupervisor {
   void reset_state();
   void update_tier();
   void maybe_checkpoint();
-  void enter_storage_degraded(const io::VfsError& err);
+  /// Pops queued records into the detector while `more` holds for the
+  /// queue head (pump and pump_through).
+  template <typename More>
+  std::size_t drain(More more);
+  /// Runs one storage action (a WAL sync or a checkpoint save). A
+  /// non-fatal io::VfsError enters storage-degraded mode — or, when
+  /// already degraded, backs the retry off — and returns false; fatal
+  /// faults propagate.
+  template <typename Action>
+  bool storage_io(Action action);
   void storage_tick();
 
   ServiceOptions options_;
@@ -351,6 +368,7 @@ class ServiceSupervisor {
   core::ServiceTier tier_ = core::ServiceTier::kFull;
   RecoveryReport recovery_{};
   bool started_ = false;
+  bool batch_open_ = false;
 
   // Replay-exact workload counters (mirrored into checkpoints).
   std::uint64_t offered_ = 0;

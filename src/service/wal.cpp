@@ -150,12 +150,6 @@ WalWriter::WalWriter(const WalOptions& options, std::uint64_t next_index)
 WalWriter::~WalWriter() = default;
 
 void WalWriter::open_segment() {
-  if (file_ != nullptr) {
-    // Seal the outgoing segment: whatever durability the policy
-    // promises must hold before the writer moves on. Throws VfsError
-    // (backlog retained, rotation not started) if the disk refuses.
-    sync_per_policy();
-  }
   const std::uint64_t base = next_index_;
   const std::string path = options_.dir + "/" + segment_name(base);
   std::unique_ptr<io::BufferedVfsFile> fresh;
@@ -179,53 +173,27 @@ void WalWriter::open_segment() {
       vfs_->sync_parent_dir(path);
       SYBIL_METRIC_COUNT("io.fsyncs", 1);
     }
+    // The outgoing segment was sealed by the sync() that rotates; a
+    // close failure after that cannot lose records but must still
+    // surface typed — undo the rotation first.
+    if (file_ != nullptr) file_->close();
   } catch (const io::VfsError&) {
     // Remove the stillborn segment so no file claims base `base`: the
     // scan/prune range invariant (segment i covers [base_i, base_{i+1}))
     // must keep holding while the sealed segment absorbs further
-    // records in degraded mode.
+    // records.
     fresh.reset();
     vfs_->remove(path);
     throw;
   }
-  if (file_ != nullptr) {
-    try {
-      file_->close();
-    } catch (const io::VfsError&) {
-      // The outgoing segment was flushed (and per policy fsync'd)
-      // above; a close failure after that cannot lose acknowledged
-      // records but must still surface typed — undo the rotation first.
-      fresh.reset();
-      vfs_->remove(path);
-      throw;
-    }
-  }
   file_ = std::move(fresh);
   segment_base_ = base;
-  segment_path_ = path;
   ++segments_opened_;
   SYBIL_METRIC_COUNT("service.wal.segments", 1);
 }
 
-void WalWriter::flush_buffer() {
-  file_->flush();
-  unsynced_records_ = 0;
-}
-
-void WalWriter::sync_per_policy() {
-  flush_buffer();
-  if (options_.fsync != WalFsync::kNever) {
-    file_->fsync();
-    SYBIL_METRIC_COUNT("service.wal.fsyncs", 1);
-  }
-}
-
 std::uint64_t WalWriter::append(const osn::Event& e, std::uint64_t seq,
                                 std::uint32_t flags) {
-  if (!sync_suspended_ &&
-      next_index_ - segment_base_ >= options_.segment_records) {
-    open_segment();  // may throw: nothing appended, writer unchanged
-  }
   RecordDisk rec{};
   rec.index = next_index_;
   rec.seq = seq;
@@ -240,61 +208,35 @@ std::uint64_t WalWriter::append(const osn::Event& e, std::uint64_t seq,
   SYBIL_METRIC_COUNT("service.wal.appends", 1);
   SYBIL_METRIC_COUNT("service.wal.bytes", kRecordSize);
   ++unsynced_records_;
-  const std::uint64_t index = next_index_++;
-  if (in_group_) {
-    // Deferred durability: the record stays buffered until
-    // commit_group() issues the coalesced flush + fsync.
-    ++group_records_;
-  } else if (options_.fsync == WalFsync::kEveryAppend && !sync_suspended_) {
-    // Throws VfsError on a storage fault — after the index advanced:
-    // the record is appended but not durable (see the header contract).
-    sync_per_policy();
-  }
-  return index;
+  return next_index_++;
 }
 
-void WalWriter::begin_group() {
-  if (in_group_) {
-    throw std::logic_error("WalWriter: begin_group while a group is open");
+std::uint64_t WalWriter::commit() {
+  const std::uint64_t n = unsynced_records_;
+  if (n == 0) return 0;
+  if (options_.fsync != WalFsync::kEveryAppend &&
+      next_index_ - segment_base_ < options_.segment_records) {
+    return 0;
   }
-  in_group_ = true;
-  group_records_ = 0;
-}
-
-std::uint64_t WalWriter::commit_group() {
-  if (!in_group_) {
-    throw std::logic_error("WalWriter: commit_group without begin_group");
-  }
-  in_group_ = false;
-  const std::uint64_t n = group_records_;
-  group_records_ = 0;
-  if (options_.fsync == WalFsync::kEveryAppend && n > 0 && !sync_suspended_) {
-    // Throws VfsError on a storage fault: the group's records stay
-    // appended (and retained in the buffer); the caller decides whether
-    // to degrade. The group is closed either way.
-    sync_per_policy();
-  }
+  sync();
   SYBIL_METRIC_COUNT("service.wal.group_commit.groups", 1);
   SYBIL_METRIC_COUNT("service.wal.group_commit.records", n);
   return n;
 }
 
 void WalWriter::sync() {
-  if (sync_suspended_) return;  // degraded: nothing to promise
-  sync_per_policy();
-}
-
-void WalWriter::resume_sync() {
-  // Push the whole degraded backlog, then restore the configured
-  // durability policy. Retention makes this all-or-nothing: on a
-  // VfsError the unwritten suffix stays buffered and the writer stays
-  // suspended for the next retry.
-  flush_buffer();
+  if (unsynced_records_ == 0) return;
+  // Retention makes this all-or-nothing: on a VfsError the unwritten
+  // suffix stays buffered and every record stays pending.
+  file_->flush();
   if (options_.fsync != WalFsync::kNever) {
     file_->fsync();
     SYBIL_METRIC_COUNT("service.wal.fsyncs", 1);
   }
-  sync_suspended_ = false;
+  unsynced_records_ = 0;
+  if (next_index_ - segment_base_ >= options_.segment_records) {
+    open_segment();
+  }
 }
 
 std::vector<WalRecord> scan_wal(const std::string& dir,

@@ -25,16 +25,18 @@
 // (per policy) fsync'd before the writer moves to it; existing segments
 // are never rewritten.
 //
-// Durability: WalFsync::kEveryAppend (the default, and what the
-// crash-consistency proof assumes) fsyncs after every record; kOnRotate
-// fsyncs only at segment boundaries (bounded loss window); kNever is
-// for benches. Directory entries are fsync'd when a segment is created
-// (io::Vfs::sync_parent_dir), so a machine crash cannot unlink a synced
-// segment. All file I/O goes through the segment's io::Vfs (WalOptions::
-// vfs), so storage faults — ENOSPC, EIO, short writes, power cuts and
-// process crashes — are injectable per shard; see suspend_sync()/
-// resume_sync() for how the supervisor rides out a disk-fault window
-// without losing records.
+// Durability has one owner. append() only encodes a record into the
+// segment's retained write buffer; sync() does all of the writer's
+// storage I/O; and the caller decides *when* by calling commit() at
+// each durability boundary — after one offer, after one batch, or not
+// at all while the disk is faulted (the supervisor's storage-degraded
+// mode). WalFsync::kEveryAppend (the default, and what the
+// crash-consistency proof assumes) makes every commit an fsync;
+// kNever is for benches. Under kEveryAppend, directory entries are
+// fsync'd when a segment is created (io::Vfs::sync_parent_dir), so a
+// machine crash cannot unlink a synced segment. All file I/O goes through the segment's
+// io::Vfs (WalOptions::vfs), so storage faults — ENOSPC, EIO, short
+// writes, power cuts and process crashes — are injectable per shard.
 #pragma once
 
 #include <cstdint>
@@ -47,15 +49,17 @@
 
 namespace sybil::service {
 
+/// Values are stable: bench_micro_perf's BM_WalAppend takes them as
+/// arguments.
 enum class WalFsync : std::uint32_t {
-  kEveryAppend = 0,
-  kOnRotate = 1,
-  kNever = 2,
+  kEveryAppend = 0,  // every commit() with records pending fsyncs
+  kNever = 2,        // flush at rotation only
 };
 
 struct WalOptions {
   std::string dir;  // segment directory; created if absent
-  /// Records per segment before rotation.
+  /// Records per segment before rotation. Rotation happens at a
+  /// commit, so a sealed segment holds at least this many.
   std::uint64_t segment_records = 4096;
   WalFsync fsync = WalFsync::kEveryAppend;
   /// Stamped into every segment header (format v2) so a segment
@@ -94,8 +98,8 @@ struct WalRecord {
 };
 
 /// Appender. Always starts a fresh segment (recovery never appends to a
-/// possibly-torn file); close() or destruction flushes, destruction
-/// never throws.
+/// possibly-torn file); destruction best-effort flushes and never
+/// throws.
 class WalWriter {
  public:
   /// Opens a new segment whose base index is `next_index`. Throws
@@ -105,82 +109,29 @@ class WalWriter {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// Appends one record; returns its global index. Rotates first when
-  /// the current segment is full (unless sync is suspended — a degraded
-  /// writer never rotates, so a segment may temporarily overfill).
-  ///
-  /// Storage faults: a thrown io::VfsError from rotation leaves the
-  /// writer untouched (nothing appended, next_index() unchanged). A
-  /// VfsError from the post-append flush/fsync means the record IS
-  /// appended (next_index() advanced, bytes retained in the write
-  /// buffer for a later retry) but NOT yet durable — the caller decides
-  /// whether to degrade (suspend_sync) or fail loudly. While sync is
-  /// suspended, append never throws on storage faults.
+  /// Encodes one record into the retained write buffer and returns its
+  /// global index. Issues no I/O: it never rotates, never flushes and
+  /// never throws a storage fault. The record is appended (next_index()
+  /// advanced) but not durable until a sync().
   std::uint64_t append(const osn::Event& e, std::uint64_t seq,
                        std::uint32_t flags);
 
-  // ---- Group commit ----
-  //
-  // Under WalFsync::kEveryAppend each append pays an fsync — correct,
-  // and the dominant cost of the offer path. When the caller already
-  // holds a batch of offers (the supervisor pump), the appends between
-  // begin_group() and commit_group() buffer in the segment file and
-  // commit_group() issues ONE flush + fsync for all of them. The
-  // durability boundary moves from each record to the group commit:
-  // after commit_group() returns, every record of the group is exactly
-  // as durable as per-record fsync would have made it; a crash inside
-  // the group can lose the whole (unacknowledged) suffix, which
-  // recovery already tolerates via strict-prefix replay. Rotation
-  // mid-group still seals the outgoing segment. Other fsync policies
-  // are unaffected apart from metrics.
+  /// The durability boundary after one offer or one batch: sync()s when
+  /// the policy is kEveryAppend or the segment is full. Issues no I/O
+  /// when nothing is pending. Returns the records it made durable.
+  /// Throws like sync().
+  std::uint64_t commit();
 
-  /// Starts a commit group. Throws std::logic_error if one is open.
-  void begin_group();
-
-  /// Ends the group: one flush+fsync covering every append since
-  /// begin_group() (under kEveryAppend; other policies just close the
-  /// group) — the batch's durability boundary. Returns records
-  /// committed.
-  std::uint64_t commit_group();
-
-  /// Closes an open group WITHOUT the commit fsync (no-op when none
-  /// is open). For exception unwinding only: the
-  /// group's records stay buffered and unacknowledged, exactly as if
-  /// the process had died before the commit — which is the durability
-  /// state recovery already handles.
-  void abort_group() noexcept {
-    in_group_ = false;
-    group_records_ = 0;
-  }
-
-  bool in_group() const noexcept { return in_group_; }
-
-  /// Flushes (and per policy fsyncs) the current segment. Throws
-  /// io::VfsError on storage failure (bytes stay retained for retry).
+  /// All of the writer's storage I/O: flushes the buffer, fsyncs unless
+  /// the policy is kNever, then rotates once the segment holds at least
+  /// segment_records records. A no-op when nothing is pending. Throws
+  /// io::VfsError on a storage fault: the unwritten suffix stays
+  /// retained and every record stays pending for the next sync() (a
+  /// failed rotation leaves the writer on the current segment).
   void sync();
 
-  // ---- Storage-degraded operation ----
-  //
-  // When the disk rejects writes (ENOSPC/EIO), the supervisor parks the
-  // writer in suspended-sync mode: appends land only in the in-memory
-  // write buffer (bounded by the supervisor's storage buffer policy),
-  // rotation and every flush/fsync are skipped, and nothing can throw.
-  // resume_sync() pushes the whole backlog and restores the configured
-  // durability policy — all-or-nothing thanks to buffer retention.
-
-  /// Enters suspended-sync mode. Idempotent.
-  void suspend_sync() noexcept { sync_suspended_ = true; }
-
-  /// Flushes the buffered backlog and (per policy) fsyncs, then leaves
-  /// suspended-sync mode. Throws io::VfsError if the disk still rejects
-  /// the backlog — the writer stays suspended and the unwritten suffix
-  /// stays buffered.
-  void resume_sync();
-
-  bool sync_suspended() const noexcept { return sync_suspended_; }
-
-  /// Records appended since the last successful flush to the OS — the
-  /// occupancy of the degraded-mode buffer.
+  /// Records appended since the last successful sync() — the occupancy
+  /// of the supervisor's storage-degraded buffer.
   std::uint64_t unsynced_records() const noexcept { return unsynced_records_; }
 
   std::uint64_t next_index() const noexcept { return next_index_; }
@@ -188,8 +139,6 @@ class WalWriter {
 
  private:
   void open_segment();
-  void flush_buffer();      // file flush + unsynced reset
-  void sync_per_policy();   // flush + fsync unless WalFsync::kNever
 
   WalOptions options_;
   io::Vfs* vfs_ = nullptr;
@@ -197,10 +146,6 @@ class WalWriter {
   std::uint64_t next_index_;
   std::uint64_t segment_base_ = 0;
   std::uint64_t segments_opened_ = 0;
-  std::string segment_path_;
-  bool in_group_ = false;
-  bool sync_suspended_ = false;
-  std::uint64_t group_records_ = 0;
   std::uint64_t unsynced_records_ = 0;
 };
 

@@ -24,6 +24,7 @@
 //     live-traffic scenario, identity pinned every time.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -281,6 +282,30 @@ TEST_F(ChaosManifest, ParseFailsWithLineNumbers) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
         << e.what();
+  }
+}
+
+TEST_F(ChaosManifest, RejectsFsyncRotate) {
+  // Two durability policies: "rotate" is not one of them.
+  ScenarioManifest m = small_manifest();
+  m.fsync = service::WalFsync::kEveryAppend;
+  const std::string text = m.serialize();
+  const std::size_t at = text.find("fsync = always\n");
+  ASSERT_NE(at, std::string::npos) << text;
+  EXPECT_EQ(parse_manifest(text).fsync, service::WalFsync::kEveryAppend);
+  const std::size_t line =
+      1 + static_cast<std::size_t>(std::count(text.begin(),
+                                              text.begin() + at, '\n'));
+  std::string bad = text;
+  bad.replace(at, std::string("fsync = always").size(), "fsync = rotate");
+  try {
+    parse_manifest(bad);
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line " + std::to_string(line)), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("fsync"), std::string::npos) << what;
   }
 }
 

@@ -1,20 +1,20 @@
-// WAL group-commit suite (ISSUE 7 tentpole b):
+// WAL group-commit suite:
 //
-//   * unit level: appends inside a begin_group()/commit_group() bracket
-//     buffer in the segment file and land with ONE flush at commit;
-//     commit reports the group size, and a process crash at the commit
-//     keeps a strict prefix of the group (all of it once the commit's
-//     write is done); abort closes the bracket without the fsync;
-//   * bracket misuse fails loudly (double begin, commit without begin);
+//   * unit level: appends buffer in the segment's retained write buffer
+//     and land with ONE flush at WalWriter::commit(); commit reports
+//     the records it made durable, and a process crash at the commit
+//     keeps a strict prefix of the batch (all of it once the commit's
+//     write is done);
+//   * the supervisor's offer-batch bracket: misuse fails loudly (double
+//     begin, commit without begin), and abort closes it without a write;
 //   * trajectory identity: driving a ShardRouter through offer_batch()
 //     produces byte-identical per-shard stats JSON and merged flags to
 //     the per-event offer() path with the same pump cadence;
 //   * crash sweep: a process crash at EVERY storage op of a batched
 //     3-shard drive — group commits and the segment rotations inside a
-//     batch before its commit included — then resuming from the
-//     recovered min frontier reproduces the uninterrupted run byte-for-
-//     byte (the PR 5/6 recovery contract, extended to the coalesced
-//     durability boundary);
+//     batch's commit included — then resuming from the recovered min
+//     frontier reproduces the uninterrupted run byte-for-byte (the
+//     recovery contract, extended to the coalesced durability boundary);
 //   * the parallel shard pump is byte-identical at SYBIL_THREADS 1 / 8.
 #include <gtest/gtest.h>
 
@@ -30,6 +30,7 @@
 #include "core/parallel.h"
 #include "io/faulty_vfs.h"
 #include "service/router.h"
+#include "service/supervisor.h"
 #include "service/wal.h"
 #include "service/workload.h"
 #include "support/crash_vfs.h"
@@ -84,24 +85,21 @@ TEST_F(GroupCommit, AppendsBufferUntilTheCommitFlush) {
   opts.fsync = WalFsync::kEveryAppend;
   WalWriter w(opts, 0);
 
-  // Outside a group, kEveryAppend flushes per record.
+  // One offer's boundary: a commit per record.
   w.append(event_at(0), 0, 0);
+  EXPECT_EQ(w.commit(), 1u);
   const std::string seg = only_segment(dir);
   EXPECT_EQ(fs::file_size(seg), kWalHeaderBytes + kWalRecordBytes);
 
-  // Inside the bracket, records stay in the stdio buffer: the on-disk
-  // size must not move until commit_group() issues the single flush.
-  w.begin_group();
-  EXPECT_TRUE(w.in_group());
+  // A batch: records stay in the write buffer, so the on-disk size
+  // must not move until commit() issues the single flush.
   for (std::uint64_t i = 1; i <= 10; ++i) w.append(event_at(i), i, 0);
   EXPECT_EQ(fs::file_size(seg), kWalHeaderBytes + kWalRecordBytes);
-  EXPECT_EQ(w.commit_group(), 10u);
-  EXPECT_FALSE(w.in_group());
+  EXPECT_EQ(w.commit(), 10u);
   EXPECT_EQ(fs::file_size(seg), kWalHeaderBytes + 11 * kWalRecordBytes);
 
   // Every buffered record became exactly as durable as per-record
   // fsync would have made it.
-  w.sync();
   WalScanReport report;
   const auto records = scan_wal(dir, 0, report);
   ASSERT_EQ(records.size(), 11u);
@@ -121,10 +119,9 @@ TEST_F(GroupCommit, CrashAtTheCommitKeepsAStrictPrefixOfTheGroup) {
     opts.vfs = &vfs;
     {
       WalWriter w(opts, 0);
-      w.begin_group();
       for (std::uint64_t i = 0; i < 5; ++i) w.append(event_at(i), i, 0);
       crashtest::arm_crash(vfs, vfs.ops() + commit_op);
-      EXPECT_THROW(w.commit_group(), io::VfsError);
+      EXPECT_THROW(w.commit(), io::VfsError);
     }
     WalScanReport report;
     const std::size_t kept = scan_wal(dir, 0, report).size();
@@ -138,32 +135,36 @@ TEST_F(GroupCommit, CrashAtTheCommitKeepsAStrictPrefixOfTheGroup) {
 }
 
 TEST_F(GroupCommit, BracketMisuseThrowsAndAbortClosesQuietly) {
-  const std::string dir = fresh_dir("misuse");
   io::FaultyVfs vfs(&crashtest::sweep_vfs());
-  WalOptions opts;
-  opts.dir = dir;
-  opts.fsync = WalFsync::kEveryAppend;
-  opts.vfs = &vfs;
-  WalWriter w(opts, 0);
+  ServiceOptions o;
+  o.dir = fresh_dir("misuse");
+  o.vfs = &vfs;
+  o.wal_fsync = WalFsync::kEveryAppend;
+  o.checkpoint_every = 0;
+  ServiceSupervisor s(o);
+  s.start();
+  const std::uint64_t ops = vfs.ops();
   const std::uint64_t fsyncs = vfs.fsyncs();
 
-  EXPECT_THROW(w.commit_group(), std::logic_error);
-  w.begin_group();
-  EXPECT_THROW(w.begin_group(), std::logic_error);
-  w.append(event_at(0), 0, 0);
+  EXPECT_THROW(s.commit_offer_batch(), std::logic_error);
+  s.begin_offer_batch();
+  EXPECT_THROW(s.begin_offer_batch(), std::logic_error);
+  s.offer(event_at(0), 0);
 
-  // Abort is the unwind path: it closes the bracket without the commit
-  // fsync, and is idempotent.
-  w.abort_group();
-  w.abort_group();
-  EXPECT_FALSE(w.in_group());
-  EXPECT_EQ(vfs.fsyncs(), fsyncs);
+  // Abort is the unwind path: it closes the bracket without a single
+  // storage op, and is idempotent.
+  s.abort_offer_batch();
+  s.abort_offer_batch();
+  EXPECT_EQ(vfs.ops(), ops);
+  EXPECT_EQ(s.storage_buffered(), 1u);
 
-  // A fresh bracket opens cleanly after an abort.
-  w.begin_group();
-  w.append(event_at(1), 1, 0);
-  EXPECT_EQ(w.commit_group(), 1u);
+  // A fresh bracket opens cleanly after an abort; its commit carries
+  // the aborted record too, with one fsync.
+  s.begin_offer_batch();
+  s.offer(event_at(1), 1);
+  EXPECT_EQ(s.commit_offer_batch(), 2u);
   EXPECT_EQ(vfs.fsyncs(), fsyncs + 1);
+  EXPECT_EQ(s.storage_buffered(), 0u);
 }
 
 // ---- Router-level batch semantics ----------------------------------
@@ -305,8 +306,8 @@ TEST_F(GroupCommit, ParallelPumpByteIdenticalAcrossThreadCounts) {
 /// then recovery, a resume from the router's min frontier with the
 /// same batched drive, and the uninterrupted run's bytes. The crash
 /// unwinds through offer_batch's abort path, so surviving shards' open
-/// groups must not poison the restarted drive. Among the points: every
-/// group commit, and segment rotations inside a batch before its commit.
+/// brackets must not poison the restarted drive. Among the points:
+/// every group commit, and segment rotations inside a batch's commit.
 TEST_F(GroupCommitRecovery, KillAtEveryGroupCommitBoundary) {
   const std::vector<osn::Event> log = synthetic_workload(workload_options());
 
@@ -323,8 +324,8 @@ TEST_F(GroupCommitRecovery, KillAtEveryGroupCommitBoundary) {
     want = capture(clean, 7.0);
   }
   ASSERT_GT(batches.size(), 5u) << "sweep would be vacuous";
-  // Commits never open a file, so a WAL open inside a batch's op span
-  // is a rotation ahead of that batch's commit.
+  // Rotations happen inside a commit, so a WAL open inside a batch's
+  // op span is a rotation inside that batch's commit.
   const auto rotation_in_batch = [&](std::size_t k) {
     if (ops[k].kind != crashtest::StorageOp::Kind::kOpen ||
         ops[k].path.find("/wal/") == std::string::npos) {

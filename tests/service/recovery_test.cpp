@@ -12,11 +12,14 @@
 //     generation with a typed RecoveryReport — never a crash, never
 //     silent loss;
 //   * recovery with no checkpoint at all (cold start) rebuilds from
-//     the full WAL.
+//     the full WAL;
+//   * checkpoint retention deletes exactly the pruned generations, and
+//     through the service's vfs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -315,6 +318,62 @@ TEST_F(ServiceRecovery, ColdStartReplaysTheFullWal) {
   drive(recovered, log, report.next_index, report.checkpoint_position);
   EXPECT_EQ(recovered.stats_json(), base.stats);
   expect_flags_equal(recovered.take_flagged(), base.flags);
+}
+
+/// Forwards to the sweep vfs, logging the checkpoint generations it
+/// commits (renames onto a .sybs name) and removes.
+class CheckpointLogVfs final : public io::Vfs {
+ public:
+  std::vector<std::string> committed;
+  std::vector<std::string> removed;
+
+  std::unique_ptr<io::VfsFile> open(const std::string& path,
+                                    io::VfsMode mode) override {
+    return crashtest::sweep_vfs().open(path, mode);
+  }
+  void rename(const std::string& from, const std::string& to) override {
+    crashtest::sweep_vfs().rename(from, to);
+    if (is_generation(to)) committed.push_back(to);
+  }
+  bool remove(const std::string& path) noexcept override {
+    if (is_generation(path)) removed.push_back(path);
+    return crashtest::sweep_vfs().remove(path);
+  }
+  void truncate(const std::string& path, std::uint64_t size) override {
+    crashtest::sweep_vfs().truncate(path, size);
+  }
+  void sync_parent_dir(const std::string& path) override {
+    crashtest::sweep_vfs().sync_parent_dir(path);
+  }
+
+ private:
+  static bool is_generation(const std::string& path) {
+    return path.find("/ckpt/") != std::string::npos &&
+           path.size() > 5 && path.compare(path.size() - 5, 5, ".sybs") == 0;
+  }
+};
+
+TEST_F(ServiceRecovery, CheckpointPruningGoesThroughTheVfs) {
+  const std::vector<osn::Event> log = build_log(19);
+  const std::string dir = fresh_dir("prune_vfs");
+  CheckpointLogVfs vfs;
+  {
+    ServiceSupervisor s(make_options(dir, &vfs));
+    s.start();
+    drive(s, log, 0);
+  }
+  const auto retained = list_checkpoints(dir + "/ckpt");
+  ASSERT_EQ(retained.size(), 2u);
+  ASSERT_GT(vfs.committed.size(), retained.size()) << "nothing was pruned";
+  // Every generation but the retained newest two was removed, oldest
+  // first, exactly once — and none of them survives on disk.
+  const std::vector<std::string> pruned(
+      vfs.committed.begin(), vfs.committed.end() - retained.size());
+  EXPECT_EQ(vfs.removed, pruned);
+  for (std::size_t i = 0; i < retained.size(); ++i) {
+    EXPECT_EQ(retained[i].second,
+              vfs.committed[pruned.size() + i]);
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
-// WAL unit suite: record round-trips, segment rotation, torn-tail
-// healing (both via a process crash mid-record and via simulated torn
-// writes), pruning, and cold-start scans (docs/FORMATS.md §WAL).
+// WAL unit suite: record round-trips, segment rotation at commits,
+// appends that never touch storage, torn-tail healing (both via a
+// process crash mid-record and via simulated torn writes), pruning, and
+// cold-start scans (docs/FORMATS.md §WAL).
 #include "service/wal.h"
 
 #include <gtest/gtest.h>
@@ -89,7 +90,10 @@ TEST(Wal, RotatesSegmentsAndSkipsCoveredOnesOnScan) {
   opts.fsync = WalFsync::kNever;
   {
     WalWriter w(opts, 0);
-    for (std::uint64_t i = 0; i < 10; ++i) w.append(event_at(i), i, 0);
+    for (std::uint64_t i = 0; i < 10; ++i) {
+      w.append(event_at(i), i, 0);
+      w.commit();  // rotates once the segment is full
+    }
     EXPECT_EQ(w.segments_opened(), 3u);  // bases 0, 4, 8
   }
   WalScanReport report;
@@ -149,16 +153,20 @@ TEST(Wal, ProcessCrashTearsRecordMidWrite) {
   io::FaultyVfs vfs(&crashtest::sweep_vfs());
   WalOptions opts;
   opts.dir = dir;
-  opts.fsync = WalFsync::kEveryAppend;  // each record is its own write
+  opts.fsync = WalFsync::kEveryAppend;  // each commit is its own write
   opts.vfs = &vfs;
   {
     WalWriter w(opts, 0);
-    for (std::uint64_t i = 0; i < 3; ++i) w.append(event_at(i), i, 0);
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      w.append(event_at(i), i, 0);
+      w.commit();
+    }
     // The next op is record 3's write: the process dies inside it, and
     // the write persists a seeded strict prefix of the record.
+    w.append(event_at(3), 3, 0);
     crashtest::arm_crash(vfs, vfs.ops());
     try {
-      w.append(event_at(3), 3, 0);
+      w.commit();
       FAIL() << "expected a process crash";
     } catch (const io::VfsError& e) {
       EXPECT_EQ(e.kind(), io::VfsFaultKind::kProcessCrash);
@@ -175,6 +183,52 @@ TEST(Wal, ProcessCrashTearsRecordMidWrite) {
   EXPECT_EQ(report.next_index, 3u);
 }
 
+TEST(Wal, AppendsNeverTouchStorageUntilCommit) {
+  const std::string dir = fresh_dir("deferred");
+  io::FaultyVfs vfs(&crashtest::sweep_vfs());
+  WalOptions opts;
+  opts.dir = dir;
+  opts.segment_records = 4;
+  opts.fsync = WalFsync::kEveryAppend;
+  opts.vfs = &vfs;
+  constexpr std::uint64_t kRecords = 3 * 4;
+  WalWriter w(opts, 0);
+
+  // Every op from here on fails: appends must not notice.
+  const std::uint64_t ops = vfs.ops();
+  io::FaultConfig cfg;
+  cfg.fail_from = ops;
+  cfg.fail_count = io::FaultConfig::kNever;
+  cfg.fail_kind = io::VfsFaultKind::kIoError;
+  vfs.configure(cfg);
+  for (std::uint64_t i = 0; i < kRecords; ++i) {
+    EXPECT_NO_THROW(EXPECT_EQ(w.append(event_at(i), i, 0), i));
+  }
+  EXPECT_EQ(vfs.ops(), ops);
+
+  // The commit does the I/O, fails, and keeps every record retained.
+  EXPECT_THROW(w.commit(), io::VfsError);
+  EXPECT_EQ(w.unsynced_records(), kRecords);
+  EXPECT_EQ(w.next_index(), kRecords);
+
+  vfs.clear_faults();
+  EXPECT_EQ(w.commit(), kRecords);
+  EXPECT_EQ(w.unsynced_records(), 0u);
+  WalScanReport report;
+  const auto records = scan_wal(dir, 0, report);
+  ASSERT_EQ(records.size(), kRecords);
+  for (std::uint64_t i = 0; i < kRecords; ++i) {
+    EXPECT_EQ(records[i].index, i);
+    EXPECT_EQ(records[i].seq, i);
+  }
+  EXPECT_EQ(report.torn_tails_healed, 0u);
+
+  // Nothing pending: a commit issues no I/O.
+  const std::uint64_t idle = vfs.ops();
+  EXPECT_EQ(w.commit(), 0u);
+  EXPECT_EQ(vfs.ops(), idle);
+}
+
 TEST(Wal, PrunesFullyCoveredSegments) {
   const std::string dir = fresh_dir("prune");
   WalOptions opts;
@@ -183,16 +237,23 @@ TEST(Wal, PrunesFullyCoveredSegments) {
   opts.fsync = WalFsync::kNever;
   {
     WalWriter w(opts, 0);
-    for (std::uint64_t i = 0; i < 12; ++i) w.append(event_at(i), i, 0);
+    for (std::uint64_t i = 0; i < 12; ++i) {
+      w.append(event_at(i), i, 0);
+      w.commit();
+    }
   }
-  // Segments cover [0,4), [4,8), [8,...]; index 8 retires the first two.
+  // Segments cover [0,4), [4,8), [8,12) and the live [12,...) the last
+  // commit rotated to; index 8 retires the first two.
   EXPECT_EQ(prune_wal(dir, 8), 2u);
   WalScanReport report;
   const auto records = scan_wal(dir, 8, report);
   ASSERT_EQ(records.size(), 4u);
   EXPECT_EQ(records.front().index, 8u);
-  // The live segment is never pruned, whatever the index.
+  // The live segment is never pruned, whatever the index: only the
+  // sealed [8,12) goes.
+  EXPECT_EQ(prune_wal(dir, 1000), 1u);
   EXPECT_EQ(prune_wal(dir, 1000), 0u);
+  EXPECT_TRUE(fs::exists(dir + "/wal-00000000000000000012.seg"));
 }
 
 TEST(Wal, ScanOfMissingDirectoryIsAColdStart) {
