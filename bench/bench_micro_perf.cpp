@@ -3,8 +3,8 @@
 // decomposition, clustering, random routes, max-flow, alias sampling,
 // binary snapshot save/load (the regenerate-vs-reload tradeoff), the
 // service WAL's append/replay path (the durability cost per event),
-// streaming ingest and flag-sweep throughput, and the shard-routing
-// decision.
+// CRC-32 and checkpoint encoding, streaming ingest and flag-sweep
+// throughput, and the shard-routing decision.
 //
 // `--json <path>` additionally writes a compact machine-readable
 // series — one entry per benchmark with its real time and derived
@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/detector_state.h"
 #include "core/features.h"
 #include "core/stream_detector.h"
 #include "detectors/incremental_rank.h"
@@ -34,6 +35,7 @@
 #include "graph/generators.h"
 #include "graph/maxflow.h"
 #include "graph/walks.h"
+#include "io/crc32.h"
 #include "io/graph_snapshot.h"
 #include "stats/distributions.h"
 
@@ -343,6 +345,19 @@ void BM_WalReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_WalReplay);
 
+/// CRC-32 throughput at the two sizes the service checksums: a 44-byte
+/// WAL record and an 8 MiB checkpoint section.
+void BM_Crc32(benchmark::State& state) {
+  std::vector<std::byte> bytes(static_cast<std::size_t>(state.range(0)));
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::byte>(i * 131 + (i >> 7));
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(io::crc32(bytes));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(44)->Arg(8 << 20);
+
 // --- Streaming detection: ingest, sweep, and shard routing ----------
 
 const std::vector<osn::Event>& service_bench_events() {
@@ -403,6 +418,27 @@ void BM_SweepFlags(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(sweeps) * 20'000);
 }
 BENCHMARK(BM_SweepFlags);
+
+/// Checkpoint encoding of a mid-stream detector: applied state plus a
+/// 6 h reorder buffer and its seen-seqs (bytes/sec of blob written).
+void BM_SerializeStreamState(benchmark::State& state) {
+  static const core::StreamDetector* detector = [] {
+    core::DetectorOptions options = service_bench_options();
+    options.ingest.watermark_hours = 6.0;
+    auto* d = new core::StreamDetector(options);
+    std::uint64_t seq = 0;
+    for (const auto& e : service_bench_events()) d->ingest(e, seq++);
+    return d;
+  }();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::vector<std::byte> blob = core::serialize_stream_state(*detector);
+    bytes += blob.size();
+    benchmark::DoNotOptimize(blob.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_SerializeStreamState);
 
 /// Pure routing decision: which shards an event must reach (decisions/
 /// sec; the per-event overhead the router adds before any WAL I/O).

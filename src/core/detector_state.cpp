@@ -127,6 +127,23 @@ osn::RequestLedger read_ledger(ByteReader& r) {
   return osn::RequestLedger::from_raw(raw);
 }
 
+// Encoded widths of the fixed-size records above and below, so
+// save_stream can reserve its exact output size before writing. Each
+// mirrors the write_* helper or loop it names; the state-codec tests
+// check that the reservation comes out exact.
+constexpr std::size_t kU64 = sizeof(std::uint64_t);
+constexpr std::size_t kEventBytes =  // write_event
+    sizeof(std::uint32_t) + 2 * sizeof(graph::NodeId) + sizeof(graph::Time);
+constexpr std::size_t kLedgerBytes =  // write_ledger
+    7 * sizeof(std::uint32_t) + sizeof(std::int64_t) + 2 * sizeof(graph::Time);
+constexpr std::size_t kAccountBytes =  // per account, before its friends
+    kLedgerBytes + kU64 + sizeof(std::uint32_t) + 2 * sizeof(std::uint8_t);
+constexpr std::size_t kFlagBytes =  // per pending flag (write_features)
+    sizeof(osn::NodeId) + 5 * sizeof(double) + sizeof(graph::Time);
+constexpr std::size_t kBufferedBytes = sizeof(graph::Time) + kU64 + kEventBytes;
+constexpr std::size_t kDeadLetterBytes =
+    kEventBytes + kU64 + sizeof(std::uint32_t);
+
 /// Grants access to a std::priority_queue's protected container so the
 /// exact heap array can be saved and restored — a restored queue pops
 /// in the same order as the original, bit for bit (the osn simulator
@@ -157,7 +174,30 @@ typename Q::container_type& queue_container_mut(Q& q) {
 /// AdaptiveThresholdTuner: all member access happens in these statics.
 struct DetectorStateAccess {
   static std::vector<std::byte> save_stream(const StreamDetector& d) {
+    std::vector<std::uint64_t> edges(d.edges_.begin(), d.edges_.end());
+    std::sort(edges.begin(), edges.end());
+    const std::vector<std::uint64_t> seqs = d.seen_seqs_.sorted();
+    const auto& reorder = queue_container(d.reorder_);
+
+    std::size_t size = sizeof(kDetectorStateVersion) + kU64 +
+                       d.accounts_.size() * kAccountBytes;
+    for (const StreamDetector::AccountState& acc : d.accounts_) {
+      size += acc.first_friends.size() * sizeof(osn::NodeId);
+    }
+    for (const auto& watchers : d.watchers_) {
+      size += kU64 + watchers.size() * sizeof(osn::NodeId);
+    }
+    size += kU64 + edges.size() * kU64;
+    size += kU64 + d.newly_flagged_.size() * kFlagBytes + kU64;
+    size += kU64 + reorder.size() * kBufferedBytes;
+    size += kU64 + seqs.size() * kU64;
+    size += kU64 + d.released_.size() * (sizeof(graph::Time) + kU64);
+    size += sizeof(graph::Time) + kU64 +
+            d.dead_letters_.size() * kDeadLetterBytes;
+    size += (7 + kStreamErrorCodeCount) * kU64;  // the trailing counters
+
     ByteWriter w;
+    w.reserve(size);
     w.write(kDetectorStateVersion);
 
     w.write(static_cast<std::uint64_t>(d.accounts_.size()));
@@ -174,8 +214,6 @@ struct DetectorStateAccess {
       for (osn::NodeId who : watchers) w.write(who);
     }
 
-    std::vector<std::uint64_t> edges(d.edges_.begin(), d.edges_.end());
-    std::sort(edges.begin(), edges.end());
     w.write(static_cast<std::uint64_t>(edges.size()));
     for (std::uint64_t key : edges) w.write(key);
 
@@ -187,7 +225,6 @@ struct DetectorStateAccess {
     }
     w.write(static_cast<std::uint64_t>(d.flagged_total_));
 
-    const auto& reorder = queue_container(d.reorder_);
     w.write(static_cast<std::uint64_t>(reorder.size()));
     for (const StreamDetector::Buffered& b : reorder) {
       w.write(b.event.time);  // the entry's sort time (see Buffered)
@@ -195,8 +232,6 @@ struct DetectorStateAccess {
       write_event(w, b.event);
     }
 
-    std::vector<std::uint64_t> seqs(d.seen_seqs_.begin(), d.seen_seqs_.end());
-    std::sort(seqs.begin(), seqs.end());
     w.write(static_cast<std::uint64_t>(seqs.size()));
     for (std::uint64_t s : seqs) w.write(s);
 

@@ -8,8 +8,9 @@
 // stream — such that a restored detector is byte-identical to one that
 // never stopped: same verdicts, same feature snapshots, same counters,
 // and identical bytes from the next serialize call (save-load-save
-// stability). Hash-set contents are serialized sorted for that
-// stability; their iteration order is never observable in behavior.
+// stability). Set contents are written in ascending order for that
+// stability — the edge set sorted, the seen-seq set through
+// SeqBitSet::sorted() — so the bytes never depend on insertion history.
 //
 // The caller must restore into a detector constructed with the SAME
 // DetectorOptions that produced the blob (the service persists options

@@ -17,6 +17,7 @@
 // byte-identical regardless of insertion history.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -204,8 +205,9 @@ class FlatSet64 {
 // A one-entry position cache makes the common case — the next seq lands
 // in the same word as the last one — a single compare, no hash at all.
 //
-// Semantics match FlatSet64 (insert -> bool, erase -> 0/1, unspecified
-// iteration order; serialization sites sort before writing). The probe
+// insert/erase/contains match FlatSet64 (insert -> bool, erase -> 0/1).
+// There is no iterator: the one reader of the whole set, the checkpoint
+// codec, takes sorted(), which orders words rather than seqs. The probe
 // table stores word_index + 1 so 0 can mark empty slots; word indexes
 // top out at 2^58, so the +1 cannot wrap.
 class SeqBitSet {
@@ -314,56 +316,29 @@ class SeqBitSet {
     return 1;
   }
 
-  /// Forward iteration over stored seqs, unspecified order.
-  class const_iterator {
-   public:
-    using iterator_category = std::forward_iterator_tag;
-    using value_type = std::uint64_t;
-    using difference_type = std::ptrdiff_t;
-    using pointer = const std::uint64_t*;
-    using reference = std::uint64_t;
-
-    const_iterator(const SeqBitSet* set, std::size_t pos)
-        : set_(set), pos_(pos) {
-      settle();
+  /// Every stored seq in ascending order — the checkpoint codec's view.
+  /// Sorts the occupied words (each holds up to 64 seqs), then expands
+  /// each word's bits low to high, instead of sorting the seqs
+  /// themselves.
+  std::vector<std::uint64_t> sorted() const {
+    std::vector<Slot> words;
+    words.reserve(words_);
+    for (const Slot& s : slots_) {
+      if (s.word != 0) words.push_back(s);
     }
-    std::uint64_t operator*() const {
-      return (set_->slots_[pos_].word - 1) * 64 +
-             static_cast<std::uint64_t>(std::countr_zero(bits_));
-    }
-    const_iterator& operator++() {
-      bits_ &= bits_ - 1;
-      if (bits_ == 0) {
-        ++pos_;
-        settle();
+    std::sort(words.begin(), words.end(),
+              [](const Slot& a, const Slot& b) { return a.word < b.word; });
+    std::vector<std::uint64_t> out;
+    out.reserve(size_);
+    for (const Slot& s : words) {
+      const std::uint64_t base = (s.word - 1) * 64;
+      for (std::uint64_t bits = s.bits; bits != 0; bits &= bits - 1) {
+        out.push_back(base +
+                      static_cast<std::uint64_t>(std::countr_zero(bits)));
       }
-      return *this;
     }
-    const_iterator operator++(int) {
-      const_iterator prev = *this;
-      ++*this;
-      return prev;
-    }
-    bool operator==(const const_iterator& o) const noexcept {
-      return pos_ == o.pos_ && bits_ == o.bits_;
-    }
-    bool operator!=(const const_iterator& o) const noexcept {
-      return !(*this == o);
-    }
-
-   private:
-    void settle() {
-      const std::size_t n = set_->slots_.size();
-      while (pos_ < n && set_->slots_[pos_].word == 0) ++pos_;
-      bits_ = pos_ < n ? set_->slots_[pos_].bits : 0;
-    }
-    const SeqBitSet* set_;
-    std::size_t pos_;
-    std::uint64_t bits_ = 0;
-  };
-
-  const_iterator begin() const { return const_iterator(this, 0); }
-  const_iterator end() const { return const_iterator(this, slots_.size()); }
+    return out;
+  }
 
  private:
   struct Slot {

@@ -79,25 +79,33 @@ void ContainerWriter::add_section(std::uint32_t id,
 
 std::vector<std::byte> ContainerWriter::serialize() const {
   const std::size_t table_size = sections_.size() * kTableEntrySize;
-  std::size_t offset = align_up(kHeaderSize + table_size);
+  const std::size_t payload_start = align_up(kHeaderSize + table_size);
+  // The last section is not padded on disk; file_size reflects that.
+  std::size_t file_size = payload_start;
+  for (std::size_t i = 0; i < sections_.size(); ++i) {
+    file_size = (i + 1 == sections_.size())
+                    ? file_size + sections_[i].payload.size()
+                    : align_up(file_size + sections_[i].payload.size());
+  }
 
-  std::vector<std::byte> table(table_size);
-  std::size_t cursor = 0;
-  const auto put32 = [&](std::uint32_t v) {
-    std::memcpy(table.data() + cursor, &v, 4);
-    cursor += 4;
+  // One allocation of the exact image size; bytes are appended in file
+  // order, and only the header slot and alignment padding are zeroed.
+  std::vector<std::byte> out;
+  out.reserve(file_size);
+  out.resize(kHeaderSize);  // filled in once the table CRC is known
+  const auto append = [&out](const void* p, std::size_t n) {
+    const auto* b = static_cast<const std::byte*>(p);
+    out.insert(out.end(), b, b + n);
   };
-  const auto put64 = [&](std::uint64_t v) {
-    std::memcpy(table.data() + cursor, &v, 8);
-    cursor += 8;
-  };
-  std::size_t total = offset;
+  std::uint64_t offset = payload_start;
   for (const Section& s : sections_) {
-    put32(s.id);
-    put32(crc32(s.payload));
-    put64(total);
-    put64(s.payload.size());
-    total = align_up(total + s.payload.size());
+    const std::uint32_t crc = crc32(s.payload);
+    const std::uint64_t length = s.payload.size();
+    append(&s.id, 4);
+    append(&crc, 4);
+    append(&offset, 8);
+    append(&length, 8);
+    offset = align_up(offset + length);
   }
 
   Header header{};
@@ -107,25 +115,14 @@ std::vector<std::byte> ContainerWriter::serialize() const {
   header.format_version = kFormatVersion;
   header.payload_kind = static_cast<std::uint32_t>(kind_);
   header.section_count = static_cast<std::uint32_t>(sections_.size());
-  header.table_crc = crc32(table);
-  // The last section is not padded on disk; file_size reflects that.
-  std::size_t file_size = offset;
-  for (std::size_t i = 0; i < sections_.size(); ++i) {
-    file_size = (i + 1 == sections_.size())
-                    ? file_size + sections_[i].payload.size()
-                    : align_up(file_size + sections_[i].payload.size());
-  }
+  header.table_crc =
+      crc32(std::span<const std::byte>(out).subspan(kHeaderSize, table_size));
   header.file_size = file_size;
-
-  std::vector<std::byte> out(file_size, std::byte{0});
   std::memcpy(out.data(), &header, sizeof(header));
-  std::memcpy(out.data() + kHeaderSize, table.data(), table.size());
-  std::size_t at = offset;
+
   for (const Section& s : sections_) {
-    if (!s.payload.empty()) {
-      std::memcpy(out.data() + at, s.payload.data(), s.payload.size());
-    }
-    at = align_up(at + s.payload.size());
+    out.resize(align_up(out.size()));
+    append(s.payload.data(), s.payload.size());
   }
   return out;
 }

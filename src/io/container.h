@@ -13,11 +13,13 @@
 //   payloads        8-byte aligned, zero padding between
 //
 // Integrity: the table CRC covers the section table; every payload has
-// its own CRC32 checked on first access. Atomicity: ContainerWriter
-// writes to "<path>.tmp" and renames over the target, so a crash mid-
-// write never leaves a half-written file under the final name.
+// its own CRC32, and a ContainerReader checks all of them when it is
+// constructed. Atomicity: ContainerWriter writes to "<path>.tmp" and
+// renames over the target, so a crash mid-write never leaves a
+// half-written file under the final name.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -210,20 +212,40 @@ class ByteReader {
   std::size_t at_ = 0;
 };
 
-/// Append-only encoder matching ByteReader.
+/// Append-only encoder matching ByteReader. Writes go through a cursor
+/// into one buffer: an encoder that knows its output size calls
+/// reserve() once up front, so the buffer never regrows and take()
+/// hands it over without slack; write() is a bounds check plus a
+/// memcpy, growing geometrically only when nothing was reserved.
 class ByteWriter {
  public:
+  /// Sizes the buffer for `n` bytes in total.
+  void reserve(std::size_t n) {
+    if (n > bytes_.size()) bytes_.resize(n);
+  }
+
   template <typename T>
   void write(const T& value) {
     static_assert(std::is_trivially_copyable_v<T>);
-    const auto* p = reinterpret_cast<const std::byte*>(&value);
-    bytes_.insert(bytes_.end(), p, p + sizeof(T));
+    if (bytes_.size() - at_ < sizeof(T)) grow(sizeof(T));
+    std::memcpy(bytes_.data() + at_, &value, sizeof(T));
+    at_ += sizeof(T);
   }
 
-  std::vector<std::byte> take() && { return std::move(bytes_); }
+  std::size_t size() const noexcept { return at_; }
+
+  std::vector<std::byte> take() && {
+    bytes_.resize(at_);
+    return std::move(bytes_);
+  }
 
  private:
-  std::vector<std::byte> bytes_;
+  void grow(std::size_t n) {
+    reserve(std::max({at_ + n, 2 * bytes_.size(), std::size_t{64}}));
+  }
+
+  std::vector<std::byte> bytes_;  // the buffer; its size is the capacity
+  std::size_t at_ = 0;            // bytes written
 };
 
 }  // namespace sybil::io

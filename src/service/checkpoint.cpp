@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <utility>
 
 #include "core/metrics/instrument.h"
 #include "io/container.h"
@@ -37,7 +38,7 @@ constexpr std::uint32_t kCheckpointVersion = 3;
 }  // namespace
 
 void save_service_checkpoint(const std::string& path,
-                             const ServiceCheckpointState& state,
+                             ServiceCheckpointState&& state,
                              io::Vfs* vfs) {
   SYBIL_METRIC_SCOPED_TIMER(span, "service.checkpoint.save");
   io::ContainerWriter writer(io::PayloadKind::kServiceCheckpoint);
@@ -72,10 +73,10 @@ void save_service_checkpoint(const std::string& path,
   }
   writer.add_section(kSecQueue, std::move(queue).take());
 
-  writer.add_section(kSecStream, state.stream_state);
-  writer.add_section(kSecRealtime, state.realtime_state);
+  writer.add_section(kSecStream, std::move(state.stream_state));
+  writer.add_section(kSecRealtime, std::move(state.realtime_state));
   if (!state.defense_state.empty()) {
-    writer.add_section(kSecDefense, state.defense_state);
+    writer.add_section(kSecDefense, std::move(state.defense_state));
   }
   // SyncMode::kEnv: durable by default; the SYBIL_IO_FSYNC knob can
   // turn sync off for throwaway state dirs (benches, crash sweeps).

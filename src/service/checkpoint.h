@@ -69,9 +69,10 @@ struct ServiceCheckpointState {
 /// recovery holds either way). All I/O goes through `vfs` (null →
 /// io::default_vfs()); on any storage fault the temp file is removed
 /// and the existing generation is untouched. Throws io::SnapshotError
-/// (io::VfsError for storage faults).
+/// (io::VfsError for storage faults). Takes the state by rvalue: its
+/// detector blobs become container sections without a copy.
 void save_service_checkpoint(const std::string& path,
-                             const ServiceCheckpointState& state,
+                             ServiceCheckpointState&& state,
                              io::Vfs* vfs = nullptr);
 
 /// Loads and fully validates one generation; throws the matching typed

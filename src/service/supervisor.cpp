@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <stdexcept>
+#include <utility>
 
 #include "core/detector_state.h"
 #include "core/metrics/instrument.h"
@@ -652,10 +653,10 @@ void ServiceSupervisor::checkpoint_now() {
   // the WAL syncs first; the container commit is atomic and removes its
   // temp file on any storage fault, so a failure here never touches
   // existing generations.
+  const std::string path = checkpoint_path(ckpt_dir, state.wal_position);
   if (!storage_io([&] {
         wal_->sync();
-        save_service_checkpoint(checkpoint_path(ckpt_dir, state.wal_position),
-                                state, options_.vfs);
+        save_service_checkpoint(path, std::move(state), options_.vfs);
       })) {
     ++storage_checkpoints_suspended_;
     SYBIL_SERVICE_METRIC(storage_checkpoints_suspended.add(1));

@@ -135,6 +135,8 @@ TEST(DetectorState, StreamStateBytesAreFrozen) {
       serialize_stream_state(fixture_detector());
   EXPECT_EQ(blob.size(), 11798u);
   EXPECT_EQ(io::crc32(blob), 0x570a6470u);
+  // The encoder reserves its exact size up front: no regrowth, no slack.
+  EXPECT_EQ(blob.capacity(), blob.size());
 }
 
 TEST(DetectorState, SaveRestoreSaveIsByteStable) {

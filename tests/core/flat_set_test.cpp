@@ -2,9 +2,9 @@
 // (edge dedup and seq dedup respectively), and both have the subtle
 // bits worth pinning directly: backward-shift deletion across wrapped
 // probe chains, the reserved all-ones key, the bitmap set's word
-// sharing and slot reclamation, and iteration completeness (the
-// checkpoint codec iterates then sorts, so a dropped key corrupts
-// recovered state silently).
+// sharing and slot reclamation, and completeness of the sorted views
+// the checkpoint codec writes (a dropped key corrupts recovered state
+// silently).
 #include "core/flat_set.h"
 
 #include <gtest/gtest.h>
@@ -19,8 +19,18 @@
 namespace sybil::core {
 namespace {
 
-template <typename Set>
-std::vector<std::uint64_t> sorted_contents(const Set& s) {
+std::vector<std::uint64_t> sorted_contents(const FlatSet64& s) {
+  std::vector<std::uint64_t> out(s.begin(), s.end());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<std::uint64_t> sorted_contents(const SeqBitSet& s) {
+  return s.sorted();
+}
+
+std::vector<std::uint64_t> sorted_contents(
+    const std::unordered_set<std::uint64_t>& s) {
   std::vector<std::uint64_t> out(s.begin(), s.end());
   std::sort(out.begin(), out.end());
   return out;
@@ -87,7 +97,10 @@ TEST(SeqBitSet, ClearResetsEverything) {
 /// Randomized differential test against std::unordered_set: the mixed
 /// insert/erase/contains stream the detector produces (near-monotone
 /// inserts, watermark-ordered erases, occasional duplicates), applied
-/// identically to both implementations and to FlatSet64.
+/// identically to both implementations and to FlatSet64, then a sparse
+/// phase with one seq per word, whose erasures empty words and so
+/// backward-shift probe chains. sorted() is checked against the sorted
+/// reference throughout.
 TEST(SeqBitSet, AgreesWithReferenceUnderMixedWorkload) {
   stats::Rng rng(99);
   SeqBitSet bits;
@@ -119,11 +132,33 @@ TEST(SeqBitSet, AgreesWithReferenceUnderMixedWorkload) {
     }
     ASSERT_EQ(bits.size(), ref.size());
     ASSERT_EQ(flat.size(), ref.size());
+    if (step % 5000 == 0) {
+      ASSERT_EQ(bits.sorted(), sorted_contents(ref));
+    }
   }
-  std::vector<std::uint64_t> want(ref.begin(), ref.end());
-  std::sort(want.begin(), want.end());
-  EXPECT_EQ(sorted_contents(bits), want);
-  EXPECT_EQ(sorted_contents(flat), want);
+  EXPECT_EQ(sorted_contents(bits), sorted_contents(ref));
+  EXPECT_EQ(sorted_contents(flat), sorted_contents(ref));
+
+  // Sparse words far above the dense range: each holds a single seq.
+  std::vector<std::uint64_t> sparse;
+  for (int i = 0; i < 4000; ++i) {
+    const std::uint64_t word =
+        (1u << 20) + static_cast<std::uint64_t>(rng.uniform() * 1e6);
+    const std::uint64_t seq =
+        word * 64 + static_cast<std::uint64_t>(rng.uniform() * 64.0);
+    const bool fresh = ref.insert(seq).second;
+    ASSERT_EQ(bits.insert(seq), fresh) << "seq " << seq;
+    if (fresh) sparse.push_back(seq);
+  }
+  ASSERT_EQ(bits.sorted(), sorted_contents(ref));
+  for (std::size_t i = 0; i < sparse.size(); i += 2) {
+    ASSERT_EQ(bits.erase(sparse[i]), ref.erase(sparse[i]));
+    if (i % 400 == 0) {
+      ASSERT_EQ(bits.sorted(), sorted_contents(ref));
+    }
+  }
+  ASSERT_EQ(bits.size(), ref.size());
+  EXPECT_EQ(bits.sorted(), sorted_contents(ref));
 }
 
 }  // namespace
