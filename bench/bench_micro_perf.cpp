@@ -435,6 +435,7 @@ void BM_SerializeStreamState(benchmark::State& state) {
     const std::vector<std::byte> blob = core::serialize_stream_state(*detector);
     bytes += blob.size();
     benchmark::DoNotOptimize(blob.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
 }

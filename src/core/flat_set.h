@@ -318,8 +318,7 @@ class SeqBitSet {
 
   /// Every stored seq in ascending order — the checkpoint codec's view.
   /// Sorts the occupied words (each holds up to 64 seqs), then expands
-  /// each word's bits low to high, instead of sorting the seqs
-  /// themselves.
+  /// each word's bits low to high.
   std::vector<std::uint64_t> sorted() const {
     std::vector<Slot> words;
     words.reserve(words_);

@@ -232,8 +232,6 @@ class ByteWriter {
     at_ += sizeof(T);
   }
 
-  std::size_t size() const noexcept { return at_; }
-
   std::vector<std::byte> take() && {
     bytes_.resize(at_);
     return std::move(bytes_);
