@@ -248,7 +248,7 @@ ScenarioOutcome ChaosOrchestrator::run(const ChaosRunOptions& options) {
     // The recovered state retains exactly the sweeps its newest durable
     // checkpoint saw; pumps and checkpoints re-fire idempotently, so
     // the sweep count alone pins the boundary to resume from.
-    const std::uint64_t durable_sweeps = router.shard(v).sweeps();
+    const std::uint64_t durable_sweeps = router.shard(v).counters().sweeps;
     bidx[v] = durable_sweeps == 0
                   ? 0
                   : sweep_at[static_cast<std::size_t>(durable_sweeps) - 1] + 1;

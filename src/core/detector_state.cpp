@@ -98,35 +98,6 @@ ThresholdRule read_rule(ByteReader& r) {
   return rule;
 }
 
-void write_ledger(ByteWriter& w, const osn::RequestLedger& ledger) {
-  const osn::RequestLedger::Raw raw = ledger.raw();
-  w.write(raw.sent);
-  w.write(raw.sent_accepted);
-  w.write(raw.received);
-  w.write(raw.received_accepted);
-  w.write(raw.current_bucket);
-  w.write(raw.current_bucket_count);
-  w.write(raw.active_hours);
-  w.write(raw.max_hourly);
-  w.write(raw.first_send);
-  w.write(raw.last_send);
-}
-
-osn::RequestLedger read_ledger(ByteReader& r) {
-  osn::RequestLedger::Raw raw;
-  raw.sent = r.read<std::uint32_t>();
-  raw.sent_accepted = r.read<std::uint32_t>();
-  raw.received = r.read<std::uint32_t>();
-  raw.received_accepted = r.read<std::uint32_t>();
-  raw.current_bucket = r.read<std::int64_t>();
-  raw.current_bucket_count = r.read<std::uint32_t>();
-  raw.active_hours = r.read<std::uint32_t>();
-  raw.max_hourly = r.read<std::uint32_t>();
-  raw.first_send = r.read<graph::Time>();
-  raw.last_send = r.read<graph::Time>();
-  return osn::RequestLedger::from_raw(raw);
-}
-
 // Encoded widths of the fixed-size records above and below, so
 // save_stream can reserve its exact output size before writing. Each
 // mirrors the write_* helper or loop it names; the state-codec tests
@@ -134,10 +105,8 @@ osn::RequestLedger read_ledger(ByteReader& r) {
 constexpr std::size_t kU64 = sizeof(std::uint64_t);
 constexpr std::size_t kEventBytes =  // write_event
     sizeof(std::uint32_t) + 2 * sizeof(graph::NodeId) + sizeof(graph::Time);
-constexpr std::size_t kLedgerBytes =  // write_ledger
-    7 * sizeof(std::uint32_t) + sizeof(std::int64_t) + 2 * sizeof(graph::Time);
 constexpr std::size_t kAccountBytes =  // per account, before its friends
-    kLedgerBytes + kU64 + sizeof(std::uint32_t) + 2 * sizeof(std::uint8_t);
+    osn::kLedgerBytes + kU64 + sizeof(std::uint32_t) + 2 * sizeof(std::uint8_t);
 constexpr std::size_t kFlagBytes =  // per pending flag (write_features)
     sizeof(osn::NodeId) + 5 * sizeof(double) + sizeof(graph::Time);
 constexpr std::size_t kBufferedBytes = sizeof(graph::Time) + kU64 + kEventBytes;
@@ -202,7 +171,7 @@ struct DetectorStateAccess {
 
     w.write(static_cast<std::uint64_t>(d.accounts_.size()));
     for (const StreamDetector::AccountState& acc : d.accounts_) {
-      write_ledger(w, acc.ledger);
+      osn::write_ledger(w, acc.ledger);
       w.write(static_cast<std::uint64_t>(acc.first_friends.size()));
       for (osn::NodeId f : acc.first_friends) w.write(f);
       w.write(acc.internal_links);
@@ -266,7 +235,7 @@ struct DetectorStateAccess {
     const std::uint64_t n_accounts = read_count(r, "account");
     d.accounts_.assign(n_accounts, StreamDetector::AccountState{});
     for (auto& acc : d.accounts_) {
-      acc.ledger = read_ledger(r);
+      acc.ledger = osn::read_ledger(r);
       const std::uint64_t n_friends = read_count(r, "first-friend");
       acc.first_friends.resize(n_friends);
       for (auto& f : acc.first_friends) f = r.read<osn::NodeId>();

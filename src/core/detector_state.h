@@ -16,10 +16,10 @@
 // DetectorOptions that produced the blob (the service persists options
 // digest-free: options are code-level configuration, not state).
 //
-// Uses only the header-only ByteWriter/ByteReader and typed
-// SnapshotError from src/io — no link dependency on sybil_io, keeping
-// core -> io acyclic at the library level (the same arrangement as
-// graph's use of io/error.h).
+// Uses the header-only ByteWriter/ByteReader and typed SnapshotError
+// from src/io, plus the ledger codec that sits next to RequestLedger in
+// sybil_osn (osn/ledger.h) — the same encoding the simulator checkpoint
+// writes.
 #pragma once
 
 #include <cstddef>

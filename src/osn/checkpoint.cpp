@@ -173,35 +173,6 @@ Account read_account(ByteReader& r) {
   return a;
 }
 
-void write_ledger(ByteWriter& w, const RequestLedger& ledger) {
-  const RequestLedger::Raw raw = ledger.raw();
-  w.write(raw.sent);
-  w.write(raw.sent_accepted);
-  w.write(raw.received);
-  w.write(raw.received_accepted);
-  w.write(raw.current_bucket);
-  w.write(raw.current_bucket_count);
-  w.write(raw.active_hours);
-  w.write(raw.max_hourly);
-  w.write(raw.first_send);
-  w.write(raw.last_send);
-}
-
-RequestLedger read_ledger(ByteReader& r) {
-  RequestLedger::Raw raw;
-  raw.sent = r.read<std::uint32_t>();
-  raw.sent_accepted = r.read<std::uint32_t>();
-  raw.received = r.read<std::uint32_t>();
-  raw.received_accepted = r.read<std::uint32_t>();
-  raw.current_bucket = r.read<std::int64_t>();
-  raw.current_bucket_count = r.read<std::uint32_t>();
-  raw.active_hours = r.read<std::uint32_t>();
-  raw.max_hourly = r.read<std::uint32_t>();
-  raw.first_send = r.read<Time>();
-  raw.last_send = r.read<Time>();
-  return RequestLedger::from_raw(raw);
-}
-
 std::vector<std::uint32_t> read_id_section(const io::ContainerReader& reader,
                                            std::uint32_t id,
                                            std::uint64_t node_count) {

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
+
+#include "io/container.h"
 
 namespace sybil::osn {
 
@@ -31,6 +34,18 @@ double RequestLedger::long_term_rate(double window_hours) const noexcept {
   // not exist for.
   const double lifetime = std::max(1.0, last_send_ - first_send_ + 1.0);
   return static_cast<double>(sent_) / std::min(lifetime, window_hours);
+}
+
+void write_ledger(io::ByteWriter& w, const RequestLedger& ledger) {
+  RequestLedger::for_each_field(ledger, [&w](const auto& v) { w.write(v); });
+}
+
+RequestLedger read_ledger(io::ByteReader& r) {
+  RequestLedger ledger;
+  RequestLedger::for_each_field(ledger, [&r](auto& v) {
+    v = r.read<std::remove_reference_t<decltype(v)>>();
+  });
+  return ledger;
 }
 
 }  // namespace sybil::osn

@@ -7,9 +7,15 @@
 // frequencies of Fig 1 are derived.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "graph/graph.h"
+
+namespace sybil::io {
+class ByteReader;
+class ByteWriter;
+}  // namespace sybil::io
 
 namespace sybil::osn {
 
@@ -44,34 +50,22 @@ class RequestLedger {
   graph::Time first_send() const noexcept { return first_send_; }
   graph::Time last_send() const noexcept { return last_send_; }
 
-  /// Flat copy of the full counter state, for checkpointing — includes
+  /// Visits the full counter state in its encoded order — including
   /// the in-progress hour bucket, which the public accessors fold away
-  /// but an exact resume must preserve.
-  struct Raw {
-    std::uint32_t sent, sent_accepted, received, received_accepted;
-    std::int64_t current_bucket;
-    std::uint32_t current_bucket_count, active_hours, max_hourly;
-    graph::Time first_send, last_send;
-  };
-  Raw raw() const noexcept {
-    return {sent_,           sent_accepted_, received_,
-            received_accepted_, current_bucket_, current_bucket_count_,
-            active_hours_,   max_hourly_,    first_send_,
-            last_send_};
-  }
-  static RequestLedger from_raw(const Raw& r) noexcept {
-    RequestLedger ledger;
-    ledger.sent_ = r.sent;
-    ledger.sent_accepted_ = r.sent_accepted;
-    ledger.received_ = r.received;
-    ledger.received_accepted_ = r.received_accepted;
-    ledger.current_bucket_ = r.current_bucket;
-    ledger.current_bucket_count_ = r.current_bucket_count;
-    ledger.active_hours_ = r.active_hours;
-    ledger.max_hourly_ = r.max_hourly;
-    ledger.first_send_ = r.first_send;
-    ledger.last_send_ = r.last_send;
-    return ledger;
+  /// but an exact resume must preserve. The one field list behind
+  /// write_ledger, read_ledger and kLedgerBytes.
+  template <typename Ledger, typename F>
+  static constexpr void for_each_field(Ledger& ledger, F&& f) {
+    f(ledger.sent_);
+    f(ledger.sent_accepted_);
+    f(ledger.received_);
+    f(ledger.received_accepted_);
+    f(ledger.current_bucket_);
+    f(ledger.current_bucket_count_);
+    f(ledger.active_hours_);
+    f(ledger.max_hourly_);
+    f(ledger.first_send_);
+    f(ledger.last_send_);
   }
 
  private:
@@ -87,5 +81,22 @@ class RequestLedger {
   graph::Time first_send_ = -1.0;
   graph::Time last_send_ = -1.0;
 };
+
+/// The ledger's checkpoint encoding, shared by the simulator checkpoint
+/// (osn/checkpoint.cpp) and the stream-detector state
+/// (core/detector_state.cpp): the fields for_each_field visits, in
+/// that order, packed. read_ledger throws io::SnapshotError on a
+/// truncated input.
+void write_ledger(io::ByteWriter& w, const RequestLedger& ledger);
+RequestLedger read_ledger(io::ByteReader& r);
+
+/// Bytes write_ledger emits per ledger.
+inline constexpr std::size_t kLedgerBytes = [] {
+  RequestLedger ledger;
+  std::size_t n = 0;
+  RequestLedger::for_each_field(ledger,
+                                [&n](const auto& v) { n += sizeof(v); });
+  return n;
+}();
 
 }  // namespace sybil::osn

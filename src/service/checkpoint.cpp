@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <utility>
 
+#include "core/detector_options.h"
 #include "core/metrics/instrument.h"
 #include "io/container.h"
 #include "io/error.h"
@@ -35,6 +36,14 @@ constexpr std::uint32_t kSecDefense = 5;
 // (docs/FORMATS.md §5.4).
 constexpr std::uint32_t kCheckpointVersion = 3;
 
+void require_exhausted(const ByteReader& r, const char* section) {
+  if (!r.exhausted()) {
+    throw SnapshotError(SnapshotErrorCode::kMalformedSection,
+                        std::string("trailing bytes after checkpoint ") +
+                            section + " section");
+  }
+}
+
 }  // namespace
 
 void save_service_checkpoint(const std::string& path,
@@ -47,14 +56,7 @@ void save_service_checkpoint(const std::string& path,
   meta.write(kCheckpointVersion);
   meta.write(state.tier);
   meta.write(state.wal_position);
-  meta.write(state.offered);
-  meta.write(state.admitted);
-  meta.write(state.pumped);
-  meta.write(state.shed_low_priority);
-  meta.write(state.shed_sweep_only);
-  meta.write(state.shed_capacity);
-  meta.write(state.sweeps);
-  meta.write(state.sweep_flagged);
+  for (auto field : kServiceCounterFields) meta.write(state.counters.*field);
   meta.write(state.shard_id);
   meta.write(state.shard_count);
   meta.write(state.next_seq);
@@ -98,20 +100,21 @@ ServiceCheckpointState load_service_checkpoint(const std::string& path) {
                             std::to_string(kCheckpointVersion));
   }
   state.tier = meta.read<std::uint32_t>();
+  if (state.tier > static_cast<std::uint32_t>(core::ServiceTier::kSweepOnly)) {
+    throw SnapshotError(SnapshotErrorCode::kFormatViolation,
+                        "checkpoint tier " + std::to_string(state.tier) +
+                            " out of range");
+  }
   state.wal_position = meta.read<std::uint64_t>();
-  state.offered = meta.read<std::uint64_t>();
-  state.admitted = meta.read<std::uint64_t>();
-  state.pumped = meta.read<std::uint64_t>();
-  state.shed_low_priority = meta.read<std::uint64_t>();
-  state.shed_sweep_only = meta.read<std::uint64_t>();
-  state.shed_capacity = meta.read<std::uint64_t>();
-  state.sweeps = meta.read<std::uint64_t>();
-  state.sweep_flagged = meta.read<std::uint64_t>();
+  for (auto field : kServiceCounterFields) {
+    state.counters.*field = meta.read<std::uint64_t>();
+  }
   if (version >= 2) {
     state.shard_id = meta.read<std::uint32_t>();
     state.shard_count = meta.read<std::uint32_t>();
     state.next_seq = meta.read<std::uint64_t>();
   }
+  require_exhausted(meta, "meta");
 
   ByteReader queue(reader.section(kSecQueue));
   const auto n = queue.read<std::uint64_t>();
@@ -129,6 +132,7 @@ ServiceCheckpointState load_service_checkpoint(const std::string& path) {
     r.event.time = queue.read<graph::Time>();
     r.flags = queue.read<std::uint32_t>();
   }
+  require_exhausted(queue, "queue");
 
   const auto stream = reader.section(kSecStream);
   state.stream_state.assign(stream.begin(), stream.end());

@@ -296,19 +296,6 @@ int run_scenario(const std::string& path, const std::string& dir,
   return ok ? 0 : 1;
 }
 
-bool batches_identical(const core::FlagBatch& a, const core::FlagBatch& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const auto& ra = a[i];
-    const auto& rb = b[i];
-    if (ra.account != rb.account || ra.flagged_at != rb.flagged_at ||
-        ra.features.as_vector() != rb.features.as_vector()) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -402,7 +389,7 @@ int main(int argc, char** argv) {
 
   if (cli.verify_single && cli.shards != 1) {
     const RunResult single = run_once(cli, events, 1, cli.dir + "/n1");
-    const bool ok = batches_identical(sharded.flags, single.flags);
+    const bool ok = chaos::flags_equal(sharded.flags, single.flags);
     std::printf("verify-single: %u-shard flags %s 1-shard flags "
                 "(%zu vs %zu records)\n",
                 cli.shards, ok ? "==" : "!=", sharded.flags.size(),

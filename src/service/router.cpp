@@ -21,14 +21,6 @@ std::string shard_dir_name(std::uint32_t i) {
   return buf;
 }
 
-void append_field(std::string& out, const char* key, std::uint64_t value) {
-  if (out.back() != '{') out += ',';
-  out += '"';
-  out += key;
-  out += "\":";
-  out += std::to_string(value);
-}
-
 }  // namespace
 
 std::uint32_t shard_of(graph::NodeId id, std::uint32_t shards) noexcept {
@@ -369,34 +361,12 @@ bool ShardRouter::accounting_ok() const noexcept {
 }
 
 std::string ShardRouter::stats_json() const {
-  std::uint64_t offered = 0, admitted = 0, pumped = 0;
-  std::uint64_t shed_low = 0, shed_sweep = 0, shed_cap = 0;
-  std::uint64_t queued = 0, applied = 0, deduped = 0;
-  std::uint64_t deadlettered = 0, dl_dropped = 0, buffered = 0;
-  std::uint64_t banned_party = 0, flagged = 0, sweeps = 0, sweep_flagged = 0;
-  std::uint64_t by_reason[core::kStreamErrorCodeCount] = {};
+  ServiceCounters counters;
+  IngestTotals totals;
   for (const auto& s : shards_) {
     if (!s) continue;  // down shard: excluded from aggregates
-    offered += s->offered();
-    admitted += s->admitted();
-    pumped += s->pumped();
-    shed_low += s->shed_low_priority();
-    shed_sweep += s->shed_sweep_only();
-    shed_cap += s->shed_capacity();
-    queued += s->queue_depth();
-    applied += s->detector().applied_total();
-    deduped += s->detector().deduped_total();
-    deadlettered += s->detector().deadletter_total();
-    dl_dropped += s->detector().dead_letters_dropped();
-    buffered += s->detector().buffered();
-    banned_party += s->detector().banned_party_total();
-    flagged += s->detector().flagged_total();
-    sweeps += s->sweeps();
-    sweep_flagged += s->sweep_flagged();
-    for (std::size_t r = 0; r < core::kStreamErrorCodeCount; ++r) {
-      by_reason[r] +=
-          s->detector().deadletter_by_reason(static_cast<core::StreamErrorCode>(r));
-    }
+    counters += s->counters();
+    totals += s->ingest_totals();
   }
 
   std::string out = "{";
@@ -414,31 +384,7 @@ std::string ShardRouter::stats_json() const {
   // sum of the per-shard identities (cross-shard fanout is visible in
   // "copies" above, never silently folded away).
   out += ",\"aggregate\":{";
-  append_field(out, "offered", offered);
-  append_field(out, "admitted", admitted);
-  out += ",\"shed\":{";
-  append_field(out, "low_priority", shed_low);
-  append_field(out, "sweep_only", shed_sweep);
-  append_field(out, "capacity", shed_cap);
-  append_field(out, "total", shed_low + shed_sweep + shed_cap);
-  out += '}';
-  append_field(out, "queued", queued);
-  append_field(out, "pumped", pumped);
-  append_field(out, "applied", applied);
-  append_field(out, "deduped", deduped);
-  out += ",\"deadlettered\":{";
-  append_field(out, "total", deadlettered);
-  for (std::size_t r = 0; r < core::kStreamErrorCodeCount; ++r) {
-    append_field(out, core::to_string(static_cast<core::StreamErrorCode>(r)),
-                 by_reason[r]);
-  }
-  append_field(out, "dropped", dl_dropped);
-  out += '}';
-  append_field(out, "buffered", buffered);
-  append_field(out, "banned_party", banned_party);
-  append_field(out, "flagged_total", flagged);
-  append_field(out, "sweeps", sweeps);
-  append_field(out, "sweep_flagged", sweep_flagged);
+  append_accounting_json(out, counters, totals);
   out += '}';
   out += ",\"per_shard\":[";
   for (std::size_t i = 0; i < shards_.size(); ++i) {

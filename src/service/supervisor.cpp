@@ -35,6 +35,8 @@ bool low_priority(osn::EventType t) noexcept {
          t == osn::EventType::kFriendshipSeeded;
 }
 
+}  // namespace
+
 void append_field(std::string& out, const char* key, std::uint64_t value) {
   if (out.back() != '{') out += ',';
   out += '"';
@@ -43,7 +45,51 @@ void append_field(std::string& out, const char* key, std::uint64_t value) {
   out += std::to_string(value);
 }
 
-}  // namespace
+IngestTotals& IngestTotals::operator+=(const IngestTotals& other) noexcept {
+  queued += other.queued;
+  applied += other.applied;
+  deduped += other.deduped;
+  deadlettered += other.deadlettered;
+  for (std::size_t i = 0; i < core::kStreamErrorCodeCount; ++i) {
+    deadletter_by_reason[i] += other.deadletter_by_reason[i];
+  }
+  deadletter_dropped += other.deadletter_dropped;
+  buffered += other.buffered;
+  banned_party += other.banned_party;
+  flagged += other.flagged;
+  return *this;
+}
+
+void append_accounting_json(std::string& out, const ServiceCounters& counters,
+                            const IngestTotals& totals,
+                            std::optional<std::uint64_t> accounts_seen) {
+  append_field(out, "offered", counters.offered);
+  append_field(out, "admitted", counters.admitted);
+  out += ",\"shed\":{";
+  append_field(out, "low_priority", counters.shed_low_priority);
+  append_field(out, "sweep_only", counters.shed_sweep_only);
+  append_field(out, "capacity", counters.shed_capacity);
+  append_field(out, "total", counters.shed_total());
+  out += '}';
+  append_field(out, "queued", totals.queued);
+  append_field(out, "pumped", counters.pumped);
+  append_field(out, "applied", totals.applied);
+  append_field(out, "deduped", totals.deduped);
+  out += ",\"deadlettered\":{";
+  append_field(out, "total", totals.deadlettered);
+  for (std::size_t i = 0; i < core::kStreamErrorCodeCount; ++i) {
+    append_field(out, core::to_string(static_cast<core::StreamErrorCode>(i)),
+                 totals.deadletter_by_reason[i]);
+  }
+  append_field(out, "dropped", totals.deadletter_dropped);
+  out += '}';
+  append_field(out, "buffered", totals.buffered);
+  append_field(out, "banned_party", totals.banned_party);
+  if (accounts_seen) append_field(out, "accounts_seen", *accounts_seen);
+  append_field(out, "flagged_total", totals.flagged);
+  append_field(out, "sweeps", counters.sweeps);
+  append_field(out, "sweep_flagged", counters.sweep_flagged);
+}
 
 #if SYBIL_METRICS_COMPILED
 
@@ -82,9 +128,7 @@ struct ServiceSupervisor::Metrics {
   Count replayed_records;
   Count generations_discarded;
   Count tier_transitions;
-  Count shed_low_priority;
-  Count shed_sweep_only;
-  Count shed_capacity;
+  Count shed[kShedCapacity + 1];  // by Verdict; kAdmitted stays unregistered
   Count sweeps;
   Count deadletter[core::kStreamErrorCodeCount];
   Count deadletter_total;
@@ -128,9 +172,9 @@ struct ServiceSupervisor::Metrics {
     replayed_records = count("recovery.replayed_records");
     generations_discarded = count("recovery.generations_discarded");
     tier_transitions = count("tier.transitions");
-    shed_low_priority = count("shed.low_priority");
-    shed_sweep_only = count("shed.sweep_only");
-    shed_capacity = count("shed.capacity");
+    shed[kShedLowPriority] = count("shed.low_priority");
+    shed[kShedSweepOnly] = count("shed.sweep_only");
+    shed[kShedCapacity] = count("shed.capacity");
     sweeps = count("sweeps");
     for (std::size_t i = 0; i < core::kStreamErrorCodeCount; ++i) {
       deadletter[i] = count(std::string("deadletter.") +
@@ -236,9 +280,7 @@ void ServiceSupervisor::reset_state() {
   }
   queue_.clear();
   tier_ = core::ServiceTier::kFull;
-  offered_ = admitted_ = pumped_ = 0;
-  shed_low_priority_ = shed_sweep_only_ = shed_capacity_ = 0;
-  sweeps_ = sweep_flagged_ = 0;
+  counters_ = {};
   next_seq_ = 0;
   storage_degraded_ = false;
   storage_backoff_ = storage_retry_in_ = 0;
@@ -324,14 +366,7 @@ RecoveryReport ServiceSupervisor::start() {
       }
       queue_.assign(state.queue.begin(), state.queue.end());
       tier_ = static_cast<core::ServiceTier>(state.tier);
-      offered_ = state.offered;
-      admitted_ = state.admitted;
-      pumped_ = state.pumped;
-      shed_low_priority_ = state.shed_low_priority;
-      shed_sweep_only_ = state.shed_sweep_only;
-      shed_capacity_ = state.shed_capacity;
-      sweeps_ = state.sweeps;
-      sweep_flagged_ = state.sweep_flagged;
+      counters_ = state.counters;
       next_seq_ = state.next_seq;
       report.cold_start = false;
       report.checkpoint_file = generations[i].second;
@@ -345,33 +380,15 @@ RecoveryReport ServiceSupervisor::start() {
     }
   }
 
-  // Replay the WAL suffix, re-executing each record's recorded
-  // admission verdict: shed records advance the shed counters they
-  // advanced the first time, admitted records re-enter the queue. The
-  // checkpointed queue holds only indices below from_index and the
-  // replay only indices at or above it, so nothing is applied twice.
+  // Replay the WAL suffix through the live offer's apply step: each
+  // record's logged verdict advances the counters it advanced the first
+  // time, and admitted records re-enter the queue. The checkpointed
+  // queue holds only indices below from_index and the replay only
+  // indices at or above it, so nothing is applied twice.
   WalScanReport scan;
   const std::vector<WalRecord> records =
       scan_wal(wal_dir, from_index, scan, options_.shard_id, options_.vfs);
-  for (const WalRecord& r : records) {
-    ++offered_;
-    if (r.seq < kExplicitSeqLimit) {
-      next_seq_ = std::max(next_seq_, r.seq + 1);
-    }
-    if (r.shed()) {
-      if ((r.flags & WalRecordFlags::kCapacity) != 0) {
-        ++shed_capacity_;
-      } else if (tier_from_flags(r.flags) == core::ServiceTier::kSweepOnly) {
-        ++shed_sweep_only_;
-      } else {
-        ++shed_low_priority_;
-      }
-    } else {
-      queue_.push_back(r);
-      ++admitted_;
-    }
-    tier_ = tier_from_flags(r.flags);
-  }
+  for (const WalRecord& r : records) apply(r);
   report.records_replayed = records.size();
   report.records_truncated = scan.records_truncated;
   report.torn_tails_healed = scan.torn_tails_healed;
@@ -426,28 +443,22 @@ void ServiceSupervisor::update_tier() {
 bool ServiceSupervisor::offer(const osn::Event& e, std::uint64_t seq) {
   require_started("offer");
   update_tier();
-  const bool ban = e.type == osn::EventType::kAccountBanned;
-  bool shed = false;
-  bool capacity = false;
-  if (!ban) {
+  // The verdict, as the record's flags: bans are never shed.
+  std::uint32_t flags = tier_bits(tier_);
+  if (e.type != osn::EventType::kAccountBanned) {
     if (queue_.size() >= options_.detector.overload.queue_capacity) {
-      shed = capacity = true;
-    } else if (tier_ == core::ServiceTier::kSweepOnly) {
-      shed = true;
-    } else if (tier_ == core::ServiceTier::kShedLowPriority &&
-               low_priority(e.type)) {
-      shed = true;
+      flags |= WalRecordFlags::kShed | WalRecordFlags::kCapacity;
+    } else if (tier_ == core::ServiceTier::kSweepOnly ||
+               (tier_ == core::ServiceTier::kShedLowPriority &&
+                low_priority(e.type))) {
+      flags |= WalRecordFlags::kShed;
     }
   }
 
-  std::uint32_t flags = tier_bits(tier_);
-  if (shed) flags |= WalRecordFlags::kShed;
-  if (capacity) flags |= WalRecordFlags::kCapacity;
-
   // Durability first: the verdict is logged — and, outside a batch,
-  // committed — before it takes effect, so a crash between append and
-  // enqueue loses only counter increments that replay re-derives from
-  // the record itself.
+  // committed — before apply() makes it take effect, so a crash between
+  // append and apply loses nothing that replaying the record through
+  // apply() does not re-derive.
   //
   // Storage faults (ENOSPC/EIO) do NOT lose the offer: the record stays
   // in the WAL writer's bounded in-memory buffer, the supervisor stops
@@ -470,27 +481,33 @@ bool ServiceSupervisor::offer(const osn::Event& e, std::uint64_t seq) {
     SYBIL_SERVICE_METRIC(
         storage_buffered.set(static_cast<double>(wal_->unsynced_records())));
   }
-  ++offered_;
-  if (seq < kExplicitSeqLimit) next_seq_ = std::max(next_seq_, seq + 1);
-  if (shed) {
-    if (capacity) {
-      ++shed_capacity_;
-      SYBIL_SERVICE_METRIC(shed_capacity.add(1));
-    } else if (tier_ == core::ServiceTier::kSweepOnly) {
-      ++shed_sweep_only_;
-      SYBIL_SERVICE_METRIC(shed_sweep_only.add(1));
-    } else {
-      ++shed_low_priority_;
-      SYBIL_SERVICE_METRIC(shed_low_priority.add(1));
-    }
-  } else {
-    queue_.push_back(WalRecord{index, seq, e, flags});
-    ++admitted_;
-  }
+  const Verdict verdict = apply(WalRecord{index, seq, e, flags});
+  SYBIL_SERVICE_METRIC(shed[verdict].add(1));  // live offers only
   SYBIL_SERVICE_METRIC(queue_depth.set(static_cast<double>(queue_.size())));
   maybe_checkpoint();
   storage_tick();
-  return !shed;
+  return verdict == kAdmitted;
+}
+
+ServiceSupervisor::Verdict ServiceSupervisor::apply(const WalRecord& r) {
+  ++counters_.offered;
+  if (r.seq < kExplicitSeqLimit) next_seq_ = std::max(next_seq_, r.seq + 1);
+  tier_ = tier_from_flags(r.flags);
+  if (!r.shed()) {
+    queue_.push_back(r);
+    ++counters_.admitted;
+    return kAdmitted;
+  }
+  if ((r.flags & WalRecordFlags::kCapacity) != 0) {
+    ++counters_.shed_capacity;
+    return kShedCapacity;
+  }
+  if (tier_ == core::ServiceTier::kSweepOnly) {
+    ++counters_.shed_sweep_only;
+    return kShedSweepOnly;
+  }
+  ++counters_.shed_low_priority;
+  return kShedLowPriority;
 }
 
 void ServiceSupervisor::begin_offer_batch() {
@@ -529,7 +546,7 @@ std::size_t ServiceSupervisor::drain(More more) {
   while (!queue_.empty() && more(queue_.front(), n)) {
     const WalRecord r = queue_.front();
     queue_.pop_front();
-    ++pumped_;
+    ++counters_.pumped;
     ++n;
     detector_.ingest(r.event, r.seq);
     if (scorer_ != nullptr) scorer_->observe(r.event);
@@ -555,9 +572,9 @@ std::size_t ServiceSupervisor::pump_through(std::uint64_t seq_bound) {
 
 std::size_t ServiceSupervisor::sweep_flags(graph::Time now) {
   require_started("sweep_flags");
-  ++sweeps_;
+  ++counters_.sweeps;
   const std::size_t n = detector_.sweep_flags(now);
-  sweep_flagged_ += n;
+  counters_.sweep_flagged += n;
   // Defense refresh rides the sweep cadence: scores fold in everything
   // pumped before this sweep, a pure function of the event prefix —
   // what keeps N-shard and 1-shard annotations identical.
@@ -635,14 +652,7 @@ void ServiceSupervisor::checkpoint_now() {
   state.shard_id = options_.shard_id;
   state.shard_count = options_.shard_count;
   state.next_seq = next_seq_;
-  state.offered = offered_;
-  state.admitted = admitted_;
-  state.pumped = pumped_;
-  state.shed_low_priority = shed_low_priority_;
-  state.shed_sweep_only = shed_sweep_only_;
-  state.shed_capacity = shed_capacity_;
-  state.sweeps = sweeps_;
-  state.sweep_flagged = sweep_flagged_;
+  state.counters = counters_;
   state.queue.assign(queue_.begin(), queue_.end());
   state.stream_state = core::serialize_stream_state(detector_);
   state.realtime_state = core::serialize_realtime_state(realtime_);
@@ -709,48 +719,38 @@ bool ServiceSupervisor::retry_storage_now() {
 }
 
 bool ServiceSupervisor::accounting_ok() const noexcept {
-  const std::uint64_t shed_total =
-      shed_low_priority_ + shed_sweep_only_ + shed_capacity_;
-  if (offered_ != shed_total + queue_.size() + detector_.events_in()) {
+  const ServiceCounters& c = counters_;
+  if (c.offered != c.shed_total() + queue_.size() + detector_.events_in()) {
     return false;
   }
-  if (admitted_ != offered_ - shed_total) return false;
-  if (pumped_ != detector_.events_in()) return false;
+  if (c.admitted != c.offered - c.shed_total()) return false;
+  if (c.pumped != detector_.events_in()) return false;
   return detector_.events_in() ==
          detector_.applied_total() + detector_.deduped_total() +
              detector_.deadletter_total() + detector_.buffered();
 }
 
+IngestTotals ServiceSupervisor::ingest_totals() const {
+  IngestTotals t;
+  t.queued = queue_.size();
+  t.applied = detector_.applied_total();
+  t.deduped = detector_.deduped_total();
+  t.deadlettered = detector_.deadletter_total();
+  for (std::size_t i = 0; i < core::kStreamErrorCodeCount; ++i) {
+    t.deadletter_by_reason[i] =
+        detector_.deadletter_by_reason(static_cast<core::StreamErrorCode>(i));
+  }
+  t.deadletter_dropped = detector_.dead_letters_dropped();
+  t.buffered = detector_.buffered();
+  t.banned_party = detector_.banned_party_total();
+  t.flagged = detector_.flagged_total();
+  return t;
+}
+
 std::string ServiceSupervisor::stats_json() const {
   std::string out = "{";
-  append_field(out, "offered", offered_);
-  append_field(out, "admitted", admitted_);
-  out += ",\"shed\":{";
-  append_field(out, "low_priority", shed_low_priority_);
-  append_field(out, "sweep_only", shed_sweep_only_);
-  append_field(out, "capacity", shed_capacity_);
-  append_field(out, "total",
-               shed_low_priority_ + shed_sweep_only_ + shed_capacity_);
-  out += '}';
-  append_field(out, "queued", queue_.size());
-  append_field(out, "pumped", pumped_);
-  append_field(out, "applied", detector_.applied_total());
-  append_field(out, "deduped", detector_.deduped_total());
-  out += ",\"deadlettered\":{";
-  append_field(out, "total", detector_.deadletter_total());
-  for (std::size_t i = 0; i < core::kStreamErrorCodeCount; ++i) {
-    const auto code = static_cast<core::StreamErrorCode>(i);
-    append_field(out, core::to_string(code),
-                 detector_.deadletter_by_reason(code));
-  }
-  append_field(out, "dropped", detector_.dead_letters_dropped());
-  out += '}';
-  append_field(out, "buffered", detector_.buffered());
-  append_field(out, "banned_party", detector_.banned_party_total());
-  append_field(out, "accounts_seen", detector_.accounts_seen());
-  append_field(out, "flagged_total", detector_.flagged_total());
-  append_field(out, "sweeps", sweeps_);
-  append_field(out, "sweep_flagged", sweep_flagged_);
+  append_accounting_json(out, counters_, ingest_totals(),
+                         detector_.accounts_seen());
   append_field(out, "next_seq", next_seq_);
   if (scorer_ != nullptr) {
     // Replay-exact like everything else here: the scorer's counters are

@@ -14,7 +14,8 @@
 // anything else happens; periodic checkpoints capture exact detector
 // state plus the WAL position; recovery (start()) loads the newest
 // valid checkpoint generation — falling back past corrupt ones — and
-// replays the WAL suffix, re-executing recorded admission verdicts.
+// replays the WAL suffix through the same apply step a live offer runs
+// after its append, re-executing recorded admission verdicts.
 // The recovered service is byte-identical to one that never crashed:
 // same verdicts, same features, same accounting JSON (tested with a
 // process crash at every storage op; docs/ROBUSTNESS.md §Recovery
@@ -59,6 +60,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -179,6 +181,36 @@ struct RecoveryReport {
   std::uint64_t next_seq = 0;
 };
 
+/// Where admitted events are now — the queue and the StreamDetector's
+/// totals — as stats_json reports them next to ServiceCounters. The
+/// ShardRouter sums these across shards for its aggregate block.
+struct IngestTotals {
+  std::uint64_t queued = 0;
+  std::uint64_t applied = 0;
+  std::uint64_t deduped = 0;
+  std::uint64_t deadlettered = 0;
+  std::uint64_t deadletter_by_reason[core::kStreamErrorCodeCount] = {};
+  std::uint64_t deadletter_dropped = 0;
+  std::uint64_t buffered = 0;
+  std::uint64_t banned_party = 0;
+  std::uint64_t flagged = 0;
+
+  IngestTotals& operator+=(const IngestTotals& other) noexcept;
+};
+
+/// Appends `"key":value` to a JSON object under construction — the
+/// field writer of every stats_json.
+void append_field(std::string& out, const char* key, std::uint64_t value);
+
+/// Appends the accounting fields a shard's stats_json and the router's
+/// aggregate block share, "offered" through "sweep_flagged".
+/// `accounts_seen` is per shard only: broadcast accounts would be
+/// counted once per shard in a sum.
+void append_accounting_json(
+    std::string& out, const ServiceCounters& counters,
+    const IngestTotals& totals,
+    std::optional<std::uint64_t> accounts_seen = std::nullopt);
+
 class ServiceSupervisor {
  public:
   /// Validates options and builds the detectors; no I/O until start().
@@ -298,23 +330,15 @@ class ServiceSupervisor {
     return storage_checkpoints_suspended_;
   }
 
-  // Replay-exact workload counters (the same values stats_json reports).
-  std::uint64_t offered() const noexcept { return offered_; }
-  std::uint64_t admitted() const noexcept { return admitted_; }
-  std::uint64_t pumped() const noexcept { return pumped_; }
-  std::uint64_t shed_low_priority() const noexcept {
-    return shed_low_priority_;
-  }
-  std::uint64_t shed_sweep_only() const noexcept { return shed_sweep_only_; }
-  std::uint64_t shed_capacity() const noexcept { return shed_capacity_; }
-  std::uint64_t shed_total() const noexcept {
-    return shed_low_priority_ + shed_sweep_only_ + shed_capacity_;
-  }
+  /// Replay-exact workload counters (the same values stats_json reports).
+  const ServiceCounters& counters() const noexcept { return counters_; }
+  std::uint64_t offered() const noexcept { return counters_.offered; }
+  std::uint64_t shed_total() const noexcept { return counters_.shed_total(); }
   std::uint64_t tier_transitions() const noexcept {
     return tier_transitions_;
   }
-  std::uint64_t sweeps() const noexcept { return sweeps_; }
-  std::uint64_t sweep_flagged() const noexcept { return sweep_flagged_; }
+  /// The queue and detector side of the same accounting.
+  IngestTotals ingest_totals() const;
   /// One past the highest explicit seq offered (the live redelivery
   /// frontier; equals recovery().next_seq right after start()).
   std::uint64_t next_seq() const noexcept { return next_seq_; }
@@ -340,8 +364,22 @@ class ServiceSupervisor {
  private:
   struct Metrics;  // per-instance handles; see supervisor.cpp
 
+  /// How apply() classified a record (also indexes Metrics::shed).
+  enum Verdict : std::uint8_t {
+    kAdmitted,
+    kShedLowPriority,
+    kShedSweepOnly,
+    kShedCapacity,
+  };
+
   void require_started(const char* what) const;
   void reset_state();
+  /// Everything a logged record does to the service — counters, the
+  /// redelivery frontier, the queue and the tier it was decided under.
+  /// offer() calls it right after the WAL append and start() for each
+  /// replayed record, so recovery runs the live code. Registry metrics
+  /// are the caller's (live offers only).
+  Verdict apply(const WalRecord& r);
   void update_tier();
   void maybe_checkpoint();
   /// Pops queued records into the detector while `more` holds for the
@@ -370,15 +408,7 @@ class ServiceSupervisor {
   bool started_ = false;
   bool batch_open_ = false;
 
-  // Replay-exact workload counters (mirrored into checkpoints).
-  std::uint64_t offered_ = 0;
-  std::uint64_t admitted_ = 0;
-  std::uint64_t pumped_ = 0;
-  std::uint64_t shed_low_priority_ = 0;
-  std::uint64_t shed_sweep_only_ = 0;
-  std::uint64_t shed_capacity_ = 0;
-  std::uint64_t sweeps_ = 0;
-  std::uint64_t sweep_flagged_ = 0;
+  ServiceCounters counters_;  // replay-exact, checkpointed
   std::uint64_t next_seq_ = 0;
   std::uint64_t tier_transitions_ = 0;  // ops-only, not in stats_json
   // Storage-degraded mode state + incident counters (all ops-only).

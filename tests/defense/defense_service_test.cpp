@@ -34,6 +34,7 @@
 
 #include "core/metrics/metrics.h"
 #include "core/parallel.h"
+#include "io/container.h"
 #include "io/faulty_vfs.h"
 #include "osn/network.h"
 #include "service/checkpoint.h"
@@ -513,12 +514,12 @@ ServiceCheckpointState golden_state() {
   s.shard_id = 2;
   s.shard_count = 4;
   s.next_seq = 7;
-  s.offered = 7;
-  s.admitted = 6;
-  s.pumped = 5;
-  s.shed_low_priority = 1;
-  s.sweeps = 2;
-  s.sweep_flagged = 1;
+  s.counters.offered = 7;
+  s.counters.admitted = 6;
+  s.counters.pumped = 5;
+  s.counters.shed_low_priority = 1;
+  s.counters.sweeps = 2;
+  s.counters.sweep_flagged = 1;
   WalRecord r;
   r.index = 6;
   r.seq = 6;
@@ -552,12 +553,13 @@ TEST_F(DefenseService, GoldenCheckpointV3Loads) {
   EXPECT_EQ(got.shard_id, want.shard_id);
   EXPECT_EQ(got.shard_count, want.shard_count);
   EXPECT_EQ(got.next_seq, want.next_seq);
-  EXPECT_EQ(got.offered, want.offered);
-  EXPECT_EQ(got.admitted, want.admitted);
-  EXPECT_EQ(got.pumped, want.pumped);
-  EXPECT_EQ(got.shed_low_priority, want.shed_low_priority);
-  EXPECT_EQ(got.sweeps, want.sweeps);
-  EXPECT_EQ(got.sweep_flagged, want.sweep_flagged);
+  EXPECT_EQ(got.counters.offered, want.counters.offered);
+  EXPECT_EQ(got.counters.admitted, want.counters.admitted);
+  EXPECT_EQ(got.counters.pumped, want.counters.pumped);
+  EXPECT_EQ(got.counters.shed_low_priority, want.counters.shed_low_priority);
+  EXPECT_EQ(got.counters.sweeps, want.counters.sweeps);
+  EXPECT_EQ(got.counters.sweep_flagged, want.counters.sweep_flagged);
+  EXPECT_TRUE(got.counters == want.counters);
   ASSERT_EQ(got.queue.size(), 1u);
   EXPECT_EQ(got.queue[0].index, 6u);
   EXPECT_EQ(got.queue[0].seq, 6u);
@@ -597,6 +599,65 @@ TEST_F(DefenseService, GoldenCheckpointV3BytesAreFrozen) {
       << "service checkpoint format changed without a version bump "
          "(docs/FORMATS.md §5.4)";
   std::remove(fresh.c_str());
+}
+
+// ---- load_service_checkpoint rejects what it cannot mean --------------
+
+/// The golden checkpoint re-containered section by section, with one zero
+/// byte appended to section `grown` (1 = meta, 2 = queue; FORMATS.md
+/// §5.4; 0 grows nothing). Every CRC stays valid, so only the
+/// checkpoint decoder can notice.
+std::string golden_grown(std::uint32_t grown, const std::string& name) {
+  const io::ContainerReader reader(golden("service_ckpt_v3.sybs"),
+                                   io::PayloadKind::kServiceCheckpoint);
+  io::ContainerWriter writer(io::PayloadKind::kServiceCheckpoint);
+  for (std::uint32_t id = 1; id <= 5; ++id) {
+    const auto bytes = reader.section(id);
+    std::vector<std::byte> payload(bytes.begin(), bytes.end());
+    if (id == grown) payload.push_back(std::byte{0});
+    writer.add_section(id, std::move(payload));
+  }
+  const std::string path =
+      ::testing::TempDir() + "/sybil_ckpt_grown_" + name + ".sybs";
+  writer.commit(path);
+  return path;
+}
+
+void expect_load_refused(const std::string& path, io::SnapshotErrorCode code) {
+  try {
+    load_service_checkpoint(path);
+    ADD_FAILURE() << path << " loaded";
+  } catch (const io::SnapshotError& e) {
+    EXPECT_EQ(e.code(), code) << e.what();
+  }
+  std::remove(path.c_str());
+}
+
+TEST_F(DefenseService, CheckpointLoadRejectsTrailingMetaBytes) {
+  const std::string control = golden_grown(0, "control");
+  EXPECT_NO_THROW(load_service_checkpoint(control));
+  std::remove(control.c_str());
+  expect_load_refused(golden_grown(1, "meta"),
+                      io::SnapshotErrorCode::kMalformedSection);
+}
+
+TEST_F(DefenseService, CheckpointLoadRejectsTrailingQueueBytes) {
+  expect_load_refused(golden_grown(2, "queue"),
+                      io::SnapshotErrorCode::kMalformedSection);
+}
+
+TEST_F(DefenseService, CheckpointLoadRejectsTierAboveSweepOnly) {
+  const std::string path = ::testing::TempDir() + "/sybil_ckpt_tier.sybs";
+  constexpr auto kTop =
+      static_cast<std::uint32_t>(core::ServiceTier::kSweepOnly);
+  ServiceCheckpointState state = golden_state();
+  state.tier = kTop;
+  save_service_checkpoint(path, std::move(state));
+  EXPECT_EQ(load_service_checkpoint(path).tier, kTop);  // still loads
+  state = golden_state();
+  state.tier = kTop + 1;
+  save_service_checkpoint(path, std::move(state));
+  expect_load_refused(path, io::SnapshotErrorCode::kFormatViolation);
 }
 
 }  // namespace

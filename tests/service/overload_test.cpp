@@ -1,7 +1,7 @@
 // Overload-control suite: degradation-tier transitions with
 // hysteresis, the bans-are-never-shed rule, capacity shedding, the
-// flag-sweep-only tier's sweep path, option validation, and the
-// accounting identity
+// flag-sweep-only tier's sweep path, WAL replay of every verdict kind,
+// option validation, and the accounting identity
 //
 //   offered == shed + queued + applied + deduped + dead-lettered
 //              + buffered
@@ -13,7 +13,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <vector>
 
+#include "core/metrics/metrics.h"
 #include "service/supervisor.h"
 
 namespace sybil::service {
@@ -75,14 +77,14 @@ TEST_F(ServiceOverload, TiersDegradeAtWatermarksWithHysteresis) {
   // ...but low-priority kinds are shed.
   EXPECT_FALSE(s.offer(
       osn::Event{osn::EventType::kAccountCreated, 9, 9, t += 0.01}));
-  EXPECT_EQ(s.shed_low_priority(), 1u);
+  EXPECT_EQ(s.counters().shed_low_priority, 1u);
   EXPECT_ACCOUNTED(s);
 
   // Push depth to 6: sweep-only; now even requests are shed.
   EXPECT_TRUE(s.offer(request_at(t += 0.01)));  // depth 6
   EXPECT_FALSE(s.offer(request_at(t += 0.01)));
   EXPECT_EQ(s.tier(), core::ServiceTier::kSweepOnly);
-  EXPECT_EQ(s.shed_sweep_only(), 1u);
+  EXPECT_EQ(s.counters().shed_sweep_only, 1u);
   EXPECT_ACCOUNTED(s);
 
   // Hysteresis: draining to between resume (2) and shed (4) must NOT
@@ -113,8 +115,8 @@ TEST_F(ServiceOverload, BansAreNeverShed) {
   // A non-ban at depth >= capacity is a capacity shed, counted apart
   // from the tier sheds.
   EXPECT_FALSE(s.offer(request_at(t += 0.01)));
-  EXPECT_EQ(s.shed_capacity(), 1u);
-  EXPECT_EQ(s.shed_sweep_only(), 0u);
+  EXPECT_EQ(s.counters().shed_capacity, 1u);
+  EXPECT_EQ(s.counters().shed_sweep_only, 0u);
   EXPECT_ACCOUNTED(s);
 }
 
@@ -158,6 +160,70 @@ TEST_F(ServiceOverload, PeriodicSweepFlagsEvidenceIngestMissed) {
   EXPECT_EQ(flags.records.front().account, 1u);
   EXPECT_DOUBLE_EQ(flags.records.front().flagged_at, 2.0);
   EXPECT_ACCOUNTED(s);
+}
+
+TEST_F(ServiceOverload, ColdStartReplaysEveryVerdictKind) {
+  // A WAL holding every verdict a record can carry — admitted at each of
+  // the three tiers, a low-priority shed, a sweep-only shed, bans pushed
+  // past capacity and a capacity shed — replays through the same apply
+  // step the live offers ran. Nothing is pumped, so a cold start must
+  // land on exactly the live accounting.
+  const std::string dir = fresh_dir("replay_verdicts");
+  auto& registry = core::metrics::MetricsRegistry::instance();
+  const auto shed_metrics = [&registry] {
+    return std::vector<std::uint64_t>{
+        registry.counter("service.shed.low_priority").value(),
+        registry.counter("service.shed.sweep_only").value(),
+        registry.counter("service.shed.capacity").value()};
+  };
+  registry.reset();
+  std::string live_stats;
+  ServiceCounters live_counters;
+  core::ServiceTier live_tier = core::ServiceTier::kFull;
+  {
+    ServiceSupervisor s(tiny_options(dir));
+    s.start();
+    double t = 0.0;
+    for (int i = 0; i < 4; ++i) EXPECT_TRUE(s.offer(request_at(t += 0.01)));
+    EXPECT_TRUE(s.offer(request_at(t += 0.01)));  // depth 4
+    EXPECT_EQ(s.tier(), core::ServiceTier::kShedLowPriority);
+    EXPECT_FALSE(s.offer(
+        osn::Event{osn::EventType::kAccountCreated, 9, 9, t += 0.01}));
+    EXPECT_TRUE(s.offer(request_at(t += 0.01)));   // depth 5 -> 6
+    EXPECT_FALSE(s.offer(request_at(t += 0.01)));  // sweep-only shed
+    EXPECT_EQ(s.tier(), core::ServiceTier::kSweepOnly);
+    for (graph::NodeId who = 20; who < 24; ++who) {
+      EXPECT_TRUE(s.offer(ban_of(who, t += 0.01)));
+    }
+    EXPECT_EQ(s.queue_depth(), 10u);  // capacity is 8
+    EXPECT_FALSE(s.offer(request_at(t += 0.01)));  // capacity shed
+    EXPECT_EQ(s.counters().shed_low_priority, 1u);
+    EXPECT_EQ(s.counters().shed_sweep_only, 1u);
+    EXPECT_EQ(s.counters().shed_capacity, 1u);
+    EXPECT_ACCOUNTED(s);
+    live_stats = s.stats_json();
+    live_counters = s.counters();
+    live_tier = s.tier();
+  }
+  const std::vector<std::uint64_t> before_start = shed_metrics();
+#if SYBIL_METRICS_COMPILED
+  if (core::metrics::metrics_enabled()) {
+    EXPECT_EQ(before_start, (std::vector<std::uint64_t>{1, 1, 1}));
+  }
+#endif
+
+  ServiceSupervisor r(tiny_options(dir));
+  const RecoveryReport report = r.start();
+  EXPECT_TRUE(report.cold_start);
+  EXPECT_EQ(report.records_replayed, live_counters.offered);
+  EXPECT_EQ(r.stats_json(), live_stats);
+  EXPECT_TRUE(r.counters() == live_counters);
+  EXPECT_EQ(r.tier(), live_tier);
+  EXPECT_ACCOUNTED(r);
+  // Replay re-counts its verdicts in the service's own counters only:
+  // the registry's shed rows count live offers.
+  EXPECT_EQ(shed_metrics(), before_start);
+  registry.reset();
 }
 
 TEST_F(ServiceOverload, StatsJsonCarriesShedBreakdownAndTier) {
