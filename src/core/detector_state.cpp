@@ -1,8 +1,8 @@
 #include "core/detector_state.h"
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "core/realtime_detector.h"
@@ -19,33 +19,23 @@ using io::ByteWriter;
 using io::SnapshotError;
 using io::SnapshotErrorCode;
 
-void check_version(std::uint32_t version, const char* what) {
+void check_version(std::uint32_t version) {
   // Exact match: v2 redefined the seen-by-time section (released-only
-  // prune queue instead of the full accepted-seq heap), so a v1 blob
-  // cannot be reinterpreted — and nothing writes v1 anymore.
+  // prune queue instead of the full accepted-seq heap) and v3 dropped
+  // the sections restore now derives (watcher index, seen-seq set,
+  // the reorder entries' second copy of their time), so an older blob
+  // cannot be reinterpreted — and nothing writes one anymore.
   if (version != kDetectorStateVersion) {
     throw SnapshotError(SnapshotErrorCode::kUnsupportedVersion,
-                        std::string(what) + " state v" +
+                        "stream detector state v" +
                             std::to_string(version) +
                             " incompatible with supported v" +
                             std::to_string(kDetectorStateVersion));
   }
 }
 
-/// Bound for element counts read from untrusted blobs: any count a real
-/// checkpoint produces is far below this; a corrupted count above it is
-/// rejected before a multi-gigabyte allocation is attempted. ByteReader
-/// still bounds-checks every element read.
-constexpr std::uint64_t kSaneCount = std::uint64_t{1} << 32;
-
-std::uint64_t read_count(ByteReader& r, const char* what) {
-  const auto n = r.read<std::uint64_t>();
-  if (n > kSaneCount) {
-    throw SnapshotError(SnapshotErrorCode::kFormatViolation,
-                        std::string(what) + " count " + std::to_string(n) +
-                            " implausibly large");
-  }
-  return n;
+[[noreturn]] void reject(const std::string& what) {
+  throw SnapshotError(SnapshotErrorCode::kFormatViolation, what);
 }
 
 void write_event(ByteWriter& w, const osn::Event& e) {
@@ -89,15 +79,6 @@ void write_rule(ByteWriter& w, const ThresholdRule& rule) {
   w.write(rule.min_requests);
 }
 
-ThresholdRule read_rule(ByteReader& r) {
-  ThresholdRule rule;
-  rule.outgoing_accept_max = r.read<double>();
-  rule.invite_rate_min = r.read<double>();
-  rule.clustering_max = r.read<double>();
-  rule.min_requests = r.read<std::uint32_t>();
-  return rule;
-}
-
 // Encoded widths of the fixed-size records above and below, so
 // save_stream can reserve its exact output size before writing. Each
 // mirrors the write_* helper or loop it names; the state-codec tests
@@ -109,7 +90,8 @@ constexpr std::size_t kAccountBytes =  // per account, before its friends
     osn::kLedgerBytes + kU64 + sizeof(std::uint32_t) + 2 * sizeof(std::uint8_t);
 constexpr std::size_t kFlagBytes =  // per pending flag (write_features)
     sizeof(osn::NodeId) + 5 * sizeof(double) + sizeof(graph::Time);
-constexpr std::size_t kBufferedBytes = sizeof(graph::Time) + kU64 + kEventBytes;
+constexpr std::size_t kBufferedBytes = kU64 + kEventBytes;
+constexpr std::size_t kReleasedBytes = sizeof(graph::Time) + kU64;
 constexpr std::size_t kDeadLetterBytes =
     kEventBytes + kU64 + sizeof(std::uint32_t);
 
@@ -142,10 +124,13 @@ typename Q::container_type& queue_container_mut(Q& q) {
 /// The one friend of StreamDetector / RealTimeDetector /
 /// AdaptiveThresholdTuner: all member access happens in these statics.
 struct DetectorStateAccess {
+  // Each fact is written once. The watcher index mirrors first_friends,
+  // the seen-seq set is the disjoint union of the buffered and the
+  // released seqs, and a buffered entry's sort time is its event's
+  // time — load_stream rebuilds all three (docs/FORMATS.md §5.5).
   static std::vector<std::byte> save_stream(const StreamDetector& d) {
     std::vector<std::uint64_t> edges(d.edges_.begin(), d.edges_.end());
     std::sort(edges.begin(), edges.end());
-    const std::vector<std::uint64_t> seqs = d.seen_seqs_.sorted();
     const auto& reorder = queue_container(d.reorder_);
 
     std::size_t size = sizeof(kDetectorStateVersion) + kU64 +
@@ -153,14 +138,10 @@ struct DetectorStateAccess {
     for (const StreamDetector::AccountState& acc : d.accounts_) {
       size += acc.first_friends.size() * sizeof(osn::NodeId);
     }
-    for (const auto& watchers : d.watchers_) {
-      size += kU64 + watchers.size() * sizeof(osn::NodeId);
-    }
     size += kU64 + edges.size() * kU64;
     size += kU64 + d.newly_flagged_.size() * kFlagBytes + kU64;
     size += kU64 + reorder.size() * kBufferedBytes;
-    size += kU64 + seqs.size() * kU64;
-    size += kU64 + d.released_.size() * (sizeof(graph::Time) + kU64);
+    size += kU64 + d.released_.size() * kReleasedBytes;
     size += sizeof(graph::Time) + kU64 +
             d.dead_letters_.size() * kDeadLetterBytes;
     size += (7 + kStreamErrorCodeCount) * kU64;  // the trailing counters
@@ -178,10 +159,6 @@ struct DetectorStateAccess {
       w.write(static_cast<std::uint8_t>(acc.flagged ? 1 : 0));
       w.write(static_cast<std::uint8_t>(acc.banned ? 1 : 0));
     }
-    for (const auto& watchers : d.watchers_) {
-      w.write(static_cast<std::uint64_t>(watchers.size()));
-      for (osn::NodeId who : watchers) w.write(who);
-    }
 
     w.write(static_cast<std::uint64_t>(edges.size()));
     for (std::uint64_t key : edges) w.write(key);
@@ -196,13 +173,9 @@ struct DetectorStateAccess {
 
     w.write(static_cast<std::uint64_t>(reorder.size()));
     for (const StreamDetector::Buffered& b : reorder) {
-      w.write(b.event.time);  // the entry's sort time (see Buffered)
       w.write(b.seq);
       write_event(w, b.event);
     }
-
-    w.write(static_cast<std::uint64_t>(seqs.size()));
-    for (std::uint64_t s : seqs) w.write(s);
 
     w.write(static_cast<std::uint64_t>(d.released_.size()));
     for (const auto& [time, seq] : d.released_) {
@@ -230,35 +203,37 @@ struct DetectorStateAccess {
 
   static void load_stream(StreamDetector& d, std::span<const std::byte> blob) {
     ByteReader r(blob);
-    check_version(r.read<std::uint32_t>(), "stream detector");
+    check_version(r.read<std::uint32_t>());
 
-    const std::uint64_t n_accounts = read_count(r, "account");
+    const std::uint64_t n_accounts = r.read_count(kAccountBytes);
     d.accounts_.assign(n_accounts, StreamDetector::AccountState{});
     for (auto& acc : d.accounts_) {
       acc.ledger = osn::read_ledger(r);
-      const std::uint64_t n_friends = read_count(r, "first-friend");
-      acc.first_friends.resize(n_friends);
+      acc.first_friends.resize(r.read_count(sizeof(osn::NodeId)));
       for (auto& f : acc.first_friends) f = r.read<osn::NodeId>();
       acc.internal_links = r.read<std::uint32_t>();
       acc.flagged = r.read<std::uint8_t>() != 0;
       acc.banned = r.read<std::uint8_t>() != 0;
     }
     d.watchers_.assign(n_accounts, {});
-    for (auto& watchers : d.watchers_) {
-      const std::uint64_t n = read_count(r, "watcher");
-      watchers.resize(n);
-      for (auto& who : watchers) who = r.read<osn::NodeId>();
+    for (osn::NodeId u = 0; u < n_accounts; ++u) {
+      for (osn::NodeId f : d.accounts_[u].first_friends) {
+        if (f >= n_accounts) {
+          reject("first friend " + std::to_string(f) + " of account " +
+                 std::to_string(u) + " is not a known account");
+        }
+        d.watchers_[f].push_back(u);
+      }
     }
 
     d.edges_.clear();
-    const std::uint64_t n_edges = read_count(r, "edge");
+    const std::uint64_t n_edges = r.read_count(kU64);
     d.edges_.reserve(n_edges);
     for (std::uint64_t i = 0; i < n_edges; ++i) {
       d.edges_.insert(r.read<std::uint64_t>());
     }
 
-    const std::uint64_t n_flags = read_count(r, "pending flag");
-    d.newly_flagged_.resize(n_flags);
+    d.newly_flagged_.resize(r.read_count(kFlagBytes));
     for (auto& rec : d.newly_flagged_) {
       rec.account = r.read<osn::NodeId>();
       rec.features = read_features(r);
@@ -267,48 +242,51 @@ struct DetectorStateAccess {
     d.flagged_total_ = static_cast<std::size_t>(r.read<std::uint64_t>());
 
     auto& reorder = queue_container_mut(d.reorder_);
-    const std::uint64_t n_buffered = read_count(r, "reorder-buffer");
-    reorder.resize(n_buffered);
+    reorder.resize(r.read_count(kBufferedBytes));
     for (auto& b : reorder) {
-      const graph::Time time = r.read<graph::Time>();
       b.seq = r.read<std::uint64_t>();
       b.event = read_event(r);
-      if (time != b.event.time) {
-        throw SnapshotError(SnapshotErrorCode::kFormatViolation,
-                            "reorder-buffer entry time disagrees with its "
-                            "event time");
+      StreamErrorCode reason;
+      if (!d.structurally_valid(b.event, reason)) {
+        reject("reorder-buffer event seq " + std::to_string(b.seq) +
+               " fails validation: " + to_string(reason));
       }
+    }
+    if (!std::is_heap(reorder.begin(), reorder.end(), std::greater<>{})) {
+      reject("reorder-buffer array is not a heap");
+    }
+
+    d.released_.resize(r.read_count(kReleasedBytes));
+    for (auto& [time, seq] : d.released_) {
+      time = r.read<graph::Time>();
+      seq = r.read<std::uint64_t>();
+    }
+    if (!std::is_sorted(d.released_.begin(), d.released_.end())) {
+      reject("released seqs are not in ascending (time, seq) order");
     }
 
     d.seen_seqs_.clear();
-    const std::uint64_t n_seqs = read_count(r, "seen-seq");
-    d.seen_seqs_.reserve(n_seqs);
-    for (std::uint64_t i = 0; i < n_seqs; ++i) {
-      d.seen_seqs_.insert(r.read<std::uint64_t>());
-    }
-    d.released_.clear();
-    const std::uint64_t n_released = read_count(r, "released-seq");
-    for (std::uint64_t i = 0; i < n_released; ++i) {
-      const graph::Time time = r.read<graph::Time>();
-      const std::uint64_t seq = r.read<std::uint64_t>();
-      d.released_.emplace_back(time, seq);
-    }
+    d.seen_seqs_.reserve(reorder.size() + d.released_.size());
+    const auto remember = [&](std::uint64_t seq) {
+      if (!d.seen_seqs_.insert(seq)) {
+        reject("seq " + std::to_string(seq) +
+               " is both buffered and released, or twice in one");
+      }
+    };
+    for (const StreamDetector::Buffered& b : reorder) remember(b.seq);
+    for (const auto& entry : d.released_) remember(entry.second);
 
     d.high_watermark_ = r.read<graph::Time>();
-    d.dead_letters_.clear();
-    const std::uint64_t n_dead = read_count(r, "dead-letter");
-    for (std::uint64_t i = 0; i < n_dead; ++i) {
-      StreamDetector::DeadLetter dl;
+    d.dead_letters_.resize(r.read_count(kDeadLetterBytes));
+    for (StreamDetector::DeadLetter& dl : d.dead_letters_) {
       dl.event = read_event(r);
       dl.seq = r.read<std::uint64_t>();
       const auto reason = r.read<std::uint32_t>();
       if (reason >= kStreamErrorCodeCount) {
-        throw SnapshotError(SnapshotErrorCode::kFormatViolation,
-                            "dead-letter reason " + std::to_string(reason) +
-                                " out of range");
+        reject("dead-letter reason " + std::to_string(reason) +
+               " out of range");
       }
       dl.reason = static_cast<StreamErrorCode>(reason);
-      d.dead_letters_.push_back(dl);
     }
     d.next_auto_seq_ = r.read<std::uint64_t>();
     d.events_in_ = r.read<std::uint64_t>();
@@ -357,50 +335,6 @@ struct DetectorStateAccess {
     w.write(static_cast<std::uint64_t>(t.sybil_seen_));
     return std::move(w).take();
   }
-
-  static void load_realtime(RealTimeDetector& d,
-                            std::span<const std::byte> blob) {
-    ByteReader r(blob);
-    check_version(r.read<std::uint32_t>(), "realtime detector");
-    d.detector_.set_rule(read_rule(r));
-
-    d.flagged_.clear();
-    const std::uint64_t n_flagged = read_count(r, "flagged");
-    d.flagged_.reserve(n_flagged);
-    for (std::uint64_t i = 0; i < n_flagged; ++i) {
-      d.flagged_.insert(r.read<osn::NodeId>());
-    }
-    const std::uint64_t n_carry = read_count(r, "carryover");
-    d.carryover_.resize(n_carry);
-    d.carryover_set_.clear();
-    for (auto& id : d.carryover_) {
-      id = r.read<osn::NodeId>();
-      d.carryover_set_.insert(id);
-    }
-    d.confirmations_ = static_cast<std::size_t>(r.read<std::uint64_t>());
-
-    AdaptiveThresholdTuner& t = d.tuner_;
-    t.rule_ = read_rule(r);
-    std::array<std::uint64_t, 4> rng_state;
-    for (std::uint64_t& word : rng_state) word = r.read<std::uint64_t>();
-    t.rng_ = stats::Rng::from_state(rng_state);
-    const auto read_reservoir = [&](AdaptiveThresholdTuner::Reservoir& res) {
-      for (std::vector<double>* v :
-           {&res.invite_rate, &res.out_accept, &res.clustering}) {
-        const std::uint64_t n = read_count(r, "reservoir");
-        v->resize(n);
-        for (double& x : *v) x = r.read<double>();
-      }
-    };
-    read_reservoir(t.normal_);
-    read_reservoir(t.sybil_);
-    t.normal_seen_ = static_cast<std::size_t>(r.read<std::uint64_t>());
-    t.sybil_seen_ = static_cast<std::size_t>(r.read<std::uint64_t>());
-    if (!r.exhausted()) {
-      throw SnapshotError(SnapshotErrorCode::kMalformedSection,
-                          "trailing bytes after realtime detector state");
-    }
-  }
 };
 
 std::vector<std::byte> serialize_stream_state(const StreamDetector& d) {
@@ -413,11 +347,6 @@ void restore_stream_state(StreamDetector& d, std::span<const std::byte> blob) {
 
 std::vector<std::byte> serialize_realtime_state(const RealTimeDetector& d) {
   return DetectorStateAccess::save_realtime(d);
-}
-
-void restore_realtime_state(RealTimeDetector& d,
-                            std::span<const std::byte> blob) {
-  DetectorStateAccess::load_realtime(d, blob);
 }
 
 }  // namespace sybil::core

@@ -299,16 +299,19 @@ void StreamDetector::quarantine(const osn::Event& e, std::uint64_t seq,
   }
 }
 
+void StreamDetector::release_top() {
+  const Buffered b = reorder_.top();
+  reorder_.pop();
+  released_.emplace_back(b.event.time, b.seq);
+  ++applied_total_;
+  SYBIL_METRIC_COUNT("stream.ingest.applied", 1);
+  dispatch(b.event);
+}
+
 void StreamDetector::release_ready() {
   const graph::Time low = high_watermark_ - options_.ingest.watermark_hours;
   while (!reorder_.empty() && reorder_.top().event.time <= low) {
-    const std::uint64_t seq = reorder_.top().seq;
-    const osn::Event e = reorder_.top().event;
-    reorder_.pop();
-    released_.emplace_back(e.time, seq);
-    ++applied_total_;
-    SYBIL_METRIC_COUNT("stream.ingest.applied", 1);
-    dispatch(e);
+    release_top();
   }
   // Prune duplicate-detection state that the watermark has passed: a
   // redelivery of a pruned seq necessarily carries an event time below
@@ -353,15 +356,7 @@ void StreamDetector::ingest(const osn::Event& e, std::uint64_t seq) {
 }
 
 void StreamDetector::finish() {
-  while (!reorder_.empty()) {
-    const std::uint64_t seq = reorder_.top().seq;
-    const osn::Event e = reorder_.top().event;
-    reorder_.pop();
-    released_.emplace_back(e.time, seq);
-    ++applied_total_;
-    SYBIL_METRIC_COUNT("stream.ingest.applied", 1);
-    dispatch(e);
-  }
+  while (!reorder_.empty()) release_top();
   SYBIL_METRIC_GAUGE_SET("stream.ingest.buffered", 0);
 }
 

@@ -207,13 +207,18 @@ class StreamDetector {
   /// throws StreamError afterwards under the strict policy.
   void quarantine(const osn::Event& e, std::uint64_t seq,
                   StreamErrorCode reason);
+  /// Pops the reorder buffer's head, records its (time, seq) in
+  /// released_ and applies it (release_ready() and finish()).
+  void release_top();
   /// Applies every buffered event at or below the low watermark.
   void release_ready();
 
   DetectorOptions options_;
   ThresholdDetector detector_;
   std::vector<AccountState> accounts_;
-  /// watchers_[v] = accounts whose first-K friend set contains v.
+  /// watchers_[v] = accounts whose first-K friend set contains v. Only
+  /// membership and list length are read, so a restore rebuilds it from
+  /// first_friends in account order.
   std::vector<std::vector<osn::NodeId>> watchers_;
   /// Existing edges, for the internal-link update (canonical u<v keys).
   /// Flat open-addressing set: the ingest hot path probes it per edge
@@ -226,7 +231,9 @@ class StreamDetector {
   std::priority_queue<Buffered, std::vector<Buffered>, std::greater<>>
       reorder_;
   /// Seqs accepted within the reorder horizon (duplicate detection);
-  /// pruned as the low watermark advances past their event time.
+  /// pruned as the low watermark advances past their event time. Always
+  /// the disjoint union of the buffered and the released_ seqs, which is
+  /// how a checkpoint restore rebuilds it.
   SeqBitSet seen_seqs_;
   /// Released-but-not-yet-pruned (time, seq) pairs, appended as events
   /// leave the reorder buffer — which is already ascending (time, seq)

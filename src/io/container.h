@@ -205,6 +205,20 @@ class ByteReader {
     return value;
   }
 
+  /// Reads a u64 element count and rejects (kMalformedSection) any count
+  /// whose elements, at `min_bytes_per_element` (> 0) each, cannot fit
+  /// in the bytes left — so a corrupt count fails before it sizes an
+  /// allocation.
+  std::uint64_t read_count(std::size_t min_bytes_per_element) {
+    const auto n = read<std::uint64_t>();
+    if (n > (bytes_.size() - at_) / min_bytes_per_element) {
+      throw SnapshotError(SnapshotErrorCode::kMalformedSection,
+                          "element count " + std::to_string(n) +
+                              " exceeds the bytes left in its section");
+    }
+    return n;
+  }
+
   bool exhausted() const noexcept { return at_ == bytes_.size(); }
 
  private:

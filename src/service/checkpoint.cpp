@@ -24,7 +24,8 @@ namespace {
 constexpr std::uint32_t kSecMeta = 1;
 constexpr std::uint32_t kSecQueue = 2;
 constexpr std::uint32_t kSecStream = 3;
-constexpr std::uint32_t kSecRealtime = 4;
+// Id 4 held a RealTimeDetector blob in v1-v3. v4 no longer writes it,
+// no loader reads it, and the id is not reused.
 constexpr std::uint32_t kSecDefense = 5;
 
 // v1: PR 5 single-instance layout. v2 appends the shard identity
@@ -33,8 +34,14 @@ constexpr std::uint32_t kSecDefense = 5;
 // the new fields defaulted (shard_count 0 = identity unknown). v3 adds
 // the optional kSecDefense section carrying the defense-scorer state;
 // the meta layout is unchanged, and v1/v2 blobs load with it empty
-// (docs/FORMATS.md §5.4).
-constexpr std::uint32_t kCheckpointVersion = 3;
+// (docs/FORMATS.md §5.4). v4 stops writing section 4 (the service
+// never ran the detector it held); every other section is unchanged.
+constexpr std::uint32_t kCheckpointVersion = 4;
+
+// Encoded width of one queued WalRecord.
+constexpr std::size_t kQueuedRecordBytes =
+    2 * sizeof(std::uint64_t) + sizeof(std::uint32_t) +
+    2 * sizeof(graph::NodeId) + sizeof(graph::Time) + sizeof(std::uint32_t);
 
 void require_exhausted(const ByteReader& r, const char* section) {
   if (!r.exhausted()) {
@@ -76,7 +83,6 @@ void save_service_checkpoint(const std::string& path,
   writer.add_section(kSecQueue, std::move(queue).take());
 
   writer.add_section(kSecStream, std::move(state.stream_state));
-  writer.add_section(kSecRealtime, std::move(state.realtime_state));
   if (!state.defense_state.empty()) {
     writer.add_section(kSecDefense, std::move(state.defense_state));
   }
@@ -117,12 +123,7 @@ ServiceCheckpointState load_service_checkpoint(const std::string& path) {
   require_exhausted(meta, "meta");
 
   ByteReader queue(reader.section(kSecQueue));
-  const auto n = queue.read<std::uint64_t>();
-  if (n > (std::uint64_t{1} << 32)) {
-    throw SnapshotError(SnapshotErrorCode::kFormatViolation,
-                        "checkpoint queue count implausibly large");
-  }
-  state.queue.resize(n);
+  state.queue.resize(queue.read_count(kQueuedRecordBytes));
   for (WalRecord& r : state.queue) {
     r.index = queue.read<std::uint64_t>();
     r.seq = queue.read<std::uint64_t>();
@@ -136,8 +137,6 @@ ServiceCheckpointState load_service_checkpoint(const std::string& path) {
 
   const auto stream = reader.section(kSecStream);
   state.stream_state.assign(stream.begin(), stream.end());
-  const auto realtime = reader.section(kSecRealtime);
-  state.realtime_state.assign(realtime.begin(), realtime.end());
   if (reader.has_section(kSecDefense)) {
     const auto defense = reader.section(kSecDefense);
     state.defense_state.assign(defense.begin(), defense.end());

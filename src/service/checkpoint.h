@@ -1,7 +1,8 @@
-// Incremental service checkpoints: SYBS containers (PR 3 subsystem,
+// Incremental service checkpoints: SYBS containers (io/container.h,
 // PayloadKind::kServiceCheckpoint) capturing everything the supervisor
-// needs to resume byte-identically — the two detectors' exact state
-// (core/detector_state.h), the admitted-but-unpumped queue, the
+// needs to resume byte-identically — the StreamDetector's exact state
+// (core/detector_state.h), the defense scorer's when that tier is on,
+// the admitted-but-unpumped queue, the
 // ServiceCounters record (stored once, encoded once as the meta
 // section's counter block), the degradation tier, and the WAL
 // position P (count of WAL records written when the checkpoint was
@@ -85,9 +86,8 @@ struct ServiceCheckpointState {
   /// Admitted records (index < wal_position) not yet pumped, in offer
   /// order.
   std::vector<WalRecord> queue;
-  /// core::serialize_stream_state / serialize_realtime_state blobs.
+  /// core::serialize_stream_state blob.
   std::vector<std::byte> stream_state;
-  std::vector<std::byte> realtime_state;
   /// service::DefenseScorer::serialize blob (format v3, section written
   /// only when non-empty — i.e. when DetectorOptions::defense is on).
   /// A v2/v1 checkpoint, or a v3 one written with the tier off, loads

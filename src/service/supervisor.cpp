@@ -274,7 +274,6 @@ void ServiceSupervisor::require_started(const char* what) const {
 
 void ServiceSupervisor::reset_state() {
   detector_ = core::StreamDetector(options_.detector);
-  realtime_ = core::RealTimeDetector(options_.detector);
   if (scorer_ != nullptr) {
     scorer_ = std::make_unique<DefenseScorer>(options_.detector);
   }
@@ -347,7 +346,6 @@ RecoveryReport ServiceSupervisor::start() {
             std::to_string(options_.shard_count));
       }
       core::restore_stream_state(detector_, state.stream_state);
-      core::restore_realtime_state(realtime_, state.realtime_state);
       if (scorer_ != nullptr) {
         // A defense-enabled supervisor refuses a checkpoint without a
         // scorer section: typed SnapshotError, so the fallback loop
@@ -655,7 +653,6 @@ void ServiceSupervisor::checkpoint_now() {
   state.counters = counters_;
   state.queue.assign(queue_.begin(), queue_.end());
   state.stream_state = core::serialize_stream_state(detector_);
-  state.realtime_state = core::serialize_realtime_state(realtime_);
   if (scorer_ != nullptr) state.defense_state = scorer_->serialize();
 
   const std::string ckpt_dir = options_.dir + "/ckpt";

@@ -1,9 +1,10 @@
 // Supervised, crash-fault-tolerant detection service.
 //
-// ServiceSupervisor wraps the StreamDetector + RealTimeDetector pair
-// behind a durable event path (the deployment posture the paper's
-// Section 2.3 pipeline implies — a service banning ~100k accounts
-// cannot drop or double-count friend-request events across restarts):
+// ServiceSupervisor wraps a StreamDetector (plus, when enabled, the
+// defense scorer) behind a durable event path (the deployment posture
+// the paper's Section 2.3 pipeline implies — a service banning ~100k
+// accounts cannot drop or double-count friend-request events across
+// restarts):
 //
 //   offer(event) ──admission──▶ WAL append ──▶ ingest queue
 //                                                 │ pump()
@@ -357,6 +358,9 @@ class ServiceSupervisor {
 
   core::StreamDetector& detector() noexcept { return detector_; }
   const core::StreamDetector& detector() const noexcept { return detector_; }
+  /// Never swept, checkpointed or restored: kept only because
+  /// perfbench's checkpoint.realtime_state_bytes metric reads it
+  /// (ROADMAP item 3 removes it after a benchmark change).
   core::RealTimeDetector& realtime() noexcept { return realtime_; }
   /// The defense tier's scorer, or nullptr when the tier is off.
   const DefenseScorer* defense() const noexcept { return scorer_.get(); }
@@ -396,6 +400,7 @@ class ServiceSupervisor {
 
   ServiceOptions options_;
   core::StreamDetector detector_;
+  /// Built from options and never mutated; see realtime().
   core::RealTimeDetector realtime_;
   /// Built iff options_.detector.defense.enabled; observes every pumped
   /// event, refreshes at every flag sweep, state rides in checkpoints.

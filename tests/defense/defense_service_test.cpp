@@ -18,9 +18,10 @@
 //     match a single shard's, across thread counts;
 //   * the defense metric family: per-shard rows sum exactly into the
 //     aggregate twins and match the scorers' ground truth;
-//   * the committed golden v3 checkpoint binary (tests/data/
-//     service_ckpt_v3.sybs, docs/FORMATS.md §5.4): loads field-exact
-//     and re-serializes to the same bytes.
+//   * the committed golden checkpoint binaries (tests/data/
+//     service_ckpt_v3.sybs and service_ckpt_v4.sybs, docs/FORMATS.md
+//     §5.4): v3 loads field-exact, and re-serializing the same state
+//     reproduces the v4 bytes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -498,14 +499,15 @@ TEST_F(DefenseService, DefenseMetricsAggregateExactly) {
 }
 #endif  // SYBIL_METRICS_COMPILED
 
-// ---- Golden v3 checkpoint (docs/FORMATS.md §5.4) ---------------------
+// ---- Golden v3/v4 checkpoints (docs/FORMATS.md §5.4) ------------------
 
 std::string golden(const char* name) {
   return std::string(SYBIL_TEST_DATA_DIR) + "/" + name;
 }
 
-/// The exact state behind tests/data/service_ckpt_v3.sybs — every
-/// field here is documented in the worked example of FORMATS.md §5.4.
+/// The exact state behind tests/data/service_ckpt_v4.sybs and, but for
+/// v3's opaque "R1" section 4, service_ckpt_v3.sybs — every field here
+/// is documented in the worked examples of FORMATS.md §5.4.
 /// Fully deterministic: fixed options, fixed events, no RNG, no clock.
 ServiceCheckpointState golden_state() {
   ServiceCheckpointState s;
@@ -527,7 +529,6 @@ ServiceCheckpointState golden_state() {
   r.flags = 0;
   s.queue.push_back(r);
   s.stream_state = {std::byte{0x53}, std::byte{0x31}};    // opaque "S1"
-  s.realtime_state = {std::byte{0x52}, std::byte{0x31}};  // opaque "R1"
 
   core::DetectorOptions opts;
   opts.defense.enabled = true;
@@ -566,7 +567,6 @@ TEST_F(DefenseService, GoldenCheckpointV3Loads) {
   EXPECT_EQ(got.queue[0].event.actor, 3u);
   EXPECT_EQ(got.queue[0].event.subject, 4u);
   EXPECT_EQ(got.stream_state, want.stream_state);
-  EXPECT_EQ(got.realtime_state, want.realtime_state);
   ASSERT_EQ(got.defense_state, want.defense_state);
 
   // The scorer blob restores into a working scorer: 4 distinct edges,
@@ -586,10 +586,10 @@ TEST_F(DefenseService, GoldenCheckpointV3Loads) {
   EXPECT_EQ(dirty[1], 2u);
 }
 
-TEST_F(DefenseService, GoldenCheckpointV3BytesAreFrozen) {
-  const std::string fresh = ::testing::TempDir() + "/sybil_ckpt_v3_fresh.sybs";
+TEST_F(DefenseService, GoldenCheckpointV4BytesAreFrozen) {
+  const std::string fresh = ::testing::TempDir() + "/sybil_ckpt_v4_fresh.sybs";
   save_service_checkpoint(fresh, golden_state());
-  std::ifstream fa(golden("service_ckpt_v3.sybs"), std::ios::binary);
+  std::ifstream fa(golden("service_ckpt_v4.sybs"), std::ios::binary);
   std::ifstream fb(fresh, std::ios::binary);
   ASSERT_TRUE(fa.good()) << "committed golden missing";
   ASSERT_TRUE(fb.good());
@@ -603,24 +603,33 @@ TEST_F(DefenseService, GoldenCheckpointV3BytesAreFrozen) {
 
 // ---- load_service_checkpoint rejects what it cannot mean --------------
 
-/// The golden checkpoint re-containered section by section, with one zero
-/// byte appended to section `grown` (1 = meta, 2 = queue; FORMATS.md
-/// §5.4; 0 grows nothing). Every CRC stays valid, so only the
-/// checkpoint decoder can notice.
-std::string golden_grown(std::uint32_t grown, const std::string& name) {
+/// The golden v3 checkpoint re-containered section by section, each
+/// payload passed through `edit(id, payload)` (1 = meta, 2 = queue;
+/// FORMATS.md §5.4). Every CRC stays valid, so only the checkpoint
+/// decoder can notice.
+template <typename Edit>
+std::string golden_edited(const std::string& name, Edit edit) {
   const io::ContainerReader reader(golden("service_ckpt_v3.sybs"),
                                    io::PayloadKind::kServiceCheckpoint);
   io::ContainerWriter writer(io::PayloadKind::kServiceCheckpoint);
   for (std::uint32_t id = 1; id <= 5; ++id) {
     const auto bytes = reader.section(id);
     std::vector<std::byte> payload(bytes.begin(), bytes.end());
-    if (id == grown) payload.push_back(std::byte{0});
+    edit(id, payload);
     writer.add_section(id, std::move(payload));
   }
   const std::string path =
-      ::testing::TempDir() + "/sybil_ckpt_grown_" + name + ".sybs";
+      ::testing::TempDir() + "/sybil_ckpt_edited_" + name + ".sybs";
   writer.commit(path);
   return path;
+}
+
+/// The golden with one zero byte appended to section `grown` (0 grows
+/// nothing).
+std::string golden_grown(std::uint32_t grown, const std::string& name) {
+  return golden_edited(name, [&](std::uint32_t id, auto& payload) {
+    if (id == grown) payload.push_back(std::byte{0});
+  });
 }
 
 void expect_load_refused(const std::string& path, io::SnapshotErrorCode code) {
@@ -644,6 +653,21 @@ TEST_F(DefenseService, CheckpointLoadRejectsTrailingMetaBytes) {
 TEST_F(DefenseService, CheckpointLoadRejectsTrailingQueueBytes) {
   expect_load_refused(golden_grown(2, "queue"),
                       io::SnapshotErrorCode::kMalformedSection);
+}
+
+// A count no section could hold fails before it sizes the queue: with
+// 2^32 - 1 records of 40 bytes claimed by an 8-byte section, the loader
+// must throw its typed error rather than attempt the allocation.
+TEST_F(DefenseService, CheckpointLoadRejectsQueueCountPastSectionEnd) {
+  expect_load_refused(
+      golden_edited("queue_count",
+                    [](std::uint32_t id, auto& payload) {
+                      if (id != 2) return;
+                      io::ByteWriter w;
+                      w.write(std::uint64_t{0xFFFFFFFF});
+                      payload = std::move(w).take();
+                    }),
+      io::SnapshotErrorCode::kMalformedSection);
 }
 
 TEST_F(DefenseService, CheckpointLoadRejectsTierAboveSweepOnly) {
