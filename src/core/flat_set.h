@@ -17,11 +17,10 @@
 // byte-identical regardless of insertion history.
 #pragma once
 
-#include <algorithm>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <utility>
 #include <vector>
 
 namespace sybil::core {
@@ -206,10 +205,10 @@ class FlatSet64 {
 // in the same word as the last one — a single compare, no hash at all.
 //
 // insert/erase/contains match FlatSet64 (insert -> bool, erase -> 0/1).
-// There is no iterator: the one reader of the whole set, the checkpoint
-// codec, takes sorted(), which orders words rather than seqs. The probe
-// table stores word_index + 1 so 0 can mark empty slots; word indexes
-// top out at 2^58, so the +1 cannot wrap.
+// There is no iterator: nothing reads the whole set (the checkpoint
+// codec rebuilds it from the stored seqs, core/detector_state.h). The
+// probe table stores word_index + 1 so 0 can mark empty slots; word
+// indexes top out at 2^58, so the +1 cannot wrap.
 class SeqBitSet {
  public:
   SeqBitSet() = default;
@@ -314,29 +313,6 @@ class SeqBitSet {
       cached_ = 0;
     }
     return 1;
-  }
-
-  /// Every stored seq in ascending order — the checkpoint codec's view.
-  /// Sorts the occupied words (each holds up to 64 seqs), then expands
-  /// each word's bits low to high.
-  std::vector<std::uint64_t> sorted() const {
-    std::vector<Slot> words;
-    words.reserve(words_);
-    for (const Slot& s : slots_) {
-      if (s.word != 0) words.push_back(s);
-    }
-    std::sort(words.begin(), words.end(),
-              [](const Slot& a, const Slot& b) { return a.word < b.word; });
-    std::vector<std::uint64_t> out;
-    out.reserve(size_);
-    for (const Slot& s : words) {
-      const std::uint64_t base = (s.word - 1) * 64;
-      for (std::uint64_t bits = s.bits; bits != 0; bits &= bits - 1) {
-        out.push_back(base +
-                      static_cast<std::uint64_t>(std::countr_zero(bits)));
-      }
-    }
-    return out;
   }
 
  private:

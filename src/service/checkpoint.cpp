@@ -20,36 +20,15 @@ using io::SnapshotErrorCode;
 
 namespace {
 
-// Section ids within the kServiceCheckpoint container.
+// Section ids within the kServiceCheckpoint container. Id 2 held the
+// unpumped queue in v1-v4 and id 4 a RealTimeDetector blob in v1-v3;
+// neither is written or read, and neither id is reused.
 constexpr std::uint32_t kSecMeta = 1;
-constexpr std::uint32_t kSecQueue = 2;
 constexpr std::uint32_t kSecStream = 3;
-// Id 4 held a RealTimeDetector blob in v1-v3. v4 no longer writes it,
-// no loader reads it, and the id is not reused.
 constexpr std::uint32_t kSecDefense = 5;
 
-// v1: PR 5 single-instance layout. v2 appends the shard identity
-// (shard_id/shard_count) and the redelivery frontier (next_seq) to the
-// meta section; every other section is unchanged, so v1 blobs load with
-// the new fields defaulted (shard_count 0 = identity unknown). v3 adds
-// the optional kSecDefense section carrying the defense-scorer state;
-// the meta layout is unchanged, and v1/v2 blobs load with it empty
-// (docs/FORMATS.md §5.4). v4 stops writing section 4 (the service
-// never ran the detector it held); every other section is unchanged.
-constexpr std::uint32_t kCheckpointVersion = 4;
-
-// Encoded width of one queued WalRecord.
-constexpr std::size_t kQueuedRecordBytes =
-    2 * sizeof(std::uint64_t) + sizeof(std::uint32_t) +
-    2 * sizeof(graph::NodeId) + sizeof(graph::Time) + sizeof(std::uint32_t);
-
-void require_exhausted(const ByteReader& r, const char* section) {
-  if (!r.exhausted()) {
-    throw SnapshotError(SnapshotErrorCode::kMalformedSection,
-                        std::string("trailing bytes after checkpoint ") +
-                            section + " section");
-  }
-}
+// The only version this build writes or reads (docs/FORMATS.md §5.4).
+constexpr std::uint32_t kCheckpointVersion = 5;
 
 }  // namespace
 
@@ -67,20 +46,8 @@ void save_service_checkpoint(const std::string& path,
   meta.write(state.shard_id);
   meta.write(state.shard_count);
   meta.write(state.next_seq);
+  meta.write(state.replay_from);
   writer.add_section(kSecMeta, std::move(meta).take());
-
-  ByteWriter queue;
-  queue.write(static_cast<std::uint64_t>(state.queue.size()));
-  for (const WalRecord& r : state.queue) {
-    queue.write(r.index);
-    queue.write(r.seq);
-    queue.write(static_cast<std::uint32_t>(r.event.type));
-    queue.write(r.event.actor);
-    queue.write(r.event.subject);
-    queue.write(r.event.time);
-    queue.write(r.flags);
-  }
-  writer.add_section(kSecQueue, std::move(queue).take());
 
   writer.add_section(kSecStream, std::move(state.stream_state));
   if (!state.defense_state.empty()) {
@@ -99,10 +66,10 @@ ServiceCheckpointState load_service_checkpoint(const std::string& path) {
 
   ByteReader meta(reader.section(kSecMeta));
   const auto version = meta.read<std::uint32_t>();
-  if (version > kCheckpointVersion) {
+  if (version != kCheckpointVersion) {
     throw SnapshotError(SnapshotErrorCode::kUnsupportedVersion,
                         "service checkpoint v" + std::to_string(version) +
-                            " newer than supported v" +
+                            " is not the supported v" +
                             std::to_string(kCheckpointVersion));
   }
   state.tier = meta.read<std::uint32_t>();
@@ -115,25 +82,21 @@ ServiceCheckpointState load_service_checkpoint(const std::string& path) {
   for (auto field : kServiceCounterFields) {
     state.counters.*field = meta.read<std::uint64_t>();
   }
-  if (version >= 2) {
-    state.shard_id = meta.read<std::uint32_t>();
-    state.shard_count = meta.read<std::uint32_t>();
-    state.next_seq = meta.read<std::uint64_t>();
+  state.shard_id = meta.read<std::uint32_t>();
+  state.shard_count = meta.read<std::uint32_t>();
+  state.next_seq = meta.read<std::uint64_t>();
+  state.replay_from = meta.read<std::uint64_t>();
+  if (!meta.exhausted()) {
+    throw SnapshotError(SnapshotErrorCode::kMalformedSection,
+                        "trailing bytes after checkpoint meta section");
   }
-  require_exhausted(meta, "meta");
-
-  ByteReader queue(reader.section(kSecQueue));
-  state.queue.resize(queue.read_count(kQueuedRecordBytes));
-  for (WalRecord& r : state.queue) {
-    r.index = queue.read<std::uint64_t>();
-    r.seq = queue.read<std::uint64_t>();
-    r.event.type = static_cast<osn::EventType>(queue.read<std::uint32_t>());
-    r.event.actor = queue.read<graph::NodeId>();
-    r.event.subject = queue.read<graph::NodeId>();
-    r.event.time = queue.read<graph::Time>();
-    r.flags = queue.read<std::uint32_t>();
+  if (state.replay_from > state.wal_position) {
+    throw SnapshotError(SnapshotErrorCode::kFormatViolation,
+                        "checkpoint replay_from " +
+                            std::to_string(state.replay_from) +
+                            " past wal_position " +
+                            std::to_string(state.wal_position));
   }
-  require_exhausted(queue, "queue");
 
   const auto stream = reader.section(kSecStream);
   state.stream_state.assign(stream.begin(), stream.end());

@@ -1,17 +1,15 @@
 // Incremental service checkpoints: SYBS containers (io/container.h,
-// PayloadKind::kServiceCheckpoint) capturing everything the supervisor
-// needs to resume byte-identically — the StreamDetector's exact state
-// (core/detector_state.h), the defense scorer's when that tier is on,
-// the admitted-but-unpumped queue, the
-// ServiceCounters record (stored once, encoded once as the meta
-// section's counter block), the degradation tier, and the WAL
-// position P (count of WAL records written when the checkpoint was
-// taken). Recovery = load the newest valid generation + replay WAL
-// records with index >= P through the same apply step a live offer
-// runs; the checkpointed queue holds exactly the admitted records
-// below P that had not reached the detector, so the two sources are
-// disjoint and exactly-once is exact by construction (the detector's
-// seq dedup remains as defense in depth).
+// PayloadKind::kServiceCheckpoint) capturing the supervisor's applied
+// state — the StreamDetector's exact state (core/detector_state.h), the
+// defense scorer's when that tier is on, the ServiceCounters record
+// (stored once, encoded once as the meta section's counter block), the
+// degradation tier, the WAL position P (count of WAL records written
+// when the checkpoint was taken) and the replay start R (the queue
+// head's WAL index, or P when the queue is empty). The queue is not
+// stored: it is exactly the admitted WAL records with index in [R, P).
+// Recovery = load the newest valid generation, re-queue the admitted
+// WAL records in [R, P) and replay those at or after P through the
+// same apply step a live offer runs (service/supervisor.h).
 //
 // Generations: files are named "ckpt-<20-digit P>.sybs" in their own
 // directory; bounded retention keeps the newest K. A corrupt newest
@@ -24,7 +22,7 @@
 #include <utility>
 #include <vector>
 
-#include "service/wal.h"
+#include "io/vfs.h"
 
 namespace sybil::service {
 
@@ -67,31 +65,29 @@ inline ServiceCounters& ServiceCounters::operator+=(
 /// Everything a checkpoint stores; the supervisor fills/consumes it.
 struct ServiceCheckpointState {
   std::uint64_t wal_position = 0;
+  /// WAL index of the oldest admitted record not yet pumped, or
+  /// wal_position when the queue is empty. Load rejects a value past
+  /// wal_position.
+  std::uint64_t replay_from = 0;
   /// core::ServiceTier at checkpoint time; load rejects values above
   /// kSweepOnly.
   std::uint32_t tier = 0;
-  /// Shard identity (format v2). A checkpoint written by shard i of N
-  /// refuses to restore into a supervisor configured as a different
-  /// shard — a misdirected state directory must fail loudly, not decode
-  /// quietly into the wrong partition. shard_count == 0 means "written
-  /// by a v1 build / unknown"; identity is then not checked.
+  /// Shard identity. A checkpoint written by shard i of N refuses to
+  /// restore into a supervisor configured as a different shard — a
+  /// misdirected state directory must fail loudly, not decode quietly
+  /// into the wrong partition.
   std::uint32_t shard_id = 0;
   std::uint32_t shard_count = 0;
-  /// One past the highest explicit transport seq ever offered (v2).
+  /// One past the highest explicit transport seq ever offered.
   /// Recovery needs it because fully-covered WAL segments are pruned:
   /// the redelivery frontier must survive even when the records that
   /// established it no longer exist on disk.
   std::uint64_t next_seq = 0;
   ServiceCounters counters;
-  /// Admitted records (index < wal_position) not yet pumped, in offer
-  /// order.
-  std::vector<WalRecord> queue;
   /// core::serialize_stream_state blob.
   std::vector<std::byte> stream_state;
-  /// service::DefenseScorer::serialize blob (format v3, section written
-  /// only when non-empty — i.e. when DetectorOptions::defense is on).
-  /// A v2/v1 checkpoint, or a v3 one written with the tier off, loads
-  /// with this empty.
+  /// service::DefenseScorer::serialize blob (section written only when
+  /// non-empty — i.e. when DetectorOptions::defense is on).
   std::vector<std::byte> defense_state;
 };
 
@@ -107,10 +103,11 @@ void save_service_checkpoint(const std::string& path,
                              ServiceCheckpointState&& state,
                              io::Vfs* vfs = nullptr);
 
-/// Loads and fully validates one generation — including no trailing
-/// bytes in the meta and queue sections and a tier no higher than
-/// kSweepOnly; throws the matching typed io::SnapshotError on any
-/// corruption (the supervisor catches it and falls back a generation).
+/// Loads and fully validates one v5 generation — including no trailing
+/// meta bytes, a tier no higher than kSweepOnly and replay_from <=
+/// wal_position; throws the matching typed io::SnapshotError on any
+/// corruption, and kUnsupportedVersion for any other version (the
+/// supervisor catches either and falls back a generation).
 ServiceCheckpointState load_service_checkpoint(const std::string& path);
 
 /// "<dir>/ckpt-<20-digit position>.sybs".

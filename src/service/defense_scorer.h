@@ -21,9 +21,10 @@
 // are skipped deterministically; and both incremental defenses are
 // single-threaded with fixed evaluation order. Checkpoints carry the
 // full scorer state (serialize()/restore()), so a recovered shard
-// scores byte-identically to one that never crashed. Counted caveat:
-// enabling `defense` on a service whose WAL was already pruned loses
-// the pre-checkpoint edges — enable the tier from the service's birth.
+// scores byte-identically to one that never crashed. Caveat: enabling
+// `defense` on a service whose WAL was already pruned would lose the
+// pre-checkpoint edges, so the supervisor refuses to start there —
+// enable the tier from the service's birth.
 #pragma once
 
 #include <cstdint>

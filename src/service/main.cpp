@@ -380,21 +380,28 @@ int main(int argc, char** argv) {
   std::printf("workload: accounts=%u events=%zu shards=%u\n",
               cli.workload.accounts, events.size(), cli.shards);
 
-  const RunResult sharded =
-      run_once(cli, events, cli.shards,
-               cli.dir + "/n" + std::to_string(cli.shards));
-  std::printf("flags: %zu  digest: %016llx\n", sharded.flags.size(),
-              static_cast<unsigned long long>(flag_digest(sharded.flags)));
-  if (cli.stats) std::printf("%s\n", sharded.stats.c_str());
+  // A recovery refusal (say, a pruned WAL under deleted checkpoints) is
+  // the operator's to fix: one typed line and exit 2, never an abort.
+  try {
+    const RunResult sharded =
+        run_once(cli, events, cli.shards,
+                 cli.dir + "/n" + std::to_string(cli.shards));
+    std::printf("flags: %zu  digest: %016llx\n", sharded.flags.size(),
+                static_cast<unsigned long long>(flag_digest(sharded.flags)));
+    if (cli.stats) std::printf("%s\n", sharded.stats.c_str());
 
-  if (cli.verify_single && cli.shards != 1) {
-    const RunResult single = run_once(cli, events, 1, cli.dir + "/n1");
-    const bool ok = chaos::flags_equal(sharded.flags, single.flags);
-    std::printf("verify-single: %u-shard flags %s 1-shard flags "
-                "(%zu vs %zu records)\n",
-                cli.shards, ok ? "==" : "!=", sharded.flags.size(),
-                single.flags.size());
-    if (!ok) return 1;
+    if (cli.verify_single && cli.shards != 1) {
+      const RunResult single = run_once(cli, events, 1, cli.dir + "/n1");
+      const bool ok = chaos::flags_equal(sharded.flags, single.flags);
+      std::printf("verify-single: %u-shard flags %s 1-shard flags "
+                  "(%zu vs %zu records)\n",
+                  cli.shards, ok ? "==" : "!=", sharded.flags.size(),
+                  single.flags.size());
+      if (!ok) return 1;
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "sybil_service: %s\n", e.what());
+    return 2;
   }
   return 0;
 }

@@ -320,7 +320,8 @@ RecoveryReport ServiceSupervisor::start() {
   fs::create_directories(ckpt_dir);
 
   RecoveryReport report;
-  std::uint64_t from_index = 0;
+  std::uint64_t replay_from = 0;  // both stay 0 on a cold start
+  std::uint64_t position = 0;
 
   // Newest valid checkpoint generation wins; corrupt generations are
   // discarded (typed SnapshotError) and the previous one is tried —
@@ -334,9 +335,8 @@ RecoveryReport ServiceSupervisor::start() {
       // another shard is misconfiguration, not corruption, so it must
       // escape the fallback loop and fail the whole start() loudly
       // (plain logic_error — only SnapshotError triggers fallback).
-      if (state.shard_count != 0 &&
-          (state.shard_count != options_.shard_count ||
-           state.shard_id != options_.shard_id)) {
+      if (state.shard_count != options_.shard_count ||
+          state.shard_id != options_.shard_id) {
         throw std::logic_error(
             "service checkpoint " + generations[i].second +
             " was written by shard " + std::to_string(state.shard_id) +
@@ -362,14 +362,15 @@ RecoveryReport ServiceSupervisor::start() {
         }
         scorer_->restore(state.defense_state);
       }
-      queue_.assign(state.queue.begin(), state.queue.end());
       tier_ = static_cast<core::ServiceTier>(state.tier);
       counters_ = state.counters;
       next_seq_ = state.next_seq;
       report.cold_start = false;
       report.checkpoint_file = generations[i].second;
       report.checkpoint_position = state.wal_position;
-      from_index = state.wal_position;
+      replay_from = state.replay_from;
+      position = state.wal_position;
+      replay_starts_[position] = replay_from;
       break;
     } catch (const io::SnapshotError&) {
       reset_state();  // a partial restore must not leak into a fallback
@@ -378,23 +379,40 @@ RecoveryReport ServiceSupervisor::start() {
     }
   }
 
-  // Replay the WAL suffix through the live offer's apply step: each
-  // record's logged verdict advances the counters it advanced the first
-  // time, and admitted records re-enter the queue. The checkpointed
-  // queue holds only indices below from_index and the replay only
-  // indices at or above it, so nothing is applied twice.
+  // Records below the position are the queue the checkpoint did not
+  // store; the rest replay through apply(), which re-counts them as the
+  // live offers did. The WAL must hold all of them: indices ascend
+  // strictly, so the first index and the count below the position rule
+  // out any gap. No fallback: an older generation needs a superset.
   WalScanReport scan;
   const std::vector<WalRecord> records =
-      scan_wal(wal_dir, from_index, scan, options_.shard_id, options_.vfs);
-  for (const WalRecord& r : records) apply(r);
-  report.records_replayed = records.size();
+      scan_wal(wal_dir, replay_from, scan, options_.shard_id, options_.vfs);
+  const auto suffix = std::partition_point(
+      records.begin(), records.end(),
+      [position](const WalRecord& r) { return r.index < position; });
+  if ((!records.empty() && records.front().index != replay_from) ||
+      static_cast<std::uint64_t>(suffix - records.begin()) !=
+          position - replay_from) {
+    throw io::SnapshotError(
+        io::SnapshotErrorCode::kTruncated,
+        "WAL " + wal_dir + " does not reach its replay start " +
+            std::to_string(replay_from) + " below position " +
+            std::to_string(position) + " (first record " +
+            (records.empty() ? "none" : std::to_string(records[0].index)) +
+            ")");
+  }
+  for (auto it = records.begin(); it != suffix; ++it) {
+    if (!it->shed()) queue_.push_back(*it);  // counted in the checkpoint
+  }
+  for (auto it = suffix; it != records.end(); ++it) apply(*it);
+  report.records_replayed = static_cast<std::uint64_t>(records.end() - suffix);
   report.records_truncated = scan.records_truncated;
   report.torn_tails_healed = scan.torn_tails_healed;
 
   // Appends resume on a fresh segment past everything durable. (The
   // max guards the kNever policy, where a checkpoint may outlive
   // unsynced WAL records it thought it covered.)
-  const std::uint64_t next = std::max(from_index, scan.next_index);
+  const std::uint64_t next = std::max(position, scan.next_index);
   WalOptions wal_opts;
   wal_opts.dir = wal_dir;
   wal_opts.segment_records = options_.wal_segment_records;
@@ -644,14 +662,17 @@ void ServiceSupervisor::checkpoint_now() {
     SYBIL_SERVICE_METRIC(storage_checkpoints_suspended.add(1));
     return;
   }
+  const std::uint64_t position = wal_->next_index();
+  const std::uint64_t replay_from =
+      queue_.empty() ? position : queue_.front().index;
   ServiceCheckpointState state;
-  state.wal_position = wal_->next_index();
+  state.wal_position = position;
+  state.replay_from = replay_from;
   state.tier = static_cast<std::uint32_t>(tier_);
   state.shard_id = options_.shard_id;
   state.shard_count = options_.shard_count;
   state.next_seq = next_seq_;
   state.counters = counters_;
-  state.queue.assign(queue_.begin(), queue_.end());
   state.stream_state = core::serialize_stream_state(detector_);
   if (scorer_ != nullptr) state.defense_state = scorer_->serialize();
 
@@ -660,7 +681,7 @@ void ServiceSupervisor::checkpoint_now() {
   // the WAL syncs first; the container commit is atomic and removes its
   // temp file on any storage fault, so a failure here never touches
   // existing generations.
-  const std::string path = checkpoint_path(ckpt_dir, state.wal_position);
+  const std::string path = checkpoint_path(ckpt_dir, position);
   if (!storage_io([&] {
         wal_->sync();
         save_service_checkpoint(path, std::move(state), options_.vfs);
@@ -669,13 +690,26 @@ void ServiceSupervisor::checkpoint_now() {
     SYBIL_SERVICE_METRIC(storage_checkpoints_suspended.add(1));
     return;
   }
-  // Retention, then WAL pruning up to the oldest *retained* generation
-  // — the fallback path must always find the records it would replay.
+  replay_starts_[position] = replay_from;
+  // Retention, then WAL pruning up to the oldest replay start among the
+  // *retained* generations — the fallback path must always find the
+  // records it would replay. One this supervisor neither wrote nor
+  // loaded is unknown: keep the whole WAL rather than read it back.
   prune_checkpoints(ckpt_dir, options_.checkpoint_retain, options_.vfs);
-  const auto generations = list_checkpoints(ckpt_dir);
-  if (!generations.empty()) {
-    prune_wal(options_.dir + "/wal", generations.front().first, options_.vfs);
+  std::map<std::uint64_t, std::uint64_t> retained;
+  std::uint64_t keep_from = replay_from;
+  bool known = true;
+  for (const auto& generation : list_checkpoints(ckpt_dir)) {
+    const auto it = replay_starts_.find(generation.first);
+    if (it == replay_starts_.end()) {
+      known = false;
+      continue;
+    }
+    retained.insert(*it);
+    keep_from = std::min(keep_from, it->second);
   }
+  replay_starts_ = std::move(retained);
+  if (known) prune_wal(options_.dir + "/wal", keep_from, options_.vfs);
 }
 
 void ServiceSupervisor::flush(bool checkpoint) {

@@ -13,10 +13,12 @@
 //
 // Every offered event is WAL-logged with its admission verdict before
 // anything else happens; periodic checkpoints capture exact detector
-// state plus the WAL position; recovery (start()) loads the newest
-// valid checkpoint generation — falling back past corrupt ones — and
-// replays the WAL suffix through the same apply step a live offer runs
-// after its append, re-executing recorded admission verdicts.
+// state plus the WAL position and the queue head's WAL index;
+// recovery (start()) loads the newest valid checkpoint generation —
+// falling back past corrupt ones — re-queues the admitted WAL records
+// from the queue head to the position, and replays the WAL suffix
+// through the same apply step a live offer runs after its append,
+// re-executing recorded admission verdicts.
 // The recovered service is byte-identical to one that never crashed:
 // same verdicts, same features, same accounting JSON (tested with a
 // process crash at every storage op; docs/ROBUSTNESS.md §Recovery
@@ -60,6 +62,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -140,8 +143,9 @@ struct ServiceOptions {
   /// recovered run checkpoint at the same stream positions.
   std::uint64_t checkpoint_every = 10000;
   /// Checkpoint generations kept on disk (the corrupt-latest fallback
-  /// depth); older generations and fully-covered WAL segments are
-  /// pruned after each successful checkpoint.
+  /// depth); older generations, and WAL segments wholly below every
+  /// retained generation's replay start, are pruned after each
+  /// successful checkpoint.
   std::size_t checkpoint_retain = 2;
   /// Storage backend for every durable path this supervisor owns — WAL
   /// segments, checkpoint containers, pruning (null → io::default_vfs()).
@@ -159,13 +163,16 @@ struct ServiceOptions {
 /// What start() found and did — the typed recovery outcome.
 struct RecoveryReport {
   /// No usable checkpoint generation existed (first boot, or every
-  /// generation corrupt); state was rebuilt from the full WAL.
+  /// generation corrupt); state was rebuilt from the full WAL, which
+  /// must still start at record 0.
   bool cold_start = true;
   /// Generation recovered from (empty on cold start).
   std::string checkpoint_file;
   std::uint64_t checkpoint_position = 0;
   /// Corrupt generations skipped before a valid one loaded.
   std::uint64_t generations_discarded = 0;
+  /// Records at or past the checkpoint position run through apply();
+  /// the re-queued records below it are not counted.
   std::uint64_t records_replayed = 0;
   std::uint64_t records_truncated = 0;
   std::uint64_t torn_tails_healed = 0;
@@ -222,6 +229,9 @@ class ServiceSupervisor {
 
   /// Recovers state (checkpoint + WAL replay) and opens the WAL for
   /// appending. Must be called exactly once, before any offer/pump.
+  /// Throws io::SnapshotError(kTruncated) when the WAL lacks a record
+  /// from the chosen generation's replay start on (from index 0 on a
+  /// cold start), rather than resume on part of the history.
   RecoveryReport start();
 
   /// Admission control + WAL + enqueue for one event. Returns true if
@@ -435,6 +445,9 @@ class ServiceSupervisor {
   std::uint64_t published_defense_dirty_ = 0;
   std::uint64_t published_defense_rounds_ = 0;
   std::uint64_t published_defense_full_ = 0;
+  /// Replay start of each retained generation this supervisor wrote or
+  /// loaded, keyed by WAL position: what WAL pruning must keep.
+  std::map<std::uint64_t, std::uint64_t> replay_starts_;
 };
 
 }  // namespace sybil::service

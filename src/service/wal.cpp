@@ -357,7 +357,7 @@ std::uint64_t prune_wal(const std::string& dir, std::uint64_t index,
   std::uint64_t removed = 0;
   for (std::size_t i = 0; i + 1 < segments.size(); ++i) {
     // Segment i covers [base_i, base_{i+1}); delete it only when every
-    // record it can hold is behind the oldest retained checkpoint.
+    // record it can hold is behind the oldest retained replay start.
     if (segments[i + 1].first <= index) {
       if (vfs->remove(segments[i].second.string())) ++removed;
     }

@@ -186,8 +186,9 @@ std::vector<WalRecord> scan_wal(const std::string& dir,
                                 std::uint32_t expected_shard = kWalAnyShard,
                                 io::Vfs* vfs = nullptr);
 
-/// Deletes segments whose entire record range lies below `index` (all
-/// retained checkpoints are at or above it). Returns segments removed.
+/// Deletes segments whose entire record range lies below `index` (every
+/// retained checkpoint replays from at or above it). Returns segments
+/// removed.
 std::uint64_t prune_wal(const std::string& dir, std::uint64_t index,
                         io::Vfs* vfs = nullptr);
 

@@ -11,34 +11,30 @@
 //     byte-identical, across SYBIL_THREADS 1 and 8;
 //   * checkpoint compatibility both ways: a defense-off supervisor
 //     ignores a scorer section; a defense-ON supervisor refuses a
-//     checkpoint without one (typed fallback → WAL rebuild that lands
-//     on the from-birth bytes);
+//     checkpoint without one (typed fallback → a WAL rebuild that lands
+//     on the from-birth bytes, or a typed refusal to start when the WAL
+//     was pruned);
 //   * N-vs-1 shard identity with the tier on — edge events broadcast,
 //     so every shard scores the same graph and merged annotated flags
 //     match a single shard's, across thread counts;
 //   * the defense metric family: per-shard rows sum exactly into the
-//     aggregate twins and match the scorers' ground truth;
-//   * the committed golden checkpoint binaries (tests/data/
-//     service_ckpt_v3.sybs and service_ckpt_v4.sybs, docs/FORMATS.md
-//     §5.4): v3 loads field-exact, and re-serializing the same state
-//     reproduces the v4 bytes.
+//     aggregate twins and match the scorers' ground truth.
+//
+// The checkpoint codec itself (golden binaries, typed load refusals)
+// is tested in tests/io/service_checkpoint_test.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <string>
 #include <vector>
 
 #include "core/metrics/metrics.h"
 #include "core/parallel.h"
-#include "io/container.h"
+#include "io/error.h"
 #include "io/faulty_vfs.h"
 #include "osn/network.h"
-#include "service/checkpoint.h"
 #include "service/defense_scorer.h"
 #include "service/router.h"
 #include "service/supervisor.h"
@@ -331,35 +327,49 @@ TEST_F(DefenseService, DefenseOffReaderIgnoresScorerSection) {
 
 // The reverse direction: a defense-ON supervisor refuses checkpoints
 // without a scorer section — typed SnapshotError inside the generation
-// fallback, so EVERY retained generation is discarded and the service
-// cold-starts from the surviving WAL. The WAL prefix covered by those
-// checkpoints was legitimately pruned, so the rebuilt scorer sees only
-// the suffix — exactly the documented "enable the tier from the
-// service's birth" caveat (service/defense_scorer.h): the start is
-// loud and consistent, never a silently empty graph resumed from a
-// scorerless snapshot.
+// fallback, so EVERY retained generation is discarded and only a cold
+// start from the WAL is left. While the WAL still begins at record 0,
+// that start rebuilds the scorer and lands on the from-birth bytes.
+// Once the WAL has been pruned behind the checkpoints, start() refuses
+// typed instead: a scorer (and counters) rebuilt from a WAL suffix
+// would resume on part of the history — the documented "enable the
+// tier from the service's birth" caveat (service/defense_scorer.h).
 TEST_F(DefenseService, DefenseOnRefusesScorerlessCheckpointAndRebuilds) {
   const std::vector<osn::Event> log = build_log(13);
-  const std::string dir = fresh_dir("on_reader");
-  {
-    ServiceSupervisor s(make_options(dir, /*defense=*/false));
+  const auto run_defense_off = [&log](const ServiceOptions& o) {
+    ServiceSupervisor s(o);
     s.start();
     drive(s, log, 0);
-  }
-  ServiceSupervisor s(make_options(dir, /*defense=*/true));
-  const RecoveryReport report = s.start();
+  };
+
+  // The whole WAL is one segment, which pruning never removes.
+  const std::string whole = fresh_dir("on_reader_whole");
+  ServiceOptions off = make_options(whole, /*defense=*/false);
+  off.wal_segment_records = log.size() + 1;
+  run_defense_off(off);
+  ServiceSupervisor rebuilt(make_options(whole, /*defense=*/true));
+  const RecoveryReport report = rebuilt.start();
   EXPECT_TRUE(report.cold_start)
       << "every generation lacks the scorer section";
   EXPECT_EQ(report.generations_discarded, 2u);  // both retained ones
-  EXPECT_GT(report.records_replayed, 0u);
-  EXPECT_TRUE(s.accounting_ok());
-  // The service runs on consistently, scoring from the WAL suffix it
-  // could still see.
-  drive(s, log, report.next_index, report.checkpoint_position);
-  EXPECT_TRUE(s.accounting_ok());
-  ASSERT_NE(s.defense(), nullptr);
-  EXPECT_GT(s.defense()->edges_observed(), 0u);
-  EXPECT_NE(s.stats_json().find(",\"defense\":{"), std::string::npos);
+  EXPECT_EQ(report.records_replayed, log.size());
+  EXPECT_TRUE(rebuilt.accounting_ok());
+  drive(rebuilt, log, report.next_index, report.checkpoint_position);
+  const RunResult birth =
+      run_baseline(log, fresh_dir("on_reader_birth"), /*defense=*/true);
+  EXPECT_EQ(rebuilt.stats_json(), birth.stats);
+  expect_flags_equal(rebuilt.take_flagged(), birth.flags);
+
+  // Pruned WAL: the cold start is refused.
+  const std::string pruned = fresh_dir("on_reader");
+  run_defense_off(make_options(pruned, /*defense=*/false));
+  ServiceSupervisor refused(make_options(pruned, /*defense=*/true));
+  try {
+    refused.start();
+    ADD_FAILURE() << "started over a WAL pruned behind its checkpoints";
+  } catch (const io::SnapshotError& e) {
+    EXPECT_EQ(e.code(), io::SnapshotErrorCode::kTruncated) << e.what();
+  }
 }
 
 // ---- Sharded: N-vs-1 identity and the metric family -----------------
@@ -498,191 +508,6 @@ TEST_F(DefenseService, DefenseMetricsAggregateExactly) {
   registry.reset();
 }
 #endif  // SYBIL_METRICS_COMPILED
-
-// ---- Golden v3/v4 checkpoints (docs/FORMATS.md §5.4) ------------------
-
-std::string golden(const char* name) {
-  return std::string(SYBIL_TEST_DATA_DIR) + "/" + name;
-}
-
-/// The exact state behind tests/data/service_ckpt_v4.sybs and, but for
-/// v3's opaque "R1" section 4, service_ckpt_v3.sybs — every field here
-/// is documented in the worked examples of FORMATS.md §5.4.
-/// Fully deterministic: fixed options, fixed events, no RNG, no clock.
-ServiceCheckpointState golden_state() {
-  ServiceCheckpointState s;
-  s.wal_position = 7;
-  s.tier = 1;  // kShedLowPriority
-  s.shard_id = 2;
-  s.shard_count = 4;
-  s.next_seq = 7;
-  s.counters.offered = 7;
-  s.counters.admitted = 6;
-  s.counters.pumped = 5;
-  s.counters.shed_low_priority = 1;
-  s.counters.sweeps = 2;
-  s.counters.sweep_flagged = 1;
-  WalRecord r;
-  r.index = 6;
-  r.seq = 6;
-  r.event = {osn::EventType::kRequestSent, 3, 4, 1.5};
-  r.flags = 0;
-  s.queue.push_back(r);
-  s.stream_state = {std::byte{0x53}, std::byte{0x31}};    // opaque "S1"
-
-  core::DetectorOptions opts;
-  opts.defense.enabled = true;
-  opts.defense.seeds = {0, 1};
-  DefenseScorer scorer(opts);
-  scorer.observe({osn::EventType::kRequestAccepted, 1, 2, 1.0});
-  scorer.observe({osn::EventType::kRequestAccepted, 2, 3, 2.0});
-  scorer.observe({osn::EventType::kFriendshipSeeded, 0, 3, 3.0});
-  scorer.observe({osn::EventType::kRequestAccepted, 1, 2, 4.0});  // dup
-  scorer.observe({osn::EventType::kRequestAccepted, 3, 3, 5.0});  // loop
-  scorer.refresh();
-  scorer.observe({osn::EventType::kRequestAccepted, 0, 2, 6.0});
-  s.defense_state = scorer.serialize();  // mid-interval: {0, 2} dirty
-  return s;
-}
-
-TEST_F(DefenseService, GoldenCheckpointV3Loads) {
-  const ServiceCheckpointState want = golden_state();
-  const ServiceCheckpointState got =
-      load_service_checkpoint(golden("service_ckpt_v3.sybs"));
-  EXPECT_EQ(got.wal_position, want.wal_position);
-  EXPECT_EQ(got.tier, want.tier);
-  EXPECT_EQ(got.shard_id, want.shard_id);
-  EXPECT_EQ(got.shard_count, want.shard_count);
-  EXPECT_EQ(got.next_seq, want.next_seq);
-  EXPECT_EQ(got.counters.offered, want.counters.offered);
-  EXPECT_EQ(got.counters.admitted, want.counters.admitted);
-  EXPECT_EQ(got.counters.pumped, want.counters.pumped);
-  EXPECT_EQ(got.counters.shed_low_priority, want.counters.shed_low_priority);
-  EXPECT_EQ(got.counters.sweeps, want.counters.sweeps);
-  EXPECT_EQ(got.counters.sweep_flagged, want.counters.sweep_flagged);
-  EXPECT_TRUE(got.counters == want.counters);
-  ASSERT_EQ(got.queue.size(), 1u);
-  EXPECT_EQ(got.queue[0].index, 6u);
-  EXPECT_EQ(got.queue[0].seq, 6u);
-  EXPECT_EQ(got.queue[0].event.actor, 3u);
-  EXPECT_EQ(got.queue[0].event.subject, 4u);
-  EXPECT_EQ(got.stream_state, want.stream_state);
-  ASSERT_EQ(got.defense_state, want.defense_state);
-
-  // The scorer blob restores into a working scorer: 4 distinct edges,
-  // 2 deterministic skips, one refresh, nodes 0 and 2 still dirty.
-  core::DetectorOptions opts;
-  opts.defense.enabled = true;
-  opts.defense.seeds = {0, 1};
-  DefenseScorer scorer(opts);
-  scorer.restore(got.defense_state);
-  EXPECT_EQ(scorer.edges_observed(), 4u);
-  EXPECT_EQ(scorer.ignored(), 2u);
-  EXPECT_EQ(scorer.refreshes(), 1u);
-  EXPECT_EQ(scorer.graph().edge_count(), 4u);
-  const auto dirty = scorer.graph().dirty();
-  ASSERT_EQ(dirty.size(), 2u);
-  EXPECT_EQ(dirty[0], 0u);
-  EXPECT_EQ(dirty[1], 2u);
-}
-
-TEST_F(DefenseService, GoldenCheckpointV4BytesAreFrozen) {
-  const std::string fresh = ::testing::TempDir() + "/sybil_ckpt_v4_fresh.sybs";
-  save_service_checkpoint(fresh, golden_state());
-  std::ifstream fa(golden("service_ckpt_v4.sybs"), std::ios::binary);
-  std::ifstream fb(fresh, std::ios::binary);
-  ASSERT_TRUE(fa.good()) << "committed golden missing";
-  ASSERT_TRUE(fb.good());
-  const std::string ba((std::istreambuf_iterator<char>(fa)), {});
-  const std::string bb((std::istreambuf_iterator<char>(fb)), {});
-  EXPECT_EQ(ba, bb)
-      << "service checkpoint format changed without a version bump "
-         "(docs/FORMATS.md §5.4)";
-  std::remove(fresh.c_str());
-}
-
-// ---- load_service_checkpoint rejects what it cannot mean --------------
-
-/// The golden v3 checkpoint re-containered section by section, each
-/// payload passed through `edit(id, payload)` (1 = meta, 2 = queue;
-/// FORMATS.md §5.4). Every CRC stays valid, so only the checkpoint
-/// decoder can notice.
-template <typename Edit>
-std::string golden_edited(const std::string& name, Edit edit) {
-  const io::ContainerReader reader(golden("service_ckpt_v3.sybs"),
-                                   io::PayloadKind::kServiceCheckpoint);
-  io::ContainerWriter writer(io::PayloadKind::kServiceCheckpoint);
-  for (std::uint32_t id = 1; id <= 5; ++id) {
-    const auto bytes = reader.section(id);
-    std::vector<std::byte> payload(bytes.begin(), bytes.end());
-    edit(id, payload);
-    writer.add_section(id, std::move(payload));
-  }
-  const std::string path =
-      ::testing::TempDir() + "/sybil_ckpt_edited_" + name + ".sybs";
-  writer.commit(path);
-  return path;
-}
-
-/// The golden with one zero byte appended to section `grown` (0 grows
-/// nothing).
-std::string golden_grown(std::uint32_t grown, const std::string& name) {
-  return golden_edited(name, [&](std::uint32_t id, auto& payload) {
-    if (id == grown) payload.push_back(std::byte{0});
-  });
-}
-
-void expect_load_refused(const std::string& path, io::SnapshotErrorCode code) {
-  try {
-    load_service_checkpoint(path);
-    ADD_FAILURE() << path << " loaded";
-  } catch (const io::SnapshotError& e) {
-    EXPECT_EQ(e.code(), code) << e.what();
-  }
-  std::remove(path.c_str());
-}
-
-TEST_F(DefenseService, CheckpointLoadRejectsTrailingMetaBytes) {
-  const std::string control = golden_grown(0, "control");
-  EXPECT_NO_THROW(load_service_checkpoint(control));
-  std::remove(control.c_str());
-  expect_load_refused(golden_grown(1, "meta"),
-                      io::SnapshotErrorCode::kMalformedSection);
-}
-
-TEST_F(DefenseService, CheckpointLoadRejectsTrailingQueueBytes) {
-  expect_load_refused(golden_grown(2, "queue"),
-                      io::SnapshotErrorCode::kMalformedSection);
-}
-
-// A count no section could hold fails before it sizes the queue: with
-// 2^32 - 1 records of 40 bytes claimed by an 8-byte section, the loader
-// must throw its typed error rather than attempt the allocation.
-TEST_F(DefenseService, CheckpointLoadRejectsQueueCountPastSectionEnd) {
-  expect_load_refused(
-      golden_edited("queue_count",
-                    [](std::uint32_t id, auto& payload) {
-                      if (id != 2) return;
-                      io::ByteWriter w;
-                      w.write(std::uint64_t{0xFFFFFFFF});
-                      payload = std::move(w).take();
-                    }),
-      io::SnapshotErrorCode::kMalformedSection);
-}
-
-TEST_F(DefenseService, CheckpointLoadRejectsTierAboveSweepOnly) {
-  const std::string path = ::testing::TempDir() + "/sybil_ckpt_tier.sybs";
-  constexpr auto kTop =
-      static_cast<std::uint32_t>(core::ServiceTier::kSweepOnly);
-  ServiceCheckpointState state = golden_state();
-  state.tier = kTop;
-  save_service_checkpoint(path, std::move(state));
-  EXPECT_EQ(load_service_checkpoint(path).tier, kTop);  // still loads
-  state = golden_state();
-  state.tier = kTop + 1;
-  save_service_checkpoint(path, std::move(state));
-  expect_load_refused(path, io::SnapshotErrorCode::kFormatViolation);
-}
 
 }  // namespace
 }  // namespace sybil::service

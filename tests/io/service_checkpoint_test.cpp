@@ -1,0 +1,190 @@
+// Service checkpoint codec suite (docs/FORMATS.md §5.4): the committed
+// golden binaries and every typed refusal of load_service_checkpoint,
+// in the `io` binary so the asan-io preset runs this decoder too.
+//
+//   * tests/data/service_ckpt_v5.sybs loads field-exact, and
+//     re-serializing the same state reproduces its bytes;
+//   * the v3 and v4 goldens — formats that carried the unpumped queue —
+//     are refused with kUnsupportedVersion;
+//   * trailing meta bytes, a tier above kSweepOnly and a replay start
+//     past the WAL position are refused, each with its own code.
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
+
+#include "core/detector_options.h"
+#include "io/container.h"
+#include "io/error.h"
+#include "osn/events.h"
+#include "service/checkpoint.h"
+#include "service/defense_scorer.h"
+
+namespace sybil::service {
+namespace {
+
+std::string golden(const char* name) {
+  return std::string(SYBIL_TEST_DATA_DIR) + "/" + name;
+}
+
+core::DetectorOptions golden_defense_options() {
+  core::DetectorOptions opts;
+  opts.defense.enabled = true;
+  opts.defense.seeds = {0, 1};
+  return opts;
+}
+
+/// The exact state behind tests/data/service_ckpt_v5.sybs — every field
+/// here is documented in the worked example of FORMATS.md §5.4. Fully
+/// deterministic: fixed options, fixed events, no RNG, no clock.
+ServiceCheckpointState golden_state() {
+  ServiceCheckpointState s;
+  s.wal_position = 7;
+  s.replay_from = 6;  // record 6 is admitted and not yet pumped
+  s.tier = 1;         // kShedLowPriority
+  s.shard_id = 2;
+  s.shard_count = 4;
+  s.next_seq = 7;
+  s.counters.offered = 7;
+  s.counters.admitted = 6;
+  s.counters.pumped = 5;
+  s.counters.shed_low_priority = 1;
+  s.counters.sweeps = 2;
+  s.counters.sweep_flagged = 1;
+  s.stream_state = {std::byte{0x53}, std::byte{0x31}};  // opaque "S1"
+
+  DefenseScorer scorer(golden_defense_options());
+  scorer.observe({osn::EventType::kRequestAccepted, 1, 2, 1.0});
+  scorer.observe({osn::EventType::kRequestAccepted, 2, 3, 2.0});
+  scorer.observe({osn::EventType::kFriendshipSeeded, 0, 3, 3.0});
+  scorer.observe({osn::EventType::kRequestAccepted, 1, 2, 4.0});  // dup
+  scorer.observe({osn::EventType::kRequestAccepted, 3, 3, 5.0});  // loop
+  scorer.refresh();
+  scorer.observe({osn::EventType::kRequestAccepted, 0, 2, 6.0});
+  s.defense_state = scorer.serialize();  // mid-interval: {0, 2} dirty
+  return s;
+}
+
+void expect_load_refused(const std::string& path, io::SnapshotErrorCode code) {
+  try {
+    load_service_checkpoint(path);
+    ADD_FAILURE() << path << " loaded";
+  } catch (const io::SnapshotError& e) {
+    EXPECT_EQ(e.code(), code) << e.what();
+  }
+}
+
+TEST(ServiceCheckpoint, GoldenCheckpointV5Loads) {
+  const ServiceCheckpointState want = golden_state();
+  const ServiceCheckpointState got =
+      load_service_checkpoint(golden("service_ckpt_v5.sybs"));
+  EXPECT_EQ(got.wal_position, want.wal_position);
+  EXPECT_EQ(got.replay_from, want.replay_from);
+  EXPECT_EQ(got.tier, want.tier);
+  EXPECT_EQ(got.shard_id, want.shard_id);
+  EXPECT_EQ(got.shard_count, want.shard_count);
+  EXPECT_EQ(got.next_seq, want.next_seq);
+  EXPECT_TRUE(got.counters == want.counters);
+  EXPECT_EQ(got.stream_state, want.stream_state);
+  ASSERT_EQ(got.defense_state, want.defense_state);
+
+  // The scorer blob restores into a working scorer: 4 distinct edges,
+  // 2 deterministic skips, one refresh, nodes 0 and 2 still dirty.
+  DefenseScorer scorer(golden_defense_options());
+  scorer.restore(got.defense_state);
+  EXPECT_EQ(scorer.edges_observed(), 4u);
+  EXPECT_EQ(scorer.ignored(), 2u);
+  EXPECT_EQ(scorer.refreshes(), 1u);
+  EXPECT_EQ(scorer.graph().edge_count(), 4u);
+  const auto dirty = scorer.graph().dirty();
+  ASSERT_EQ(dirty.size(), 2u);
+  EXPECT_EQ(dirty[0], 0u);
+  EXPECT_EQ(dirty[1], 2u);
+}
+
+TEST(ServiceCheckpoint, GoldenCheckpointV5BytesAreFrozen) {
+  const std::string fresh = ::testing::TempDir() + "/sybil_ckpt_v5_fresh.sybs";
+  save_service_checkpoint(fresh, golden_state());
+  std::ifstream fa(golden("service_ckpt_v5.sybs"), std::ios::binary);
+  std::ifstream fb(fresh, std::ios::binary);
+  ASSERT_TRUE(fa.good()) << "committed golden missing";
+  ASSERT_TRUE(fb.good());
+  const std::string ba((std::istreambuf_iterator<char>(fa)), {});
+  const std::string bb((std::istreambuf_iterator<char>(fb)), {});
+  EXPECT_EQ(ba, bb)
+      << "service checkpoint format changed without a version bump "
+         "(docs/FORMATS.md §5.4)";
+  std::remove(fresh.c_str());
+}
+
+// v3 and v4 stored the unpumped queue in section 2; v5 re-reads it from
+// the WAL, so the older goldens are kept only to be refused.
+TEST(ServiceCheckpoint, GoldenCheckpointsV3AndV4AreRefused) {
+  expect_load_refused(golden("service_ckpt_v3.sybs"),
+                      io::SnapshotErrorCode::kUnsupportedVersion);
+  expect_load_refused(golden("service_ckpt_v4.sybs"),
+                      io::SnapshotErrorCode::kUnsupportedVersion);
+}
+
+/// The v5 golden re-containered with one zero byte appended to its meta
+/// section when `grow_meta` is set. Every CRC stays valid, so only the
+/// checkpoint decoder can notice.
+std::string golden_regrown(bool grow_meta, const std::string& name) {
+  const io::ContainerReader reader(golden("service_ckpt_v5.sybs"),
+                                   io::PayloadKind::kServiceCheckpoint);
+  io::ContainerWriter writer(io::PayloadKind::kServiceCheckpoint);
+  for (const std::uint32_t id : {1u, 3u, 5u}) {
+    const auto bytes = reader.section(id);
+    std::vector<std::byte> payload(bytes.begin(), bytes.end());
+    if (id == 1 && grow_meta) payload.push_back(std::byte{0});
+    writer.add_section(id, std::move(payload));
+  }
+  const std::string path =
+      ::testing::TempDir() + "/sybil_ckpt_edited_" + name + ".sybs";
+  writer.commit(path);
+  return path;
+}
+
+TEST(ServiceCheckpoint, CheckpointLoadRejectsTrailingMetaBytes) {
+  const std::string control = golden_regrown(false, "control");
+  EXPECT_NO_THROW(load_service_checkpoint(control));
+  std::remove(control.c_str());
+  const std::string grown = golden_regrown(true, "meta");
+  expect_load_refused(grown, io::SnapshotErrorCode::kMalformedSection);
+  std::remove(grown.c_str());
+}
+
+TEST(ServiceCheckpoint, CheckpointLoadRejectsTierAboveSweepOnly) {
+  const std::string path = ::testing::TempDir() + "/sybil_ckpt_tier.sybs";
+  constexpr auto kTop =
+      static_cast<std::uint32_t>(core::ServiceTier::kSweepOnly);
+  ServiceCheckpointState state = golden_state();
+  state.tier = kTop;
+  save_service_checkpoint(path, std::move(state));
+  EXPECT_EQ(load_service_checkpoint(path).tier, kTop);  // still loads
+  state = golden_state();
+  state.tier = kTop + 1;
+  save_service_checkpoint(path, std::move(state));
+  expect_load_refused(path, io::SnapshotErrorCode::kFormatViolation);
+  std::remove(path.c_str());
+}
+
+// The queue can never start past the WAL position it was taken at.
+TEST(ServiceCheckpoint, CheckpointLoadRejectsReplayFromPastWalPosition) {
+  const std::string path = ::testing::TempDir() + "/sybil_ckpt_replay.sybs";
+  ServiceCheckpointState state = golden_state();
+  state.replay_from = state.wal_position;  // an empty queue: still loads
+  save_service_checkpoint(path, std::move(state));
+  EXPECT_EQ(load_service_checkpoint(path).replay_from, 7u);
+  state = golden_state();
+  state.replay_from = state.wal_position + 1;
+  save_service_checkpoint(path, std::move(state));
+  expect_load_refused(path, io::SnapshotErrorCode::kFormatViolation);
+  std::remove(path.c_str());
+}
+
+}  // namespace
+}  // namespace sybil::service

@@ -13,11 +13,18 @@
 //     silent loss;
 //   * recovery with no checkpoint at all (cold start) rebuilds from
 //     the full WAL;
+//   * the unpumped queue, which checkpoints do not store, comes back
+//     from the WAL — shed records between its entries stay out;
+//   * a WAL that no longer reaches the replay start (a lost segment, or
+//     a cold start over a pruned log) is refused typed, never resumed
+//     on part of the history; WAL retention keeps what every retained
+//     generation replays, including ones an earlier process wrote;
 //   * checkpoint retention deletes exactly the pruned generations, and
 //     through the service's vfs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -25,6 +32,7 @@
 
 #include "core/parallel.h"
 #include "faults/process_faults.h"
+#include "io/error.h"
 #include "io/faulty_vfs.h"
 #include "osn/network.h"
 #include "service/supervisor.h"
@@ -133,13 +141,18 @@ ServiceOptions make_options(const std::string& dir,
 /// (the replayed backlog is a superset of the live queue at each
 /// schedule point), which re-aligns queue depth with the uninterrupted
 /// run before the first post-crash admission decision.
-void drive(ServiceSupervisor& s, const std::vector<osn::Event>& log,
-           std::uint64_t offer_from, std::uint64_t pump_from = 0) {
-  for (std::uint64_t i = std::min(offer_from, pump_from); i < log.size();
-       ++i) {
+void drive_until(ServiceSupervisor& s, const std::vector<osn::Event>& log,
+                 std::uint64_t offer_from, std::uint64_t pump_from,
+                 std::uint64_t until) {
+  for (std::uint64_t i = std::min(offer_from, pump_from); i < until; ++i) {
     if (i >= offer_from) s.offer(log[i], i);
     if (i >= pump_from && i % 7 == 6) s.pump(3);
   }
+}
+
+void drive(ServiceSupervisor& s, const std::vector<osn::Event>& log,
+           std::uint64_t offer_from, std::uint64_t pump_from = 0) {
+  drive_until(s, log, offer_from, pump_from, log.size());
   s.flush();
 }
 
@@ -318,6 +331,176 @@ TEST_F(ServiceRecovery, ColdStartReplaysTheFullWal) {
   drive(recovered, log, report.next_index, report.checkpoint_position);
   EXPECT_EQ(recovered.stats_json(), base.stats);
   expect_flags_equal(recovered.take_flagged(), base.flags);
+}
+
+// Retention keeps the WAL every retained generation replays, including
+// generations an earlier process wrote, whose replay starts this one
+// does not know: it keeps the whole WAL until they are pruned. Here
+// the newest two of three retained generations are corrupt, and the
+// oldest — written before the restart — must still find its records.
+TEST_F(ServiceRecovery, FallbackPastARestartFindsItsReplayStart) {
+  const std::vector<osn::Event> log = build_log(29);
+  ASSERT_GT(log.size(), 480u);
+  const RunResult base = run_baseline(log, fresh_dir("retain_base"));
+
+  const std::string dir = fresh_dir("retain");
+  ServiceOptions opts = make_options(dir);
+  opts.checkpoint_every = 64;
+  opts.checkpoint_retain = 3;
+  {
+    ServiceSupervisor s(opts);
+    s.start();
+    drive_until(s, log, 0, 0, 400);  // generations 256, 320, 384 remain
+  }
+  {
+    ServiceSupervisor s(opts);
+    const RecoveryReport report = s.start();
+    ASSERT_EQ(report.checkpoint_position, 384u);
+    drive_until(s, log, report.next_index, report.checkpoint_position, 460);
+  }
+  const auto generations = list_checkpoints(dir + "/ckpt");
+  ASSERT_EQ(generations.size(), 3u);
+  ASSERT_EQ(generations.front().first, 320u);
+  faults::tear_file_tail(generations[1].second, /*seed=*/5);
+  faults::tear_file_tail(generations[2].second, /*seed=*/6);
+
+  ServiceSupervisor recovered(opts);
+  const RecoveryReport report = recovered.start();
+  EXPECT_EQ(report.generations_discarded, 2u);
+  EXPECT_EQ(report.checkpoint_position, 320u);
+  EXPECT_TRUE(recovered.accounting_ok());
+  drive(recovered, log, report.next_index, report.checkpoint_position);
+  EXPECT_EQ(recovered.stats_json(), base.stats);
+  expect_flags_equal(recovered.take_flagged(), base.flags);
+}
+
+void expect_start_refused(ServiceSupervisor& s) {
+  try {
+    s.start();
+    ADD_FAILURE() << "started without the records its replay start needs";
+  } catch (const io::SnapshotError& e) {
+    EXPECT_EQ(e.code(), io::SnapshotErrorCode::kTruncated) << e.what();
+  }
+}
+
+// A cold start needs the WAL from record 0. Once checkpoints have let
+// the WAL be pruned, deleting them must not leave a service that
+// silently rebuilds from the surviving suffix.
+TEST_F(ServiceRecovery, ColdStartOverPrunedWalIsRefused) {
+  const std::vector<osn::Event> log = build_log(23);
+  const std::string dir = fresh_dir("pruned_cold");
+  {
+    ServiceSupervisor s(make_options(dir));
+    s.start();
+    drive(s, log, 0);
+  }
+  fs::remove_all(dir + "/ckpt");
+  ServiceSupervisor recovered(make_options(dir));
+  expect_start_refused(recovered);
+}
+
+/// Tiny overload watermarks (resume 2 < shed 4 <= sweep-only 6 <=
+/// capacity 8, as in overload_test.cpp), two-record WAL segments and
+/// explicit checkpoints only.
+ServiceOptions tiny_options(const std::string& dir) {
+  ServiceOptions o = make_options(dir);
+  o.wal_segment_records = 2;
+  o.checkpoint_every = 0;
+  o.detector.overload.queue_capacity = 8;
+  o.detector.overload.shed_watermark = 4;
+  o.detector.overload.sweep_only_watermark = 6;
+  o.detector.overload.resume_watermark = 2;
+  o.detector.rule.invite_rate_min = 2.0;
+  o.detector.rule.min_requests = 3;
+  return o;
+}
+
+/// Account 1's request burst, with the queue driven through the shed
+/// tiers: the checkpoint (WAL position 10) is taken while the queue
+/// holds admitted records 2, 3, 4, 5, 7 and 9, with records 6 and 8
+/// shed between them; records 10 (shed) and 11 (a ban) follow it.
+void offer_script(ServiceSupervisor& s) {
+  double t = 0.0;
+  std::uint64_t seq = 0;
+  const auto request = [&](graph::NodeId to) {
+    s.offer({osn::EventType::kRequestSent, 1, to, t += 0.01}, seq++);
+  };
+  const auto created = [&](graph::NodeId who) {
+    s.offer({osn::EventType::kAccountCreated, who, who, t += 0.01}, seq++);
+  };
+  for (graph::NodeId to = 10; to < 13; ++to) request(to);
+  s.pump(2);  // the queue head is now record 2
+  for (graph::NodeId to = 13; to < 16; ++to) request(to);
+  created(30);  // depth 4: shed-low-priority tier, shed
+  request(16);
+  created(31);  // shed
+  request(17);
+  s.checkpoint_now();
+  request(18);  // depth 6: sweep-only tier, shed
+  s.offer({osn::EventType::kAccountBanned, 40, 40, t += 0.01}, seq++);
+}
+
+TEST_F(ServiceRecovery, QueueAmongShedRecordsComesBackFromTheWal) {
+  RunResult base;
+  {
+    ServiceSupervisor s(tiny_options(fresh_dir("requeue_base")));
+    s.start();
+    offer_script(s);
+    EXPECT_EQ(s.counters().shed_low_priority, 2u);
+    EXPECT_EQ(s.counters().shed_sweep_only, 1u);
+    EXPECT_EQ(s.queue_depth(), 7u);
+    s.flush();
+    s.sweep_flags(1.0);
+    base.stats = s.stats_json();
+    base.flags = s.take_flagged();
+  }
+  ASSERT_FALSE(base.flags.records.empty());
+
+  const std::string dir = fresh_dir("requeue");
+  std::string live;
+  {
+    ServiceSupervisor s(tiny_options(dir));
+    s.start();
+    offer_script(s);
+    live = s.stats_json();
+  }  // crash: nothing pumped or flushed after the script
+  const ServiceCheckpointState ckpt =
+      load_service_checkpoint(list_checkpoints(dir + "/ckpt").back().second);
+  EXPECT_EQ(ckpt.wal_position, 10u);
+  EXPECT_EQ(ckpt.replay_from, 2u);
+
+  ServiceSupervisor recovered(tiny_options(dir));
+  const RecoveryReport report = recovered.start();
+  EXPECT_FALSE(report.cold_start);
+  EXPECT_EQ(report.records_replayed, 2u);  // re-queued records not counted
+  EXPECT_EQ(recovered.queue_depth(), 7u);
+  EXPECT_EQ(recovered.stats_json(), live);
+  EXPECT_TRUE(recovered.accounting_ok());
+  recovered.flush();
+  recovered.sweep_flags(1.0);
+  EXPECT_EQ(recovered.stats_json(), base.stats);
+  expect_flags_equal(recovered.take_flagged(), base.flags);
+}
+
+// The script's checkpoint replays from record 2 with the WAL cut into
+// two-record segments. Losing the segment that holds record 2, or one
+// inside [2, 10), leaves a WAL that cannot rebuild the queue.
+TEST_F(ServiceRecovery, WalMissingRecordsBelowThePositionIsRefused) {
+  for (const std::uint64_t lost : {2u, 6u}) {
+    SCOPED_TRACE("lost segment " + std::to_string(lost));
+    const std::string dir = fresh_dir("lost_segment");
+    {
+      ServiceSupervisor s(tiny_options(dir));
+      s.start();
+      offer_script(s);
+    }
+    char name[32];
+    std::snprintf(name, sizeof(name), "wal-%020llu.seg",
+                  static_cast<unsigned long long>(lost));
+    ASSERT_TRUE(fs::remove(dir + "/wal/" + name));
+    ServiceSupervisor recovered(tiny_options(dir));
+    expect_start_refused(recovered);
+  }
 }
 
 /// Forwards to the sweep vfs, logging the checkpoint generations it
