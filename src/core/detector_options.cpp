@@ -18,9 +18,6 @@ void DetectorOptions::validate() const {
   if (first_friends == 0) {
     reject("first_friends must be >= 1 (the clustering prefix length)");
   }
-  if (retune_every == 0) {
-    reject("retune_every must be >= 1");
-  }
   if (!(rule.outgoing_accept_max >= 0.0 && rule.outgoing_accept_max <= 1.0)) {
     reject("rule.outgoing_accept_max must be a ratio in [0, 1]");
   }
@@ -30,25 +27,12 @@ void DetectorOptions::validate() const {
   if (!(rule.clustering_max >= 0.0 && rule.clustering_max <= 1.0)) {
     reject("rule.clustering_max must be a coefficient in [0, 1]");
   }
-  if (!(tuner.fp_quantile > 0.0 && tuner.fp_quantile < 1.0)) {
-    reject("tuner.fp_quantile must lie strictly inside (0, 1)");
-  }
-  if (!(tuner.smoothing >= 0.0 && tuner.smoothing <= 1.0)) {
-    reject("tuner.smoothing must lie in [0, 1]");
-  }
-  if (tuner.reservoir_capacity == 0) {
-    reject("tuner.reservoir_capacity must be >= 1");
-  }
   if (!(ingest.watermark_hours >= 0.0) ||
       !std::isfinite(ingest.watermark_hours)) {
     reject("ingest.watermark_hours must be a finite non-negative skew");
   }
   if (ingest.max_account_id == 0) {
     reject("ingest.max_account_id must be >= 1");
-  }
-  if (!(sweep_deadline_millis >= 0.0) ||
-      !std::isfinite(sweep_deadline_millis)) {
-    reject("sweep_deadline_millis must be finite and >= 0 (0 disables)");
   }
   if (overload.queue_capacity == 0) {
     reject("overload.queue_capacity must be >= 1");
@@ -63,14 +47,6 @@ void DetectorOptions::validate() const {
   if (overload.resume_watermark >= overload.shed_watermark) {
     reject(
         "overload.resume_watermark must be < shed_watermark (hysteresis)");
-  }
-  if (!(defense.residual_epsilon >= 0.0) ||
-      !std::isfinite(defense.residual_epsilon)) {
-    reject("defense.residual_epsilon must be finite and >= 0");
-  }
-  if (!(defense.full_recompute_fraction > 0.0 &&
-        defense.full_recompute_fraction <= 1.0)) {
-    reject("defense.full_recompute_fraction must lie in (0, 1]");
   }
   if (defense.enabled) {
     for (const graph::NodeId s : defense.seeds) {

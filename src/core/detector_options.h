@@ -7,42 +7,35 @@
 // (Section 2.3), and validate() rejects nonsense before a detector is
 // built with it.
 //
-// Fields a given detector does not use are simply ignored (the
-// streaming path has no adaptive tuner; the batch path has no event
-// handlers), so one options value can configure both halves of a
-// deployment and guarantee they agree on the rule.
+// Fields a given detector does not use are simply ignored (the batch
+// path has no event handlers), so one options value can configure both
+// halves of a deployment and guarantee they agree on the rule.
+//
+// Only values a deployment sets live here. What the paper's deployment
+// fixes — quarantine-and-continue ingestion, the adaptive tuner's
+// configuration and retune cadence, the incremental rank's propagation
+// settings — is a constant of the code that uses it, not an option.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "core/adaptive.h"
 #include "core/threshold_detector.h"
 #include "graph/graph.h"
 
 namespace sybil::core {
 
-/// What StreamDetector::ingest does with an event it must reject.
-enum class IngestPolicy {
-  /// Quarantine the event into the dead-letter queue with a reason
-  /// code and keep going — the production posture (docs/ROBUSTNESS.md).
-  kLenient,
-  /// Throw a typed StreamError on the first rejected event — the
-  /// debugging/backfill posture, where bad input means a broken feed.
-  kStrict,
-};
-
 /// Hostile-input hardening knobs of the streaming ingestion path
 /// (StreamDetector::ingest; the trusted on_* handlers bypass them).
+/// A rejected event is always quarantined into the dead-letter queue
+/// with a reason code, and ingestion keeps going (docs/ROBUSTNESS.md).
 struct IngestOptions {
   /// Reorder tolerance: an event may arrive up to this many hours of
   /// event time behind the newest event seen and still be slotted into
   /// its correct position; anything older is quarantined as
   /// kTimeRegression. 0 applies events immediately in arrival order.
   double watermark_hours = 48.0;
-
-  IngestPolicy policy = IngestPolicy::kLenient;
 
   /// Most recent quarantined events retained for inspection. Older
   /// entries are evicted (and counted as dropped) once the queue is
@@ -108,25 +101,14 @@ struct OverloadOptions {
 /// maintain a rolling graph from pumped accept/seed events and publish
 /// incremental SybilRank + clustering scores as a *second signal*
 /// alongside the threshold verdicts (annotation columns; never gating
-/// who is flagged).
+/// who is flagged). The incremental rank runs with
+/// detect::IncrementalRankOptions' defaults (docs/DEFENSES.md).
 struct DefenseOptions {
   bool enabled = false;
 
   /// SybilRank trust seeds (known-honest accounts). Empty disables the
   /// rank tier; clustering maintenance still runs.
   std::vector<graph::NodeId> seeds;
-
-  /// Power-iteration rounds; 0 = ceil(log2(max(2, n))) like the batch
-  /// path, recomputed as the graph grows.
-  std::size_t rank_iterations = 0;
-
-  /// Residual below which an incremental rank change stops propagating
-  /// (see detect::IncrementalRankOptions). 0 = exact propagation.
-  double residual_epsilon = 1e-12;
-
-  /// Full-recompute fallback when a delta's initial frontier exceeds
-  /// this fraction of the node count.
-  double full_recompute_fraction = 0.25;
 };
 
 struct DetectorOptions {
@@ -137,12 +119,6 @@ struct DetectorOptions {
   /// Used by StreamDetector and by RealTimeDetector's feature snapshot.
   std::size_t first_friends = 50;
 
-  /// Enables the adaptive feedback tuner on the real-time path.
-  bool adaptive = true;
-  AdaptiveConfig tuner{};
-  /// Retune after this many manual-verification confirmations.
-  std::size_t retune_every = 200;
-
   /// Streaming ingestion hardening (see IngestOptions).
   IngestOptions ingest{};
 
@@ -150,25 +126,13 @@ struct DetectorOptions {
   /// ignored by detectors used without a ServiceSupervisor).
   OverloadOptions overload{};
 
-  /// Real-time sweep degradation: at most this many candidates are
-  /// evaluated per sweep (0 = unlimited); the remainder carries over to
-  /// the next sweep in order, so a huge candidate batch degrades into
-  /// several bounded sweeps instead of one stalled sweep.
-  std::size_t sweep_budget = 0;
-
-  /// Wall-clock budget per sweep in milliseconds (0 = none). At least
-  /// one candidate is always evaluated so successive sweeps make
-  /// progress. Deterministic runs should use sweep_budget instead.
-  double sweep_deadline_millis = 0.0;
-
   /// Incremental graph-defense tier (see DefenseOptions; ignored by
   /// detectors used without a ServiceSupervisor).
   DefenseOptions defense{};
 
   /// Throws std::invalid_argument naming the offending field when the
-  /// options cannot configure any detector (zero prefix length, zero
-  /// retune cadence, out-of-range ratios/quantiles, negative or
-  /// non-finite watermark, ...).
+  /// options cannot configure any detector (zero prefix length,
+  /// out-of-range ratios, negative or non-finite watermark, ...).
   void validate() const;
 };
 

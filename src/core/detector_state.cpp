@@ -314,8 +314,6 @@ struct DetectorStateAccess {
     w.write(static_cast<std::uint64_t>(flagged.size()));
     for (osn::NodeId id : flagged) w.write(id);
 
-    w.write(static_cast<std::uint64_t>(d.carryover_.size()));
-    for (osn::NodeId id : d.carryover_) w.write(id);
     w.write(static_cast<std::uint64_t>(d.confirmations_));
 
     const AdaptiveThresholdTuner& t = d.tuner_;

@@ -1,21 +1,23 @@
 #include "core/realtime_detector.h"
 
-#include <chrono>
-
 #include "core/metrics/instrument.h"
 
 namespace sybil::core {
+
+namespace {
+
+/// Manual-verification confirmations between two retunes of the rule.
+constexpr std::size_t kRetuneEvery = 200;
+
+}  // namespace
 
 RealTimeDetector::RealTimeDetector(const DetectorOptions& options)
     : options_([&] {
         options.validate();  // reject nonsense before any member is built
         return options;
       }()),
-      detector_(options.rule), tuner_([&] {
-        AdaptiveConfig t = options.tuner;
-        t.initial = options.rule;
-        return t;
-      }()) {}
+      detector_(options.rule),
+      tuner_(AdaptiveConfig{.initial = options.rule}) {}
 
 FlagBatch RealTimeDetector::sweep(const osn::Network& net,
                                   const std::vector<osn::NodeId>& candidates,
@@ -25,40 +27,9 @@ FlagBatch RealTimeDetector::sweep(const osn::Network& net,
   const FeatureExtractor extractor(net, /*long_window_hours=*/400.0,
                                    options_.first_friends);
 
-  // Work list: carried-over candidates first (they have waited longest),
-  // then the new batch minus anything already queued or already flagged
-  // — re-submitted stale candidates must not clog the carry-over queue.
-  std::vector<osn::NodeId> work = std::move(carryover_);
-  carryover_.clear();
-  work.reserve(work.size() + candidates.size());
-  for (osn::NodeId id : candidates) {
-    if (carryover_set_.contains(id) || flagged_.contains(id)) continue;
-    work.push_back(id);
-  }
-  carryover_set_.clear();
-
-  const bool deadline_enabled = options_.sweep_deadline_millis > 0.0;
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double, std::milli>(
-              options_.sweep_deadline_millis));
-
   FlagBatch newly_flagged;
   std::size_t evaluated = 0;
-  std::size_t i = 0;
-  for (; i < work.size(); ++i) {
-    // Budget checks come first but never before the first evaluation:
-    // a sweep always makes progress.
-    if (evaluated > 0) {
-      if (options_.sweep_budget > 0 && evaluated >= options_.sweep_budget) {
-        break;
-      }
-      if (deadline_enabled && std::chrono::steady_clock::now() >= deadline) {
-        break;
-      }
-    }
-    const osn::NodeId id = work[i];
+  for (const osn::NodeId id : candidates) {
     if (flagged_.contains(id) || net.account(id).banned()) continue;
     ++evaluated;
     const SybilFeatures f = extractor.extract(id);
@@ -68,18 +39,6 @@ FlagBatch RealTimeDetector::sweep(const osn::Network& net,
     }
   }
   SYBIL_METRIC_COUNT("realtime.sweep.evaluated", evaluated);
-
-  if (i < work.size()) {
-    SYBIL_METRIC_COUNT("realtime.sweep.deadline_hits", 1);
-    for (; i < work.size(); ++i) {
-      if (carryover_set_.insert(work[i]).second) {
-        carryover_.push_back(work[i]);
-      }
-    }
-    SYBIL_METRIC_COUNT("realtime.sweep.carryover_total", carryover_.size());
-  }
-  SYBIL_METRIC_GAUGE_SET("realtime.sweep.carryover", carryover_.size());
-
   SYBIL_METRIC_COUNT("realtime.flagged", newly_flagged.size());
   SYBIL_METRIC_OBSERVE("realtime.flagged_per_sweep", newly_flagged.size());
   return newly_flagged;
@@ -87,10 +46,9 @@ FlagBatch RealTimeDetector::sweep(const osn::Network& net,
 
 void RealTimeDetector::confirm(const SybilFeatures& features,
                                bool confirmed_sybil) {
-  if (!options_.adaptive) return;
   SYBIL_METRIC_COUNT("realtime.confirmations", 1);
   tuner_.observe(features, confirmed_sybil);
-  if (++confirmations_ % options_.retune_every == 0) {
+  if (++confirmations_ % kRetuneEvery == 0) {
     SYBIL_METRIC_COUNT("realtime.retunes", 1);
     detector_.set_rule(tuner_.retune());
   }

@@ -2,25 +2,19 @@
 //
 // Deployed form of the threshold detector: it periodically sweeps the
 // accounts that have been active since the last sweep, extracts the four
-// features, applies the (optionally adaptively tuned) threshold rule,
+// features, applies the (adaptively tuned) threshold rule,
 // and reports accounts to flag. Renren's workflow — flag, manual
 // verification, ban, feedback into the tuner — is modeled by the caller
 // confirming flags back into the pipeline.
 //
-// Degraded mode: a sweep may be budgeted (DetectorOptions::sweep_budget
-// caps evaluated candidates; sweep_deadline_millis caps wall-clock).
-// Candidates the budget cuts off are carried over, in order, to the
-// next sweep — a slow sweep degrades into several bounded sweeps
-// instead of stalling the pipeline, and the union of flags over
-// successive sweeps equals the single unbudgeted sweep (tested in
-// realtime_test.cpp). At least one candidate is always evaluated per
-// sweep, so progress is guaranteed.
+// A sweep evaluates every candidate that is neither flagged nor banned.
+// Feedback feeds an AdaptiveThresholdTuner with its default
+// configuration, seeded with the options' rule, and the rule is retuned
+// every 200 confirmations.
 //
 // Observability: each sweep runs under a "realtime.sweep" span and
-// bumps candidate/flag counters; budget cut-offs and the carry-over
-// backlog are visible as "realtime.sweep.deadline_hits" and
-// "realtime.sweep.carryover". Collection never affects verdicts or
-// tuner state.
+// bumps candidate/evaluated/flag counters. Collection never affects
+// verdicts or tuner state.
 #pragma once
 
 #include <cstdint>
@@ -41,12 +35,10 @@ class RealTimeDetector {
   /// Throws std::invalid_argument if `options` fails validate().
   explicit RealTimeDetector(const DetectorOptions& options = {});
 
-  /// Evaluates carried-over candidates from earlier budget-cut sweeps,
-  /// then `candidates`, against the current rule using a fresh feature
-  /// snapshot of `net`. Returns the newly flagged accounts with the
-  /// features the rule fired on, stamped with `now` (accounts flagged
-  /// in earlier sweeps are skipped). Candidates beyond the sweep
-  /// budget/deadline are queued for the next sweep.
+  /// Evaluates `candidates` against the current rule using a fresh
+  /// feature snapshot of `net`. Returns the newly flagged accounts with
+  /// the features the rule fired on, stamped with `now` (flagged and
+  /// banned accounts are skipped).
   FlagBatch sweep(const osn::Network& net,
                   const std::vector<osn::NodeId>& candidates,
                   graph::Time now = 0.0);
@@ -60,22 +52,16 @@ class RealTimeDetector {
   bool already_flagged(osn::NodeId id) const {
     return flagged_.contains(id);
   }
-  /// Candidates awaiting the next sweep after a budget/deadline cut.
-  std::size_t carryover_count() const noexcept { return carryover_.size(); }
 
  private:
-  /// Checkpoint codec (core/detector_state.h): serializes flag/carryover
-  /// sets and the tuner so a recovered pipeline resumes byte-identically.
+  /// State codec (core/detector_state.h): serializes the flag set and
+  /// the tuner.
   friend struct DetectorStateAccess;
 
   DetectorOptions options_;
   ThresholdDetector detector_;
   AdaptiveThresholdTuner tuner_;
   std::unordered_set<osn::NodeId> flagged_;
-  /// Budget-cut candidates, in cut order; carryover_set_ mirrors it so
-  /// re-submitted candidates are not queued twice.
-  std::vector<osn::NodeId> carryover_;
-  std::unordered_set<osn::NodeId> carryover_set_;
   std::size_t confirmations_ = 0;
 };
 

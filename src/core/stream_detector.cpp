@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <string>
 
 #include "core/metrics/instrument.h"
 
@@ -290,12 +289,6 @@ void StreamDetector::quarantine(const osn::Event& e, std::uint64_t seq,
       SYBIL_METRIC_COUNT("stream.deadletter.dropped", 1);
     }
     dead_letters_.push_back(DeadLetter{e, seq, reason});
-  }
-  if (options_.ingest.policy == IngestPolicy::kStrict) {
-    throw StreamError(reason,
-                      "event seq " + std::to_string(seq) + " (type " +
-                          std::to_string(static_cast<unsigned>(e.type)) +
-                          ", t=" + std::to_string(e.time) + ") rejected");
   }
 }
 

@@ -23,7 +23,7 @@
 //     pass structural validation, sequence-number deduplication and a
 //     watermark-based reorder buffer before reaching the same handlers,
 //     and rejected events are quarantined into a bounded dead-letter
-//     queue with typed reason codes (core/stream_error.h). Policy,
+//     queue with typed reason codes (core/stream_error.h). The
 //     watermark and bounds live in DetectorOptions::ingest; semantics
 //     are specified in docs/ROBUSTNESS.md.
 //
@@ -100,8 +100,9 @@ class StreamDetector {
   /// applies every event whose time has passed the watermark. `seq` is
   /// the transport-level sequence number (a log index, a Kafka offset);
   /// redelivery of an already-seen seq within the reorder horizon is
-  /// counted as a duplicate and ignored. Under IngestPolicy::kStrict a
-  /// rejected event throws StreamError *after* being accounted for.
+  /// counted as a duplicate and ignored. A rejected event is
+  /// quarantined into the dead-letter queue; ingest never throws on
+  /// bad input.
   void ingest(const osn::Event& e, std::uint64_t seq = kAutoSeq);
 
   /// Drains the reorder buffer (end of stream / shutdown). Events still
@@ -203,8 +204,7 @@ class StreamDetector {
   /// Structural validation of an untrusted record. Returns true when
   /// the event may be applied; otherwise sets `reason`.
   bool structurally_valid(const osn::Event& e, StreamErrorCode& reason) const;
-  /// Accounts for a rejected event (dead-letter queue + counters);
-  /// throws StreamError afterwards under the strict policy.
+  /// Accounts for a rejected event (dead-letter queue + counters).
   void quarantine(const osn::Event& e, std::uint64_t seq,
                   StreamErrorCode reason);
   /// Pops the reorder buffer's head, records its (time, seq) in

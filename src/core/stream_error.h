@@ -7,12 +7,10 @@
 // burst of kUnknownEventType means a producer running a newer schema)
 // instead of string-matching log lines.
 //
-// Under the lenient policy (the default) no exception is thrown: each
-// rejected event is quarantined into the bounded dead-letter queue with
-// its reason code. Under the strict policy the first rejected event
-// throws StreamError after being accounted for, so the accounting
+// No exception is thrown: each rejected event is quarantined into the
+// bounded dead-letter queue with its reason code, and the accounting
 // invariant (events_in == applied + deduped + dead-lettered + buffered)
-// holds even at the throw site.
+// holds at every instant.
 //
 // Header-only like io/error.h, and for the same reason: the faults
 // layer and the bench runner share the taxonomy without adding link
@@ -20,8 +18,6 @@
 #pragma once
 
 #include <cstddef>
-#include <stdexcept>
-#include <string>
 
 namespace sybil::core {
 
@@ -49,21 +45,5 @@ constexpr const char* to_string(StreamErrorCode code) noexcept {
   }
   return "unknown";
 }
-
-/// Thrown by StreamDetector::ingest under IngestPolicy::kStrict.
-/// Derives from std::runtime_error so generic catch sites keep working;
-/// new code should catch StreamError and inspect code().
-class StreamError : public std::runtime_error {
- public:
-  StreamError(StreamErrorCode code, const std::string& detail)
-      : std::runtime_error(std::string("stream [") + to_string(code) +
-                           "]: " + detail),
-        code_(code) {}
-
-  StreamErrorCode code() const noexcept { return code_; }
-
- private:
-  StreamErrorCode code_;
-};
 
 }  // namespace sybil::core

@@ -7,7 +7,6 @@ namespace sybil::detect {
 namespace {
 
 constexpr std::uint32_t kClusteringStateVersion = 1;
-constexpr std::uint64_t kMaxPlausible = 1ull << 33;
 
 /// Two-pointer |a ∩ b| over ascending rows, optionally collecting the
 /// members. Counts are exact integers, so any correct intersection
@@ -103,11 +102,8 @@ void IncrementalClustering::restore(io::ByteReader& r) {
                             "incremental-clustering state version mismatch");
   }
   initialized_ = r.read<std::uint8_t>() != 0;
-  const auto n = r.read<std::uint64_t>();
-  if (n >= kMaxPlausible) {
-    throw io::SnapshotError(io::SnapshotErrorCode::kMalformedSection,
-                            "incremental-clustering state counts implausible");
-  }
+  // Each node holds a u64 link count and an f64 coefficient.
+  const auto n = r.read_count(sizeof(std::uint64_t) + sizeof(double));
   links_.resize(n);
   for (auto& x : links_) x = r.read<std::uint64_t>();
   cc_.resize(n);

@@ -9,10 +9,6 @@ namespace {
 
 constexpr std::uint32_t kRankStateVersion = 1;
 
-// Restore guard: reject row counts that cannot have come from a real
-// checkpoint before attempting a multi-gigabyte resize.
-constexpr std::uint64_t kMaxPlausible = 1ull << 33;
-
 }  // namespace
 
 std::size_t IncrementalSybilRank::auto_iterations(std::size_t n) const {
@@ -179,12 +175,14 @@ void IncrementalSybilRank::restore(io::ByteReader& r) {
     return;
   }
   const auto iters = r.read<std::uint64_t>();
-  const auto n = r.read<std::uint64_t>();
-  const auto seed_count = r.read<std::uint64_t>();
-  if (iters >= 1024 || n >= kMaxPlausible || seed_count >= kMaxPlausible) {
+  if (iters >= 1024) {
     throw io::SnapshotError(io::SnapshotErrorCode::kMalformedSection,
-                            "incremental-rank state counts implausible");
+                            "incremental-rank iteration count implausible");
   }
+  // Each node holds iters + 1 layer values, its inverse degree and its
+  // score; each seed is one u32 id.
+  const auto n = r.read_count((iters + 3) * sizeof(double));
+  const auto seed_count = r.read_count(sizeof(graph::NodeId));
   seeds_.resize(seed_count);
   for (auto& s : seeds_) s = r.read<graph::NodeId>();
   layers_.assign(iters + 1, std::vector<double>(n));

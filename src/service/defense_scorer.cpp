@@ -9,18 +9,17 @@ namespace sybil::service {
 namespace {
 
 constexpr std::uint32_t kScorerStateVersion = 1;
-constexpr std::uint64_t kMaxPlausible = 1ull << 33;
+/// Least encoded bytes per element, so each count is bounded by the
+/// bytes left before it sizes an allocation: a node row is at least
+/// its u64 degree; a neighbour is u32 node + f64 time + u8 weak.
+constexpr std::size_t kRowMinBytes = 8;
+constexpr std::size_t kNeighborBytes = 13;
 
 }  // namespace
 
 DefenseScorer::DefenseScorer(const core::DetectorOptions& options)
     : max_account_id_(options.ingest.max_account_id),
-      seeds_(options.defense.seeds),
-      rank_(detect::IncrementalRankOptions{
-          options.defense.rank_iterations,
-          options.defense.residual_epsilon,
-          options.defense.full_recompute_fraction,
-      }) {
+      seeds_(options.defense.seeds) {
   // Seeds must exist from the start: a seed account that only joined
   // the graph later would miss its layer-0 trust share until the next
   // full recompute, breaking incremental-vs-batch equivalence.
@@ -102,19 +101,10 @@ void DefenseScorer::restore(const std::vector<std::byte>& bytes) {
   refreshes_ = r.read<std::uint64_t>();
   dirty_processed_ = r.read<std::uint64_t>();
 
-  const auto n = r.read<std::uint64_t>();
-  if (n >= kMaxPlausible) {
-    throw io::SnapshotError(io::SnapshotErrorCode::kMalformedSection,
-                            "defense-scorer node count implausible");
-  }
+  const auto n = r.read_count(kRowMinBytes);
   std::vector<std::vector<graph::Neighbor>> adj(n);
   for (auto& row : adj) {
-    const auto deg = r.read<std::uint64_t>();
-    if (deg >= kMaxPlausible) {
-      throw io::SnapshotError(io::SnapshotErrorCode::kMalformedSection,
-                              "defense-scorer row length implausible");
-    }
-    row.resize(deg);
+    row.resize(r.read_count(kNeighborBytes));
     for (graph::Neighbor& nb : row) {
       nb.node = r.read<graph::NodeId>();
       nb.created_at = r.read<graph::Time>();
@@ -128,7 +118,7 @@ void DefenseScorer::restore(const std::vector<std::byte>& bytes) {
   graph_ = graph::DynamicGraph(
       graph::TimestampedGraph::from_adjacency(std::move(adj)));
 
-  const auto dirty_count = r.read<std::uint64_t>();
+  const auto dirty_count = r.read_count(sizeof(graph::NodeId));
   if (dirty_count > n) {
     throw io::SnapshotError(io::SnapshotErrorCode::kMalformedSection,
                             "defense-scorer dirty count implausible");

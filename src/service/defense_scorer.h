@@ -84,6 +84,7 @@ class DefenseScorer {
   std::uint32_t max_account_id_;
   std::vector<graph::NodeId> seeds_;
   graph::DynamicGraph graph_;
+  /// Runs with IncrementalRankOptions' defaults (docs/DEFENSES.md).
   detect::IncrementalSybilRank rank_;
   detect::IncrementalClustering clustering_;
   std::uint64_t edges_observed_ = 0;

@@ -22,12 +22,6 @@ TEST(DetectorOptions, RejectsZeroFirstFriends) {
   EXPECT_THROW(opts.validate(), std::invalid_argument);
 }
 
-TEST(DetectorOptions, RejectsZeroRetuneCadence) {
-  DetectorOptions opts;
-  opts.retune_every = 0;
-  EXPECT_THROW(opts.validate(), std::invalid_argument);
-}
-
 TEST(DetectorOptions, RejectsOutOfRangeRuleRatios) {
   DetectorOptions opts;
   opts.rule.outgoing_accept_max = 1.5;
@@ -52,24 +46,6 @@ TEST(DetectorOptions, RejectsNaNRuleFields) {
   EXPECT_THROW(opts.validate(), std::invalid_argument);
 }
 
-TEST(DetectorOptions, RejectsBadTunerConfig) {
-  DetectorOptions opts;
-  opts.tuner.fp_quantile = 1.0;  // must be strictly inside (0, 1)
-  EXPECT_THROW(opts.validate(), std::invalid_argument);
-
-  opts = {};
-  opts.tuner.fp_quantile = 0.0;
-  EXPECT_THROW(opts.validate(), std::invalid_argument);
-
-  opts = {};
-  opts.tuner.smoothing = 1.5;
-  EXPECT_THROW(opts.validate(), std::invalid_argument);
-
-  opts = {};
-  opts.tuner.reservoir_capacity = 0;
-  EXPECT_THROW(opts.validate(), std::invalid_argument);
-}
-
 TEST(DetectorOptions, RejectsBadIngestOptions) {
   DetectorOptions opts;
   opts.ingest.watermark_hours = -1.0;
@@ -88,22 +64,10 @@ TEST(DetectorOptions, RejectsBadIngestOptions) {
   EXPECT_THROW(opts.validate(), std::invalid_argument);
 }
 
-TEST(DetectorOptions, RejectsBadSweepDeadline) {
+TEST(DetectorOptions, ZeroWatermarkAndDeadLetterCapacityAreValid) {
   DetectorOptions opts;
-  opts.sweep_deadline_millis = -1.0;
-  EXPECT_THROW(opts.validate(), std::invalid_argument);
-
-  opts = {};
-  opts.sweep_deadline_millis = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(opts.validate(), std::invalid_argument);
-}
-
-TEST(DetectorOptions, ZeroWatermarkAndBudgetsAreValid) {
-  DetectorOptions opts;
-  opts.ingest.watermark_hours = 0.0;   // release immediately
+  opts.ingest.watermark_hours = 0.0;     // release immediately
   opts.ingest.dead_letter_capacity = 0;  // count-only quarantine
-  opts.sweep_budget = 0;               // unlimited
-  opts.sweep_deadline_millis = 0.0;    // no deadline
   EXPECT_NO_THROW(opts.validate());
 }
 
@@ -133,7 +97,6 @@ TEST(DetectorOptions, OneValueConfiguresBothDetectorPaths) {
   DetectorOptions opts;
   opts.rule.invite_rate_min = 5.0;
   opts.first_friends = 10;
-  opts.adaptive = false;  // ignored by the streaming path
   StreamDetector stream(opts);
   RealTimeDetector realtime(opts);
   EXPECT_DOUBLE_EQ(realtime.rule().invite_rate_min, 5.0);

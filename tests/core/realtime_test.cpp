@@ -79,131 +79,19 @@ TEST(RealTime, LowActivityAccountNeverFlagged) {
   EXPECT_TRUE(detector.sweep(net, {quiet}).empty());
 }
 
-/// Builds a network with `n` blatant Sybils, returning their ids.
-struct BurstScenario {
-  osn::Network net;
-  std::vector<osn::NodeId> sybils;
-
-  explicit BurstScenario(int n) {
-    for (int s = 0; s < n; ++s) {
-      osn::Account a;
-      a.kind = osn::AccountKind::kSybil;
-      sybils.push_back(net.add_account(a));
-    }
-    for (const osn::NodeId s : sybils) {
-      for (int i = 0; i < 60; ++i) {
-        const auto victim = net.add_account(osn::Account{});
-        net.send_request(s, victim, 0.2, 0.5, /*stranger*/ 0);
-      }
-    }
-    int k = 0;
-    net.process_responses(1.0, [&](osn::NodeId, osn::NodeId, std::uint8_t) {
-      return (k++ % 4) == 0;
-    });
-  }
-};
-
-/// A budget-cut sweep flags a prefix and carries the rest over; the
-/// union of flags across successive sweeps equals one unbudgeted sweep.
-TEST(RealTime, BudgetedSweepCarriesOverAndConvergesToUnbudgeted) {
-  BurstScenario sc(5);
-
-  RealTimeDetector unbudgeted;
-  const FlagBatch all = unbudgeted.sweep(sc.net, sc.sybils, 2.0);
-  ASSERT_EQ(all.size(), 5u);
-
-  DetectorOptions cfg;
-  cfg.sweep_budget = 2;
-  RealTimeDetector budgeted(cfg);
-  std::vector<osn::NodeId> flagged_union;
-  const FlagBatch first = budgeted.sweep(sc.net, sc.sybils, 2.0);
-  EXPECT_EQ(first.size(), 2u);  // budget caps evaluations
-  EXPECT_EQ(budgeted.carryover_count(), 3u);
-  for (const auto& r : first.records) flagged_union.push_back(r.account);
-  // Later sweeps with no new candidates drain the carry-over queue.
-  for (int sweep = 0; sweep < 4 && budgeted.carryover_count() > 0; ++sweep) {
-    for (const auto& r : budgeted.sweep(sc.net, {}, 3.0).records) {
-      flagged_union.push_back(r.account);
-    }
-  }
-  EXPECT_EQ(budgeted.carryover_count(), 0u);
-  EXPECT_EQ(flagged_union, all.ids());  // same accounts, same order
-}
-
-/// Re-submitting candidates that are already queued must not duplicate
-/// them, and carried-over candidates are evaluated before new ones.
-TEST(RealTime, CarryoverDeduplicatesResubmittedCandidates) {
-  BurstScenario sc(4);
-  DetectorOptions cfg;
-  cfg.sweep_budget = 1;
-  RealTimeDetector detector(cfg);
-  EXPECT_EQ(detector.sweep(sc.net, sc.sybils, 2.0).size(), 1u);
-  EXPECT_EQ(detector.carryover_count(), 3u);
-  // The platform re-submits the same active accounts next sweep.
-  EXPECT_EQ(detector.sweep(sc.net, sc.sybils, 3.0).size(), 1u);
-  // Still one copy each of the two remaining candidates.
-  EXPECT_EQ(detector.carryover_count(), 2u);
-}
-
-/// A sweep always evaluates at least one candidate, even under an
-/// already-expired deadline — the progress guarantee.
-TEST(RealTime, ExpiredDeadlineStillMakesProgress) {
-  BurstScenario sc(3);
-  DetectorOptions cfg;
-  cfg.sweep_deadline_millis = 1e-9;  // expires immediately
-  RealTimeDetector detector(cfg);
-  std::size_t total = 0;
-  for (int sweep = 0; sweep < 10 && total < 3; ++sweep) {
-    total += detector.sweep(sc.net, sweep == 0 ? sc.sybils
-                                               : std::vector<osn::NodeId>{},
-                            2.0)
-                 .size();
-  }
-  EXPECT_EQ(total, 3u);  // every Sybil flagged despite the zero budget
-  EXPECT_EQ(detector.carryover_count(), 0u);
-}
-
-/// Already-flagged and banned candidates are skipped without consuming
-/// budget, so a budgeted sweep is never starved by stale candidates.
-TEST(RealTime, SkippedCandidatesDoNotConsumeBudget) {
-  BurstScenario sc(3);
-  DetectorOptions cfg;
-  cfg.sweep_budget = 1;
-  RealTimeDetector detector(cfg);
-  EXPECT_EQ(detector.sweep(sc.net, {sc.sybils[0]}, 2.0).size(), 1u);
-  // Submit the flagged account first; the budget must still reach the
-  // fresh candidate behind it.
-  const FlagBatch batch =
-      detector.sweep(sc.net, {sc.sybils[0], sc.sybils[1]}, 3.0);
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0].account, sc.sybils[1]);
-}
-
+/// Confirmations feed the default tuner, which retunes the rule at the
+/// fixed cadence of 200 confirmations and not before.
 TEST(RealTime, AdaptiveFeedbackRetunesRule) {
-  DetectorOptions cfg;
-  cfg.adaptive = true;
-  cfg.retune_every = 10;
-  cfg.tuner.min_observations = 10;
-  cfg.tuner.smoothing = 1.0;
-  RealTimeDetector detector(cfg);
+  RealTimeDetector detector;
   const double initial_rate = detector.rule().invite_rate_min;
   SybilFeatures normal_f;
   normal_f.invite_rate_short = 1.0;
   normal_f.outgoing_accept_ratio = 0.9;
   normal_f.clustering_coefficient = 0.08;
-  for (int i = 0; i < 10; ++i) detector.confirm(normal_f, false);
-  EXPECT_NE(detector.rule().invite_rate_min, initial_rate);
-}
-
-TEST(RealTime, NonAdaptiveIgnoresFeedback) {
-  DetectorOptions cfg;
-  cfg.adaptive = false;
-  RealTimeDetector detector(cfg);
-  const double initial_rate = detector.rule().invite_rate_min;
-  SybilFeatures f;
-  f.invite_rate_short = 1.0;
-  for (int i = 0; i < 500; ++i) detector.confirm(f, false);
+  for (int i = 0; i < 199; ++i) detector.confirm(normal_f, false);
   EXPECT_DOUBLE_EQ(detector.rule().invite_rate_min, initial_rate);
+  detector.confirm(normal_f, false);
+  EXPECT_LT(detector.rule().invite_rate_min, initial_rate);
 }
 
 }  // namespace

@@ -279,26 +279,6 @@ TEST(Chaos, ConcurrentDetectorsAreIndependent) {
   EXPECT_EQ(results[0].deadlettered, results[1].deadlettered);
 }
 
-TEST(Chaos, StrictPolicyThrowsTypedErrorAfterAccounting) {
-  core::DetectorOptions opts;
-  opts.ingest.policy = core::IngestPolicy::kStrict;
-  core::StreamDetector det(opts);
-  const osn::Event bad{static_cast<osn::EventType>(0xFF), 0, 1, 1.0};
-  try {
-    det.ingest(bad, 0);
-    FAIL() << "expected core::StreamError";
-  } catch (const core::StreamError& e) {
-    EXPECT_EQ(e.code(), core::StreamErrorCode::kUnknownEventType);
-  }
-  // The event was accounted for before the throw: the invariant holds
-  // even at the throw site.
-  EXPECT_EQ(det.events_in(), 1u);
-  EXPECT_EQ(det.deadletter_total(), 1u);
-  ASSERT_EQ(det.dead_letters().size(), 1u);
-  EXPECT_EQ(det.dead_letters().front().reason,
-            core::StreamErrorCode::kUnknownEventType);
-}
-
 TEST(Chaos, DeadLetterQueueIsBounded) {
   core::DetectorOptions opts;
   opts.ingest.dead_letter_capacity = 4;

@@ -7,9 +7,13 @@
 //   * the v3 and v4 goldens — formats that carried the unpumped queue —
 //     are refused with kUnsupportedVersion;
 //   * trailing meta bytes, a tier above kSweepOnly and a replay start
-//     past the WAL position are refused, each with its own code.
+//     past the WAL position are refused, each with its own code;
+//   * the defense-scorer decoder (DefenseScorer::restore and the rank
+//     and clustering restores it calls) refuses every count its bytes
+//     cannot hold with kMalformedSection, before allocating for it.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -184,6 +188,94 @@ TEST(ServiceCheckpoint, CheckpointLoadRejectsReplayFromPastWalPosition) {
   save_service_checkpoint(path, std::move(state));
   expect_load_refused(path, io::SnapshotErrorCode::kFormatViolation);
   std::remove(path.c_str());
+}
+
+/// A count no blob of this size can hold. Taken at face value it would
+/// size an allocation of tens of gigabytes.
+constexpr std::uint64_t kHugeCount = std::uint64_t{1} << 32;
+
+/// A scorer blob up to its node count: version and the four counters.
+io::ByteWriter scorer_header() {
+  io::ByteWriter w;
+  w.write(std::uint32_t{1});  // scorer state version
+  for (int i = 0; i < 4; ++i) w.write(std::uint64_t{0});
+  return w;
+}
+
+/// An empty graph (no rows, no dirty ids) ahead of the rank state.
+io::ByteWriter scorer_without_graph() {
+  io::ByteWriter w = scorer_header();
+  w.write(std::uint64_t{0});  // nodes
+  w.write(std::uint64_t{0});  // dirty ids
+  return w;
+}
+
+/// An initialized rank state up to its node count.
+io::ByteWriter scorer_with_rank_header() {
+  io::ByteWriter w = scorer_without_graph();
+  w.write(std::uint32_t{1});  // rank state version
+  w.write(std::uint8_t{1});   // initialized
+  w.write(std::uint64_t{2});  // iterations
+  return w;
+}
+
+/// The blob ends right after its huge count, so the refusal must come
+/// from the count check, before anything is allocated for it.
+void expect_scorer_refused(io::ByteWriter w) {
+  const std::vector<std::byte> blob = std::move(w).take();
+  DefenseScorer scorer(golden_defense_options());
+  try {
+    scorer.restore(blob);
+    ADD_FAILURE() << "a blob declaring " << kHugeCount << " elements loaded";
+  } catch (const io::SnapshotError& e) {
+    EXPECT_EQ(e.code(), io::SnapshotErrorCode::kMalformedSection) << e.what();
+    EXPECT_NE(std::string(e.what()).find("exceeds the bytes left"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ServiceCheckpoint, DefenseRestoreBoundsNodeCount) {
+  io::ByteWriter w = scorer_header();
+  w.write(kHugeCount);
+  expect_scorer_refused(std::move(w));
+}
+
+TEST(ServiceCheckpoint, DefenseRestoreBoundsNeighborCount) {
+  io::ByteWriter w = scorer_header();
+  w.write(std::uint64_t{1});  // one node
+  w.write(kHugeCount);        // its neighbours
+  expect_scorer_refused(std::move(w));
+}
+
+TEST(ServiceCheckpoint, DefenseRestoreBoundsDirtyCount) {
+  io::ByteWriter w = scorer_header();
+  w.write(std::uint64_t{0});  // nodes
+  w.write(kHugeCount);        // dirty ids
+  expect_scorer_refused(std::move(w));
+}
+
+TEST(ServiceCheckpoint, DefenseRestoreBoundsRankNodeCount) {
+  io::ByteWriter w = scorer_with_rank_header();
+  w.write(kHugeCount);  // rank nodes
+  expect_scorer_refused(std::move(w));
+}
+
+TEST(ServiceCheckpoint, DefenseRestoreBoundsRankSeedCount) {
+  io::ByteWriter w = scorer_with_rank_header();
+  w.write(std::uint64_t{0});  // rank nodes
+  w.write(kHugeCount);        // rank seeds
+  expect_scorer_refused(std::move(w));
+}
+
+TEST(ServiceCheckpoint, DefenseRestoreBoundsClusteringNodeCount) {
+  io::ByteWriter w = scorer_without_graph();
+  w.write(std::uint32_t{1});  // rank state version
+  w.write(std::uint8_t{0});   // rank not initialized
+  w.write(std::uint32_t{1});  // clustering state version
+  w.write(std::uint8_t{1});   // initialized
+  w.write(kHugeCount);        // clustering nodes
+  expect_scorer_refused(std::move(w));
 }
 
 }  // namespace
