@@ -64,19 +64,6 @@ RoutePlan plan_route(const osn::Event& e, std::uint32_t shards) noexcept {
   return plan;
 }
 
-std::vector<std::uint32_t> route_shards(const osn::Event& e,
-                                        std::uint32_t shards) {
-  const RoutePlan plan = plan_route(e, shards);
-  std::vector<std::uint32_t> out;
-  if (plan.broadcast) {
-    out.resize(shards);
-    for (std::uint32_t i = 0; i < shards; ++i) out[i] = i;
-  } else {
-    out.assign(plan.target.begin(), plan.target.begin() + plan.count);
-  }
-  return out;
-}
-
 void ShardRouterOptions::validate() const {
   if (shards == 0 || shards > kMaxShards) {
     throw std::invalid_argument(
@@ -92,7 +79,6 @@ ShardRouter::ShardRouter(const ShardRouterOptions& options)
   for (std::uint32_t i = 0; i < options_.shards; ++i) {
     shards_.push_back(std::make_unique<ServiceSupervisor>(shard_options(i)));
   }
-  frontier_.assign(options_.shards, 0);
   down_.assign(options_.shards, 0);
 }
 
@@ -131,28 +117,26 @@ RouterRecoveryReport ShardRouter::start() {
   }
   RouterRecoveryReport report;
   report.shards.reserve(shards_.size());
-  for (std::uint32_t i = 0; i < shards_.size(); ++i) {
-    report.shards.push_back(shards_[i]->start());
-    frontier_[i] = report.shards.back().next_seq;
-  }
-  report.next_seq = *std::min_element(frontier_.begin(), frontier_.end());
+  for (auto& s : shards_) report.shards.push_back(s->start());
   started_ = true;
+  report.next_seq = next_seq();
   return report;
 }
 
 void ShardRouter::deliver(std::uint32_t i, const osn::Event& e,
                           std::uint64_t seq, RouteResult& result) {
   if (down_[i]) {
-    // Owed, not routed: the dead shard's frontier entry is stale, so
-    // neither leg of the routed == delivered + suppressed identity can
-    // honestly claim this copy. The post-restart re-drive delivers it.
+    // Owed, not routed: a dead shard has no frontier, so neither leg of
+    // the routed == delivered + suppressed identity can honestly claim
+    // this copy. The post-restart re-drive delivers it.
     ++copies_skipped_down_;
     ++result.skipped_down;
     return;
   }
-  if (seq < frontier_[i]) {
-    // Already durable on this shard from a previous process lifetime:
-    // redelivery is the upstream at-least-once contract doing its job.
+  if (seq < shards_[i]->next_seq()) {
+    // Already logged on this shard — durable from a previous process
+    // lifetime, or buffered before an unwound batch: redelivery is the
+    // upstream at-least-once contract doing its job.
     ++copies_routed_;
     ++result.routed;
     ++copies_suppressed_;
@@ -164,7 +148,6 @@ void ShardRouter::deliver(std::uint32_t i, const osn::Event& e,
   // degraded buffer) never happened — the resume re-drives it — so the
   // copies identity survives an unwind through here.
   const bool admitted = shards_[i]->offer(e, seq);
-  frontier_[i] = seq + 1;
   ++copies_routed_;
   ++result.routed;
   ++copies_delivered_;
@@ -185,39 +168,28 @@ RouteResult ShardRouter::offer_batch(std::span<const osn::Event> events,
         "seqs cannot define a redelivery frontier)");
   }
   RouteResult result;
-  for (auto& s : shards_) {
-    if (s) s->begin_offer_batch();
-  }
-  try {
-    const auto n = static_cast<std::uint32_t>(shards_.size());
-    for (std::size_t k = 0; k < events.size(); ++k) {
-      ++offers_;
-      const osn::Event& e = events[k];
-      const RoutePlan plan = plan_route(e, n);
-      if (plan.broadcast) {
-        for (std::uint32_t i = 0; i < n; ++i) {
-          deliver(i, e, base_seq + k, result);
-        }
-      } else {
-        for (std::uint32_t t = 0; t < plan.count; ++t) {
-          deliver(plan.target[t], e, base_seq + k, result);
-        }
+  const auto n = static_cast<std::uint32_t>(shards_.size());
+  for (std::size_t k = 0; k < events.size(); ++k) {
+    ++offers_;
+    const osn::Event& e = events[k];
+    const RoutePlan plan = plan_route(e, n);
+    if (plan.broadcast) {
+      for (std::uint32_t i = 0; i < n; ++i) {
+        deliver(i, e, base_seq + k, result);
+      }
+    } else {
+      for (std::uint32_t t = 0; t < plan.count; ++t) {
+        deliver(plan.target[t], e, base_seq + k, result);
       }
     }
-    // Commit in ascending shard order: one WAL commit per shard, and a
-    // deterministic storage-op order for the kill sweeps. A shard that
-    // saw only suppressed copies has nothing pending and issues no I/O.
-    for (auto& s : shards_) {
-      if (s) s->commit_offer_batch();
-    }
-  } catch (...) {
-    // A crash (injected or real) unwinding mid-batch leaves the open
-    // brackets unacknowledged; close them without committing — exactly
-    // the durability state recovery handles.
-    for (auto& s : shards_) {
-      if (s) s->abort_offer_batch();
-    }
-    throw;
+  }
+  // Commit in ascending shard order: one WAL commit per shard, and a
+  // deterministic storage-op order for the kill sweeps. A shard that
+  // saw only suppressed copies has nothing pending and issues no I/O.
+  // An exception above skips this: the batch's records stay buffered,
+  // unacknowledged, and ride the next commit.
+  for (auto& s : shards_) {
+    if (s) s->commit();
   }
   return result;
 }
@@ -338,24 +310,25 @@ RecoveryReport ShardRouter::restart_shard(std::uint32_t i) {
   }
   shards_[i] = std::make_unique<ServiceSupervisor>(shard_options(i));
   const RecoveryReport report = shards_[i]->start();
-  frontier_[i] = report.next_seq;
   down_[i] = 0;
   return report;
 }
 
 std::uint64_t ShardRouter::next_seq() const noexcept {
-  return *std::min_element(frontier_.begin(), frontier_.end());
+  std::uint64_t lowest = kExplicitSeqLimit;
+  for (const auto& s : shards_) {
+    if (s) lowest = std::min(lowest, s->next_seq());
+  }
+  return lowest;
 }
 
 bool ShardRouter::accounting_ok() const noexcept {
   if (copies_routed_ != copies_delivered_ + copies_suppressed_) return false;
-  for (std::uint32_t i = 0; i < shards_.size(); ++i) {
+  for (const auto& s : shards_) {
     // A down shard has no live state to check; its durable state is
     // re-audited by restart_shard's recovery. The live fleet's
     // identities must hold at every instant regardless.
-    if (!shards_[i]) continue;
-    if (!shards_[i]->accounting_ok()) return false;
-    if (frontier_[i] != shards_[i]->next_seq()) return false;
+    if (s && !s->accounting_ok()) return false;
   }
   return true;
 }

@@ -31,11 +31,16 @@
 //
 // Exactly-once across crashes: every delivered copy lands in the target
 // shard's WAL with its global seq, so each shard's recovery exposes a
-// redelivery frontier (RecoveryReport::next_seq). The router suppresses
-// re-offered seqs below a shard's frontier, keeping per-shard WALs
+// redelivery frontier (RecoveryReport::next_seq, then the live
+// ServiceSupervisor::next_seq()). The router reads that frontier and
+// suppresses re-offered seqs below it, keeping per-shard WALs
 // duplicate-free — replay determinism and the kill-at-every-storage-op
 // sweep therefore hold *per shard*, with designed cross-shard copies
 // accounted explicitly (copies_routed/delivered/suppressed).
+//
+// Durability. Each shard has one durability clock, its
+// ServiceSupervisor::commit(); offer_batch() offers every copy of the
+// batch and then commits each live shard once, in ascending order.
 //
 // Accounting. Each shard keeps the PR 5 identity
 //   offered == applied + deduped + deadlettered + buffered
@@ -63,8 +68,7 @@ std::uint32_t shard_of(graph::NodeId id, std::uint32_t shards) noexcept;
 
 /// Allocation-free routing decision for one event: either a broadcast
 /// to every shard, or up to two explicit targets (ascending, already
-/// collapsed when both parties hash to one shard). This is the hot-path
-/// form — route_shards() materializes the same set as a vector.
+/// collapsed when both parties hash to one shard).
 struct RoutePlan {
   bool broadcast = false;
   std::uint32_t count = 0;               // targets used when !broadcast
@@ -75,11 +79,6 @@ struct RoutePlan {
 /// event dispatch (type switch + owner hashing) happens once here, so
 /// a broadcast to N shards costs one plan, not N re-dispatches.
 RoutePlan plan_route(const osn::Event& e, std::uint32_t shards) noexcept;
-
-/// The shards an event is delivered to, ascending and deduplicated.
-/// Exposed for tests and capacity planning; wraps plan_route().
-std::vector<std::uint32_t> route_shards(const osn::Event& e,
-                                        std::uint32_t shards);
 
 struct ShardRouterOptions {
   /// Template for every shard. `dir` is the *root*: shard i lives in
@@ -142,14 +141,20 @@ class ShardRouter {
   RouteResult offer(const osn::Event& e, std::uint64_t seq);
 
   /// Routes a contiguous run of the global stream: events[i] carries
-  /// seq base_seq + i. Every live shard brackets the batch
-  /// (ServiceSupervisor::begin_offer_batch), so its WAL appends commit
-  /// once at the end — ONE fsync per touched shard instead of one per
-  /// copy under WalFsync::kEveryAppend. The commits, in ascending shard
-  /// order, are the batch's durability boundary; callers must not
-  /// acknowledge the batch upstream before this returns. Verdicts,
-  /// accounting and the resulting detector state do not depend on how
-  /// the stream is cut into batches. Returns the summed RouteResult.
+  /// seq base_seq + i. Offers every copy, then calls
+  /// ServiceSupervisor::commit() once on each live shard in ascending
+  /// order — ONE fsync per touched shard instead of one per copy under
+  /// WalFsync::kEveryAppend. Those commits are the batch's durability
+  /// boundary; callers must not acknowledge the batch upstream before
+  /// this returns. An exception from an offer (a fatal storage fault, a
+  /// StorageBufferOverflow) skips the commits: the copies already
+  /// offered stay buffered and ride the next commit, and the caller
+  /// re-offers from the interrupted seq (each shard's frontier
+  /// suppresses the copies it already has). An empty batch only
+  /// commits — for a storage-degraded shard, that is its retry.
+  /// Verdicts, accounting and the resulting detector state do not
+  /// depend on how the stream is cut into batches. Returns the summed
+  /// RouteResult.
   RouteResult offer_batch(std::span<const osn::Event> events,
                           std::uint64_t base_seq);
 
@@ -196,11 +201,11 @@ class ShardRouter {
   /// routed == delivered + suppressed identity keeps holding on the
   /// live fleet), pump/sweep/checkpoint/flush/take_flagged ignore it,
   /// accounting_ok() checks only live shards, and next_seq() is NOT a
-  /// valid resume point (the dead shard's frontier entry is its last
-  /// in-memory value, which can overstate what is durable) — call
-  /// restart_shard(i) first. A caller that keeps offering live traffic
-  /// while a shard is down MUST, when a crash unwinds mid-offer,
-  /// re-offer the interrupted (event, seq) before any later seq:
+  /// valid resume point (it skips the dead shard, whose durable
+  /// frontier is unknown until it recovers) — call restart_shard(i)
+  /// first. A caller that keeps offering live traffic while a shard is
+  /// down MUST, when a crash unwinds mid-offer, re-offer the
+  /// interrupted (event, seq) before any later seq:
   /// lower-indexed shards already hold that seq, and advancing past it
   /// would strand it below their frontiers forever (the min-frontier
   /// contract assumes each seq is offered until every live target has
@@ -225,10 +230,10 @@ class ShardRouter {
   /// tested with one shard restarted twice mid-stream).
   RecoveryReport restart_shard(std::uint32_t i);
 
-  /// Global redelivery frontier: the minimum shard frontier. Re-driving
-  /// the stream from here reaches every missing copy; everything below
-  /// it is durable wherever it was routed. Only meaningful with no
-  /// shard down (see mark_down).
+  /// Global redelivery frontier: the minimum live shard's next_seq().
+  /// Re-driving the stream from here reaches every missing copy;
+  /// everything below it was delivered wherever it was routed. Only
+  /// meaningful with no shard down (see mark_down).
   std::uint64_t next_seq() const noexcept;
 
   std::uint32_t shards() const noexcept {
@@ -249,8 +254,8 @@ class ShardRouter {
     return copies_suppressed_;
   }
 
-  /// Every shard's identity, plus the router-aggregated one, plus
-  /// frontier consistency (frontier[i] == shard i's next_seq).
+  /// The copies identity (routed == delivered + suppressed) plus every
+  /// live shard's accounting identity.
   bool accounting_ok() const noexcept;
 
   /// Canonical JSON: {"shards":N,"offers":...,"copies":{...},
@@ -270,8 +275,6 @@ class ShardRouter {
 
   ShardRouterOptions options_;
   std::vector<std::unique_ptr<ServiceSupervisor>> shards_;
-  /// Per-shard redelivery frontier (mirrors each shard's next_seq()).
-  std::vector<std::uint64_t> frontier_;
   /// 1 where mark_down() killed the shard (shards_[i] is null there).
   std::vector<unsigned char> down_;
   bool started_ = false;

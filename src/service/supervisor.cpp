@@ -215,22 +215,8 @@ struct ServiceSupervisor::Metrics {};
 
 #endif  // SYBIL_METRICS_COMPILED
 
-void StorageOptions::validate() const {
-  if (buffer_records == 0) {
-    throw std::invalid_argument("StorageOptions::buffer_records must be >= 1");
-  }
-  if (retry_backoff == 0) {
-    throw std::invalid_argument("StorageOptions::retry_backoff must be >= 1");
-  }
-  if (retry_backoff_cap < retry_backoff) {
-    throw std::invalid_argument(
-        "StorageOptions::retry_backoff_cap must be >= retry_backoff");
-  }
-}
-
 void ServiceOptions::validate() const {
   detector.validate();
-  storage.validate();
   if (dir.empty()) {
     throw std::invalid_argument("ServiceOptions::dir must be non-empty");
   }
@@ -282,7 +268,6 @@ void ServiceSupervisor::reset_state() {
   counters_ = {};
   next_seq_ = 0;
   storage_degraded_ = false;
-  storage_backoff_ = storage_retry_in_ = 0;
 }
 
 template <typename Action>
@@ -293,19 +278,16 @@ bool ServiceSupervisor::storage_io(Action action) {
   } catch (const io::VfsError& err) {
     if (io::is_fatal(err.kind())) throw;
     if (storage_degraded_) {
-      // A retry failed: back off further.
       ++storage_retry_failures_;
       SYBIL_SERVICE_METRIC(storage_retry_failures.add(1));
-      storage_backoff_ =
-          std::min(storage_backoff_ * 2, options_.storage.retry_backoff_cap);
     } else {
       storage_degraded_ = true;
       storage_error_kind_ = err.kind();
-      storage_backoff_ = options_.storage.retry_backoff;
       ++storage_entries_;
       SYBIL_SERVICE_METRIC(storage_entries.add(1));
     }
-    storage_retry_in_ = storage_backoff_;
+    SYBIL_SERVICE_METRIC(
+        storage_buffered.set(static_cast<double>(wal_->unsynced_records())));
     return false;
   }
 }
@@ -471,28 +453,21 @@ bool ServiceSupervisor::offer(const osn::Event& e, std::uint64_t seq) {
     }
   }
 
-  // Durability first: the verdict is logged — and, outside a batch,
-  // committed — before apply() makes it take effect, so a crash between
-  // append and apply loses nothing that replaying the record through
-  // apply() does not re-derive.
-  //
-  // Storage faults (ENOSPC/EIO) do NOT lose the offer: the record stays
-  // in the WAL writer's bounded in-memory buffer, the supervisor stops
-  // committing (storage-degraded mode), and everything downstream —
-  // verdict, counters, queue, detector — proceeds identically to the
-  // undisturbed run. Fatal faults (power loss, process crash) are the
-  // exception: the process is "dead", so the error propagates.
+  // The verdict is logged before apply() makes it take effect, so a
+  // crash between append and apply loses nothing that replaying the
+  // record through apply() does not re-derive. The record is durable
+  // at the next commit(); while storage is degraded it waits in the WAL
+  // writer's bounded buffer, and everything downstream — verdict,
+  // counters, queue, detector — proceeds identically to the undisturbed
+  // run.
   if (storage_degraded_) {
     const std::uint64_t buffered = wal_->unsynced_records();
-    if (buffered >= options_.storage.buffer_records) {
+    if (buffered >= kStorageBufferRecords) {
       throw StorageBufferOverflow(options_.shard_id, buffered,
-                                  options_.storage.buffer_records);
+                                  kStorageBufferRecords);
     }
   }
   const std::uint64_t index = wal_->append(e, seq, flags);
-  if (!batch_open_ && !storage_degraded_) {
-    storage_io([this] { wal_->commit(); });
-  }
   if (storage_degraded_) {
     SYBIL_SERVICE_METRIC(
         storage_buffered.set(static_cast<double>(wal_->unsynced_records())));
@@ -501,8 +476,22 @@ bool ServiceSupervisor::offer(const osn::Event& e, std::uint64_t seq) {
   SYBIL_SERVICE_METRIC(shed[verdict].add(1));  // live offers only
   SYBIL_SERVICE_METRIC(queue_depth.set(static_cast<double>(queue_.size())));
   maybe_checkpoint();
-  storage_tick();
   return verdict == kAdmitted;
+}
+
+std::uint64_t ServiceSupervisor::commit() {
+  require_started("commit");
+  // Degraded: one retry. While it fails the records stay buffered and
+  // the caller must not acknowledge them upstream yet — recovery
+  // already treats an uncommitted record as losable, which is the
+  // contract.
+  if (storage_degraded_) {
+    const std::uint64_t pending = wal_->unsynced_records();
+    return retry_storage_now() ? pending : 0;
+  }
+  std::uint64_t committed = 0;
+  storage_io([this, &committed] { committed = wal_->commit(); });
+  return committed;
 }
 
 ServiceSupervisor::Verdict ServiceSupervisor::apply(const WalRecord& r) {
@@ -524,36 +513,6 @@ ServiceSupervisor::Verdict ServiceSupervisor::apply(const WalRecord& r) {
   }
   ++counters_.shed_low_priority;
   return kShedLowPriority;
-}
-
-void ServiceSupervisor::begin_offer_batch() {
-  require_started("begin_offer_batch");
-  if (batch_open_) {
-    throw std::logic_error(
-        "ServiceSupervisor::begin_offer_batch while a batch is open");
-  }
-  batch_open_ = true;
-}
-
-std::uint64_t ServiceSupervisor::commit_offer_batch() {
-  require_started("commit_offer_batch");
-  if (!batch_open_) {
-    throw std::logic_error(
-        "ServiceSupervisor::commit_offer_batch without begin_offer_batch");
-  }
-  batch_open_ = false;
-  // Degraded: the batch stays buffered and the caller must not
-  // acknowledge it upstream yet — recovery already treats an
-  // uncommitted batch as losable, which is the contract.
-  std::uint64_t committed = 0;
-  if (!storage_degraded_) {
-    storage_io([this, &committed] { committed = wal_->commit(); });
-  }
-  if (storage_degraded_) {
-    SYBIL_SERVICE_METRIC(
-        storage_buffered.set(static_cast<double>(wal_->unsynced_records())));
-  }
-  return committed;
 }
 
 template <typename More>
@@ -718,9 +677,11 @@ void ServiceSupervisor::flush(bool checkpoint) {
   detector_.finish();
   publish_metrics();
   // End-of-stream is the loud boundary: a flush cannot leave records
-  // buffered behind a degraded disk, so it forces one retry and throws
-  // the original fault kind if the disk still refuses.
-  if (storage_degraded_ && !retry_storage_now()) {
+  // buffered behind a degraded disk, so it commits — while degraded,
+  // one forced retry — and throws the original fault kind if the disk
+  // still refuses.
+  commit();
+  if (storage_degraded_) {
     throw io::VfsError(
         storage_error_kind_,
         "flush: storage still degraded on shard " +
@@ -730,19 +691,12 @@ void ServiceSupervisor::flush(bool checkpoint) {
   if (checkpoint) checkpoint_now();
 }
 
-void ServiceSupervisor::storage_tick() {
-  if (!storage_degraded_) return;
-  if (storage_retry_in_ > 0) --storage_retry_in_;
-  if (storage_retry_in_ == 0) retry_storage_now();
-}
-
 bool ServiceSupervisor::retry_storage_now() {
   if (!storage_degraded_) return true;
   ++storage_retries_;
   SYBIL_SERVICE_METRIC(storage_retries.add(1));
   if (!storage_io([this] { wal_->sync(); })) return false;
   storage_degraded_ = false;
-  storage_backoff_ = storage_retry_in_ = 0;
   ++storage_exits_;
   SYBIL_SERVICE_METRIC(storage_exits.add(1));
   SYBIL_SERVICE_METRIC(storage_buffered.set(0));

@@ -35,25 +35,27 @@
 // extends the hardened-ingest invariant and holds at every instant
 // (accounting_ok()).
 //
-// Durability: the supervisor owns *when* a WAL record becomes durable.
-// An offer appends its record (no I/O) and then commits the WAL
-// (WalWriter::commit) — unless an offer batch is open, whose commit is
-// the one boundary for all of its offers, or storage is degraded.
+// Durability: each shard has one durability clock. offer() appends its
+// record to the WAL writer's retained buffer (no I/O) and lets it take
+// effect; commit() is the durability boundary — callers must not
+// acknowledge offers upstream before it returns. A ShardRouter commits
+// every live shard once per offer_batch; a bare supervisor's caller
+// commits after each offer or run of offers.
 //
 // Storage degradation (the fourth degradation response, alongside the
 // three queue tiers): when the disk under the WAL rejects writes
 // (ENOSPC/EIO — io::VfsError), the supervisor does not crash and does
 // not lose the offer. It enters storage-degraded mode, which is simply
 // "do not commit": verdicts keep being served from memory, WAL appends
-// accumulate in the writer's bounded in-memory buffer, checkpointing is
-// suspended (counted, not silently skipped), and a WAL sync is retried
-// on a deterministic capped exponential backoff. If the buffer fills
-// before the disk recovers, offer() fails loudly with a typed
-// StorageBufferOverflow. When the fault window closes (a retry
-// succeeds), the whole backlog flushes and full durability resumes — a
-// run that degraded through a disk-fault window is byte-identical
-// (flags, stats_json) to one that never did (docs/ROBUSTNESS.md
-// §Storage fault model).
+// accumulate in the writer's in-memory buffer (at most
+// kStorageBufferRecords), checkpointing is suspended (counted, not
+// silently skipped), and every commit() makes one retry — a WAL sync.
+// If the buffer fills before the disk recovers, offer() fails loudly
+// with a typed StorageBufferOverflow. When the fault window closes (a
+// retry succeeds), the whole backlog flushes and full durability
+// resumes — a run that degraded through a disk-fault window is
+// byte-identical (flags, stats_json) to one that never did
+// (docs/ROBUSTNESS.md §Storage fault model).
 //
 // Threading: the supervisor is single-threaded by design — determinism
 // is the property the recovery proof rests on. SYBIL_THREADS affects
@@ -83,30 +85,21 @@ class DefenseScorer;
 /// kAutoSeq sentinel, and never advance the redelivery frontier.
 inline constexpr std::uint64_t kExplicitSeqLimit = std::uint64_t{1} << 63;
 
-/// Storage-degraded mode policy (ServiceOptions::storage).
-struct StorageOptions {
-  /// Degraded-mode buffer bound: offers that would leave more than this
-  /// many records unflushed throw StorageBufferOverflow. The buffer is
-  /// the WAL writer's retained write buffer, so nothing is copied.
-  std::size_t buffer_records = 4096;
-  /// Retry cadence, measured in offers (the supervisor's only clock —
-  /// wall time would break replay determinism): first retry after this
-  /// many offers, doubling per failure up to the cap.
-  std::uint64_t retry_backoff = 4;
-  std::uint64_t retry_backoff_cap = 64;
-
-  /// Throws std::invalid_argument naming the offending field.
-  void validate() const;
-};
+/// Storage-degraded buffer bound: an offer that finds this many records
+/// unflushed throws StorageBufferOverflow. The buffer is the WAL
+/// writer's retained write buffer, so nothing is copied.
+inline constexpr std::uint64_t kStorageBufferRecords = 4096;
 
 /// Thrown by offer() when the disk-fault window outlives the bounded
 /// degraded-mode buffer: the loud, typed end of graceful degradation.
 /// The offer was NOT logged; the supervisor remains usable (still
 /// degraded) and the caller decides whether to drop, spill or abort.
+/// Once the disk heals, a commit() (or retry_storage_now()) flushes the
+/// backlog and the offer can be made again.
 class StorageBufferOverflow : public std::runtime_error {
  public:
   StorageBufferOverflow(std::uint32_t shard, std::uint64_t buffered,
-                        std::size_t bound)
+                        std::uint64_t bound)
       : std::runtime_error(
             "storage-degraded buffer full on shard " + std::to_string(shard) +
             ": " + std::to_string(buffered) + " records buffered (bound " +
@@ -152,11 +145,9 @@ struct ServiceOptions {
   /// Fault-injection tests, the crash sweeps and the chaos orchestrator
   /// hand each shard its own io::FaultyVfs.
   io::Vfs* vfs = nullptr;
-  /// Storage-degraded mode policy (see file comment).
-  StorageOptions storage{};
 
   /// Throws std::invalid_argument naming the offending field (also
-  /// validates the embedded DetectorOptions and StorageOptions).
+  /// validates the embedded DetectorOptions).
   void validate() const;
 };
 
@@ -234,30 +225,24 @@ class ServiceSupervisor {
   /// cold start), rather than resume on part of the history.
   RecoveryReport start();
 
-  /// Admission control + WAL + enqueue for one event. Returns true if
-  /// the event was admitted, false if shed (it is still WAL-logged
-  /// either way, so recovery reconstructs shed accounting exactly).
-  /// Ban events are always admitted. Outside an offer batch the record
-  /// is committed before the event takes effect; a non-fatal storage
-  /// fault degrades instead of throwing (see file comment), and fatal
-  /// ones (io::is_fatal) propagate.
+  /// Admission control + WAL append + enqueue for one event. Returns
+  /// true if the event was admitted, false if shed (it is still
+  /// WAL-logged either way, so recovery reconstructs shed accounting
+  /// exactly). Ban events are always admitted. Issues no WAL I/O of its
+  /// own — the record becomes durable at the next commit() — except
+  /// through a checkpoint that the new WAL position triggers. Throws
+  /// StorageBufferOverflow when degraded with a full buffer; fatal
+  /// storage faults (io::is_fatal) from that checkpoint propagate.
   bool offer(const osn::Event& e,
              std::uint64_t seq = core::StreamDetector::kAutoSeq);
 
-  /// Offer-batch bracket for a run of offer() calls: between these, no
-  /// offer commits the WAL, and commit_offer_batch()'s single commit is
-  /// the batch's durability boundary — callers must not acknowledge
-  /// offers upstream until it returns. Admission verdicts, accounting
-  /// and queue effects of each offer are unchanged. Misuse (a nested
-  /// begin, a commit without a begin) throws std::logic_error.
-  /// commit_offer_batch() returns the records it made durable (0 while
-  /// storage is degraded: the records stay buffered).
-  void begin_offer_batch();
-  std::uint64_t commit_offer_batch();
-  /// Unwind path: closes the bracket without committing — the batch's
-  /// records stay buffered and unacknowledged, exactly as if the
-  /// process had died before the commit. Never writes.
-  void abort_offer_batch() noexcept { batch_open_ = false; }
+  /// The durability boundary for every offer since the last one: commits
+  /// the WAL (WalWriter::commit). While storage is degraded it instead
+  /// makes one retry (retry_storage_now()). A non-fatal storage fault
+  /// degrades instead of throwing; fatal ones propagate. Returns the
+  /// records it made durable (0 while storage stays degraded: they stay
+  /// buffered and the caller must not acknowledge them upstream yet).
+  std::uint64_t commit();
 
   /// Drains up to `max_events` queued events (0 = all) into the
   /// detector. Returns how many were pumped.
@@ -283,9 +268,10 @@ class ServiceSupervisor {
   void checkpoint_now();
 
   /// End of stream: pump everything, drain the detector's reorder
-  /// buffer, checkpoint (skippable for huge throwaway runs where
-  /// serializing multi-GB detector state buys nothing). After flush()
-  /// the service can keep ingesting.
+  /// buffer, commit() — throwing the fault's io::VfsError if storage
+  /// is still degraded afterwards — and checkpoint (skippable for huge
+  /// throwaway runs where serializing multi-GB detector state buys
+  /// nothing). After flush() the service can keep ingesting.
   void flush(bool checkpoint = true);
 
   /// Publishes detector-owned operational counters (per-reason dead
@@ -309,8 +295,8 @@ class ServiceSupervisor {
   /// True while the disk under the WAL is rejecting writes and appends
   /// are accumulating in the bounded in-memory buffer.
   bool storage_degraded() const noexcept { return storage_degraded_; }
-  /// Records currently buffered un-durably (under kEveryAppend: 0 when
-  /// not degraded and outside an open offer batch).
+  /// Records appended but not yet durable: the offers since the last
+  /// commit() (under kEveryAppend), or the degraded backlog.
   std::uint64_t storage_buffered() const noexcept {
     return wal_ ? wal_->unsynced_records() : 0;
   }
@@ -318,8 +304,9 @@ class ServiceSupervisor {
   io::VfsFaultKind storage_error_kind() const noexcept {
     return storage_error_kind_;
   }
-  /// Forces one storage retry — a WAL sync — NOW regardless of backoff
-  /// (the chaos orchestrator calls this when a fault window closes).
+  /// One storage retry — a WAL sync — now, without offering (commit()
+  /// makes the same retry; the chaos orchestrator calls this when a
+  /// fault window closes).
   /// Returns true if the service is fully durable afterwards (including
   /// the not-degraded case). Throws only for fatal faults
   /// (io::is_fatal), which are not retryable in-process.
@@ -402,11 +389,10 @@ class ServiceSupervisor {
   std::size_t drain(More more);
   /// Runs one storage action (a WAL sync or a checkpoint save). A
   /// non-fatal io::VfsError enters storage-degraded mode — or, when
-  /// already degraded, backs the retry off — and returns false; fatal
+  /// already degraded, counts a failed retry — and returns false; fatal
   /// faults propagate.
   template <typename Action>
   bool storage_io(Action action);
-  void storage_tick();
 
   ServiceOptions options_;
   core::StreamDetector detector_;
@@ -421,7 +407,6 @@ class ServiceSupervisor {
   core::ServiceTier tier_ = core::ServiceTier::kFull;
   RecoveryReport recovery_{};
   bool started_ = false;
-  bool batch_open_ = false;
 
   ServiceCounters counters_;  // replay-exact, checkpointed
   std::uint64_t next_seq_ = 0;
@@ -429,8 +414,6 @@ class ServiceSupervisor {
   // Storage-degraded mode state + incident counters (all ops-only).
   bool storage_degraded_ = false;
   io::VfsFaultKind storage_error_kind_ = io::VfsFaultKind::kIoError;
-  std::uint64_t storage_backoff_ = 0;   // current backoff, in offers
-  std::uint64_t storage_retry_in_ = 0;  // offers until the next retry
   std::uint64_t storage_entries_ = 0;
   std::uint64_t storage_exits_ = 0;
   std::uint64_t storage_retries_ = 0;

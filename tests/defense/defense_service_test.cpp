@@ -146,7 +146,10 @@ void drive(ServiceSupervisor& s, const std::vector<osn::Event>& log,
     if (i >= pump_from && i % 127 == 0) {
       s.sweep_flags(20.0 + 0.01 * static_cast<double>(i));
     }
-    if (i >= offer_from) s.offer(log[i], i);
+    if (i >= offer_from) {
+      s.offer(log[i], i);
+      s.commit();
+    }
     if (i >= pump_from && i % 7 == 6) s.pump(3);
   }
   s.flush();

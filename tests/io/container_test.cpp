@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "core/metrics/metrics.h"
+#include "io/faulty_vfs.h"
 
 namespace sybil::io {
 namespace {
@@ -193,8 +193,9 @@ TEST(Container, SerializeIsDeterministic) {
 #if defined(__unix__) || defined(__APPLE__)
 /// Durability-knob regression: SyncMode::kEnv commits fsync the image
 /// and the parent directory unless SYBIL_IO_FSYNC opts out, and
-/// SyncMode::kAlways ignores the knob. Counted via the io.fsyncs
-/// metric (two per synced commit: file + directory).
+/// SyncMode::kAlways ignores the knob. Counted by a fault-free
+/// FaultyVfs (two per synced commit: file + directory), so the check
+/// holds with instrumentation compiled out too.
 TEST(Container, FsyncKnobGovernsEnvSyncCommits) {
   const char* prior = std::getenv("SYBIL_IO_FSYNC");
   const std::string saved = prior == nullptr ? "" : prior;
@@ -202,30 +203,18 @@ TEST(Container, FsyncKnobGovernsEnvSyncCommits) {
       ::testing::TempDir() + "/sybil_container_fsync.sybs";
 
   const auto commits_with = [&](const char* knob, SyncMode sync) {
-#if SYBIL_METRICS_COMPILED
     if (knob == nullptr) {
       ::unsetenv("SYBIL_IO_FSYNC");
     } else {
       ::setenv("SYBIL_IO_FSYNC", knob, 1);
     }
-    auto& fsyncs = core::metrics::MetricsRegistry::instance().counter("io.fsyncs");
-    const std::uint64_t before = fsyncs.value();
+    FaultyVfs vfs;
     ContainerWriter writer(PayloadKind::kDataset);
     writer.add_section(1, payload_of({1, 2, 3}));
-    writer.commit(path, sync);
-    return fsyncs.value() - before;
-#else
-    (void)knob;
-    (void)sync;
-    return std::uint64_t{2};  // nothing to observe without metrics
-#endif
+    writer.commit(path, sync, &vfs);
+    return vfs.fsyncs();
   };
 
-#if SYBIL_METRICS_COMPILED
-  auto& registry = core::metrics::MetricsRegistry::instance();
-  const bool was_enabled = registry.enabled();
-  registry.set_enabled(true);
-#endif
   EXPECT_EQ(commits_with(nullptr, SyncMode::kEnv), 2u);  // durable default
   EXPECT_EQ(commits_with("1", SyncMode::kEnv), 2u);
   EXPECT_EQ(commits_with("0", SyncMode::kEnv), 0u);   // knob opts out
@@ -233,9 +222,6 @@ TEST(Container, FsyncKnobGovernsEnvSyncCommits) {
   EXPECT_EQ(commits_with("0", SyncMode::kAlways), 2u);  // knob ignored
   EXPECT_EQ(commits_with("1", SyncMode::kNever), 0u);
 
-#if SYBIL_METRICS_COMPILED
-  registry.set_enabled(was_enabled);
-#endif
   if (prior == nullptr) {
     ::unsetenv("SYBIL_IO_FSYNC");
   } else {

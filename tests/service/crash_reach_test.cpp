@@ -75,8 +75,9 @@ struct Marks {
 };
 
 /// Offers log[from..N) in blocks of kBlock keyed to the event index:
-/// even blocks one record at a time (a WAL flush each), odd blocks as
-/// one group commit; pumps after every block, then flushes.
+/// even blocks commit after every offer (a WAL flush each), odd blocks
+/// once after the block (one group commit); pumps after every block,
+/// then flushes.
 void drive(ServiceSupervisor& s, const std::vector<osn::Event>& log,
            std::uint64_t from, const std::vector<StorageOp>* ops = nullptr,
            Marks* marks = nullptr) {
@@ -84,13 +85,14 @@ void drive(ServiceSupervisor& s, const std::vector<osn::Event>& log,
     const std::uint64_t end =
         std::min<std::uint64_t>(log.size(), (i / kBlock + 1) * kBlock);
     const bool grouped = (i / kBlock) % 2 == 1;
-    if (grouped) s.begin_offer_batch();
     for (; i < end; ++i) {
       s.offer(log[i], i);
-      if (!grouped && ops != nullptr) marks->after_append.insert(ops->size());
+      if (grouped) continue;
+      s.commit();
+      if (ops != nullptr) marks->after_append.insert(ops->size());
     }
     if (grouped) {
-      s.commit_offer_batch();
+      s.commit();
       if (ops != nullptr) marks->after_commit.insert(ops->size());
     }
     s.pump();

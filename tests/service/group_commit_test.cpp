@@ -5,8 +5,6 @@
 //     the records it made durable, and a process crash at the commit
 //     keeps a strict prefix of the batch (all of it once the commit's
 //     write is done);
-//   * the supervisor's offer-batch bracket: misuse fails loudly (double
-//     begin, commit without begin), and abort closes it without a write;
 //   * trajectory identity: driving a ShardRouter through offer_batch()
 //     produces byte-identical per-shard stats JSON and merged flags to
 //     the per-event offer() path with the same pump cadence;
@@ -132,39 +130,6 @@ TEST_F(GroupCommit, CrashAtTheCommitKeepsAStrictPrefixOfTheGroup) {
       EXPECT_LT(kept, 5u);
     }
   }
-}
-
-TEST_F(GroupCommit, BracketMisuseThrowsAndAbortClosesQuietly) {
-  io::FaultyVfs vfs(&crashtest::sweep_vfs());
-  ServiceOptions o;
-  o.dir = fresh_dir("misuse");
-  o.vfs = &vfs;
-  o.wal_fsync = WalFsync::kEveryAppend;
-  o.checkpoint_every = 0;
-  ServiceSupervisor s(o);
-  s.start();
-  const std::uint64_t ops = vfs.ops();
-  const std::uint64_t fsyncs = vfs.fsyncs();
-
-  EXPECT_THROW(s.commit_offer_batch(), std::logic_error);
-  s.begin_offer_batch();
-  EXPECT_THROW(s.begin_offer_batch(), std::logic_error);
-  s.offer(event_at(0), 0);
-
-  // Abort is the unwind path: it closes the bracket without a single
-  // storage op, and is idempotent.
-  s.abort_offer_batch();
-  s.abort_offer_batch();
-  EXPECT_EQ(vfs.ops(), ops);
-  EXPECT_EQ(s.storage_buffered(), 1u);
-
-  // A fresh bracket opens cleanly after an abort; its commit carries
-  // the aborted record too, with one fsync.
-  s.begin_offer_batch();
-  s.offer(event_at(1), 1);
-  EXPECT_EQ(s.commit_offer_batch(), 2u);
-  EXPECT_EQ(vfs.fsyncs(), fsyncs + 1);
-  EXPECT_EQ(s.storage_buffered(), 0u);
 }
 
 // ---- Router-level batch semantics ----------------------------------
@@ -305,8 +270,9 @@ TEST_F(GroupCommit, ParallelPumpByteIdenticalAcrossThreadCounts) {
 /// the shards share one device, so each crash kills the whole fleet —
 /// then recovery, a resume from the router's min frontier with the
 /// same batched drive, and the uninterrupted run's bytes. The crash
-/// unwinds through offer_batch's abort path, so surviving shards' open
-/// brackets must not poison the restarted drive. Among the points:
+/// unwinds out of offer_batch before its commits, so surviving shards'
+/// uncommitted records must not poison the restarted drive. Among the
+/// points:
 /// every group commit, and segment rotations inside a batch's commit.
 TEST_F(GroupCommitRecovery, KillAtEveryGroupCommitBoundary) {
   const std::vector<osn::Event> log = synthetic_workload(workload_options());

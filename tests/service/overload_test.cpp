@@ -269,6 +269,7 @@ TEST_F(ServiceOverload, ValidatesOverloadAndServiceOptions) {
 TEST_F(ServiceOverload, OperationsBeforeStartAreRejected) {
   ServiceSupervisor s(tiny_options(fresh_dir("nostart")));
   EXPECT_THROW(s.offer(request_at(0.0)), std::logic_error);
+  EXPECT_THROW(s.commit(), std::logic_error);
   EXPECT_THROW(s.pump(), std::logic_error);
   EXPECT_THROW(s.checkpoint_now(), std::logic_error);
   s.start();

@@ -145,7 +145,10 @@ void drive_until(ServiceSupervisor& s, const std::vector<osn::Event>& log,
                  std::uint64_t offer_from, std::uint64_t pump_from,
                  std::uint64_t until) {
   for (std::uint64_t i = std::min(offer_from, pump_from); i < until; ++i) {
-    if (i >= offer_from) s.offer(log[i], i);
+    if (i >= offer_from) {
+      s.offer(log[i], i);
+      s.commit();
+    }
     if (i >= pump_from && i % 7 == 6) s.pump(3);
   }
 }
@@ -317,6 +320,7 @@ TEST_F(ServiceRecovery, ColdStartReplaysTheFullWal) {
     s.start();
     for (std::uint64_t i = 0; i < log.size(); ++i) {
       s.offer(log[i], i);
+      s.commit();
       if (i % 7 == 6) s.pump(3);
     }
     // ...and die without flush(): everything must come back from WAL.
@@ -422,11 +426,16 @@ ServiceOptions tiny_options(const std::string& dir) {
 void offer_script(ServiceSupervisor& s) {
   double t = 0.0;
   std::uint64_t seq = 0;
+  const auto offer = [&](osn::EventType type, graph::NodeId a,
+                         graph::NodeId b) {
+    s.offer({type, a, b, t += 0.01}, seq++);
+    s.commit();
+  };
   const auto request = [&](graph::NodeId to) {
-    s.offer({osn::EventType::kRequestSent, 1, to, t += 0.01}, seq++);
+    offer(osn::EventType::kRequestSent, 1, to);
   };
   const auto created = [&](graph::NodeId who) {
-    s.offer({osn::EventType::kAccountCreated, who, who, t += 0.01}, seq++);
+    offer(osn::EventType::kAccountCreated, who, who);
   };
   for (graph::NodeId to = 10; to < 13; ++to) request(to);
   s.pump(2);  // the queue head is now record 2
@@ -437,7 +446,7 @@ void offer_script(ServiceSupervisor& s) {
   request(17);
   s.checkpoint_now();
   request(18);  // depth 6: sweep-only tier, shed
-  s.offer({osn::EventType::kAccountBanned, 40, 40, t += 0.01}, seq++);
+  offer(osn::EventType::kAccountBanned, 40, 40);
 }
 
 TEST_F(ServiceRecovery, QueueAmongShedRecordsComesBackFromTheWal) {

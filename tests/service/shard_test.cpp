@@ -170,33 +170,37 @@ TEST_F(Shard, RoutingTableShape) {
   constexpr std::uint32_t kN = 4;
   const auto ids0 = owned_ids(0, kN, 2);
   const auto ids2 = owned_ids(2, kN, 1);
+  // The explicit targets of a plan that does not broadcast.
+  const auto targets = [](const RoutePlan& plan) {
+    EXPECT_FALSE(plan.broadcast);
+    return std::vector<std::uint32_t>(plan.target.begin(),
+                                      plan.target.begin() + plan.count);
+  };
 
   // Single-party events go to the actor's owner only.
-  const auto created =
-      route_shards({osn::EventType::kAccountCreated, ids2[0], ids2[0], 0.0},
-                   kN);
-  EXPECT_EQ(created, (std::vector<std::uint32_t>{2}));
+  EXPECT_EQ(targets(plan_route(
+                {osn::EventType::kAccountCreated, ids2[0], ids2[0], 0.0}, kN)),
+            (std::vector<std::uint32_t>{2}));
 
   // Pair events double-deliver to both owners, ascending...
-  const auto pair = route_shards(
-      {osn::EventType::kRequestSent, ids2[0], ids0[0], 1.0}, kN);
-  EXPECT_EQ(pair, (std::vector<std::uint32_t>{0, 2}));
+  EXPECT_EQ(targets(plan_route(
+                {osn::EventType::kRequestSent, ids2[0], ids0[0], 1.0}, kN)),
+            (std::vector<std::uint32_t>{0, 2}));
   // ...collapsing to one copy when the parties share a shard.
-  const auto collapsed = route_shards(
-      {osn::EventType::kRequestSent, ids0[0], ids0[1], 1.0}, kN);
-  EXPECT_EQ(collapsed, (std::vector<std::uint32_t>{0}));
+  EXPECT_EQ(targets(plan_route(
+                {osn::EventType::kRequestSent, ids0[0], ids0[1], 1.0}, kN)),
+            (std::vector<std::uint32_t>{0}));
 
   // Edge-creating and ban events broadcast; unknown types route like a
   // pair so some shard's dead-letter path classifies them.
   for (const auto type : {osn::EventType::kRequestAccepted,
                           osn::EventType::kFriendshipSeeded,
                           osn::EventType::kAccountBanned}) {
-    EXPECT_EQ(route_shards({type, ids0[0], ids2[0], 2.0}, kN),
-              (std::vector<std::uint32_t>{0, 1, 2, 3}));
+    EXPECT_TRUE(plan_route({type, ids0[0], ids2[0], 2.0}, kN).broadcast);
   }
-  EXPECT_EQ(route_shards(
+  EXPECT_EQ(targets(plan_route(
                 {static_cast<osn::EventType>(0xEE), ids2[0], ids0[0], 3.0},
-                kN),
+                kN)),
             (std::vector<std::uint32_t>{0, 2}));
 }
 
@@ -360,6 +364,7 @@ TEST_F(Shard, CheckpointFromAnotherShardIdentityFailsLoudly) {
     ServiceSupervisor s(o);
     s.start();
     s.offer({osn::EventType::kRequestSent, 1, 2, 0.5}, 0);
+    s.commit();
     s.flush();  // leaves a checkpoint stamped (shard 0 of 2)
   }
   // Same state handed to the wrong shard id, or to a router with a

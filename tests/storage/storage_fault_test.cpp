@@ -90,7 +90,10 @@ void drive(ServiceSupervisor& s, const std::vector<osn::Event>& log,
            std::uint64_t offer_from = 0, std::uint64_t pump_from = 0) {
   for (std::uint64_t i = std::min(offer_from, pump_from); i < log.size();
        ++i) {
-    if (i >= offer_from) s.offer(log[i], i);
+    if (i >= offer_from) {
+      s.offer(log[i], i);
+      s.commit();
+    }
     if (i >= pump_from && i % 7 == 6) s.pump(3);
   }
 }

@@ -2,8 +2,8 @@
 // model): the fourth degradation response, alongside the three queue
 // tiers. When the disk under the WAL rejects writes the supervisor
 // serves verdicts from memory, buffers appends in the WAL writer's
-// bounded buffer, suspends checkpoints (counted), and retries on a
-// deterministic capped exponential backoff clocked in offers.
+// bounded buffer, suspends checkpoints (counted), and makes one retry
+// at every commit().
 //
 //   * a run that degrades through an ENOSPC window and heals is
 //     byte-identical (flags, stats_json) to one that never degraded —
@@ -11,7 +11,10 @@
 //   * the buffer bound fails loudly: a typed StorageBufferOverflow
 //     that does NOT count the offer, leaving the caller free to
 //     re-offer it after the disk heals;
-//   * the backoff schedule is an exact function of the offer count;
+//   * an overflow that unwinds a router's offer_batch midway keeps
+//     every identity, and the re-offered stream ends byte-identical on
+//     disk to a run that never faulted;
+//   * offers never retry; each commit() while degraded is one retry;
 //   * suspended checkpoints are counted, never silently skipped, and
 //     never touch the generation directory;
 //   * flush() while degraded forces a retry and throws the original
@@ -24,6 +27,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,8 +36,10 @@
 #include "io/vfs.h"
 #include "osn/events.h"
 #include "service/checkpoint.h"
+#include "service/router.h"
 #include "service/supervisor.h"
 #include "service/workload.h"
+#include "support/crash_vfs.h"
 
 namespace sybil::service {
 namespace {
@@ -93,10 +99,10 @@ struct RunResult {
   core::FlagBatch flags;
 };
 
-/// One full run; when `faulted`, the disk fills at offer 100 and heals
-/// (with a forced retry) at offer 180 — the degraded window rides ~80
-/// offers, several failed backoff retries and two checkpoint
-/// boundaries.
+/// One full run, committing after every offer; when `faulted`, the
+/// disk fills at offer 100 and heals (with a forced retry) at offer 180
+/// — the degraded window rides ~80 offers, a failed retry at each of
+/// their commits and two checkpoint boundaries.
 RunResult run_stream(const std::vector<osn::Event>& log, bool faulted,
                      const std::string& tag) {
   const std::string dir = fresh_dir(tag);
@@ -114,6 +120,7 @@ RunResult run_stream(const std::vector<osn::Event>& log, bool faulted,
       EXPECT_TRUE(s.retry_storage_now());
     }
     s.offer(log[i], i);
+    s.commit();
     if (i % 7 == 6) s.pump(3);
   }
   s.flush();
@@ -121,7 +128,7 @@ RunResult run_stream(const std::vector<osn::Event>& log, bool faulted,
   if (faulted) {
     EXPECT_GE(s.storage_degraded_entries(), 1u);
     EXPECT_GE(s.storage_degraded_exits(), 1u);
-    EXPECT_GE(s.storage_retry_failures(), 1u);  // backoff retries failed
+    EXPECT_GE(s.storage_retry_failures(), 1u);  // in-window retries failed
     EXPECT_FALSE(s.storage_degraded());
     EXPECT_EQ(s.storage_error_kind(), io::VfsFaultKind::kNoSpace);
     EXPECT_GE(s.storage_checkpoints_suspended(), 1u);
@@ -161,41 +168,46 @@ TEST_F(StorageDegraded, ByteIdenticalAcrossThreadCounts) {
 }
 
 TEST_F(StorageDegraded, BufferOverflowThrowsTypedAndDropsNothing) {
-  const std::vector<osn::Event> log = build_log(40);
+  constexpr std::uint64_t kBound = kStorageBufferRecords;
+  const std::vector<osn::Event> log = build_log(kBound + 64);
+  const auto offer = [&log](ServiceSupervisor& s, std::uint64_t i) {
+    s.offer(log[i], i);
+    s.commit();
+    if (i % 64 == 63) s.pump();
+  };
   RunResult control;
   {
     const std::string dir = fresh_dir("ovf_control");
-    io::FaultyVfs v;
+    io::FaultyVfs v(&crashtest::sweep_vfs());
     ServiceSupervisor s(make_options(dir, &v));
     s.start();
-    for (std::uint64_t i = 0; i < log.size(); ++i) s.offer(log[i], i);
+    for (std::uint64_t i = 0; i < log.size(); ++i) offer(s, i);
     s.flush();
     control.stats = s.stats_json();
     control.flags = s.take_flagged();
   }
 
   const std::string dir = fresh_dir("ovf");
-  io::FaultyVfs v;
-  ServiceOptions o = make_options(dir, &v);
-  o.storage.buffer_records = 8;
-  ServiceSupervisor s(o);
+  io::FaultyVfs v(&crashtest::sweep_vfs());
+  ServiceSupervisor s(make_options(dir, &v));
   s.start();
   io::FaultConfig cfg;
   cfg.byte_budget = 0;
   v.configure(cfg);
 
-  // Offer 0 enters degraded mode with its record retained; offers 1..7
-  // buffer behind it. Offer 8 would exceed the bound.
-  for (std::uint64_t i = 0; i < 8; ++i) s.offer(log[i], i);
+  // Offer 0's commit enters degraded mode with its record retained;
+  // offers 1..kBound-1 buffer behind it. Offer kBound would exceed the
+  // bound.
+  for (std::uint64_t i = 0; i < kBound; ++i) offer(s, i);
   EXPECT_TRUE(s.storage_degraded());
-  EXPECT_EQ(s.storage_buffered(), 8u);
+  EXPECT_EQ(s.storage_buffered(), kBound);
   const std::uint64_t offered_before = s.offered();
   try {
-    s.offer(log[8], 8);
+    s.offer(log[kBound], kBound);
     FAIL() << "expected StorageBufferOverflow";
   } catch (const StorageBufferOverflow& e) {
     EXPECT_EQ(e.shard(), 0u);
-    EXPECT_EQ(e.buffered(), 8u);
+    EXPECT_EQ(e.buffered(), kBound);
   }
   // The overflowed offer was not logged and not counted: the caller
   // may simply re-offer it once the disk heals.
@@ -203,49 +215,61 @@ TEST_F(StorageDegraded, BufferOverflowThrowsTypedAndDropsNothing) {
   EXPECT_TRUE(s.accounting_ok());
 
   v.clear_faults();
-  ASSERT_TRUE(s.retry_storage_now());
-  EXPECT_EQ(s.storage_buffered(), 0u);  // the backlog flushed whole
-  for (std::uint64_t i = 8; i < log.size(); ++i) s.offer(log[i], i);
+  EXPECT_EQ(s.commit(), kBound);  // the retry flushed the backlog whole
+  EXPECT_FALSE(s.storage_degraded());
+  EXPECT_EQ(s.storage_buffered(), 0u);
+  for (std::uint64_t i = kBound; i < log.size(); ++i) offer(s, i);
   s.flush();
   EXPECT_EQ(s.stats_json(), control.stats);
   expect_flags_equal(s.take_flagged(), control.flags);
 }
 
-TEST_F(StorageDegraded, BackoffScheduleIsDeterministic) {
+TEST_F(StorageDegraded, RetriesOncePerCommit) {
   const std::vector<osn::Event> log = build_log(64);
-  const std::string dir = fresh_dir("backoff");
+  const std::string dir = fresh_dir("retry");
   io::FaultyVfs v;
   ServiceOptions o = make_options(dir, &v);
   o.checkpoint_every = 0;  // no checkpoint noise in the op sequence
-  o.storage.retry_backoff = 2;
-  o.storage.retry_backoff_cap = 8;
   ServiceSupervisor s(o);
   s.start();
   io::FaultConfig cfg;
   cfg.byte_budget = 0;
   v.configure(cfg);
 
-  // Offer 0 enters degraded mode (backoff 2). Retries then fire when
-  // the per-offer countdown hits zero: post-entry offers 1 (backoff
-  // doubles to 4), 5 (→8), 13 (capped at 8), 21, 29 — five retries,
-  // all failing against the still-full disk.
-  s.offer(log[0], 0);
-  ASSERT_TRUE(s.storage_degraded());
-  const std::uint64_t expected_at[] = {1, 5, 13, 21, 29};
-  std::size_t expected_idx = 0;
-  for (std::uint64_t i = 1; i <= 30; ++i) {
-    s.offer(log[i], i);
-    if (expected_idx < 5 && i == expected_at[expected_idx]) ++expected_idx;
-    EXPECT_EQ(s.storage_retries(), expected_idx) << "after offer " << i;
-  }
-  EXPECT_EQ(s.storage_retries(), 5u);
-  EXPECT_EQ(s.storage_retry_failures(), 5u);
+  // Offers never touch storage, so nothing degrades before a commit.
+  const std::uint64_t ops = v.ops();
+  for (std::uint64_t i = 0; i < 4; ++i) s.offer(log[i], i);
+  EXPECT_EQ(v.ops(), ops);
+  EXPECT_FALSE(s.storage_degraded());
+  EXPECT_EQ(s.storage_buffered(), 4u);
 
+  // The first failing commit enters degraded mode; it is not a retry.
+  EXPECT_EQ(s.commit(), 0u);
+  ASSERT_TRUE(s.storage_degraded());
+  EXPECT_EQ(s.storage_retries(), 0u);
+
+  // From then on every commit is exactly one retry, and an offer alone
+  // is none.
+  for (std::uint64_t i = 4; i < 34; ++i) {
+    s.offer(log[i], i);
+    EXPECT_EQ(s.storage_retries(), i - 4) << "after offer " << i;
+    EXPECT_EQ(s.commit(), 0u);
+    EXPECT_EQ(s.storage_retries(), i - 3) << "after commit " << i;
+  }
+  EXPECT_EQ(s.storage_retry_failures(), 30u);
+  EXPECT_EQ(s.storage_buffered(), 34u);
+
+  // The retry that succeeds flushes the whole backlog and ends the
+  // degraded episode; later commits are plain commits again.
   v.clear_faults();
-  EXPECT_TRUE(s.retry_storage_now());
-  EXPECT_EQ(s.storage_retries(), 6u);
-  EXPECT_EQ(s.storage_retry_failures(), 5u);
+  EXPECT_EQ(s.commit(), 34u);
+  EXPECT_FALSE(s.storage_degraded());
+  EXPECT_EQ(s.storage_retries(), 31u);
+  EXPECT_EQ(s.storage_retry_failures(), 30u);
   EXPECT_EQ(s.storage_degraded_exits(), 1u);
+  s.offer(log[34], 34);
+  EXPECT_EQ(s.commit(), 1u);
+  EXPECT_EQ(s.storage_retries(), 31u);
 }
 
 TEST_F(StorageDegraded, SuspendedCheckpointsAreCountedNotSilent) {
@@ -260,6 +284,7 @@ TEST_F(StorageDegraded, SuspendedCheckpointsAreCountedNotSilent) {
   cfg.byte_budget = 0;
   v.configure(cfg);
   s.offer(log[0], 0);
+  s.commit();
   ASSERT_TRUE(s.storage_degraded());
 
   const std::string ckpt_dir = dir + "/ckpt";
@@ -286,6 +311,7 @@ TEST_F(StorageDegraded, FlushWhileDegradedForcesRetryAndThrowsTyped) {
   cfg.byte_budget = 0;
   v.configure(cfg);
   s.offer(log[0], 0);
+  s.commit();
   ASSERT_TRUE(s.storage_degraded());
 
   // End-of-stream is the loud boundary: records may not stay buffered
@@ -311,10 +337,11 @@ TEST_F(StorageDegraded, PowerLossNeverDegrades) {
   ServiceSupervisor s(make_options(dir, &v));
   s.start();
   io::FaultConfig cfg;
-  cfg.cut_at_op = v.ops();  // the very next mutating op: offer 0's append
+  cfg.cut_at_op = v.ops();  // the very next mutating op: the commit's write
   v.configure(cfg);
+  s.offer(log[0], 0);  // issues no storage op
   try {
-    s.offer(log[0], 0);
+    s.commit();
     FAIL() << "expected kPowerLoss";
   } catch (const io::VfsError& e) {
     EXPECT_EQ(e.kind(), io::VfsFaultKind::kPowerLoss);
@@ -323,6 +350,148 @@ TEST_F(StorageDegraded, PowerLossNeverDegrades) {
   // path owns it.
   EXPECT_FALSE(s.storage_degraded());
   EXPECT_TRUE(v.dead());
+}
+
+// ---- An overflow that unwinds a router batch ------------------------
+
+/// Three shards on fsync-free devices; shard 1 on `shard1` when given.
+ShardRouterOptions unwind_options(const std::string& dir,
+                                  io::FaultyVfs* shard1) {
+  ShardRouterOptions o;
+  o.shards = 3;
+  o.shard = make_options(dir, &crashtest::sweep_vfs());
+  o.shard.checkpoint_every = 1024;
+  o.shard_vfs = [shard1](std::uint32_t i) -> io::Vfs* {
+    if (i == 1 && shard1 != nullptr) return shard1;
+    return &crashtest::sweep_vfs();
+  };
+  return o;
+}
+
+std::vector<std::string> per_shard_stats(const ShardRouter& router) {
+  std::vector<std::string> out;
+  for (std::uint32_t i = 0; i < router.shards(); ++i) {
+    out.push_back(router.shard(i).stats_json());
+  }
+  return out;
+}
+
+/// Shard 1's disk is full from the first offer, so its buffer fills and
+/// StorageBufferOverflow unwinds an offer_batch after some of the
+/// batch's copies were delivered and before any shard committed. The
+/// delivered copies stay buffered; once the disk heals, the next
+/// offer_batch's commits flush shard 1's backlog, re-offering from the
+/// interrupted seq suppresses exactly the copies already delivered,
+/// and the state on disk ends identical to a run that never faulted.
+TEST_F(StorageDegraded, OverflowMidBatchKeepsIdentitiesAndResumes) {
+  constexpr std::uint64_t kBatch = 256;
+  const std::vector<osn::Event> log = build_log(8192);
+  const std::span<const osn::Event> all(log);
+  // Offers [from, to) in batches on the fixed kBatch grid, pumping after
+  // each, so an interrupted batch's remainder re-joins the same grid.
+  const auto drive = [&](ShardRouter& router, std::uint64_t from,
+                         std::uint64_t to) {
+    while (from < to) {
+      const std::uint64_t end = std::min(to, (from / kBatch + 1) * kBatch);
+      router.offer_batch(all.subspan(from, end - from), from);
+      router.pump();
+      from = end;
+    }
+  };
+  const auto restarted_stats = [&](const std::string& dir) {
+    ShardRouter router(unwind_options(dir, nullptr));
+    router.start();
+    EXPECT_TRUE(router.accounting_ok());
+    return per_shard_stats(router);
+  };
+
+  const std::string clean_dir = fresh_dir("unwind_clean");
+  std::vector<std::string> clean_live;
+  core::FlagBatch clean_flags;
+  {
+    ShardRouter router(unwind_options(clean_dir, nullptr));
+    router.start();
+    drive(router, 0, log.size());
+    router.flush();
+    clean_live = per_shard_stats(router);
+    clean_flags = router.take_flagged();
+  }
+  ASSERT_FALSE(clean_flags.empty());
+
+  const std::string dir = fresh_dir("unwind");
+  io::FaultyVfs v1(&crashtest::sweep_vfs());
+  auto owned = std::make_unique<ShardRouter>(unwind_options(dir, &v1));
+  ShardRouter& router = *owned;
+  router.start();
+  io::FaultConfig cfg;
+  cfg.fail_from = v1.ops();
+  cfg.fail_count = io::FaultConfig::kNever;
+  cfg.fail_kind = io::VfsFaultKind::kNoSpace;
+  v1.configure(cfg);
+
+  std::uint64_t interrupted = log.size();  // seq whose offer overflowed
+  std::uint64_t delivered_before = 0;
+  for (std::uint64_t base = 0; interrupted == log.size() && base < log.size();
+       base += kBatch) {
+    delivered_before = router.copies_delivered();
+    const std::uint64_t offers_before = router.offers();
+    try {
+      router.offer_batch(all.subspan(base, kBatch), base);
+      router.pump();
+    } catch (const StorageBufferOverflow& e) {
+      EXPECT_EQ(e.shard(), 1u);
+      EXPECT_EQ(e.buffered(), kStorageBufferRecords);
+      // offers() already counts the event whose shard-1 copy overflowed.
+      interrupted = base + (router.offers() - offers_before) - 1;
+    }
+  }
+  ASSERT_LT(interrupted, log.size()) << "shard 1's buffer never filled";
+  ASSERT_GT(router.copies_delivered(), delivered_before)
+      << "the overflow did not land in the middle of a batch";
+
+  // Identities hold across the unwind: the overflowed copy was never
+  // counted, and nothing was committed.
+  EXPECT_TRUE(router.accounting_ok());
+  EXPECT_EQ(router.copies_routed(),
+            router.copies_delivered() + router.copies_suppressed());
+  EXPECT_TRUE(router.shard(1).storage_degraded());
+  EXPECT_EQ(router.shard(1).storage_buffered(), kStorageBufferRecords);
+  EXPECT_LE(router.next_seq(), interrupted);
+
+  // The disk heals. The next offer_batch's commits are shard 1's retry
+  // and flush its backlog (an empty batch only commits).
+  v1.clear_faults();
+  router.offer_batch({}, interrupted);
+  EXPECT_FALSE(router.shard(1).storage_degraded());
+  EXPECT_EQ(router.shard(1).storage_buffered(), 0u);
+
+  // Re-offering from the interrupted seq: only the copies delivered
+  // before the overflow (to shards ordered before shard 1) are
+  // suppressed; shard 1 and later get theirs now.
+  const RoutePlan plan = plan_route(log[interrupted], 3);
+  const std::uint32_t already =
+      plan.broadcast || plan.target[0] < 1 ? 1u : 0u;
+  const std::uint64_t suppressed_before = router.copies_suppressed();
+  const std::uint64_t grid_end =
+      std::min<std::uint64_t>(log.size(), (interrupted / kBatch + 1) * kBatch);
+  const RouteResult again = router.offer_batch(
+      all.subspan(interrupted, grid_end - interrupted), interrupted);
+  router.pump();
+  EXPECT_EQ(again.suppressed, already);
+  EXPECT_EQ(router.copies_suppressed() - suppressed_before, already);
+  EXPECT_TRUE(router.accounting_ok());
+
+  drive(router, grid_end, log.size());
+  router.flush();
+  EXPECT_TRUE(router.accounting_ok());
+  EXPECT_EQ(per_shard_stats(router), clean_live);
+  expect_flags_equal(router.take_flagged(), clean_flags);
+  owned.reset();
+
+  // A restart from disk agrees shard by shard with the clean run.
+  const std::vector<std::string> recovered = restarted_stats(dir);
+  EXPECT_EQ(recovered, restarted_stats(clean_dir));
+  EXPECT_EQ(recovered, clean_live);
 }
 
 }  // namespace
