@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "core/realtime_detector.h"
@@ -20,11 +19,11 @@ using io::SnapshotError;
 using io::SnapshotErrorCode;
 
 void check_version(std::uint32_t version) {
-  // Exact match: v2 redefined the seen-by-time section (released-only
-  // prune queue instead of the full accepted-seq heap) and v3 dropped
-  // the sections restore now derives (watcher index, seen-seq set,
-  // the reorder entries' second copy of their time), so an older blob
-  // cannot be reinterpreted — and nothing writes one anymore.
+  // Exact match: v3 dropped the sections restore derives (watcher
+  // index, seen-seq set, the reorder entries' second copy of their
+  // time) and v4 the in-flight events the WAL re-supplies (reorder
+  // buffer, released list), so an older blob cannot be reinterpreted —
+  // and nothing writes one anymore.
   if (version != kDetectorStateVersion) {
     throw SnapshotError(SnapshotErrorCode::kUnsupportedVersion,
                         "stream detector state v" +
@@ -90,48 +89,22 @@ constexpr std::size_t kAccountBytes =  // per account, before its friends
     osn::kLedgerBytes + kU64 + sizeof(std::uint32_t) + 2 * sizeof(std::uint8_t);
 constexpr std::size_t kFlagBytes =  // per pending flag (write_features)
     sizeof(osn::NodeId) + 5 * sizeof(double) + sizeof(graph::Time);
-constexpr std::size_t kBufferedBytes = kU64 + kEventBytes;
-constexpr std::size_t kReleasedBytes = sizeof(graph::Time) + kU64;
 constexpr std::size_t kDeadLetterBytes =
     kEventBytes + kU64 + sizeof(std::uint32_t);
-
-/// Grants access to a std::priority_queue's protected container so the
-/// exact heap array can be saved and restored — a restored queue pops
-/// in the same order as the original, bit for bit (the osn simulator
-/// checkpoint uses the same trick).
-template <typename Q>
-const typename Q::container_type& queue_container(const Q& q) {
-  struct Access : Q {
-    static const typename Q::container_type& get(const Q& queue) {
-      return queue.*&Access::c;
-    }
-  };
-  return Access::get(q);
-}
-
-template <typename Q>
-typename Q::container_type& queue_container_mut(Q& q) {
-  struct Access : Q {
-    static typename Q::container_type& get(Q& queue) {
-      return queue.*&Access::c;
-    }
-  };
-  return Access::get(q);
-}
 
 }  // namespace
 
 /// The one friend of StreamDetector / RealTimeDetector /
 /// AdaptiveThresholdTuner: all member access happens in these statics.
 struct DetectorStateAccess {
-  // Each fact is written once. The watcher index mirrors first_friends,
-  // the seen-seq set is the disjoint union of the buffered and the
-  // released seqs, and a buffered entry's sort time is its event's
-  // time — load_stream rebuilds all three (docs/FORMATS.md §5.5).
+  // Each fact is written once. The watcher index mirrors first_friends
+  // (load_stream rebuilds it), and the in-flight events — the reorder
+  // buffer, its seen seqs and the released list — are the WAL's to
+  // re-supply through StreamDetector::restore_buffered
+  // (docs/FORMATS.md §5.5).
   static std::vector<std::byte> save_stream(const StreamDetector& d) {
     std::vector<std::uint64_t> edges(d.edges_.begin(), d.edges_.end());
     std::sort(edges.begin(), edges.end());
-    const auto& reorder = queue_container(d.reorder_);
 
     std::size_t size = sizeof(kDetectorStateVersion) + kU64 +
                        d.accounts_.size() * kAccountBytes;
@@ -140,8 +113,6 @@ struct DetectorStateAccess {
     }
     size += kU64 + edges.size() * kU64;
     size += kU64 + d.newly_flagged_.size() * kFlagBytes + kU64;
-    size += kU64 + reorder.size() * kBufferedBytes;
-    size += kU64 + d.released_.size() * kReleasedBytes;
     size += sizeof(graph::Time) + kU64 +
             d.dead_letters_.size() * kDeadLetterBytes;
     size += (7 + kStreamErrorCodeCount) * kU64;  // the trailing counters
@@ -170,18 +141,6 @@ struct DetectorStateAccess {
       w.write(rec.flagged_at);
     }
     w.write(static_cast<std::uint64_t>(d.flagged_total_));
-
-    w.write(static_cast<std::uint64_t>(reorder.size()));
-    for (const StreamDetector::Buffered& b : reorder) {
-      w.write(b.seq);
-      write_event(w, b.event);
-    }
-
-    w.write(static_cast<std::uint64_t>(d.released_.size()));
-    for (const auto& [time, seq] : d.released_) {
-      w.write(time);
-      w.write(seq);
-    }
 
     w.write(d.high_watermark_);
     w.write(static_cast<std::uint64_t>(d.dead_letters_.size()));
@@ -241,40 +200,9 @@ struct DetectorStateAccess {
     }
     d.flagged_total_ = static_cast<std::size_t>(r.read<std::uint64_t>());
 
-    auto& reorder = queue_container_mut(d.reorder_);
-    reorder.resize(r.read_count(kBufferedBytes));
-    for (auto& b : reorder) {
-      b.seq = r.read<std::uint64_t>();
-      b.event = read_event(r);
-      StreamErrorCode reason;
-      if (!d.structurally_valid(b.event, reason)) {
-        reject("reorder-buffer event seq " + std::to_string(b.seq) +
-               " fails validation: " + to_string(reason));
-      }
-    }
-    if (!std::is_heap(reorder.begin(), reorder.end(), std::greater<>{})) {
-      reject("reorder-buffer array is not a heap");
-    }
-
-    d.released_.resize(r.read_count(kReleasedBytes));
-    for (auto& [time, seq] : d.released_) {
-      time = r.read<graph::Time>();
-      seq = r.read<std::uint64_t>();
-    }
-    if (!std::is_sorted(d.released_.begin(), d.released_.end())) {
-      reject("released seqs are not in ascending (time, seq) order");
-    }
-
+    d.reorder_.clear();
+    d.released_.clear();
     d.seen_seqs_.clear();
-    d.seen_seqs_.reserve(reorder.size() + d.released_.size());
-    const auto remember = [&](std::uint64_t seq) {
-      if (!d.seen_seqs_.insert(seq)) {
-        reject("seq " + std::to_string(seq) +
-               " is both buffered and released, or twice in one");
-      }
-    };
-    for (const StreamDetector::Buffered& b : reorder) remember(b.seq);
-    for (const auto& entry : d.released_) remember(entry.second);
 
     d.high_watermark_ = r.read<graph::Time>();
     d.dead_letters_.resize(r.read_count(kDeadLetterBytes));

@@ -1,17 +1,20 @@
 // Exact-state codec for the detection pipeline, used by the service
 // layer's incremental checkpoints (src/service/checkpoint.h).
 //
-// serialize_stream_state/restore_stream_state capture the COMPLETE
-// private state of a StreamDetector — ledgers, first-friend lists,
-// reorder buffer (exact heap array, so resumed releases pop in the same
-// order), released seqs, accounting counters — such that a restored
-// detector is byte-identical to one that never stopped: same verdicts,
+// serialize_stream_state/restore_stream_state capture the private state
+// of a StreamDetector — ledgers, first-friend lists, pending flags, the
+// high watermark, dead letters, accounting counters — except its
+// in-flight events, which the service WAL already holds: the caller
+// re-feeds them through StreamDetector::restore_buffered (until then
+// the accounting invariant is short by the buffered count). The result
+// is byte-identical to a detector that never stopped: same verdicts,
 // same feature snapshots, same counters, and identical bytes from the
-// next serialize call (save-load-save stability). Each fact is stored
-// once: restore rebuilds the watcher index from the first-friend lists
-// and the dedup seq set from the buffered and released seqs
-// (docs/FORMATS.md §5.5). The edge set is written sorted, so the bytes
-// never depend on insertion history.
+// next serialize call (save-load-save stability). Released seqs are not
+// kept, so a restored detector no longer dedups a redelivery of one;
+// the service never redelivers its keys, WAL indices. Each fact is
+// stored once: restore rebuilds the watcher index from the first-friend
+// lists (docs/FORMATS.md §5.5). The edge set is written sorted, so the
+// bytes never depend on insertion history.
 //
 // The caller must restore into a detector constructed with the SAME
 // DetectorOptions that produced the blob (the service persists options
@@ -35,15 +38,13 @@ class RealTimeDetector;
 
 /// Blob format revision; bumped when the member list changes. Readers
 /// reject every other revision with SnapshotError(kUnsupportedVersion).
-inline constexpr std::uint32_t kDetectorStateVersion = 3;
+inline constexpr std::uint32_t kDetectorStateVersion = 4;
 
 std::vector<std::byte> serialize_stream_state(const StreamDetector& d);
 /// Throws io::SnapshotError on truncated, malformed or other-version
 /// blobs, and kFormatViolation on state no detector can reach: a first
-/// friend that is not a known account, a seq held twice, a buffered
-/// event that fails ingest validation, a reorder array that is not a
-/// heap, or released seqs out of (time, seq) order. `d` is left in an
-/// unspecified but destructible state on throw.
+/// friend that is not a known account, or a dead-letter reason out of
+/// range. `d` is left in an unspecified but destructible state on throw.
 void restore_stream_state(StreamDetector& d, std::span<const std::byte> blob);
 
 /// A RealTimeDetector's exact state. No checkpoint stores it any more;

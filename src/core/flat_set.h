@@ -205,8 +205,8 @@ class FlatSet64 {
 // in the same word as the last one — a single compare, no hash at all.
 //
 // insert/erase/contains match FlatSet64 (insert -> bool, erase -> 0/1).
-// There is no iterator: nothing reads the whole set (the checkpoint
-// codec rebuilds it from the stored seqs, core/detector_state.h). The
+// There is no iterator: nothing reads the whole set (a checkpoint
+// restore rebuilds it through StreamDetector::restore_buffered). The
 // probe table stores word_index + 1 so 0 can mark empty slots; word
 // indexes top out at 2^58, so the +1 cannot wrap.
 class SeqBitSet {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 
 #include "core/metrics/instrument.h"
@@ -293,9 +294,16 @@ void StreamDetector::quarantine(const osn::Event& e, std::uint64_t seq,
 }
 
 void StreamDetector::release_top() {
-  const Buffered b = reorder_.top();
-  reorder_.pop();
-  released_.emplace_back(b.event.time, b.seq);
+  std::pop_heap(reorder_.begin(), reorder_.end(), std::greater<>{});
+  const Buffered b = reorder_.back();
+  reorder_.pop_back();
+  const std::pair entry{b.event.time, b.seq};
+  if (released_.empty() || released_.back() <= entry) {
+    released_.push_back(entry);
+  } else {
+    released_.insert(
+        std::upper_bound(released_.begin(), released_.end(), entry), entry);
+  }
   ++applied_total_;
   SYBIL_METRIC_COUNT("stream.ingest.applied", 1);
   dispatch(b.event);
@@ -303,15 +311,15 @@ void StreamDetector::release_top() {
 
 void StreamDetector::release_ready() {
   const graph::Time low = high_watermark_ - options_.ingest.watermark_hours;
-  while (!reorder_.empty() && reorder_.top().event.time <= low) {
+  while (!reorder_.empty() && reorder_.front().event.time <= low) {
     release_top();
   }
   // Prune duplicate-detection state that the watermark has passed: a
   // redelivery of a pruned seq necessarily carries an event time below
   // the low watermark and is quarantined as kTimeRegression before the
   // dedup check can matter. Releases come out of the heap in ascending
-  // (time, seq) order, so released_ is sorted and the prunable prefix
-  // sits at its front.
+  // (time, seq) order and release_top() keeps released_ sorted, so the
+  // prunable prefix sits at its front.
   while (!released_.empty() && released_.front().first < low) {
     seen_seqs_.erase(released_.front().second);
     released_.pop_front();
@@ -342,7 +350,8 @@ void StreamDetector::ingest(const osn::Event& e, std::uint64_t seq) {
     quarantine(e, seq, StreamErrorCode::kTimeRegression);
     return;
   }
-  reorder_.push(Buffered{seq, e});
+  reorder_.push_back(Buffered{seq, e});
+  std::push_heap(reorder_.begin(), reorder_.end(), std::greater<>{});
   if (e.time > high_watermark_) high_watermark_ = e.time;
   release_ready();
   SYBIL_METRIC_GAUGE_SET("stream.ingest.buffered", reorder_.size());
@@ -351,6 +360,25 @@ void StreamDetector::ingest(const osn::Event& e, std::uint64_t seq) {
 void StreamDetector::finish() {
   while (!reorder_.empty()) release_top();
   SYBIL_METRIC_GAUGE_SET("stream.ingest.buffered", 0);
+}
+
+std::uint64_t StreamDetector::oldest_buffered_seq() const noexcept {
+  std::uint64_t oldest = kAutoSeq;
+  for (const Buffered& b : reorder_) oldest = std::min(oldest, b.seq);
+  return oldest;
+}
+
+void StreamDetector::restore_buffered(const osn::Event& e, std::uint64_t seq) {
+  // A valid event at or below the low watermark was released or was a
+  // time regression: release_ready() ran after every watermark rise.
+  StreamErrorCode reason;
+  if (!structurally_valid(e, reason) ||
+      e.time <= high_watermark_ - options_.ingest.watermark_hours ||
+      !seen_seqs_.insert(seq)) {
+    return;
+  }
+  reorder_.push_back(Buffered{seq, e});
+  std::push_heap(reorder_.begin(), reorder_.end(), std::greater<>{});
 }
 
 }  // namespace sybil::core

@@ -42,7 +42,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <queue>
 #include <vector>
 
 #include "core/detector.h"
@@ -110,6 +109,19 @@ class StreamDetector {
   /// again afterwards; the watermark is retained.
   void finish();
 
+  /// Smallest seq in the reorder buffer, or kAutoSeq when it is empty.
+  std::uint64_t oldest_buffered_seq() const noexcept;
+
+  /// Checkpoint restore step. A stream-state blob (core/detector_state.h)
+  /// holds no in-flight events; after restore_stream_state the caller
+  /// hands back, in ingest order, every event ingested from the oldest
+  /// one still buffered on. This re-buffers `e` under `seq` iff it is
+  /// structurally valid and its time is above the low watermark — which
+  /// is exactly the set still buffered when every seq is unique (so none
+  /// was deduped) and no finish() ran since the first of them. Changes
+  /// no counter.
+  void restore_buffered(const osn::Event& e, std::uint64_t seq);
+
   /// Exact ingestion accounting. Invariant at every point:
   ///   events_in() == applied_total() + deduped_total()
   ///                  + deadletter_total() + buffered().
@@ -165,9 +177,10 @@ class StreamDetector {
   std::size_t accounts_seen() const noexcept { return accounts_.size(); }
 
  private:
-  /// Checkpoint codec (core/detector_state.h): serializes the complete
-  /// private state so a recovered detector is byte-identical to one
-  /// that never stopped. Kept out of the public API on purpose.
+  /// Checkpoint codec (core/detector_state.h): serializes the private
+  /// state except the in-flight events, which restore_buffered() brings
+  /// back, so a recovered detector is byte-identical to one that never
+  /// stopped. Kept out of the public API on purpose.
   friend struct DetectorStateAccess;
 
   struct AccountState {
@@ -228,19 +241,20 @@ class StreamDetector {
   std::size_t flagged_total_ = 0;
 
   // ---- hardened-path state ----
-  std::priority_queue<Buffered, std::vector<Buffered>, std::greater<>>
-      reorder_;
+  /// Min-heap on (time, seq) (std::push_heap/pop_heap, std::greater<>).
+  std::vector<Buffered> reorder_;
   /// Seqs accepted within the reorder horizon (duplicate detection);
   /// pruned as the low watermark advances past their event time. Always
-  /// the disjoint union of the buffered and the released_ seqs, which is
-  /// how a checkpoint restore rebuilds it.
+  /// the disjoint union of the buffered and the released_ seqs; a
+  /// checkpoint restore keeps only the buffered ones.
   SeqBitSet seen_seqs_;
-  /// Released-but-not-yet-pruned (time, seq) pairs, appended as events
-  /// leave the reorder buffer — which is already ascending (time, seq)
-  /// order, so pruning pops from the front instead of paying a second
-  /// per-event heap. Events still buffered need no entry: release (time
-  /// <= low) always precedes pruning (time < low) under the same low
-  /// watermark, so only released seqs are ever prunable.
+  /// Released-but-not-yet-pruned (time, seq) pairs in ascending order,
+  /// so pruning pops from the front instead of paying a second
+  /// per-event heap. The heap releases in that order, except after a
+  /// finish(): a later release may sort before entries finish() drained,
+  /// and is inserted in place. Events still buffered need no entry:
+  /// release (time <= low) always precedes pruning (time < low) under
+  /// the same low watermark, so only released seqs are ever prunable.
   std::deque<std::pair<graph::Time, std::uint64_t>> released_;
   graph::Time high_watermark_;  // max event time accepted so far
   std::deque<DeadLetter> dead_letters_;

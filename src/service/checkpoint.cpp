@@ -28,7 +28,8 @@ constexpr std::uint32_t kSecStream = 3;
 constexpr std::uint32_t kSecDefense = 5;
 
 // The only version this build writes or reads (docs/FORMATS.md §5.4).
-constexpr std::uint32_t kCheckpointVersion = 5;
+// v6 widened replay_from to cover the detector's in-flight events.
+constexpr std::uint32_t kCheckpointVersion = 6;
 
 }  // namespace
 

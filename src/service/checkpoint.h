@@ -4,10 +4,12 @@
 // defense scorer's when that tier is on, the ServiceCounters record
 // (stored once, encoded once as the meta section's counter block), the
 // degradation tier, the WAL position P (count of WAL records written
-// when the checkpoint was taken) and the replay start R (the queue
-// head's WAL index, or P when the queue is empty). The queue is not
-// stored: it is exactly the admitted WAL records with index in [R, P).
-// Recovery = load the newest valid generation, re-queue the admitted
+// when the checkpoint was taken) and the replay start R: the smallest
+// WAL index among the queue head and the detector's reorder buffer, or
+// P when both are empty. In-flight events are not stored: the queue is
+// the last admitted - pumped admitted WAL records below P, and the
+// detector re-buffers its own from the admitted records before those.
+// Recovery = load the newest valid generation, rebuild both from the
 // WAL records in [R, P) and replay those at or after P through the
 // same apply step a live offer runs (service/supervisor.h).
 //
@@ -65,9 +67,9 @@ inline ServiceCounters& ServiceCounters::operator+=(
 /// Everything a checkpoint stores; the supervisor fills/consumes it.
 struct ServiceCheckpointState {
   std::uint64_t wal_position = 0;
-  /// WAL index of the oldest admitted record not yet pumped, or
-  /// wal_position when the queue is empty. Load rejects a value past
-  /// wal_position.
+  /// Smallest WAL index among the oldest admitted record not yet pumped
+  /// and the records the detector still buffers, or wal_position when
+  /// there are none. Load rejects a value past wal_position.
   std::uint64_t replay_from = 0;
   /// core::ServiceTier at checkpoint time; load rejects values above
   /// kSweepOnly.
@@ -103,7 +105,7 @@ void save_service_checkpoint(const std::string& path,
                              ServiceCheckpointState&& state,
                              io::Vfs* vfs = nullptr);
 
-/// Loads and fully validates one v5 generation — including no trailing
+/// Loads and fully validates one v6 generation — including no trailing
 /// meta bytes, a tier no higher than kSweepOnly and replay_from <=
 /// wal_position; throws the matching typed io::SnapshotError on any
 /// corruption, and kUnsupportedVersion for any other version (the

@@ -361,9 +361,9 @@ RecoveryReport ServiceSupervisor::start() {
     }
   }
 
-  // Records below the position are the queue the checkpoint did not
-  // store; the rest replay through apply(), which re-counts them as the
-  // live offers did. The WAL must hold all of them: indices ascend
+  // Records below the position are the in-flight events the checkpoint
+  // did not store; the rest replay through apply(), which re-counts them
+  // as the live offers did. The WAL must hold all of them: indices ascend
   // strictly, so the first index and the count below the position rule
   // out any gap. No fallback: an older generation needs a superset.
   WalScanReport scan;
@@ -385,6 +385,17 @@ RecoveryReport ServiceSupervisor::start() {
   }
   for (auto it = records.begin(); it != suffix; ++it) {
     if (!it->shed()) queue_.push_back(*it);  // counted in the checkpoint
+  }
+  // The queue is the last admitted - pumped of those (a pumped count
+  // above admitted wraps past any size); the detector pumped the ones
+  // before it and re-buffers those it still held.
+  const std::uint64_t queued = counters_.admitted - counters_.pumped;
+  if (queue_.size() < queued) {
+    throw io::SnapshotError(io::SnapshotErrorCode::kFormatViolation,
+                            "checkpoint queue outruns its WAL records");
+  }
+  for (; queue_.size() > queued; queue_.pop_front()) {
+    detector_.restore_buffered(queue_.front().event, queue_.front().index);
   }
   for (auto it = suffix; it != records.end(); ++it) apply(*it);
   report.records_replayed = static_cast<std::uint64_t>(records.end() - suffix);
@@ -440,6 +451,11 @@ void ServiceSupervisor::update_tier() {
 
 bool ServiceSupervisor::offer(const osn::Event& e, std::uint64_t seq) {
   require_started("offer");
+  if (seq < next_seq_) {
+    throw std::invalid_argument(
+        "ServiceSupervisor::offer: seq " + std::to_string(seq) +
+        " is below next_seq() " + std::to_string(next_seq_));
+  }
   update_tier();
   // The verdict, as the record's flags: bans are never shed.
   std::uint32_t flags = tier_bits(tier_);
@@ -523,7 +539,7 @@ std::size_t ServiceSupervisor::drain(More more) {
     queue_.pop_front();
     ++counters_.pumped;
     ++n;
-    detector_.ingest(r.event, r.seq);
+    detector_.ingest(r.event, r.index);
     if (scorer_ != nullptr) scorer_->observe(r.event);
   }
   SYBIL_SERVICE_METRIC(queue_depth.set(static_cast<double>(queue_.size())));
@@ -623,7 +639,8 @@ void ServiceSupervisor::checkpoint_now() {
   }
   const std::uint64_t position = wal_->next_index();
   const std::uint64_t replay_from =
-      queue_.empty() ? position : queue_.front().index;
+      std::min(queue_.empty() ? position : queue_.front().index,
+               detector_.oldest_buffered_seq());
   ServiceCheckpointState state;
   state.wal_position = position;
   state.replay_from = replay_from;

@@ -12,13 +12,16 @@
 //                                        StreamDetector::ingest
 //
 // Every offered event is WAL-logged with its admission verdict before
-// anything else happens; periodic checkpoints capture exact detector
-// state plus the WAL position and the queue head's WAL index;
-// recovery (start()) loads the newest valid checkpoint generation —
-// falling back past corrupt ones — re-queues the admitted WAL records
-// from the queue head to the position, and replays the WAL suffix
-// through the same apply step a live offer runs after its append,
-// re-executing recorded admission verdicts.
+// anything else happens; the detector keys each pumped event by its WAL
+// index. Periodic checkpoints capture detector state without its
+// in-flight events, plus the WAL position and the replay start — the
+// smallest WAL index still queued or buffered in the detector.
+// Recovery (start()) loads the newest valid checkpoint generation —
+// falling back past corrupt ones — rebuilds the queue and the
+// detector's reorder buffer from the admitted WAL records between the
+// replay start and the position, and replays the WAL suffix through
+// the same apply step a live offer runs after its append, re-executing
+// recorded admission verdicts.
 // The recovered service is byte-identical to one that never crashed:
 // same verdicts, same features, same accounting JSON (tested with a
 // process crash at every storage op; docs/ROBUSTNESS.md §Recovery
@@ -163,7 +166,7 @@ struct RecoveryReport {
   /// Corrupt generations skipped before a valid one loaded.
   std::uint64_t generations_discarded = 0;
   /// Records at or past the checkpoint position run through apply();
-  /// the re-queued records below it are not counted.
+  /// the records below it, re-queued or re-buffered, are not counted.
   std::uint64_t records_replayed = 0;
   std::uint64_t records_truncated = 0;
   std::uint64_t torn_tails_healed = 0;
@@ -230,9 +233,13 @@ class ServiceSupervisor {
   /// WAL-logged either way, so recovery reconstructs shed accounting
   /// exactly). Ban events are always admitted. Issues no WAL I/O of its
   /// own — the record becomes durable at the next commit() — except
-  /// through a checkpoint that the new WAL position triggers. Throws
-  /// StorageBufferOverflow when degraded with a full buffer; fatal
-  /// storage faults (io::is_fatal) from that checkpoint propagate.
+  /// through a checkpoint that the new WAL position triggers. An
+  /// explicit seq must be at least next_seq() — explicit seqs ascend
+  /// strictly per shard, which a ShardRouter guarantees by suppressing
+  /// redeliveries — else std::invalid_argument, before anything is
+  /// logged. Throws StorageBufferOverflow when degraded with a full
+  /// buffer; fatal storage faults (io::is_fatal) from that checkpoint
+  /// propagate.
   bool offer(const osn::Event& e,
              std::uint64_t seq = core::StreamDetector::kAutoSeq);
 

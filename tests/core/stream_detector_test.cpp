@@ -237,6 +237,29 @@ TEST(StreamDetector, AutoSeqEventsAreNeverDeduplicated) {
   EXPECT_DOUBLE_EQ(det.features(0).invite_rate_short, 2.0);
 }
 
+/// A release after finish() can sort before entries finish() drained
+/// into the released list; it must still be pruned once the watermark
+/// passes it, so a later redelivery is a time regression — as it is
+/// without the finish() — rather than a duplicate.
+TEST(StreamDetector, ReleaseAfterFinishIsPrunedInTimeOrder) {
+  for (const bool finish_first : {false, true}) {
+    SCOPED_TRACE(finish_first ? "with finish()" : "without finish()");
+    StreamDetector det;  // 48 h watermark
+    const auto request_at = [](double t) {
+      return osn::Event{osn::EventType::kRequestSent, 1, 2, t};
+    };
+    for (std::uint64_t t = 52; t <= 100; ++t) {
+      det.ingest(request_at(static_cast<double>(t)), t);
+    }
+    if (finish_first) det.finish();
+    det.ingest(request_at(60.0), 200);   // buffered: 60 > 100 - 48
+    det.ingest(request_at(130.0), 201);  // low watermark 82 releases it
+    det.ingest(request_at(60.0), 200);   // the redelivery
+    EXPECT_EQ(det.deduped_total(), 0u);
+    EXPECT_EQ(det.deadletter_by_reason(StreamErrorCode::kTimeRegression), 1u);
+  }
+}
+
 #if SYBIL_METRICS_COMPILED
 /// Replaying a log must advance the stream.* metrics exactly as the
 /// equivalent live event stream does: replay dispatches through the

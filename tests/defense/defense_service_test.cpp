@@ -363,9 +363,18 @@ TEST_F(DefenseService, DefenseOnRefusesScorerlessCheckpointAndRebuilds) {
   EXPECT_EQ(rebuilt.stats_json(), birth.stats);
   expect_flags_equal(rebuilt.take_flagged(), birth.flags);
 
-  // Pruned WAL: the cold start is refused.
+  // Pruned WAL: the cold start is refused. The 500 h watermark keeps
+  // every record in flight until the final flush, so a second flushed
+  // generation is what lets the WAL be pruned.
   const std::string pruned = fresh_dir("on_reader");
-  run_defense_off(make_options(pruned, /*defense=*/false));
+  {
+    ServiceSupervisor s(make_options(pruned, /*defense=*/false));
+    s.start();
+    drive(s, log, 0);
+    s.offer(log.back(), log.size());
+    s.commit();
+    s.flush();
+  }
   ServiceSupervisor refused(make_options(pruned, /*defense=*/true));
   try {
     refused.start();

@@ -2,10 +2,13 @@
 // golden binaries and every typed refusal of load_service_checkpoint,
 // in the `io` binary so the asan-io preset runs this decoder too.
 //
-//   * tests/data/service_ckpt_v5.sybs loads field-exact, and
+//   * tests/data/service_ckpt_v6.sybs loads field-exact, and
 //     re-serializing the same state reproduces its bytes;
+//   * every byte flip and every truncation of it loads or throws a
+//     typed io::SnapshotError, nothing else;
 //   * the v3 and v4 goldens — formats that carried the unpumped queue —
-//     are refused with kUnsupportedVersion;
+//     and the v5 golden, whose replay start did not cover the
+//     detector's in-flight events, are refused with kUnsupportedVersion;
 //   * trailing meta bytes, a tier above kSweepOnly and a replay start
 //     past the WAL position are refused, each with its own code;
 //   * the defense-scorer decoder (DefenseScorer::restore and the rank
@@ -17,6 +20,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -41,13 +45,13 @@ core::DetectorOptions golden_defense_options() {
   return opts;
 }
 
-/// The exact state behind tests/data/service_ckpt_v5.sybs — every field
+/// The exact state behind tests/data/service_ckpt_v6.sybs — every field
 /// here is documented in the worked example of FORMATS.md §5.4. Fully
 /// deterministic: fixed options, fixed events, no RNG, no clock.
 ServiceCheckpointState golden_state() {
   ServiceCheckpointState s;
   s.wal_position = 7;
-  s.replay_from = 6;  // record 6 is admitted and not yet pumped
+  s.replay_from = 3;  // the oldest record the detector still buffers
   s.tier = 1;         // kShedLowPriority
   s.shard_id = 2;
   s.shard_count = 4;
@@ -81,10 +85,10 @@ void expect_load_refused(const std::string& path, io::SnapshotErrorCode code) {
   }
 }
 
-TEST(ServiceCheckpoint, GoldenCheckpointV5Loads) {
+TEST(ServiceCheckpoint, GoldenCheckpointV6Loads) {
   const ServiceCheckpointState want = golden_state();
   const ServiceCheckpointState got =
-      load_service_checkpoint(golden("service_ckpt_v5.sybs"));
+      load_service_checkpoint(golden("service_ckpt_v6.sybs"));
   EXPECT_EQ(got.wal_position, want.wal_position);
   EXPECT_EQ(got.replay_from, want.replay_from);
   EXPECT_EQ(got.tier, want.tier);
@@ -109,10 +113,10 @@ TEST(ServiceCheckpoint, GoldenCheckpointV5Loads) {
   EXPECT_EQ(dirty[1], 2u);
 }
 
-TEST(ServiceCheckpoint, GoldenCheckpointV5BytesAreFrozen) {
-  const std::string fresh = ::testing::TempDir() + "/sybil_ckpt_v5_fresh.sybs";
+TEST(ServiceCheckpoint, GoldenCheckpointV6BytesAreFrozen) {
+  const std::string fresh = ::testing::TempDir() + "/sybil_ckpt_v6_fresh.sybs";
   save_service_checkpoint(fresh, golden_state());
-  std::ifstream fa(golden("service_ckpt_v5.sybs"), std::ios::binary);
+  std::ifstream fa(golden("service_ckpt_v6.sybs"), std::ios::binary);
   std::ifstream fb(fresh, std::ios::binary);
   ASSERT_TRUE(fa.good()) << "committed golden missing";
   ASSERT_TRUE(fb.good());
@@ -124,8 +128,8 @@ TEST(ServiceCheckpoint, GoldenCheckpointV5BytesAreFrozen) {
   std::remove(fresh.c_str());
 }
 
-// v3 and v4 stored the unpumped queue in section 2; v5 re-reads it from
-// the WAL, so the older goldens are kept only to be refused.
+// v3 and v4 stored the unpumped queue in section 2; later versions read
+// it from the WAL, so the older goldens are kept only to be refused.
 TEST(ServiceCheckpoint, GoldenCheckpointsV3AndV4AreRefused) {
   expect_load_refused(golden("service_ckpt_v3.sybs"),
                       io::SnapshotErrorCode::kUnsupportedVersion);
@@ -133,11 +137,76 @@ TEST(ServiceCheckpoint, GoldenCheckpointsV3AndV4AreRefused) {
                       io::SnapshotErrorCode::kUnsupportedVersion);
 }
 
-/// The v5 golden re-containered with one zero byte appended to its meta
+// v5's replay start covered only the queue; its stream blob (state v3)
+// carried the reorder buffer that v6 rebuilds from the WAL instead.
+TEST(ServiceCheckpoint, GoldenCheckpointV5IsRefused) {
+  expect_load_refused(golden("service_ckpt_v5.sybs"),
+                      io::SnapshotErrorCode::kUnsupportedVersion);
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Loads `bytes` as a checkpoint file. Returns false when the load threw
+/// the typed taxonomy; any other exception escapes and fails the test.
+bool loads(const std::string& path, const std::string& bytes) {
+  write_file(path, bytes);
+  try {
+    load_service_checkpoint(path);
+    return true;
+  } catch (const io::SnapshotError&) {
+    return false;
+  }
+}
+
+// Untrusted-bytes hardening in the style of WalScanFuzz: the golden is
+// damaged one byte at a time (every offset, several seeded values).
+// Container CRCs cover every byte the decoder trusts, so nearly every
+// flip is refused; whatever loads must have passed every check.
+TEST(ServiceCheckpointFuzz, EveryByteFlipLoadsOrThrowsTyped) {
+  const std::string bytes = read_file(golden("service_ckpt_v6.sybs"));
+  ASSERT_FALSE(bytes.empty());
+  const std::string path = ::testing::TempDir() + "/sybil_ckpt_flip.sybs";
+  std::mt19937_64 rng(0x5EEDu);
+  std::size_t refused = 0;
+  for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
+    unsigned char values[5] = {0x00, 0xFF, 0, 0, 0};
+    for (int k = 2; k < 5; ++k) values[k] = static_cast<unsigned char>(rng());
+    for (const unsigned char value : values) {
+      if (static_cast<char>(value) == bytes[pos]) continue;
+      SCOPED_TRACE("byte " + std::to_string(pos) + " := " +
+                   std::to_string(value));
+      std::string damaged = bytes;
+      damaged[pos] = static_cast<char>(value);
+      if (!loads(path, damaged)) ++refused;
+    }
+  }
+  EXPECT_GT(refused, 0u);
+  std::remove(path.c_str());
+}
+
+TEST(ServiceCheckpointFuzz, EveryTruncationThrowsTyped) {
+  const std::string bytes = read_file(golden("service_ckpt_v6.sybs"));
+  const std::string path = ::testing::TempDir() + "/sybil_ckpt_cut.sybs";
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    SCOPED_TRACE("length " + std::to_string(len));
+    EXPECT_FALSE(loads(path, bytes.substr(0, len)));
+  }
+  std::remove(path.c_str());
+}
+
+/// The v6 golden re-containered with one zero byte appended to its meta
 /// section when `grow_meta` is set. Every CRC stays valid, so only the
 /// checkpoint decoder can notice.
 std::string golden_regrown(bool grow_meta, const std::string& name) {
-  const io::ContainerReader reader(golden("service_ckpt_v5.sybs"),
+  const io::ContainerReader reader(golden("service_ckpt_v6.sybs"),
                                    io::PayloadKind::kServiceCheckpoint);
   io::ContainerWriter writer(io::PayloadKind::kServiceCheckpoint);
   for (const std::uint32_t id : {1u, 3u, 5u}) {

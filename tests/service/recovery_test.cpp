@@ -13,8 +13,11 @@
 //     silent loss;
 //   * recovery with no checkpoint at all (cold start) rebuilds from
 //     the full WAL;
-//   * the unpumped queue, which checkpoints do not store, comes back
-//     from the WAL — shed records between its entries stay out;
+//   * the unpumped queue and the detector's reorder buffer, which
+//     checkpoints do not store, come back from the WAL — shed records
+//     between the queue's entries stay out — from every kind of
+//     generation on a disordered stream, at SYBIL_THREADS=1 and 8;
+//     a checkpoint whose queue outruns its WAL records is refused;
 //   * a WAL that no longer reaches the replay start (a lost segment, or
 //     a cold start over a pruned log) is refused typed, never resumed
 //     on part of the history; WAL retention keeps what every retained
@@ -26,8 +29,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/parallel.h"
@@ -35,6 +40,7 @@
 #include "io/error.h"
 #include "io/faulty_vfs.h"
 #include "osn/network.h"
+#include "service/checkpoint.h"
 #include "service/supervisor.h"
 #include "stats/rng.h"
 #include "support/crash_vfs.h"
@@ -281,6 +287,149 @@ TEST_F(ServiceRecovery, ByteIdenticalAcrossThreadCounts) {
   expect_flags_equal(eight.flags, base.flags);
 }
 
+/// build_log(seed) in time order, then every time pulled back by up to
+/// `jitter` hours: WAL order is no longer time order, so a reorder
+/// buffer holds records out of WAL order, yet no record falls behind a
+/// watermark of `jitter` hours.
+std::vector<osn::Event> disordered_log(std::uint64_t seed, double jitter) {
+  std::vector<osn::Event> log = build_log(seed);
+  std::stable_sort(log.begin(), log.end(),
+                   [](const osn::Event& a, const osn::Event& b) {
+                     return a.time < b.time;
+                   });
+  stats::Rng rng(seed + 1);
+  for (osn::Event& e : log) e.time -= rng.uniform(0.0, jitter);
+  return log;
+}
+
+// The disordered script's generations: a mid-stream checkpoint whose
+// oldest buffered record lies far below the queue head, a flush(true)
+// with nothing in flight, and a checkpoint four offers later that holds
+// only a queue (the next pump is at 6 mod 7).
+constexpr std::uint64_t kMidCheckpoint = 300;
+constexpr std::uint64_t kFlushAt = 420;
+constexpr std::uint64_t kQueueCheckpoint = kFlushAt + 4;
+constexpr double kJitterHours = 3.0;
+
+ServiceOptions disordered_options(const std::string& dir) {
+  ServiceOptions o = make_options(dir);
+  o.checkpoint_every = 0;  // the script's generations only
+  o.detector.ingest.watermark_hours = kJitterHours;
+  return o;
+}
+
+/// drive_until with the script's generations.
+void drive_disordered(ServiceSupervisor& s, const std::vector<osn::Event>& log,
+                      std::uint64_t offer_from, std::uint64_t pump_from,
+                      std::uint64_t until) {
+  for (std::uint64_t i = std::min(offer_from, pump_from); i < until; ++i) {
+    if (i >= offer_from) {
+      s.offer(log[i], i);
+      s.commit();
+    }
+    if (i < pump_from) continue;
+    if (i % 7 == 6) s.pump(3);
+    if (i == kMidCheckpoint || i == kQueueCheckpoint) s.checkpoint_now();
+    if (i == kFlushAt) s.flush();
+  }
+}
+
+// Recovered-vs-uninterrupted on a disordered stream, from each kind of
+// generation: the recovered detector re-buffers exactly the in-flight
+// records the checkpointed one held, and the run continues onto the
+// uninterrupted bytes, at SYBIL_THREADS 1 and 8.
+TEST_F(ServiceRecovery, DisorderedStreamRecoversFromEveryKindOfGeneration) {
+  const std::vector<osn::Event> log = disordered_log(31, kJitterHours);
+  ASSERT_GT(log.size(), kQueueCheckpoint + 100);
+  // Crash points, one past each generation.
+  const std::uint64_t crashes[] = {kMidCheckpoint + 60, kFlushAt + 2,
+                                   kQueueCheckpoint + 30};
+
+  // The uninterrupted run, with the detector's buffer at each
+  // generation and the whole accounting at each crash point.
+  std::vector<std::uint64_t> buffered_at_generation;
+  std::vector<std::string> stats_at_crash;
+  std::vector<std::uint64_t> buffered_at_crash;
+  RunResult base;
+  {
+    const std::string dir = fresh_dir("disorder_base");
+    ServiceSupervisor s(disordered_options(dir));
+    s.start();
+    std::size_t next_crash = 0;
+    for (std::uint64_t i = 0; i < log.size(); ++i) {
+      drive_disordered(s, log, i, i, i + 1);
+      if (i == kMidCheckpoint || i == kFlushAt || i == kQueueCheckpoint) {
+        buffered_at_generation.push_back(s.detector().buffered());
+        const ServiceCheckpointState ckpt = load_service_checkpoint(
+            list_checkpoints(dir + "/ckpt").back().second);
+        ASSERT_EQ(ckpt.wal_position, i + 1);
+        if (i == kMidCheckpoint) {
+          // Many pumped records lie between the replay start and the
+          // queue head: the admitted records in range, less the queue.
+          EXPECT_EQ(ckpt.replay_from, s.detector().oldest_buffered_seq());
+          WalScanReport scan;
+          std::uint64_t admitted = 0;
+          for (const WalRecord& r :
+               scan_wal(dir + "/wal", ckpt.replay_from, scan, 0)) {
+            if (r.index < ckpt.wal_position && !r.shed()) ++admitted;
+          }
+          EXPECT_GE(admitted - s.queue_depth(), 50u)
+              << admitted << " admitted, " << s.queue_depth() << " queued";
+        } else if (i == kFlushAt) {
+          EXPECT_EQ(s.detector().buffered(), 0u);
+          EXPECT_EQ(s.queue_depth(), 0u);
+          EXPECT_EQ(ckpt.replay_from, ckpt.wal_position);
+        } else {
+          EXPECT_EQ(s.detector().buffered(), 0u);
+          EXPECT_EQ(s.queue_depth(), 4u);
+          EXPECT_EQ(ckpt.replay_from, ckpt.wal_position - 4);
+        }
+      }
+      if (next_crash < std::size(crashes) && i == crashes[next_crash]) {
+        stats_at_crash.push_back(s.stats_json());
+        buffered_at_crash.push_back(s.detector().buffered());
+        ++next_crash;
+      }
+    }
+    s.flush();
+    base.stats = s.stats_json();
+    base.flags = s.take_flagged();
+  }
+  ASSERT_GT(buffered_at_generation[0], 0u);
+  ASSERT_FALSE(base.flags.records.empty());
+
+  for (const int threads : {1, 8}) {
+    core::set_thread_count(threads);
+    for (std::size_t c = 0; c < std::size(crashes); ++c) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + ", crash after " +
+                   std::to_string(crashes[c]));
+      const std::string dir = fresh_dir("disorder");
+      {
+        ServiceSupervisor victim(disordered_options(dir));
+        victim.start();
+        drive_disordered(victim, log, 0, 0, crashes[c] + 1);
+      }  // process death: no flush, no final checkpoint
+      ServiceSupervisor recovered(disordered_options(dir));
+      const RecoveryReport report = recovered.start();
+      const std::uint64_t generations[] = {kMidCheckpoint, kFlushAt,
+                                           kQueueCheckpoint};
+      ASSERT_EQ(report.checkpoint_position, generations[c] + 1);
+      EXPECT_EQ(recovered.detector().buffered(), buffered_at_generation[c]);
+      EXPECT_TRUE(recovered.accounting_ok());
+      drive_disordered(recovered, log, report.next_index,
+                       report.checkpoint_position, crashes[c] + 1);
+      EXPECT_EQ(recovered.detector().buffered(), buffered_at_crash[c]);
+      EXPECT_EQ(recovered.stats_json(), stats_at_crash[c]);
+      drive_disordered(recovered, log, crashes[c] + 1, crashes[c] + 1,
+                       log.size());
+      recovered.flush();
+      EXPECT_EQ(recovered.stats_json(), base.stats);
+      expect_flags_equal(recovered.take_flagged(), base.flags);
+    }
+  }
+  core::set_thread_count(0);  // back to automatic
+}
+
 TEST_F(ServiceRecovery, CorruptNewestCheckpointFallsBackAGeneration) {
   const std::vector<osn::Event> log = build_log(13);
   const RunResult base = run_baseline(log, fresh_dir("corrupt_base"));
@@ -389,7 +538,9 @@ void expect_start_refused(ServiceSupervisor& s) {
 
 // A cold start needs the WAL from record 0. Once checkpoints have let
 // the WAL be pruned, deleting them must not leave a service that
-// silently rebuilds from the surviving suffix.
+// silently rebuilds from the surviving suffix. The 500 h watermark
+// keeps every record in flight until the final flush, so a second
+// flushed generation is what lets the WAL be pruned.
 TEST_F(ServiceRecovery, ColdStartOverPrunedWalIsRefused) {
   const std::vector<osn::Event> log = build_log(23);
   const std::string dir = fresh_dir("pruned_cold");
@@ -397,7 +548,11 @@ TEST_F(ServiceRecovery, ColdStartOverPrunedWalIsRefused) {
     ServiceSupervisor s(make_options(dir));
     s.start();
     drive(s, log, 0);
+    s.offer(log.back(), log.size());
+    s.commit();
+    s.flush();
   }
+  ASSERT_FALSE(fs::exists(dir + "/wal/wal-00000000000000000000.seg"));
   fs::remove_all(dir + "/ckpt");
   ServiceSupervisor recovered(make_options(dir));
   expect_start_refused(recovered);
@@ -422,7 +577,8 @@ ServiceOptions tiny_options(const std::string& dir) {
 /// Account 1's request burst, with the queue driven through the shed
 /// tiers: the checkpoint (WAL position 10) is taken while the queue
 /// holds admitted records 2, 3, 4, 5, 7 and 9, with records 6 and 8
-/// shed between them; records 10 (shed) and 11 (a ban) follow it.
+/// shed between them, and records 0 and 1, pumped, still sit in the
+/// detector's reorder buffer; records 10 (shed) and 11 (a ban) follow.
 void offer_script(ServiceSupervisor& s) {
   double t = 0.0;
   std::uint64_t seq = 0;
@@ -476,13 +632,14 @@ TEST_F(ServiceRecovery, QueueAmongShedRecordsComesBackFromTheWal) {
   const ServiceCheckpointState ckpt =
       load_service_checkpoint(list_checkpoints(dir + "/ckpt").back().second);
   EXPECT_EQ(ckpt.wal_position, 10u);
-  EXPECT_EQ(ckpt.replay_from, 2u);
+  EXPECT_EQ(ckpt.replay_from, 0u);  // the oldest buffered record
 
   ServiceSupervisor recovered(tiny_options(dir));
   const RecoveryReport report = recovered.start();
   EXPECT_FALSE(report.cold_start);
   EXPECT_EQ(report.records_replayed, 2u);  // re-queued records not counted
   EXPECT_EQ(recovered.queue_depth(), 7u);
+  EXPECT_EQ(recovered.detector().buffered(), 2u);
   EXPECT_EQ(recovered.stats_json(), live);
   EXPECT_TRUE(recovered.accounting_ok());
   recovered.flush();
@@ -491,11 +648,34 @@ TEST_F(ServiceRecovery, QueueAmongShedRecordsComesBackFromTheWal) {
   expect_flags_equal(recovered.take_flagged(), base.flags);
 }
 
-// The script's checkpoint replays from record 2 with the WAL cut into
-// two-record segments. Losing the segment that holds record 2, or one
-// inside [2, 10), leaves a WAL that cannot rebuild the queue.
+// A checkpoint whose queue (admitted - pumped) needs more admitted
+// records than the WAL holds below its position is refused typed.
+TEST_F(ServiceRecovery, QueueLongerThanItsWalRecordsIsRefused) {
+  const std::string dir = fresh_dir("queue_outruns");
+  {
+    ServiceSupervisor s(tiny_options(dir));
+    s.start();
+    offer_script(s);
+  }
+  const std::string path = list_checkpoints(dir + "/ckpt").back().second;
+  ServiceCheckpointState ckpt = load_service_checkpoint(path);
+  ckpt.counters.admitted += 3;  // a queue of 9; 8 admitted records below 10
+  save_service_checkpoint(path, std::move(ckpt));
+  ServiceSupervisor recovered(tiny_options(dir));
+  try {
+    recovered.start();
+    ADD_FAILURE() << "started with a queue longer than its WAL records";
+  } catch (const io::SnapshotError& e) {
+    EXPECT_EQ(e.code(), io::SnapshotErrorCode::kFormatViolation) << e.what();
+  }
+}
+
+// The script's checkpoint replays from record 0 with the WAL cut into
+// two-record segments. Losing the segment that holds record 0, or one
+// inside [0, 10), leaves a WAL that cannot rebuild the queue and the
+// reorder buffer.
 TEST_F(ServiceRecovery, WalMissingRecordsBelowThePositionIsRefused) {
-  for (const std::uint64_t lost : {2u, 6u}) {
+  for (const std::uint64_t lost : {0u, 6u}) {
     SCOPED_TRACE("lost segment " + std::to_string(lost));
     const std::string dir = fresh_dir("lost_segment");
     {

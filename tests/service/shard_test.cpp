@@ -28,6 +28,7 @@
 #include <filesystem>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -272,6 +273,47 @@ TEST_F(Shard, FrontierSurvivesRestartAndSuppressesRedelivery) {
   for (std::uint32_t i = 0; i < 3; ++i) {
     EXPECT_EQ(router.shard(i).stats_json(), stats_before[i]) << "shard " << i;
   }
+  EXPECT_TRUE(router.accounting_ok());
+}
+
+// Explicit seqs ascend strictly per shard. A bare supervisor refuses a
+// seq below its frontier before the WAL append; a router never gets
+// that far, because it suppresses the redelivery itself.
+TEST_F(Shard, SeqBelowFrontierIsRefusedBeforeTheWal) {
+  const osn::Event e{osn::EventType::kRequestSent, 1, 2, 0.5};
+  const std::string dir = fresh_dir("seq_order");
+  ServiceOptions o;
+  o.dir = dir;
+  o.checkpoint_every = 0;
+  {
+    ServiceSupervisor s(o);
+    s.start();
+    s.offer(e, 5);
+    for (const std::uint64_t seq : {4u, 5u}) {
+      EXPECT_THROW(s.offer(e, seq), std::invalid_argument) << "seq " << seq;
+    }
+    EXPECT_EQ(s.offered(), 1u);
+    EXPECT_EQ(s.storage_buffered(), 1u);  // nothing appended
+    EXPECT_EQ(s.next_seq(), 6u);
+    EXPECT_TRUE(s.accounting_ok());
+    s.offer(e, 6);
+    s.offer(e);  // auto seqs carry no position
+    s.commit();
+  }
+  WalScanReport scan;
+  const std::vector<WalRecord> records = scan_wal(dir + "/wal", 0, scan, 0);
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[0].seq, 5u);
+  EXPECT_EQ(records[1].seq, 6u);
+
+  ShardRouter router(make_router_options(fresh_dir("seq_order_router"), 2));
+  router.start();
+  router.offer(e, 7);
+  RouteResult again;
+  EXPECT_NO_THROW(again = router.offer(e, 7));
+  EXPECT_GT(again.routed, 0u);
+  EXPECT_EQ(again.suppressed, again.routed);
+  EXPECT_EQ(again.delivered, 0u);
   EXPECT_TRUE(router.accounting_ok());
 }
 
