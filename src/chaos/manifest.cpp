@@ -1,12 +1,14 @@
 #include "chaos/manifest.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <utility>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace sybil::chaos {
 
@@ -76,13 +78,22 @@ double parse_double(const Line& l, std::size_t idx = 0) {
   return v;
 }
 
-std::uint64_t parse_u64(const Line& l, std::size_t idx = 0) {
-  if (idx >= l.values.size()) fail(l.number, l.key + ": missing value");
-  const std::string& s = l.values[idx];
+/// Strict unsigned parse of the line's value into `T`: digits only, and
+/// a value above T's maximum fails instead of wrapping.
+template <typename T = std::uint64_t>
+T parse_uint(const Line& l) {
+  const std::string& s = l.values[0];
   if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos) {
     fail(l.number, l.key + ": not a non-negative integer: '" + s + "'");
   }
-  return std::strtoull(s.c_str(), nullptr, 10);
+  constexpr std::uint64_t kMax = std::numeric_limits<T>::max();
+  std::uint64_t v = 0;
+  if (std::from_chars(s.data(), s.data() + s.size(), v).ec != std::errc() ||
+      v > kMax) {
+    fail(l.number, l.key + ": " + s + " is out of range [0, " +
+                       std::to_string(kMax) + "]");
+  }
+  return static_cast<T>(v);
 }
 
 bool parse_bool(const Line& l) {
@@ -424,15 +435,15 @@ ScenarioManifest parse_manifest(const std::string& text) {
       case Section::kWorkload: {
         service::WorkloadOptions& w = m.workload;
         if (l.key == "accounts") {
-          w.accounts = static_cast<std::uint32_t>(parse_u64(l));
+          w.accounts = parse_uint<std::uint32_t>(l);
         } else if (l.key == "events") {
-          w.events = parse_u64(l);
+          w.events = parse_uint(l);
         } else if (l.key == "hours") {
           w.hours = parse_double(l);
         } else if (l.key == "seed") {
-          w.seed = parse_u64(l);
+          w.seed = parse_uint(l);
         } else if (l.key == "burst_senders") {
-          w.burst_senders = static_cast<std::uint32_t>(parse_u64(l));
+          w.burst_senders = parse_uint<std::uint32_t>(l);
         } else if (l.key == "burst_fraction") {
           w.burst_fraction = parse_double(l);
         } else if (l.key == "accept_fraction") {
@@ -462,7 +473,7 @@ ScenarioManifest parse_manifest(const std::string& text) {
       }
       case Section::kService:
         if (l.key == "shards") {
-          m.shards = static_cast<std::uint32_t>(parse_u64(l));
+          m.shards = parse_uint<std::uint32_t>(l);
         } else if (l.key == "fsync") {
           const std::string& v = l.values[0];
           if (v == "always") {
@@ -473,24 +484,23 @@ ScenarioManifest parse_manifest(const std::string& text) {
             fail(lineno, "fsync: expected always|never");
           }
         } else if (l.key == "wal_segment_records") {
-          m.wal_segment_records = parse_u64(l);
+          m.wal_segment_records = parse_uint(l);
         } else if (l.key == "checkpoint_retain") {
-          m.checkpoint_retain = static_cast<std::size_t>(parse_u64(l));
+          m.checkpoint_retain = parse_uint<std::size_t>(l);
         } else if (l.key == "queue_capacity") {
-          m.overload.queue_capacity = static_cast<std::size_t>(parse_u64(l));
+          m.overload.queue_capacity = parse_uint<std::size_t>(l);
         } else if (l.key == "shed_watermark") {
-          m.overload.shed_watermark = static_cast<std::size_t>(parse_u64(l));
+          m.overload.shed_watermark = parse_uint<std::size_t>(l);
         } else if (l.key == "sweep_only_watermark") {
-          m.overload.sweep_only_watermark =
-              static_cast<std::size_t>(parse_u64(l));
+          m.overload.sweep_only_watermark = parse_uint<std::size_t>(l);
         } else if (l.key == "resume_watermark") {
-          m.overload.resume_watermark = static_cast<std::size_t>(parse_u64(l));
+          m.overload.resume_watermark = parse_uint<std::size_t>(l);
         } else if (l.key == "invite_rate_min") {
           m.invite_rate_min = parse_double(l);
         } else if (l.key == "outgoing_accept_max") {
           m.outgoing_accept_max = parse_double(l);
         } else if (l.key == "min_requests") {
-          m.min_requests = static_cast<std::uint32_t>(parse_u64(l));
+          m.min_requests = parse_uint<std::uint32_t>(l);
         } else {
           fail(lineno, "unknown [service] key '" + l.key + "'");
         }
@@ -500,9 +510,9 @@ ScenarioManifest parse_manifest(const std::string& text) {
         if (l.key == "name") {
           p.name = l.values[0];
         } else if (l.key == "until_event") {
-          p.until_event = parse_u64(l);
+          p.until_event = parse_uint(l);
         } else if (l.key == "pump_interval") {
-          p.pump_interval = parse_u64(l);
+          p.pump_interval = parse_uint(l);
         } else if (l.key == "sweep") {
           p.sweep = parse_bool(l);
         } else {
@@ -513,11 +523,11 @@ ScenarioManifest parse_manifest(const std::string& text) {
       case Section::kFaults: {
         faults::FaultWindow& fw = m.fault_windows.back();
         if (l.key == "from_event") {
-          fw.from_event = parse_u64(l);
+          fw.from_event = parse_uint(l);
         } else if (l.key == "to_event") {
-          fw.to_event = parse_u64(l);
+          fw.to_event = parse_uint(l);
         } else if (l.key == "seed") {
-          fw.rates.seed = parse_u64(l);
+          fw.rates.seed = parse_uint(l);
         } else if (l.key == "drop") {
           fw.rates.drop = parse_double(l);
         } else if (l.key == "duplicate") {
@@ -542,15 +552,15 @@ ScenarioManifest parse_manifest(const std::string& text) {
       case Section::kKill: {
         KillSpec& k = m.kills.back();
         if (l.key == "shard") {
-          k.shard = static_cast<std::uint32_t>(parse_u64(l));
+          k.shard = parse_uint<std::uint32_t>(l);
         } else if (l.key == "at_event") {
-          k.at_event = parse_u64(l);
+          k.at_event = parse_uint(l);
           k.use_boundary = false;
         } else if (l.key == "at_boundary") {
-          k.at_boundary = parse_u64(l);
+          k.at_boundary = parse_uint(l);
           k.use_boundary = true;
         } else if (l.key == "down_for") {
-          k.down_for = parse_u64(l);
+          k.down_for = parse_uint(l);
         } else {
           fail(lineno, "unknown [kill] key '" + l.key + "'");
         }
@@ -559,7 +569,7 @@ ScenarioManifest parse_manifest(const std::string& text) {
       case Section::kDisk: {
         DiskFaultSpec& d = m.disk_faults.back();
         if (l.key == "shard") {
-          d.shard = static_cast<std::uint32_t>(parse_u64(l));
+          d.shard = parse_uint<std::uint32_t>(l);
         } else if (l.key == "kind") {
           const std::string& v = l.values[0];
           if (v == "enospc") {
@@ -572,11 +582,11 @@ ScenarioManifest parse_manifest(const std::string& text) {
             fail(lineno, "kind: expected enospc|eio|powerloss");
           }
         } else if (l.key == "from_event") {
-          d.from_event = parse_u64(l);
+          d.from_event = parse_uint(l);
         } else if (l.key == "to_event") {
-          d.to_event = parse_u64(l);
+          d.to_event = parse_uint(l);
         } else if (l.key == "seed") {
-          d.seed = parse_u64(l);
+          d.seed = parse_uint(l);
         } else {
           fail(lineno, "unknown [disk] key '" + l.key + "'");
         }

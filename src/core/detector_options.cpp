@@ -15,9 +15,6 @@ namespace {
 }  // namespace
 
 void DetectorOptions::validate() const {
-  if (first_friends == 0) {
-    reject("first_friends must be >= 1 (the clustering prefix length)");
-  }
   if (!(rule.outgoing_accept_max >= 0.0 && rule.outgoing_accept_max <= 1.0)) {
     reject("rule.outgoing_accept_max must be a ratio in [0, 1]");
   }

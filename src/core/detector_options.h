@@ -8,13 +8,15 @@
 // built with it.
 //
 // Fields a given detector does not use are simply ignored (the batch
-// path has no event handlers), so one options value can configure both
+// path ingests no events), so one options value can configure both
 // halves of a deployment and guarantee they agree on the rule.
 //
 // Only values a deployment sets live here. What the paper's deployment
-// fixes — quarantine-and-continue ingestion, the adaptive tuner's
-// configuration and retune cadence, the incremental rank's propagation
-// settings — is a constant of the code that uses it, not an option.
+// fixes — the first-50-friends clustering prefix (core::kFirstFriends),
+// quarantine-and-continue ingestion and its dead-letter bound, the
+// adaptive tuner's configuration and retune cadence, the incremental
+// rank's propagation settings — is a constant of the code that uses
+// it, not an option.
 #pragma once
 
 #include <cstddef>
@@ -26,21 +28,16 @@
 
 namespace sybil::core {
 
-/// Hostile-input hardening knobs of the streaming ingestion path
-/// (StreamDetector::ingest; the trusted on_* handlers bypass them).
-/// A rejected event is always quarantined into the dead-letter queue
-/// with a reason code, and ingestion keeps going (docs/ROBUSTNESS.md).
+/// Hostile-input hardening knobs of StreamDetector::ingest, the
+/// detector's one ingestion surface. A rejected event is always
+/// quarantined into the dead-letter queue with a reason code, and
+/// ingestion keeps going (docs/ROBUSTNESS.md).
 struct IngestOptions {
   /// Reorder tolerance: an event may arrive up to this many hours of
   /// event time behind the newest event seen and still be slotted into
   /// its correct position; anything older is quarantined as
   /// kTimeRegression. 0 applies events immediately in arrival order.
   double watermark_hours = 48.0;
-
-  /// Most recent quarantined events retained for inspection. Older
-  /// entries are evicted (and counted as dropped) once the queue is
-  /// full; the deadletter_total counter is exact regardless.
-  std::size_t dead_letter_capacity = 1024;
 
   /// Largest account id the ingestion path will allocate state for.
   /// A hostile id above this is quarantined as kInvalidAccountId
@@ -115,10 +112,6 @@ struct DetectorOptions {
   /// The threshold rule both detector paths apply (paper Section 2.3).
   ThresholdRule rule{};
 
-  /// Clustering prefix length — the paper's "first 50 friends".
-  /// Used by StreamDetector and by RealTimeDetector's feature snapshot.
-  std::size_t first_friends = 50;
-
   /// Streaming ingestion hardening (see IngestOptions).
   IngestOptions ingest{};
 
@@ -131,8 +124,8 @@ struct DetectorOptions {
   DefenseOptions defense{};
 
   /// Throws std::invalid_argument naming the offending field when the
-  /// options cannot configure any detector (zero prefix length,
-  /// out-of-range ratios, negative or non-finite watermark, ...).
+  /// options cannot configure any detector (out-of-range ratios,
+  /// negative or non-finite watermark, ...).
   void validate() const;
 };
 

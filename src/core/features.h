@@ -21,6 +21,9 @@
 
 namespace sybil::core {
 
+/// The clustering prefix: an account's first 50 friends (Section 2.2).
+inline constexpr std::size_t kFirstFriends = 50;
+
 struct SybilFeatures {
   double invite_rate_short = 0.0;  // invites per active hour
   double invite_rate_long = 0.0;   // invites per hour over the long window
@@ -44,10 +47,10 @@ struct SybilFeatures {
 class FeatureExtractor {
  public:
   /// `long_window_hours` is the paper's 400-hour horizon;
-  /// `first_friends` the clustering prefix length (paper: 50).
+  /// `first_friends` the clustering prefix length.
   explicit FeatureExtractor(const osn::Network& net,
                             double long_window_hours = 400.0,
-                            std::size_t first_friends = 50);
+                            std::size_t first_friends = kFirstFriends);
 
   SybilFeatures extract(osn::NodeId account) const;
 

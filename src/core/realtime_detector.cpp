@@ -24,8 +24,7 @@ FlagBatch RealTimeDetector::sweep(const osn::Network& net,
                                   graph::Time now) {
   SYBIL_METRIC_SCOPED_TIMER(span, "realtime.sweep");
   SYBIL_METRIC_COUNT("realtime.candidates", candidates.size());
-  const FeatureExtractor extractor(net, /*long_window_hours=*/400.0,
-                                   options_.first_friends);
+  const FeatureExtractor extractor(net);
 
   FlagBatch newly_flagged;
   std::size_t evaluated = 0;

@@ -51,76 +51,69 @@ void StreamDetector::ensure(osn::NodeId id) {
   }
 }
 
-void StreamDetector::on_request_sent(osn::NodeId from, osn::NodeId to,
-                                     graph::Time t) {
-  SYBIL_METRIC_COUNT("stream.events.request_sent", 1);
-  ensure(std::max(from, to));
-  const bool from_banned = accounts_[from].banned;
-  const bool to_banned = accounts_[to].banned;
-  if (from_banned || to_banned) {
-    ++banned_party_total_;
-    SYBIL_METRIC_COUNT("stream.events.banned_party", 1);
+void StreamDetector::apply(const osn::Event& e) {
+  if (e.type == osn::EventType::kAccountCreated ||
+      e.type == osn::EventType::kRequestDropped) {
+    return;  // no feature effect, no counter
   }
-  if (!from_banned) accounts_[from].ledger.record_sent(t);
-  if (!to_banned) accounts_[to].ledger.record_received();
-  maybe_flag(from, t);
-}
-
-void StreamDetector::on_request_rejected(osn::NodeId from, osn::NodeId to,
-                                         graph::Time t) {
-  SYBIL_METRIC_COUNT("stream.events.request_rejected", 1);
-  ensure(std::max(from, to));
-  if (accounts_[from].banned || accounts_[to].banned) {
-    ++banned_party_total_;
-    SYBIL_METRIC_COUNT("stream.events.banned_party", 1);
-  }
-  // Rejection changes no counter (the ledger tracks sent vs accepted),
-  // but it is the moment the outgoing ratio's shortfall becomes
-  // observable — re-check the sender.
-  maybe_flag(from, t);
-}
-
-void StreamDetector::on_request_accepted(osn::NodeId from, osn::NodeId to,
-                                         graph::Time t) {
-  SYBIL_METRIC_COUNT("stream.events.request_accepted", 1);
-  ensure(std::max(from, to));
-  const bool from_banned = accounts_[from].banned;
-  const bool to_banned = accounts_[to].banned;
-  if (from_banned || to_banned) {
-    ++banned_party_total_;
-    SYBIL_METRIC_COUNT("stream.events.banned_party", 1);
-  }
-  if (!from_banned) accounts_[from].ledger.record_sent_accepted();
-  if (!to_banned) accounts_[to].ledger.record_received_accepted();
-  // No friendship materializes with a banned party: the platform
-  // removes a banned account's edges, so installing one would leak
-  // state the batch path can never see.
-  if (!from_banned && !to_banned) add_edge(from, to, t);
-  maybe_flag(from, t);
-  maybe_flag(to, t);
-}
-
-void StreamDetector::on_friendship(osn::NodeId u, osn::NodeId v,
-                                   graph::Time t) {
-  SYBIL_METRIC_COUNT("stream.events.friendship", 1);
-  ensure(std::max(u, v));
-  if (accounts_[u].banned || accounts_[v].banned) {
-    ++banned_party_total_;
-    SYBIL_METRIC_COUNT("stream.events.banned_party", 1);
+  if (e.type == osn::EventType::kAccountBanned) {
+    SYBIL_METRIC_COUNT("stream.events.account_banned", 1);
+    ensure(e.actor);
+    accounts_[e.actor].banned = true;
     return;
   }
-  add_edge(u, v, t);
-}
-
-void StreamDetector::on_account_banned(osn::NodeId who) {
-  SYBIL_METRIC_COUNT("stream.events.account_banned", 1);
-  ensure(who);
-  accounts_[who].banned = true;
+  // Log convention: an answer's actor is the account that answered, so
+  // the request's sender is its subject.
+  const bool answer = e.type == osn::EventType::kRequestAccepted ||
+                      e.type == osn::EventType::kRequestRejected;
+  const osn::NodeId from = answer ? e.subject : e.actor;
+  const osn::NodeId to = answer ? e.actor : e.subject;
+  const graph::Time t = e.time;
+  ensure(std::max(from, to));
+  // A party banned before this event is frozen; the live side updates.
+  const bool from_banned = accounts_[from].banned;
+  const bool to_banned = accounts_[to].banned;
+  if (from_banned || to_banned) {
+    ++banned_party_total_;
+    SYBIL_METRIC_COUNT("stream.events.banned_party", 1);
+  }
+  switch (e.type) {
+    case osn::EventType::kRequestSent:
+      SYBIL_METRIC_COUNT("stream.events.request_sent", 1);
+      if (!from_banned) accounts_[from].ledger.record_sent(t);
+      if (!to_banned) accounts_[to].ledger.record_received();
+      maybe_flag(from, t);
+      break;
+    case osn::EventType::kRequestRejected:
+      SYBIL_METRIC_COUNT("stream.events.request_rejected", 1);
+      // Rejection changes no counter (the ledger tracks sent vs
+      // accepted), but it is the moment the outgoing ratio's shortfall
+      // becomes observable — re-check the sender.
+      maybe_flag(from, t);
+      break;
+    case osn::EventType::kRequestAccepted:
+      SYBIL_METRIC_COUNT("stream.events.request_accepted", 1);
+      if (!from_banned) accounts_[from].ledger.record_sent_accepted();
+      if (!to_banned) accounts_[to].ledger.record_received_accepted();
+      // No friendship materializes with a banned party: the platform
+      // removes a banned account's edges, so installing one would leak
+      // state the batch path can never see.
+      if (!from_banned && !to_banned) add_edge(from, to, t);
+      maybe_flag(from, t);
+      maybe_flag(to, t);
+      break;
+    case osn::EventType::kFriendshipSeeded:  // a pre-existing friendship
+      SYBIL_METRIC_COUNT("stream.events.friendship", 1);
+      if (!from_banned && !to_banned) add_edge(from, to, t);
+      break;
+    default:  // the kinds returned above
+      break;
+  }
 }
 
 void StreamDetector::attach_friend(osn::NodeId u, osn::NodeId v) {
   AccountState& acc = accounts_[u];
-  if (acc.first_friends.size() >= options_.first_friends) return;
+  if (acc.first_friends.size() >= kFirstFriends) return;
   // Count existing links between the newcomer and the already-watched
   // friends before inserting.
   for (osn::NodeId f : acc.first_friends) {
@@ -206,36 +199,6 @@ std::size_t StreamDetector::sweep_flags(graph::Time now) {
   return newly_flagged_.size() - before;
 }
 
-void StreamDetector::dispatch(const osn::Event& e) {
-  switch (e.type) {
-    case osn::EventType::kRequestSent:
-      on_request_sent(e.actor, e.subject, e.time);
-      break;
-    case osn::EventType::kRequestAccepted:
-      // Log convention: actor = target (who accepted), subject = sender.
-      on_request_accepted(e.subject, e.actor, e.time);
-      break;
-    case osn::EventType::kRequestRejected:
-      on_request_rejected(e.subject, e.actor, e.time);
-      break;
-    case osn::EventType::kFriendshipSeeded:
-      on_friendship(e.actor, e.subject, e.time);
-      break;
-    case osn::EventType::kAccountBanned:
-      on_account_banned(e.actor);
-      break;
-    case osn::EventType::kAccountCreated:
-    case osn::EventType::kRequestDropped:
-      break;  // no feature effect, no counter — matches the live path,
-              // which has no handler for these event types either
-  }
-}
-
-void StreamDetector::replay(const osn::EventLog& log) {
-  SYBIL_METRIC_SCOPED_TIMER(span, "stream.replay");
-  for (const osn::Event& e : log.events()) dispatch(e);
-}
-
 bool StreamDetector::structurally_valid(const osn::Event& e,
                                         StreamErrorCode& reason) const {
   if (!osn::event_type_known(static_cast<std::uint8_t>(e.type))) {
@@ -280,17 +243,12 @@ void StreamDetector::quarantine(const osn::Event& e, std::uint64_t seq,
       SYBIL_METRIC_COUNT("stream.deadletter.time_regression", 1);
       break;
   }
-  if (options_.ingest.dead_letter_capacity == 0) {
+  if (dead_letters_.size() >= kDeadLetterCapacity) {
+    dead_letters_.pop_front();
     ++dead_letters_dropped_;
     SYBIL_METRIC_COUNT("stream.deadletter.dropped", 1);
-  } else {
-    if (dead_letters_.size() >= options_.ingest.dead_letter_capacity) {
-      dead_letters_.pop_front();
-      ++dead_letters_dropped_;
-      SYBIL_METRIC_COUNT("stream.deadletter.dropped", 1);
-    }
-    dead_letters_.push_back(DeadLetter{e, seq, reason});
   }
+  dead_letters_.push_back(DeadLetter{e, seq, reason});
 }
 
 void StreamDetector::release_top() {
@@ -306,7 +264,7 @@ void StreamDetector::release_top() {
   }
   ++applied_total_;
   SYBIL_METRIC_COUNT("stream.ingest.applied", 1);
-  dispatch(b.event);
+  apply(b.event);
 }
 
 void StreamDetector::release_ready() {

@@ -8,36 +8,32 @@
 //
 //   * invitation rates: the same hour-bucket ledger the batch path uses;
 //   * accept ratios: plain counters;
-//   * clustering coefficient of the first K friends: each account
-//     "watches" its first K friends; a reverse index (node → watching
+//   * clustering coefficient of the first kFirstFriends friends: each
+//     account "watches" those friends; a reverse index (node → watching
 //     accounts) lets a new friendship (a, b) update the internal-link
 //     counter of exactly the accounts that watch both endpoints.
 //
-// Two ingestion surfaces, one feature engine:
+// One ingestion surface: ingest()/finish(). It is built for hostile or
+// degraded feeds (late, duplicated, reordered, malformed records):
+// events pass structural validation, sequence-number deduplication and
+// a watermark-based reorder buffer before the feature engine applies
+// them, and rejected events are quarantined into a bounded dead-letter
+// queue with typed reason codes (core/stream_error.h). The watermark
+// and the account-id bound live in DetectorOptions::ingest; semantics
+// are specified in docs/ROBUSTNESS.md. A watermark of 0 applies a
+// nondecreasing-time feed event by event, in arrival order.
 //
-//   * the on_* handlers and replay() are the TRUSTED path: events are
-//     applied immediately and must arrive in nondecreasing time order
-//     per account (the order a platform log provides);
-//   * ingest()/finish() is the HARDENED path for hostile or degraded
-//     feeds (late, duplicated, reordered, malformed records): events
-//     pass structural validation, sequence-number deduplication and a
-//     watermark-based reorder buffer before reaching the same handlers,
-//     and rejected events are quarantined into a bounded dead-letter
-//     queue with typed reason codes (core/stream_error.h). The
-//     watermark and bounds live in DetectorOptions::ingest; semantics
-//     are specified in docs/ROBUSTNESS.md.
+// Ingestion maintains an exact accounting invariant at all times:
+//   events_in == applied + deduped + dead-lettered + buffered.
 //
-// The hardened path maintains an exact accounting invariant at all
-// times:  events_in == applied + deduped + dead-lettered + buffered.
+// Ingesting a network's event log with a watermark that covers the
+// log's largest time inversion reproduces the batch features exactly
+// (tested in stream_detector_test.cpp).
 //
-// Feeding the detector a network's event log reproduces the batch
-// features exactly (tested in stream_detector_test.cpp), so a deployment
-// can run either path and trust they agree.
-//
-// Observability: every event handler bumps a "stream.events.*" counter,
-// and flags bump "stream.flagged"; the hardened path adds
-// "stream.ingest.*" and "stream.deadletter.*" counters. Collection
-// never affects verdicts.
+// Observability: every applied event bumps a "stream.events.*" counter
+// for its kind (creations and dropped requests have none), flags bump
+// "stream.flagged", and ingestion adds "stream.ingest.*" and
+// "stream.deadletter.*" counters. Collection never affects verdicts.
 #pragma once
 
 #include <cstdint>
@@ -61,31 +57,12 @@ class StreamDetector {
   /// Throws std::invalid_argument if `options` fails validate().
   explicit StreamDetector(const DetectorOptions& options);
 
-  /// Trusted event-stream entry points. Events must arrive in
-  /// nondecreasing time order per account (the order a platform log
-  /// provides); use ingest() for feeds that cannot promise that.
-  /// Events referencing an already-banned account never mutate the
-  /// banned account's state (the late-ban/request race): the banned
-  /// side is frozen, the live side still updates, and the event is
-  /// counted under banned_party_total / "stream.events.banned_party".
-  void on_request_sent(osn::NodeId from, osn::NodeId to, graph::Time t);
-  void on_request_rejected(osn::NodeId from, osn::NodeId to, graph::Time t);
-  /// `from`'s request was accepted by `to` at time t (creates an edge).
-  void on_request_accepted(osn::NodeId from, osn::NodeId to, graph::Time t);
-  /// Pre-existing friendship without request mechanics (seeded edge).
-  void on_friendship(osn::NodeId u, osn::NodeId v, graph::Time t);
-  void on_account_banned(osn::NodeId who);
-
-  /// Replays a whole event log (convenience for batch catch-up).
-  /// Dispatches to the on_* handlers, so metrics counters advance
-  /// exactly as they would for the equivalent live stream.
-  void replay(const osn::EventLog& log);
-
-  // ---- Hardened ingestion (hostile / degraded feeds) ----
-
   /// Sentinel: let ingest() assign a unique sequence number (disables
   /// duplicate detection for that event — auto numbers never repeat).
   static constexpr std::uint64_t kAutoSeq = ~std::uint64_t{0};
+
+  /// Quarantined events kept for inspection; older ones are evicted.
+  static constexpr std::size_t kDeadLetterCapacity = 1024;
 
   /// One quarantined event: what arrived, its transport sequence
   /// number, and why it was rejected.
@@ -95,8 +72,12 @@ class StreamDetector {
     StreamErrorCode reason;
   };
 
-  /// Validates, deduplicates and reorder-buffers one event, then
-  /// applies every event whose time has passed the watermark. `seq` is
+  /// Validates, deduplicates and reorder-buffers one log-convention
+  /// event, then applies every event whose time has passed the
+  /// watermark. An event referencing an already-banned account never
+  /// mutates the banned account's state (the late-ban/request race):
+  /// the banned side is frozen, the live side still updates, and the
+  /// event is counted under banned_party_total(). `seq` is
   /// the transport-level sequence number (a log index, a Kafka offset);
   /// redelivery of an already-seen seq within the reorder horizon is
   /// counted as a duplicate and ignored. A rejected event is
@@ -141,7 +122,7 @@ class StreamDetector {
     return deadletter_by_reason_[static_cast<std::size_t>(reason)];
   }
 
-  /// Most recent quarantined events (at most ingest.dead_letter_capacity;
+  /// Most recent quarantined events (at most kDeadLetterCapacity;
   /// older entries evicted and counted in dead_letters_dropped()).
   const std::deque<DeadLetter>& dead_letters() const noexcept {
     return dead_letters_;
@@ -150,8 +131,8 @@ class StreamDetector {
     return dead_letters_dropped_;
   }
 
-  /// Events (trusted or hardened path) that referenced an account
-  /// already banned at apply time — tolerated, banned side frozen.
+  /// Applied events that referenced an account already banned at apply
+  /// time — tolerated, banned side frozen.
   std::uint64_t banned_party_total() const noexcept {
     return banned_party_total_;
   }
@@ -185,7 +166,7 @@ class StreamDetector {
 
   struct AccountState {
     osn::RequestLedger ledger;
-    std::vector<osn::NodeId> first_friends;  // chronological, size <= K
+    std::vector<osn::NodeId> first_friends;  // chronological, <= kFirstFriends
     std::uint32_t internal_links = 0;  // edges among first_friends
     bool flagged = false;
     bool banned = false;
@@ -211,9 +192,8 @@ class StreamDetector {
   /// internal link count against the already-watched friends.
   void attach_friend(osn::NodeId u, osn::NodeId v);
   void maybe_flag(osn::NodeId id, graph::Time t);
-  /// Dispatches one log-convention event to the on_* handlers (shared
-  /// by replay() and the reorder-buffer release path).
-  void dispatch(const osn::Event& e);
+  /// Applies one released log-convention event to the features.
+  void apply(const osn::Event& e);
   /// Structural validation of an untrusted record. Returns true when
   /// the event may be applied; otherwise sets `reason`.
   bool structurally_valid(const osn::Event& e, StreamErrorCode& reason) const;
@@ -229,7 +209,7 @@ class StreamDetector {
   DetectorOptions options_;
   ThresholdDetector detector_;
   std::vector<AccountState> accounts_;
-  /// watchers_[v] = accounts whose first-K friend set contains v. Only
+  /// watchers_[v] = accounts whose first-friend set contains v. Only
   /// membership and list length are read, so a restore rebuilds it from
   /// first_friends in account order.
   std::vector<std::vector<osn::NodeId>> watchers_;
@@ -240,7 +220,7 @@ class StreamDetector {
   std::vector<FlagRecord> newly_flagged_;
   std::size_t flagged_total_ = 0;
 
-  // ---- hardened-path state ----
+  // ---- ingestion state ----
   /// Min-heap on (time, seq) (std::push_heap/pop_heap, std::greater<>).
   std::vector<Buffered> reorder_;
   /// Seqs accepted within the reorder horizon (duplicate detection);

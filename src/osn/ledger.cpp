@@ -10,7 +10,7 @@ namespace sybil::osn {
 
 void RequestLedger::record_sent(graph::Time t) noexcept {
   ++sent_;
-  if (first_send_ < 0.0) first_send_ = t;
+  first_send_ = first_send_ < 0.0 ? t : std::min(first_send_, t);
   last_send_ = std::max(last_send_, t);
   const auto bucket = static_cast<std::int64_t>(std::floor(t));
   if (bucket != current_bucket_) {

@@ -47,6 +47,8 @@ class RequestLedger {
   /// 400): the long-time-scale frequency.
   double long_term_rate(double window_hours) const noexcept;
 
+  /// Earliest and latest recorded send times, whatever order the sends
+  /// were recorded in (a log need not be time-sorted within an hour).
   graph::Time first_send() const noexcept { return first_send_; }
   graph::Time last_send() const noexcept { return last_send_; }
 

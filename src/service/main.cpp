@@ -214,13 +214,7 @@ RunResult run_once(const CliOptions& cli,
 /// undisturbed control run. Returns the process exit code.
 int run_scenario(const std::string& path, const std::string& dir,
                  bool print_stats) {
-  chaos::ScenarioManifest manifest;
-  try {
-    manifest = chaos::load_manifest(path);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "sybil_service: %s\n", e.what());
-    return 2;
-  }
+  chaos::ScenarioManifest manifest = chaos::load_manifest(path);
   const bool identity = manifest.identity_expected();
   std::printf("scenario: %s  (events=%llu shards=%u phases=%zu faults=%zu "
               "kills=%zu disk=%zu identity=%s)\n",
@@ -362,27 +356,30 @@ int main(int argc, char** argv) {
   if (!take_flag(argc, argv, "--stats", 0).empty()) cli.stats = true;
   if (argc > 1) usage_error(std::string("unknown argument ") + argv[1]);
 
-  if (!scenario_path.empty()) {
-    return run_scenario(scenario_path, cli.dir, cli.stats);
-  }
-
   // Cross-flag rules (e.g. --burst-senders below --accounts / 2) are
   // the options' own validation; they fail typed, never abort.
-  try {
-    cli.workload.validate();
-    router_options(cli, cli.shards, cli.dir).validate();
-  } catch (const std::invalid_argument& e) {
-    usage_error(e.what());
+  if (scenario_path.empty()) {
+    try {
+      cli.workload.validate();
+      router_options(cli, cli.shards, cli.dir).validate();
+    } catch (const std::invalid_argument& e) {
+      usage_error(e.what());
+    }
   }
 
-  const std::vector<osn::Event> events =
-      service::synthetic_workload(cli.workload);
-  std::printf("workload: accounts=%u events=%zu shards=%u\n",
-              cli.workload.accounts, events.size(), cli.shards);
-
-  // A recovery refusal (say, a pruned WAL under deleted checkpoints) is
-  // the operator's to fix: one typed line and exit 2, never an abort.
+  // A refused manifest, a state root that cannot be created, a workload
+  // too large to hold or a recovery refusal (say, a pruned WAL under
+  // deleted checkpoints) is the operator's to fix: one typed line and
+  // exit 2, never an abort.
   try {
+    if (!scenario_path.empty()) {
+      return run_scenario(scenario_path, cli.dir, cli.stats);
+    }
+    const std::vector<osn::Event> events =
+        service::synthetic_workload(cli.workload);
+    std::printf("workload: accounts=%u events=%zu shards=%u\n",
+                cli.workload.accounts, events.size(), cli.shards);
+
     const RunResult sharded =
         run_once(cli, events, cli.shards,
                  cli.dir + "/n" + std::to_string(cli.shards));

@@ -243,9 +243,6 @@ class ShardRouter {
   /// to hand out until restart_shard brings one back).
   ServiceSupervisor& shard(std::uint32_t i);
   const ServiceSupervisor& shard(std::uint32_t i) const;
-  std::uint32_t owner_of(graph::NodeId id) const noexcept {
-    return shard_of(id, static_cast<std::uint32_t>(shards_.size()));
-  }
 
   std::uint64_t offers() const noexcept { return offers_; }
   std::uint64_t copies_routed() const noexcept { return copies_routed_; }

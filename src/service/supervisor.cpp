@@ -416,7 +416,6 @@ RecoveryReport ServiceSupervisor::start() {
 
   report.next_index = next;
   report.next_seq = next_seq_;
-  recovery_ = report;
   started_ = true;
   SYBIL_SERVICE_METRIC(recoveries.add(1));
   if (report.cold_start) SYBIL_SERVICE_METRIC(cold_starts.add(1));

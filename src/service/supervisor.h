@@ -295,7 +295,6 @@ class ServiceSupervisor {
 
   core::ServiceTier tier() const noexcept { return tier_; }
   std::size_t queue_depth() const noexcept { return queue_.size(); }
-  const RecoveryReport& recovery() const noexcept { return recovery_; }
 
   // ---- Storage-degraded mode (see file comment) ----
 
@@ -345,7 +344,8 @@ class ServiceSupervisor {
   /// The queue and detector side of the same accounting.
   IngestTotals ingest_totals() const;
   /// One past the highest explicit seq offered (the live redelivery
-  /// frontier; equals recovery().next_seq right after start()).
+  /// frontier; start() reports its recovered value as
+  /// RecoveryReport::next_seq).
   std::uint64_t next_seq() const noexcept { return next_seq_; }
 
   /// The workload-accounting identity, checkable at any instant.
@@ -412,7 +412,6 @@ class ServiceSupervisor {
   std::unique_ptr<WalWriter> wal_;
   std::deque<WalRecord> queue_;
   core::ServiceTier tier_ = core::ServiceTier::kFull;
-  RecoveryReport recovery_{};
   bool started_ = false;
 
   ServiceCounters counters_;  // replay-exact, checkpointed

@@ -28,9 +28,12 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chaos/manifest.h"
@@ -282,6 +285,36 @@ TEST_F(ChaosManifest, ParseFailsWithLineNumbers) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
         << e.what();
+  }
+}
+
+/// An integer that does not fit its field is refused with its line
+/// number, never wrapped: 4294967299 shards is not a 3-shard scenario.
+TEST_F(ChaosManifest, RejectsOutOfRangeIntegers) {
+  std::ifstream in(golden_path(), std::ios::binary);
+  const std::string text{std::istreambuf_iterator<char>(in),
+                         std::istreambuf_iterator<char>()};
+  for (const auto& [line, damaged] :
+       {std::pair{"shards = 3\n", "shards = 4294967299\n"},
+        std::pair{"events = 3000\n", "events = 18446744073709551616\n"}}) {
+    SCOPED_TRACE(damaged);
+    const std::size_t at = text.find(line);
+    ASSERT_NE(at, std::string::npos);
+    const std::size_t number =
+        1 + static_cast<std::size_t>(
+                std::count(text.begin(), text.begin() + at, '\n'));
+    std::string bad = text;
+    bad.replace(at, std::string(line).size(), damaged);
+    try {
+      parse_manifest(bad);
+      FAIL() << "expected invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("line " + std::to_string(number) + ":"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("out of range"), std::string::npos) << what;
+    }
   }
 }
 

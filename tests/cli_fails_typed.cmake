@@ -1,0 +1,18 @@
+# ctest helper: runs BIN with the space-separated ARGS and passes iff it
+# exits 2 with exactly one stderr line "sybil_service: <what>". An
+# uncaught exception aborts instead: exit 134, no such line. FILE, when
+# set, is first written as an empty regular file, so ARGS can name a
+# state root beneath it.
+if(DEFINED FILE)
+  file(WRITE "${FILE}" "")
+endif()
+separate_arguments(args UNIX_COMMAND "${ARGS}")
+execute_process(COMMAND "${BIN}" ${args}
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+message("${err}")
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "${BIN} exited with ${rc}, expected 2")
+endif()
+if(NOT err MATCHES "^sybil_service: [^\n]+\n$")
+  message(FATAL_ERROR "stderr is not one \"sybil_service: ...\" line")
+endif()

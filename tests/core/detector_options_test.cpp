@@ -16,12 +16,6 @@ TEST(DetectorOptions, DefaultsAreValid) {
   EXPECT_NO_THROW(DetectorOptions{}.validate());
 }
 
-TEST(DetectorOptions, RejectsZeroFirstFriends) {
-  DetectorOptions opts;
-  opts.first_friends = 0;
-  EXPECT_THROW(opts.validate(), std::invalid_argument);
-}
-
 TEST(DetectorOptions, RejectsOutOfRangeRuleRatios) {
   DetectorOptions opts;
   opts.rule.outgoing_accept_max = 1.5;
@@ -64,21 +58,20 @@ TEST(DetectorOptions, RejectsBadIngestOptions) {
   EXPECT_THROW(opts.validate(), std::invalid_argument);
 }
 
-TEST(DetectorOptions, ZeroWatermarkAndDeadLetterCapacityAreValid) {
+TEST(DetectorOptions, ZeroWatermarkIsValid) {
   DetectorOptions opts;
-  opts.ingest.watermark_hours = 0.0;     // release immediately
-  opts.ingest.dead_letter_capacity = 0;  // count-only quarantine
+  opts.ingest.watermark_hours = 0.0;  // release immediately
   EXPECT_NO_THROW(opts.validate());
 }
 
 TEST(DetectorOptions, ErrorNamesTheOffendingField) {
   DetectorOptions opts;
-  opts.first_friends = 0;
+  opts.ingest.max_account_id = 0;
   try {
     opts.validate();
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("first_friends"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("max_account_id"), std::string::npos);
   }
 }
 
@@ -86,7 +79,7 @@ TEST(DetectorOptions, ErrorNamesTheOffendingField) {
 /// value never produces a half-built detector.
 TEST(DetectorOptions, DetectorsRejectInvalidOptionsOnConstruction) {
   DetectorOptions opts;
-  opts.first_friends = 0;
+  opts.rule.clustering_max = 2.0;
   EXPECT_THROW(StreamDetector{opts}, std::invalid_argument);
   EXPECT_THROW(RealTimeDetector{opts}, std::invalid_argument);
 }
@@ -96,7 +89,6 @@ TEST(DetectorOptions, DetectorsRejectInvalidOptionsOnConstruction) {
 TEST(DetectorOptions, OneValueConfiguresBothDetectorPaths) {
   DetectorOptions opts;
   opts.rule.invite_rate_min = 5.0;
-  opts.first_friends = 10;
   StreamDetector stream(opts);
   RealTimeDetector realtime(opts);
   EXPECT_DOUBLE_EQ(realtime.rule().invite_rate_min, 5.0);

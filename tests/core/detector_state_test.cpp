@@ -39,13 +39,11 @@ using osn::EventType;
 
 DetectorOptions fixture_options() {
   DetectorOptions o;
-  o.first_friends = 8;
   o.rule.invite_rate_min = 3.0;
   o.rule.outgoing_accept_max = 0.5;
   o.rule.clustering_max = 0.5;
   o.rule.min_requests = 5;
   o.ingest.watermark_hours = 6.0;
-  o.ingest.dead_letter_capacity = 4;
   return o;
 }
 
@@ -144,8 +142,8 @@ TEST(DetectorState, FixtureFillsEverySection) {
 TEST(DetectorState, StreamStateBytesAreFrozen) {
   const std::vector<std::byte> blob =
       serialize_stream_state(fixture_detector());
-  EXPECT_EQ(blob.size(), 6630u);
-  EXPECT_EQ(io::crc32(blob), 0x453038a7u);
+  EXPECT_EQ(blob.size(), 6894u);
+  EXPECT_EQ(io::crc32(blob), 0x149ab8efu);
   // The encoder reserves its exact size up front: no regrowth, no slack.
   EXPECT_EQ(blob.capacity(), blob.size());
 }

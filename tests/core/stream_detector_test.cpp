@@ -13,17 +13,54 @@
 namespace sybil::core {
 namespace {
 
+using osn::EventType;
+
+/// Zero watermark: ingest() applies a nondecreasing-time feed event by
+/// event, so a test can read the features between any two calls.
+DetectorOptions applied_on_arrival() {
+  DetectorOptions o;
+  o.ingest.watermark_hours = 0.0;
+  return o;
+}
+
+/// A detector fed log-convention events in nondecreasing time order.
+class Feed {
+ public:
+  void sent(osn::NodeId from, osn::NodeId to, graph::Time t) {
+    det_.ingest({EventType::kRequestSent, from, to, t});
+  }
+  /// `from`'s request was accepted by `to`; the log's actor answered.
+  void accepted(osn::NodeId from, osn::NodeId to, graph::Time t) {
+    det_.ingest({EventType::kRequestAccepted, to, from, t});
+  }
+  void rejected(osn::NodeId from, osn::NodeId to, graph::Time t) {
+    det_.ingest({EventType::kRequestRejected, to, from, t});
+  }
+  void friendship(osn::NodeId u, osn::NodeId v, graph::Time t) {
+    det_.ingest({EventType::kFriendshipSeeded, u, v, t});
+  }
+  void banned(osn::NodeId who, graph::Time t) {
+    det_.ingest({EventType::kAccountBanned, who, who, t});
+  }
+
+  StreamDetector& operator*() noexcept { return det_; }
+  StreamDetector* operator->() noexcept { return &det_; }
+
+ private:
+  StreamDetector det_{applied_on_arrival()};
+};
+
 TEST(StreamDetector, CountersTrackEvents) {
-  StreamDetector det;
-  det.on_request_sent(0, 1, 0.5);
-  det.on_request_sent(0, 2, 0.6);
-  det.on_request_accepted(0, 1, 1.0);
-  det.on_request_rejected(0, 2, 1.5);
-  const SybilFeatures f = det.features(0);
+  Feed det;
+  det.sent(0, 1, 0.5);
+  det.sent(0, 2, 0.6);
+  det.accepted(0, 1, 1.0);
+  det.rejected(0, 2, 1.5);
+  const SybilFeatures f = det->features(0);
   EXPECT_DOUBLE_EQ(f.outgoing_accept_ratio, 0.5);
   EXPECT_DOUBLE_EQ(f.invite_rate_short, 2.0);
-  EXPECT_DOUBLE_EQ(det.features(1).incoming_accept_ratio, 1.0);
-  EXPECT_DOUBLE_EQ(det.features(2).incoming_accept_ratio, 0.0);
+  EXPECT_DOUBLE_EQ(det->features(1).incoming_accept_ratio, 1.0);
+  EXPECT_DOUBLE_EQ(det->features(2).incoming_accept_ratio, 0.0);
 }
 
 TEST(StreamDetector, UnknownAccountHasBenignDefaults) {
@@ -35,82 +72,85 @@ TEST(StreamDetector, UnknownAccountHasBenignDefaults) {
 }
 
 TEST(StreamDetector, ClusteringTracksTriangles) {
-  StreamDetector det;
+  Feed det;
   // Node 0 befriends 1, 2, 3; then 1-2 links: cc = 1/3.
-  det.on_friendship(0, 1, 1.0);
-  det.on_friendship(0, 2, 2.0);
-  det.on_friendship(0, 3, 3.0);
-  EXPECT_DOUBLE_EQ(det.features(0).clustering_coefficient, 0.0);
-  det.on_friendship(1, 2, 4.0);
-  EXPECT_NEAR(det.features(0).clustering_coefficient, 1.0 / 3.0, 1e-12);
+  det.friendship(0, 1, 1.0);
+  det.friendship(0, 2, 2.0);
+  det.friendship(0, 3, 3.0);
+  EXPECT_DOUBLE_EQ(det->features(0).clustering_coefficient, 0.0);
+  det.friendship(1, 2, 4.0);
+  EXPECT_NEAR(det->features(0).clustering_coefficient, 1.0 / 3.0, 1e-12);
   // Existing link counted when the friend attaches afterwards: 4 joins
   // 0's set already linked to 3.
-  det.on_friendship(3, 4, 5.0);
-  det.on_friendship(0, 4, 6.0);
+  det.friendship(3, 4, 5.0);
+  det.friendship(0, 4, 6.0);
   // first friends = {1,2,3,4}; links among them: (1,2), (3,4) → 2/C(4,2).
-  EXPECT_NEAR(det.features(0).clustering_coefficient, 2.0 / 6.0, 1e-12);
+  EXPECT_NEAR(det->features(0).clustering_coefficient, 2.0 / 6.0, 1e-12);
 }
 
 TEST(StreamDetector, FirstFriendsPrefixIsBounded) {
-  DetectorOptions cfg;
-  cfg.first_friends = 3;
-  StreamDetector det(cfg);
-  for (osn::NodeId v = 1; v <= 10; ++v) {
-    det.on_friendship(0, v, static_cast<double>(v));
+  Feed det;
+  constexpr auto k = static_cast<osn::NodeId>(kFirstFriends);
+  for (osn::NodeId v = 1; v <= k + 10; ++v) {
+    det.friendship(0, v, static_cast<double>(v));
   }
-  // Only friends 1..3 are watched; a late link between 5 and 6 must not
-  // change node 0's clustering.
-  det.on_friendship(5, 6, 20.0);
-  EXPECT_DOUBLE_EQ(det.features(0).clustering_coefficient, 0.0);
-  det.on_friendship(1, 2, 21.0);
-  EXPECT_NEAR(det.features(0).clustering_coefficient, 1.0 / 3.0, 1e-12);
+  // Only friends 1..k are watched; a late link between two friends past
+  // the prefix must not change node 0's clustering.
+  det.friendship(k + 5, k + 6, 100.0);
+  EXPECT_DOUBLE_EQ(det->features(0).clustering_coefficient, 0.0);
+  det.friendship(1, 2, 101.0);
+  EXPECT_NEAR(det->features(0).clustering_coefficient,
+              2.0 / (static_cast<double>(k) * (k - 1)), 1e-12);
 }
 
 TEST(StreamDetector, DuplicateEdgesIgnored) {
-  StreamDetector det;
-  det.on_friendship(0, 1, 1.0);
-  det.on_friendship(0, 2, 2.0);
-  det.on_friendship(1, 2, 3.0);
-  det.on_friendship(2, 1, 4.0);  // duplicate, reversed
-  EXPECT_NEAR(det.features(0).clustering_coefficient, 1.0, 1e-12);
+  Feed det;
+  det.friendship(0, 1, 1.0);
+  det.friendship(0, 2, 2.0);
+  det.friendship(1, 2, 3.0);
+  det.friendship(2, 1, 4.0);  // duplicate, reversed
+  EXPECT_NEAR(det->features(0).clustering_coefficient, 1.0, 1e-12);
 }
 
 TEST(StreamDetector, FlagsBurstySenderOnce) {
-  StreamDetector det;
+  Feed det;
   // 60 invites in one hour, ~25% accepted, no mutual friends.
   for (int i = 0; i < 60; ++i) {
-    det.on_request_sent(0, static_cast<osn::NodeId>(i + 1), 0.3);
+    det.sent(0, static_cast<osn::NodeId>(i + 1), 0.3);
   }
   for (int i = 0; i < 60; ++i) {
     if (i % 4 == 0) {
-      det.on_request_accepted(0, static_cast<osn::NodeId>(i + 1), 0.8);
+      det.accepted(0, static_cast<osn::NodeId>(i + 1), 0.8);
     } else {
-      det.on_request_rejected(0, static_cast<osn::NodeId>(i + 1), 0.8);
+      det.rejected(0, static_cast<osn::NodeId>(i + 1), 0.8);
     }
   }
-  const FlagBatch flagged = det.take_flagged();
+  const FlagBatch flagged = det->take_flagged();
   ASSERT_EQ(flagged.size(), 1u);
   EXPECT_EQ(flagged[0].account, 0u);
   // The rule fires mid-burst, while the invites are still going out.
   EXPECT_DOUBLE_EQ(flagged[0].flagged_at, 0.3);
   EXPECT_LT(flagged[0].features.outgoing_accept_ratio, 0.5);
-  EXPECT_TRUE(det.take_flagged().empty());  // reported once
-  EXPECT_EQ(det.flagged_total(), 1u);
+  EXPECT_TRUE(det->take_flagged().empty());  // reported once
+  EXPECT_EQ(det->flagged_total(), 1u);
 }
 
 TEST(StreamDetector, BannedAccountsNeverFlagged) {
-  StreamDetector det;
-  det.on_account_banned(0);
+  Feed det;
+  det.banned(0, 0.0);
   for (int i = 0; i < 60; ++i) {
-    det.on_request_sent(0, static_cast<osn::NodeId>(i + 1), 0.3);
-    det.on_request_rejected(0, static_cast<osn::NodeId>(i + 1), 0.5);
+    det.sent(0, static_cast<osn::NodeId>(i + 1), 0.3);
+    det.rejected(0, static_cast<osn::NodeId>(i + 1), 0.5);
   }
-  EXPECT_TRUE(det.take_flagged().empty());
+  EXPECT_TRUE(det->take_flagged().empty());
 }
 
 /// The streaming features must agree EXACTLY with the batch
 /// FeatureExtractor when fed the same history — the property that lets
-/// a deployment trust either path.
+/// a deployment trust either path. The log is not time-sorted (seeded
+/// friendships go back in time, responses land after later requests),
+/// so the watermark covers its largest inversion: then nothing is
+/// quarantined and the reorder buffer applies every event in time order.
 TEST(StreamDetector, ReplayMatchesBatchExtractor) {
   // A logged network exercising every event type: seeded friendships,
   // mixed accept/reject outcomes, censored requests via a mid-stream ban.
@@ -145,8 +185,18 @@ TEST(StreamDetector, ReplayMatchesBatchExtractor) {
     return rng.bernoulli(0.5);
   });
 
-  StreamDetector stream;
-  stream.replay(net.log());
+  DetectorOptions opts;
+  opts.ingest.watermark_hours = net.log().max_inversion_hours();
+  StreamDetector stream(opts);
+  const auto& events = net.log().events();
+  for (std::size_t i = 0; i < events.size(); ++i) stream.ingest(events[i], i);
+  stream.finish();
+  EXPECT_EQ(stream.events_in(), events.size());
+  EXPECT_EQ(stream.applied_total(), events.size());
+  EXPECT_EQ(stream.deduped_total(), 0u);
+  EXPECT_EQ(stream.deadletter_total(), 0u);
+  EXPECT_EQ(stream.buffered(), 0u);
+
   const FeatureExtractor batch(net);
   for (osn::NodeId id = 0; id < 200; ++id) {
     const SybilFeatures a = batch.extract(id);
@@ -164,64 +214,71 @@ TEST(StreamDetector, ReplayMatchesBatchExtractor) {
 /// the race against an in-flight request) must not mutate the banned
 /// account's state: the banned side is frozen, the live side updates.
 TEST(StreamDetector, BannedPartyEventFreezesBannedSideOnly) {
-  StreamDetector det;
-  det.on_request_sent(0, 1, 0.5);
-  det.on_account_banned(0);
-  EXPECT_EQ(det.banned_party_total(), 0u);
+  Feed det;
+  det.sent(0, 1, 0.5);
+  det.banned(0, 0.5);
+  EXPECT_EQ(det->banned_party_total(), 0u);
 
   // The bot's client keeps sending after the ban landed.
-  det.on_request_sent(0, 2, 1.0);
-  EXPECT_EQ(det.banned_party_total(), 1u);
+  det.sent(0, 2, 1.0);
+  EXPECT_EQ(det->banned_party_total(), 1u);
   // Sender's ledger frozen at one send; recipient still counted it.
-  EXPECT_DOUBLE_EQ(det.features(0).invite_rate_short, 1.0);
-  EXPECT_DOUBLE_EQ(det.features(2).incoming_accept_ratio, 0.0);
+  EXPECT_DOUBLE_EQ(det->features(0).invite_rate_short, 1.0);
+  EXPECT_DOUBLE_EQ(det->features(2).incoming_accept_ratio, 0.0);
 
   // A response for the pre-ban request arrives after the ban: the live
   // recipient's incoming-accept counters update, the banned sender's
   // outgoing ones do not, and no edge materializes.
-  det.on_request_accepted(0, 1, 1.5);
-  EXPECT_EQ(det.banned_party_total(), 2u);
+  det.accepted(0, 1, 1.5);
+  EXPECT_EQ(det->banned_party_total(), 2u);
   // Frozen: the banned sender's accept was never counted (0 of 1 sent).
-  EXPECT_DOUBLE_EQ(det.features(0).outgoing_accept_ratio, 0.0);
-  EXPECT_DOUBLE_EQ(det.features(1).incoming_accept_ratio, 1.0);
-  EXPECT_DOUBLE_EQ(det.features(1).clustering_coefficient, 0.0);
-  EXPECT_TRUE(det.take_flagged().empty());
+  EXPECT_DOUBLE_EQ(det->features(0).outgoing_accept_ratio, 0.0);
+  EXPECT_DOUBLE_EQ(det->features(1).incoming_accept_ratio, 1.0);
+  EXPECT_DOUBLE_EQ(det->features(1).clustering_coefficient, 0.0);
+  EXPECT_TRUE(det->take_flagged().empty());
 }
 
-/// In-order ingest() with unique seqs is behaviourally identical to the
-/// trusted replay() path: same features, nothing quarantined.
+/// In-order ingest() with unique seqs through the reorder buffer is
+/// behaviourally identical to applying each event on arrival (zero
+/// watermark): same features, nothing quarantined.
 TEST(StreamDetector, InOrderIngestMatchesReplay) {
   osn::EventLog log;
-  log.append({osn::EventType::kFriendshipSeeded, 0, 1, 0.5});
-  log.append({osn::EventType::kRequestSent, 2, 3, 1.0});
-  log.append({osn::EventType::kRequestSent, 2, 4, 1.1});
-  log.append({osn::EventType::kRequestAccepted, 3, 2, 2.0});
-  log.append({osn::EventType::kRequestRejected, 4, 2, 2.1});
-  log.append({osn::EventType::kAccountBanned, 4, 4, 2.3});
-
-  StreamDetector replayed;
-  replayed.replay(log);
-  StreamDetector ingested;
+  log.append({EventType::kFriendshipSeeded, 0, 1, 0.5});
+  log.append({EventType::kRequestSent, 2, 3, 1.0});
+  log.append({EventType::kRequestSent, 2, 4, 1.1});
+  log.append({EventType::kRequestAccepted, 3, 2, 2.0});
+  log.append({EventType::kRequestRejected, 4, 2, 2.1});
+  log.append({EventType::kAccountBanned, 4, 4, 2.3});
   const auto& events = log.events();
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    ingested.ingest(events[i], i);
-  }
-  ingested.finish();
 
-  EXPECT_EQ(ingested.events_in(), events.size());
-  EXPECT_EQ(ingested.applied_total(), events.size());
-  EXPECT_EQ(ingested.deduped_total(), 0u);
-  EXPECT_EQ(ingested.deadletter_total(), 0u);
-  EXPECT_EQ(ingested.buffered(), 0u);
+  StreamDetector on_arrival(applied_on_arrival());
+  StreamDetector buffered;  // 48 h watermark holds every event back
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    on_arrival.ingest(events[i], i);
+    buffered.ingest(events[i], i);
+  }
+  EXPECT_EQ(on_arrival.buffered(), 0u);
+  EXPECT_EQ(buffered.buffered(), events.size());
+  buffered.finish();
+
+  for (const StreamDetector* det : {&on_arrival, &buffered}) {
+    EXPECT_EQ(det->events_in(), events.size());
+    EXPECT_EQ(det->applied_total(), events.size());
+    EXPECT_EQ(det->deduped_total(), 0u);
+    EXPECT_EQ(det->deadletter_total(), 0u);
+    EXPECT_EQ(det->buffered(), 0u);
+  }
   for (osn::NodeId id = 0; id <= 4; ++id) {
-    const SybilFeatures a = replayed.features(id);
-    const SybilFeatures b = ingested.features(id);
+    const SybilFeatures a = on_arrival.features(id);
+    const SybilFeatures b = buffered.features(id);
     EXPECT_DOUBLE_EQ(a.invite_rate_short, b.invite_rate_short) << id;
     EXPECT_DOUBLE_EQ(a.outgoing_accept_ratio, b.outgoing_accept_ratio) << id;
     EXPECT_DOUBLE_EQ(a.incoming_accept_ratio, b.incoming_accept_ratio) << id;
     EXPECT_DOUBLE_EQ(a.clustering_coefficient, b.clustering_coefficient)
         << id;
   }
+  // Not vacuous: the ledgers did move.
+  EXPECT_DOUBLE_EQ(buffered.features(2).outgoing_accept_ratio, 0.5);
 }
 
 /// Auto-assigned sequence numbers never repeat, so kAutoSeq events are
@@ -261,71 +318,53 @@ TEST(StreamDetector, ReleaseAfterFinishIsPrunedInTimeOrder) {
 }
 
 #if SYBIL_METRICS_COMPILED
-/// Replaying a log must advance the stream.* metrics exactly as the
-/// equivalent live event stream does: replay dispatches through the
-/// same handlers, so event totals are identical on both paths.
-TEST(StreamDetector, ReplayDrivesSameMetricCountersAsLiveStream) {
+/// Every applied event bumps exactly one stream.events.* counter for its
+/// kind; creations and dropped requests have no feature effect and bump
+/// none.
+TEST(StreamDetector, IngestBumpsOneEventCounterPerAppliedKind) {
   auto& registry = metrics::MetricsRegistry::instance();
   const bool was_enabled = registry.enabled();
   registry.set_enabled(true);  // the test counts; restored at the end
+  using Counts = std::vector<std::uint64_t>;
   const auto counters = [&] {
-    return std::vector<std::uint64_t>{
+    return Counts{
         registry.counter("stream.events.request_sent").value(),
         registry.counter("stream.events.request_accepted").value(),
         registry.counter("stream.events.request_rejected").value(),
         registry.counter("stream.events.friendship").value(),
         registry.counter("stream.events.account_banned").value(),
-        registry.counter("stream.flagged").value(),
+        registry.counter("stream.events.banned_party").value(),
     };
   };
-  const auto delta = [](const std::vector<std::uint64_t>& before,
-                        const std::vector<std::uint64_t>& after) {
-    std::vector<std::uint64_t> d(before.size());
+  Counts before;
+  const auto delta = [&] {
+    const Counts after = counters();
+    Counts d(before.size());
     for (std::size_t i = 0; i < before.size(); ++i) d[i] = after[i] - before[i];
+    before = after;
     return d;
   };
 
-  // One sequence exercising every handler, expressed twice: as direct
-  // handler calls (live) and as an osn::EventLog (replay). The log also
-  // carries created/dropped events, which have no live handler and must
-  // therefore not count on either path.
-  StreamDetector live;
-  const auto before_live = counters();
-  live.on_friendship(0, 1, 0.5);
-  live.on_request_sent(2, 3, 1.0);
-  live.on_request_sent(2, 4, 1.1);
-  live.on_request_accepted(2, 3, 2.0);
-  live.on_request_rejected(2, 4, 2.1);
-  live.on_account_banned(4);
-  const auto live_delta = delta(before_live, counters());
-
-  osn::EventLog log;
-  log.append({osn::EventType::kAccountCreated, 0, 0, 0.0});
-  log.append({osn::EventType::kFriendshipSeeded, 0, 1, 0.5});
-  log.append({osn::EventType::kRequestSent, 2, 3, 1.0});
-  log.append({osn::EventType::kRequestSent, 2, 4, 1.1});
-  // Log convention: actor = who answered, subject = sender.
-  log.append({osn::EventType::kRequestAccepted, 3, 2, 2.0});
-  log.append({osn::EventType::kRequestRejected, 4, 2, 2.1});
-  log.append({osn::EventType::kRequestDropped, 4, 2, 2.2});
-  log.append({osn::EventType::kAccountBanned, 4, 4, 2.3});
-  StreamDetector replayed;
-  const auto before_replay = counters();
-  replayed.replay(log);
-  const auto replay_delta = delta(before_replay, counters());
-
-  EXPECT_EQ(live_delta, replay_delta);
-  EXPECT_EQ(live_delta[0], 2u);  // request_sent
-  EXPECT_EQ(live_delta[1], 1u);  // request_accepted
-  EXPECT_EQ(live_delta[2], 1u);  // request_rejected
-  EXPECT_EQ(live_delta[3], 1u);  // friendship
-  EXPECT_EQ(live_delta[4], 1u);  // account_banned
-  // And the two detectors agree on state, not just on counters.
-  for (osn::NodeId id = 0; id <= 4; ++id) {
-    EXPECT_DOUBLE_EQ(live.features(id).outgoing_accept_ratio,
-                     replayed.features(id).outgoing_accept_ratio)
-        << id;
-  }
+  Feed det;
+  before = counters();
+  det->ingest({EventType::kAccountCreated, 0, 0, 0.0});
+  det->ingest({EventType::kRequestDropped, 4, 2, 0.1});
+  EXPECT_EQ(delta(), Counts(6, 0));
+  EXPECT_EQ(det->applied_total(), 2u);
+  det.friendship(0, 1, 0.5);
+  EXPECT_EQ(delta(), (Counts{0, 0, 0, 1, 0, 0}));
+  det.sent(2, 3, 1.0);
+  det.sent(2, 4, 1.1);
+  EXPECT_EQ(delta(), (Counts{2, 0, 0, 0, 0, 0}));
+  det.accepted(2, 3, 2.0);
+  EXPECT_EQ(delta(), (Counts{0, 1, 0, 0, 0, 0}));
+  det.rejected(2, 4, 2.1);
+  EXPECT_EQ(delta(), (Counts{0, 0, 1, 0, 0, 0}));
+  det.banned(4, 2.3);  // a ban never counts as a banned-party event
+  det.banned(4, 2.4);
+  EXPECT_EQ(delta(), (Counts{0, 0, 0, 0, 2, 0}));
+  det.sent(4, 2, 2.5);
+  EXPECT_EQ(delta(), (Counts{1, 0, 0, 0, 0, 1}));
   registry.set_enabled(was_enabled);
 }
 #endif  // SYBIL_METRICS_COMPILED

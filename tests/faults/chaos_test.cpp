@@ -187,7 +187,6 @@ TEST(Chaos, NeverCrashesAndAccountingIsExact) {
 
     core::DetectorOptions opts;
     opts.ingest.watermark_hours = log.max_inversion_hours() + 6.0;
-    opts.ingest.dead_letter_capacity = 64;
     core::StreamDetector det(opts);
     for (const Arrival& a : arrivals) {
       det.ingest(a.event, a.seq);
@@ -200,7 +199,8 @@ TEST(Chaos, NeverCrashesAndAccountingIsExact) {
     EXPECT_EQ(det.events_in(), arrivals.size());
     EXPECT_EQ(det.events_in(), det.applied_total() + det.deduped_total() +
                                    det.deadletter_total());
-    EXPECT_LE(det.dead_letters().size(), opts.ingest.dead_letter_capacity);
+    EXPECT_LE(det.dead_letters().size(),
+              core::StreamDetector::kDeadLetterCapacity);
     EXPECT_EQ(det.deadletter_total(),
               det.dead_letters().size() + det.dead_letters_dropped());
     EXPECT_GT(det.deadletter_total(), 0u);  // malform really fired
@@ -280,21 +280,20 @@ TEST(Chaos, ConcurrentDetectorsAreIndependent) {
 }
 
 TEST(Chaos, DeadLetterQueueIsBounded) {
-  core::DetectorOptions opts;
-  opts.ingest.dead_letter_capacity = 4;
-  core::StreamDetector det(opts);
-  for (int i = 0; i < 10; ++i) {
+  constexpr std::size_t kCapacity = core::StreamDetector::kDeadLetterCapacity;
+  core::StreamDetector det;
+  for (std::size_t i = 0; i < kCapacity + 6; ++i) {
     const osn::Event bad{static_cast<osn::EventType>(0xFF),
                          static_cast<graph::NodeId>(i), 1,
                          static_cast<double>(i)};
     det.ingest(bad, static_cast<std::uint64_t>(i));
   }
-  EXPECT_EQ(det.deadletter_total(), 10u);
-  EXPECT_EQ(det.dead_letters().size(), 4u);
+  EXPECT_EQ(det.deadletter_total(), kCapacity + 6);
+  EXPECT_EQ(det.dead_letters().size(), kCapacity);
   EXPECT_EQ(det.dead_letters_dropped(), 6u);
   // The queue keeps the most recent quarantines.
   EXPECT_EQ(det.dead_letters().front().event.actor, 6u);
-  EXPECT_EQ(det.dead_letters().back().event.actor, 9u);
+  EXPECT_EQ(det.dead_letters().back().event.actor, kCapacity + 5);
 }
 
 TEST(Chaos, TimeRegressionBeyondWatermarkIsQuarantined) {

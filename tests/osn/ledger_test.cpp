@@ -48,6 +48,18 @@ TEST(Ledger, LongTermRateUsesLifetime) {
   EXPECT_DOUBLE_EQ(led.long_term_rate(5.0), 0.4);
 }
 
+/// A log need not be time-sorted within an hour: the lifetime spans the
+/// earliest to the latest send whatever order they were recorded in.
+TEST(Ledger, LifetimeIgnoresRecordingOrder) {
+  RequestLedger led;
+  led.record_sent(10.8);
+  led.record_sent(10.2);
+  led.record_sent(12.0);
+  EXPECT_DOUBLE_EQ(led.first_send(), 10.2);
+  EXPECT_DOUBLE_EQ(led.last_send(), 12.0);
+  EXPECT_DOUBLE_EQ(led.long_term_rate(400.0), 3.0 / 2.8);
+}
+
 TEST(Ledger, BurstThenSilenceKeepsShortRateHigh) {
   RequestLedger led;
   for (int i = 0; i < 50; ++i) led.record_sent(3.0 + i * 0.01);
