@@ -12,6 +12,7 @@
 // baseline. All other flags pass through to google-benchmark.
 #include <benchmark/benchmark.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -399,23 +400,29 @@ void BM_ServiceIngest(benchmark::State& state) {
 }
 BENCHMARK(BM_ServiceIngest);
 
-/// Flag-sweep pass over a fully ingested population (candidate
-/// re-evaluations/sec — the cost of the sweep-only degradation tier).
+/// Flag-sweep pass over a fully ingested population just restored from
+/// its stream state, when every account is a candidate (candidate
+/// re-evaluations/sec — the worst-case pass of the sweep-only
+/// degradation tier; between restores a sweep re-checks only the
+/// accounts whose rule inputs changed).
 void BM_SweepFlags(benchmark::State& state) {
-  static core::StreamDetector* detector = [] {
-    auto* d = new core::StreamDetector(service_bench_options());
+  static const std::vector<std::byte> blob = [] {
+    core::StreamDetector d(service_bench_options());
     std::uint64_t seq = 0;
-    for (const auto& e : service_bench_events()) d->ingest(e, seq++);
-    d->finish();
-    return d;
+    for (const auto& e : service_bench_events()) d.ingest(e, seq++);
+    d.finish();
+    return core::serialize_stream_state(d);
   }();
-  std::uint64_t sweeps = 0;
+  core::StreamDetector detector(service_bench_options());
+  std::uint64_t candidates = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(detector->sweep_flags(49.0));
-    ++sweeps;
+    state.PauseTiming();
+    core::restore_stream_state(detector, blob);
+    candidates += detector.accounts_seen();
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(detector.sweep_flags(49.0));
   }
-  // Every sweep re-examines each tracked account as a flag candidate.
-  state.SetItemsProcessed(static_cast<std::int64_t>(sweeps) * 20'000);
+  state.SetItemsProcessed(static_cast<std::int64_t>(candidates));
 }
 BENCHMARK(BM_SweepFlags);
 

@@ -174,8 +174,12 @@ struct DetectorStateAccess {
       acc.flagged = r.read<std::uint8_t>() != 0;
       acc.banned = r.read<std::uint8_t>() != 0;
     }
+    // The blob holds no dirty list: the first sweep after a restore
+    // re-checks every account, a superset of the ids it would have held.
+    d.dirty_.clear();
     d.watchers_.assign(n_accounts, {});
     for (osn::NodeId u = 0; u < n_accounts; ++u) {
+      d.mark_dirty(u);
       for (osn::NodeId f : d.accounts_[u].first_friends) {
         if (f >= n_accounts) {
           reject("first friend " + std::to_string(f) + " of account " +

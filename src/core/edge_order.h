@@ -20,7 +20,7 @@ namespace sybil::core {
 /// One Sybil's chronological edge sequence: flags[i] is true when the
 /// i-th friend (by edge creation time) is another Sybil.
 struct EdgeOrderRow {
-  osn::NodeId sybil;
+  osn::NodeId sybil = 0;
   std::vector<bool> flags;
 
   std::size_t degree() const noexcept { return flags.size(); }

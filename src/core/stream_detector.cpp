@@ -104,7 +104,13 @@ void StreamDetector::apply(const osn::Event& e) {
       break;
     case osn::EventType::kFriendshipSeeded:  // a pre-existing friendship
       SYBIL_METRIC_COUNT("stream.events.friendship", 1);
-      if (!from_banned && !to_banned) add_edge(from, to, t);
+      if (!from_banned && !to_banned) {
+        add_edge(from, to, t);
+        // First-friend growth moves both endpoints' clustering, and no
+        // maybe_flag follows a seeded friendship: the next sweep does.
+        mark_dirty(from);
+        mark_dirty(to);
+      }
       break;
     default:  // the kinds returned above
       break;
@@ -137,6 +143,7 @@ void StreamDetector::add_edge(osn::NodeId u, osn::NodeId v, graph::Time) {
     const auto& friends = accounts_[w].first_friends;
     if (std::find(friends.begin(), friends.end(), other) != friends.end()) {
       ++accounts_[w].internal_links;
+      mark_dirty(w);
     }
   }
 
@@ -190,12 +197,37 @@ FlagBatch StreamDetector::take_flagged() {
   return out;
 }
 
+void StreamDetector::mark_dirty(osn::NodeId id) {
+  AccountState& acc = accounts_[id];
+  if (acc.dirty) return;
+  acc.dirty = true;
+  dirty_.push_back(id);
+}
+
+// Why re-checking only dirty_ flags exactly what a scan of every
+// account would. Features read no clock, so a verdict changes only with
+// the rule's inputs: the sent and accepted counts, the first friends
+// and the links among them. apply() calls maybe_flag on an account
+// after every such change except two, whose accounts it marks dirty:
+// first-friend growth on both endpoints of a seeded friendship, and the
+// internal-link gain of the watchers add_edge scans. Every other
+// account was last evaluated (by apply() or an earlier sweep) with the
+// inputs it has now, is zero-state since ensure() (an outgoing ratio of
+// 1.0 is never below a validated outgoing_accept_max <= 1), or is
+// flagged or banned, which maybe_flag skips. A full scan would flag
+// none of them, so sweeping the dirty ids in ascending order yields the
+// same FlagBatch, in the same order, with the same flagged_at. A
+// restore marks every account (detector_state.cpp): a superset.
 std::size_t StreamDetector::sweep_flags(graph::Time now) {
   SYBIL_METRIC_SCOPED_TIMER(span, "stream.sweep_flags");
+  SYBIL_METRIC_COUNT("stream.sweep.evaluated", dirty_.size());
   const std::size_t before = newly_flagged_.size();
-  for (osn::NodeId id = 0; id < accounts_.size(); ++id) {
+  std::sort(dirty_.begin(), dirty_.end());
+  for (osn::NodeId id : dirty_) {
+    accounts_[id].dirty = false;
     maybe_flag(id, now);
   }
+  dirty_.clear();
   return newly_flagged_.size() - before;
 }
 

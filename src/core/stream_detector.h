@@ -32,7 +32,8 @@
 //
 // Observability: every applied event bumps a "stream.events.*" counter
 // for its kind (creations and dropped requests have none), flags bump
-// "stream.flagged", and ingestion adds "stream.ingest.*" and
+// "stream.flagged", sweeps count the accounts they re-check under
+// "stream.sweep.evaluated", and ingestion adds "stream.ingest.*" and
 // "stream.deadletter.*" counters. Collection never affects verdicts.
 #pragma once
 
@@ -146,11 +147,14 @@ class StreamDetector {
   /// reported at most once, banned accounts never.
   FlagBatch take_flagged();
 
-  /// Re-evaluates every known account against the rule and stamps new
-  /// flags with `now` — the flag-sweep-only degradation tier's periodic
-  /// pass, which must keep emitting verdicts from existing evidence
-  /// even while feature ingestion is shed. Returns how many accounts
-  /// were newly flagged (retrieve them via take_flagged()).
+  /// Re-evaluates, in ascending id order, the accounts whose rule
+  /// inputs changed since the detector last evaluated them — after a
+  /// restore, every account — and stamps new flags with `now`. It flags
+  /// exactly what re-evaluating every known account would. This is the
+  /// flag-sweep-only degradation tier's periodic pass, which must keep
+  /// emitting verdicts from existing evidence even while feature
+  /// ingestion is shed. Returns how many accounts were newly flagged
+  /// (retrieve them via take_flagged()).
   std::size_t sweep_flags(graph::Time now);
 
   const ThresholdRule& rule() const noexcept { return detector_.rule(); }
@@ -170,6 +174,7 @@ class StreamDetector {
     std::uint32_t internal_links = 0;  // edges among first_friends
     bool flagged = false;
     bool banned = false;
+    bool dirty = false;  // queued in dirty_ for the next sweep
   };
 
   /// Reorder-buffer entry, released in (time, seq) order so replays of
@@ -192,6 +197,9 @@ class StreamDetector {
   /// internal link count against the already-watched friends.
   void attach_friend(osn::NodeId u, osn::NodeId v);
   void maybe_flag(osn::NodeId id, graph::Time t);
+  /// Queues `id` for the next sweep_flags: its rule inputs changed and
+  /// apply() does not re-check it.
+  void mark_dirty(osn::NodeId id);
   /// Applies one released log-convention event to the features.
   void apply(const osn::Event& e);
   /// Structural validation of an untrusted record. Returns true when
@@ -218,6 +226,9 @@ class StreamDetector {
   /// event, and node-based sets cost an allocation per insert.
   FlatSet64 edges_;
   std::vector<FlagRecord> newly_flagged_;
+  /// Accounts sweep_flags re-checks, each once (AccountState::dirty);
+  /// not serialized, restore marks every account.
+  std::vector<osn::NodeId> dirty_;
   std::size_t flagged_total_ = 0;
 
   // ---- ingestion state ----

@@ -153,6 +153,15 @@ std::vector<osn::Event> synthetic_workload(const WorkloadOptions& o) {
   stats::Rng rng(o.seed);
   PendingRing pending;
   std::vector<Event> out;
+  // Not in validate(): a stream too large to hold is a well-formed
+  // request this run refuses, not a usage error.
+  if (o.events > out.max_size()) {
+    throw std::invalid_argument(
+        "WorkloadOptions::events must be <= " +
+        std::to_string(out.max_size()) +
+        " (the most events one std::vector can hold), got " +
+        std::to_string(o.events));
+  }
   out.reserve(o.events);
 
   // Cumulative thresholds over one uniform draw per event.

@@ -393,7 +393,9 @@ TEST_F(ChaosWorkload, DiurnalCurveMovesWhenNotWhat) {
     EXPECT_EQ(a[i].type, b[i].type) << i;
     EXPECT_EQ(a[i].actor, b[i].actor) << i;
     EXPECT_EQ(a[i].subject, b[i].subject) << i;
-    if (i > 0) EXPECT_GE(b[i].time, b[i - 1].time) << i;
+    if (i > 0) {
+      EXPECT_GE(b[i].time, b[i - 1].time) << i;
+    }
     if (b[i].time < 12.0) ++first_half;
   }
   // rate = 1 + A*sin(2*pi*t/24) is above baseline for t in (0, 12):

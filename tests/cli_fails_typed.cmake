@@ -2,7 +2,8 @@
 # exits 2 with exactly one stderr line "sybil_service: <what>". An
 # uncaught exception aborts instead: exit 134, no such line. FILE, when
 # set, is first written as an empty regular file, so ARGS can name a
-# state root beneath it.
+# state root beneath it. MATCH, when set, is a regex that line must
+# also match.
 if(DEFINED FILE)
   file(WRITE "${FILE}" "")
 endif()
@@ -15,4 +16,7 @@ if(NOT rc EQUAL 2)
 endif()
 if(NOT err MATCHES "^sybil_service: [^\n]+\n$")
   message(FATAL_ERROR "stderr is not one \"sybil_service: ...\" line")
+endif()
+if(DEFINED MATCH AND NOT err MATCHES "${MATCH}")
+  message(FATAL_ERROR "stderr line does not match \"${MATCH}\"")
 endif()

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
+#include "core/detector_state.h"
 #include "core/features.h"
 #include "core/metrics/instrument.h"
 #include "osn/simulator.h"
@@ -17,8 +21,9 @@ using osn::EventType;
 
 /// Zero watermark: ingest() applies a nondecreasing-time feed event by
 /// event, so a test can read the features between any two calls.
-DetectorOptions applied_on_arrival() {
+DetectorOptions applied_on_arrival(const ThresholdRule& rule = {}) {
   DetectorOptions o;
+  o.rule = rule;
   o.ingest.watermark_hours = 0.0;
   return o;
 }
@@ -26,6 +31,9 @@ DetectorOptions applied_on_arrival() {
 /// A detector fed log-convention events in nondecreasing time order.
 class Feed {
  public:
+  explicit Feed(const ThresholdRule& rule = {})
+      : det_(applied_on_arrival(rule)) {}
+
   void sent(osn::NodeId from, osn::NodeId to, graph::Time t) {
     det_.ingest({EventType::kRequestSent, from, to, t});
   }
@@ -47,7 +55,7 @@ class Feed {
   StreamDetector* operator->() noexcept { return &det_; }
 
  private:
-  StreamDetector det_{applied_on_arrival()};
+  StreamDetector det_;
 };
 
 TEST(StreamDetector, CountersTrackEvents) {
@@ -317,6 +325,200 @@ TEST(StreamDetector, ReleaseAfterFinishIsPrunedInTimeOrder) {
   }
 }
 
+/// The flag sweep as a scan of every account: the ids below
+/// accounts_seen(), ascending, that are neither flagged nor banned and
+/// pass rule() on their public features(). The detector's sent count is
+/// private, so the oracle keeps its own: apply() counts a request only
+/// when its sender is not banned.
+class FullScanOracle {
+ public:
+  void sent(osn::NodeId from) {
+    grow(from);
+    if (!banned_[from]) ++sent_[from];
+  }
+  void banned(osn::NodeId who) {
+    grow(who);
+    banned_[who] = true;
+  }
+  void flagged(const FlagBatch& batch) {
+    for (const FlagRecord& r : batch) {
+      grow(r.account);
+      flagged_[r.account] = true;
+    }
+  }
+  std::vector<osn::NodeId> sweep(const StreamDetector& det) {
+    grow(static_cast<osn::NodeId>(det.accounts_seen()));
+    const ThresholdDetector rule(det.rule());
+    std::vector<osn::NodeId> out;
+    for (osn::NodeId id = 0; id < det.accounts_seen(); ++id) {
+      if (flagged_[id] || banned_[id]) continue;
+      if (rule.is_sybil(det.features(id), sent_[id])) out.push_back(id);
+    }
+    return out;
+  }
+
+ private:
+  void grow(osn::NodeId id) {
+    if (id < sent_.size()) return;
+    sent_.resize(id + 1, 0);
+    banned_.resize(id + 1, false);
+    flagged_.resize(id + 1, false);
+  }
+  std::vector<std::uint32_t> sent_;
+  std::vector<bool> banned_;
+  std::vector<bool> flagged_;
+};
+
+/// Sweeps at `now` and checks the returned count and the swept records
+/// against the oracle. Returns how many accounts the sweep flagged.
+std::size_t expect_sweep_matches_full_scan(Feed& det, FullScanOracle& oracle,
+                                           graph::Time now) {
+  oracle.flagged(det->take_flagged());  // what apply() flagged
+  const std::vector<osn::NodeId> want = oracle.sweep(*det);
+  EXPECT_EQ(det->sweep_flags(now), want.size()) << "sweep at " << now;
+  const FlagBatch got = det->take_flagged();
+  EXPECT_EQ(got.ids(), want) << "sweep at " << now;
+  for (const FlagRecord& r : got) {
+    const SybilFeatures f = det->features(r.account);
+    EXPECT_EQ(r.flagged_at, now);
+    EXPECT_EQ(r.features.invite_rate_short, f.invite_rate_short);
+    EXPECT_EQ(r.features.invite_rate_long, f.invite_rate_long);
+    EXPECT_EQ(r.features.outgoing_accept_ratio, f.outgoing_accept_ratio);
+    EXPECT_EQ(r.features.incoming_accept_ratio, f.incoming_accept_ratio);
+    EXPECT_EQ(r.features.clustering_coefficient, f.clustering_coefficient);
+  }
+  oracle.flagged(got);
+  return got.size();
+}
+
+/// Account 0 sends 30 rejected invites in one hour, but its first two
+/// friends know each other, so its clustering (1.0) keeps it unflagged.
+void burst_with_triangle(Feed& det, FullScanOracle& oracle) {
+  det.friendship(0, 1, 0.0);
+  det.friendship(0, 2, 0.0);
+  det.friendship(1, 2, 0.0);
+  for (osn::NodeId to = 100; to < 130; ++to) {
+    det.sent(0, to, 1.0);
+    oracle.sent(0);
+  }
+  for (osn::NodeId to = 100; to < 130; ++to) det.rejected(0, to, 1.2);
+}
+
+/// Thirteen seeded friendships grow account 0's first friends to 15
+/// with one link among them: clustering 2/(15*14) < 0.01 tips it, and
+/// only a sweep can see it — no maybe_flag follows a seeded friendship.
+void tip_by_seeded_friends(Feed& det) {
+  for (osn::NodeId v = 3; v < 16; ++v) det.friendship(0, v, 1.5);
+}
+
+TEST(StreamDetectorSweep, DirtySweepEqualsFullScan) {
+  {
+    Feed det;
+    FullScanOracle oracle;
+    burst_with_triangle(det, oracle);
+    EXPECT_EQ(expect_sweep_matches_full_scan(det, oracle, 1.4), 0u);
+    tip_by_seeded_friends(det);
+    ASSERT_EQ(oracle.sweep(*det), std::vector<osn::NodeId>{0});
+    EXPECT_EQ(expect_sweep_matches_full_scan(det, oracle, 2.0), 1u);
+  }
+
+  // Seeded random streams over 400 accounts. Six burst senders start
+  // inside a 5-clique of friends (clustering 1.0). For the first half
+  // they invite organic accounts at ~35/h, one answer in ten accepted,
+  // while organic accounts befriend each other. Then the senders go
+  // quiet, and seeded friendships, half of them with a burst sender,
+  // dilute their clustering below a loosened threshold, which mostly
+  // only a sweep sees. Bans freeze accounts throughout.
+  ThresholdRule rule;
+  rule.clustering_max = 0.05;  // at 0.01 the clique keeps them unflagged
+  std::size_t swept_flags = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    std::mt19937_64 rng(seed);
+    const auto pick = [&rng](osn::NodeId lo, osn::NodeId hi) {
+      return std::uniform_int_distribution<osn::NodeId>(lo, hi)(rng);
+    };
+    constexpr osn::NodeId kBursters = 6;
+    constexpr osn::NodeId kAccounts = 400;
+    Feed det(rule);
+    FullScanOracle oracle;
+    for (osn::NodeId b = 0; b < kBursters; ++b) {
+      const osn::NodeId clique = kBursters + 5 * b;
+      for (osn::NodeId x = clique; x < clique + 5; ++x) {
+        det.friendship(b, x, 0.0);
+        for (osn::NodeId y = x + 1; y < clique + 5; ++y) {
+          det.friendship(x, y, 0.0);
+        }
+      }
+    }
+    std::vector<std::pair<osn::NodeId, osn::NodeId>> pending;
+    graph::Time t = 0.0;
+    for (int i = 0; i < 3000; ++i) {
+      t += 0.002;
+      const bool quiet = i >= 1500;
+      const osn::NodeId kind = pick(quiet ? 45 : 0, 99);
+      if (kind < 45) {
+        const osn::NodeId from = pick(0, kBursters - 1);
+        const osn::NodeId to = pick(kBursters, kAccounts - 1);
+        det.sent(from, to, t);
+        oracle.sent(from);
+        pending.emplace_back(from, to);
+      } else if (kind < 75) {
+        if (pending.empty()) continue;
+        const auto last = static_cast<osn::NodeId>(pending.size() - 1);
+        std::swap(pending[pick(0, last)], pending.back());
+        const auto [from, to] = pending.back();
+        pending.pop_back();
+        if (pick(0, 9) == 0) {
+          det.accepted(from, to, t);
+        } else {
+          det.rejected(from, to, t);
+        }
+      } else if (kind < 98) {
+        const osn::NodeId u = quiet && pick(0, 1) == 0
+                                  ? pick(0, kBursters - 1)
+                                  : pick(kBursters, kAccounts - 1);
+        const osn::NodeId v = pick(kBursters, kAccounts - 1);
+        if (u != v) det.friendship(u, v, t);
+      } else {
+        const osn::NodeId who = pick(0, kAccounts - 1);
+        det.banned(who, t);
+        oracle.banned(who);
+      }
+      if (pick(0, 59) == 0) {
+        swept_flags += expect_sweep_matches_full_scan(det, oracle, t);
+      }
+    }
+    swept_flags += expect_sweep_matches_full_scan(det, oracle, t + 1.0);
+  }
+  // The streams must exercise the sweep, not only apply()'s flags.
+  EXPECT_GT(swept_flags, 0u);
+}
+
+TEST(StreamDetectorSweep, RestoredDetectorSweepsEveryAccountOnce) {
+  Feed uninterrupted;
+  FullScanOracle oracle;
+  burst_with_triangle(uninterrupted, oracle);
+  tip_by_seeded_friends(uninterrupted);
+  // No sweep yet: the tipped account is only in the dirty list, which
+  // the stream state does not hold.
+  StreamDetector restored(applied_on_arrival());
+  restore_stream_state(restored, serialize_stream_state(*uninterrupted));
+
+  EXPECT_EQ(restored.sweep_flags(2.0), 1u);
+  EXPECT_EQ(uninterrupted->sweep_flags(2.0), 1u);
+  const FlagBatch want = uninterrupted->take_flagged();
+  const FlagBatch got = restored.take_flagged();
+  ASSERT_EQ(got.ids(), want.ids());
+  ASSERT_EQ(got.ids(), std::vector<osn::NodeId>{0});
+  EXPECT_EQ(got[0].flagged_at, want[0].flagged_at);
+  EXPECT_EQ(got[0].features.clustering_coefficient,
+            want[0].features.clustering_coefficient);
+  EXPECT_EQ(got[0].features.outgoing_accept_ratio,
+            want[0].features.outgoing_accept_ratio);
+  EXPECT_EQ(serialize_stream_state(restored),
+            serialize_stream_state(*uninterrupted));
+}
+
 #if SYBIL_METRICS_COMPILED
 /// Every applied event bumps exactly one stream.events.* counter for its
 /// kind; creations and dropped requests have no feature effect and bump
@@ -365,6 +567,37 @@ TEST(StreamDetector, IngestBumpsOneEventCounterPerAppliedKind) {
   EXPECT_EQ(delta(), (Counts{0, 0, 0, 0, 2, 0}));
   det.sent(4, 2, 2.5);
   EXPECT_EQ(delta(), (Counts{1, 0, 0, 0, 0, 1}));
+  registry.set_enabled(was_enabled);
+}
+
+/// stream.sweep.evaluated counts the accounts a sweep re-checks: the
+/// dirty ones, then none while nothing changes.
+TEST(StreamDetectorSweep, EvaluatedCounterCountsRecheckedAccounts) {
+  auto& registry = metrics::MetricsRegistry::instance();
+  const bool was_enabled = registry.enabled();
+  registry.set_enabled(true);  // the test counts; restored at the end
+  metrics::Counter& evaluated = registry.counter("stream.sweep.evaluated");
+  Feed det;
+  FullScanOracle oracle;
+  burst_with_triangle(det, oracle);
+  std::uint64_t before = evaluated.value();
+  det->sweep_flags(1.4);
+  // The triangle's closing edge marks its watcher, account 0; seeding
+  // marked all three endpoints.
+  EXPECT_EQ(evaluated.value() - before, 3u);
+  before = evaluated.value();
+  det->sweep_flags(1.45);
+  EXPECT_EQ(evaluated.value() - before, 0u);
+  tip_by_seeded_friends(det);
+  before = evaluated.value();
+  EXPECT_EQ(det->sweep_flags(2.0), 1u);
+  EXPECT_EQ(evaluated.value() - before, 14u);  // account 0 and friends 3..15
+  // A link between two of account 0's first friends marks both
+  // endpoints and account 0, the watcher whose internal links grew.
+  det.friendship(1, 3, 2.1);
+  before = evaluated.value();
+  det->sweep_flags(2.2);
+  EXPECT_EQ(evaluated.value() - before, 3u);
   registry.set_enabled(was_enabled);
 }
 #endif  // SYBIL_METRICS_COMPILED
