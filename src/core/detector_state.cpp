@@ -1,12 +1,17 @@
 #include "core/detector_state.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <utility>
 
+#include "core/parallel.h"
 #include "core/realtime_detector.h"
 #include "core/stream_detector.h"
 #include "io/container.h"
+#include "io/crc32.h"
 #include "io/error.h"
 
 namespace sybil::core {
@@ -15,6 +20,7 @@ namespace {
 
 using io::ByteReader;
 using io::ByteWriter;
+using io::SliceWriter;
 using io::SnapshotError;
 using io::SnapshotErrorCode;
 
@@ -37,7 +43,7 @@ void check_version(std::uint32_t version) {
   throw SnapshotError(SnapshotErrorCode::kFormatViolation, what);
 }
 
-void write_event(ByteWriter& w, const osn::Event& e) {
+void write_event(SliceWriter& w, const osn::Event& e) {
   w.write(static_cast<std::uint32_t>(e.type));
   w.write(e.actor);
   w.write(e.subject);
@@ -53,7 +59,7 @@ osn::Event read_event(ByteReader& r) {
   return e;
 }
 
-void write_features(ByteWriter& w, const SybilFeatures& f) {
+void write_features(SliceWriter& w, const SybilFeatures& f) {
   w.write(f.invite_rate_short);
   w.write(f.invite_rate_long);
   w.write(f.outgoing_accept_ratio);
@@ -78,10 +84,9 @@ void write_rule(ByteWriter& w, const ThresholdRule& rule) {
   w.write(rule.min_requests);
 }
 
-// Encoded widths of the fixed-size records above and below, so
-// save_stream can reserve its exact output size before writing. Each
-// mirrors the write_* helper or loop it names; the state-codec tests
-// check that the reservation comes out exact.
+// Encoded widths of the fixed-size records above and below, for the
+// encoder's exact-size pass. Each mirrors the write_* helper or loop it
+// names; the write pass's SliceWriters refuse any disagreement.
 constexpr std::size_t kU64 = sizeof(std::uint64_t);
 constexpr std::size_t kEventBytes =  // write_event
     sizeof(std::uint32_t) + 2 * sizeof(graph::NodeId) + sizeof(graph::Time);
@@ -91,6 +96,32 @@ constexpr std::size_t kFlagBytes =  // per pending flag (write_features)
     sizeof(osn::NodeId) + 5 * sizeof(double) + sizeof(graph::Time);
 constexpr std::size_t kDeadLetterBytes =
     kEventBytes + kU64 + sizeof(std::uint32_t);
+constexpr std::size_t kHeadBytes =  // version + account count
+    sizeof(kDetectorStateVersion) + kU64;
+
+/// Sorts `keys` ascending — the order std::sort gives — by LSD radix
+/// sort, one byte per pass. One counting pass histograms all eight
+/// digits, and a digit every key shares is skipped (edge keys over a
+/// small id range leave most high bytes constant).
+void radix_sort(std::vector<std::uint64_t>& keys) {
+  if (keys.size() < 2) return;
+  constexpr int kPasses = 8;
+  std::array<std::array<std::size_t, 256>, kPasses> count{};
+  for (const std::uint64_t k : keys) {
+    for (int d = 0; d < kPasses; ++d) ++count[d][(k >> (8 * d)) & 0xFFu];
+  }
+  std::vector<std::uint64_t> scratch(keys.size());
+  for (int d = 0; d < kPasses; ++d) {
+    std::array<std::size_t, 256>& bucket = count[d];
+    if (bucket[(keys[0] >> (8 * d)) & 0xFFu] == keys.size()) continue;
+    std::size_t start = 0;
+    for (std::size_t& c : bucket) start += std::exchange(c, start);
+    for (const std::uint64_t k : keys) {
+      scratch[bucket[(k >> (8 * d)) & 0xFFu]++] = k;
+    }
+    keys.swap(scratch);
+  }
+}
 
 }  // namespace
 
@@ -102,27 +133,86 @@ struct DetectorStateAccess {
   // buffer, its seen seqs and the released list — are the WAL's to
   // re-supply through StreamDetector::restore_buffered
   // (docs/FORMATS.md §5.5).
-  static std::vector<std::byte> save_stream(const StreamDetector& d) {
-    std::vector<std::uint64_t> edges(d.edges_.begin(), d.edges_.end());
-    std::sort(edges.begin(), edges.end());
+  //
+  // Byte layout, in pieces: the head (version, account count), the
+  // account records in chunks of kStateAccountChunk, the sorted edge
+  // keys, and the tail (pending flags, dead letters, counters).
 
-    std::size_t size = sizeof(kDetectorStateVersion) + kU64 +
-                       d.accounts_.size() * kAccountBytes;
-    for (const StreamDetector::AccountState& acc : d.accounts_) {
-      size += acc.first_friends.size() * sizeof(osn::NodeId);
+  /// The exact-size pass: fills `offsets` with the start of every
+  /// account chunk, then of the edge piece and of the tail; returns the
+  /// total.
+  static std::size_t size_stream(const StreamDetector& d,
+                                 std::vector<std::size_t>& offsets) {
+    const auto chunks = chunk_partition(d.accounts_.size(), kStateAccountChunk);
+    offsets.clear();
+    offsets.reserve(chunks.size() + 2);
+    std::size_t at = kHeadBytes;
+    for (const ChunkRange& c : chunks) {
+      offsets.push_back(at);
+      at += (c.end - c.begin) * kAccountBytes;
+      for (std::size_t i = c.begin; i < c.end; ++i) {
+        at += d.accounts_[i].first_friends.size() * sizeof(osn::NodeId);
+      }
     }
-    size += kU64 + edges.size() * kU64;
-    size += kU64 + d.newly_flagged_.size() * kFlagBytes + kU64;
-    size += sizeof(graph::Time) + kU64 +
-            d.dead_letters_.size() * kDeadLetterBytes;
-    size += (7 + kStreamErrorCodeCount) * kU64;  // the trailing counters
+    offsets.push_back(at);  // the edges
+    at += kU64 + d.edges_.size() * kU64;
+    offsets.push_back(at);  // the tail
+    at += kU64 + d.newly_flagged_.size() * kFlagBytes + kU64;
+    at += sizeof(graph::Time) + kU64 +
+          d.dead_letters_.size() * kDeadLetterBytes;
+    at += (7 + kStreamErrorCodeCount) * kU64;  // the trailing counters
+    return at;
+  }
 
-    ByteWriter w;
-    w.reserve(size);
-    w.write(kDetectorStateVersion);
+  /// The write pass over `out` (exactly the size pass's total). Task 0
+  /// of the parallel loop sorts and writes the edges — the longest
+  /// task, so it is claimed first — and task c + 1 writes account chunk
+  /// c; the head and the tail are written here.
+  static std::uint32_t write_stream(const StreamDetector& d,
+                                    const std::vector<std::size_t>& offsets,
+                                    std::span<std::byte> out) {
+    const std::size_t n_chunks = offsets.size() - 2;
+    const auto piece = [&](std::size_t k) {
+      const std::size_t end =
+          k + 1 < offsets.size() ? offsets[k + 1] : out.size();
+      return out.subspan(offsets[k], end - offsets[k]);
+    };
+    // crcs[k] is the CRC of piece k: account chunk k, then the edges.
+    std::vector<std::uint32_t> crcs(n_chunks + 1);
+    parallel_for(
+        n_chunks + 1,
+        [&](const ChunkRange& task) {
+          for (std::size_t t = task.begin; t < task.end; ++t) {
+            if (t == 0) {
+              crcs[n_chunks] = write_edges(d, piece(n_chunks));
+            } else {
+              crcs[t - 1] = write_accounts(d, t - 1, piece(t - 1));
+            }
+          }
+        },
+        /*grain=*/1);
 
-    w.write(static_cast<std::uint64_t>(d.accounts_.size()));
-    for (const StreamDetector::AccountState& acc : d.accounts_) {
+    SliceWriter head(out.first(kHeadBytes));
+    head.write(kDetectorStateVersion);
+    head.write(static_cast<std::uint64_t>(d.accounts_.size()));
+    std::uint32_t crc = head.finish();
+    for (std::size_t k = 0; k <= n_chunks; ++k) {
+      crc = io::crc32_combine(crc, crcs[k], piece(k).size());
+    }
+    const auto tail = piece(n_chunks + 1);
+    return io::crc32_combine(crc, write_tail(d, tail), tail.size());
+  }
+
+  static std::uint32_t write_accounts(const StreamDetector& d,
+                                      std::size_t chunk,
+                                      std::span<std::byte> out) {
+    SliceWriter w(out);
+    // Chunk `chunk` of chunk_partition(accounts, kStateAccountChunk).
+    const std::size_t begin = chunk * kStateAccountChunk;
+    const std::size_t end =
+        std::min(begin + kStateAccountChunk, d.accounts_.size());
+    for (std::size_t i = begin; i < end; ++i) {
+      const StreamDetector::AccountState& acc = d.accounts_[i];
       osn::write_ledger(w, acc.ledger);
       w.write(static_cast<std::uint64_t>(acc.first_friends.size()));
       for (osn::NodeId f : acc.first_friends) w.write(f);
@@ -130,10 +220,23 @@ struct DetectorStateAccess {
       w.write(static_cast<std::uint8_t>(acc.flagged ? 1 : 0));
       w.write(static_cast<std::uint8_t>(acc.banned ? 1 : 0));
     }
+    return w.finish();
+  }
 
+  static std::uint32_t write_edges(const StreamDetector& d,
+                                   std::span<std::byte> out) {
+    std::vector<std::uint64_t> edges;
+    d.edges_.append_keys(edges);
+    radix_sort(edges);
+    SliceWriter w(out);
     w.write(static_cast<std::uint64_t>(edges.size()));
-    for (std::uint64_t key : edges) w.write(key);
+    w.write_bytes(std::as_bytes(std::span<const std::uint64_t>(edges)));
+    return w.finish();
+  }
 
+  static std::uint32_t write_tail(const StreamDetector& d,
+                                  std::span<std::byte> out) {
+    SliceWriter w(out);
     w.write(static_cast<std::uint64_t>(d.newly_flagged_.size()));
     for (const FlagRecord& rec : d.newly_flagged_) {
       w.write(rec.account);
@@ -157,7 +260,7 @@ struct DetectorStateAccess {
     for (std::uint64_t c : d.deadletter_by_reason_) w.write(c);
     w.write(d.dead_letters_dropped_);
     w.write(d.banned_party_total_);
-    return std::move(w).take();
+    return w.finish();
   }
 
   static void load_stream(StreamDetector& d, std::span<const std::byte> blob) {
@@ -267,8 +370,24 @@ struct DetectorStateAccess {
   }
 };
 
+StreamStateEncoder::StreamStateEncoder(const StreamDetector& d)
+    : d_(d), size_(DetectorStateAccess::size_stream(d, offsets_)) {}
+
+std::uint32_t StreamStateEncoder::write(std::span<std::byte> out) const {
+  if (out.size() != size_) {
+    throw SnapshotError(SnapshotErrorCode::kFormatViolation,
+                        "stream state is " + std::to_string(size_) +
+                            " bytes, its slice " +
+                            std::to_string(out.size()));
+  }
+  return DetectorStateAccess::write_stream(d_, offsets_, out);
+}
+
 std::vector<std::byte> serialize_stream_state(const StreamDetector& d) {
-  return DetectorStateAccess::save_stream(d);
+  const StreamStateEncoder encoder(d);
+  std::vector<std::byte> blob(encoder.size());
+  encoder.write(blob);
+  return blob;
 }
 
 void restore_stream_state(StreamDetector& d, std::span<const std::byte> blob) {

@@ -12,14 +12,13 @@
 // but edge keys could produce) is representable: it is tracked by a
 // side flag instead of occupying a slot, because ~0 marks empty slots.
 //
-// Iteration order is unspecified — every serialization site sorts into
-// a vector before writing (see detector_state.cpp), so checkpoints are
+// Key order is unspecified — the one serialization site sorts the keys
+// append_keys() hands it (see detector_state.cpp), so checkpoints are
 // byte-identical regardless of insertion history.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -114,55 +113,14 @@ class FlatSet64 {
     return 1;
   }
 
-  /// Forward iteration over stored keys, unspecified order. Satisfies
-  /// the serialization sites' `for (auto k : set)` usage.
-  class const_iterator {
-   public:
-    using iterator_category = std::forward_iterator_tag;
-    using value_type = std::uint64_t;
-    using difference_type = std::ptrdiff_t;
-    using pointer = const std::uint64_t*;
-    using reference = std::uint64_t;
-
-    const_iterator(const FlatSet64* set, std::size_t pos)
-        : set_(set), pos_(pos) {
-      skip();
+  /// Appends every stored key to `out` in the unspecified slot order:
+  /// one linear pass over the table, for a caller that sorts anyway.
+  void append_keys(std::vector<std::uint64_t>& out) const {
+    out.reserve(out.size() + size_);
+    for (const std::uint64_t s : slots_) {
+      if (s != kEmpty) out.push_back(s);
     }
-    std::uint64_t operator*() const {
-      return pos_ < set_->slots_.size() ? set_->slots_[pos_] : kEmpty;
-    }
-    const_iterator& operator++() {
-      ++pos_;
-      skip();
-      return *this;
-    }
-    const_iterator operator++(int) {
-      const_iterator prev = *this;
-      ++*this;
-      return prev;
-    }
-    bool operator==(const const_iterator& o) const noexcept {
-      return pos_ == o.pos_;
-    }
-    bool operator!=(const const_iterator& o) const noexcept {
-      return pos_ != o.pos_;
-    }
-
-   private:
-    void skip() {
-      const std::size_t n = set_->slots_.size();
-      while (pos_ < n && set_->slots_[pos_] == kEmpty) ++pos_;
-      // Position n is the pseudo-slot for the reserved all-ones key;
-      // n + 1 is end().
-      if (pos_ == n && !set_->has_empty_key_) ++pos_;
-    }
-    const FlatSet64* set_;
-    std::size_t pos_;
-  };
-
-  const_iterator begin() const { return const_iterator(this, 0); }
-  const_iterator end() const {
-    return const_iterator(this, slots_.size() + 1);
+    if (has_empty_key_) out.push_back(kEmpty);
   }
 
  private:

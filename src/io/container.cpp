@@ -66,46 +66,56 @@ bool fsync_parent_dir(const std::string& path) noexcept {
 #endif
 }
 
-void ContainerWriter::add_section(std::uint32_t id,
-                                  std::vector<std::byte> payload) {
+SectionWriter bytes_section(std::vector<std::byte> payload) {
+  auto bytes =
+      std::make_shared<const std::vector<std::byte>>(std::move(payload));
+  const std::size_t size = bytes->size();
+  return {size, [bytes](std::span<std::byte> out) {
+            SliceWriter w(out);
+            w.write_bytes(*bytes);
+            return w.finish();
+          }};
+}
+
+void ContainerWriter::add_section(std::uint32_t id, SectionWriter writer) {
   for (const Section& s : sections_) {
     if (s.id == id) {
       throw SnapshotError(SnapshotErrorCode::kFormatViolation,
                           "duplicate section id " + std::to_string(id));
     }
   }
-  sections_.push_back({id, std::move(payload)});
+  sections_.push_back({id, std::move(writer)});
 }
 
-std::vector<std::byte> ContainerWriter::serialize() const {
-  const std::size_t table_size = sections_.size() * kTableEntrySize;
-  const std::size_t payload_start = align_up(kHeaderSize + table_size);
-  // The last section is not padded on disk; file_size reflects that.
-  std::size_t file_size = payload_start;
+std::size_t ContainerWriter::image_size() const noexcept {
+  std::size_t size = align_up(kHeaderSize + sections_.size() * kTableEntrySize);
   for (std::size_t i = 0; i < sections_.size(); ++i) {
-    file_size = (i + 1 == sections_.size())
-                    ? file_size + sections_[i].payload.size()
-                    : align_up(file_size + sections_[i].payload.size());
+    size += sections_[i].writer.size;
+    if (i + 1 < sections_.size()) size = align_up(size);
   }
+  return size;
+}
 
-  // One allocation of the exact image size; bytes are appended in file
-  // order, and only the header slot and alignment padding are zeroed.
-  std::vector<std::byte> out;
-  out.reserve(file_size);
-  out.resize(kHeaderSize);  // filled in once the table CRC is known
-  const auto append = [&out](const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::byte*>(p);
-    out.insert(out.end(), b, b + n);
-  };
-  std::uint64_t offset = payload_start;
-  for (const Section& s : sections_) {
-    const std::uint32_t crc = crc32(s.payload);
-    const std::uint64_t length = s.payload.size();
-    append(&s.id, 4);
-    append(&crc, 4);
-    append(&offset, 8);
-    append(&length, 8);
-    offset = align_up(offset + length);
+void ContainerWriter::write_image(std::span<std::byte> image) const {
+  const std::size_t table_size = sections_.size() * kTableEntrySize;
+  std::byte* const table = image.data() + kHeaderSize;
+  // Payloads first: each fill writes its own slice and returns the CRC
+  // the table needs. Only the padding in front of each payload is
+  // zeroed by hand; every other byte is written exactly once.
+  std::size_t at = kHeaderSize + table_size;
+  for (std::size_t i = 0; i < sections_.size(); ++i) {
+    const Section& s = sections_[i];
+    const std::size_t offset = align_up(at);
+    std::memset(image.data() + at, 0, offset - at);
+    const std::uint32_t crc =
+        s.writer.fill(image.subspan(offset, s.writer.size));
+    const std::uint64_t offset64 = offset, length = s.writer.size;
+    std::byte* const entry = table + i * kTableEntrySize;
+    std::memcpy(entry, &s.id, 4);
+    std::memcpy(entry + 4, &crc, 4);
+    std::memcpy(entry + 8, &offset64, 8);
+    std::memcpy(entry + 16, &length, 8);
+    at = offset + s.writer.size;
   }
 
   Header header{};
@@ -115,15 +125,14 @@ std::vector<std::byte> ContainerWriter::serialize() const {
   header.format_version = kFormatVersion;
   header.payload_kind = static_cast<std::uint32_t>(kind_);
   header.section_count = static_cast<std::uint32_t>(sections_.size());
-  header.table_crc =
-      crc32(std::span<const std::byte>(out).subspan(kHeaderSize, table_size));
-  header.file_size = file_size;
-  std::memcpy(out.data(), &header, sizeof(header));
+  header.table_crc = crc32({table, table_size});
+  header.file_size = image.size();
+  std::memcpy(image.data(), &header, sizeof(header));
+}
 
-  for (const Section& s : sections_) {
-    out.resize(align_up(out.size()));
-    append(s.payload.data(), s.payload.size());
-  }
+std::vector<std::byte> ContainerWriter::serialize() const {
+  std::vector<std::byte> out(image_size());
+  write_image(out);
   return out;
 }
 
@@ -133,7 +142,11 @@ void ContainerWriter::commit(const std::string& path, SyncMode sync,
   if (vfs == nullptr) vfs = default_vfs();
   const bool want_sync =
       sync == SyncMode::kAlways || (sync == SyncMode::kEnv && fsync_enabled());
-  const std::vector<std::byte> image = serialize();
+  // The one image, allocated without zero-filling: write_image writes
+  // every byte of it.
+  const std::size_t size = image_size();
+  const auto image = std::make_unique_for_overwrite<std::byte[]>(size);
+  write_image({image.get(), size});
   const std::string tmp = path + ".tmp";
   // Write-to-temp-then-rename: the target name only ever points at a
   // complete image, so a crash mid-save cannot corrupt an existing
@@ -146,7 +159,7 @@ void ContainerWriter::commit(const std::string& path, SyncMode sync,
   // lives in directory metadata) — governed by `sync`.
   try {
     auto f = vfs->open(tmp, VfsMode::kTruncate);
-    if (!image.empty()) f->write(image.data(), image.size());
+    f->write(image.get(), size);  // never empty: the header alone is 32 B
     if (want_sync) {
       f->fsync();
       SYBIL_METRIC_COUNT("io.fsyncs", 1);
@@ -163,8 +176,25 @@ void ContainerWriter::commit(const std::string& path, SyncMode sync,
     vfs->remove(tmp);
     throw;
   }
-  SYBIL_METRIC_COUNT("io.bytes_written", image.size());
+  SYBIL_METRIC_COUNT("io.bytes_written", size);
   SYBIL_METRIC_COUNT("io.snapshots_saved", 1);
+}
+
+std::uint32_t SliceWriter::finish() const {
+  if (at_ != out_.size()) {
+    throw SnapshotError(SnapshotErrorCode::kFormatViolation,
+                        "encoder wrote " + std::to_string(at_) +
+                            " bytes into a slice sized " +
+                            std::to_string(out_.size()));
+  }
+  return crc32(out_);
+}
+
+void SliceWriter::overrun(std::size_t n) const {
+  throw SnapshotError(SnapshotErrorCode::kFormatViolation,
+                      "encoder overran its slice: " + std::to_string(n) +
+                          " more bytes at " + std::to_string(at_) + " of " +
+                          std::to_string(out_.size()));
 }
 
 ContainerReader::ContainerReader(const std::string& path,

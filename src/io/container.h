@@ -23,6 +23,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -77,14 +78,36 @@ bool fsync_parent_dir(const std::string& path) noexcept;
 /// promised; see docs/FORMATS.md §Versioning).
 inline constexpr std::uint32_t kFormatVersion = 1;
 
-/// Accumulates named sections in memory, then commits them to disk in
-/// one atomic publish (temp file + fsync + rename).
+/// One section's payload as a sized writer: its exact byte count, and a
+/// fill that writes exactly that many bytes into the slice of the
+/// container image it is handed and returns their CRC-32. A byte
+/// vector is the memcpy case (ContainerWriter::add_section); an encoder
+/// that knows its size writes straight into the image instead of into a
+/// blob the image then copies. The fill runs on the committing thread
+/// (it may fan out on the parallel layer) and must only read state the
+/// caller keeps alive and unchanged until commit()/serialize() returns.
+struct SectionWriter {
+  std::size_t size = 0;
+  std::function<std::uint32_t(std::span<std::byte>)> fill;
+};
+
+/// The memcpy case: a section holding `payload`.
+SectionWriter bytes_section(std::vector<std::byte> payload);
+
+/// Accumulates named sections, then commits them to disk in one atomic
+/// publish (temp file + fsync + rename). Each section is filled into its
+/// slice of one image, which is then written with one call.
 class ContainerWriter {
  public:
   explicit ContainerWriter(PayloadKind kind) : kind_(kind) {}
 
   /// Adds a section; ids must be unique within the file.
-  void add_section(std::uint32_t id, std::vector<std::byte> payload);
+  void add_section(std::uint32_t id, SectionWriter writer);
+
+  /// Adds a section holding `payload` (copied into the image).
+  void add_section(std::uint32_t id, std::vector<std::byte> payload) {
+    add_section(id, bytes_section(std::move(payload)));
+  }
 
   /// Typed convenience: copies `values` into a new section.
   template <typename T>
@@ -104,7 +127,8 @@ class ContainerWriter {
   /// failures, kOpenFailed when the temp file cannot be created); the
   /// temp file is removed, the target is left untouched. `sync` decides
   /// whether the image and the parent directory are fsync'd before the
-  /// commit is reported durable (see SyncMode).
+  /// commit is reported durable (see SyncMode). Whatever a section's
+  /// fill throws propagates before any I/O.
   void commit(const std::string& path, SyncMode sync = SyncMode::kEnv,
               Vfs* vfs = nullptr) const;
 
@@ -115,8 +139,15 @@ class ContainerWriter {
  private:
   struct Section {
     std::uint32_t id;
-    std::vector<std::byte> payload;
+    SectionWriter writer;
   };
+  /// Total image size: header, table, then the payloads, each 8-byte
+  /// aligned; the last one is not padded.
+  std::size_t image_size() const noexcept;
+  /// Fills `image` (exactly image_size() bytes, contents unspecified on
+  /// entry): every byte is written, padding included.
+  void write_image(std::span<std::byte> image) const;
+
   PayloadKind kind_;
   std::vector<Section> sections_;
 };
@@ -226,18 +257,11 @@ class ByteReader {
   std::size_t at_ = 0;
 };
 
-/// Append-only encoder matching ByteReader. Writes go through a cursor
-/// into one buffer: an encoder that knows its output size calls
-/// reserve() once up front, so the buffer never regrows and take()
-/// hands it over without slack; write() is a bounds check plus a
-/// memcpy, growing geometrically only when nothing was reserved.
+/// Append-only encoder matching ByteReader, for payloads whose size is
+/// not known up front: writes go through a cursor into one buffer that
+/// grows geometrically, and take() hands it over without slack.
 class ByteWriter {
  public:
-  /// Sizes the buffer for `n` bytes in total.
-  void reserve(std::size_t n) {
-    if (n > bytes_.size()) bytes_.resize(n);
-  }
-
   template <typename T>
   void write(const T& value) {
     static_assert(std::is_trivially_copyable_v<T>);
@@ -253,11 +277,48 @@ class ByteWriter {
 
  private:
   void grow(std::size_t n) {
-    reserve(std::max({at_ + n, 2 * bytes_.size(), std::size_t{64}}));
+    bytes_.resize(std::max({at_ + n, 2 * bytes_.size(), std::size_t{64}}));
   }
 
   std::vector<std::byte> bytes_;  // the buffer; its size is the capacity
   std::size_t at_ = 0;            // bytes written
+};
+
+/// The write pass of a sized section (SectionWriter): encodes into a
+/// fixed slice of a container image with ByteWriter's interface. A write
+/// past the slice throws SnapshotError(kFormatViolation) and finish()
+/// throws the same unless the slice is exactly full, so a size pass
+/// that disagrees with its write pass is a typed error — never a write
+/// out of bounds, nor an unwritten byte on disk.
+class SliceWriter {
+ public:
+  explicit SliceWriter(std::span<std::byte> out) noexcept : out_(out) {}
+
+  template <typename T>
+  void write(const T& value) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    if (out_.size() - at_ < sizeof(T)) overrun(sizeof(T));
+    std::memcpy(out_.data() + at_, &value, sizeof(T));
+    at_ += sizeof(T);
+  }
+
+  void write_bytes(std::span<const std::byte> bytes) {
+    if (out_.size() - at_ < bytes.size()) overrun(bytes.size());
+    if (!bytes.empty()) {
+      std::memcpy(out_.data() + at_, bytes.data(), bytes.size());
+    }
+    at_ += bytes.size();
+  }
+
+  /// Checks the slice is exactly full and returns its CRC-32, taken
+  /// while the bytes are still in cache.
+  std::uint32_t finish() const;
+
+ private:
+  [[noreturn]] void overrun(std::size_t n) const;
+
+  std::span<std::byte> out_;
+  std::size_t at_ = 0;  // bytes written
 };
 
 }  // namespace sybil::io

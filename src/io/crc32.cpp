@@ -30,6 +30,44 @@ constexpr Tables make_tables() {
 
 constexpr Tables kTables = make_tables();
 
+constexpr std::uint32_t kPoly = 0xEDB88320u;
+
+/// a·b modulo the CRC polynomial, both in the reflected bit order the
+/// CRC uses (bit 31 is x^0).
+constexpr std::uint32_t multmodp(std::uint32_t a, std::uint32_t b) noexcept {
+  std::uint32_t p = 0;
+  for (std::uint32_t m = 1u << 31; m != 0; m >>= 1) {
+    if ((a & m) != 0) {
+      p ^= b;
+      if ((a & (m - 1)) == 0) break;
+    }
+    b = (b & 1u) ? (b >> 1) ^ kPoly : b >> 1;
+  }
+  return p;
+}
+
+/// kX2n[k] = x^(2^k) modulo the polynomial. x^(2^32) = x modulo it, so
+/// 32 entries indexed mod 32 cover every exponent.
+using X2nTable = std::array<std::uint32_t, 32>;
+constexpr X2nTable make_x2n() {
+  X2nTable t{};
+  std::uint32_t p = 1u << 30;  // x^1
+  t[0] = p;
+  for (std::size_t k = 1; k < t.size(); ++k) t[k] = p = multmodp(p, p);
+  return t;
+}
+
+constexpr X2nTable kX2n = make_x2n();
+
+/// x^(n·2^k) modulo the polynomial.
+std::uint32_t x2nmodp(std::uint64_t n, unsigned k) noexcept {
+  std::uint32_t p = 1u << 31;  // x^0
+  for (; n != 0; n >>= 1, ++k) {
+    if ((n & 1u) != 0) p = multmodp(kX2n[k & 31u], p);
+  }
+  return p;
+}
+
 /// Little-endian load regardless of host order (the CRC is defined on
 /// the byte sequence); compilers fold it into one 32-bit load.
 inline std::uint32_t load_le32(const std::byte* p) noexcept {
@@ -73,6 +111,14 @@ std::uint32_t crc32(std::span<const std::byte> bytes,
     c = kTables[0][(c ^ static_cast<std::uint32_t>(*p)) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
+}
+
+std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                            std::uint64_t len_b) noexcept {
+  // Appending len_b bytes multiplies A's CRC by x^(8·len_b); B's own
+  // CRC then adds in (the pre- and post-inversions cancel across the
+  // seam).
+  return multmodp(x2nmodp(len_b, 3), crc_a) ^ crc_b;
 }
 
 }  // namespace sybil::io

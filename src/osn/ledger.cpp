@@ -36,10 +36,6 @@ double RequestLedger::long_term_rate(double window_hours) const noexcept {
   return static_cast<double>(sent_) / std::min(lifetime, window_hours);
 }
 
-void write_ledger(io::ByteWriter& w, const RequestLedger& ledger) {
-  RequestLedger::for_each_field(ledger, [&w](const auto& v) { w.write(v); });
-}
-
 RequestLedger read_ledger(io::ByteReader& r) {
   RequestLedger ledger;
   RequestLedger::for_each_field(ledger, [&r](auto& v) {

@@ -14,7 +14,6 @@
 
 namespace sybil::io {
 class ByteReader;
-class ByteWriter;
 }  // namespace sybil::io
 
 namespace sybil::osn {
@@ -87,9 +86,13 @@ class RequestLedger {
 /// The ledger's checkpoint encoding, shared by the simulator checkpoint
 /// (osn/checkpoint.cpp) and the stream-detector state
 /// (core/detector_state.cpp): the fields for_each_field visits, in
-/// that order, packed. read_ledger throws io::SnapshotError on a
-/// truncated input.
-void write_ledger(io::ByteWriter& w, const RequestLedger& ledger);
+/// that order, packed, through any writer with a write<T>() (io::
+/// ByteWriter or io::SliceWriter). read_ledger throws io::SnapshotError
+/// on a truncated input.
+template <typename Writer>
+void write_ledger(Writer& w, const RequestLedger& ledger) {
+  RequestLedger::for_each_field(ledger, [&w](const auto& v) { w.write(v); });
+}
 RequestLedger read_ledger(io::ByteReader& r);
 
 /// Bytes write_ledger emits per ledger.

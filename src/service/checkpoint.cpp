@@ -35,7 +35,7 @@ constexpr std::uint32_t kCheckpointVersion = 6;
 
 void save_service_checkpoint(const std::string& path,
                              ServiceCheckpointState&& state,
-                             io::Vfs* vfs) {
+                             io::SectionWriter stream, io::Vfs* vfs) {
   SYBIL_METRIC_SCOPED_TIMER(span, "service.checkpoint.save");
   io::ContainerWriter writer(io::PayloadKind::kServiceCheckpoint);
 
@@ -50,7 +50,7 @@ void save_service_checkpoint(const std::string& path,
   meta.write(state.replay_from);
   writer.add_section(kSecMeta, std::move(meta).take());
 
-  writer.add_section(kSecStream, std::move(state.stream_state));
+  writer.add_section(kSecStream, std::move(stream));
   if (!state.defense_state.empty()) {
     writer.add_section(kSecDefense, std::move(state.defense_state));
   }
@@ -58,6 +58,12 @@ void save_service_checkpoint(const std::string& path,
   // turn sync off for throwaway state dirs (benches, crash sweeps).
   writer.commit(path, io::SyncMode::kEnv, vfs);
   SYBIL_METRIC_COUNT("service.checkpoint.saved", 1);
+}
+
+void save_service_checkpoint(const std::string& path,
+                             ServiceCheckpointState&& state, io::Vfs* vfs) {
+  io::SectionWriter stream = io::bytes_section(std::move(state.stream_state));
+  save_service_checkpoint(path, std::move(state), std::move(stream), vfs);
 }
 
 ServiceCheckpointState load_service_checkpoint(const std::string& path) {

@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "io/container.h"
 #include "io/vfs.h"
 
 namespace sybil::service {
@@ -86,7 +87,9 @@ struct ServiceCheckpointState {
   /// established it no longer exist on disk.
   std::uint64_t next_seq = 0;
   ServiceCounters counters;
-  /// core::serialize_stream_state blob.
+  /// core::serialize_stream_state blob, as load returns it. The live
+  /// supervisor leaves it empty and hands save_service_checkpoint an
+  /// encoder that writes the section in place.
   std::vector<std::byte> stream_state;
   /// service::DefenseScorer::serialize blob (section written only when
   /// non-empty — i.e. when DetectorOptions::defense is on).
@@ -96,11 +99,19 @@ struct ServiceCheckpointState {
 /// Atomically commits `state` to `path`, durably unless the
 /// SYBIL_IO_FSYNC knob opts out (io::SyncMode::kEnv — the machine-crash
 /// recovery proof assumes the knob is on, its default; process-crash
-/// recovery holds either way). All I/O goes through `vfs` (null →
+/// recovery holds either way). The stream-state section is `stream`,
+/// filled straight into its slice of the container image (the
+/// supervisor passes its detector's core::StreamStateEncoder);
+/// state.stream_state is not read. All I/O goes through `vfs` (null →
 /// io::default_vfs()); on any storage fault the temp file is removed
 /// and the existing generation is untouched. Throws io::SnapshotError
-/// (io::VfsError for storage faults). Takes the state by rvalue: its
-/// detector blobs become container sections without a copy.
+/// (io::VfsError for storage faults). Takes the state by rvalue: the
+/// defense blob becomes its section without a copy.
+void save_service_checkpoint(const std::string& path,
+                             ServiceCheckpointState&& state,
+                             io::SectionWriter stream, io::Vfs* vfs);
+
+/// The same, with the state's own stream_state blob as that section.
 void save_service_checkpoint(const std::string& path,
                              ServiceCheckpointState&& state,
                              io::Vfs* vfs = nullptr);

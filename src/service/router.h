@@ -183,7 +183,13 @@ class ShardRouter {
   /// Checkpoints every shard at its current WAL position.
   void checkpoint_now();
 
-  /// Pumps and finishes every shard; checkpoints unless told not to.
+  /// End of stream for every live shard: drains each one's queue and
+  /// reorder buffer (ServiceSupervisor::drain_to_end) in the parallel
+  /// lanes pump() uses, then flushes the shards in ascending order —
+  /// commit, checkpoint unless told not to — so the storage ops and
+  /// their order are those of a serial flush. A shard whose flush
+  /// throws stops the loop: the shards after it are drained but not
+  /// committed, and a retried flush() commits them.
   void flush(bool checkpoint = true);
 
   /// Owner-filtered, canonically merged flags: each shard's drained
@@ -264,7 +270,8 @@ class ShardRouter {
  private:
   ServiceOptions shard_options(std::uint32_t i) const;
   /// Runs `per_shard` on every live shard, one parallel lane each, and
-  /// sums the results (pump, pump_through and sweep_flags).
+  /// sums the results (pump, pump_through, sweep_flags and flush's
+  /// drain).
   template <typename PerShard>
   std::size_t fan_out(PerShard per_shard);
   void deliver(std::uint32_t i, const osn::Event& e, std::uint64_t seq,

@@ -648,8 +648,10 @@ void ServiceSupervisor::checkpoint_now() {
   state.shard_count = options_.shard_count;
   state.next_seq = next_seq_;
   state.counters = counters_;
-  state.stream_state = core::serialize_stream_state(detector_);
   if (scorer_ != nullptr) state.defense_state = scorer_->serialize();
+  // The detector's state is encoded inside the commit, straight into
+  // the container image, on the parallel layer.
+  const core::StreamStateEncoder stream(detector_);
 
   const std::string ckpt_dir = options_.dir + "/ckpt";
   // A checkpoint must never claim a position past the durable WAL, so
@@ -659,7 +661,11 @@ void ServiceSupervisor::checkpoint_now() {
   const std::string path = checkpoint_path(ckpt_dir, position);
   if (!storage_io([&] {
         wal_->sync();
-        save_service_checkpoint(path, std::move(state), options_.vfs);
+        save_service_checkpoint(
+            path, std::move(state),
+            {stream.size(),
+             [&stream](std::span<std::byte> out) { return stream.write(out); }},
+            options_.vfs);
       })) {
     ++storage_checkpoints_suspended_;
     SYBIL_SERVICE_METRIC(storage_checkpoints_suspended.add(1));
@@ -687,11 +693,17 @@ void ServiceSupervisor::checkpoint_now() {
   if (known) prune_wal(options_.dir + "/wal", keep_from, options_.vfs);
 }
 
-void ServiceSupervisor::flush(bool checkpoint) {
-  require_started("flush");
-  pump(0);
+std::size_t ServiceSupervisor::drain_to_end() {
+  require_started("drain_to_end");
+  const std::size_t pumped = pump(0);
   detector_.finish();
   publish_metrics();
+  return pumped;
+}
+
+void ServiceSupervisor::flush(bool checkpoint) {
+  require_started("flush");
+  drain_to_end();
   // End-of-stream is the loud boundary: a flush cannot leave records
   // buffered behind a degraded disk, so it commits — while degraded,
   // one forced retry — and throws the original fault kind if the disk

@@ -274,12 +274,18 @@ class ServiceSupervisor {
   /// prunes old generations / covered WAL segments.
   void checkpoint_now();
 
-  /// End of stream: pump everything, drain the detector's reorder
-  /// buffer, commit() — throwing the fault's io::VfsError if storage
-  /// is still degraded afterwards — and checkpoint (skippable for huge
-  /// throwaway runs where serializing multi-GB detector state buys
-  /// nothing). After flush() the service can keep ingesting.
+  /// End of stream: drain_to_end(), commit() — throwing the fault's
+  /// io::VfsError if storage is still degraded afterwards — and
+  /// checkpoint (skippable for huge throwaway runs where serializing
+  /// multi-GB detector state buys nothing). After flush() the service
+  /// can keep ingesting.
   void flush(bool checkpoint = true);
+
+  /// flush()'s first half, which does no I/O: pumps the whole queue and
+  /// drains the detector's reorder buffer. ShardRouter::flush runs it in
+  /// the shards' parallel lanes before flushing each shard in order;
+  /// a second call finds nothing left. Returns how many were pumped.
+  std::size_t drain_to_end();
 
   /// Publishes detector-owned operational counters (per-reason dead
   /// letters) into the metric registry under this shard's namespace,

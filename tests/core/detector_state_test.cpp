@@ -10,7 +10,8 @@
 // restored detector, handed its in-flight events back, continues
 // exactly like the original. Hand-encoded blobs then check that the
 // decoder refuses, with a typed error, every input no detector could
-// have written.
+// have written. A detector large enough to span several encoder chunks
+// checks that the bytes and CRC do not depend on the thread count.
 #include "core/detector_state.h"
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/parallel.h"
 #include "core/stream_detector.h"
 #include "io/container.h"
 #include "io/crc32.h"
@@ -341,6 +343,98 @@ TEST(DetectorState, HandEncodedBlobRoundTrips) {
   restore_stream_state(d, blob);
   EXPECT_EQ(d.accounts_seen(), 4u);
   EXPECT_EQ(serialize_stream_state(d), blob);
+}
+
+/// A detector of `accounts` accounts with random requests, accepts and
+/// seeded friendships among them: many edges, first-friend lists of
+/// every length and some flags.
+StreamDetector large_detector(graph::NodeId accounts, int events) {
+  StreamDetector d(fixture_options());
+  Mix mix{31};
+  for (int i = 0; i < events; ++i) {
+    const auto a = static_cast<graph::NodeId>(mix.next() % accounts);
+    auto b = static_cast<graph::NodeId>(mix.next() % accounts);
+    if (b == a) b = (a + 1) % accounts;
+    static constexpr EventType kTypes[] = {
+        EventType::kRequestSent, EventType::kRequestAccepted,
+        EventType::kFriendshipSeeded, EventType::kRequestRejected};
+    const double t = 100.0 * i / events + mix.unit();
+    d.ingest(Event{kTypes[mix.next() % 4], a, b, t},
+             static_cast<std::uint64_t>(i));
+  }
+  d.ingest(Event{EventType::kRequestSent, accounts - 1, 0, 101.0},
+           static_cast<std::uint64_t>(events));
+  d.finish();
+  return d;
+}
+
+/// The stored edge keys, read past the head and the account records.
+std::vector<std::uint64_t> edge_keys(std::span<const std::byte> blob) {
+  io::ByteReader r(blob);
+  r.read<std::uint32_t>();
+  const std::uint64_t accounts = r.read<std::uint64_t>();
+  for (std::uint64_t i = 0; i < accounts; ++i) {
+    osn::read_ledger(r);
+    const std::uint64_t friends = r.read<std::uint64_t>();
+    for (std::uint64_t f = 0; f < friends; ++f) r.read<osn::NodeId>();
+    r.read<std::uint32_t>();
+    r.read<std::uint8_t>();
+    r.read<std::uint8_t>();
+  }
+  std::vector<std::uint64_t> keys(r.read<std::uint64_t>());
+  for (std::uint64_t& k : keys) k = r.read<std::uint64_t>();
+  return keys;
+}
+
+// The write pass encodes account chunks and the edge sort as parallel
+// tasks and folds their CRCs; at 1 and 8 threads it must write the same
+// bytes and return the same CRC, which is crc32 of those bytes.
+TEST(StreamStateEncoder, BytesAndCrcDoNotDependOnThreadCount) {
+  const StreamDetector d = large_detector(24000, 60000);
+  ASSERT_GE(chunk_partition(d.accounts_seen(), kStateAccountChunk).size(), 5u);
+  const StreamStateEncoder encoder(d);
+
+  set_thread_count(1);
+  std::vector<std::byte> one(encoder.size());
+  const std::uint32_t crc_one = encoder.write(one);
+  set_thread_count(8);
+  std::vector<std::byte> eight(encoder.size());
+  const std::uint32_t crc_eight = encoder.write(eight);
+  set_thread_count(0);  // back to automatic
+
+  EXPECT_EQ(one, eight);
+  EXPECT_EQ(crc_one, crc_eight);
+  EXPECT_EQ(crc_one, io::crc32(one));
+  EXPECT_EQ(serialize_stream_state(d), one);
+
+  // The radix sort gives std::sort's order: strictly ascending keys.
+  const std::vector<std::uint64_t> keys = edge_keys(one);
+  ASSERT_GT(keys.size(), 10000u);
+  for (std::size_t i = 1; i < keys.size(); ++i) {
+    ASSERT_LT(keys[i - 1], keys[i]) << i;
+  }
+
+  // And the bytes still decode to the same state.
+  StreamDetector restored(fixture_options());
+  restore_stream_state(restored, one);
+  EXPECT_EQ(serialize_stream_state(restored), one);
+}
+
+// The write pass fills exactly the sized byte count: a slice one byte
+// short or long is refused, typed, before anything is written.
+TEST(StreamStateEncoder, WrongSizedSliceIsRefused) {
+  const StreamDetector d = fixture_detector();
+  const StreamStateEncoder encoder(d);
+  for (const std::size_t size : {encoder.size() - 1, encoder.size() + 1}) {
+    std::vector<std::byte> out(size, std::byte{0xEE});
+    try {
+      encoder.write(out);
+      ADD_FAILURE() << "a " << size << "-byte slice was accepted";
+    } catch (const io::SnapshotError& e) {
+      EXPECT_EQ(e.code(), io::SnapshotErrorCode::kFormatViolation);
+    }
+    EXPECT_EQ(out, std::vector<std::byte>(size, std::byte{0xEE}));
+  }
 }
 
 TEST(DetectorState, FirstFriendOutsideAccountsIsRefused) {

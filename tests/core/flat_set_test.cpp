@@ -19,7 +19,8 @@ namespace sybil::core {
 namespace {
 
 std::vector<std::uint64_t> sorted_contents(const FlatSet64& s) {
-  std::vector<std::uint64_t> out(s.begin(), s.end());
+  std::vector<std::uint64_t> out;
+  s.append_keys(out);
   std::sort(out.begin(), out.end());
   return out;
 }

@@ -7,9 +7,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "io/crc32.h"
 #include "io/faulty_vfs.h"
 
 namespace sybil::io {
@@ -188,6 +190,70 @@ TEST(Container, ByteReaderRejectsOverrun) {
 
 TEST(Container, SerializeIsDeterministic) {
   EXPECT_EQ(sample_image(), sample_image());
+}
+
+// A SliceWriter never writes outside its slice: an overrun throws with
+// the bytes past the slice untouched, and finish() refuses a slice left
+// short — both typed, so a size pass that disagrees with its write pass
+// cannot put a stray byte on disk.
+TEST(Container, SliceWriterRefusesOverrunAndUnderrun) {
+  std::vector<std::byte> buf(8, std::byte{0xEE});
+  SliceWriter over(std::span<std::byte>(buf).first(6));
+  over.write(std::uint32_t{1});
+  EXPECT_EQ(code_of([&] { over.write(std::uint32_t{2}); }),
+            SnapshotErrorCode::kFormatViolation);
+  EXPECT_EQ(code_of([&] { over.write_bytes(payload_of({1, 2, 3})); }),
+            SnapshotErrorCode::kFormatViolation);
+  EXPECT_EQ(buf[4], std::byte{0xEE});
+  EXPECT_EQ(buf[6], std::byte{0xEE});
+
+  SliceWriter under(std::span<std::byte>(buf).first(6));
+  under.write(std::uint32_t{1});
+  EXPECT_EQ(code_of([&] { under.finish(); }),
+            SnapshotErrorCode::kFormatViolation);
+  under.write(std::uint16_t{2});
+  EXPECT_EQ(under.finish(), crc32(std::span<const std::byte>(buf).first(6)));
+}
+
+// A sized section fills its slice of the image in place; the image is
+// the one a byte-vector section with the same bytes produces, and the
+// fill's CRC lands in the section table.
+TEST(Container, SizedSectionMatchesItsByteVector) {
+  ContainerWriter sized(PayloadKind::kDataset);
+  sized.add_section(1, payload_of({1, 2, 3, 4, 5}));
+  sized.add_section(
+      2, SectionWriter{24, [](std::span<std::byte> out) {
+                         SliceWriter w(out);
+                         for (std::uint64_t v : {42ull, 7ull, 0xdeadbeefull}) {
+                           w.write(v);
+                         }
+                         return w.finish();
+                       }});
+  EXPECT_EQ(sized.serialize(), sample_image());
+}
+
+// A fill that throws aborts the commit before any storage op: no temp
+// file, and the target keeps its previous contents.
+TEST(Container, FailingFillCommitsNothing) {
+  const std::string path = ::testing::TempDir() + "/sybil_container_fill.snap";
+  ContainerWriter good(PayloadKind::kDataset);
+  good.add_section(1, payload_of({9}));
+  good.commit(path, SyncMode::kNever);
+  FaultyVfs vfs;
+  const std::uint64_t ops_before = vfs.ops();
+  ContainerWriter bad(PayloadKind::kDataset);
+  bad.add_section(1, SectionWriter{4, [](std::span<std::byte> out) {
+                                     SliceWriter w(out);
+                                     w.write(std::uint16_t{1});  // 2 of 4
+                                     return w.finish();
+                                   }});
+  EXPECT_EQ(code_of([&] { bad.commit(path, SyncMode::kNever, &vfs); }),
+            SnapshotErrorCode::kFormatViolation);
+  EXPECT_EQ(vfs.ops(), ops_before);
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+  const ContainerReader reader(path, PayloadKind::kDataset);
+  EXPECT_EQ(reader.section(1).size(), 1u);
+  std::remove(path.c_str());
 }
 
 #if defined(__unix__) || defined(__APPLE__)

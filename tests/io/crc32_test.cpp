@@ -3,10 +3,14 @@
 // against the standard check value, a bitwise reference over every
 // length and alignment the sliced loop distinguishes, chunked
 // continuation, and the worked WAL records in docs/FORMATS.md §8.4.
+// crc32_combine, which folds the stream-state encoder's chunk CRCs, is
+// pinned against crc32 of the concatenation over random splits, and by
+// associativity at lengths no buffer can hold.
 #include "io/crc32.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -93,6 +97,61 @@ TEST(Crc32, ReproducesTheWorkedWalRecords) {
   EXPECT_EQ(crc32(from_hex("0200000000000000020000000000000000000000"
                            "0000044009000000090000000500000000000000")),
             0x0a0d9ab2u);  // b2 9a 0d 0a
+}
+
+// Random cut points, duplicates included, so pieces come out empty, a
+// few bytes long or anything in between — mostly not multiples of 16.
+TEST(Crc32Combine, RandomSplitsCombineToTheWholeCrc) {
+  std::vector<std::byte> data(4099);
+  std::uint32_t x = 0x2545F491u;
+  const auto next = [&x] {
+    x ^= x << 13;
+    x ^= x >> 17;
+    x ^= x << 5;
+    return x;
+  };
+  for (std::byte& b : data) b = static_cast<std::byte>(next());
+  const std::span<const std::byte> all(data);
+  const std::uint32_t whole = crc32(all);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<std::size_t> cuts{0, data.size()};
+    const std::size_t n_cuts = next() % 12;
+    for (std::size_t k = 0; k < n_cuts; ++k) {
+      cuts.push_back(next() % (data.size() + 1));
+    }
+    if (trial % 3 == 0) cuts.push_back(cuts.back());  // an empty piece
+    std::sort(cuts.begin(), cuts.end());
+    std::uint32_t crc = 0;  // crc32 of nothing
+    for (std::size_t k = 0; k + 1 < cuts.size(); ++k) {
+      const auto piece = all.subspan(cuts[k], cuts[k + 1] - cuts[k]);
+      crc = crc32_combine(crc, crc32(piece), piece.size());
+    }
+    ASSERT_EQ(crc, whole) << "trial " << trial;
+  }
+}
+
+TEST(Crc32Combine, EmptyPiecesAreIdentities) {
+  const std::uint32_t a = crc32(as_bytes("sybil"));
+  EXPECT_EQ(crc32_combine(a, crc32({}), 0), a);
+  EXPECT_EQ(crc32_combine(crc32({}), a, 5), a);
+}
+
+// (A·B)·C == A·(B·C) with B and C longer than 2^32 bytes: the exponent
+// table wraps (x^(2^32) = x), which only such lengths reach.
+TEST(Crc32Combine, IsAssociativeAtLengthsPastFourGiB) {
+  const std::uint32_t a = crc32(as_bytes("head"));
+  const std::uint32_t b = crc32(as_bytes("middle"));
+  const std::uint32_t c = crc32(as_bytes("tail"));
+  const std::uint64_t lengths[][2] = {
+      {(std::uint64_t{1} << 32) + 12345, (std::uint64_t{1} << 33) + 7},
+      {(std::uint64_t{1} << 40) + 1, (std::uint64_t{1} << 32)},
+      {~std::uint64_t{0} >> 2, (std::uint64_t{3} << 35) + 15},
+  };
+  for (const auto& [len_b, len_c] : lengths) {
+    EXPECT_EQ(crc32_combine(crc32_combine(a, b, len_b), c, len_c),
+              crc32_combine(a, crc32_combine(b, c, len_c), len_b + len_c))
+        << len_b << " + " << len_c;
+  }
 }
 
 }  // namespace

@@ -20,7 +20,11 @@
 //     by another shard identity refuses to load, and a state root with
 //     directories from a larger partition count refuses to start;
 //   * metric aggregation: per-reason dead-letter counters published
-//     under service.shard.<i>.* sum exactly into the service.* twins.
+//     under service.shard.<i>.* sum exactly into the service.* twins;
+//   * a flush that fails midway: the drains run in the shard lanes, the
+//     commits in shard order, so a fault on shard 1 leaves shards 2-3
+//     drained but untouched on disk, and a retried flush ends exactly
+//     where an undisturbed one does.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -28,6 +32,7 @@
 #include <filesystem>
 #include <memory>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -485,6 +490,69 @@ TEST_F(Shard, DeadLetterMetricsAggregateExactly) {
   registry.reset();
 }
 #endif  // SYBIL_METRICS_COMPILED
+
+// ShardRouter::flush drains every shard in the parallel lanes, then
+// commits and checkpoints them in ascending order. Shard 1's disk fails
+// from the last batch on, so its flush-time commit retry fails too: the
+// flush throws that fault, shard 0 is flushed, shards 2-3 are drained
+// with no storage op issued, and once the disk heals a retried flush
+// yields the undisturbed run's flags and per-shard stats.
+TEST_F(Shard, FlushFailingMidwayRetriesToTheUndisturbedRun) {
+  const WorkloadOptions w = small_workload(11);
+  const std::vector<osn::Event> log = synthetic_workload(w);
+  const std::span<const osn::Event> all(log);
+  const std::size_t cut = log.size() - 40;
+
+  const auto run = [&](const std::string& dir, bool fail) {
+    std::vector<std::unique_ptr<io::FaultyVfs>> vfs;
+    for (int i = 0; i < 4; ++i) {
+      vfs.push_back(std::make_unique<io::FaultyVfs>(&crashtest::sweep_vfs()));
+    }
+    ShardRouterOptions o = make_router_options(dir, 4);
+    o.shard.wal_fsync = WalFsync::kEveryAppend;
+    o.shard_vfs = [&vfs](std::uint32_t i) -> io::Vfs* { return vfs[i].get(); };
+    ShardRouter router(o);
+    router.start();
+    router.offer_batch(all.first(cut), 0);  // queued, not pumped
+    if (fail) {
+      io::FaultConfig nospace;
+      nospace.fail_from = vfs[1]->ops();
+      nospace.fail_count = 1u << 20;
+      nospace.fail_kind = io::VfsFaultKind::kNoSpace;
+      vfs[1]->configure(nospace);
+    }
+    router.offer_batch(all.subspan(cut), cut);
+    if (fail) {
+      EXPECT_TRUE(router.shard(1).storage_degraded());
+      std::vector<std::uint64_t> ops;
+      for (const auto& v : vfs) ops.push_back(v->ops());
+      try {
+        router.flush(/*checkpoint=*/true);
+        ADD_FAILURE() << "flush succeeded on a full disk";
+      } catch (const io::VfsError& e) {
+        EXPECT_EQ(e.kind(), io::VfsFaultKind::kNoSpace) << e.what();
+      }
+      EXPECT_GT(vfs[0]->ops(), ops[0]) << "shard 0 was not checkpointed";
+      for (std::uint32_t i = 0; i < 4; ++i) {
+        EXPECT_EQ(router.shard(i).queue_depth(), 0u) << i;
+        EXPECT_EQ(router.shard(i).detector().buffered(), 0u) << i;
+        if (i >= 2) {
+          EXPECT_EQ(vfs[i]->ops(), ops[i]) << i;
+        }
+      }
+      vfs[1]->clear_faults();
+    }
+    router.flush(/*checkpoint=*/true);
+    EXPECT_FALSE(router.shard(1).storage_degraded());
+    return capture(router, w.hours + 1.0);
+  };
+
+  const ShardedRun base = run(fresh_dir("flush_clean"), false);
+  const ShardedRun retried = run(fresh_dir("flush_fail"), true);
+  ASSERT_FALSE(base.flags.records.empty());
+  EXPECT_EQ(retried.shard_stats, base.shard_stats);
+  expect_flags_equal(retried.flags, base.flags);
+}
 
 /// `victim` value that puts the faulty device under every shard.
 constexpr std::uint32_t kWholeFleet = ~std::uint32_t{0};
