@@ -25,8 +25,9 @@
 #include "core/detector_state.h"
 #include "core/features.h"
 #include "core/stream_detector.h"
-#include "detectors/incremental_rank.h"
+#include "core/parallel.h"
 #include "graph/dynamic_graph.h"
+#include "service/defense_scorer.h"
 #include "service/router.h"
 #include "service/wal.h"
 #include "service/workload.h"
@@ -43,6 +44,20 @@
 namespace {
 
 using namespace sybil;
+
+/// Pins the shared pool to one worker for a benchmark's timed loop, so
+/// its row measures the code rather than the host's spare cores, and
+/// restores the previous count on scope exit.
+class OneWorker {
+ public:
+  OneWorker() { core::set_thread_count(1); }
+  ~OneWorker() { core::set_thread_count(saved_); }
+  OneWorker(const OneWorker&) = delete;
+  OneWorker& operator=(const OneWorker&) = delete;
+
+ private:
+  std::size_t saved_ = core::thread_count();
+};
 
 const graph::TimestampedGraph& shared_graph() {
   static const graph::TimestampedGraph g = [] {
@@ -427,7 +442,8 @@ void BM_SweepFlags(benchmark::State& state) {
 BENCHMARK(BM_SweepFlags);
 
 /// Checkpoint encoding of a mid-stream detector: applied state plus a
-/// 6 h reorder buffer and its seen-seqs (bytes/sec of blob written).
+/// 6 h reorder buffer and its seen-seqs (bytes/sec of blob written), at
+/// one worker: the encoder's own cost, not the host's spare cores.
 void BM_SerializeStreamState(benchmark::State& state) {
   static const core::StreamDetector* detector = [] {
     core::DetectorOptions options = service_bench_options();
@@ -438,6 +454,7 @@ void BM_SerializeStreamState(benchmark::State& state) {
     return d;
   }();
   std::size_t bytes = 0;
+  const OneWorker one_worker;
   for (auto _ : state) {
     const std::vector<std::byte> blob = core::serialize_stream_state(*detector);
     bytes += blob.size();
@@ -468,9 +485,9 @@ void BM_ShardRoute(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardRoute)->Arg(1)->Arg(8);
 
-// --- Incremental defenses (docs/DEFENSES.md) ------------------------
+// --- Service defense tier (docs/DEFENSES.md) ------------------------
 
-/// 100k-node base for the incremental-rank benches: large enough that a
+/// 100k-node base for the defense-tier benches: large enough that a
 /// full power-iteration recompute is decidedly not free, sized to the
 /// defense tier's target scale rather than shared_graph()'s 50k.
 const graph::TimestampedGraph& defense_bench_base() {
@@ -516,65 +533,45 @@ void BM_DynamicGraphAppend(benchmark::State& state) {
 }
 BENCHMARK(BM_DynamicGraphAppend);
 
-graph::DynamicGraph& incremental_rank_graph() {
-  static graph::DynamicGraph* g =
-      new graph::DynamicGraph(defense_bench_base());
-  return *g;
-}
-
-detect::IncrementalSybilRank& incremental_rank_state() {
-  static detect::IncrementalSybilRank* rank = [] {
-    // The service default epsilon (1e-12) is tuned for near-exactness;
-    // the bench uses the documented throughput setting (1e-8), which
-    // stops sub-noise deltas from ballooning the frontier. See
-    // docs/DEFENSES.md for the accuracy/latency tradeoff.
-    detect::IncrementalRankOptions opts;
-    opts.residual_epsilon = 1e-8;
-    auto* r = new detect::IncrementalSybilRank(opts);
-    std::vector<graph::NodeId> seeds(32);
-    for (graph::NodeId s = 0; s < 32; ++s) seeds[s] = s;
-    r->recompute(incremental_rank_graph(), seeds);
-    incremental_rank_graph().clear_dirty();
-    return r;
-  }();
-  return *rank;
-}
-
-/// Arg(0): full power-iteration recompute over the 100k-node graph —
-/// the cost every sweep would pay without incrementality. Arg(1): fold
-/// ONE new edge in via the dirty-region update. The items/sec ratio
-/// between the two rows is the headline incrementality win the
-/// acceptance gate pins (>= 5x for single-edge deltas).
-void BM_IncrementalRank(benchmark::State& state) {
-  auto& g = incremental_rank_graph();
-  auto& rank = incremental_rank_state();
-  static std::uint64_t k = 0;
-  const auto n = static_cast<graph::NodeId>(g.node_count());
-  const std::vector<graph::NodeId> seeds = [] {
-    std::vector<graph::NodeId> s(32);
-    for (graph::NodeId i = 0; i < 32; ++i) s[i] = i;
-    return s;
-  }();
-  if (state.range(0) == 0) {
-    for (auto _ : state) {
-      rank.recompute(g, seeds);
-      benchmark::DoNotOptimize(rank.scores().data());
-    }
-  } else {
-    for (auto _ : state) {
-      // Admit exactly one genuinely-new edge, then fold its delta.
-      while (true) {
-        const auto [u, v] = defense_bench_arrival(k++, n);
-        if (g.add_edge(u, v, 1e6 + static_cast<double>(k))) break;
+/// One sweep's defense refresh over the 100k-node defense_bench_base()
+/// (refreshes/sec): a new edge lands, then the scorer compacts its rows
+/// into a CSR and recomputes SybilRank in full — what every refresh
+/// that follows a graph change costs. One worker, as in a shard lane.
+void BM_DefenseRefresh(benchmark::State& state) {
+  static service::DefenseScorer* scorer = [] {
+    core::DetectorOptions options;
+    options.defense.enabled = true;
+    for (graph::NodeId s = 0; s < 32; ++s) options.defense.seeds.push_back(s);
+    auto* d = new service::DefenseScorer(options);
+    const graph::TimestampedGraph& g = defense_bench_base();
+    for (graph::NodeId u = 0; u < g.node_count(); ++u) {
+      for (const graph::Neighbor& nb : g.neighbors(u)) {
+        if (u < nb.node) {
+          d->observe({osn::EventType::kFriendshipSeeded, u, nb.node,
+                      nb.created_at});
+        }
       }
-      rank.update(g, g.dirty());
-      g.clear_dirty();
-      benchmark::DoNotOptimize(rank.scores().data());
     }
+    d->refresh();
+    return d;
+  }();
+  static std::uint64_t k = 0;
+  const auto n = scorer->graph().node_count();
+  const OneWorker one_worker;
+  for (auto _ : state) {
+    // Admit exactly one genuinely new edge, so the refresh recomputes.
+    for (const std::uint64_t before = scorer->edges_observed();
+         scorer->edges_observed() == before;) {
+      const auto [u, v] = defense_bench_arrival(k++, n);
+      scorer->observe({osn::EventType::kRequestAccepted, u, v,
+                       1e6 + static_cast<double>(k)});
+    }
+    scorer->refresh();
+    benchmark::DoNotOptimize(scorer->rank_scores().data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_IncrementalRank)->Arg(0)->Arg(1);
+BENCHMARK(BM_DefenseRefresh);
 
 // --- Compact JSON series for CI baselines ---------------------------
 

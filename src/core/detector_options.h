@@ -14,9 +14,9 @@
 // Only values a deployment sets live here. What the paper's deployment
 // fixes — the first-50-friends clustering prefix (core::kFirstFriends),
 // quarantine-and-continue ingestion and its dead-letter bound, the
-// adaptive tuner's configuration and retune cadence, the incremental
-// rank's propagation settings — is a constant of the code that uses
-// it, not an option.
+// adaptive tuner's configuration and retune cadence, the rank tier's
+// ceil(log2 V) pull rounds — is a constant of the code that uses it,
+// not an option.
 #pragma once
 
 #include <cstddef>
@@ -91,15 +91,15 @@ struct OverloadOptions {
   std::size_t resume_watermark = 1024;
 };
 
-/// Incremental structure-based defense tier of the supervised service
+/// Structure-based defense tier of the supervised service
 /// (service::DefenseScorer, docs/DEFENSES.md). Off by default: with
 /// `enabled == false` the service's FlagBatch and stats_json stay
 /// byte-identical to builds that predate the tier. When on, supervisors
 /// maintain a rolling graph from pumped accept/seed events and publish
-/// incremental SybilRank + clustering scores as a *second signal*
-/// alongside the threshold verdicts (annotation columns; never gating
-/// who is flagged). The incremental rank runs with
-/// detect::IncrementalRankOptions' defaults (docs/DEFENSES.md).
+/// SybilRank (recomputed at each flag sweep after a graph change) and
+/// per-edge clustering scores as a *second signal* alongside the
+/// threshold verdicts (annotation columns; never gating who is
+/// flagged).
 struct DefenseOptions {
   bool enabled = false;
 
@@ -119,7 +119,7 @@ struct DetectorOptions {
   /// ignored by detectors used without a ServiceSupervisor).
   OverloadOptions overload{};
 
-  /// Incremental graph-defense tier (see DefenseOptions; ignored by
+  /// Graph-defense tier (see DefenseOptions; ignored by
   /// detectors used without a ServiceSupervisor).
   DefenseOptions defense{};
 

@@ -16,8 +16,8 @@
 // are bit-identical to local_clustering_all() on the same graph — the
 // invariant the property suite pins after every arrival order.
 //
-// Single-threaded by design, for the same reason as
-// IncrementalSybilRank (one scorer per already-parallel shard lane).
+// Single-threaded: each edge is a handful of row intersections, folded
+// in on its shard's pump lane as the edge lands.
 #pragma once
 
 #include <cstdint>

@@ -8,44 +8,64 @@
 
 namespace sybil::detect {
 
+std::size_t sybilrank_pull(std::span<const std::uint64_t> offsets,
+                           std::span<const graph::NodeId> targets,
+                           std::span<const graph::NodeId> seeds,
+                           std::size_t iterations, std::vector<double>& trust,
+                           SybilRankWorkspace& ws) {
+  const std::size_t n = offsets.empty() ? 0 : offsets.size() - 1;
+  if (iterations == 0) {
+    iterations = static_cast<std::size_t>(
+        std::ceil(std::log2(std::max<double>(2.0, static_cast<double>(n)))));
+  }
+  trust.assign(n, 0.0);
+  if (!seeds.empty()) {
+    const double share = 1.0 / static_cast<double>(seeds.size());
+    for (const graph::NodeId s : seeds) {
+      if (s < n) trust[s] += share;
+    }
+  }
+  ws.inv_degree.assign(n, 0.0);
+  for (std::size_t u = 0; u < n; ++u) {
+    const std::uint64_t d = offsets[u + 1] - offsets[u];
+    if (d > 0) ws.inv_degree[u] = 1.0 / static_cast<double>(d);
+  }
+  ws.next.resize(n);
+
+  // Pull, not scatter: chunks write disjoint slots and each row is
+  // summed in a fixed order, so the result is bit-stable for any thread
+  // count. Rounds read the weighted layer w[u] = t[u] · inv_degree[u]:
+  // each round weights its own sums for the next, so the product is
+  // formed once per node rather than once per edge. The last round's
+  // sums are the trust itself.
+  for (std::size_t u = 0; u < n; ++u) trust[u] *= ws.inv_degree[u];
+  for (std::size_t it = 0; it < iterations; ++it) {
+    const bool last = it + 1 == iterations;
+    core::parallel_for(n, [&](const core::ChunkRange& c) {
+      for (std::size_t v = c.begin; v < c.end; ++v) {
+        double sum = 0.0;
+        for (std::uint64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+          sum += trust[targets[i]];
+        }
+        ws.next[v] = last ? sum : sum * ws.inv_degree[v];
+      }
+    });
+    trust.swap(ws.next);
+  }
+  for (std::size_t u = 0; u < n; ++u) {
+    const std::uint64_t d = offsets[u + 1] - offsets[u];
+    if (d > 0) trust[u] /= static_cast<double>(d);
+  }
+  return iterations;
+}
+
 std::vector<double> sybilrank_scores(const graph::CsrGraph& g,
                                      const std::vector<graph::NodeId>& seeds,
                                      SybilRankParams params) {
   if (seeds.empty()) throw std::invalid_argument("sybilrank: no seeds");
-  std::size_t iters = params.iterations;
-  if (iters == 0) {
-    iters = static_cast<std::size_t>(
-        std::ceil(std::log2(std::max<double>(2.0, g.node_count()))));
-  }
-  std::vector<double> trust(g.node_count(), 0.0);
-  const double share = 1.0 / static_cast<double>(seeds.size());
-  for (graph::NodeId s : seeds) trust[s] += share;
-
-  // Precompute 1/deg once; the iteration then pulls
-  //   next[v] = sum_{u in N(v)} trust[u] / deg(u)
-  // instead of scattering, so chunks write disjoint slots and the
-  // per-node summation order is fixed (bit-stable for any thread count).
-  std::vector<double> inv_degree(g.node_count(), 0.0);
-  for (graph::NodeId u = 0; u < g.node_count(); ++u) {
-    if (g.degree(u) > 0) inv_degree[u] = 1.0 / static_cast<double>(g.degree(u));
-  }
-
-  std::vector<double> next(g.node_count());
-  for (std::size_t it = 0; it < iters; ++it) {
-    core::parallel_for(g.node_count(), [&](const core::ChunkRange& c) {
-      for (std::size_t v = c.begin; v < c.end; ++v) {
-        double sum = 0.0;
-        for (graph::NodeId u : g.neighbors(static_cast<graph::NodeId>(v))) {
-          sum += trust[u] * inv_degree[u];
-        }
-        next[v] = sum;
-      }
-    });
-    trust.swap(next);
-  }
-  for (graph::NodeId u = 0; u < g.node_count(); ++u) {
-    if (g.degree(u) > 0) trust[u] /= static_cast<double>(g.degree(u));
-  }
+  std::vector<double> trust;
+  SybilRankWorkspace ws;
+  sybilrank_pull(g.offsets(), g.targets(), seeds, params.iterations, trust, ws);
   return trust;
 }
 

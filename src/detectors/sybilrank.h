@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "detectors/defense.h"
@@ -25,6 +26,27 @@ struct SybilRankParams {
 std::vector<double> sybilrank_scores(const graph::CsrGraph& g,
                                      const std::vector<graph::NodeId>& seeds,
                                      SybilRankParams params = {});
+
+/// Scratch arrays of sybilrank_pull(). A caller that re-ranks a growing
+/// graph keeps one and stops allocating once the graph stops growing.
+struct SybilRankWorkspace {
+  std::vector<double> inv_degree;
+  std::vector<double> next;
+};
+
+/// The kernel behind sybilrank_scores(), over raw CSR arrays: row v is
+/// targets[offsets[v], offsets[v+1]) and is summed in that order. Runs
+/// `iterations` pull rounds (0 → ceil(log2(max(2, n)))) over two layers
+/// and leaves the degree-normalized trust in `trust`. Each round sums
+/// w[t] = trust[t] · inv_degree[t], formed once per node, along every
+/// row, so the values are bit-identical for any thread count and for
+/// any caller holding the same rows. Empty seeds give all-zero trust.
+/// Returns the rounds run.
+std::size_t sybilrank_pull(std::span<const std::uint64_t> offsets,
+                           std::span<const graph::NodeId> targets,
+                           std::span<const graph::NodeId> seeds,
+                           std::size_t iterations, std::vector<double>& trust,
+                           SybilRankWorkspace& ws);
 
 /// SybilRank behind the unified interface. Power iteration is pull-
 /// based and parallel; no RNG at all.

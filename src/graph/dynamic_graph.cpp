@@ -81,18 +81,27 @@ void DynamicGraph::clear_dirty() {
   dirty_sorted_ = true;
 }
 
+void DynamicGraph::compact_rows(std::vector<std::uint64_t>& offsets,
+                                std::vector<NodeId>& targets) const {
+  const NodeId n = node_count();
+  offsets.resize(static_cast<std::size_t>(n) + 1);
+  targets.resize(2 * edge_count_);
+  offsets[0] = 0;
+  std::uint64_t at = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    for (const Neighbor& nb : chrono_[u]) targets[at++] = nb.node;
+    offsets[u + 1] = at;
+  }
+}
+
 const NeighborView& DynamicGraph::view() const {
   if (view_version_ == version_) return view_;
   const NodeId n = node_count();
-  std::vector<std::uint64_t> offsets(static_cast<std::size_t>(n) + 1, 0);
-  for (NodeId u = 0; u < n; ++u) {
-    offsets[u + 1] = offsets[u] + chrono_[u].size();
-  }
-  std::vector<NodeId> targets(offsets[n]);
+  std::vector<std::uint64_t> offsets;
+  std::vector<NodeId> targets;
+  compact_rows(offsets, targets);
   std::vector<NodeId> sorted_targets(offsets[n]);
   for (NodeId u = 0; u < n; ++u) {
-    std::uint64_t at = offsets[u];
-    for (const Neighbor& nb : chrono_[u]) targets[at++] = nb.node;
     std::copy(sorted_[u].begin(), sorted_[u].end(),
               sorted_targets.begin() + static_cast<std::ptrdiff_t>(offsets[u]));
   }

@@ -1,16 +1,18 @@
 // Growable graph with edge-arrival deltas and dirty-vertex tracking.
 //
 // The static pipeline snapshots a TimestampedGraph into a CsrGraph once
-// and runs batch algorithms over it. The live service cannot afford
-// that: edges arrive one accepted friend request at a time, and the
-// incremental defenses (detect::IncrementalSybilRank,
-// detect::IncrementalClustering) only want to know *which vertices
-// changed* since they last looked. DynamicGraph is that delta API:
+// and runs batch algorithms over it. The live service grows its graph
+// one accepted friend request at a time; detect::IncrementalClustering
+// folds each edge in as it lands, and the service's rank refresh only
+// wants to know *whether* anything changed since it last looked.
+// DynamicGraph is that delta API:
 //
 //   add_edge(u, v, t)   O(deg) sorted insert + chronological append;
 //                       marks both endpoints dirty
 //   dirty()             the distinct vertices touched since the last
 //                       clear_dirty(), ascending
+//   compact_rows()      the chronological rows as CSR arrays, written
+//                       into caller-owned buffers
 //   view()              a cached NeighborView over the current graph,
 //                       rebuilt lazily only when edges arrived since
 //                       the last call
@@ -20,7 +22,7 @@
 // insert), so a view() rebuild is a pure concatenation — no re-sort.
 // The chronological rows match what CsrGraph::from(TimestampedGraph)
 // would produce for the same arrival sequence, which is what lets the
-// incremental SybilRank pin bit-exactness against the batch path.
+// service's SybilRank pin bit-exactness against the batch path.
 //
 // Not thread-safe; the service drives one DynamicGraph per shard from
 // that shard's (serial) pump lane.
@@ -89,6 +91,13 @@ class DynamicGraph {
   void mark_dirty(NodeId u);
 
   void clear_dirty();
+
+  /// Writes the chronological rows as CSR arrays: row u is
+  /// targets[offsets[u], offsets[u+1]), in arrival order. Reuses the
+  /// buffers' capacity, so a caller that compacts a growing graph
+  /// repeatedly allocates only when it grows past what it held.
+  void compact_rows(std::vector<std::uint64_t>& offsets,
+                    std::vector<NodeId>& targets) const;
 
   /// The current graph as a NeighborView (chronological CSR rows plus
   /// the sorted twin). Cached: rebuilt only when edges arrived since the

@@ -8,22 +8,29 @@ namespace sybil::service {
 
 namespace {
 
-constexpr std::uint32_t kScorerStateVersion = 1;
+// v2 stores the rank tier as the last recompute's scores; v1 stored the
+// incremental path's resident layers.
+constexpr std::uint32_t kScorerStateVersion = 2;
 /// Least encoded bytes per element, so each count is bounded by the
 /// bytes left before it sizes an allocation: a node row is at least
 /// its u64 degree; a neighbour is u32 node + f64 time + u8 weak.
 constexpr std::size_t kRowMinBytes = 8;
 constexpr std::size_t kNeighborBytes = 13;
 
+[[noreturn]] void malformed(const char* what) {
+  throw io::SnapshotError(io::SnapshotErrorCode::kMalformedSection, what);
+}
+
 }  // namespace
 
 DefenseScorer::DefenseScorer(const core::DetectorOptions& options)
     : max_account_id_(options.ingest.max_account_id),
       seeds_(options.defense.seeds) {
-  // Seeds must exist from the start: a seed account that only joined
-  // the graph later would miss its layer-0 trust share until the next
-  // full recompute, breaking incremental-vs-batch equivalence.
-  for (const graph::NodeId s : seeds_) graph_.ensure_nodes(s + 1);
+  // Seeds exist from the start, so every recompute hands each its trust
+  // share, as the batch kernel does over the same graph.
+  if (!seeds_.empty()) {
+    graph_.ensure_nodes(*std::max_element(seeds_.begin(), seeds_.end()) + 1);
+  }
 }
 
 void DefenseScorer::observe(const osn::Event& e) {
@@ -49,12 +56,14 @@ void DefenseScorer::refresh() {
   const auto dirty = graph_.dirty();
   dirty_processed_ += dirty.size();
   if (!clustering_.initialized()) clustering_.recompute(graph_);
-  if (!seeds_.empty()) {
-    if (!rank_.initialized()) {
-      rank_.recompute(graph_, seeds_);
-    } else {
-      rank_.update(graph_, dirty);
-    }
+  // Nothing dirty and no new node means the graph the scores came from.
+  const bool changed =
+      !dirty.empty() || rank_scores_.size() != graph_.node_count();
+  if (!seeds_.empty() && changed) {
+    graph_.compact_rows(offsets_, targets_);
+    rank_.rounds_total_ += detect::sybilrank_pull(
+        offsets_, targets_, seeds_, 0, rank_scores_, workspace_);
+    ++rank_.full_recomputes_;
   }
   graph_.clear_dirty();
 }
@@ -84,7 +93,10 @@ std::vector<std::byte> DefenseScorer::serialize() const {
   w.write(static_cast<std::uint64_t>(dirty.size()));
   for (const graph::NodeId u : dirty) w.write(u);
 
-  rank_.serialize(w);
+  w.write(static_cast<std::uint64_t>(rank_scores_.size()));
+  for (const double x : rank_scores_) w.write(x);
+  w.write(rank_.full_recomputes_);
+  w.write(rank_.rounds_total_);
   clustering_.serialize(w);
   return std::move(w).take();
 }
@@ -103,37 +115,43 @@ void DefenseScorer::restore(const std::vector<std::byte>& bytes) {
 
   const auto n = r.read_count(kRowMinBytes);
   std::vector<std::vector<graph::Neighbor>> adj(n);
+  std::uint64_t half_edges = 0;
   for (auto& row : adj) {
     row.resize(r.read_count(kNeighborBytes));
+    half_edges += row.size();
     for (graph::Neighbor& nb : row) {
       nb.node = r.read<graph::NodeId>();
       nb.created_at = r.read<graph::Time>();
       nb.weak = r.read<std::uint8_t>() != 0;
-      if (nb.node >= n) {
-        throw io::SnapshotError(io::SnapshotErrorCode::kMalformedSection,
-                                "defense-scorer neighbor id out of range");
-      }
+      if (nb.node >= n) malformed("defense-scorer neighbor id out of range");
     }
   }
+  // Every undirected edge sits in two rows.
+  if (half_edges % 2 != 0) malformed("defense-scorer rows list a half edge");
   graph_ = graph::DynamicGraph(
       graph::TimestampedGraph::from_adjacency(std::move(adj)));
 
   const auto dirty_count = r.read_count(sizeof(graph::NodeId));
-  if (dirty_count > n) {
-    throw io::SnapshotError(io::SnapshotErrorCode::kMalformedSection,
-                            "defense-scorer dirty count implausible");
-  }
+  if (dirty_count > n) malformed("defense-scorer dirty count implausible");
   for (std::uint64_t i = 0; i < dirty_count; ++i) {
     const auto u = r.read<graph::NodeId>();
-    if (u >= n) {
-      throw io::SnapshotError(io::SnapshotErrorCode::kMalformedSection,
-                              "defense-scorer dirty id out of range");
-    }
+    if (u >= n) malformed("defense-scorer dirty id out of range");
     graph_.mark_dirty(u);
   }
 
-  rank_.restore(r);
+  // Scores cover the nodes the graph had at the last recompute.
+  const auto score_count = r.read_count(sizeof(double));
+  if (score_count > n) malformed("defense-scorer score count implausible");
+  rank_scores_.resize(score_count);
+  for (double& x : rank_scores_) x = r.read<double>();
+  rank_.full_recomputes_ = r.read<std::uint64_t>();
+  rank_.rounds_total_ = r.read<std::uint64_t>();
+
   clustering_.restore(r);
+  if (clustering_.coefficients().size() > n) {
+    malformed("defense-scorer clustering count implausible");
+  }
+  if (!r.exhausted()) malformed("trailing bytes after defense-scorer state");
 }
 
 }  // namespace sybil::service

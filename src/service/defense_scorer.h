@@ -5,11 +5,14 @@
 // `service.defense.*` sweep tier (docs/DEFENSES.md): the supervisor
 // feeds it every *pumped* event, it grows a graph::DynamicGraph from
 // the edge-bearing kinds (accepted requests, seeded friendships), and
-// each flag sweep refresh()es two incremental defenses over the dirty
-// vertices:
+// keeps two defenses over it:
 //
-//   detect::IncrementalSybilRank      rolling trust propagation
-//   detect::IncrementalClustering     rolling clustering coefficients
+//   SybilRank    recomputed in full by refresh() at each flag sweep that
+//                follows a graph change: the rows are compacted into a
+//                CSR and run through detect::sybilrank_pull(), the batch
+//                kernel itself, so the scores equal sybilrank_scores()
+//                on the same graph bit for bit
+//   clustering   detect::IncrementalClustering, maintained per edge
 //
 // Scores are a *second signal*: take_flagged() annotates the threshold
 // detector's FlagRecords with them (defense_rank / defense_clustering
@@ -18,13 +21,14 @@
 //
 // Determinism: the scorer sees exactly the pumped event sequence, which
 // WAL replay reproduces exactly; duplicate edges and out-of-bound ids
-// are skipped deterministically; and both incremental defenses are
-// single-threaded with fixed evaluation order. Checkpoints carry the
-// full scorer state (serialize()/restore()), so a recovered shard
-// scores byte-identically to one that never crashed. Caveat: enabling
-// `defense` on a service whose WAL was already pruned would lose the
-// pre-checkpoint edges, so the supervisor refuses to start there —
-// enable the tier from the service's birth.
+// are skipped deterministically; the rank kernel is bit-stable for any
+// thread count (inside a shard lane its parallel_for runs inline) and
+// clustering is single-threaded. Checkpoints carry the graph, the last
+// refresh's scores and the clustering state (serialize()/restore()), so
+// a recovered shard scores byte-identically to one that never crashed.
+// Caveat: enabling `defense` on a service whose WAL was already pruned
+// would lose the pre-checkpoint edges, so the supervisor refuses to
+// start there — enable the tier from the service's birth.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +36,7 @@
 
 #include "core/detector_options.h"
 #include "detectors/incremental_clustering.h"
-#include "detectors/incremental_rank.h"
+#include "detectors/sybilrank.h"
 #include "graph/dynamic_graph.h"
 #include "io/container.h"
 #include "osn/events.h"
@@ -48,14 +52,35 @@ class DefenseScorer {
   /// ingest.max_account_id are counted as `ignored` and skipped.
   void observe(const osn::Event& e);
 
-  /// Sweep-tier refresh: updates rank scores from the dirty vertices
-  /// (first call = initial full recompute) and clears the dirty set.
-  /// Clustering needs no refresh — it is maintained per edge.
+  /// Refresh counters of the rank tier (stats_json's rank_* fields).
+  class RankCounters {
+   public:
+    /// Refreshes that recomputed the scores.
+    std::uint64_t full_recomputes() const noexcept { return full_recomputes_; }
+    /// Pull rounds across those recomputes.
+    std::uint64_t rounds_total() const noexcept { return rounds_total_; }
+
+   private:
+    friend class DefenseScorer;
+    std::uint64_t full_recomputes_ = 0;
+    std::uint64_t rounds_total_ = 0;
+  };
+
+  /// Sweep-tier refresh: recomputes the rank scores over the whole graph
+  /// and clears the dirty set. Skipped, exactly, when nothing is dirty
+  /// and no node joined since the last recompute. Clustering needs no
+  /// refresh — it is maintained per edge.
   void refresh();
 
   /// Degree-normalized SybilRank trust (0.0 before the first refresh,
   /// for unknown nodes, and when no seeds are configured).
-  double rank_score(graph::NodeId u) const { return rank_.score(u); }
+  double rank_score(graph::NodeId u) const {
+    return u < rank_scores_.size() ? rank_scores_[u] : 0.0;
+  }
+  /// The scores of the last recompute, one per node the graph had then.
+  const std::vector<double>& rank_scores() const noexcept {
+    return rank_scores_;
+  }
 
   /// Rolling local clustering coefficient (0.0 for unknown nodes).
   double clustering_score(graph::NodeId u) const {
@@ -63,7 +88,7 @@ class DefenseScorer {
   }
 
   const graph::DynamicGraph& graph() const noexcept { return graph_; }
-  const detect::IncrementalSybilRank& rank() const noexcept { return rank_; }
+  const RankCounters& rank() const noexcept { return rank_; }
   const detect::IncrementalClustering& clustering() const noexcept {
     return clustering_;
   }
@@ -84,8 +109,13 @@ class DefenseScorer {
   std::uint32_t max_account_id_;
   std::vector<graph::NodeId> seeds_;
   graph::DynamicGraph graph_;
-  /// Runs with IncrementalRankOptions' defaults (docs/DEFENSES.md).
-  detect::IncrementalSybilRank rank_;
+  // The rank tier: CSR and kernel buffers kept across refreshes, and
+  // the scores of the last recompute.
+  std::vector<std::uint64_t> offsets_;
+  std::vector<graph::NodeId> targets_;
+  detect::SybilRankWorkspace workspace_;
+  std::vector<double> rank_scores_;
+  RankCounters rank_;
   detect::IncrementalClustering clustering_;
   std::uint64_t edges_observed_ = 0;
   std::uint64_t ignored_ = 0;

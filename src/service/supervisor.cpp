@@ -575,6 +575,7 @@ std::size_t ServiceSupervisor::sweep_flags(graph::Time now) {
 
 core::FlagBatch ServiceSupervisor::take_flagged() {
   core::FlagBatch batch = detector_.take_flagged();
+  if (!batch.records.empty()) newest_save_.reset();
   if (scorer_ != nullptr) {
     for (core::FlagRecord& r : batch.records) {
       r.defense_scored = true;
@@ -672,6 +673,7 @@ void ServiceSupervisor::checkpoint_now() {
     return;
   }
   replay_starts_[position] = replay_from;
+  newest_save_ = save_mark();
   // Retention, then WAL pruning up to the oldest replay start among the
   // *retained* generations — the fallback path must always find the
   // records it would replay. One this supervisor neither wrote nor
@@ -716,7 +718,11 @@ void ServiceSupervisor::flush(bool checkpoint) {
             std::to_string(options_.shard_id) + " with " +
             std::to_string(wal_->unsynced_records()) + " records buffered");
   }
-  if (checkpoint) checkpoint_now();
+  if (checkpoint && newest_save_ != save_mark()) checkpoint_now();
+}
+
+ServiceSupervisor::SaveMark ServiceSupervisor::save_mark() const {
+  return {wal_->next_index(), counters_, detector_.buffered()};
 }
 
 bool ServiceSupervisor::retry_storage_now() {
@@ -775,9 +781,7 @@ std::string ServiceSupervisor::stats_json() const {
     append_field(out, "dirty", scorer_->dirty_processed());
     append_field(out, "rank_full_recomputes",
                  scorer_->rank().full_recomputes());
-    append_field(out, "rank_updates", scorer_->rank().incremental_updates());
     append_field(out, "rank_rounds", scorer_->rank().rounds_total());
-    append_field(out, "rank_propagated", scorer_->rank().propagated_total());
     append_field(out, "triangles_closed",
                  scorer_->clustering().triangles_closed());
     out += '}';

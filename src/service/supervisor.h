@@ -443,6 +443,20 @@ class ServiceSupervisor {
   /// Replay start of each retained generation this supervisor wrote or
   /// loaded, keyed by WAL position: what WAL pruning must keep.
   std::map<std::uint64_t, std::uint64_t> replay_starts_;
+
+  /// Where the service stood when it wrote its newest generation. Only
+  /// a pump, a sweep, finish()'s drain of the reorder buffer or an
+  /// offer moves it; take_flagged(), which empties the saved pending
+  /// flags, forgets it. flush() skips a save while it still holds, so a
+  /// flush retried after a later shard threw writes nothing twice.
+  struct SaveMark {
+    std::uint64_t wal_position = 0;
+    ServiceCounters counters;
+    std::uint64_t buffered = 0;
+    bool operator==(const SaveMark&) const = default;
+  };
+  SaveMark save_mark() const;
+  std::optional<SaveMark> newest_save_;
 };
 
 }  // namespace sybil::service

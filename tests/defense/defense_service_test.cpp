@@ -253,7 +253,7 @@ TEST_F(DefenseService, StatsAndFlagsAreGatedByTheDefenseKnob) {
   EXPECT_GT(scorer->edges_observed(), 100u) << "shed-free: every edge lands";
   EXPECT_GT(scorer->refreshes(), 2u);
   double rank_mass = 0.0;
-  for (const double x : scorer->rank().scores()) rank_mass += x;
+  for (const double x : scorer->rank_scores()) rank_mass += x;
   EXPECT_GT(rank_mass, 0.0) << "seeded trust must actually propagate";
 
   // The annotations are exactly the scorer's published columns, and

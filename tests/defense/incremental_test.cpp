@@ -1,22 +1,17 @@
-// Property suite for the incremental defenses (docs/DEFENSES.md):
+// Property suite for the service's rolling defenses (docs/DEFENSES.md):
 //
-//   * IncrementalSybilRank vs the batch sybilrank_scores() kernel,
-//     across 6 graph regimes × 3 edge-arrival orders × SYBIL_THREADS
-//     1 and 8 — within the documented residual bound while streaming,
-//     and BIT-exact after a forced full recompute on the quiesced
-//     graph (the equivalence contract the service leans on);
-//   * exact propagation (residual_epsilon = 0) is bit-exact with NO
-//     recompute — every streamed update lands on the batch bytes;
+//   * the DefenseScorer's SybilRank vs the batch sybilrank_scores()
+//     kernel and an independent per-edge reference, across 6 graph
+//     regimes × 3 edge-arrival orders × SYBIL_THREADS 1 and 8 —
+//     BIT-exact at every refresh (the scorer recomputes over a CSR of
+//     its rows with the batch kernel itself);
+//   * a refresh after every single edge, and the auto iteration depth
+//     following the node count across a power of two;
+//   * a refresh over an unchanged graph skips the recompute, exactly;
 //   * IncrementalClustering vs local_clustering_all(), bit-exact at
 //     every comparison point (integer link counts, same expression);
-//   * the counted full-recompute fallbacks (frontier fraction, auto
-//     iteration-depth growth);
 //   * serialize()/restore() round-trips byte-exactly and the restored
 //     scorer continues identically.
-//
-// SYBIL_THREADS only affects the batch kernel (the incremental path is
-// deliberately serial); running both settings pins that neither side
-// depends on thread count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,15 +21,16 @@
 #include <utility>
 #include <vector>
 
+#include "core/detector_options.h"
 #include "core/parallel.h"
 #include "detectors/incremental_clustering.h"
-#include "detectors/incremental_rank.h"
 #include "detectors/sybilrank.h"
 #include "graph/clustering.h"
 #include "graph/dynamic_graph.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
-#include "io/container.h"
+#include "osn/events.h"
+#include "service/defense_scorer.h"
 #include "stats/rng.h"
 
 namespace sybil::detect {
@@ -43,6 +39,7 @@ namespace {
 using graph::DynamicGraph;
 using graph::NodeId;
 using graph::TimestampedGraph;
+using service::DefenseScorer;
 
 struct Arrival {
   NodeId u, v;
@@ -100,6 +97,17 @@ std::vector<std::pair<std::string, TimestampedGraph>> regimes() {
 
 const std::vector<NodeId> kSeeds = {0, 3, 7, 11, 19};
 
+core::DetectorOptions scorer_options(std::vector<NodeId> seeds = kSeeds) {
+  core::DetectorOptions opts;
+  opts.defense.enabled = true;
+  opts.defense.seeds = std::move(seeds);
+  return opts;
+}
+
+void observe(DefenseScorer& scorer, const Arrival& e) {
+  scorer.observe({osn::EventType::kRequestAccepted, e.u, e.v, e.t});
+}
+
 enum class Order { kChronological, kReversed, kShuffled };
 
 std::vector<Arrival> reorder(std::vector<Arrival> edges, Order order,
@@ -117,41 +125,6 @@ std::vector<Arrival> reorder(std::vector<Arrival> edges, Order order,
   return edges;
 }
 
-/// Streams `edges` into a DynamicGraph in batches, refreshing both
-/// incremental defenses after each batch (the service's sweep cadence
-/// in miniature). Node count is fixed up front so the auto iteration
-/// depth never changes — every post-initial update takes the pure
-/// incremental path (full_recompute_fraction = 1 disables the frontier
-/// fallback; it has its own test below).
-struct StreamResult {
-  DynamicGraph g;
-  IncrementalSybilRank rank;
-  IncrementalClustering clustering;
-};
-
-StreamResult stream(NodeId nodes, const std::vector<Arrival>& edges,
-                    std::size_t batch, IncrementalRankOptions opts) {
-  StreamResult r{DynamicGraph{}, IncrementalSybilRank(opts), {}};
-  r.g.ensure_nodes(nodes);
-  r.rank.recompute(r.g, kSeeds);
-  std::size_t in_batch = 0;
-  for (const Arrival& e : edges) {
-    if (r.g.add_edge(e.u, e.v, e.t)) {
-      r.clustering.on_edge_added(r.g, e.u, e.v);
-    }
-    if (++in_batch == batch) {
-      in_batch = 0;
-      r.rank.update(r.g, r.g.dirty());
-      r.g.clear_dirty();
-    }
-  }
-  if (in_batch != 0) {
-    r.rank.update(r.g, r.g.dirty());
-    r.g.clear_dirty();
-  }
-  return r;
-}
-
 void expect_bitwise_equal(const std::vector<double>& got,
                           const std::vector<double>& want,
                           const std::string& what) {
@@ -161,25 +134,52 @@ void expect_bitwise_equal(const std::vector<double>& got,
   }
 }
 
-// The documented deviation bound for incremental updates: each round
-// may skip per-node deltas up to residual_epsilon, and the propagation
-// matrix is column-stochastic, so the accumulated L1 (hence L∞) error
-// is at most rounds · n · ε per streamed history (docs/DEFENSES.md
-// §Incremental contracts). The 16× headroom covers the final degree
-// normalization and float non-associativity slack.
-double residual_bound(std::size_t iters, std::size_t n, double eps) {
-  return 16.0 * static_cast<double>(iters) * static_cast<double>(n) * eps;
+/// SybilRank written out independently of the shared kernel, in the
+/// per-edge form the batch path had before the kernel weighted each
+/// node once: tᵢ[v] = Σ tᵢ₋₁[u] · (1/deg u) over v's chronological row.
+/// The products are the same IEEE values either way, so it must agree
+/// bit for bit.
+std::vector<double> reference_rank(const DynamicGraph& g) {
+  const NodeId n = g.node_count();
+  const auto iters = static_cast<std::size_t>(
+      std::ceil(std::log2(std::max<double>(2.0, static_cast<double>(n)))));
+  std::vector<double> trust(n, 0.0), next(n), inv_degree(n, 0.0);
+  for (const NodeId s : kSeeds) trust[s] += 1.0 / kSeeds.size();
+  for (NodeId u = 0; u < n; ++u) {
+    if (g.degree(u) > 0) inv_degree[u] = 1.0 / g.degree(u);
+  }
+  for (std::size_t it = 0; it < iters; ++it) {
+    for (NodeId v = 0; v < n; ++v) {
+      double sum = 0.0;
+      for (const graph::Neighbor& nb : g.chronological(v)) {
+        sum += trust[nb.node] * inv_degree[nb.node];
+      }
+      next[v] = sum;
+    }
+    trust.swap(next);
+  }
+  for (NodeId u = 0; u < n; ++u) {
+    if (g.degree(u) > 0) trust[u] /= g.degree(u);
+  }
+  return trust;
+}
+
+/// Refreshes `scorer` (the service's sweep) and pins its rank column,
+/// bit for bit, to the batch kernel over the same graph and to the
+/// independent per-edge reference.
+void refresh_and_expect_batch(DefenseScorer& scorer, const std::string& what) {
+  scorer.refresh();
+  expect_bitwise_equal(scorer.rank_scores(),
+                       sybilrank_scores(scorer.graph().view().csr(), kSeeds),
+                       what);
+  expect_bitwise_equal(scorer.rank_scores(), reference_rank(scorer.graph()),
+                       what + "/reference");
 }
 
 TEST(IncrementalRank, MatchesBatchAcrossRegimesOrdersAndThreads) {
-  IncrementalRankOptions opts;
-  opts.residual_epsilon = 1e-12;
-  opts.full_recompute_fraction = 1.0;
-
   for (int threads : {1, 8}) {
     core::set_thread_count(threads);
     for (const auto& [name, base] : regimes()) {
-      const NodeId n = base.node_count();
       const std::vector<Arrival> chrono = edges_of(base);
       ASSERT_GT(chrono.size(), 100u) << name;
       for (Order order :
@@ -187,110 +187,98 @@ TEST(IncrementalRank, MatchesBatchAcrossRegimesOrdersAndThreads) {
         const std::string what = name + "/order" +
                                  std::to_string(static_cast<int>(order)) +
                                  "/threads" + std::to_string(threads);
-        const std::vector<Arrival> edges = reorder(chrono, order, 7);
-        StreamResult r = stream(n, edges, 32, opts);
-        ASSERT_GT(r.rank.incremental_updates(), 0u) << what;
-
-        // Batch kernel over the quiesced graph (parallel under the
-        // current SYBIL_THREADS — its values must not depend on it).
-        const std::vector<double> batch =
-            sybilrank_scores(r.g.view().csr(), kSeeds);
-
-        // Streaming scores: within the documented residual bound.
-        const double bound =
-            residual_bound(r.rank.iterations(), n, opts.residual_epsilon);
-        ASSERT_EQ(r.rank.scores().size(), batch.size()) << what;
-        for (NodeId u = 0; u < n; ++u) {
-          ASSERT_NEAR(r.rank.scores()[u], batch[u], bound)
-              << what << " node " << u;
+        // Streams the edges in batches of 32, refreshing after each —
+        // the service's sweep cadence in miniature.
+        DefenseScorer scorer(scorer_options());
+        std::size_t in_batch = 0;
+        for (const Arrival& e : reorder(chrono, order, 7)) {
+          observe(scorer, e);
+          if (++in_batch == 32) {
+            in_batch = 0;
+            refresh_and_expect_batch(scorer, what);
+          }
         }
-
-        // Forced full recompute on the quiesced graph: bit-exact.
-        r.rank.recompute(r.g, kSeeds);
-        expect_bitwise_equal(r.rank.scores(), batch, what + "/recomputed");
+        refresh_and_expect_batch(scorer, what + "/final");
 
         // Clustering is maintained per edge and must already be
         // bit-exact — integer link counts, same expression as batch.
-        expect_bitwise_equal(r.clustering.coefficients(),
-                             graph::local_clustering_all(r.g.view().csr()),
-                             what + "/clustering");
+        expect_bitwise_equal(
+            scorer.clustering().coefficients(),
+            graph::local_clustering_all(scorer.graph().view().csr()),
+            what + "/clustering");
       }
     }
   }
   core::set_thread_count(0);
 }
 
-// With residual_epsilon = 0 every bit flip propagates, so the streamed
-// scores land on the batch bytes with NO recompute — the strongest form
-// of the equivalence contract.
+// The tightest cadence: a refresh after every single edge. Each lands
+// on the batch bytes, and each runs ceil(log2 V) rounds over the V the
+// graph has at that moment.
 TEST(IncrementalRank, ExactPropagationIsBitIdenticalWhileStreaming) {
-  IncrementalRankOptions opts;
-  opts.residual_epsilon = 0.0;
-  opts.full_recompute_fraction = 1.0;
-
   stats::Rng rng(205);
   const TimestampedGraph base = graph::erdos_renyi(200, 0.03, rng);
-  const std::vector<Arrival> edges = edges_of(base);
-
-  StreamResult r = stream(base.node_count(), edges, 16, opts);
-  ASSERT_GT(r.rank.incremental_updates(), 4u);
-  EXPECT_EQ(r.rank.full_recomputes(), 1u) << "only the initial recompute";
-  expect_bitwise_equal(r.rank.scores(),
-                       sybilrank_scores(r.g.view().csr(), kSeeds),
-                       "exact streaming");
-}
-
-TEST(IncrementalRank, LargeFrontierFallsBackToFullRecompute) {
-  IncrementalRankOptions opts;
-  // Any non-empty dirty set produces a frontier of at least two nodes,
-  // which exceeds this fraction of n — every update must fall back.
-  opts.full_recompute_fraction = 1e-4;
-
-  stats::Rng rng(207);
-  const TimestampedGraph base = graph::erdos_renyi(200, 0.04, rng);
-  const std::size_t n_edges = edges_of(base).size();
-  StreamResult r = stream(base.node_count(), edges_of(base), 64, opts);
-
-  EXPECT_EQ(r.rank.incremental_updates(), 0u);
-  EXPECT_EQ(r.rank.full_recomputes(), 1 + (n_edges + 63) / 64)
-      << "initial recompute plus one counted fallback per batch";
-  expect_bitwise_equal(r.rank.scores(),
-                       sybilrank_scores(r.g.view().csr(), kSeeds),
-                       "fallback path");
+  DefenseScorer scorer(scorer_options());
+  std::uint64_t rounds = 0;
+  for (const Arrival& e : edges_of(base)) {
+    observe(scorer, e);
+    refresh_and_expect_batch(scorer, "edge " + std::to_string(e.u) + "-" +
+                                         std::to_string(e.v));
+    const double v = scorer.graph().node_count();
+    rounds += static_cast<std::uint64_t>(std::ceil(std::log2(v)));
+  }
+  EXPECT_EQ(scorer.rank().full_recomputes(), scorer.refreshes());
+  EXPECT_EQ(scorer.rank().rounds_total(), rounds);
 }
 
 TEST(IncrementalRank, AutoIterationDepthGrowthForcesRecompute) {
-  DynamicGraph g;
-  g.ensure_nodes(120);  // ceil(log2 120) = 7
+  DefenseScorer scorer(scorer_options());
   stats::Rng rng(211);
   for (int i = 0; i < 300; ++i) {
-    g.add_edge(static_cast<NodeId>(rng.uniform_index(120)),
-               static_cast<NodeId>(rng.uniform_index(120)),
-               static_cast<double>(i));
+    observe(scorer, {static_cast<NodeId>(rng.uniform_index(120)),
+                     static_cast<NodeId>(rng.uniform_index(120)),
+                     static_cast<double>(i)});
   }
-  IncrementalSybilRank rank;
-  rank.recompute(g, kSeeds);
-  ASSERT_EQ(rank.iterations(), 7u);
-  g.clear_dirty();
+  observe(scorer, {0, 119, 300.0});  // n = 120: ceil(log2 120) = 7
+  refresh_and_expect_batch(scorer, "pre-growth");
+  ASSERT_EQ(scorer.graph().node_count(), 120u);
+  ASSERT_EQ(scorer.rank().rounds_total(), 7u);
 
-  g.add_edge(0, 200, 1000.0);  // growth: n = 201, ceil(log2 201) = 8
-  const std::uint64_t before = rank.full_recomputes();
-  rank.update(g, g.dirty());
-  g.clear_dirty();
-  EXPECT_EQ(rank.iterations(), 8u);
-  EXPECT_EQ(rank.full_recomputes(), before + 1)
-      << "layer depth changed, the update must recompute";
-  expect_bitwise_equal(rank.scores(), sybilrank_scores(g.view().csr(), kSeeds),
-                       "post-growth");
+  observe(scorer, {0, 200, 1000.0});  // n = 201: ceil(log2 201) = 8
+  refresh_and_expect_batch(scorer, "post-growth");
+  EXPECT_EQ(scorer.rank().full_recomputes(), 2u);
+  EXPECT_EQ(scorer.rank().rounds_total(), 7u + 8u);
+}
+
+// Skipping is exact: with nothing dirty and no new node the graph is
+// the one the scores came from. A rejected edge changes nothing either.
+TEST(IncrementalRank, UnchangedGraphSkipsTheRecompute) {
+  DefenseScorer scorer(scorer_options());
+  observe(scorer, {0, 3, 1.0});
+  observe(scorer, {3, 25, 2.0});
+  refresh_and_expect_batch(scorer, "first");
+  ASSERT_EQ(scorer.rank().full_recomputes(), 1u);
+  const std::vector<double> before = scorer.rank_scores();
+
+  observe(scorer, {3, 0, 3.0});   // duplicate
+  observe(scorer, {7, 7, 4.0});   // self-loop
+  refresh_and_expect_batch(scorer, "unchanged");
+  EXPECT_EQ(scorer.refreshes(), 2u);
+  EXPECT_EQ(scorer.rank().full_recomputes(), 1u) << "nothing changed";
+  expect_bitwise_equal(scorer.rank_scores(), before, "kept");
+
+  observe(scorer, {25, 26, 5.0});  // a new node and a new edge
+  refresh_and_expect_batch(scorer, "grown");
+  EXPECT_EQ(scorer.rank().full_recomputes(), 2u);
 }
 
 TEST(IncrementalRank, EmptySeedsYieldAllZeroWithoutThrowing) {
-  DynamicGraph g;
-  g.ensure_nodes(8);
-  g.add_edge(0, 1, 0.0);
-  IncrementalSybilRank rank;
-  rank.recompute(g, {});
-  for (NodeId u = 0; u < 8; ++u) EXPECT_EQ(rank.score(u), 0.0);
+  DefenseScorer scorer(scorer_options({}));
+  observe(scorer, {0, 1, 0.0});
+  observe(scorer, {1, 7, 1.0});
+  scorer.refresh();
+  for (NodeId u = 0; u < 8; ++u) EXPECT_EQ(scorer.rank_score(u), 0.0);
+  EXPECT_EQ(scorer.rank().full_recomputes(), 0u) << "the rank tier is off";
 }
 
 TEST(IncrementalClustering, HandComputedCases) {
@@ -360,57 +348,43 @@ TEST(IncrementalState, SerializeRestoreRoundTripsAndContinuesIdentically) {
   const std::vector<Arrival> edges = edges_of(base);
   const std::size_t half = edges.size() / 2;
 
-  IncrementalRankOptions opts;
-  opts.full_recompute_fraction = 1.0;
-  StreamResult a = stream(base.node_count(),
-                          {edges.begin(), edges.begin() + half}, 24, opts);
-
-  io::ByteWriter wr;
-  a.rank.serialize(wr);
-  io::ByteWriter wc;
-  a.clustering.serialize(wc);
-  const std::vector<std::byte> rank_bytes = std::move(wr).take();
-  const std::vector<std::byte> cc_bytes = std::move(wc).take();
-
-  IncrementalSybilRank rank_b(opts);
-  IncrementalClustering cc_b;
-  {
-    io::ByteReader rr(rank_bytes);
-    rank_b.restore(rr);
-    io::ByteReader rc(cc_bytes);
-    cc_b.restore(rc);
+  // Stop mid-interval, so the blob carries a dirty set and scores from
+  // a smaller graph than the one it holds.
+  DefenseScorer a(scorer_options());
+  for (std::size_t i = 0; i < half; ++i) {
+    observe(a, edges[i]);
+    if (i % 24 == 23) a.refresh();
   }
-  expect_bitwise_equal(rank_b.scores(), a.rank.scores(), "restored rank");
-  expect_bitwise_equal(cc_b.coefficients(), a.clustering.coefficients(),
-                       "restored clustering");
-  EXPECT_EQ(rank_b.full_recomputes(), a.rank.full_recomputes());
-  EXPECT_EQ(rank_b.incremental_updates(), a.rank.incremental_updates());
-  EXPECT_EQ(cc_b.edges_applied(), a.clustering.edges_applied());
+  ASSERT_FALSE(a.graph().dirty().empty());
+  const std::vector<std::byte> bytes = a.serialize();
+
+  DefenseScorer b(scorer_options());
+  b.restore(bytes);
+  expect_bitwise_equal(b.rank_scores(), a.rank_scores(), "restored rank");
+  expect_bitwise_equal(b.clustering().coefficients(),
+                       a.clustering().coefficients(), "restored clustering");
+  EXPECT_EQ(b.rank().full_recomputes(), a.rank().full_recomputes());
+  EXPECT_EQ(b.rank().rounds_total(), a.rank().rounds_total());
+  EXPECT_EQ(b.clustering().edges_applied(), a.clustering().edges_applied());
 
   // Re-serializing the restored state reproduces the bytes exactly.
-  io::ByteWriter wr2;
-  rank_b.serialize(wr2);
-  EXPECT_EQ(std::move(wr2).take(), rank_bytes);
+  EXPECT_EQ(b.serialize(), bytes);
 
   // Both copies stream the second half and stay bit-identical.
   for (std::size_t i = half; i < edges.size(); ++i) {
-    const Arrival& e = edges[i];
-    if (a.g.add_edge(e.u, e.v, e.t)) {
-      a.clustering.on_edge_added(a.g, e.u, e.v);
-      cc_b.on_edge_added(a.g, e.u, e.v);
-    }
+    observe(a, edges[i]);
+    observe(b, edges[i]);
     if ((i - half) % 24 == 23) {
-      a.rank.update(a.g, a.g.dirty());
-      rank_b.update(a.g, a.g.dirty());
-      a.g.clear_dirty();
+      a.refresh();
+      b.refresh();
     }
   }
-  a.rank.update(a.g, a.g.dirty());
-  rank_b.update(a.g, a.g.dirty());
-  a.g.clear_dirty();
-  expect_bitwise_equal(rank_b.scores(), a.rank.scores(), "continued rank");
-  expect_bitwise_equal(cc_b.coefficients(), a.clustering.coefficients(),
-                       "continued clustering");
+  a.refresh();
+  b.refresh();
+  expect_bitwise_equal(b.rank_scores(), a.rank_scores(), "continued rank");
+  expect_bitwise_equal(b.clustering().coefficients(),
+                       a.clustering().coefficients(), "continued clustering");
+  EXPECT_EQ(b.serialize(), a.serialize());
 }
 
 }  // namespace

@@ -2,18 +2,22 @@
 // golden binaries and every typed refusal of load_service_checkpoint,
 // in the `io` binary so the asan-io preset runs this decoder too.
 //
-//   * tests/data/service_ckpt_v6.sybs loads field-exact, and
+//   * tests/data/service_ckpt_v7.sybs loads field-exact, and
 //     re-serializing the same state reproduces its bytes;
 //   * every byte flip and every truncation of it loads or throws a
 //     typed io::SnapshotError, nothing else;
 //   * the v3 and v4 goldens — formats that carried the unpumped queue —
-//     and the v5 golden, whose replay start did not cover the
-//     detector's in-flight events, are refused with kUnsupportedVersion;
+//     the v5 golden, whose replay start did not cover the detector's
+//     in-flight events, and the v6 golden, whose defense section held
+//     the incremental rank's layers, are refused with
+//     kUnsupportedVersion;
 //   * trailing meta bytes, a tier above kSweepOnly and a replay start
 //     past the WAL position are refused, each with its own code;
-//   * the defense-scorer decoder (DefenseScorer::restore and the rank
-//     and clustering restores it calls) refuses every count its bytes
-//     cannot hold with kMalformedSection, before allocating for it.
+//   * the defense-scorer decoder (DefenseScorer::restore and the
+//     clustering restore it calls) refuses every count its bytes cannot
+//     hold with kMalformedSection, before allocating for it, and every
+//     truncation and byte flip of the golden's defense section loads or
+//     throws a typed io::SnapshotError.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -25,6 +29,7 @@
 #include <vector>
 
 #include "core/detector_options.h"
+#include "graph/graph.h"
 #include "io/container.h"
 #include "io/error.h"
 #include "osn/events.h"
@@ -45,7 +50,7 @@ core::DetectorOptions golden_defense_options() {
   return opts;
 }
 
-/// The exact state behind tests/data/service_ckpt_v6.sybs — every field
+/// The exact state behind tests/data/service_ckpt_v7.sybs — every field
 /// here is documented in the worked example of FORMATS.md §5.4. Fully
 /// deterministic: fixed options, fixed events, no RNG, no clock.
 ServiceCheckpointState golden_state() {
@@ -85,10 +90,10 @@ void expect_load_refused(const std::string& path, io::SnapshotErrorCode code) {
   }
 }
 
-TEST(ServiceCheckpoint, GoldenCheckpointV6Loads) {
+TEST(ServiceCheckpoint, GoldenCheckpointV7Loads) {
   const ServiceCheckpointState want = golden_state();
   const ServiceCheckpointState got =
-      load_service_checkpoint(golden("service_ckpt_v6.sybs"));
+      load_service_checkpoint(golden("service_ckpt_v7.sybs"));
   EXPECT_EQ(got.wal_position, want.wal_position);
   EXPECT_EQ(got.replay_from, want.replay_from);
   EXPECT_EQ(got.tier, want.tier);
@@ -100,23 +105,31 @@ TEST(ServiceCheckpoint, GoldenCheckpointV6Loads) {
   ASSERT_EQ(got.defense_state, want.defense_state);
 
   // The scorer blob restores into a working scorer: 4 distinct edges,
-  // 2 deterministic skips, one refresh, nodes 0 and 2 still dirty.
+  // 2 deterministic skips, one refresh, nodes 0 and 2 still dirty, and
+  // the 4 scores of that refresh's 2-round recompute.
   DefenseScorer scorer(golden_defense_options());
   scorer.restore(got.defense_state);
   EXPECT_EQ(scorer.edges_observed(), 4u);
   EXPECT_EQ(scorer.ignored(), 2u);
   EXPECT_EQ(scorer.refreshes(), 1u);
+  EXPECT_EQ(scorer.rank().full_recomputes(), 1u);
+  EXPECT_EQ(scorer.rank().rounds_total(), 2u);
   EXPECT_EQ(scorer.graph().edge_count(), 4u);
   const auto dirty = scorer.graph().dirty();
   ASSERT_EQ(dirty.size(), 2u);
   EXPECT_EQ(dirty[0], 0u);
   EXPECT_EQ(dirty[1], 2u);
+  // The refresh saw the path 1-2-3-0 with trust 1/2 on seeds 0 and 1.
+  // Two rounds spread it to 1/4 per node; degree normalization halves
+  // it on the two middle nodes.
+  const std::vector<double> scores = {1.0 / 4, 1.0 / 4, 1.0 / 8, 1.0 / 8};
+  EXPECT_EQ(scorer.rank_scores(), scores);
 }
 
-TEST(ServiceCheckpoint, GoldenCheckpointV6BytesAreFrozen) {
-  const std::string fresh = ::testing::TempDir() + "/sybil_ckpt_v6_fresh.sybs";
+TEST(ServiceCheckpoint, GoldenCheckpointV7BytesAreFrozen) {
+  const std::string fresh = ::testing::TempDir() + "/sybil_ckpt_v7_fresh.sybs";
   save_service_checkpoint(fresh, golden_state());
-  std::ifstream fa(golden("service_ckpt_v6.sybs"), std::ios::binary);
+  std::ifstream fa(golden("service_ckpt_v7.sybs"), std::ios::binary);
   std::ifstream fb(fresh, std::ios::binary);
   ASSERT_TRUE(fa.good()) << "committed golden missing";
   ASSERT_TRUE(fb.good());
@@ -141,6 +154,13 @@ TEST(ServiceCheckpoint, GoldenCheckpointsV3AndV4AreRefused) {
 // carried the reorder buffer that v6 rebuilds from the WAL instead.
 TEST(ServiceCheckpoint, GoldenCheckpointV5IsRefused) {
   expect_load_refused(golden("service_ckpt_v5.sybs"),
+                      io::SnapshotErrorCode::kUnsupportedVersion);
+}
+
+// v6's defense section (scorer state v1) held the incremental rank's
+// iterate layers and inverse degrees; v7 keeps the scores only.
+TEST(ServiceCheckpoint, GoldenCheckpointV6IsRefused) {
+  expect_load_refused(golden("service_ckpt_v6.sybs"),
                       io::SnapshotErrorCode::kUnsupportedVersion);
 }
 
@@ -171,7 +191,7 @@ bool loads(const std::string& path, const std::string& bytes) {
 // Container CRCs cover every byte the decoder trusts, so nearly every
 // flip is refused; whatever loads must have passed every check.
 TEST(ServiceCheckpointFuzz, EveryByteFlipLoadsOrThrowsTyped) {
-  const std::string bytes = read_file(golden("service_ckpt_v6.sybs"));
+  const std::string bytes = read_file(golden("service_ckpt_v7.sybs"));
   ASSERT_FALSE(bytes.empty());
   const std::string path = ::testing::TempDir() + "/sybil_ckpt_flip.sybs";
   std::mt19937_64 rng(0x5EEDu);
@@ -193,7 +213,7 @@ TEST(ServiceCheckpointFuzz, EveryByteFlipLoadsOrThrowsTyped) {
 }
 
 TEST(ServiceCheckpointFuzz, EveryTruncationThrowsTyped) {
-  const std::string bytes = read_file(golden("service_ckpt_v6.sybs"));
+  const std::string bytes = read_file(golden("service_ckpt_v7.sybs"));
   const std::string path = ::testing::TempDir() + "/sybil_ckpt_cut.sybs";
   for (std::size_t len = 0; len < bytes.size(); ++len) {
     SCOPED_TRACE("length " + std::to_string(len));
@@ -202,11 +222,11 @@ TEST(ServiceCheckpointFuzz, EveryTruncationThrowsTyped) {
   std::remove(path.c_str());
 }
 
-/// The v6 golden re-containered with one zero byte appended to its meta
+/// The v7 golden re-containered with one zero byte appended to its meta
 /// section when `grow_meta` is set. Every CRC stays valid, so only the
 /// checkpoint decoder can notice.
 std::string golden_regrown(bool grow_meta, const std::string& name) {
-  const io::ContainerReader reader(golden("service_ckpt_v6.sybs"),
+  const io::ContainerReader reader(golden("service_ckpt_v7.sybs"),
                                    io::PayloadKind::kServiceCheckpoint);
   io::ContainerWriter writer(io::PayloadKind::kServiceCheckpoint);
   for (const std::uint32_t id : {1u, 3u, 5u}) {
@@ -266,25 +286,16 @@ constexpr std::uint64_t kHugeCount = std::uint64_t{1} << 32;
 /// A scorer blob up to its node count: version and the four counters.
 io::ByteWriter scorer_header() {
   io::ByteWriter w;
-  w.write(std::uint32_t{1});  // scorer state version
+  w.write(std::uint32_t{2});  // scorer state version
   for (int i = 0; i < 4; ++i) w.write(std::uint64_t{0});
   return w;
 }
 
-/// An empty graph (no rows, no dirty ids) ahead of the rank state.
+/// An empty graph (no rows, no dirty ids) ahead of the rank scores.
 io::ByteWriter scorer_without_graph() {
   io::ByteWriter w = scorer_header();
   w.write(std::uint64_t{0});  // nodes
   w.write(std::uint64_t{0});  // dirty ids
-  return w;
-}
-
-/// An initialized rank state up to its node count.
-io::ByteWriter scorer_with_rank_header() {
-  io::ByteWriter w = scorer_without_graph();
-  w.write(std::uint32_t{1});  // rank state version
-  w.write(std::uint8_t{1});   // initialized
-  w.write(std::uint64_t{2});  // iterations
   return w;
 }
 
@@ -324,27 +335,94 @@ TEST(ServiceCheckpoint, DefenseRestoreBoundsDirtyCount) {
   expect_scorer_refused(std::move(w));
 }
 
-TEST(ServiceCheckpoint, DefenseRestoreBoundsRankNodeCount) {
-  io::ByteWriter w = scorer_with_rank_header();
-  w.write(kHugeCount);  // rank nodes
-  expect_scorer_refused(std::move(w));
+// Every undirected edge sits in two rows; an odd total cannot be a
+// graph, and must be refused before the rows are adopted as one.
+TEST(ServiceCheckpoint, DefenseRestoreRefusesAnOddHalfEdgeCount) {
+  io::ByteWriter w = scorer_header();
+  w.write(std::uint64_t{2});  // nodes
+  w.write(std::uint64_t{1});  // node 0: one neighbour
+  w.write(graph::NodeId{1});
+  w.write(graph::Time{1.0});
+  w.write(std::uint8_t{0});
+  w.write(std::uint64_t{0});  // node 1: none
+  const std::vector<std::byte> blob = std::move(w).take();
+  DefenseScorer scorer(golden_defense_options());
+  try {
+    scorer.restore(blob);
+    ADD_FAILURE() << "a half edge loaded";
+  } catch (const io::SnapshotError& e) {
+    EXPECT_EQ(e.code(), io::SnapshotErrorCode::kMalformedSection) << e.what();
+  }
 }
 
-TEST(ServiceCheckpoint, DefenseRestoreBoundsRankSeedCount) {
-  io::ByteWriter w = scorer_with_rank_header();
-  w.write(std::uint64_t{0});  // rank nodes
-  w.write(kHugeCount);        // rank seeds
+TEST(ServiceCheckpoint, DefenseRestoreBoundsRankNodeCount) {
+  io::ByteWriter w = scorer_without_graph();
+  w.write(kHugeCount);  // rank scores
   expect_scorer_refused(std::move(w));
 }
 
 TEST(ServiceCheckpoint, DefenseRestoreBoundsClusteringNodeCount) {
   io::ByteWriter w = scorer_without_graph();
-  w.write(std::uint32_t{1});  // rank state version
-  w.write(std::uint8_t{0});   // rank not initialized
+  w.write(std::uint64_t{0});  // rank scores
+  w.write(std::uint64_t{0});  // full recomputes
+  w.write(std::uint64_t{0});  // rounds
   w.write(std::uint32_t{1});  // clustering state version
   w.write(std::uint8_t{1});   // initialized
   w.write(kHugeCount);        // clustering nodes
   expect_scorer_refused(std::move(w));
+}
+
+/// The golden's defense section, as DefenseScorer::restore sees it.
+std::vector<std::byte> golden_defense_section() {
+  const io::ContainerReader reader(golden("service_ckpt_v7.sybs"),
+                                   io::PayloadKind::kServiceCheckpoint);
+  const auto bytes = reader.section(5);
+  return {bytes.begin(), bytes.end()};
+}
+
+/// Restores `blob` into a fresh scorer. Returns false when the restore
+/// threw the typed taxonomy; any other exception escapes and fails the
+/// test. Under the asan-io preset an overread or an abort fails it too.
+bool restores(const std::vector<std::byte>& blob) {
+  DefenseScorer scorer(golden_defense_options());
+  try {
+    scorer.restore(blob);
+  } catch (const io::SnapshotError&) {
+    return false;
+  }
+  // A loaded scorer must stay usable: refresh over what it holds.
+  scorer.refresh();
+  return true;
+}
+
+// The container CRCs keep damaged bytes away from the scorer decoder in
+// the checkpoint fuzz above; here its own checks are the only guard.
+TEST(DefenseScorerFuzz, EveryTruncationThrowsTyped) {
+  const std::vector<std::byte> blob = golden_defense_section();
+  ASSERT_TRUE(restores(blob));
+  for (std::size_t len = 0; len < blob.size(); ++len) {
+    SCOPED_TRACE("length " + std::to_string(len));
+    EXPECT_FALSE(restores({blob.begin(), blob.begin() + len}));
+  }
+}
+
+TEST(DefenseScorerFuzz, EveryByteFlipLoadsOrThrowsTyped) {
+  const std::vector<std::byte> blob = golden_defense_section();
+  std::mt19937_64 rng(0xDEF5u);
+  std::size_t refused = 0;
+  for (std::size_t pos = 0; pos < blob.size(); ++pos) {
+    unsigned char values[5] = {0x00, 0xFF, 0, 0, 0};
+    for (int k = 2; k < 5; ++k) values[k] = static_cast<unsigned char>(rng());
+    for (const unsigned char value : values) {
+      if (std::byte{value} == blob[pos]) continue;
+      SCOPED_TRACE("byte " + std::to_string(pos) + " := " +
+                   std::to_string(value));
+      std::vector<std::byte> damaged = blob;
+      damaged[pos] = std::byte{value};
+      if (!restores(damaged)) ++refused;
+    }
+  }
+  EXPECT_GT(refused, 0u);
 }
 
 }  // namespace

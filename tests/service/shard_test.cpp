@@ -542,8 +542,14 @@ TEST_F(Shard, FlushFailingMidwayRetriesToTheUndisturbedRun) {
       }
       vfs[1]->clear_faults();
     }
+    const std::uint64_t shard0_ops = vfs[0]->ops();
     router.flush(/*checkpoint=*/true);
     EXPECT_FALSE(router.shard(1).storage_degraded());
+    if (fail) {
+      // Nothing reached shard 0 since its save: the retry writes no
+      // second copy of that generation.
+      EXPECT_EQ(vfs[0]->ops(), shard0_ops) << "shard 0 saved twice";
+    }
     return capture(router, w.hours + 1.0);
   };
 
