@@ -12,12 +12,14 @@
 // baseline. All other flags pass through to google-benchmark.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -414,6 +416,48 @@ void BM_ServiceIngest(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_ServiceIngest);
+
+/// A stream spanning three default (48 h) watermark windows, so most
+/// events leave the reorder buffer by the watermark rather than by
+/// finish(); with `jitter_hours` > 0 each time is pulled back by up to
+/// that much (seqs stay in arrival order), as on durable-4shard.
+std::vector<osn::Event> reorder_bench_events(double jitter_hours) {
+  service::WorkloadOptions w;
+  w.accounts = 20'000;
+  w.events = 200'000;
+  w.hours = 3 * core::IngestOptions{}.watermark_hours;
+  w.seed = 3;
+  std::vector<osn::Event> events = service::synthetic_workload(w);
+  if (jitter_hours > 0.0) {
+    std::mt19937_64 rng(w.seed);
+    for (osn::Event& e : events) {
+      const double u = static_cast<double>(rng() >> 11) * 0x1.0p-53;
+      e.time = std::max(0.0, e.time - u * jitter_hours);
+    }
+  }
+  return events;
+}
+
+/// Reorder-buffer release throughput (events/sec through ingest() and
+/// the closing finish()): in time order, ingest-1shard's shape, and
+/// with 6 h of jitter, durable-4shard's.
+void BM_ReorderRelease(benchmark::State& state, double jitter_hours) {
+  const std::vector<osn::Event> events = reorder_bench_events(jitter_hours);
+  std::uint64_t n = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    core::StreamDetector detector(service_bench_options());
+    state.ResumeTiming();
+    std::uint64_t seq = 0;
+    for (const auto& e : events) detector.ingest(e, seq++);
+    detector.finish();
+    benchmark::DoNotOptimize(detector.applied_total());
+    n += events.size();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(n));
+}
+BENCHMARK_CAPTURE(BM_ReorderRelease, in_order, 0.0);
+BENCHMARK_CAPTURE(BM_ReorderRelease, jitter6h, 6.0);
 
 /// Flag-sweep pass over a fully ingested population just restored from
 /// its stream state, when every account is a candidate (candidate

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 
 #include "core/metrics/instrument.h"
@@ -28,6 +27,7 @@ StreamDetector::StreamDetector(const DetectorOptions& options)
         return options;
       }()),
       detector_(options.rule),
+      reorder_(options.ingest.watermark_hours),
       high_watermark_(-std::numeric_limits<graph::Time>::infinity()),
       next_auto_seq_(kAutoSeqBase) {
   // Pre-register the dead-letter reason counters so every metrics
@@ -283,10 +283,7 @@ void StreamDetector::quarantine(const osn::Event& e, std::uint64_t seq,
   dead_letters_.push_back(DeadLetter{e, seq, reason});
 }
 
-void StreamDetector::release_top() {
-  std::pop_heap(reorder_.begin(), reorder_.end(), std::greater<>{});
-  const Buffered b = reorder_.back();
-  reorder_.pop_back();
+void StreamDetector::release(const ReorderCalendar::Entry& b) {
   const std::pair entry{b.event.time, b.seq};
   if (released_.empty() || released_.back() <= entry) {
     released_.push_back(entry);
@@ -300,15 +297,13 @@ void StreamDetector::release_top() {
 }
 
 void StreamDetector::release_ready() {
-  const graph::Time low = high_watermark_ - options_.ingest.watermark_hours;
-  while (!reorder_.empty() && reorder_.front().event.time <= low) {
-    release_top();
-  }
+  const graph::Time low = low_watermark();
+  while (const ReorderCalendar::Entry* b = reorder_.pop(low)) release(*b);
   // Prune duplicate-detection state that the watermark has passed: a
   // redelivery of a pruned seq necessarily carries an event time below
   // the low watermark and is quarantined as kTimeRegression before the
-  // dedup check can matter. Releases come out of the heap in ascending
-  // (time, seq) order and release_top() keeps released_ sorted, so the
+  // dedup check can matter. The calendar releases in ascending
+  // (time, seq) order and release() keeps released_ sorted, so the
   // prunable prefix sits at its front.
   while (!released_.empty() && released_.front().first < low) {
     seen_seqs_.erase(released_.front().second);
@@ -335,40 +330,45 @@ void StreamDetector::ingest(const osn::Event& e, std::uint64_t seq) {
   }
   // Before any event is accepted the high watermark is -inf, so the
   // low watermark is -inf too and no finite time can regress past it.
-  if (e.time < high_watermark_ - options_.ingest.watermark_hours) {
+  if (e.time < low_watermark()) {
     seen_seqs_.erase(seq);
     quarantine(e, seq, StreamErrorCode::kTimeRegression);
     return;
   }
-  reorder_.push_back(Buffered{seq, e});
-  std::push_heap(reorder_.begin(), reorder_.end(), std::greater<>{});
+  // Raise the watermark and release before `e` joins the calendar, so
+  // the calendar holds only entries above the new low watermark when it
+  // does. `e` is due at once only when it ties the low watermark (or
+  // W = 0); every entry still held sorts after it, so it applies next,
+  // as it would from the buffer.
   if (e.time > high_watermark_) high_watermark_ = e.time;
   release_ready();
+  if (e.time <= low_watermark()) {
+    release(ReorderCalendar::Entry{seq, e});
+  } else {
+    reorder_.push(ReorderCalendar::Entry{seq, e}, low_watermark());
+  }
   SYBIL_METRIC_GAUGE_SET("stream.ingest.buffered", reorder_.size());
 }
 
 void StreamDetector::finish() {
-  while (!reorder_.empty()) release_top();
+  constexpr graph::Time kEnd = std::numeric_limits<graph::Time>::infinity();
+  while (const ReorderCalendar::Entry* b = reorder_.pop(kEnd)) release(*b);
   SYBIL_METRIC_GAUGE_SET("stream.ingest.buffered", 0);
 }
 
 std::uint64_t StreamDetector::oldest_buffered_seq() const noexcept {
-  std::uint64_t oldest = kAutoSeq;
-  for (const Buffered& b : reorder_) oldest = std::min(oldest, b.seq);
-  return oldest;
+  return reorder_.min_seq();
 }
 
 void StreamDetector::restore_buffered(const osn::Event& e, std::uint64_t seq) {
   // A valid event at or below the low watermark was released or was a
   // time regression: release_ready() ran after every watermark rise.
   StreamErrorCode reason;
-  if (!structurally_valid(e, reason) ||
-      e.time <= high_watermark_ - options_.ingest.watermark_hours ||
+  if (!structurally_valid(e, reason) || e.time <= low_watermark() ||
       !seen_seqs_.insert(seq)) {
     return;
   }
-  reorder_.push_back(Buffered{seq, e});
-  std::push_heap(reorder_.begin(), reorder_.end(), std::greater<>{});
+  reorder_.push(ReorderCalendar::Entry{seq, e}, low_watermark());
 }
 
 }  // namespace sybil::core

@@ -45,6 +45,7 @@
 #include "core/detector_options.h"
 #include "core/features.h"
 #include "core/flat_set.h"
+#include "core/reorder_calendar.h"
 #include "core/stream_error.h"
 #include "core/threshold_detector.h"
 #include "osn/events.h"
@@ -177,20 +178,6 @@ class StreamDetector {
     bool dirty = false;  // queued in dirty_ for the next sweep
   };
 
-  /// Reorder-buffer entry, released in (time, seq) order so replays of
-  /// the same event multiset apply identically whatever the arrival
-  /// interleaving (the chaos-equivalence invariant). The sort time is
-  /// the event's own time — not duplicated here, the entry is copied
-  /// around by every heap sift.
-  struct Buffered {
-    std::uint64_t seq;
-    osn::Event event;
-    bool operator>(const Buffered& other) const noexcept {
-      if (event.time != other.event.time) return event.time > other.event.time;
-      return seq > other.seq;
-    }
-  };
-
   void ensure(osn::NodeId id);
   void add_edge(osn::NodeId u, osn::NodeId v, graph::Time t);
   /// Registers v as a (possibly) watched friend of u and updates u's
@@ -208,11 +195,14 @@ class StreamDetector {
   /// Accounts for a rejected event (dead-letter queue + counters).
   void quarantine(const osn::Event& e, std::uint64_t seq,
                   StreamErrorCode reason);
-  /// Pops the reorder buffer's head, records its (time, seq) in
-  /// released_ and applies it (release_ready() and finish()).
-  void release_top();
+  /// Records a popped entry's (time, seq) in released_ and applies it
+  /// (release_ready() and finish()).
+  void release(const ReorderCalendar::Entry& b);
   /// Applies every buffered event at or below the low watermark.
   void release_ready();
+  graph::Time low_watermark() const noexcept {
+    return high_watermark_ - options_.ingest.watermark_hours;
+  }
 
   DetectorOptions options_;
   ThresholdDetector detector_;
@@ -232,20 +222,22 @@ class StreamDetector {
   std::size_t flagged_total_ = 0;
 
   // ---- ingestion state ----
-  /// Min-heap on (time, seq) (std::push_heap/pop_heap, std::greater<>).
-  std::vector<Buffered> reorder_;
+  /// In-flight events, released in (time, seq) order so replays of the
+  /// same event multiset apply identically whatever the arrival
+  /// interleaving (the chaos-equivalence invariant).
+  ReorderCalendar reorder_;
   /// Seqs accepted within the reorder horizon (duplicate detection);
   /// pruned as the low watermark advances past their event time. Always
   /// the disjoint union of the buffered and the released_ seqs; a
   /// checkpoint restore keeps only the buffered ones.
   SeqBitSet seen_seqs_;
   /// Released-but-not-yet-pruned (time, seq) pairs in ascending order,
-  /// so pruning pops from the front instead of paying a second
-  /// per-event heap. The heap releases in that order, except after a
-  /// finish(): a later release may sort before entries finish() drained,
-  /// and is inserted in place. Events still buffered need no entry:
-  /// release (time <= low) always precedes pruning (time < low) under
-  /// the same low watermark, so only released seqs are ever prunable.
+  /// so pruning pops from the front. The calendar releases in that
+  /// order, except after a finish(): a later release may sort before
+  /// entries finish() drained, and is inserted in place. Events still
+  /// buffered need no entry: release (time <= low) always precedes
+  /// pruning (time < low) under the same low watermark, so only
+  /// released seqs are ever prunable.
   std::deque<std::pair<graph::Time, std::uint64_t>> released_;
   graph::Time high_watermark_;  // max event time accepted so far
   std::deque<DeadLetter> dead_letters_;

@@ -35,8 +35,8 @@ class CsrGraph {
   static CsrGraph from_edges(NodeId node_count,
                              std::span<const std::pair<NodeId, NodeId>> edges);
 
-  /// Adopts prebuilt CSR arrays as owning storage (no copy). Used by
-  /// DynamicGraph's compactor, which already holds rows in final form.
+  /// Adopts prebuilt CSR arrays as owning storage (no copy), such as
+  /// the rows DynamicGraph::compact_rows writes.
   /// Preconditions: offsets is a valid CSR offset array (size n+1,
   /// non-decreasing, offsets[0] == 0, offsets[n] == targets.size()).
   static CsrGraph from_rows(std::vector<std::uint64_t> offsets,

@@ -24,7 +24,6 @@ void DynamicGraph::ensure_nodes(NodeId n) {
   chrono_.resize(n);
   sorted_.resize(n);
   dirty_flag_.resize(n, 0);
-  ++version_;
 }
 
 bool DynamicGraph::add_edge(NodeId u, NodeId v, Time t, bool weak) {
@@ -39,7 +38,6 @@ bool DynamicGraph::add_edge(NodeId u, NodeId v, Time t, bool weak) {
   chrono_[u].push_back(Neighbor{v, t, weak});
   chrono_[v].push_back(Neighbor{u, t, weak});
   ++edge_count_;
-  ++version_;
   if (dirty_flag_[u] == 0) {
     dirty_flag_[u] = 1;
     dirty_.push_back(u);
@@ -92,24 +90,6 @@ void DynamicGraph::compact_rows(std::vector<std::uint64_t>& offsets,
     for (const Neighbor& nb : chrono_[u]) targets[at++] = nb.node;
     offsets[u + 1] = at;
   }
-}
-
-const NeighborView& DynamicGraph::view() const {
-  if (view_version_ == version_) return view_;
-  const NodeId n = node_count();
-  std::vector<std::uint64_t> offsets;
-  std::vector<NodeId> targets;
-  compact_rows(offsets, targets);
-  std::vector<NodeId> sorted_targets(offsets[n]);
-  for (NodeId u = 0; u < n; ++u) {
-    std::copy(sorted_[u].begin(), sorted_[u].end(),
-              sorted_targets.begin() + static_cast<std::ptrdiff_t>(offsets[u]));
-  }
-  view_ = NeighborView::with_sorted(
-      CsrGraph::from_rows(std::move(offsets), std::move(targets)),
-      std::move(sorted_targets));
-  view_version_ = version_;
-  return view_;
 }
 
 }  // namespace sybil::graph

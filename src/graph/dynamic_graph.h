@@ -13,15 +13,11 @@
 //                       clear_dirty(), ascending
 //   compact_rows()      the chronological rows as CSR arrays, written
 //                       into caller-owned buffers
-//   view()              a cached NeighborView over the current graph,
-//                       rebuilt lazily only when edges arrived since
-//                       the last call
 //
-// Both orderings of NeighborView are maintained *incrementally*: each
-// node keeps a chronological row (append) and a sorted row (ordered
-// insert), so a view() rebuild is a pure concatenation — no re-sort.
-// The chronological rows match what CsrGraph::from(TimestampedGraph)
-// would produce for the same arrival sequence, which is what lets the
+// Each node keeps a chronological row (append) and a sorted row
+// (ordered insert), so duplicate checks are a binary search. The
+// chronological rows match what CsrGraph::from(TimestampedGraph) would
+// produce for the same arrival sequence, which is what lets the
 // service's SybilRank pin bit-exactness against the batch path.
 //
 // Not thread-safe; the service drives one DynamicGraph per shard from
@@ -33,7 +29,6 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "graph/neighbor_view.h"
 
 namespace sybil::graph {
 
@@ -99,13 +94,6 @@ class DynamicGraph {
   void compact_rows(std::vector<std::uint64_t>& offsets,
                     std::vector<NodeId>& targets) const;
 
-  /// The current graph as a NeighborView (chronological CSR rows plus
-  /// the sorted twin). Cached: rebuilt only when edges arrived since the
-  /// previous call, and the rebuild concatenates the incrementally
-  /// maintained rows — O(V + E) copies, zero sorting. The reference is
-  /// invalidated by the next mutating call.
-  const NeighborView& view() const;
-
  private:
   std::vector<std::vector<Neighbor>> chrono_;
   std::vector<std::vector<NodeId>> sorted_;
@@ -116,11 +104,6 @@ class DynamicGraph {
   std::vector<std::uint8_t> dirty_flag_;
   mutable std::vector<NodeId> dirty_;
   mutable bool dirty_sorted_ = true;
-
-  // view() cache.
-  mutable NeighborView view_;
-  mutable std::uint64_t view_version_ = 0;  // structure version at build
-  std::uint64_t version_ = 1;               // bumped by every mutation
 };
 
 }  // namespace sybil::graph

@@ -1,7 +1,6 @@
 #include "graph/neighbor_view.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "core/parallel.h"
 
@@ -20,17 +19,6 @@ NeighborView::NeighborView(CsrGraph csr) : csr_(std::move(csr)) {
                     static_cast<std::ptrdiff_t>(off[u + 1]));
     }
   });
-}
-
-NeighborView NeighborView::with_sorted(CsrGraph csr,
-                                       std::vector<NodeId> sorted_targets) {
-  if (sorted_targets.size() != csr.targets().size()) {
-    throw std::invalid_argument("neighbor view: sorted twin size mismatch");
-  }
-  NeighborView view;
-  view.csr_ = std::move(csr);
-  view.sorted_targets_ = std::move(sorted_targets);
-  return view;
 }
 
 bool NeighborView::has_edge(NodeId u, NodeId v) const {

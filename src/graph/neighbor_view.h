@@ -48,14 +48,6 @@ class NeighborView {
     return NeighborView(CsrGraph::from(g));
   }
 
-  /// Adopts a chronological snapshot plus an externally built sorted
-  /// twin (each row ascending, aligned to the same offsets), skipping
-  /// the construction sort. DynamicGraph maintains sorted rows
-  /// incrementally and compacts them through here so a rebuild never
-  /// re-sorts adjacency it already keeps ordered.
-  static NeighborView with_sorted(CsrGraph csr,
-                                  std::vector<NodeId> sorted_targets);
-
   NodeId node_count() const noexcept { return csr_.node_count(); }
   std::uint64_t edge_count() const noexcept { return csr_.edge_count(); }
   NodeId degree(NodeId u) const { return csr_.degree(u); }

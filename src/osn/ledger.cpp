@@ -12,7 +12,9 @@ void RequestLedger::record_sent(graph::Time t) noexcept {
   ++sent_;
   first_send_ = first_send_ < 0.0 ? t : std::min(first_send_, t);
   last_send_ = std::max(last_send_, t);
-  const auto bucket = static_cast<std::int64_t>(std::floor(t));
+  // Clamped so every finite time converts without overflow.
+  const auto bucket =
+      static_cast<std::int64_t>(std::clamp(std::floor(t), -0x1p62, 0x1p62));
   if (bucket != current_bucket_) {
     current_bucket_ = bucket;
     current_bucket_count_ = 0;

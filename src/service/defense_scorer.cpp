@@ -128,8 +128,24 @@ void DefenseScorer::restore(const std::vector<std::byte>& bytes) {
   }
   // Every undirected edge sits in two rows.
   if (half_edges % 2 != 0) malformed("defense-scorer rows list a half edge");
-  graph_ = graph::DynamicGraph(
+  graph::DynamicGraph restored(
       graph::TimestampedGraph::from_adjacency(std::move(adj)));
+  // The rows must form a simple undirected graph, as add_edge builds:
+  // no self-loop, no neighbour listed twice, and v in u's row iff u in
+  // v's. Checked on the sorted rows the graph keeps.
+  for (graph::NodeId u = 0; u < restored.node_count(); ++u) {
+    const auto row = restored.sorted_neighbors(u);
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      if (row[i] == u) malformed("defense-scorer row lists a self-loop");
+      if (i > 0 && row[i] == row[i - 1]) {
+        malformed("defense-scorer row lists a neighbour twice");
+      }
+      if (!restored.has_edge(row[i], u)) {
+        malformed("defense-scorer rows are not symmetric");
+      }
+    }
+  }
+  graph_ = std::move(restored);
 
   const auto dirty_count = r.read_count(sizeof(graph::NodeId));
   if (dirty_count > n) malformed("defense-scorer dirty count implausible");

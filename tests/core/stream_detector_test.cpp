@@ -2,12 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
+#include <limits>
+#include <queue>
 #include <random>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/detector_state.h"
 #include "core/features.h"
 #include "core/metrics/instrument.h"
+#include "core/reorder_calendar.h"
 #include "osn/simulator.h"
 
 #if SYBIL_METRICS_COMPILED
@@ -322,6 +331,420 @@ TEST(StreamDetector, ReleaseAfterFinishIsPrunedInTimeOrder) {
     det.ingest(request_at(60.0), 200);   // the redelivery
     EXPECT_EQ(det.deduped_total(), 0u);
     EXPECT_EQ(det.deadletter_by_reason(StreamErrorCode::kTimeRegression), 1u);
+  }
+}
+
+/// The reorder contract as a test-local reference: a (time, seq)
+/// priority queue. Each accepted event is pushed, the high watermark
+/// rises, and every entry at or below the low watermark is released to
+/// `engine`, a detector that applies each event it is handed at once.
+/// Dedup state is pruned as the detector's is: released seqs below the
+/// low watermark are forgotten.
+class ReorderOracle {
+ public:
+  ReorderOracle(double watermark, const ThresholdRule& rule)
+      : watermark_(watermark), engine_([&rule] {
+          DetectorOptions o;
+          o.rule = rule;
+          // Holds nothing back past finish() and regresses nothing: the
+          // oracle decides what is released, and when.
+          o.ingest.watermark_hours = std::numeric_limits<double>::max();
+          return o;
+        }()) {}
+
+  void ingest(const osn::Event& e, std::uint64_t seq) {
+    if (!seen_.insert(seq).second) {
+      ++deduped_;
+      return;
+    }
+    if (e.time < high_ - watermark_) {
+      seen_.erase(seq);
+      ++regressions_;
+      return;
+    }
+    queue_.push(Entry{e.time, seq, e});
+    buffered_seqs_.insert(seq);
+    high_ = std::max(high_, e.time);
+    const double low = high_ - watermark_;
+    release_through(low);
+    while (!released_.empty() && released_.begin()->first < low) {
+      seen_.erase(released_.begin()->second);
+      released_.erase(released_.begin());
+    }
+  }
+  void finish() {
+    release_through(std::numeric_limits<double>::infinity());
+  }
+
+  double high() const { return high_; }
+  std::uint64_t applied() const { return applied_; }
+  std::uint64_t deduped() const { return deduped_; }
+  std::uint64_t regressions() const { return regressions_; }
+  std::size_t buffered() const { return queue_.size(); }
+  std::uint64_t oldest_buffered_seq() const {
+    return buffered_seqs_.empty() ? StreamDetector::kAutoSeq
+                                  : *buffered_seqs_.begin();
+  }
+  StreamDetector& engine() { return engine_; }
+
+ private:
+  struct Entry {
+    double time;
+    std::uint64_t seq;
+    osn::Event event;
+    bool operator>(const Entry& o) const {
+      return time != o.time ? time > o.time : seq > o.seq;
+    }
+  };
+  void release_through(double low) {
+    while (!queue_.empty() && queue_.top().time <= low) {
+      const Entry top = queue_.top();
+      queue_.pop();
+      buffered_seqs_.erase(top.seq);
+      released_.emplace(top.time, top.seq);
+      ++applied_;
+      engine_.ingest(top.event);
+      engine_.finish();
+    }
+  }
+
+  double watermark_;
+  double high_ = -std::numeric_limits<double>::infinity();
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
+  std::set<std::uint64_t> buffered_seqs_;
+  std::set<std::uint64_t> seen_;
+  std::set<std::pair<double, std::uint64_t>> released_;
+  StreamDetector engine_;
+  std::uint64_t applied_ = 0;
+  std::uint64_t deduped_ = 0;
+  std::uint64_t regressions_ = 0;
+};
+
+/// Flags easily, so the flag stream (in apply order) pins the order.
+ThresholdRule eager_rule() {
+  ThresholdRule rule;
+  rule.invite_rate_min = 3.0;
+  rule.outgoing_accept_max = 0.6;
+  rule.clustering_max = 0.5;
+  rule.min_requests = 3;
+  return rule;
+}
+
+void expect_same_features(const SybilFeatures& got, const SybilFeatures& want,
+                          osn::NodeId id) {
+  EXPECT_EQ(got.invite_rate_short, want.invite_rate_short) << id;
+  EXPECT_EQ(got.invite_rate_long, want.invite_rate_long) << id;
+  EXPECT_EQ(got.outgoing_accept_ratio, want.outgoing_accept_ratio) << id;
+  EXPECT_EQ(got.incoming_accept_ratio, want.incoming_accept_ratio) << id;
+  EXPECT_EQ(got.clustering_coefficient, want.clustering_coefficient) << id;
+}
+
+/// Checks `det` against the oracle after one step; `e` names the
+/// accounts whose features it compares. Returns false once the test has
+/// failed, so a stream stops at its first divergence.
+bool expect_matches_oracle(StreamDetector& det, ReorderOracle& oracle,
+                           const osn::Event& e) {
+  EXPECT_EQ(det.applied_total(), oracle.applied());
+  EXPECT_EQ(det.buffered(), oracle.buffered());
+  EXPECT_EQ(det.oldest_buffered_seq(), oracle.oldest_buffered_seq());
+  EXPECT_EQ(det.deduped_total(), oracle.deduped());
+  EXPECT_EQ(det.deadletter_total(), oracle.regressions());
+  EXPECT_EQ(det.deadletter_by_reason(StreamErrorCode::kTimeRegression),
+            oracle.regressions());
+  EXPECT_EQ(det.events_in(), det.applied_total() + det.deduped_total() +
+                                 det.deadletter_total() + det.buffered());
+  for (const osn::NodeId id : {e.actor, e.subject}) {
+    expect_same_features(det.features(id), oracle.engine().features(id), id);
+  }
+  const FlagBatch got = det.take_flagged();
+  const FlagBatch want = oracle.engine().take_flagged();
+  EXPECT_EQ(got.ids(), want.ids());
+  for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+    EXPECT_EQ(got[i].flagged_at, want[i].flagged_at);
+    expect_same_features(got[i].features, want[i].features, got[i].account);
+  }
+  return !::testing::Test::HasFailure();
+}
+
+/// A seeded hostile feed around `offset` for watermark `w`: jitter
+/// back past the window (regressions), redeliveries, exact ties with
+/// the low watermark, times on and beside the calendar's bucket
+/// boundaries near both watermarks, high-watermark jumps far beyond W,
+/// and bans, whose place in the apply order changes what the banned
+/// side records. Odd seeds advance ~1 bucket per event, even seeds put
+/// ~10 events in each bucket.
+class HostileFeed {
+ public:
+  HostileFeed(std::uint64_t seed, double w, double offset)
+      : rng_(seed),
+        w_(w),
+        base_(offset),
+        step_(w > 0.0 ? w / (seed % 2 == 0 ? 2560.0 : 128.0) : 0.01) {}
+
+  /// The next (event, seq). `high` is the oracle's high watermark.
+  std::pair<osn::Event, std::uint64_t> next(double high) {
+    if (!sent_.empty() && chance(0.05)) {
+      return sent_[pick(0, sent_.size() - 1)];  // a redelivery
+    }
+    // Steps of a few ulps at least, so huge offsets still advance.
+    const double ulp = std::nextafter(std::abs(base_), HUGE_VAL) -
+                       std::abs(base_);
+    base_ += uniform(0.0, std::max(step_, 3.0 * ulp));
+    if (chance(0.01) && std::abs(base_) < 1e304) {
+      base_ += 1000.0 * (w_ > 0.0 ? std::min(w_, 1e300) : 1.0);
+    }
+    double t = base_ - uniform(0.0, 1.2 * w_);
+    // The calendar's buckets per hour: W / 256 wide.
+    const double scale = w_ > 0.0 ? 256.0 / w_ : 0.0;
+    const double anchor =
+        std::isfinite(high) && chance(0.5) ? high - w_ : base_;
+    const double boundary =
+        scale > 0.0 ? std::floor(anchor * scale) / scale : anchor;
+    const double roll = uniform(0.0, 1.0);
+    if (roll < 0.1) {
+      t = base_;
+    } else if (roll < 0.15 && std::isfinite(high)) {
+      t = high - w_;  // exactly the low watermark
+    } else if (roll < 0.25 && std::isfinite(boundary)) {
+      const double toward = chance(0.5) ? 1.0 : -1.0;
+      t = chance(0.3) ? boundary
+                      : std::nextafter(boundary, toward * HUGE_VAL);
+    }
+    const auto a = static_cast<osn::NodeId>(pick(0, kAccounts - 1));
+    auto b = static_cast<osn::NodeId>(pick(0, kAccounts - 2));
+    if (b >= a) ++b;
+    const double kind = uniform(0.0, 1.0);
+    osn::Event e{EventType::kRequestSent, a, b, t};
+    if (kind < 0.05) {
+      e = {EventType::kAccountBanned, a, a, t};
+    } else if (kind < 0.3) {
+      e.type = EventType::kRequestAccepted;
+    } else if (kind < 0.45) {
+      e.type = EventType::kRequestRejected;
+    } else if (kind < 0.6) {
+      e.type = EventType::kFriendshipSeeded;
+    }
+    // Unique and not monotone in arrival, so ties at one time release
+    // in an order the arrival order does not give away.
+    const std::uint64_t seq = (next_id_++ * 0x9E3779B1ull) & ((1ull << 40) - 1);
+    sent_.emplace_back(e, seq);
+    if (sent_.size() > 64) sent_.erase(sent_.begin());
+    return {e, seq};
+  }
+
+  bool chance(double p) { return uniform(0.0, 1.0) < p; }
+
+ private:
+  static constexpr std::uint64_t kAccounts = 24;
+  double uniform(double lo, double hi) {
+    return std::uniform_real_distribution<double>(lo, hi)(rng_);
+  }
+  std::uint64_t pick(std::uint64_t lo, std::uint64_t hi) {
+    return std::uniform_int_distribution<std::uint64_t>(lo, hi)(rng_);
+  }
+
+  std::mt19937_64 rng_;
+  double w_;
+  double base_;
+  double step_;
+  std::uint64_t next_id_ = 1;
+  std::vector<std::pair<osn::Event, std::uint64_t>> sent_;
+};
+
+constexpr double kReorderWatermarks[] = {0.0, 1e-9, 6.0, 48.0, 1e300};
+/// Stream origins: zero; near +-1e300, where W can fall below one ulp;
+/// and 3e16 and 2.5e17, where one ulp (4, 32) does not divide W = 6 or
+/// 48, so high - W rounds and the keys between the watermarks span
+/// more buckets than the ring holds.
+constexpr double kReorderOffsets[] = {0.0, 1e300, -1e300, 3e16, 2.5e17};
+
+/// The calendar alone, driven as StreamDetector drives it, against the
+/// priority queue: every popped (time, seq), and size() and min_seq()
+/// after every step.
+TEST(StreamDetectorReorder, CalendarPopsInPriorityQueueOrder) {
+  using Key = std::pair<double, std::uint64_t>;
+  for (const double w : kReorderWatermarks) {
+    for (const double offset : kReorderOffsets) {
+      for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+        SCOPED_TRACE("W " + std::to_string(w) + " offset " +
+                     std::to_string(offset) + " seed " +
+                     std::to_string(seed));
+        ReorderCalendar calendar(w);
+        std::priority_queue<Key, std::vector<Key>, std::greater<>> queue;
+        std::set<std::uint64_t> seqs;
+        std::set<std::uint64_t> seen;
+        double high = -std::numeric_limits<double>::infinity();
+        const auto drain = [&](double low) {
+          for (;;) {
+            const ReorderCalendar::Entry* got = calendar.pop(low);
+            const bool due = !queue.empty() && queue.top().first <= low;
+            ASSERT_EQ(got != nullptr, due);
+            if (got == nullptr) return;
+            ASSERT_EQ(Key(got->event.time, got->seq), queue.top());
+            seqs.erase(got->seq);
+            queue.pop();
+          }
+        };
+        HostileFeed feed(seed, w, offset);
+        for (int i = 0; i < 4000 && !HasFailure(); ++i) {
+          const auto [e, seq] = feed.next(high);
+          // The detector dedups and quarantines before the calendar.
+          if (!seen.insert(seq).second || e.time < high - w) continue;
+          high = std::max(high, e.time);
+          drain(high - w);
+          calendar.push({seq, e}, high - w);
+          queue.emplace(e.time, seq);
+          seqs.insert(seq);
+          if (e.time <= high - w) drain(high - w);
+          ASSERT_EQ(calendar.size(), queue.size());
+          ASSERT_EQ(calendar.min_seq(),
+                    seqs.empty() ? ~std::uint64_t{0} : *seqs.begin());
+          if (feed.chance(0.02)) drain(HUGE_VAL);  // finish(), then more
+        }
+        drain(HUGE_VAL);
+        EXPECT_EQ(calendar.size(), 0u);
+      }
+    }
+  }
+}
+
+/// A push may carry any time at or above the low watermark, however far
+/// beyond low + W: such entries wait outside the ring and still release
+/// in order, also around later pushes that land below them.
+TEST(StreamDetectorReorder, CalendarOrdersEntriesBeyondItsWindow) {
+  ReorderCalendar calendar(48.0);
+  const auto at = [](double t) {
+    return osn::Event{EventType::kRequestSent, 1, 2, t};
+  };
+  calendar.push({1, at(1000.0)}, 0.0);  // ~20 windows above the low mark
+  EXPECT_EQ(calendar.pop(10.0), nullptr);
+  calendar.push({2, at(20.0)}, 10.0);
+  calendar.push({3, at(500.0)}, 10.0);
+  EXPECT_EQ(calendar.size(), 3u);
+  EXPECT_EQ(calendar.min_seq(), 1u);
+  std::vector<std::uint64_t> released;
+  for (const double low : {20.0, 499.0, 999.0, HUGE_VAL}) {
+    while (const ReorderCalendar::Entry* e = calendar.pop(low)) {
+      released.push_back(e->seq);
+    }
+    released.push_back(0);  // marks the end of one pop round
+  }
+  EXPECT_EQ(released, (std::vector<std::uint64_t>{2, 0, 0, 3, 0, 1, 0}));
+  EXPECT_EQ(calendar.size(), 0u);
+}
+
+TEST(StreamDetectorReorder, MatchesPriorityQueueOracle) {
+  for (const double w : kReorderWatermarks) {
+    for (const double offset : kReorderOffsets) {
+      for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+        SCOPED_TRACE("W " + std::to_string(w) + " offset " +
+                     std::to_string(offset) + " seed " +
+                     std::to_string(seed));
+        DetectorOptions options;
+        options.rule = eager_rule();
+        options.ingest.watermark_hours = w;
+        StreamDetector det(options);
+        ReorderOracle oracle(w, options.rule);
+        HostileFeed feed(seed, w, offset);
+        bool ok = true;
+        for (int i = 0; i < 4000 && ok; ++i) {
+          const auto [e, seq] = feed.next(oracle.high());
+          det.ingest(e, seq);
+          oracle.ingest(e, seq);
+          ok = expect_matches_oracle(det, oracle, e);
+          if (ok && feed.chance(0.02)) {  // more ingest follows finish()
+            det.finish();
+            oracle.finish();
+            ok = expect_matches_oracle(det, oracle, e);
+          }
+        }
+        det.finish();
+        oracle.finish();
+        EXPECT_EQ(det.buffered(), 0u);
+        for (osn::NodeId id = 0; id < 24; ++id) {
+          expect_same_features(det.features(id),
+                               oracle.engine().features(id), id);
+        }
+      }
+    }
+  }
+}
+
+/// A checkpoint holds no in-flight events: a restored detector gets
+/// them back through restore_buffered(), every event from the oldest
+/// buffered seq on, and then must track the oracle as the original does.
+TEST(StreamDetectorReorder, RestoreBufferedIntoRestoredDetector) {
+  for (const double w : kReorderWatermarks) {
+    for (const double offset : kReorderOffsets) {
+      SCOPED_TRACE("W " + std::to_string(w) + " offset " +
+                   std::to_string(offset));
+      DetectorOptions options;
+      options.rule = eager_rule();
+      options.ingest.watermark_hours = w;
+      StreamDetector det(options);
+      ReorderOracle oracle(w, options.rule);
+      HostileFeed feed(7, w, offset);
+      std::vector<osn::Event> log;  // ingest order; seq = log index
+      const auto step = [&](StreamDetector& d) {
+        const osn::Event e = feed.next(oracle.high()).first;
+        const std::uint64_t seq = log.size();
+        log.push_back(e);
+        d.ingest(e, seq);
+        oracle.ingest(e, seq);
+        return expect_matches_oracle(d, oracle, e);
+      };
+      bool ok = true;
+      for (int i = 0; i < 600 && ok; ++i) ok = step(det);
+      if (!ok) continue;
+
+      StreamDetector restored(options);
+      restore_stream_state(restored, serialize_stream_state(det));
+      const std::uint64_t oldest = det.oldest_buffered_seq();
+      for (std::uint64_t seq = oldest; seq < log.size(); ++seq) {
+        restored.restore_buffered(log[seq], seq);
+      }
+      EXPECT_EQ(restored.buffered(), det.buffered());
+      EXPECT_EQ(restored.oldest_buffered_seq(), oldest);
+      EXPECT_EQ(serialize_stream_state(restored), serialize_stream_state(det));
+      for (int i = 0; i < 600 && ok; ++i) ok = step(restored);
+      restored.finish();
+      oracle.finish();
+      if (ok) expect_matches_oracle(restored, oracle, log.back());
+    }
+  }
+}
+
+/// Two events tie in time: they release in seq order, whatever their
+/// arrival order. A friendship applied before its endpoint's ban
+/// installs an edge; after the ban it is a banned-party event.
+TEST(StreamDetectorReorder, TiesReleaseInSeqOrder) {
+  for (const bool friendship_seq_smaller : {false, true}) {
+    for (const bool friendship_arrives_first : {false, true}) {
+      SCOPED_TRACE(std::string(friendship_seq_smaller ? "friendship seq < "
+                                                      : "friendship seq > ") +
+                   "ban seq, " +
+                   (friendship_arrives_first ? "arriving first"
+                                             : "arriving second"));
+      DetectorOptions options;
+      options.ingest.watermark_hours = 6.0;
+      StreamDetector det(options);
+      det.ingest({EventType::kRequestSent, 3, 4, 12.0}, 100);  // low 6
+      const osn::Event friendship{EventType::kFriendshipSeeded, 1, 2, 10.0};
+      const osn::Event ban{EventType::kAccountBanned, 1, 1, 10.0};
+      const std::uint64_t friendship_seq = friendship_seq_smaller ? 5 : 9;
+      const std::uint64_t ban_seq = friendship_seq_smaller ? 9 : 5;
+      if (friendship_arrives_first) {
+        det.ingest(friendship, friendship_seq);
+        det.ingest(ban, ban_seq);
+      } else {
+        det.ingest(ban, ban_seq);
+        det.ingest(friendship, friendship_seq);
+      }
+      EXPECT_EQ(det.buffered(), 3u);
+      det.ingest({EventType::kRequestSent, 3, 4, 16.0}, 101);  // low 10
+      EXPECT_EQ(det.applied_total(), 2u);
+      EXPECT_EQ(det.banned_party_total(), friendship_seq_smaller ? 0u : 1u);
+    }
   }
 }
 

@@ -32,6 +32,7 @@
 #include "osn/events.h"
 #include "service/defense_scorer.h"
 #include "stats/rng.h"
+#include "support/graph_rows.h"
 
 namespace sybil::detect {
 namespace {
@@ -170,7 +171,7 @@ std::vector<double> reference_rank(const DynamicGraph& g) {
 void refresh_and_expect_batch(DefenseScorer& scorer, const std::string& what) {
   scorer.refresh();
   expect_bitwise_equal(scorer.rank_scores(),
-                       sybilrank_scores(scorer.graph().view().csr(), kSeeds),
+                       sybilrank_scores(graphtest::csr_of(scorer.graph()), kSeeds),
                        what);
   expect_bitwise_equal(scorer.rank_scores(), reference_rank(scorer.graph()),
                        what + "/reference");
@@ -204,7 +205,7 @@ TEST(IncrementalRank, MatchesBatchAcrossRegimesOrdersAndThreads) {
         // bit-exact — integer link counts, same expression as batch.
         expect_bitwise_equal(
             scorer.clustering().coefficients(),
-            graph::local_clustering_all(scorer.graph().view().csr()),
+            graph::local_clustering_all(graphtest::csr_of(scorer.graph())),
             what + "/clustering");
       }
     }
@@ -312,7 +313,7 @@ TEST(IncrementalClustering, HandComputedCases) {
   EXPECT_EQ(cc.triangles_closed(), 2u);
 
   expect_bitwise_equal(cc.coefficients(),
-                       graph::local_clustering_all(g.view().csr()),
+                       graph::local_clustering_all(graphtest::csr_of(g)),
                        "hand case");
 }
 
@@ -338,7 +339,7 @@ TEST(IncrementalClustering, LazyRecomputeFromMidStreamAttachIsExact) {
   }
   ASSERT_GT(cc.edges_applied(), 100u);
   expect_bitwise_equal(cc.coefficients(),
-                       graph::local_clustering_all(g.view().csr()),
+                       graph::local_clustering_all(graphtest::csr_of(g)),
                        "lazy attach");
 }
 

@@ -26,9 +26,11 @@
 #include <iterator>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/detector_options.h"
+#include "graph/dynamic_graph.h"
 #include "graph/graph.h"
 #include "io/container.h"
 #include "io/error.h"
@@ -355,6 +357,57 @@ TEST(ServiceCheckpoint, DefenseRestoreRefusesAnOddHalfEdgeCount) {
   }
 }
 
+/// A scorer blob whose graph section holds `rows` (neighbour ids, every
+/// half edge at time 1.0), with empty dirty, rank and clustering state.
+std::vector<std::byte> scorer_with_rows(
+    const std::vector<std::vector<graph::NodeId>>& rows) {
+  io::ByteWriter w = scorer_header();
+  w.write(static_cast<std::uint64_t>(rows.size()));
+  for (const auto& row : rows) {
+    w.write(static_cast<std::uint64_t>(row.size()));
+    for (const graph::NodeId v : row) {
+      w.write(v);
+      w.write(graph::Time{1.0});
+      w.write(std::uint8_t{0});
+    }
+  }
+  w.write(std::uint64_t{0});  // dirty ids
+  w.write(std::uint64_t{0});  // rank scores
+  w.write(std::uint64_t{0});  // full recomputes
+  w.write(std::uint64_t{0});  // rounds
+  w.write(std::uint32_t{1});  // clustering state version
+  w.write(std::uint8_t{0});   // not initialized
+  w.write(std::uint64_t{0});  // clustering nodes
+  w.write(std::uint64_t{0});  // edges applied
+  w.write(std::uint64_t{0});  // triangles closed
+  return std::move(w).take();
+}
+
+// Rows with an even half-edge total can still fail to be a graph; the
+// scorer would rank them. Each is refused before it is adopted.
+TEST(ServiceCheckpoint, DefenseRestoreRefusesRowsThatAreNotASimpleGraph) {
+  using Rows = std::vector<std::vector<graph::NodeId>>;
+  const std::pair<const char*, Rows> refused[] = {
+      {"asymmetric", {{1, 2}, {0}, {1}}},
+      {"duplicate neighbour", {{1, 1}, {0, 0}}},
+      {"self-loop", {{0, 0}}},
+  };
+  for (const auto& [what, rows] : refused) {
+    SCOPED_TRACE(what);
+    DefenseScorer scorer(golden_defense_options());
+    try {
+      scorer.restore(scorer_with_rows(rows));
+      ADD_FAILURE() << "rows that are not a simple graph loaded";
+    } catch (const io::SnapshotError& e) {
+      EXPECT_EQ(e.code(), io::SnapshotErrorCode::kMalformedSection)
+          << e.what();
+    }
+  }
+  DefenseScorer scorer(golden_defense_options());
+  scorer.restore(scorer_with_rows({{1, 2}, {0}, {0}}));  // the control
+  EXPECT_EQ(scorer.graph().edge_count(), 2u);
+}
+
 TEST(ServiceCheckpoint, DefenseRestoreBoundsRankNodeCount) {
   io::ByteWriter w = scorer_without_graph();
   w.write(kHugeCount);  // rank scores
@@ -380,6 +433,22 @@ std::vector<std::byte> golden_defense_section() {
   return {bytes.begin(), bytes.end()};
 }
 
+/// A loaded scorer's graph must be a simple undirected graph, as
+/// add_edge builds: no self-loop, no repeated neighbour, symmetric rows.
+void expect_simple_symmetric(const graph::DynamicGraph& g) {
+  for (graph::NodeId u = 0; u < g.node_count(); ++u) {
+    const auto row = g.sorted_neighbors(u);
+    ASSERT_EQ(row.size(), g.degree(u)) << u;
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      ASSERT_NE(row[i], u) << "self-loop at " << u;
+      if (i > 0) {
+        ASSERT_LT(row[i - 1], row[i]) << "repeat in row " << u;
+      }
+      ASSERT_TRUE(g.has_edge(row[i], u)) << u << " -> " << row[i];
+    }
+  }
+}
+
 /// Restores `blob` into a fresh scorer. Returns false when the restore
 /// threw the typed taxonomy; any other exception escapes and fails the
 /// test. Under the asan-io preset an overread or an abort fails it too.
@@ -390,9 +459,28 @@ bool restores(const std::vector<std::byte>& blob) {
   } catch (const io::SnapshotError&) {
     return false;
   }
+  expect_simple_symmetric(scorer.graph());
   // A loaded scorer must stay usable: refresh over what it holds.
   scorer.refresh();
   return true;
+}
+
+/// Byte offset of the first neighbour id in a scorer blob: after the
+/// u32 version, four u64 counters and the u64 node count, the first
+/// non-empty row's u64 length.
+std::size_t first_neighbour_offset(const std::vector<std::byte>& blob) {
+  io::ByteReader r(blob);
+  r.read<std::uint32_t>();
+  for (int i = 0; i < 4; ++i) r.read<std::uint64_t>();
+  const auto n = r.read<std::uint64_t>();
+  std::size_t at = 4 + 5 * 8;
+  for (std::uint64_t u = 0; u < n; ++u) {
+    const auto len = r.read<std::uint64_t>();
+    at += 8;
+    if (len > 0) return at;
+  }
+  ADD_FAILURE() << "the golden lists no edge";
+  return 0;
 }
 
 // The container CRCs keep damaged bytes away from the scorer decoder in
@@ -404,6 +492,18 @@ TEST(DefenseScorerFuzz, EveryTruncationThrowsTyped) {
     SCOPED_TRACE("length " + std::to_string(len));
     EXPECT_FALSE(restores({blob.begin(), blob.begin() + len}));
   }
+}
+
+// The golden's first neighbour id set to 0: a self-loop when it sits in
+// row 0, otherwise a half edge row 0 does not mirror (or repeats).
+TEST(DefenseScorerFuzz, FirstNeighbourZeroIsRefused) {
+  std::vector<std::byte> blob = golden_defense_section();
+  const std::size_t at = first_neighbour_offset(blob);
+  ASSERT_GT(at, 0u);
+  for (std::size_t i = 0; i < sizeof(graph::NodeId); ++i) {
+    blob[at + i] = std::byte{0};
+  }
+  EXPECT_FALSE(restores(blob));
 }
 
 TEST(DefenseScorerFuzz, EveryByteFlipLoadsOrThrowsTyped) {
