@@ -9,13 +9,16 @@
 namespace sybil::osn {
 
 void RequestLedger::record_sent(graph::Time t) noexcept {
+  // The first send sets every field outright: the -1 defaults are
+  // ordinary values to a send at a negative time.
+  const bool first = sent_ == 0;
   ++sent_;
-  first_send_ = first_send_ < 0.0 ? t : std::min(first_send_, t);
-  last_send_ = std::max(last_send_, t);
+  first_send_ = first ? t : std::min(first_send_, t);
+  last_send_ = first ? t : std::max(last_send_, t);
   // Clamped so every finite time converts without overflow.
   const auto bucket =
       static_cast<std::int64_t>(std::clamp(std::floor(t), -0x1p62, 0x1p62));
-  if (bucket != current_bucket_) {
+  if (first || bucket != current_bucket_) {
     current_bucket_ = bucket;
     current_bucket_count_ = 0;
     ++active_hours_;

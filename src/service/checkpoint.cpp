@@ -29,8 +29,9 @@ constexpr std::uint32_t kSecDefense = 5;
 
 // The only version this build writes or reads (docs/FORMATS.md §5.4).
 // v6 widened replay_from to cover the detector's in-flight events; v7
-// stores the defense scorer's rank tier as scores only (scorer state v2).
-constexpr std::uint32_t kCheckpointVersion = 7;
+// stores the defense scorer's rank tier as scores only (scorer state v2);
+// v8 stores the scorer as its graph and rank tier only (scorer state v3).
+constexpr std::uint32_t kCheckpointVersion = 8;
 
 }  // namespace
 

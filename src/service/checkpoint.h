@@ -116,7 +116,7 @@ void save_service_checkpoint(const std::string& path,
                              ServiceCheckpointState&& state,
                              io::Vfs* vfs = nullptr);
 
-/// Loads and fully validates one v7 generation — including no trailing
+/// Loads and fully validates one v8 generation — including no trailing
 /// meta bytes, a tier no higher than kSweepOnly and replay_from <=
 /// wal_position; throws the matching typed io::SnapshotError on any
 /// corruption, and kUnsupportedVersion for any other version (the

@@ -1,6 +1,7 @@
 #include "service/defense_scorer.h"
 
 #include <algorithm>
+#include <span>
 
 #include "io/error.h"
 
@@ -8,9 +9,10 @@ namespace sybil::service {
 
 namespace {
 
-// v2 stores the rank tier as the last recompute's scores; v1 stored the
-// incremental path's resident layers.
-constexpr std::uint32_t kScorerStateVersion = 2;
+// v3 stores the graph and the rank tier only; v2 also stored a dirty
+// set and the incremental clustering state, v1 the incremental rank's
+// resident layers.
+constexpr std::uint32_t kScorerStateVersion = 3;
 /// Least encoded bytes per element, so each count is bounded by the
 /// bytes left before it sizes an allocation: a node row is at least
 /// its u64 degree; a neighbour is u32 node + f64 time + u8 weak.
@@ -44,7 +46,6 @@ void DefenseScorer::observe(const osn::Event& e) {
     return;
   }
   if (graph_.add_edge(e.actor, e.subject, e.time)) {
-    clustering_.on_edge_added(graph_, e.actor, e.subject);
     ++edges_observed_;
   } else {
     ++ignored_;  // duplicate friendship (e.g. re-accepted)
@@ -53,19 +54,38 @@ void DefenseScorer::observe(const osn::Event& e) {
 
 void DefenseScorer::refresh() {
   ++refreshes_;
-  const auto dirty = graph_.dirty();
-  dirty_processed_ += dirty.size();
-  if (!clustering_.initialized()) clustering_.recompute(graph_);
-  // Nothing dirty and no new node means the graph the scores came from.
-  const bool changed =
-      !dirty.empty() || rank_scores_.size() != graph_.node_count();
+  // Edges are only ever added: the same edge count and no new node
+  // mean the graph the scores came from.
+  const bool changed = graph_.edge_count() != ranked_edges_ ||
+                       rank_scores_.size() != graph_.node_count();
   if (!seeds_.empty() && changed) {
     graph_.compact_rows(offsets_, targets_);
     rank_.rounds_total_ += detect::sybilrank_pull(
         offsets_, targets_, seeds_, 0, rank_scores_, workspace_);
     ++rank_.full_recomputes_;
   }
-  graph_.clear_dirty();
+  ranked_edges_ = graph_.edge_count();
+}
+
+double DefenseScorer::clustering_score(graph::NodeId u) const {
+  if (u >= graph_.node_count() || graph_.degree(u) < 2) return 0.0;
+  const auto row = graph_.chronological(u);
+  std::vector<graph::NodeId> nbrs(row.size());
+  std::transform(row.begin(), row.end(), nbrs.begin(),
+                 [](const graph::Neighbor& nb) { return nb.node; });
+  std::sort(nbrs.begin(), nbrs.end());
+  // Each edge among N(u) is seen once from either end.
+  std::uint64_t twice = 0;
+  for (const graph::NodeId w : nbrs) {
+    for (const graph::Neighbor& x : graph_.chronological(w)) {
+      twice += std::binary_search(nbrs.begin(), nbrs.end(), x.node) ? 1 : 0;
+    }
+  }
+  // Same expression as graph::local_clustering over the same exact
+  // integers — bit-identical by construction.
+  const std::size_t d = nbrs.size();
+  return 2.0 * static_cast<double>(twice / 2) /
+         (static_cast<double>(d) * static_cast<double>(d - 1));
 }
 
 std::vector<std::byte> DefenseScorer::serialize() const {
@@ -74,10 +94,9 @@ std::vector<std::byte> DefenseScorer::serialize() const {
   w.write(edges_observed_);
   w.write(ignored_);
   w.write(refreshes_);
-  w.write(dirty_processed_);
 
   // Full adjacency, row by row in arrival order — exactly what restore
-  // needs to rebuild both orderings without the global edge sequence.
+  // needs to rebuild the rows without the global edge sequence.
   const graph::NodeId n = graph_.node_count();
   w.write(static_cast<std::uint64_t>(n));
   for (graph::NodeId u = 0; u < n; ++u) {
@@ -89,15 +108,11 @@ std::vector<std::byte> DefenseScorer::serialize() const {
       w.write(static_cast<std::uint8_t>(nb.weak ? 1 : 0));
     }
   }
-  const auto dirty = graph_.dirty();
-  w.write(static_cast<std::uint64_t>(dirty.size()));
-  for (const graph::NodeId u : dirty) w.write(u);
-
+  w.write(ranked_edges_);
   w.write(static_cast<std::uint64_t>(rank_scores_.size()));
   for (const double x : rank_scores_) w.write(x);
   w.write(rank_.full_recomputes_);
   w.write(rank_.rounds_total_);
-  clustering_.serialize(w);
   return std::move(w).take();
 }
 
@@ -111,7 +126,6 @@ void DefenseScorer::restore(const std::vector<std::byte>& bytes) {
   edges_observed_ = r.read<std::uint64_t>();
   ignored_ = r.read<std::uint64_t>();
   refreshes_ = r.read<std::uint64_t>();
-  dirty_processed_ = r.read<std::uint64_t>();
 
   const auto n = r.read_count(kRowMinBytes);
   std::vector<std::vector<graph::Neighbor>> adj(n);
@@ -132,27 +146,37 @@ void DefenseScorer::restore(const std::vector<std::byte>& bytes) {
       graph::TimestampedGraph::from_adjacency(std::move(adj)));
   // The rows must form a simple undirected graph, as add_edge builds:
   // no self-loop, no neighbour listed twice, and v in u's row iff u in
-  // v's. Checked on the sorted rows the graph keeps.
+  // v's. Checked on a sorted copy of each row.
+  std::vector<std::uint64_t> offsets;
+  std::vector<graph::NodeId> sorted;
+  restored.compact_rows(offsets, sorted);
+  const auto sorted_row = [&](graph::NodeId u) {
+    return std::span<graph::NodeId>(sorted).subspan(
+        offsets[u], offsets[u + 1] - offsets[u]);
+  };
   for (graph::NodeId u = 0; u < restored.node_count(); ++u) {
-    const auto row = restored.sorted_neighbors(u);
+    const auto row = sorted_row(u);
+    std::sort(row.begin(), row.end());
+  }
+  for (graph::NodeId u = 0; u < restored.node_count(); ++u) {
+    const auto row = sorted_row(u);
     for (std::size_t i = 0; i < row.size(); ++i) {
       if (row[i] == u) malformed("defense-scorer row lists a self-loop");
       if (i > 0 && row[i] == row[i - 1]) {
         malformed("defense-scorer row lists a neighbour twice");
       }
-      if (!restored.has_edge(row[i], u)) {
+      const auto mirror = sorted_row(row[i]);
+      if (!std::binary_search(mirror.begin(), mirror.end(), u)) {
         malformed("defense-scorer rows are not symmetric");
       }
     }
   }
   graph_ = std::move(restored);
 
-  const auto dirty_count = r.read_count(sizeof(graph::NodeId));
-  if (dirty_count > n) malformed("defense-scorer dirty count implausible");
-  for (std::uint64_t i = 0; i < dirty_count; ++i) {
-    const auto u = r.read<graph::NodeId>();
-    if (u >= n) malformed("defense-scorer dirty id out of range");
-    graph_.mark_dirty(u);
+  // The scores came from a prefix of the edges the graph holds now.
+  ranked_edges_ = r.read<std::uint64_t>();
+  if (ranked_edges_ > graph_.edge_count()) {
+    malformed("defense-scorer ranked edge count exceeds the graph");
   }
 
   // Scores cover the nodes the graph had at the last recompute.
@@ -162,11 +186,6 @@ void DefenseScorer::restore(const std::vector<std::byte>& bytes) {
   for (double& x : rank_scores_) x = r.read<double>();
   rank_.full_recomputes_ = r.read<std::uint64_t>();
   rank_.rounds_total_ = r.read<std::uint64_t>();
-
-  clustering_.restore(r);
-  if (clustering_.coefficients().size() > n) {
-    malformed("defense-scorer clustering count implausible");
-  }
   if (!r.exhausted()) malformed("trailing bytes after defense-scorer state");
 }
 

@@ -5,14 +5,19 @@
 // `service.defense.*` sweep tier (docs/DEFENSES.md): the supervisor
 // feeds it every *pumped* event, it grows a graph::DynamicGraph from
 // the edge-bearing kinds (accepted requests, seeded friendships), and
-// keeps two defenses over it:
+// derives two defenses from it:
 //
 //   SybilRank    recomputed in full by refresh() at each flag sweep that
 //                follows a graph change: the rows are compacted into a
 //                CSR and run through detect::sybilrank_pull(), the batch
 //                kernel itself, so the scores equal sybilrank_scores()
 //                on the same graph bit for bit
-//   clustering   detect::IncrementalClustering, maintained per edge
+//   clustering   computed from u's rows when clustering_score(u) is
+//                read, with the batch kernel's expression over the same
+//                exact link count, so it equals local_clustering_all()
+//
+// Its state is the graph, the last recompute's scores and the edge
+// count at the last refresh; nothing else is kept per edge.
 //
 // Scores are a *second signal*: take_flagged() annotates the threshold
 // detector's FlagRecords with them (defense_rank / defense_clustering
@@ -23,9 +28,9 @@
 // WAL replay reproduces exactly; duplicate edges and out-of-bound ids
 // are skipped deterministically; the rank kernel is bit-stable for any
 // thread count (inside a shard lane its parallel_for runs inline) and
-// clustering is single-threaded. Checkpoints carry the graph, the last
-// refresh's scores and the clustering state (serialize()/restore()), so
-// a recovered shard scores byte-identically to one that never crashed.
+// clustering is single-threaded. Checkpoints carry the graph and the
+// last refresh's scores (serialize()/restore()), so a recovered shard
+// scores byte-identically to one that never crashed.
 // Caveat: enabling `defense` on a service whose WAL was already pruned
 // would lose the pre-checkpoint edges, so the supervisor refuses to
 // start there — enable the tier from the service's birth.
@@ -35,7 +40,6 @@
 #include <vector>
 
 #include "core/detector_options.h"
-#include "detectors/incremental_clustering.h"
 #include "detectors/sybilrank.h"
 #include "graph/dynamic_graph.h"
 #include "io/container.h"
@@ -66,10 +70,11 @@ class DefenseScorer {
     std::uint64_t rounds_total_ = 0;
   };
 
-  /// Sweep-tier refresh: recomputes the rank scores over the whole graph
-  /// and clears the dirty set. Skipped, exactly, when nothing is dirty
-  /// and no node joined since the last recompute. Clustering needs no
-  /// refresh — it is maintained per edge.
+  /// Sweep-tier refresh: recomputes the rank scores over the whole
+  /// graph. Skipped, exactly, when no edge and no node joined since the
+  /// last refresh (edges are only ever added, so an equal edge count is
+  /// an equal graph). Clustering needs no refresh — it is derived when
+  /// read.
   void refresh();
 
   /// Degree-normalized SybilRank trust (0.0 before the first refresh,
@@ -82,23 +87,18 @@ class DefenseScorer {
     return rank_scores_;
   }
 
-  /// Rolling local clustering coefficient (0.0 for unknown nodes).
-  double clustering_score(graph::NodeId u) const {
-    return clustering_.coefficient(u);
-  }
+  /// Local clustering coefficient of u over the current graph (0.0 for
+  /// unknown nodes), computed from the rows on each call: O(sum of u's
+  /// neighbours' degrees · log deg u), allocating O(deg u).
+  double clustering_score(graph::NodeId u) const;
 
   const graph::DynamicGraph& graph() const noexcept { return graph_; }
   const RankCounters& rank() const noexcept { return rank_; }
-  const detect::IncrementalClustering& clustering() const noexcept {
-    return clustering_;
-  }
 
   // Replay-exact counters (reported in stats_json's "defense" object).
   std::uint64_t edges_observed() const noexcept { return edges_observed_; }
   std::uint64_t ignored() const noexcept { return ignored_; }
   std::uint64_t refreshes() const noexcept { return refreshes_; }
-  /// Dirty vertices folded across all refreshes.
-  std::uint64_t dirty_processed() const noexcept { return dirty_processed_; }
 
   /// Byte-exact state blob for the service checkpoint's defense
   /// section; restore() rebuilds an identical scorer.
@@ -109,18 +109,17 @@ class DefenseScorer {
   std::uint32_t max_account_id_;
   std::vector<graph::NodeId> seeds_;
   graph::DynamicGraph graph_;
-  // The rank tier: CSR and kernel buffers kept across refreshes, and
-  // the scores of the last recompute.
+  // The rank tier: CSR and kernel buffers kept across refreshes, the
+  // scores of the last recompute and the edge count at the last refresh.
   std::vector<std::uint64_t> offsets_;
   std::vector<graph::NodeId> targets_;
   detect::SybilRankWorkspace workspace_;
   std::vector<double> rank_scores_;
+  std::uint64_t ranked_edges_ = 0;
   RankCounters rank_;
-  detect::IncrementalClustering clustering_;
   std::uint64_t edges_observed_ = 0;
   std::uint64_t ignored_ = 0;
   std::uint64_t refreshes_ = 0;
-  std::uint64_t dirty_processed_ = 0;
 };
 
 }  // namespace sybil::service

@@ -136,7 +136,6 @@ struct ServiceSupervisor::Metrics {
   // Defense tier (registered only when DetectorOptions::defense is on;
   // unregistered handles no-op — see Count::add).
   Count defense_edges;
-  Count defense_dirty;
   Count defense_rounds;
   Count defense_full;
   Count defense_scores;
@@ -184,7 +183,6 @@ struct ServiceSupervisor::Metrics {
     deadletter_dropped = count("deadletter.dropped");
     if (o.detector.defense.enabled) {
       defense_edges = count("defense.edges_observed");
-      defense_dirty = count("defense.dirty_vertices");
       defense_rounds = count("defense.propagation_rounds");
       defense_full = count("defense.full_recomputes");
       defense_scores = count("defense.scores_published");
@@ -611,8 +609,6 @@ void ServiceSupervisor::publish_metrics() {
     };
     publish(metrics_->defense_edges, scorer_->edges_observed(),
             published_defense_edges_);
-    publish(metrics_->defense_dirty, scorer_->dirty_processed(),
-            published_defense_dirty_);
     publish(metrics_->defense_rounds, scorer_->rank().rounds_total(),
             published_defense_rounds_);
     publish(metrics_->defense_full, scorer_->rank().full_recomputes(),
@@ -778,12 +774,9 @@ std::string ServiceSupervisor::stats_json() const {
     append_field(out, "edges", scorer_->edges_observed());
     append_field(out, "ignored", scorer_->ignored());
     append_field(out, "refreshes", scorer_->refreshes());
-    append_field(out, "dirty", scorer_->dirty_processed());
     append_field(out, "rank_full_recomputes",
                  scorer_->rank().full_recomputes());
     append_field(out, "rank_rounds", scorer_->rank().rounds_total());
-    append_field(out, "triangles_closed",
-                 scorer_->clustering().triangles_closed());
     out += '}';
   }
   out += ",\"tier\":\"";

@@ -437,7 +437,6 @@ class ServiceSupervisor {
   std::uint64_t published_deadletter_dropped_ = 0;
   /// Scorer counters already published (same delta pattern; ops-only).
   std::uint64_t published_defense_edges_ = 0;
-  std::uint64_t published_defense_dirty_ = 0;
   std::uint64_t published_defense_rounds_ = 0;
   std::uint64_t published_defense_full_ = 0;
   /// Replay start of each retained generation this supervisor wrote or

@@ -80,6 +80,24 @@ TEST(StreamDetector, CountersTrackEvents) {
   EXPECT_DOUBLE_EQ(det->features(2).incoming_accept_ratio, 0.0);
 }
 
+// Any finite time is a valid event time: the ledger's -1 defaults must
+// not read as "no send yet" when the sends themselves are negative.
+TEST(StreamDetector, RatesAtNegativeTimesMatchPositiveOnes) {
+  Feed det;
+  det.sent(0, 1, -99.5);
+  det.sent(0, 2, -95.5);
+  det.sent(4, 1, -0.5);
+  det.sent(3, 1, 100.5);
+  det.sent(3, 2, 104.5);
+  EXPECT_EQ(det->features(0).invite_rate_long, 0.4);
+  EXPECT_EQ(det->features(0).invite_rate_long,
+            det->features(3).invite_rate_long);
+  EXPECT_EQ(det->features(0).invite_rate_short,
+            det->features(3).invite_rate_short);
+  EXPECT_EQ(det->features(4).invite_rate_short, 1.0);
+  EXPECT_EQ(det->features(4).invite_rate_long, 1.0);
+}
+
 TEST(StreamDetector, UnknownAccountHasBenignDefaults) {
   StreamDetector det;
   const SybilFeatures f = det.features(42);

@@ -476,7 +476,7 @@ TEST_F(DefenseService, DefenseMetricsAggregateExactly) {
     router.shard(i).publish_metrics();
   }
 
-  const char* kRows[] = {"defense.edges_observed", "defense.dirty_vertices",
+  const char* kRows[] = {"defense.edges_observed",
                          "defense.propagation_rounds",
                          "defense.full_recomputes",
                          "defense.scores_published"};
@@ -494,20 +494,17 @@ TEST_F(DefenseService, DefenseMetricsAggregateExactly) {
   }
 
   // Registry rows match the scorers' ground truth.
-  std::uint64_t edges = 0, dirty = 0, rounds = 0, full = 0;
+  std::uint64_t edges = 0, rounds = 0, full = 0;
   for (std::uint32_t i = 0; i < router.shards(); ++i) {
     const DefenseScorer* scorer = router.shard(i).defense();
     ASSERT_NE(scorer, nullptr) << i;
     edges += scorer->edges_observed();
-    dirty += scorer->dirty_processed();
     rounds += scorer->rank().rounds_total();
     full += scorer->rank().full_recomputes();
   }
   ASSERT_GT(edges, 0u) << "the workload must actually grow the graph";
   EXPECT_EQ(registry.counter("service.defense.edges_observed").value(),
             edges);
-  EXPECT_EQ(registry.counter("service.defense.dirty_vertices").value(),
-            dirty);
   EXPECT_EQ(registry.counter("service.defense.propagation_rounds").value(),
             rounds);
   EXPECT_EQ(registry.counter("service.defense.full_recomputes").value(),

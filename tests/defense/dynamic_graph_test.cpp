@@ -1,13 +1,12 @@
-// graph::DynamicGraph unit + property suite: the edge-arrival delta API
-// the incremental defenses (detectors/incremental_*.h) are built on.
+// graph::DynamicGraph unit + property suite: the growable graph the
+// service's defense scorer (service/defense_scorer.h) is built on.
 // The load-bearing property is the last test: after ANY arrival order,
 // the rows are indistinguishable from the batch NeighborView::from() of
-// a TimestampedGraph that replayed the same arrivals — both orderings,
-// row by row. That equivalence is what lets the service's SybilRank pin
-// bit-exactness against the batch kernel (incremental_test.cpp).
+// a TimestampedGraph that replayed the same arrivals, row by row. That
+// equivalence is what lets the service's SybilRank and clustering pin
+// bit-exactness against the batch kernels (incremental_test.cpp).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
 #include "graph/dynamic_graph.h"
@@ -24,7 +23,6 @@ TEST(DynamicGraph, StartsEmpty) {
   DynamicGraph g;
   EXPECT_EQ(g.node_count(), 0u);
   EXPECT_EQ(g.edge_count(), 0u);
-  EXPECT_TRUE(g.dirty().empty());
   EXPECT_EQ(graphtest::view_of(g).node_count(), 0u);
 }
 
@@ -33,11 +31,7 @@ TEST(DynamicGraph, EnsureNodesCreatesIsolatedCleanNodes) {
   g.ensure_nodes(5);
   EXPECT_EQ(g.node_count(), 5u);
   EXPECT_EQ(g.edge_count(), 0u);
-  EXPECT_TRUE(g.dirty().empty());
-  for (NodeId u = 0; u < 5; ++u) {
-    EXPECT_EQ(g.degree(u), 0u);
-    EXPECT_FALSE(g.is_dirty(u));
-  }
+  for (NodeId u = 0; u < 5; ++u) EXPECT_EQ(g.degree(u), 0u);
   g.ensure_nodes(3);  // shrinking is a no-op
   EXPECT_EQ(g.node_count(), 5u);
 }
@@ -45,7 +39,7 @@ TEST(DynamicGraph, EnsureNodesCreatesIsolatedCleanNodes) {
 TEST(DynamicGraph, RejectsSelfLoopsAndDuplicates) {
   DynamicGraph g;
   EXPECT_FALSE(g.add_edge(2, 2, 0.0));
-  EXPECT_TRUE(g.dirty().empty()) << "rejected edges must not dirty";
+  EXPECT_EQ(g.edge_count(), 0u);
 
   EXPECT_TRUE(g.add_edge(1, 3, 1.0));
   EXPECT_FALSE(g.add_edge(1, 3, 2.0)) << "duplicate";
@@ -76,39 +70,18 @@ TEST(DynamicGraph, AddEdgeGrowsAndMaintainsBothOrderings) {
   EXPECT_FALSE(chrono[0].weak);
   EXPECT_TRUE(chrono[2].weak);
 
-  // Sorted row: ascending ids over the same neighbors.
-  const auto sorted = g.sorted_neighbors(4);
+  // Sorted row: ascending ids over the same neighbors, as a batch view
+  // of the compacted rows sorts them.
+  const NeighborView view = graphtest::view_of(g);
+  const auto sorted = view.sorted(4);
   EXPECT_EQ(std::vector<NodeId>(sorted.begin(), sorted.end()),
             (std::vector<NodeId>{0, 1, 3}));
 
   EXPECT_TRUE(g.has_edge(4, 0));
   EXPECT_TRUE(g.has_edge(0, 4));
   EXPECT_FALSE(g.has_edge(1, 3));
-}
-
-TEST(DynamicGraph, DirtySetIsDistinctSortedAndClearable) {
-  DynamicGraph g;
-  g.add_edge(5, 2, 0.0);
-  g.add_edge(5, 7, 1.0);  // 5 dirtied twice, must appear once
-  g.add_edge(1, 0, 2.0);
-
-  const auto dirty = g.dirty();
-  EXPECT_EQ(std::vector<NodeId>(dirty.begin(), dirty.end()),
-            (std::vector<NodeId>{0, 1, 2, 5, 7}));
-  EXPECT_TRUE(g.is_dirty(5));
-  EXPECT_FALSE(g.is_dirty(3));
-
-  g.clear_dirty();
-  EXPECT_TRUE(g.dirty().empty());
-  EXPECT_FALSE(g.is_dirty(5));
-
-  // mark_dirty (checkpoint-restore seam) re-marks without edges.
-  g.mark_dirty(7);
-  g.mark_dirty(7);
-  const auto remarked = g.dirty();
-  EXPECT_EQ(std::vector<NodeId>(remarked.begin(), remarked.end()),
-            (std::vector<NodeId>{7}));
-  EXPECT_EQ(g.edge_count(), 3u);
+  EXPECT_FALSE(g.has_edge(4, 9)) << "beyond the node count";
+  EXPECT_FALSE(g.has_edge(9, 4));
 }
 
 TEST(DynamicGraph, SeedingFromBaseCopiesRowsAndStaysClean) {
@@ -118,7 +91,6 @@ TEST(DynamicGraph, SeedingFromBaseCopiesRowsAndStaysClean) {
 
   EXPECT_EQ(g.node_count(), base.node_count());
   EXPECT_EQ(g.edge_count(), base.edge_count());
-  EXPECT_TRUE(g.dirty().empty()) << "the base is the already-scored state";
   for (NodeId u = 0; u < base.node_count(); ++u) {
     const auto want = base.neighbors(u);
     const auto got = g.chronological(u);
@@ -126,18 +98,16 @@ TEST(DynamicGraph, SeedingFromBaseCopiesRowsAndStaysClean) {
     for (std::size_t i = 0; i < want.size(); ++i) {
       EXPECT_EQ(got[i].node, want[i].node) << u;
       EXPECT_EQ(got[i].created_at, want[i].created_at) << u;
+      EXPECT_TRUE(g.has_edge(want[i].node, u)) << u;
     }
-    EXPECT_TRUE(std::is_sorted(g.sorted_neighbors(u).begin(),
-                               g.sorted_neighbors(u).end()))
-        << u;
   }
 }
 
 // The equivalence property: for a random arrival sequence (with
-// duplicate and self-loop noise), the view of the compacted rows and
-// the incrementally sorted rows must equal the batch NeighborView built
-// from a TimestampedGraph replaying the same arrivals — offsets,
-// chronological rows, and sorted rows.
+// duplicate and self-loop noise), the view of the compacted rows must
+// equal the batch NeighborView built from a TimestampedGraph replaying
+// the same arrivals — offsets, chronological rows and sorted rows — and
+// has_edge must answer as the batch graph does for every pair.
 TEST(DynamicGraph, ViewMatchesBatchSnapshotUnderRandomArrivals) {
   stats::Rng rng(23);
   constexpr NodeId kNodes = 120;
@@ -170,11 +140,14 @@ TEST(DynamicGraph, ViewMatchesBatchSnapshotUnderRandomArrivals) {
     ASSERT_EQ(std::vector<NodeId>(gc.begin(), gc.end()),
               std::vector<NodeId>(wc.begin(), wc.end()))
         << "chronological row " << u;
-    const auto gs = dyn.sorted_neighbors(u);
+    const auto gs = got.sorted(u);
     const auto ws = want.sorted(u);
     ASSERT_EQ(std::vector<NodeId>(gs.begin(), gs.end()),
               std::vector<NodeId>(ws.begin(), ws.end()))
         << "sorted row " << u;
+    for (NodeId v = 0; v < kNodes; ++v) {
+      ASSERT_EQ(dyn.has_edge(u, v), batch.has_edge(u, v)) << u << "-" << v;
+    }
   }
 }
 

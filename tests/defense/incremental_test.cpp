@@ -8,10 +8,12 @@
 //   * a refresh after every single edge, and the auto iteration depth
 //     following the node count across a power of two;
 //   * a refresh over an unchanged graph skips the recompute, exactly;
-//   * IncrementalClustering vs local_clustering_all(), bit-exact at
-//     every comparison point (integer link counts, same expression);
-//   * serialize()/restore() round-trips byte-exactly and the restored
-//     scorer continues identically.
+//   * the scorer's drain-time clustering_score() vs
+//     local_clustering_all(), bit-exact for every node (integer link
+//     counts, same expression), and on hand-computed cases;
+//   * serialize()/restore() round-trips byte-exactly, the restored
+//     rows give the batch clustering, and the restored scorer continues
+//     identically.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,7 +25,6 @@
 
 #include "core/detector_options.h"
 #include "core/parallel.h"
-#include "detectors/incremental_clustering.h"
 #include "detectors/sybilrank.h"
 #include "graph/clustering.h"
 #include "graph/dynamic_graph.h"
@@ -135,6 +136,21 @@ void expect_bitwise_equal(const std::vector<double>& got,
   }
 }
 
+/// clustering_score(u) for every node the scorer's graph holds.
+std::vector<double> clustering_of(const DefenseScorer& scorer) {
+  std::vector<double> out(scorer.graph().node_count());
+  for (NodeId u = 0; u < out.size(); ++u) out[u] = scorer.clustering_score(u);
+  return out;
+}
+
+/// The scorer's clustering must equal the batch kernel over its rows.
+void expect_batch_clustering(const DefenseScorer& scorer,
+                             const std::string& what) {
+  expect_bitwise_equal(
+      clustering_of(scorer),
+      graph::local_clustering_all(graphtest::csr_of(scorer.graph())), what);
+}
+
 /// SybilRank written out independently of the shared kernel, in the
 /// per-edge form the batch path had before the kernel weighted each
 /// node once: tᵢ[v] = Σ tᵢ₋₁[u] · (1/deg u) over v's chronological row.
@@ -201,12 +217,9 @@ TEST(IncrementalRank, MatchesBatchAcrossRegimesOrdersAndThreads) {
         }
         refresh_and_expect_batch(scorer, what + "/final");
 
-        // Clustering is maintained per edge and must already be
-        // bit-exact — integer link counts, same expression as batch.
-        expect_bitwise_equal(
-            scorer.clustering().coefficients(),
-            graph::local_clustering_all(graphtest::csr_of(scorer.graph())),
-            what + "/clustering");
+        // Clustering is derived when read and must be bit-exact —
+        // integer link counts, same expression as batch.
+        expect_batch_clustering(scorer, what + "/clustering");
       }
     }
   }
@@ -251,8 +264,8 @@ TEST(IncrementalRank, AutoIterationDepthGrowthForcesRecompute) {
   EXPECT_EQ(scorer.rank().rounds_total(), 7u + 8u);
 }
 
-// Skipping is exact: with nothing dirty and no new node the graph is
-// the one the scores came from. A rejected edge changes nothing either.
+// Skipping is exact: with no new edge and no new node the graph is the
+// one the scores came from. A rejected edge changes nothing either.
 TEST(IncrementalRank, UnchangedGraphSkipsTheRecompute) {
   DefenseScorer scorer(scorer_options());
   observe(scorer, {0, 3, 1.0});
@@ -283,64 +296,31 @@ TEST(IncrementalRank, EmptySeedsYieldAllZeroWithoutThrowing) {
 }
 
 TEST(IncrementalClustering, HandComputedCases) {
-  DynamicGraph g;
-  IncrementalClustering cc;
+  DefenseScorer scorer(scorer_options());
   // Triangle 0-1-2: every node has cc 1.
-  for (auto [u, v] : {std::pair<NodeId, NodeId>{0, 1}, {1, 2}, {0, 2}}) {
-    ASSERT_TRUE(g.add_edge(u, v, 0.0));
-    cc.on_edge_added(g, u, v);
-  }
-  EXPECT_EQ(cc.coefficient(0), 1.0);
-  EXPECT_EQ(cc.coefficient(1), 1.0);
-  EXPECT_EQ(cc.coefficient(2), 1.0);
-  EXPECT_EQ(cc.triangles_closed(), 1u);
+  observe(scorer, {0, 1, 0.0});
+  observe(scorer, {1, 2, 0.0});
+  observe(scorer, {0, 2, 0.0});
+  EXPECT_EQ(scorer.clustering_score(0), 1.0);
+  EXPECT_EQ(scorer.clustering_score(1), 1.0);
+  EXPECT_EQ(scorer.clustering_score(2), 1.0);
 
   // Pendant 3 on node 0: cc(3) = 0 (degree 1), cc(0) drops to 1/3
   // (one closed pair of three).
-  ASSERT_TRUE(g.add_edge(0, 3, 1.0));
-  cc.on_edge_added(g, 0, 3);
-  EXPECT_EQ(cc.coefficient(3), 0.0);
-  EXPECT_DOUBLE_EQ(cc.coefficient(0), 1.0 / 3.0);
-  EXPECT_EQ(cc.links(0), 1u);
+  observe(scorer, {0, 3, 1.0});
+  EXPECT_EQ(scorer.clustering_score(3), 0.0);
+  EXPECT_DOUBLE_EQ(scorer.clustering_score(0), 1.0 / 3.0);
 
   // Close 3-1: 0 now has pairs {1,2},{1,3} closed of 3 → 2/3; 3 has
   // its single pair {0,1} closed → 1; 1 has {0,2},{0,3} of 3 → 2/3.
-  ASSERT_TRUE(g.add_edge(3, 1, 2.0));
-  cc.on_edge_added(g, 3, 1);
-  EXPECT_DOUBLE_EQ(cc.coefficient(0), 2.0 / 3.0);
-  EXPECT_EQ(cc.coefficient(3), 1.0);
-  EXPECT_DOUBLE_EQ(cc.coefficient(1), 2.0 / 3.0);
-  EXPECT_EQ(cc.triangles_closed(), 2u);
+  observe(scorer, {3, 1, 2.0});
+  EXPECT_DOUBLE_EQ(scorer.clustering_score(0), 2.0 / 3.0);
+  EXPECT_EQ(scorer.clustering_score(3), 1.0);
+  EXPECT_DOUBLE_EQ(scorer.clustering_score(1), 2.0 / 3.0);
+  EXPECT_EQ(scorer.clustering_score(2), 1.0);
+  EXPECT_EQ(scorer.clustering_score(99), 0.0) << "unknown node";
 
-  expect_bitwise_equal(cc.coefficients(),
-                       graph::local_clustering_all(graphtest::csr_of(g)),
-                       "hand case");
-}
-
-TEST(IncrementalClustering, LazyRecomputeFromMidStreamAttachIsExact) {
-  stats::Rng rng(213);
-  const TimestampedGraph base = graph::osn_like_graph(
-      [] {
-        graph::OsnGraphParams p;
-        p.nodes = 150;
-        p.mean_links = 6.0;
-        return p;
-      }(),
-      rng);
-  // Attach the maintainer to an already-populated graph (the lazy
-  // recompute path), then stream more edges through it.
-  DynamicGraph g(base);
-  IncrementalClustering cc;
-  const NodeId n = g.node_count();
-  for (int i = 0; i < 200; ++i) {
-    const auto u = static_cast<NodeId>(rng.uniform_index(n));
-    const auto v = static_cast<NodeId>(rng.uniform_index(n));
-    if (g.add_edge(u, v, 100.0 + i)) cc.on_edge_added(g, u, v);
-  }
-  ASSERT_GT(cc.edges_applied(), 100u);
-  expect_bitwise_equal(cc.coefficients(),
-                       graph::local_clustering_all(graphtest::csr_of(g)),
-                       "lazy attach");
+  expect_batch_clustering(scorer, "hand case");
 }
 
 TEST(IncrementalState, SerializeRestoreRoundTripsAndContinuesIdentically) {
@@ -349,24 +329,24 @@ TEST(IncrementalState, SerializeRestoreRoundTripsAndContinuesIdentically) {
   const std::vector<Arrival> edges = edges_of(base);
   const std::size_t half = edges.size() / 2;
 
-  // Stop mid-interval, so the blob carries a dirty set and scores from
-  // a smaller graph than the one it holds.
+  // Stop mid-interval, so the blob carries scores from a smaller graph
+  // than the one it holds.
   DefenseScorer a(scorer_options());
   for (std::size_t i = 0; i < half; ++i) {
     observe(a, edges[i]);
     if (i % 24 == 23) a.refresh();
   }
-  ASSERT_FALSE(a.graph().dirty().empty());
+  ASSERT_NE(half % 24, 0u) << "edges arrived since the last refresh";
   const std::vector<std::byte> bytes = a.serialize();
 
   DefenseScorer b(scorer_options());
   b.restore(bytes);
   expect_bitwise_equal(b.rank_scores(), a.rank_scores(), "restored rank");
-  expect_bitwise_equal(b.clustering().coefficients(),
-                       a.clustering().coefficients(), "restored clustering");
+  expect_batch_clustering(b, "restored clustering");
+  expect_bitwise_equal(clustering_of(b), clustering_of(a),
+                       "restored clustering vs the original");
   EXPECT_EQ(b.rank().full_recomputes(), a.rank().full_recomputes());
   EXPECT_EQ(b.rank().rounds_total(), a.rank().rounds_total());
-  EXPECT_EQ(b.clustering().edges_applied(), a.clustering().edges_applied());
 
   // Re-serializing the restored state reproduces the bytes exactly.
   EXPECT_EQ(b.serialize(), bytes);
@@ -383,8 +363,7 @@ TEST(IncrementalState, SerializeRestoreRoundTripsAndContinuesIdentically) {
   a.refresh();
   b.refresh();
   expect_bitwise_equal(b.rank_scores(), a.rank_scores(), "continued rank");
-  expect_bitwise_equal(b.clustering().coefficients(),
-                       a.clustering().coefficients(), "continued clustering");
+  expect_batch_clustering(b, "continued clustering");
   EXPECT_EQ(b.serialize(), a.serialize());
 }
 

@@ -2,24 +2,26 @@
 // golden binaries and every typed refusal of load_service_checkpoint,
 // in the `io` binary so the asan-io preset runs this decoder too.
 //
-//   * tests/data/service_ckpt_v7.sybs loads field-exact, and
+//   * tests/data/service_ckpt_v8.sybs loads field-exact, and
 //     re-serializing the same state reproduces its bytes;
 //   * every byte flip and every truncation of it loads or throws a
 //     typed io::SnapshotError, nothing else;
 //   * the v3 and v4 goldens — formats that carried the unpumped queue —
 //     the v5 golden, whose replay start did not cover the detector's
-//     in-flight events, and the v6 golden, whose defense section held
-//     the incremental rank's layers, are refused with
-//     kUnsupportedVersion;
+//     in-flight events, the v6 golden, whose defense section held the
+//     incremental rank's layers, and the v7 golden, whose defense
+//     section held a dirty set and the incremental clustering state,
+//     are refused with kUnsupportedVersion;
 //   * trailing meta bytes, a tier above kSweepOnly and a replay start
 //     past the WAL position are refused, each with its own code;
-//   * the defense-scorer decoder (DefenseScorer::restore and the
-//     clustering restore it calls) refuses every count its bytes cannot
-//     hold with kMalformedSection, before allocating for it, and every
+//   * the defense-scorer decoder (DefenseScorer::restore) refuses every
+//     count its bytes cannot hold with kMalformedSection, before
+//     allocating for it, and every
 //     truncation and byte flip of the golden's defense section loads or
 //     throws a typed io::SnapshotError.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -52,7 +54,7 @@ core::DetectorOptions golden_defense_options() {
   return opts;
 }
 
-/// The exact state behind tests/data/service_ckpt_v7.sybs — every field
+/// The exact state behind tests/data/service_ckpt_v8.sybs — every field
 /// here is documented in the worked example of FORMATS.md §5.4. Fully
 /// deterministic: fixed options, fixed events, no RNG, no clock.
 ServiceCheckpointState golden_state() {
@@ -79,7 +81,7 @@ ServiceCheckpointState golden_state() {
   scorer.observe({osn::EventType::kRequestAccepted, 3, 3, 5.0});  // loop
   scorer.refresh();
   scorer.observe({osn::EventType::kRequestAccepted, 0, 2, 6.0});
-  s.defense_state = scorer.serialize();  // mid-interval: {0, 2} dirty
+  s.defense_state = scorer.serialize();  // mid-interval: 1 edge unranked
   return s;
 }
 
@@ -92,10 +94,10 @@ void expect_load_refused(const std::string& path, io::SnapshotErrorCode code) {
   }
 }
 
-TEST(ServiceCheckpoint, GoldenCheckpointV7Loads) {
+TEST(ServiceCheckpoint, GoldenCheckpointV8Loads) {
   const ServiceCheckpointState want = golden_state();
   const ServiceCheckpointState got =
-      load_service_checkpoint(golden("service_ckpt_v7.sybs"));
+      load_service_checkpoint(golden("service_ckpt_v8.sybs"));
   EXPECT_EQ(got.wal_position, want.wal_position);
   EXPECT_EQ(got.replay_from, want.replay_from);
   EXPECT_EQ(got.tier, want.tier);
@@ -107,8 +109,8 @@ TEST(ServiceCheckpoint, GoldenCheckpointV7Loads) {
   ASSERT_EQ(got.defense_state, want.defense_state);
 
   // The scorer blob restores into a working scorer: 4 distinct edges,
-  // 2 deterministic skips, one refresh, nodes 0 and 2 still dirty, and
-  // the 4 scores of that refresh's 2-round recompute.
+  // 2 deterministic skips, one refresh, and the 4 scores of that
+  // refresh's 2-round recompute over the first 3 edges.
   DefenseScorer scorer(golden_defense_options());
   scorer.restore(got.defense_state);
   EXPECT_EQ(scorer.edges_observed(), 4u);
@@ -117,21 +119,25 @@ TEST(ServiceCheckpoint, GoldenCheckpointV7Loads) {
   EXPECT_EQ(scorer.rank().full_recomputes(), 1u);
   EXPECT_EQ(scorer.rank().rounds_total(), 2u);
   EXPECT_EQ(scorer.graph().edge_count(), 4u);
-  const auto dirty = scorer.graph().dirty();
-  ASSERT_EQ(dirty.size(), 2u);
-  EXPECT_EQ(dirty[0], 0u);
-  EXPECT_EQ(dirty[1], 2u);
   // The refresh saw the path 1-2-3-0 with trust 1/2 on seeds 0 and 1.
   // Two rounds spread it to 1/4 per node; degree normalization halves
   // it on the two middle nodes.
   const std::vector<double> scores = {1.0 / 4, 1.0 / 4, 1.0 / 8, 1.0 / 8};
   EXPECT_EQ(scorer.rank_scores(), scores);
+  // Clustering comes from the rows: 0-2 closed the triangles 0-2-3.
+  EXPECT_EQ(scorer.clustering_score(0), 1.0);
+  EXPECT_EQ(scorer.clustering_score(1), 0.0);
+  EXPECT_EQ(scorer.clustering_score(2), 1.0 / 3);
+  EXPECT_EQ(scorer.clustering_score(3), 1.0);
+  // Edge 0-2 arrived after the refresh, so the next one recomputes.
+  scorer.refresh();
+  EXPECT_EQ(scorer.rank().full_recomputes(), 2u);
 }
 
-TEST(ServiceCheckpoint, GoldenCheckpointV7BytesAreFrozen) {
-  const std::string fresh = ::testing::TempDir() + "/sybil_ckpt_v7_fresh.sybs";
+TEST(ServiceCheckpoint, GoldenCheckpointV8BytesAreFrozen) {
+  const std::string fresh = ::testing::TempDir() + "/sybil_ckpt_v8_fresh.sybs";
   save_service_checkpoint(fresh, golden_state());
-  std::ifstream fa(golden("service_ckpt_v7.sybs"), std::ios::binary);
+  std::ifstream fa(golden("service_ckpt_v8.sybs"), std::ios::binary);
   std::ifstream fb(fresh, std::ios::binary);
   ASSERT_TRUE(fa.good()) << "committed golden missing";
   ASSERT_TRUE(fb.good());
@@ -166,6 +172,13 @@ TEST(ServiceCheckpoint, GoldenCheckpointV6IsRefused) {
                       io::SnapshotErrorCode::kUnsupportedVersion);
 }
 
+// v7's defense section (scorer state v2) also held a dirty set and the
+// incremental clustering state; v8 keeps the graph and rank tier only.
+TEST(ServiceCheckpoint, GoldenCheckpointV7IsRefused) {
+  expect_load_refused(golden("service_ckpt_v7.sybs"),
+                      io::SnapshotErrorCode::kUnsupportedVersion);
+}
+
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(in), {});
@@ -193,7 +206,7 @@ bool loads(const std::string& path, const std::string& bytes) {
 // Container CRCs cover every byte the decoder trusts, so nearly every
 // flip is refused; whatever loads must have passed every check.
 TEST(ServiceCheckpointFuzz, EveryByteFlipLoadsOrThrowsTyped) {
-  const std::string bytes = read_file(golden("service_ckpt_v7.sybs"));
+  const std::string bytes = read_file(golden("service_ckpt_v8.sybs"));
   ASSERT_FALSE(bytes.empty());
   const std::string path = ::testing::TempDir() + "/sybil_ckpt_flip.sybs";
   std::mt19937_64 rng(0x5EEDu);
@@ -215,7 +228,7 @@ TEST(ServiceCheckpointFuzz, EveryByteFlipLoadsOrThrowsTyped) {
 }
 
 TEST(ServiceCheckpointFuzz, EveryTruncationThrowsTyped) {
-  const std::string bytes = read_file(golden("service_ckpt_v7.sybs"));
+  const std::string bytes = read_file(golden("service_ckpt_v8.sybs"));
   const std::string path = ::testing::TempDir() + "/sybil_ckpt_cut.sybs";
   for (std::size_t len = 0; len < bytes.size(); ++len) {
     SCOPED_TRACE("length " + std::to_string(len));
@@ -224,11 +237,11 @@ TEST(ServiceCheckpointFuzz, EveryTruncationThrowsTyped) {
   std::remove(path.c_str());
 }
 
-/// The v7 golden re-containered with one zero byte appended to its meta
+/// The v8 golden re-containered with one zero byte appended to its meta
 /// section when `grow_meta` is set. Every CRC stays valid, so only the
 /// checkpoint decoder can notice.
 std::string golden_regrown(bool grow_meta, const std::string& name) {
-  const io::ContainerReader reader(golden("service_ckpt_v7.sybs"),
+  const io::ContainerReader reader(golden("service_ckpt_v8.sybs"),
                                    io::PayloadKind::kServiceCheckpoint);
   io::ContainerWriter writer(io::PayloadKind::kServiceCheckpoint);
   for (const std::uint32_t id : {1u, 3u, 5u}) {
@@ -285,19 +298,19 @@ TEST(ServiceCheckpoint, CheckpointLoadRejectsReplayFromPastWalPosition) {
 /// size an allocation of tens of gigabytes.
 constexpr std::uint64_t kHugeCount = std::uint64_t{1} << 32;
 
-/// A scorer blob up to its node count: version and the four counters.
+/// A scorer blob up to its node count: version and the three counters.
 io::ByteWriter scorer_header() {
   io::ByteWriter w;
-  w.write(std::uint32_t{2});  // scorer state version
-  for (int i = 0; i < 4; ++i) w.write(std::uint64_t{0});
+  w.write(std::uint32_t{3});  // scorer state version
+  for (int i = 0; i < 3; ++i) w.write(std::uint64_t{0});
   return w;
 }
 
-/// An empty graph (no rows, no dirty ids) ahead of the rank scores.
+/// An empty graph (no rows, no ranked edges) ahead of the rank scores.
 io::ByteWriter scorer_without_graph() {
   io::ByteWriter w = scorer_header();
   w.write(std::uint64_t{0});  // nodes
-  w.write(std::uint64_t{0});  // dirty ids
+  w.write(std::uint64_t{0});  // ranked edges
   return w;
 }
 
@@ -330,12 +343,6 @@ TEST(ServiceCheckpoint, DefenseRestoreBoundsNeighborCount) {
   expect_scorer_refused(std::move(w));
 }
 
-TEST(ServiceCheckpoint, DefenseRestoreBoundsDirtyCount) {
-  io::ByteWriter w = scorer_header();
-  w.write(std::uint64_t{0});  // nodes
-  w.write(kHugeCount);        // dirty ids
-  expect_scorer_refused(std::move(w));
-}
 
 // Every undirected edge sits in two rows; an odd total cannot be a
 // graph, and must be refused before the rows are adopted as one.
@@ -358,9 +365,10 @@ TEST(ServiceCheckpoint, DefenseRestoreRefusesAnOddHalfEdgeCount) {
 }
 
 /// A scorer blob whose graph section holds `rows` (neighbour ids, every
-/// half edge at time 1.0), with empty dirty, rank and clustering state.
+/// half edge at time 1.0), with `ranked_edges` and no rank scores.
 std::vector<std::byte> scorer_with_rows(
-    const std::vector<std::vector<graph::NodeId>>& rows) {
+    const std::vector<std::vector<graph::NodeId>>& rows,
+    std::uint64_t ranked_edges = 0) {
   io::ByteWriter w = scorer_header();
   w.write(static_cast<std::uint64_t>(rows.size()));
   for (const auto& row : rows) {
@@ -371,15 +379,10 @@ std::vector<std::byte> scorer_with_rows(
       w.write(std::uint8_t{0});
     }
   }
-  w.write(std::uint64_t{0});  // dirty ids
+  w.write(ranked_edges);
   w.write(std::uint64_t{0});  // rank scores
   w.write(std::uint64_t{0});  // full recomputes
   w.write(std::uint64_t{0});  // rounds
-  w.write(std::uint32_t{1});  // clustering state version
-  w.write(std::uint8_t{0});   // not initialized
-  w.write(std::uint64_t{0});  // clustering nodes
-  w.write(std::uint64_t{0});  // edges applied
-  w.write(std::uint64_t{0});  // triangles closed
   return std::move(w).take();
 }
 
@@ -408,26 +411,30 @@ TEST(ServiceCheckpoint, DefenseRestoreRefusesRowsThatAreNotASimpleGraph) {
   EXPECT_EQ(scorer.graph().edge_count(), 2u);
 }
 
+// The scores came from a prefix of the graph's edges: a blob claiming
+// more ranked edges than its rows hold would skip a recompute it needs.
+TEST(ServiceCheckpoint, DefenseRestoreRefusesRankedEdgesBeyondTheGraph) {
+  const std::vector<std::vector<graph::NodeId>> rows = {{1}, {0}};
+  DefenseScorer scorer(golden_defense_options());
+  try {
+    scorer.restore(scorer_with_rows(rows, 2));
+    ADD_FAILURE() << "2 ranked edges over a 1-edge graph loaded";
+  } catch (const io::SnapshotError& e) {
+    EXPECT_EQ(e.code(), io::SnapshotErrorCode::kMalformedSection) << e.what();
+  }
+  scorer.restore(scorer_with_rows(rows, 1));  // the control
+  EXPECT_EQ(scorer.graph().edge_count(), 1u);
+}
+
 TEST(ServiceCheckpoint, DefenseRestoreBoundsRankNodeCount) {
   io::ByteWriter w = scorer_without_graph();
   w.write(kHugeCount);  // rank scores
   expect_scorer_refused(std::move(w));
 }
 
-TEST(ServiceCheckpoint, DefenseRestoreBoundsClusteringNodeCount) {
-  io::ByteWriter w = scorer_without_graph();
-  w.write(std::uint64_t{0});  // rank scores
-  w.write(std::uint64_t{0});  // full recomputes
-  w.write(std::uint64_t{0});  // rounds
-  w.write(std::uint32_t{1});  // clustering state version
-  w.write(std::uint8_t{1});   // initialized
-  w.write(kHugeCount);        // clustering nodes
-  expect_scorer_refused(std::move(w));
-}
-
 /// The golden's defense section, as DefenseScorer::restore sees it.
 std::vector<std::byte> golden_defense_section() {
-  const io::ContainerReader reader(golden("service_ckpt_v7.sybs"),
+  const io::ContainerReader reader(golden("service_ckpt_v8.sybs"),
                                    io::PayloadKind::kServiceCheckpoint);
   const auto bytes = reader.section(5);
   return {bytes.begin(), bytes.end()};
@@ -437,8 +444,9 @@ std::vector<std::byte> golden_defense_section() {
 /// add_edge builds: no self-loop, no repeated neighbour, symmetric rows.
 void expect_simple_symmetric(const graph::DynamicGraph& g) {
   for (graph::NodeId u = 0; u < g.node_count(); ++u) {
-    const auto row = g.sorted_neighbors(u);
-    ASSERT_EQ(row.size(), g.degree(u)) << u;
+    std::vector<graph::NodeId> row;
+    for (const graph::Neighbor& nb : g.chronological(u)) row.push_back(nb.node);
+    std::sort(row.begin(), row.end());
     for (std::size_t i = 0; i < row.size(); ++i) {
       ASSERT_NE(row[i], u) << "self-loop at " << u;
       if (i > 0) {
@@ -466,14 +474,14 @@ bool restores(const std::vector<std::byte>& blob) {
 }
 
 /// Byte offset of the first neighbour id in a scorer blob: after the
-/// u32 version, four u64 counters and the u64 node count, the first
+/// u32 version, three u64 counters and the u64 node count, the first
 /// non-empty row's u64 length.
 std::size_t first_neighbour_offset(const std::vector<std::byte>& blob) {
   io::ByteReader r(blob);
   r.read<std::uint32_t>();
-  for (int i = 0; i < 4; ++i) r.read<std::uint64_t>();
+  for (int i = 0; i < 3; ++i) r.read<std::uint64_t>();
   const auto n = r.read<std::uint64_t>();
-  std::size_t at = 4 + 5 * 8;
+  std::size_t at = 4 + 4 * 8;
   for (std::uint64_t u = 0; u < n; ++u) {
     const auto len = r.read<std::uint64_t>();
     at += 8;
