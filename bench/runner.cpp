@@ -14,6 +14,7 @@
 #include "service/supervisor.h"
 #include "graph/generators.h"
 #include "io/container.h"
+#include "io/graph_snapshot.h"
 #include "stats/rng.h"
 
 #if SYBIL_METRICS_COMPILED
@@ -159,10 +160,9 @@ void save_scenario(const DefenseScenario& scenario, const std::string& path) {
 
 DefenseScenario load_scenario(const std::string& path) {
   SYBIL_METRIC_SCOPED_TIMER(span, "bench.scenario.load");
-  auto reader = std::make_shared<io::ContainerReader>(
-      path, io::PayloadKind::kDefenseScenario);
+  const io::ContainerReader reader(path, io::PayloadKind::kDefenseScenario);
 
-  io::ByteReader meta(reader->section(kSecMeta));
+  io::ByteReader meta(reader.section(kSecMeta));
   const auto nodes = meta.read<std::uint64_t>();
   const auto half_edges = meta.read<std::uint64_t>();
   const auto honest = meta.read<std::uint64_t>();
@@ -173,29 +173,19 @@ DefenseScenario load_scenario(const std::string& path) {
                             "scenario meta has trailing bytes");
   }
 
-  const auto offsets = reader->pod_section<std::uint64_t>(kSecOffsets);
-  const auto targets = reader->pod_section<graph::NodeId>(kSecTargets);
-  const auto labels = reader->pod_section<std::uint8_t>(kSecIsSybil);
-  const auto seeds = reader->pod_section<graph::NodeId>(kSecHonestSeeds);
-  const auto sample = reader->pod_section<graph::NodeId>(kSecEvalSample);
-  const auto name = reader->section(kSecName);
+  const auto offsets = reader.pod_section<std::uint64_t>(kSecOffsets);
+  const auto targets = reader.pod_section<graph::NodeId>(kSecTargets);
+  const auto labels = reader.pod_section<std::uint8_t>(kSecIsSybil);
+  const auto seeds = reader.pod_section<graph::NodeId>(kSecHonestSeeds);
+  const auto sample = reader.pod_section<graph::NodeId>(kSecEvalSample);
+  const auto name = reader.section(kSecName);
   if (offsets.size() != nodes + 1 || targets.size() != half_edges ||
       labels.size() != nodes || seeds.size() != honest ||
       sample.size() != eval || name.size() != name_len) {
     throw io::SnapshotError(io::SnapshotErrorCode::kMalformedSection,
                             "scenario sections inconsistent with meta");
   }
-  if (offsets.front() != 0 || offsets.back() != targets.size() ||
-      !std::is_sorted(offsets.begin(), offsets.end())) {
-    throw io::SnapshotError(io::SnapshotErrorCode::kFormatViolation,
-                            "scenario CSR offsets not a valid offset array");
-  }
-  for (const graph::NodeId t : targets) {
-    if (t >= nodes) {
-      throw io::SnapshotError(io::SnapshotErrorCode::kFormatViolation,
-                              "scenario CSR target out of range");
-    }
-  }
+  io::require_simple_graph(offsets, targets);
   const auto in_range = [nodes](std::span<const graph::NodeId> ids) {
     for (const graph::NodeId v : ids) {
       if (v >= nodes) return false;
@@ -215,8 +205,8 @@ DefenseScenario load_scenario(const std::string& path) {
 
   DefenseScenario s;
   s.name.assign(reinterpret_cast<const char*>(name.data()), name.size());
-  // The reader (and its mapping) stays alive as the view's backing.
-  s.g = graph::CsrGraph::view(offsets, targets, reader);
+  s.g = graph::CsrGraph::from_rows({offsets.begin(), offsets.end()},
+                                   {targets.begin(), targets.end()});
   s.is_sybil.resize(labels.size());
   for (std::size_t i = 0; i < labels.size(); ++i) {
     s.is_sybil[i] = labels[i] != 0;

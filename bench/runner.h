@@ -99,9 +99,9 @@ DefenseScenario scenario_from_campaign(const attack::CampaignResult& result);
 /// Atomic (temp file + rename) like every snapshot writer.
 void save_scenario(const DefenseScenario& scenario, const std::string& path);
 
-/// Loads a saved scenario. The CSR arrays are served zero-copy out of
-/// the file mapping when mmap is available; corrupt or mistyped files
-/// are rejected with typed io::SnapshotErrors.
+/// Loads a saved scenario; its graph owns the CSR arrays copied out of
+/// the file. Corrupt or mistyped files, and rows that are not a simple
+/// undirected graph, are rejected with typed io::SnapshotErrors.
 DefenseScenario load_scenario(const std::string& path);
 
 /// One defense's result on one scenario.

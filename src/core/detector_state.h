@@ -91,7 +91,8 @@ void restore_stream_state(StreamDetector& d, std::span<const std::byte> blob);
 
 /// A RealTimeDetector's exact state. No checkpoint stores it any more;
 /// it stays only because perfbench's checkpoint.realtime_state_bytes
-/// metric reads it (ROADMAP item 3 removes it after a benchmark change).
+/// metric reads it (ROADMAP item 9 removes it, after item 10's
+/// benchmark change).
 std::vector<std::byte> serialize_realtime_state(const RealTimeDetector& d);
 
 }  // namespace sybil::core

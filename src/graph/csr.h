@@ -6,14 +6,13 @@
 // dramatically more cache-friendly than per-node vectors for the
 // multi-hundred-thousand-node runs the benches perform.
 //
-// A CsrGraph either owns its arrays (the from()/from_edges() builders)
-// or is a zero-copy *view* over externally owned storage — the io layer
-// uses view() to serve a graph directly out of an mmap'd snapshot
-// without materializing the arrays (see io/graph_snapshot.h).
+// A CsrGraph owns its two arrays. compact_rows() is the one rows→CSR
+// loop (CsrGraph::from and the live defense tier's refresh both run
+// it), and simple_graph_defect() is the one adjacency check every
+// loader of untrusted rows runs.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -21,6 +20,21 @@
 #include "graph/graph.h"
 
 namespace sybil::graph {
+
+/// Writes g's rows as CSR arrays: row u is targets[offsets[u],
+/// offsets[u+1]), in arrival order. Reuses the buffers' capacity, so a
+/// caller that compacts a growing graph repeatedly allocates only when
+/// it grows past what it held.
+void compact_rows(const TimestampedGraph& g,
+                  std::vector<std::uint64_t>& offsets,
+                  std::vector<NodeId>& targets);
+
+/// Why CSR arrays are not a simple undirected graph — a malformed
+/// offset array, a target out of range, a self-loop, a neighbour listed
+/// twice, or v in u's row without u in v's — or nullptr when they are
+/// one. O(V + E) time and memory.
+const char* simple_graph_defect(std::span<const std::uint64_t> offsets,
+                                std::span<const NodeId> targets);
 
 class CsrGraph {
  public:
@@ -35,30 +49,11 @@ class CsrGraph {
   static CsrGraph from_edges(NodeId node_count,
                              std::span<const std::pair<NodeId, NodeId>> edges);
 
-  /// Adopts prebuilt CSR arrays as owning storage (no copy), such as
-  /// the rows DynamicGraph::compact_rows writes.
-  /// Preconditions: offsets is a valid CSR offset array (size n+1,
+  /// Adopts prebuilt CSR arrays (no copy). Throws std::invalid_argument
+  /// unless offsets is a valid CSR offset array (size n+1,
   /// non-decreasing, offsets[0] == 0, offsets[n] == targets.size()).
   static CsrGraph from_rows(std::vector<std::uint64_t> offsets,
                             std::vector<NodeId> targets);
-
-  /// Zero-copy view over CSR arrays owned elsewhere; `backing` keeps the
-  /// storage (e.g. a file mapping) alive for the view's lifetime.
-  /// Preconditions: offsets is a valid CSR offset array (size n+1,
-  /// non-decreasing, offsets[0] == 0, offsets[n] == targets.size()) —
-  /// the snapshot loader validates before calling.
-  static CsrGraph view(std::span<const std::uint64_t> offsets,
-                       std::span<const NodeId> targets,
-                       std::shared_ptr<const void> backing);
-
-  // Owning copies re-anchor their spans onto the copied vectors; views
-  // share the backing. Defaulted members would leave a copied owner's
-  // spans pointing into the source.
-  CsrGraph(const CsrGraph& other);
-  CsrGraph& operator=(const CsrGraph& other);
-  CsrGraph(CsrGraph&& other) noexcept;
-  CsrGraph& operator=(CsrGraph&& other) noexcept;
-  ~CsrGraph() = default;
 
   NodeId node_count() const noexcept {
     return offsets_.empty() ? 0 : static_cast<NodeId>(offsets_.size() - 1);
@@ -84,24 +79,9 @@ class CsrGraph {
   std::span<const std::uint64_t> offsets() const noexcept { return offsets_; }
   std::span<const NodeId> targets() const noexcept { return targets_; }
 
-  /// True when this graph references external storage instead of
-  /// owning its arrays.
-  bool is_view() const noexcept { return backing_ != nullptr; }
-
  private:
-  void anchor() noexcept {
-    offsets_ = offsets_store_;
-    targets_ = targets_store_;
-  }
-
-  // Owning storage (empty for views).
-  std::vector<std::uint64_t> offsets_store_;
-  std::vector<NodeId> targets_store_;
-  // The arrays algorithms read: either the stores above or external
-  // memory kept alive by backing_.
-  std::span<const std::uint64_t> offsets_;
-  std::span<const NodeId> targets_;
-  std::shared_ptr<const void> backing_;
+  std::vector<std::uint64_t> offsets_;
+  std::vector<NodeId> targets_;
 };
 
 }  // namespace sybil::graph

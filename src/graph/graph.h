@@ -68,8 +68,9 @@ class TimestampedGraph {
   /// Direct adjacency restore for snapshot loading: adopts the lists
   /// as-is (preserving per-node insertion order, which add_edge replay
   /// could not reproduce without the global edge order). Precondition:
-  /// `adj` satisfies the class invariants — symmetric, no self-loops or
-  /// duplicates; the binary loader validates before calling.
+  /// the half-edge count is even. The other invariants (symmetric, no
+  /// self-loops or duplicates) are not checked here; every loader checks
+  /// the result with simple_graph_defect() before handing it out.
   static TimestampedGraph from_adjacency(
       std::vector<std::vector<Neighbor>> adj);
 

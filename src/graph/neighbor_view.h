@@ -10,9 +10,9 @@
 //
 // NeighborView collapses the pair: it takes one CSR snapshot whose rows
 // are chronological (CsrGraph::from preserves insertion order, and the
-// io layer's mmap'd zero-copy snapshots round-trip that order) and
-// builds a sorted twin of the targets array over the *same* offsets,
-// once, in parallel. Algorithms then ask for whichever ordering they
+// io layer's CSR snapshots round-trip that order) and builds a sorted
+// twin of the targets array over the *same* offsets, once, in
+// parallel. Algorithms then ask for whichever ordering they
 // need:
 //
 //   chronological(u)  row as ingested (first-k prefixes, replay)
@@ -39,8 +39,8 @@ class NeighborView {
 
   /// Takes ownership of a CSR snapshot whose rows are in chronological
   /// order (what CsrGraph::from produces) and builds the sorted twin.
-  /// Moving the graph in is cheap; zero-copy mmap views stay zero-copy
-  /// for the chronological side.
+  /// Moving the graph in is cheap: the chronological side is not
+  /// copied.
   explicit NeighborView(CsrGraph csr);
 
   /// Convenience: snapshot + view in one step.

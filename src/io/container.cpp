@@ -198,8 +198,8 @@ void SliceWriter::overrun(std::size_t n) const {
 }
 
 ContainerReader::ContainerReader(const std::string& path,
-                                 PayloadKind expected, bool prefer_mmap)
-    : file_(MappedFile::open(path, prefer_mmap)) {
+                                 PayloadKind expected)
+    : file_(MappedFile::open(path)) {
   validate(expected);
 }
 

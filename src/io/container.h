@@ -63,8 +63,8 @@ enum class SyncMode {
   kNever,
 };
 
-/// The SYBIL_IO_FSYNC knob, read per call like SYBIL_IO_MMAP: unset,
-/// "1" or "on" → true; "0" or "off" → false.
+/// The SYBIL_IO_FSYNC knob, read per call: unset, "1" or "on" → true;
+/// "0" or "off" → false.
 bool fsync_enabled() noexcept;
 
 /// fsyncs an already-renamed path's parent directory so the rename
@@ -152,8 +152,9 @@ class ContainerWriter {
   std::vector<Section> sections_;
 };
 
-/// Validating reader over a mapped (or read) container file. Sections
-/// are exposed as spans into the mapping — zero-copy for mmap'd files.
+/// Validating reader over a mapped container file (read() only where
+/// mmap fails). Sections are exposed as spans into the mapping, valid
+/// while the reader lives.
 class ContainerReader {
  public:
   /// Opens and fully validates the envelope: magic, endianness, header
@@ -162,14 +163,12 @@ class ContainerReader {
   /// payload CRC. Throws the matching SnapshotError on the first defect;
   /// a reader that constructs successfully holds a structurally sound
   /// file.
-  ContainerReader(const std::string& path, PayloadKind expected,
-                  bool prefer_mmap = true);
+  ContainerReader(const std::string& path, PayloadKind expected);
 
   /// Validates an already-loaded image (tests inject corruption here).
   ContainerReader(std::vector<std::byte> image, PayloadKind expected);
 
   std::uint32_t format_version() const noexcept { return version_; }
-  bool mapped() const noexcept { return file_ && file_->mapped(); }
 
   bool has_section(std::uint32_t id) const noexcept;
 
@@ -197,15 +196,11 @@ class ContainerReader {
             bytes.size() / sizeof(T)};
   }
 
-  /// Keeps the underlying mapping alive for zero-copy consumers that
-  /// outlive the reader (e.g. a CsrGraph viewing mapped sections).
-  std::shared_ptr<const void> backing() const noexcept { return file_; }
-
  private:
   void validate(PayloadKind expected);
   std::span<const std::byte> bytes() const noexcept;
 
-  std::shared_ptr<const MappedFile> file_;  // null when image-backed
+  std::unique_ptr<const MappedFile> file_;  // null when image-backed
   std::vector<std::byte> image_;
   std::uint32_t version_ = 0;
   struct Entry {

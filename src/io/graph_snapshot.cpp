@@ -1,7 +1,6 @@
 #include "io/graph_snapshot.h"
 
 #include <limits>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -97,14 +96,12 @@ graph::TimestampedGraph load_graph_snapshot(const std::string& path) {
   for (std::uint64_t u = 0; u < meta.node_count; ++u) {
     adj[u].reserve(degrees[u]);
     for (std::uint32_t k = 0; k < degrees[u]; ++k, ++at) {
-      if (nodes[at] >= meta.node_count || nodes[at] == u) {
-        throw SnapshotError(SnapshotErrorCode::kFormatViolation,
-                            "neighbor id out of range or self-loop");
-      }
       adj[u].push_back({nodes[at], times[at], weak[at] != 0});
     }
   }
-  return graph::TimestampedGraph::from_adjacency(std::move(adj));
+  auto g = graph::TimestampedGraph::from_adjacency(std::move(adj));
+  require_simple_graph(g);
+  return g;
 }
 
 void save_csr_snapshot(const graph::CsrGraph& g, const std::string& path) {
@@ -117,40 +114,34 @@ void save_csr_snapshot(const graph::CsrGraph& g, const std::string& path) {
   writer.commit(path);
 }
 
-graph::CsrGraph load_csr_snapshot(const std::string& path, bool prefer_mmap) {
+graph::CsrGraph load_csr_snapshot(const std::string& path) {
   SYBIL_METRIC_SCOPED_TIMER(span, "io.csr.load");
-  // The reader is moved into the shared backing below so the mapping
-  // outlives this function while the view reads it in place.
-  auto reader = std::make_shared<ContainerReader>(path, PayloadKind::kCsrGraph,
-                                                  prefer_mmap);
-  const GraphMeta meta = read_meta(*reader);
-  const auto offsets = reader->pod_section<std::uint64_t>(kSecOffsets);
-  const auto targets = reader->pod_section<NodeId>(kSecTargets);
+  const ContainerReader reader(path, PayloadKind::kCsrGraph);
+  const GraphMeta meta = read_meta(reader);
+  const auto offsets = reader.pod_section<std::uint64_t>(kSecOffsets);
+  const auto targets = reader.pod_section<NodeId>(kSecTargets);
   if (offsets.size() != meta.node_count + 1 ||
       targets.size() != meta.half_edges) {
     throw SnapshotError(SnapshotErrorCode::kMalformedSection,
                         "csr sections inconsistent with meta counts");
   }
-  if (offsets.front() != 0 || offsets.back() != targets.size()) {
-    throw SnapshotError(SnapshotErrorCode::kFormatViolation,
-                        "csr offsets do not bracket the target array");
+  require_simple_graph(offsets, targets);
+  return graph::CsrGraph::from_rows({offsets.begin(), offsets.end()},
+                                    {targets.begin(), targets.end()});
+}
+
+void require_simple_graph(std::span<const std::uint64_t> offsets,
+                          std::span<const NodeId> targets) {
+  if (const char* defect = graph::simple_graph_defect(offsets, targets)) {
+    throw SnapshotError(SnapshotErrorCode::kFormatViolation, defect);
   }
-  for (std::size_t i = 1; i < offsets.size(); ++i) {
-    if (offsets[i] < offsets[i - 1]) {
-      throw SnapshotError(SnapshotErrorCode::kFormatViolation,
-                          "csr offsets not monotonic");
-    }
-  }
-  for (const NodeId t : targets) {
-    if (t >= meta.node_count) {
-      throw SnapshotError(SnapshotErrorCode::kFormatViolation,
-                          "csr target out of range");
-    }
-  }
-  SYBIL_METRIC_COUNT(reader->mapped() ? "io.csr.load_mmap"
-                                      : "io.csr.load_stream",
-                     1);
-  return graph::CsrGraph::view(offsets, targets, std::move(reader));
+}
+
+void require_simple_graph(const graph::TimestampedGraph& g) {
+  std::vector<std::uint64_t> offsets;
+  std::vector<NodeId> targets;
+  graph::compact_rows(g, offsets, targets);
+  require_simple_graph(offsets, targets);
 }
 
 }  // namespace sybil::io

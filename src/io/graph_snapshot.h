@@ -5,15 +5,17 @@
 //     neighbor ids, edge-creation timestamps and weak-tie flags, in
 //     insertion order (which the temporal analyses rely on and which a
 //     text edge list cannot represent losslessly);
-//   - CsrGraph: the structure-only CSR arrays, laid out so the loader
-//     can serve the graph zero-copy out of an mmap'd file — offsets and
-//     targets are read in place, no materialization.
+//   - CsrGraph: the structure-only CSR arrays, copied out of the mapped
+//     file in two memcpys.
 //
 // Both loaders reject truncated, bit-flipped, misdeclared or
-// future-versioned files with typed SnapshotErrors before any graph
-// object is constructed — there is no partially loaded state.
+// future-versioned files, and rows that are not a simple undirected
+// graph, with typed SnapshotErrors — there is no partially loaded
+// state.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <string>
 
 #include "graph/csr.h"
@@ -28,11 +30,14 @@ void save_csr_snapshot(const graph::CsrGraph& g, const std::string& path);
 
 graph::TimestampedGraph load_graph_snapshot(const std::string& path);
 
-/// Loads a CSR snapshot. With `prefer_mmap` (and SYBIL_IO_MMAP not
-/// "off") the returned graph is a zero-copy view over the mapping,
-/// which it keeps alive; otherwise the arrays live in an owned buffer
-/// (still without per-element conversion).
-graph::CsrGraph load_csr_snapshot(const std::string& path,
-                                  bool prefer_mmap = true);
+graph::CsrGraph load_csr_snapshot(const std::string& path);
+
+/// The adjacency check every loader of stored rows runs: throws
+/// SnapshotError(kFormatViolation) with graph::simple_graph_defect()'s
+/// reason unless the rows form a simple undirected graph.
+void require_simple_graph(std::span<const std::uint64_t> offsets,
+                          std::span<const graph::NodeId> targets);
+/// The same check over a graph's rows (compacted first).
+void require_simple_graph(const graph::TimestampedGraph& g);
 
 }  // namespace sybil::io

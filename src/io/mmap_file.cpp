@@ -1,8 +1,5 @@
 #include "io/mmap_file.h"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "io/error.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -18,11 +15,6 @@
 
 namespace sybil::io {
 
-bool mmap_enabled() noexcept {
-  const char* env = std::getenv("SYBIL_IO_MMAP");
-  return env == nullptr || std::strcmp(env, "off") != 0;
-}
-
 MappedFile::~MappedFile() {
 #if SYBIL_IO_HAVE_MMAP
   if (mapped_ && data_ != nullptr) {
@@ -31,9 +23,8 @@ MappedFile::~MappedFile() {
 #endif
 }
 
-std::shared_ptr<const MappedFile> MappedFile::open(const std::string& path,
-                                                   bool prefer_mmap) {
-  auto file = std::shared_ptr<MappedFile>(new MappedFile());
+std::unique_ptr<const MappedFile> MappedFile::open(const std::string& path) {
+  auto file = std::unique_ptr<MappedFile>(new MappedFile());
 #if SYBIL_IO_HAVE_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
@@ -47,7 +38,7 @@ std::shared_ptr<const MappedFile> MappedFile::open(const std::string& path,
                         "cannot stat " + path);
   }
   const auto size = static_cast<std::size_t>(st.st_size);
-  if (prefer_mmap && mmap_enabled() && size > 0) {
+  if (size > 0) {
     void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
     if (map != MAP_FAILED) {
       ::close(fd);
@@ -74,7 +65,6 @@ std::shared_ptr<const MappedFile> MappedFile::open(const std::string& path,
   ::close(fd);
   file->owned_.resize(got);
 #else
-  (void)prefer_mmap;
   std::ifstream is(path, std::ios::binary);
   if (!is) {
     throw SnapshotError(SnapshotErrorCode::kOpenFailed,

@@ -1,11 +1,11 @@
 // Read-only file mapping with a portable fallback.
 //
-// On POSIX the file is mmap'd so large snapshot sections (CSR offset and
-// target arrays) are consumed in place — the page cache is the only copy,
-// and loading a graph snapshot costs page-table setup instead of a full
-// read+memcpy. When mmap is unavailable, fails, or is disabled with
-// SYBIL_IO_MMAP=off, the file is read() into an owned buffer; callers see
-// the same span either way.
+// On POSIX the file is mmap'd, so a container is checked and decoded
+// straight out of the page cache with no read+memcpy first. Only where
+// mmap is unavailable or fails is the file read() into an owned buffer;
+// callers see the same span either way. This opens the file directly,
+// not through an io::Vfs, so container reads are outside storage fault
+// injection (see io/vfs.h).
 #pragma once
 
 #include <cstddef>
@@ -18,12 +18,9 @@ namespace sybil::io {
 
 class MappedFile {
  public:
-  /// Maps (or reads) the whole file. Throws SnapshotError(kOpenFailed)
-  /// if the file cannot be opened or read. `prefer_mmap=false` forces
-  /// the read() path; the SYBIL_IO_MMAP=off environment knob does the
-  /// same globally (useful for A/B-testing the two paths).
-  static std::shared_ptr<const MappedFile> open(const std::string& path,
-                                                bool prefer_mmap = true);
+  /// Maps (or, where that fails, reads) the whole file. Throws
+  /// SnapshotError(kOpenFailed) if the file cannot be opened or read.
+  static std::unique_ptr<const MappedFile> open(const std::string& path);
 
   MappedFile(const MappedFile&) = delete;
   MappedFile& operator=(const MappedFile&) = delete;
@@ -33,8 +30,6 @@ class MappedFile {
     return {data_, size_};
   }
   std::size_t size() const noexcept { return size_; }
-  /// True when the bytes live in a kernel mapping (zero-copy path).
-  bool mapped() const noexcept { return mapped_; }
 
  private:
   MappedFile() = default;
@@ -44,8 +39,5 @@ class MappedFile {
   bool mapped_ = false;
   std::vector<std::byte> owned_;  // fallback storage when !mapped_
 };
-
-/// True unless SYBIL_IO_MMAP=off is set in the environment.
-bool mmap_enabled() noexcept;
 
 }  // namespace sybil::io

@@ -1,9 +1,13 @@
 // Injectable storage abstraction (in the spirit of SQLite's test VFS):
-// every durable path in this tree — WAL segments, checkpoint containers,
-// graph/dataset snapshots — performs its file I/O through a `Vfs` so
-// tests can substitute a deterministic fault-injecting implementation
-// (io/faulty_vfs.h) and prove that ENOSPC, EIO, short writes, and
-// power loss at any point leave every state root recoverable.
+// every durable write in this tree — WAL segments, checkpoint
+// containers, graph/dataset snapshots — and every WAL read performs its
+// file I/O through a `Vfs`, so tests can substitute a deterministic
+// fault-injecting implementation (io/faulty_vfs.h) and prove that
+// ENOSPC, EIO, short writes, and power loss at any point leave every
+// state root recoverable. Container *reads* are the exception: a
+// ContainerReader maps the file directly (io/mmap_file.h), so loading a
+// checkpoint or a snapshot is outside fault injection; a bad read
+// there surfaces as the container's typed SnapshotError.
 //
 // Contracts:
 //   - VfsFile::write is all-or-throw: on VfsError, `bytes_written()`

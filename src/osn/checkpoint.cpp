@@ -7,6 +7,7 @@
 
 #include "core/metrics/instrument.h"
 #include "io/container.h"
+#include "io/graph_snapshot.h"
 
 namespace sybil::osn {
 
@@ -294,11 +295,8 @@ void CheckpointAccess::save(const GroundTruthSimulator& sim,
 std::unique_ptr<GroundTruthSimulator> CheckpointAccess::load(
     const std::string& path) {
   SYBIL_METRIC_SCOPED_TIMER(span, "osn.checkpoint.load");
-  // Checkpoints are consumed once at resume, so the plain read() path
-  // is as good as mmap and keeps no mapping alive afterwards.
   const io::ContainerReader reader(path,
-                                   io::PayloadKind::kSimulatorCheckpoint,
-                                   /*prefer_mmap=*/false);
+                                   io::PayloadKind::kSimulatorCheckpoint);
 
   Meta meta;
   {
@@ -385,14 +383,11 @@ std::unique_ptr<GroundTruthSimulator> CheckpointAccess::load(
     for (std::uint64_t u = 0; u < meta.accounts; ++u) {
       adj[u].reserve(degrees[u]);
       for (std::uint32_t k = 0; k < degrees[u]; ++k, ++at) {
-        if (nodes[at] >= meta.accounts || nodes[at] == u) {
-          throw SnapshotError(SnapshotErrorCode::kFormatViolation,
-                              "neighbor id out of range or self-loop");
-        }
         adj[u].push_back({nodes[at], times[at], weak[at] != 0});
       }
     }
     net.graph_ = graph::TimestampedGraph::from_adjacency(std::move(adj));
+    io::require_simple_graph(net.graph_);
   }
   {
     ByteReader r(reader.section(kSecPending));

@@ -1,9 +1,10 @@
 #include "service/defense_scorer.h"
 
 #include <algorithm>
-#include <span>
 
+#include "graph/csr.h"
 #include "io/error.h"
+#include "io/graph_snapshot.h"
 
 namespace sybil::service {
 
@@ -45,6 +46,7 @@ void DefenseScorer::observe(const osn::Event& e) {
     ++ignored_;
     return;
   }
+  graph_.ensure_nodes(std::max(e.actor, e.subject) + 1);
   if (graph_.add_edge(e.actor, e.subject, e.time)) {
     ++edges_observed_;
   } else {
@@ -59,7 +61,7 @@ void DefenseScorer::refresh() {
   const bool changed = graph_.edge_count() != ranked_edges_ ||
                        rank_scores_.size() != graph_.node_count();
   if (!seeds_.empty() && changed) {
-    graph_.compact_rows(offsets_, targets_);
+    graph::compact_rows(graph_, offsets_, targets_);
     rank_.rounds_total_ += detect::sybilrank_pull(
         offsets_, targets_, seeds_, 0, rank_scores_, workspace_);
     ++rank_.full_recomputes_;
@@ -69,7 +71,7 @@ void DefenseScorer::refresh() {
 
 double DefenseScorer::clustering_score(graph::NodeId u) const {
   if (u >= graph_.node_count() || graph_.degree(u) < 2) return 0.0;
-  const auto row = graph_.chronological(u);
+  const auto row = graph_.neighbors(u);
   std::vector<graph::NodeId> nbrs(row.size());
   std::transform(row.begin(), row.end(), nbrs.begin(),
                  [](const graph::Neighbor& nb) { return nb.node; });
@@ -77,7 +79,7 @@ double DefenseScorer::clustering_score(graph::NodeId u) const {
   // Each edge among N(u) is seen once from either end.
   std::uint64_t twice = 0;
   for (const graph::NodeId w : nbrs) {
-    for (const graph::Neighbor& x : graph_.chronological(w)) {
+    for (const graph::Neighbor& x : graph_.neighbors(w)) {
       twice += std::binary_search(nbrs.begin(), nbrs.end(), x.node) ? 1 : 0;
     }
   }
@@ -100,7 +102,7 @@ std::vector<std::byte> DefenseScorer::serialize() const {
   const graph::NodeId n = graph_.node_count();
   w.write(static_cast<std::uint64_t>(n));
   for (graph::NodeId u = 0; u < n; ++u) {
-    const auto row = graph_.chronological(u);
+    const auto row = graph_.neighbors(u);
     w.write(static_cast<std::uint64_t>(row.size()));
     for (const graph::Neighbor& nb : row) {
       w.write(nb.node);
@@ -137,40 +139,13 @@ void DefenseScorer::restore(const std::vector<std::byte>& bytes) {
       nb.node = r.read<graph::NodeId>();
       nb.created_at = r.read<graph::Time>();
       nb.weak = r.read<std::uint8_t>() != 0;
-      if (nb.node >= n) malformed("defense-scorer neighbor id out of range");
     }
   }
   // Every undirected edge sits in two rows.
   if (half_edges % 2 != 0) malformed("defense-scorer rows list a half edge");
-  graph::DynamicGraph restored(
-      graph::TimestampedGraph::from_adjacency(std::move(adj)));
-  // The rows must form a simple undirected graph, as add_edge builds:
-  // no self-loop, no neighbour listed twice, and v in u's row iff u in
-  // v's. Checked on a sorted copy of each row.
-  std::vector<std::uint64_t> offsets;
-  std::vector<graph::NodeId> sorted;
-  restored.compact_rows(offsets, sorted);
-  const auto sorted_row = [&](graph::NodeId u) {
-    return std::span<graph::NodeId>(sorted).subspan(
-        offsets[u], offsets[u + 1] - offsets[u]);
-  };
-  for (graph::NodeId u = 0; u < restored.node_count(); ++u) {
-    const auto row = sorted_row(u);
-    std::sort(row.begin(), row.end());
-  }
-  for (graph::NodeId u = 0; u < restored.node_count(); ++u) {
-    const auto row = sorted_row(u);
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (row[i] == u) malformed("defense-scorer row lists a self-loop");
-      if (i > 0 && row[i] == row[i - 1]) {
-        malformed("defense-scorer row lists a neighbour twice");
-      }
-      const auto mirror = sorted_row(row[i]);
-      if (!std::binary_search(mirror.begin(), mirror.end(), u)) {
-        malformed("defense-scorer rows are not symmetric");
-      }
-    }
-  }
+  graph::TimestampedGraph restored =
+      graph::TimestampedGraph::from_adjacency(std::move(adj));
+  io::require_simple_graph(restored);
   graph_ = std::move(restored);
 
   // The scores came from a prefix of the edges the graph holds now.

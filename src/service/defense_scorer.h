@@ -3,14 +3,15 @@
 // The registry defenses (detectors/defense.h) are batch algorithms over
 // a static graph. DefenseScorer is their live-service counterpart — the
 // `service.defense.*` sweep tier (docs/DEFENSES.md): the supervisor
-// feeds it every *pumped* event, it grows a graph::DynamicGraph from
-// the edge-bearing kinds (accepted requests, seeded friendships), and
-// derives two defenses from it:
+// feeds it every *pumped* event, it grows a graph::TimestampedGraph
+// from the edge-bearing kinds (accepted requests, seeded friendships),
+// and derives two defenses from it:
 //
 //   SybilRank    recomputed in full by refresh() at each flag sweep that
-//                follows a graph change: the rows are compacted into a
-//                CSR and run through detect::sybilrank_pull(), the batch
-//                kernel itself, so the scores equal sybilrank_scores()
+//                follows a graph change: graph::compact_rows() writes
+//                the rows into reused CSR buffers and
+//                detect::sybilrank_pull(), the batch kernel itself,
+//                runs over them, so the scores equal sybilrank_scores()
 //                on the same graph bit for bit
 //   clustering   computed from u's rows when clustering_score(u) is
 //                read, with the batch kernel's expression over the same
@@ -41,7 +42,7 @@
 
 #include "core/detector_options.h"
 #include "detectors/sybilrank.h"
-#include "graph/dynamic_graph.h"
+#include "graph/graph.h"
 #include "io/container.h"
 #include "osn/events.h"
 
@@ -92,7 +93,7 @@ class DefenseScorer {
   /// neighbours' degrees · log deg u), allocating O(deg u).
   double clustering_score(graph::NodeId u) const;
 
-  const graph::DynamicGraph& graph() const noexcept { return graph_; }
+  const graph::TimestampedGraph& graph() const noexcept { return graph_; }
   const RankCounters& rank() const noexcept { return rank_; }
 
   // Replay-exact counters (reported in stats_json's "defense" object).
@@ -108,7 +109,7 @@ class DefenseScorer {
  private:
   std::uint32_t max_account_id_;
   std::vector<graph::NodeId> seeds_;
-  graph::DynamicGraph graph_;
+  graph::TimestampedGraph graph_;
   // The rank tier: CSR and kernel buffers kept across refreshes, the
   // scores of the last recompute and the edge count at the last refresh.
   std::vector<std::uint64_t> offsets_;

@@ -370,7 +370,7 @@ class ServiceSupervisor {
   const core::StreamDetector& detector() const noexcept { return detector_; }
   /// Never swept, checkpointed or restored: kept only because
   /// perfbench's checkpoint.realtime_state_bytes metric reads it
-  /// (ROADMAP item 3 removes it after a benchmark change).
+  /// (ROADMAP item 9 removes it, after item 10's benchmark change).
   core::RealTimeDetector& realtime() noexcept { return realtime_; }
   /// The defense tier's scorer, or nullptr when the tier is off.
   const DefenseScorer* defense() const noexcept { return scorer_.get(); }

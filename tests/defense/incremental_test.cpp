@@ -27,18 +27,16 @@
 #include "core/parallel.h"
 #include "detectors/sybilrank.h"
 #include "graph/clustering.h"
-#include "graph/dynamic_graph.h"
+#include "graph/csr.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "osn/events.h"
 #include "service/defense_scorer.h"
 #include "stats/rng.h"
-#include "support/graph_rows.h"
 
 namespace sybil::detect {
 namespace {
 
-using graph::DynamicGraph;
 using graph::NodeId;
 using graph::TimestampedGraph;
 using service::DefenseScorer;
@@ -148,7 +146,8 @@ void expect_batch_clustering(const DefenseScorer& scorer,
                              const std::string& what) {
   expect_bitwise_equal(
       clustering_of(scorer),
-      graph::local_clustering_all(graphtest::csr_of(scorer.graph())), what);
+      graph::local_clustering_all(graph::CsrGraph::from(scorer.graph())),
+      what);
 }
 
 /// SybilRank written out independently of the shared kernel, in the
@@ -156,7 +155,7 @@ void expect_batch_clustering(const DefenseScorer& scorer,
 /// node once: tᵢ[v] = Σ tᵢ₋₁[u] · (1/deg u) over v's chronological row.
 /// The products are the same IEEE values either way, so it must agree
 /// bit for bit.
-std::vector<double> reference_rank(const DynamicGraph& g) {
+std::vector<double> reference_rank(const TimestampedGraph& g) {
   const NodeId n = g.node_count();
   const auto iters = static_cast<std::size_t>(
       std::ceil(std::log2(std::max<double>(2.0, static_cast<double>(n)))));
@@ -168,7 +167,7 @@ std::vector<double> reference_rank(const DynamicGraph& g) {
   for (std::size_t it = 0; it < iters; ++it) {
     for (NodeId v = 0; v < n; ++v) {
       double sum = 0.0;
-      for (const graph::Neighbor& nb : g.chronological(v)) {
+      for (const graph::Neighbor& nb : g.neighbors(v)) {
         sum += trust[nb.node] * inv_degree[nb.node];
       }
       next[v] = sum;
@@ -186,9 +185,9 @@ std::vector<double> reference_rank(const DynamicGraph& g) {
 /// independent per-edge reference.
 void refresh_and_expect_batch(DefenseScorer& scorer, const std::string& what) {
   scorer.refresh();
-  expect_bitwise_equal(scorer.rank_scores(),
-                       sybilrank_scores(graphtest::csr_of(scorer.graph()), kSeeds),
-                       what);
+  expect_bitwise_equal(
+      scorer.rank_scores(),
+      sybilrank_scores(graph::CsrGraph::from(scorer.graph()), kSeeds), what);
   expect_bitwise_equal(scorer.rank_scores(), reference_rank(scorer.graph()),
                        what + "/reference");
 }

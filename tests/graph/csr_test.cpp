@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 namespace sybil::graph {
 namespace {
@@ -75,6 +77,23 @@ TEST(Csr, IsolatedNodes) {
   const CsrGraph csr = CsrGraph::from(g);
   for (NodeId u = 1; u < 9; ++u) EXPECT_EQ(csr.degree(u), 0u);
   EXPECT_TRUE(csr.neighbors(5).empty());
+}
+
+TEST(SimpleGraphDefect, NamesEachDefect) {
+  const auto defect = [](std::vector<std::uint64_t> offsets,
+                         std::vector<NodeId> targets) {
+    const char* why = simple_graph_defect(offsets, targets);
+    return std::string(why == nullptr ? "" : why);
+  };
+  EXPECT_EQ(defect({0}, {}), "");
+  EXPECT_EQ(defect({0, 2, 3, 4}, {1, 2, 0, 0}), "");
+  EXPECT_EQ(defect({}, {}), "csr offsets do not bracket the target array");
+  EXPECT_EQ(defect({1, 1}, {0}), "csr offsets do not bracket the target array");
+  EXPECT_EQ(defect({0, 2, 1, 2}, {1, 0}), "csr offsets not monotonic");
+  EXPECT_EQ(defect({0, 1, 2}, {1, 2}), "neighbor id out of range");
+  EXPECT_EQ(defect({0, 2, 3, 4}, {0, 1, 0, 2}), "row lists a self-loop");
+  EXPECT_EQ(defect({0, 2, 4}, {1, 1, 0, 0}), "row lists a neighbour twice");
+  EXPECT_EQ(defect({0, 2, 3, 4}, {1, 2, 2, 0}), "rows are not symmetric");
 }
 
 }  // namespace

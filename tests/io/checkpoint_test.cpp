@@ -7,8 +7,11 @@
 #include <stdexcept>
 #include <string>
 
+#include "io/container.h"
 #include "io/error.h"
 #include "osn/simulator.h"
+#include "support/container_sections.h"
+#include "support/non_simple_rows.h"
 
 namespace sybil::osn {
 namespace {
@@ -149,6 +152,47 @@ TEST(Checkpoint, MissingFileIsOpenFailed) {
   } catch (const io::SnapshotError& e) {
     EXPECT_EQ(e.code(), io::SnapshotErrorCode::kOpenFailed);
   }
+}
+
+// The graph sections go through the same adjacency check as every
+// other loader of stored rows. The rows are swapped into a real
+// checkpoint behind valid CRCs, padded with isolated accounts.
+TEST(Checkpoint, RefusesGraphRowsThatAreNotASimpleGraph) {
+  const std::string ckpt = temp_path("ckpt_rows.snap");
+  GroundTruthSimulator sim(small_config());
+  save_checkpoint(sim, ckpt);
+  constexpr auto kKind = io::PayloadKind::kSimulatorCheckpoint;
+  const iotest::Sections base = iotest::read_sections(ckpt, kKind);
+  const std::size_t accounts = sim.network().account_count();
+  const auto save = [&](const graphtest::Rows& rows) {
+    std::vector<std::uint32_t> degrees(accounts, 0);
+    std::vector<NodeId> nodes;
+    std::vector<double> times;
+    std::vector<std::uint8_t> weak;
+    for (std::size_t u = 0; u < rows.size(); ++u) {
+      degrees[u] = static_cast<std::uint32_t>(rows[u].size());
+      for (const NodeId v : rows[u]) {
+        nodes.push_back(v);
+        times.push_back(1.0);
+        weak.push_back(0);
+      }
+    }
+    iotest::Sections sections = base;
+    // Sections 6-9: degrees, neighbour ids, times, weak flags.
+    sections[6] = iotest::pod_bytes(degrees);
+    sections[7] = iotest::pod_bytes(nodes);
+    sections[8] = iotest::pod_bytes(times);
+    sections[9] = iotest::pod_bytes(weak);
+    iotest::write_sections(sections, kKind, ckpt);
+  };
+  for (const auto& [defect, rows] : graphtest::non_simple_rows()) {
+    SCOPED_TRACE(defect);
+    save(rows);
+    graphtest::expect_format_violation([&] { load_checkpoint(ckpt); });
+  }
+  save(graphtest::simple_rows());  // the control
+  EXPECT_EQ(load_checkpoint(ckpt)->network().graph().edge_count(), 2u);
+  std::remove(ckpt.c_str());
 }
 
 }  // namespace

@@ -70,9 +70,12 @@ TEST(Container, CommitThenOpenBothIoPaths) {
   writer.add_section(9, payload_of({0xab, 0xcd}));
   writer.commit(path);
 
-  for (const bool mmap : {true, false}) {
-    const ContainerReader reader(path, PayloadKind::kDataset, mmap);
-    const auto bytes = reader.section(9);
+  // The two ways into a reader: the committed file, mapped, and the
+  // same image in memory.
+  const ContainerReader from_file(path, PayloadKind::kDataset);
+  const ContainerReader from_image(writer.serialize(), PayloadKind::kDataset);
+  for (const ContainerReader* reader : {&from_file, &from_image}) {
+    const auto bytes = reader->section(9);
     ASSERT_EQ(bytes.size(), 2u);
     EXPECT_EQ(std::to_integer<int>(bytes[0]), 0xab);
   }

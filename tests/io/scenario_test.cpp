@@ -12,6 +12,7 @@
 #include "io/error.h"
 #include "io/graph_snapshot.h"
 #include "stats/rng.h"
+#include "support/non_simple_rows.h"
 
 namespace sybil::bench {
 namespace {
@@ -43,7 +44,7 @@ TEST(ScenarioSnapshot, LoadedGraphSurvivesUnlink) {
   save_scenario(original, path);
   const DefenseScenario loaded = load_scenario(path);
   std::remove(path.c_str());
-  // The CSR view keeps its backing alive; traversal still works.
+  // The loaded graph owns its arrays; traversal still works.
   std::uint64_t degree_sum = 0;
   for (graph::NodeId u = 0; u < loaded.g.node_count(); ++u) {
     degree_sum += loaded.g.degree(u);
@@ -66,6 +67,27 @@ TEST(ScenarioSnapshot, RejectsNonScenarioFile) {
   } catch (const io::SnapshotError& e) {
     EXPECT_EQ(e.code(), io::SnapshotErrorCode::kWrongPayload);
   }
+  std::remove(path.c_str());
+}
+
+TEST(ScenarioSnapshot, RefusesRowsThatAreNotASimpleGraph) {
+  const std::string path = ::testing::TempDir() + "/scenario_rows.snap";
+  DefenseScenario s;
+  s.name = "rows";
+  s.is_sybil = {false, false, true};
+  s.honest_seeds = {0};
+  s.eval_sample = {0, 2};
+  const auto save = [&](const graphtest::Rows& rows) {
+    s.g = graphtest::csr_of(rows);
+    save_scenario(s, path);
+  };
+  for (const auto& [defect, rows] : graphtest::non_simple_rows()) {
+    SCOPED_TRACE(defect);
+    save(rows);
+    graphtest::expect_format_violation([&] { load_scenario(path); });
+  }
+  save(graphtest::simple_rows());  // the control
+  EXPECT_EQ(load_scenario(path).g.edge_count(), 2u);
   std::remove(path.c_str());
 }
 

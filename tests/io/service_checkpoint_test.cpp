@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "core/detector_options.h"
-#include "graph/dynamic_graph.h"
 #include "graph/graph.h"
 #include "io/container.h"
 #include "io/error.h"
@@ -402,7 +401,7 @@ TEST(ServiceCheckpoint, DefenseRestoreRefusesRowsThatAreNotASimpleGraph) {
       scorer.restore(scorer_with_rows(rows));
       ADD_FAILURE() << "rows that are not a simple graph loaded";
     } catch (const io::SnapshotError& e) {
-      EXPECT_EQ(e.code(), io::SnapshotErrorCode::kMalformedSection)
+      EXPECT_EQ(e.code(), io::SnapshotErrorCode::kFormatViolation)
           << e.what();
     }
   }
@@ -442,10 +441,10 @@ std::vector<std::byte> golden_defense_section() {
 
 /// A loaded scorer's graph must be a simple undirected graph, as
 /// add_edge builds: no self-loop, no repeated neighbour, symmetric rows.
-void expect_simple_symmetric(const graph::DynamicGraph& g) {
+void expect_simple_symmetric(const graph::TimestampedGraph& g) {
   for (graph::NodeId u = 0; u < g.node_count(); ++u) {
     std::vector<graph::NodeId> row;
-    for (const graph::Neighbor& nb : g.chronological(u)) row.push_back(nb.node);
+    for (const graph::Neighbor& nb : g.neighbors(u)) row.push_back(nb.node);
     std::sort(row.begin(), row.end());
     for (std::size_t i = 0; i < row.size(); ++i) {
       ASSERT_NE(row[i], u) << "self-loop at " << u;

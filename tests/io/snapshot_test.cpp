@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -14,6 +17,8 @@
 #include "io/dataset_snapshot.h"
 #include "ml/dataset.h"
 #include "stats/rng.h"
+#include "support/container_sections.h"
+#include "support/non_simple_rows.h"
 
 namespace sybil::io {
 namespace {
@@ -120,6 +125,9 @@ TEST(GraphSnapshot, RejectsWrongPayloadKind) {
   std::remove(path.c_str());
 }
 
+// The mapped load and a read() of the same bytes into memory (the path
+// taken where mmap fails) see the same sections, and the loaded graph
+// equals the saved one row for row.
 TEST(CsrSnapshot, MmapAndStreamLoadsAgree) {
   stats::Rng rng(9);
   const graph::TimestampedGraph g = graph::osn_like_graph(
@@ -130,34 +138,85 @@ TEST(CsrSnapshot, MmapAndStreamLoadsAgree) {
   const std::string path = temp_path("csr_rt.snap");
   save_csr_snapshot(csr, path);
 
-  const graph::CsrGraph via_mmap = load_csr_snapshot(path, true);
-  const graph::CsrGraph via_read = load_csr_snapshot(path, false);
-  for (const graph::CsrGraph* loaded : {&via_mmap, &via_read}) {
-    ASSERT_EQ(loaded->node_count(), csr.node_count());
-    ASSERT_EQ(loaded->edge_count(), csr.edge_count());
-    for (graph::NodeId u = 0; u < csr.node_count(); ++u) {
-      const auto expect = csr.neighbors(u);
-      const auto got = loaded->neighbors(u);
-      ASSERT_TRUE(std::equal(expect.begin(), expect.end(), got.begin(),
-                             got.end()))
-          << "node " << u;
-    }
+  const iotest::Sections mapped =
+      iotest::read_sections(path, PayloadKind::kCsrGraph);
+  std::ifstream in(path, std::ios::binary);
+  const std::string raw((std::istreambuf_iterator<char>(in)), {});
+  in.close();
+  const auto* first = reinterpret_cast<const std::byte*>(raw.data());
+  const ContainerReader streamed(
+      std::vector<std::byte>(first, first + raw.size()),
+      PayloadKind::kCsrGraph);
+  ASSERT_FALSE(mapped.empty());
+  for (const auto& [id, bytes] : mapped) {
+    const auto got = streamed.section(id);
+    EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), got.begin(),
+                           got.end()))
+        << "section " << id;
   }
+
+  const graph::CsrGraph loaded = load_csr_snapshot(path);
   std::remove(path.c_str());
+  ASSERT_EQ(loaded.node_count(), csr.node_count());
+  ASSERT_EQ(loaded.edge_count(), csr.edge_count());
+  for (graph::NodeId u = 0; u < csr.node_count(); ++u) {
+    const auto expect = csr.neighbors(u);
+    const auto got = loaded.neighbors(u);
+    ASSERT_TRUE(std::equal(expect.begin(), expect.end(), got.begin(),
+                           got.end()))
+        << "node " << u;
+  }
 }
 
 TEST(CsrSnapshot, ViewOutlivesLoadCall) {
-  // The zero-copy view must keep its file mapping alive on its own.
+  // The loaded graph owns its arrays: it outlives its file, and a copy
+  // of it is a copy.
   const std::string path = temp_path("csr_view.snap");
   save_csr_snapshot(graph::CsrGraph::from(tiny_graph()), path);
-  graph::CsrGraph loaded = load_csr_snapshot(path, true);
-  std::remove(path.c_str());  // unlink: the mapping must still be valid
+  graph::CsrGraph loaded = load_csr_snapshot(path);
+  std::remove(path.c_str());  // unlink: the graph must still be valid
   EXPECT_EQ(loaded.node_count(), 4u);
   EXPECT_EQ(loaded.degree(0), 2u);
   EXPECT_EQ(loaded.neighbors(1).size(), 2u);
-  // Copies of a view share the backing.
   const graph::CsrGraph copy = loaded;
+  loaded = graph::CsrGraph();
+  EXPECT_EQ(copy.node_count(), 4u);
   EXPECT_EQ(copy.degree(0), 2u);
+  EXPECT_EQ(copy.neighbors(1).size(), 2u);
+}
+
+// Rows that are not a simple undirected graph are refused by both
+// graph loaders, through the one adjacency check.
+TEST(GraphSnapshot, RefusesRowsThatAreNotASimpleGraph) {
+  const std::string path = temp_path("graph_not_simple.snap");
+  const auto save = [&](const graphtest::Rows& rows) {
+    save_graph_snapshot(
+        graph::TimestampedGraph::from_adjacency(graphtest::adjacency_of(rows)),
+        path);
+  };
+  for (const auto& [defect, rows] : graphtest::non_simple_rows()) {
+    SCOPED_TRACE(defect);
+    save(rows);
+    graphtest::expect_format_violation([&] { load_graph_snapshot(path); });
+  }
+  save(graphtest::simple_rows());  // the control
+  EXPECT_EQ(load_graph_snapshot(path).edge_count(), 2u);
+  std::remove(path.c_str());
+}
+
+TEST(CsrSnapshot, RefusesRowsThatAreNotASimpleGraph) {
+  const std::string path = temp_path("csr_not_simple.snap");
+  const auto save = [&](const graphtest::Rows& rows) {
+    save_csr_snapshot(graphtest::csr_of(rows), path);
+  };
+  for (const auto& [defect, rows] : graphtest::non_simple_rows()) {
+    SCOPED_TRACE(defect);
+    save(rows);
+    graphtest::expect_format_violation([&] { load_csr_snapshot(path); });
+  }
+  save(graphtest::simple_rows());  // the control
+  EXPECT_EQ(load_csr_snapshot(path).edge_count(), 2u);
+  std::remove(path.c_str());
 }
 
 TEST(DatasetSnapshot, RoundTripsBitExact) {
