@@ -11,6 +11,7 @@
 // rates — which CI diffs against the committed BENCH_micro.json
 // baseline. All other flags pass through to google-benchmark.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstddef>
@@ -292,6 +293,15 @@ std::string wal_bench_dir() {
       .string();
 }
 
+/// Bytes of every file in `dir`: what the WAL rows count as processed.
+std::uint64_t directory_bytes(const std::string& dir) {
+  std::uint64_t n = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    n += entry.file_size();
+  }
+  return n;
+}
+
 osn::Event wal_bench_event(std::uint64_t i) {
   return osn::Event{osn::EventType::kRequestSent,
                     static_cast<graph::NodeId>(i % 997),
@@ -316,18 +326,20 @@ void BM_WalAppend(benchmark::State& state) {
   {
     service::WalWriter wal(options, 0);
     for (auto _ : state) {
-      benchmark::DoNotOptimize(wal.append(wal_bench_event(i), i, 0));
+      const osn::Event e = wal_bench_event(i);
+      benchmark::DoNotOptimize(wal.append(e, i, 0, e.time));
       if (++i % kBatch == 0) wal.commit();
     }
     wal.commit();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(i));
-  state.SetBytesProcessed(static_cast<std::int64_t>(i) * 44);
+  state.SetBytesProcessed(static_cast<std::int64_t>(directory_bytes(dir)));
   std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_WalAppend)->Arg(0)->Arg(2);
 
-/// Full-log recovery scan (CRC every record) over 64k records.
+/// Full-log recovery scan (one CRC per frame) over 64k records, written
+/// as the supervisor writes them under kNever: a frame per segment.
 void BM_WalReplay(benchmark::State& state) {
   static const std::string dir = [] {
     const std::string d = wal_bench_dir() + "_replay";
@@ -337,24 +349,28 @@ void BM_WalReplay(benchmark::State& state) {
     options.fsync = service::WalFsync::kNever;
     service::WalWriter wal(options, 0);
     for (std::uint64_t i = 0; i < 65'536; ++i) {
-      wal.append(wal_bench_event(i), i, 0);
+      const osn::Event e = wal_bench_event(i);
+      wal.append(e, i, 0, e.time);
+      wal.commit();
     }
     return d;
   }();
+  const std::uint64_t log_bytes = directory_bytes(dir);
+  std::uint64_t scans = 0;
   std::uint64_t records = 0;
   for (auto _ : state) {
     service::WalScanReport report;
     const auto replayed = service::scan_wal(dir, 0, report);
     benchmark::DoNotOptimize(replayed.data());
     records += report.records_returned;
+    ++scans;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(records));
-  state.SetBytesProcessed(static_cast<std::int64_t>(records) * 44);
+  state.SetBytesProcessed(static_cast<std::int64_t>(scans * log_bytes));
 }
 BENCHMARK(BM_WalReplay);
 
-/// CRC-32 throughput at the two sizes the service checksums: a 44-byte
-/// WAL record and an 8 MiB checkpoint section.
+/// CRC-32 throughput at a small block and an 8 MiB checkpoint section.
 void BM_Crc32(benchmark::State& state) {
   std::vector<std::byte> bytes(static_cast<std::size_t>(state.range(0)));
   for (std::size_t i = 0; i < bytes.size(); ++i) {
@@ -623,6 +639,9 @@ BENCHMARK(BM_DefenseRefresh);
 /// was measured on, not a portable truth.
 class JsonSeriesReporter : public benchmark::ConsoleReporter {
  public:
+  explicit JsonSeriesReporter(OutputOptions options)
+      : benchmark::ConsoleReporter(options) {}
+
   void ReportRuns(const std::vector<Run>& runs) override {
     benchmark::ConsoleReporter::ReportRuns(runs);
     for (const Run& run : runs) {
@@ -766,6 +785,24 @@ int diff_against_baseline(
   return regressions;
 }
 
+/// The console options google-benchmark's own reporter would pick:
+/// colour per --benchmark_color (true/false, or auto: only on a tty),
+/// so piped output carries no ANSI escapes.
+benchmark::ConsoleReporter::OutputOptions console_options(int argc,
+                                                          char** argv) {
+  std::string value = "auto";
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--benchmark_color") value = "true";
+    if (arg.rfind("--benchmark_color=", 0) == 0) value = arg.substr(18);
+  }
+  bool color = ::isatty(STDOUT_FILENO) != 0;
+  if (value == "true" || value == "yes" || value == "1") color = true;
+  if (value == "false" || value == "no" || value == "0") color = false;
+  return color ? benchmark::ConsoleReporter::OO_ColorTabular
+               : benchmark::ConsoleReporter::OO_Tabular;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -798,7 +835,7 @@ int main(int argc, char** argv) {
 
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  JsonSeriesReporter reporter;
+  JsonSeriesReporter reporter(console_options(argc, argv));
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   if (!json_path.empty() && !reporter.write_json(json_path)) {

@@ -133,7 +133,9 @@ void StreamDetector::add_edge(osn::NodeId u, osn::NodeId v, graph::Time) {
   if (u == v || !edges_.insert(edge_key(u, v))) return;
 
   // Accounts (other than the endpoints) watching BOTH endpoints gain an
-  // internal link. Scan the smaller watcher list.
+  // internal link. Scan the smaller watcher list. A gain only raises a
+  // watcher's clustering, which cannot newly satisfy the rule's
+  // clustering < clustering_max, so no watcher needs a re-check.
   const auto& wa = watchers_[u].size() <= watchers_[v].size() ? watchers_[u]
                                                               : watchers_[v];
   const osn::NodeId other =
@@ -143,7 +145,6 @@ void StreamDetector::add_edge(osn::NodeId u, osn::NodeId v, graph::Time) {
     const auto& friends = accounts_[w].first_friends;
     if (std::find(friends.begin(), friends.end(), other) != friends.end()) {
       ++accounts_[w].internal_links;
-      mark_dirty(w);
     }
   }
 
@@ -208,13 +209,16 @@ void StreamDetector::mark_dirty(osn::NodeId id) {
 // account would. Features read no clock, so a verdict changes only with
 // the rule's inputs: the sent and accepted counts, the first friends
 // and the links among them. apply() calls maybe_flag on an account
-// after every such change except two, whose accounts it marks dirty:
-// first-friend growth on both endpoints of a seeded friendship, and the
-// internal-link gain of the watchers add_edge scans. Every other
-// account was last evaluated (by apply() or an earlier sweep) with the
-// inputs it has now, is zero-state since ensure() (an outgoing ratio of
-// 1.0 is never below a validated outgoing_accept_max <= 1), or is
-// flagged or banned, which maybe_flag skips. A full scan would flag
+// after every such change except two. First-friend growth on both
+// endpoints of a seeded friendship marks them dirty. The internal-link
+// gain of the watchers add_edge scans marks nothing: it only raises a
+// watcher's clustering coefficient, and the rule flags on clustering
+// below clustering_max, so a watcher that did not flag before the gain
+// cannot flag after it. Every other account was last evaluated (by
+// apply() or an earlier sweep) with the inputs it has now, or with a
+// lower clustering only, is zero-state since ensure() (an outgoing
+// ratio of 1.0 is never below a validated outgoing_accept_max <= 1), or
+// is flagged or banned, which maybe_flag skips. A full scan would flag
 // none of them, so sweeping the dirty ids in ascending order yields the
 // same FlagBatch, in the same order, with the same flagged_at. A
 // restore marks every account (detector_state.cpp): a superset.
@@ -232,7 +236,8 @@ std::size_t StreamDetector::sweep_flags(graph::Time now) {
 }
 
 bool StreamDetector::structurally_valid(const osn::Event& e,
-                                        StreamErrorCode& reason) const {
+                                        const IngestOptions& ingest,
+                                        StreamErrorCode& reason) noexcept {
   if (!osn::event_type_known(static_cast<std::uint8_t>(e.type))) {
     reason = StreamErrorCode::kUnknownEventType;
     return false;
@@ -241,8 +246,7 @@ bool StreamDetector::structurally_valid(const osn::Event& e,
     reason = StreamErrorCode::kNonFiniteTime;
     return false;
   }
-  if (e.actor > options_.ingest.max_account_id ||
-      e.subject > options_.ingest.max_account_id) {
+  if (e.actor > ingest.max_account_id || e.subject > ingest.max_account_id) {
     reason = StreamErrorCode::kInvalidAccountId;
     return false;
   }
@@ -311,12 +315,20 @@ void StreamDetector::release_ready() {
   }
 }
 
-void StreamDetector::ingest(const osn::Event& e, std::uint64_t seq) {
+void StreamDetector::ingest(const osn::Event& e, std::uint64_t seq,
+                            graph::Time stamp) {
   ++events_in_;
   SYBIL_METRIC_COUNT("stream.ingest.events_in", 1);
   if (seq == kAutoSeq) seq = next_auto_seq_++;
+  // The fleet's clock first: a shard that owns neither party of the
+  // newest events still moves its watermark with them, so the checks
+  // below see the low watermark a single detector fed every event would.
+  if (stamp > high_watermark_) {
+    high_watermark_ = stamp;
+    release_ready();
+  }
   StreamErrorCode reason;
-  if (!structurally_valid(e, reason)) {
+  if (!structurally_valid(e, options_.ingest, reason)) {
     quarantine(e, seq, reason);
     return;
   }
@@ -364,7 +376,8 @@ void StreamDetector::restore_buffered(const osn::Event& e, std::uint64_t seq) {
   // A valid event at or below the low watermark was released or was a
   // time regression: release_ready() ran after every watermark rise.
   StreamErrorCode reason;
-  if (!structurally_valid(e, reason) || e.time <= low_watermark() ||
+  if (!structurally_valid(e, options_.ingest, reason) ||
+      e.time <= low_watermark() ||
       !seen_seqs_.insert(seq)) {
     return;
   }

@@ -84,13 +84,27 @@ class StreamDetector {
   /// redelivery of an already-seen seq within the reorder horizon is
   /// counted as a duplicate and ignored. A rejected event is
   /// quarantined into the dead-letter queue; ingest never throws on
-  /// bad input.
-  void ingest(const osn::Event& e, std::uint64_t seq = kAutoSeq);
+  /// bad input. `stamp` is the stream clock a ShardRouter stamps on
+  /// every copy — the largest valid event time offered to the whole
+  /// fleet so far — so every shard quarantines and releases against one
+  /// clock: the high watermark becomes max(itself, stamp, e.time), and
+  /// the stamp counts even when `e` is rejected. With osn::kNoStamp the
+  /// watermark follows this detector's own events only.
+  void ingest(const osn::Event& e, std::uint64_t seq = kAutoSeq,
+              graph::Time stamp = osn::kNoStamp);
 
   /// Drains the reorder buffer (end of stream / shutdown). Events still
   /// in flight are applied in (time, seq) order. ingest() may be called
   /// again afterwards; the watermark is retained.
   void finish();
+
+  /// Structural validation of an untrusted record under `ingest`.
+  /// Returns true when the event may be applied; otherwise sets
+  /// `reason`. The router's clock counts only the times of events that
+  /// pass, as a single detector's watermark does.
+  static bool structurally_valid(const osn::Event& e,
+                                 const IngestOptions& ingest,
+                                 StreamErrorCode& reason) noexcept;
 
   /// Smallest seq in the reorder buffer, or kAutoSeq when it is empty.
   std::uint64_t oldest_buffered_seq() const noexcept;
@@ -189,9 +203,6 @@ class StreamDetector {
   void mark_dirty(osn::NodeId id);
   /// Applies one released log-convention event to the features.
   void apply(const osn::Event& e);
-  /// Structural validation of an untrusted record. Returns true when
-  /// the event may be applied; otherwise sets `reason`.
-  bool structurally_valid(const osn::Event& e, StreamErrorCode& reason) const;
   /// Accounts for a rejected event (dead-letter queue + counters).
   void quarantine(const osn::Event& e, std::uint64_t seq,
                   StreamErrorCode reason);
@@ -239,7 +250,7 @@ class StreamDetector {
   /// pruning (time < low) under the same low watermark, so only
   /// released seqs are ever prunable.
   std::deque<std::pair<graph::Time, std::uint64_t>> released_;
-  graph::Time high_watermark_;  // max event time accepted so far
+  graph::Time high_watermark_;  // max event time accepted or stamped so far
   std::deque<DeadLetter> dead_letters_;
   std::uint64_t next_auto_seq_;
   std::uint64_t events_in_ = 0;

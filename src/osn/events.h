@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "graph/graph.h"
@@ -43,6 +44,12 @@ struct Event {
   graph::NodeId subject;  // the other party (== actor for account events)
   graph::Time time;
 };
+
+/// Stream-clock stamp of an event offered without one: a ShardRouter
+/// stamps every copy it routes with the stream clock
+/// (core::StreamDetector::ingest); a standalone offer carries this.
+inline constexpr graph::Time kNoStamp =
+    -std::numeric_limits<graph::Time>::infinity();
 
 /// Simple append-only event log with typed counters.
 class EventLog {

@@ -120,7 +120,37 @@ RouterRecoveryReport ShardRouter::start() {
   for (auto& s : shards_) report.shards.push_back(s->start());
   started_ = true;
   report.next_seq = next_seq();
+  // A shard at the minimum frontier logged seq F - 1, and with it the
+  // clock the re-drive from F continues.
+  head_ = report.next_seq;
+  for (const auto& s : shards_) {
+    if (s->next_seq() == head_) clock_ = s->clock();
+  }
   return report;
+}
+
+void ShardRouter::advance_clock(const osn::Event& e, std::uint64_t seq) {
+  core::StreamErrorCode reason;
+  const bool counts = core::StreamDetector::structurally_valid(
+      e, options_.shard.detector.ingest, reason);
+  if (seq >= head_) {
+    if (counts && e.time > clock_) clock_ = e.time;
+    head_ = seq + 1;
+  }
+  for (auto c = catchup_.begin(); c != catchup_.end();) {
+    if (seq >= c->next) {
+      if (counts && e.time > c->clock) c->clock = e.time;
+      c->next = seq + 1;
+    }
+    c = c->next >= head_ ? catchup_.erase(c) : c + 1;
+  }
+}
+
+graph::Time ShardRouter::stamp_for(std::uint32_t i) const noexcept {
+  for (const Catchup& c : catchup_) {
+    if (c.shard == i) return c.clock;
+  }
+  return clock_;
 }
 
 void ShardRouter::deliver(std::uint32_t i, const osn::Event& e,
@@ -147,7 +177,7 @@ void ShardRouter::deliver(std::uint32_t i, const osn::Event& e,
   // whose offer throws (a crash at a checkpoint inside it, a full
   // degraded buffer) never happened — the resume re-drives it — so the
   // copies identity survives an unwind through here.
-  const bool admitted = shards_[i]->offer(e, seq);
+  const bool admitted = shards_[i]->offer(e, seq, stamp_for(i));
   ++copies_routed_;
   ++result.routed;
   ++copies_delivered_;
@@ -172,6 +202,7 @@ RouteResult ShardRouter::offer_batch(std::span<const osn::Event> events,
   for (std::size_t k = 0; k < events.size(); ++k) {
     ++offers_;
     const osn::Event& e = events[k];
+    advance_clock(e, base_seq + k);
     const RoutePlan plan = plan_route(e, n);
     if (plan.broadcast) {
       for (std::uint32_t i = 0; i < n; ++i) {
@@ -315,6 +346,10 @@ RecoveryReport ShardRouter::restart_shard(std::uint32_t i) {
   shards_[i] = std::make_unique<ServiceSupervisor>(shard_options(i));
   const RecoveryReport report = shards_[i]->start();
   down_[i] = 0;
+  std::erase_if(catchup_, [i](const Catchup& c) { return c.shard == i; });
+  if (report.next_seq < head_) {
+    catchup_.push_back({i, report.next_seq, shards_[i]->clock()});
+  }
   return report;
 }
 

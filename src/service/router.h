@@ -38,6 +38,17 @@
 // sweep therefore hold *per shard*, with designed cross-shard copies
 // accounted explicitly (copies_routed/delivered/suppressed).
 //
+// One stream clock. The router stamps every copy with the largest valid
+// event time offered to the fleet so far (its own time included), and
+// each shard's StreamDetector quarantines and releases against that
+// stamp rather than against the copies it happened to receive — so N
+// shards and 1 shard agree however far an event lags. The stamp is a
+// function of the global prefix by seq: a re-driven offer restamps
+// identically. After start() the clock resumes from the shard at the
+// minimum frontier F, which logged seq F - 1 with its stamp; a shard
+// restart_shard() brings back behind the stream follows a clock of its
+// own over the re-driven seqs until it has caught up.
+//
 // Durability. Each shard has one durability clock, its
 // ServiceSupervisor::commit(); offer_batch() offers every copy of the
 // batch and then commits each live shard once, in ascending order.
@@ -276,6 +287,10 @@ class ShardRouter {
   std::size_t fan_out(PerShard per_shard);
   void deliver(std::uint32_t i, const osn::Event& e, std::uint64_t seq,
                RouteResult& result);
+  /// Moves the stream clock (and each catching-up shard's) past `seq`.
+  void advance_clock(const osn::Event& e, std::uint64_t seq);
+  /// The stamp shard i's copy of the current offer carries.
+  graph::Time stamp_for(std::uint32_t i) const noexcept;
 
   ShardRouterOptions options_;
   std::vector<std::unique_ptr<ServiceSupervisor>> shards_;
@@ -288,6 +303,18 @@ class ShardRouter {
   std::uint64_t copies_delivered_ = 0;
   std::uint64_t copies_suppressed_ = 0;
   std::uint64_t copies_skipped_down_ = 0;
+
+  /// The largest valid event time among seqs below head_.
+  graph::Time clock_ = osn::kNoStamp;
+  std::uint64_t head_ = 0;  // one past the highest seq offered
+  /// A shard restarted behind head_: its clock covers the seqs below
+  /// `next`, and it rejoins clock_ once `next` reaches head_.
+  struct Catchup {
+    std::uint32_t shard;
+    std::uint64_t next;
+    graph::Time clock;
+  };
+  std::vector<Catchup> catchup_;
 };
 
 }  // namespace sybil::service

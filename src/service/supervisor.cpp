@@ -265,6 +265,7 @@ void ServiceSupervisor::reset_state() {
   tier_ = core::ServiceTier::kFull;
   counters_ = {};
   next_seq_ = 0;
+  clock_ = osn::kNoStamp;
   storage_degraded_ = false;
 }
 
@@ -363,40 +364,62 @@ RecoveryReport ServiceSupervisor::start() {
   // did not store; the rest replay through apply(), which re-counts them
   // as the live offers did. The WAL must hold all of them: indices ascend
   // strictly, so the first index and the count below the position rule
-  // out any gap. No fallback: an older generation needs a superset.
+  // out any gap. No fallback: an older generation needs a superset. The
+  // scan hands records over as it decodes them, so the log is never
+  // held twice; a throw drops whatever was restored or replayed.
+  std::optional<std::uint64_t> first;
+  std::uint64_t below = 0;
+  bool rebuilt = false;
+  // Runs once every record below the position is queued: checks the
+  // coverage, then hands the detector the ones it held.
+  const auto rebuild = [&] {
+    rebuilt = true;
+    if ((first && *first != replay_from) || below != position - replay_from) {
+      throw io::SnapshotError(
+          io::SnapshotErrorCode::kTruncated,
+          "WAL " + wal_dir + " does not reach its replay start " +
+              std::to_string(replay_from) + " below position " +
+              std::to_string(position) + " (first record " +
+              (first ? std::to_string(*first) : "none") + ")");
+    }
+    // The queue is the last admitted - pumped of those (a pumped count
+    // above admitted wraps past any size); the detector pumped the ones
+    // before it and re-buffers those it still held.
+    const std::uint64_t queued = counters_.admitted - counters_.pumped;
+    if (queue_.size() < queued) {
+      throw io::SnapshotError(io::SnapshotErrorCode::kFormatViolation,
+                              "checkpoint queue outruns its WAL records");
+    }
+    for (; queue_.size() > queued; queue_.pop_front()) {
+      detector_.restore_buffered(queue_.front().event, queue_.front().index);
+    }
+  };
   WalScanReport scan;
-  const std::vector<WalRecord> records =
-      scan_wal(wal_dir, replay_from, scan, options_.shard_id, options_.vfs);
-  const auto suffix = std::partition_point(
-      records.begin(), records.end(),
-      [position](const WalRecord& r) { return r.index < position; });
-  if ((!records.empty() && records.front().index != replay_from) ||
-      static_cast<std::uint64_t>(suffix - records.begin()) !=
-          position - replay_from) {
-    throw io::SnapshotError(
-        io::SnapshotErrorCode::kTruncated,
-        "WAL " + wal_dir + " does not reach its replay start " +
-            std::to_string(replay_from) + " below position " +
-            std::to_string(position) + " (first record " +
-            (records.empty() ? "none" : std::to_string(records[0].index)) +
-            ")");
+  try {
+    scan = scan_wal(
+        wal_dir, replay_from,
+        [&](const WalRecord& r) {
+          if (!first) first = r.index;
+          if (r.index < position) {
+            ++below;
+            if (!r.shed()) {  // counted in the checkpoint
+              queue_.push_back({r.index, r.seq, r.event, r.stamp});
+            }
+            return;
+          }
+          if (!rebuilt) rebuild();
+          apply(r);
+          ++report.records_replayed;
+        },
+        options_.shard_id, options_.vfs);
+    if (!rebuilt) rebuild();
+  } catch (...) {
+    reset_state();
+    throw;
   }
-  for (auto it = records.begin(); it != suffix; ++it) {
-    if (!it->shed()) queue_.push_back(*it);  // counted in the checkpoint
-  }
-  // The queue is the last admitted - pumped of those (a pumped count
-  // above admitted wraps past any size); the detector pumped the ones
-  // before it and re-buffers those it still held.
-  const std::uint64_t queued = counters_.admitted - counters_.pumped;
-  if (queue_.size() < queued) {
-    throw io::SnapshotError(io::SnapshotErrorCode::kFormatViolation,
-                            "checkpoint queue outruns its WAL records");
-  }
-  for (; queue_.size() > queued; queue_.pop_front()) {
-    detector_.restore_buffered(queue_.front().event, queue_.front().index);
-  }
-  for (auto it = suffix; it != records.end(); ++it) apply(*it);
-  report.records_replayed = static_cast<std::uint64_t>(records.end() - suffix);
+  // The last logged record's stamp, also when no record is replayed: the
+  // header of the segment after a pruned one keeps it.
+  clock_ = scan.last_stamp;
   report.records_truncated = scan.records_truncated;
   report.torn_tails_healed = scan.torn_tails_healed;
 
@@ -410,7 +433,7 @@ RecoveryReport ServiceSupervisor::start() {
   wal_opts.fsync = options_.wal_fsync;
   wal_opts.shard_id = options_.shard_id;
   wal_opts.vfs = options_.vfs;
-  wal_ = std::make_unique<WalWriter>(wal_opts, next);
+  wal_ = std::make_unique<WalWriter>(wal_opts, next, clock_);
 
   report.next_index = next;
   report.next_seq = next_seq_;
@@ -446,7 +469,8 @@ void ServiceSupervisor::update_tier() {
   SYBIL_SERVICE_METRIC(tier.set(static_cast<std::uint32_t>(tier_)));
 }
 
-bool ServiceSupervisor::offer(const osn::Event& e, std::uint64_t seq) {
+bool ServiceSupervisor::offer(const osn::Event& e, std::uint64_t seq,
+                              graph::Time stamp) {
   require_started("offer");
   if (seq < next_seq_) {
     throw std::invalid_argument(
@@ -480,12 +504,12 @@ bool ServiceSupervisor::offer(const osn::Event& e, std::uint64_t seq) {
                                   kStorageBufferRecords);
     }
   }
-  const std::uint64_t index = wal_->append(e, seq, flags);
+  const std::uint64_t index = wal_->append(e, seq, flags, stamp);
   if (storage_degraded_) {
     SYBIL_SERVICE_METRIC(
         storage_buffered.set(static_cast<double>(wal_->unsynced_records())));
   }
-  const Verdict verdict = apply(WalRecord{index, seq, e, flags});
+  const Verdict verdict = apply(WalRecord{index, seq, e, flags, stamp});
   SYBIL_SERVICE_METRIC(shed[verdict].add(1));  // live offers only
   SYBIL_SERVICE_METRIC(queue_depth.set(static_cast<double>(queue_.size())));
   maybe_checkpoint();
@@ -510,9 +534,10 @@ std::uint64_t ServiceSupervisor::commit() {
 ServiceSupervisor::Verdict ServiceSupervisor::apply(const WalRecord& r) {
   ++counters_.offered;
   if (r.seq < kExplicitSeqLimit) next_seq_ = std::max(next_seq_, r.seq + 1);
+  clock_ = r.stamp;
   tier_ = tier_from_flags(r.flags);
   if (!r.shed()) {
-    queue_.push_back(r);
+    queue_.push_back({r.index, r.seq, r.event, r.stamp});
     ++counters_.admitted;
     return kAdmitted;
   }
@@ -532,11 +557,11 @@ template <typename More>
 std::size_t ServiceSupervisor::drain(More more) {
   std::size_t n = 0;
   while (!queue_.empty() && more(queue_.front(), n)) {
-    const WalRecord r = queue_.front();
+    const Queued r = queue_.front();
     queue_.pop_front();
     ++counters_.pumped;
     ++n;
-    detector_.ingest(r.event, r.index);
+    detector_.ingest(r.event, r.index, r.stamp);
     if (scorer_ != nullptr) scorer_->observe(r.event);
   }
   SYBIL_SERVICE_METRIC(queue_depth.set(static_cast<double>(queue_.size())));
@@ -546,14 +571,14 @@ std::size_t ServiceSupervisor::drain(More more) {
 
 std::size_t ServiceSupervisor::pump(std::size_t max_events) {
   require_started("pump");
-  return drain([max_events](const WalRecord&, std::size_t n) {
+  return drain([max_events](const Queued&, std::size_t n) {
     return max_events == 0 || n < max_events;
   });
 }
 
 std::size_t ServiceSupervisor::pump_through(std::uint64_t seq_bound) {
   require_started("pump_through");
-  return drain([seq_bound](const WalRecord& head, std::size_t) {
+  return drain([seq_bound](const Queued& head, std::size_t) {
     return head.seq < kExplicitSeqLimit && head.seq <= seq_bound;
   });
 }

@@ -239,9 +239,12 @@ class ServiceSupervisor {
   /// redeliveries — else std::invalid_argument, before anything is
   /// logged. Throws StorageBufferOverflow when degraded with a full
   /// buffer; fatal storage faults (io::is_fatal) from that checkpoint
-  /// propagate.
+  /// propagate. `stamp` is the stream clock a ShardRouter stamps on
+  /// every copy; it is logged with the record and handed to
+  /// StreamDetector::ingest when the record is pumped.
   bool offer(const osn::Event& e,
-             std::uint64_t seq = core::StreamDetector::kAutoSeq);
+             std::uint64_t seq = core::StreamDetector::kAutoSeq,
+             graph::Time stamp = osn::kNoStamp);
 
   /// The durability boundary for every offer since the last one: commits
   /// the WAL (WalWriter::commit). While storage is degraded it instead
@@ -353,6 +356,10 @@ class ServiceSupervisor {
   /// frontier; start() reports its recovered value as
   /// RecoveryReport::next_seq).
   std::uint64_t next_seq() const noexcept { return next_seq_; }
+  /// Stamp of the last record logged here (osn::kNoStamp before any): the
+  /// router's clock at seq next_seq() - 1, which a restarted router
+  /// resumes from.
+  graph::Time clock() const noexcept { return clock_; }
 
   /// The workload-accounting identity, checkable at any instant.
   bool accounting_ok() const noexcept;
@@ -389,7 +396,8 @@ class ServiceSupervisor {
   void require_started(const char* what) const;
   void reset_state();
   /// Everything a logged record does to the service — counters, the
-  /// redelivery frontier, the queue and the tier it was decided under.
+  /// redelivery frontier, the clock, the queue and the tier it was
+  /// decided under.
   /// offer() calls it right after the WAL append and start() for each
   /// replayed record, so recovery runs the live code. Registry metrics
   /// are the caller's (live offers only).
@@ -416,12 +424,23 @@ class ServiceSupervisor {
   std::unique_ptr<DefenseScorer> scorer_;
   std::unique_ptr<Metrics> metrics_;
   std::unique_ptr<WalWriter> wal_;
-  std::deque<WalRecord> queue_;
+  /// An admitted record waiting for pump(): a WalRecord less its flags,
+  /// 48 bytes rather than 56 — a cold start queues the whole log.
+  struct Queued {
+    std::uint64_t index;
+    std::uint64_t seq;
+    osn::Event event;
+    graph::Time stamp;
+  };
+  std::deque<Queued> queue_;
   core::ServiceTier tier_ = core::ServiceTier::kFull;
   bool started_ = false;
 
   ServiceCounters counters_;  // replay-exact, checkpointed
   std::uint64_t next_seq_ = 0;
+  /// Restored from the WAL (a segment header keeps it when the record
+  /// itself is pruned), so checkpoints need not store it.
+  graph::Time clock_ = osn::kNoStamp;
   std::uint64_t tier_transitions_ = 0;  // ops-only, not in stats_json
   // Storage-degraded mode state + incident counters (all ops-only).
   bool storage_degraded_ = false;

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 
 #include "core/metrics/instrument.h"
@@ -22,11 +23,11 @@ namespace {
 // "SYWL" in little-endian byte order: segment files start 53 59 57 4C.
 constexpr std::uint32_t kWalMagic = 0x4C575953u;
 constexpr std::uint16_t kWalEndianTag = 0x0102u;
-constexpr std::uint16_t kWalHeaderSize = 24;
-// v1: shard_id field written as zero ("reserved"). v2 stamps the owning
-// shard's id there; layout is byte-identical, so v1 segments still scan
-// (they predate shard identity and skip the ownership check).
-constexpr std::uint32_t kWalFormatVersion = 2;
+constexpr std::uint16_t kWalHeaderSize = 36;  // the fields below + their CRC
+// v1/v2: fixed 44-byte records, each with its own CRC, behind a 24-byte
+// header. v3: CRC'd frames of variable-length records and a header that
+// carries the stream clock. Older segments are refused, not converted.
+constexpr std::uint32_t kWalFormatVersion = 3;
 
 struct SegmentHeader {
   std::uint32_t magic;
@@ -35,23 +36,31 @@ struct SegmentHeader {
   std::uint32_t format_version;
   std::uint32_t shard_id;
   std::uint64_t base_index;
+  graph::Time clock;  // stamp of record base_index - 1
 };
-static_assert(sizeof(SegmentHeader) == kWalHeaderSize);
+static_assert(sizeof(SegmentHeader) + 4 == kWalHeaderSize);
+// A v1/v2 header: the same first 24 bytes, no clock and no CRC.
+constexpr std::uint16_t kV2HeaderSize = 24;
 
-/// Record payload as laid out on disk, after the leading CRC32. The
-/// field order packs without padding; the static_assert enforces it.
-struct RecordDisk {
-  std::uint64_t index;
-  std::uint64_t seq;
-  double time;
-  std::uint32_t actor;
-  std::uint32_t subject;
-  std::uint32_t type;
-  std::uint32_t flags;
+struct FrameHeader {
+  std::uint32_t count;
+  std::uint32_t body_bytes;
+  std::uint64_t first_index;
 };
-constexpr std::size_t kRecordPayloadSize = 40;
-constexpr std::size_t kRecordSize = 4 + kRecordPayloadSize;
-static_assert(sizeof(RecordDisk) == kRecordPayloadSize);
+constexpr std::size_t kFrameHeaderBytes = 16;
+constexpr std::size_t kFrameCrcBytes = 4;
+static_assert(sizeof(FrameHeader) == kFrameHeaderBytes);
+
+// Record: head byte, [raw type], varint seq delta (1-10 bytes), time,
+// actor, subject, [stamp code, [raw stamp]].
+constexpr std::size_t kMinRecordBytes = 1 + 1 + 8 + 4 + 4;
+constexpr std::size_t kMaxRecordBytes = 1 + 1 + 10 + 8 + 4 + 4 + 1 + 8;
+constexpr unsigned kTypeBits = 3;
+constexpr unsigned kTypeEscape = (1u << kTypeBits) - 1;  // raw byte follows
+constexpr unsigned kFlagsShift = kTypeBits;
+constexpr unsigned char kClockBit = 0x80;
+constexpr unsigned char kStampPrevious = 0;
+constexpr unsigned char kStampRaw = 1;
 
 std::string segment_name(std::uint64_t base) {
   char buf[48];
@@ -60,42 +69,105 @@ std::string segment_name(std::uint64_t base) {
   return buf;
 }
 
-std::uint32_t payload_crc(const RecordDisk& rec) noexcept {
-  return io::crc32({reinterpret_cast<const std::byte*>(&rec), sizeof(rec)});
+std::uint64_t bits_of(graph::Time t) noexcept {
+  std::uint64_t u;
+  std::memcpy(&u, &t, sizeof(u));
+  return u;
 }
 
-/// Chunked read adapter for recovery scans: the scan reads a 4-byte
-/// CRC and a 40-byte record at a time, which through the raw VFS
-/// passthrough is a syscall (plus a metric bump) per call — a 64 KiB
-/// front buffer amortizes both without changing read semantics (short
-/// reads still only happen at end of file).
-class ScanReader {
- public:
-  explicit ScanReader(io::VfsFile& inner) : inner_(inner) {}
+/// The stamp a set clock bit stands for: the running maximum a stamp is,
+/// taken over the previous stamp in the frame and this record's time.
+graph::Time implied_stamp(graph::Time prev, graph::Time time) noexcept {
+  return time > prev ? time : prev;
+}
 
-  std::size_t read(void* buf, std::size_t n) {
-    auto* dst = static_cast<unsigned char*>(buf);
-    std::size_t done = 0;
-    while (done < n) {
-      if (pos_ == len_) {
-        len_ = inner_.read(buffer_, sizeof buffer_);
-        pos_ = 0;
-        if (len_ == 0) break;
-      }
-      const std::size_t take = std::min(n - done, len_ - pos_);
-      std::memcpy(dst + done, buffer_ + pos_, take);
-      pos_ += take;
-      done += take;
-    }
-    return done;
+/// Reads the whole file through `f` into `buf`, sized from `hint` (the
+/// file's size as listed): segments are small (a few frames past
+/// segment_records records), and an in-memory image lets every length
+/// field be checked against the bytes actually present.
+void read_all(io::VfsFile& f, std::uintmax_t hint,
+              std::vector<unsigned char>& buf) {
+  std::size_t n = 0;
+  buf.resize(static_cast<std::size_t>(hint) + 1);  // + 1 reaches EOF
+  for (;;) {
+    if (n == buf.size()) buf.resize(2 * buf.size());
+    const std::size_t got = f.read(buf.data() + n, buf.size() - n);
+    if (got == 0) break;
+    n += got;
   }
+  buf.resize(n);
+}
 
- private:
-  io::VfsFile& inner_;
-  unsigned char buffer_[1 << 16];
-  std::size_t pos_ = 0;
-  std::size_t len_ = 0;
-};
+/// The frame header at `at`, if it is plausible: it starts the record
+/// `expected`, its count and body length agree with the record size
+/// bounds, and the whole frame lies inside `size` bytes. Checked before
+/// anything is read or reserved on its behalf.
+std::optional<FrameHeader> frame_at(const unsigned char* data, std::size_t at,
+                                    std::size_t size, std::uint64_t expected) {
+  if (size - at < kFrameHeaderBytes) return std::nullopt;
+  FrameHeader h;
+  std::memcpy(&h, data + at, sizeof(h));
+  const std::uint64_t body = h.body_bytes;
+  if (h.count == 0 || h.first_index != expected ||
+      body < h.count * std::uint64_t{kMinRecordBytes} ||
+      body > h.count * std::uint64_t{kMaxRecordBytes} ||
+      body + kFrameCrcBytes > size - at - kFrameHeaderBytes) {
+    return std::nullopt;
+  }
+  return h;
+}
+
+/// Decodes one CRC-checked frame body into `out` (cleared first).
+/// Returns false when the body does not decode to exactly `h.count`
+/// canonical records.
+bool decode_frame(const FrameHeader& h, const unsigned char* p,
+                  std::vector<WalRecord>& out) {
+  out.clear();
+  const unsigned char* const end = p + h.body_bytes;
+  std::uint64_t prev_seq = h.first_index - 1;
+  graph::Time prev_stamp = osn::kNoStamp;
+  for (std::uint32_t i = 0; i < h.count; ++i) {
+    if (end - p < static_cast<std::ptrdiff_t>(kMinRecordBytes)) return false;
+    const unsigned char head = *p++;
+    unsigned type = head & kTypeEscape;
+    if (type == kTypeEscape) {
+      type = *p++;
+      if (type < kTypeEscape) return false;  // not the canonical code
+    }
+    std::uint64_t zz = 0;
+    for (unsigned shift = 0;; shift += 7) {
+      if (p == end || shift > 63) return false;
+      const unsigned char b = *p++;
+      zz |= static_cast<std::uint64_t>(b & 0x7F) << shift;
+      if ((b & 0x80) == 0) break;
+    }
+    if (end - p < 16) return false;
+    WalRecord& r = out.emplace_back();
+    r.index = h.first_index + i;
+    r.seq = prev_seq + 1 + ((zz >> 1) ^ (0 - (zz & 1)));
+    r.flags = (head >> kFlagsShift) & WalRecordFlags::kAll;
+    r.event.type = static_cast<osn::EventType>(type);
+    std::memcpy(&r.event.time, p, 8);
+    std::memcpy(&r.event.actor, p + 8, 4);
+    std::memcpy(&r.event.subject, p + 12, 4);
+    p += 16;
+    if ((head & kClockBit) != 0) {
+      r.stamp = implied_stamp(prev_stamp, r.event.time);
+    } else if (p == end) {
+      return false;
+    } else if (const unsigned char code = *p++; code == kStampPrevious) {
+      r.stamp = prev_stamp;
+    } else if (code == kStampRaw && end - p >= 8) {
+      std::memcpy(&r.stamp, p, 8);
+      p += 8;
+    } else {
+      return false;
+    }
+    prev_seq = r.seq;
+    prev_stamp = r.stamp;
+  }
+  return p == end;
+}
 
 /// Segment files in `dir`, sorted by base index parsed from the name.
 std::vector<std::pair<std::uint64_t, fs::path>> list_segments(
@@ -131,10 +203,12 @@ void WalOptions::validate() const {
   }
 }
 
-WalWriter::WalWriter(const WalOptions& options, std::uint64_t next_index)
+WalWriter::WalWriter(const WalOptions& options, std::uint64_t next_index,
+                     graph::Time clock)
     : options_(options),
       vfs_(options.vfs != nullptr ? options.vfs : io::default_vfs()),
-      next_index_(next_index) {
+      next_index_(next_index),
+      clock_(clock) {
   options_.validate();
   std::error_code ec;
   fs::create_directories(options_.dir, ec);
@@ -145,9 +219,10 @@ WalWriter::WalWriter(const WalOptions& options, std::uint64_t next_index)
   open_segment();
 }
 
-// BufferedVfsFile's destructor best-effort flushes and closes without
-// throwing; destruction of a degraded writer simply drops the backlog.
-WalWriter::~WalWriter() = default;
+// Pending records become a last frame in the file buffer, whose
+// destructor best-effort flushes and closes without throwing; a
+// degraded writer's backlog is simply dropped there.
+WalWriter::~WalWriter() { seal(); }
 
 void WalWriter::open_segment() {
   const std::uint64_t base = next_index_;
@@ -163,8 +238,13 @@ void WalWriter::open_segment() {
     header.format_version = kWalFormatVersion;
     header.shard_id = options_.shard_id;
     header.base_index = base;
+    header.clock = clock_;
+    const std::uint32_t crc = io::crc32(
+        {reinterpret_cast<const std::byte*>(&header), sizeof(header)});
     fresh->write(&header, sizeof(header));
+    fresh->write(&crc, sizeof(crc));
     fresh->flush();
+    SYBIL_METRIC_COUNT("service.wal.bytes", kWalHeaderSize);
     if (options_.fsync != WalFsync::kNever) {
       fresh->fsync();
       SYBIL_METRIC_COUNT("service.wal.fsyncs", 1);
@@ -193,22 +273,73 @@ void WalWriter::open_segment() {
 }
 
 std::uint64_t WalWriter::append(const osn::Event& e, std::uint64_t seq,
-                                std::uint32_t flags) {
-  RecordDisk rec{};
-  rec.index = next_index_;
-  rec.seq = seq;
-  rec.time = e.time;
-  rec.actor = e.actor;
-  rec.subject = e.subject;
-  rec.type = static_cast<std::uint32_t>(e.type);
-  rec.flags = flags;
-  const std::uint32_t crc = payload_crc(rec);
-  file_->write(&crc, sizeof(crc));  // buffered: cannot fail
-  file_->write(&rec, sizeof(rec));
+                                std::uint32_t flags, graph::Time stamp) {
+  if ((flags & ~WalRecordFlags::kAll) != 0) {
+    throw std::invalid_argument("WalWriter::append: flags " +
+                                std::to_string(flags) +
+                                " do not fit the record's 4-bit field");
+  }
+  if (pending_records_ == 0) {
+    pending_.assign(kFrameHeaderBytes, 0);  // filled in by seal()
+    prev_seq_ = next_index_ - 1;
+    prev_stamp_ = osn::kNoStamp;
+  }
+  unsigned char rec[kMaxRecordBytes];
+  std::size_t n = 0;
+  const auto type = static_cast<unsigned>(e.type);
+  const bool implied =
+      bits_of(stamp) == bits_of(implied_stamp(prev_stamp_, e.time));
+  rec[n++] = static_cast<unsigned char>(std::min(type, kTypeEscape) |
+                                        flags << kFlagsShift |
+                                        (implied ? kClockBit : 0));
+  if (type >= kTypeEscape) rec[n++] = static_cast<unsigned char>(type);
+  // Zigzag of the wrapping delta from "one past the previous seq": 0 for
+  // a dense stream, one byte for a shard's share of one, and one byte
+  // for repeated auto seqs too.
+  const auto delta = static_cast<std::int64_t>(seq - prev_seq_ - 1);
+  std::uint64_t zz = (static_cast<std::uint64_t>(delta) << 1) ^
+                     static_cast<std::uint64_t>(delta >> 63);
+  for (; zz >= 0x80; zz >>= 7) {
+    rec[n++] = static_cast<unsigned char>(zz | 0x80);
+  }
+  rec[n++] = static_cast<unsigned char>(zz);
+  std::memcpy(rec + n, &e.time, 8);
+  std::memcpy(rec + n + 8, &e.actor, 4);
+  std::memcpy(rec + n + 12, &e.subject, 4);
+  n += 16;
+  if (!implied) {
+    if (bits_of(stamp) == bits_of(prev_stamp_)) {
+      rec[n++] = kStampPrevious;
+    } else {
+      rec[n++] = kStampRaw;
+      std::memcpy(rec + n, &stamp, 8);
+      n += 8;
+    }
+  }
+  pending_.insert(pending_.end(), rec, rec + n);
+  ++pending_records_;
+  prev_seq_ = seq;
+  prev_stamp_ = clock_ = stamp;
   SYBIL_METRIC_COUNT("service.wal.appends", 1);
-  SYBIL_METRIC_COUNT("service.wal.bytes", kRecordSize);
   ++unsynced_records_;
   return next_index_++;
+}
+
+void WalWriter::seal() {
+  if (pending_records_ == 0) return;
+  FrameHeader header{};
+  header.first_index = next_index_ - pending_records_;
+  header.count = pending_records_;
+  header.body_bytes =
+      static_cast<std::uint32_t>(pending_.size() - kFrameHeaderBytes);
+  std::memcpy(pending_.data(), &header, sizeof(header));
+  const std::uint32_t crc = io::crc32(
+      {reinterpret_cast<const std::byte*>(pending_.data()), pending_.size()});
+  file_->write(pending_.data(), pending_.size());
+  file_->write(&crc, sizeof(crc));
+  SYBIL_METRIC_COUNT("service.wal.bytes", pending_.size() + sizeof(crc));
+  pending_records_ = 0;
+  pending_.clear();
 }
 
 std::uint64_t WalWriter::commit() {
@@ -226,8 +357,9 @@ std::uint64_t WalWriter::commit() {
 
 void WalWriter::sync() {
   if (unsynced_records_ == 0) return;
+  seal();
   // Retention makes this all-or-nothing: on a VfsError the unwritten
-  // suffix stays buffered and every record stays pending.
+  // suffix stays buffered and every record stays unsynced.
   file_->flush();
   if (options_.fsync != WalFsync::kNever) {
     file_->fsync();
@@ -243,12 +375,23 @@ std::vector<WalRecord> scan_wal(const std::string& dir,
                                 std::uint64_t from_index,
                                 WalScanReport& report,
                                 std::uint32_t expected_shard, io::Vfs* vfs) {
-  if (vfs == nullptr) vfs = io::default_vfs();
-  report = WalScanReport{};
-  report.next_index = from_index;
   std::vector<WalRecord> out;
-  if (!fs::exists(dir)) return out;  // cold start: nothing logged yet
+  report = scan_wal(
+      dir, from_index, [&out](const WalRecord& r) { out.push_back(r); },
+      expected_shard, vfs);
+  return out;
+}
+
+WalScanReport scan_wal(const std::string& dir, std::uint64_t from_index,
+                       const std::function<void(const WalRecord&)>& visit,
+                       std::uint32_t expected_shard, io::Vfs* vfs) {
+  if (vfs == nullptr) vfs = io::default_vfs();
+  WalScanReport report;
+  report.next_index = from_index;
+  if (!fs::exists(dir)) return report;  // cold start: nothing logged yet
   const auto segments = list_segments(dir);
+  std::vector<unsigned char> image;
+  std::vector<WalRecord> frame;
   for (std::size_t i = 0; i < segments.size(); ++i) {
     const auto& [base, path] = segments[i];
     // A segment's record range ends where the next one begins; skip
@@ -264,15 +407,36 @@ std::vector<WalRecord> scan_wal(const std::string& dir,
       throw SnapshotError(SnapshotErrorCode::kOpenFailed,
                           "cannot open WAL segment " + path.string());
     }
-    const auto reader = std::make_unique<ScanReader>(*f);
+    std::error_code size_ec;
+    const std::uintmax_t listed = fs::file_size(path, size_ec);
+    read_all(*f, size_ec ? 0 : listed, image);
+    const unsigned char* const data = image.data();
+    const std::size_t size = image.size();
     SegmentHeader header{};
-    const bool header_ok =
-        reader->read(&header, sizeof(header)) == sizeof(header) &&
-        header.magic == kWalMagic && header.endian_tag == kWalEndianTag &&
+    std::memcpy(&header, data, std::min(size, sizeof(header)));
+    std::uint32_t header_crc = 0;
+    if (size >= kWalHeaderSize) {
+      std::memcpy(&header_crc, data + sizeof(header), sizeof(header_crc));
+    }
+    const bool ours = size >= 12 && header.magic == kWalMagic &&
+                      header.endian_tag == kWalEndianTag;
+    const bool older = ours && size >= kV2HeaderSize &&
+                       header.header_size == kV2HeaderSize &&
+                       header.format_version < kWalFormatVersion;
+    const bool whole =
+        ours && size >= kWalHeaderSize &&
         header.header_size == kWalHeaderSize &&
-        header.format_version <= kWalFormatVersion &&
-        header.base_index == base;
-    if (!header_ok) {
+        header_crc == io::crc32({reinterpret_cast<const std::byte*>(data),
+                                 sizeof(header)});
+    if (older || (whole && header.format_version != kWalFormatVersion)) {
+      throw SnapshotError(
+          SnapshotErrorCode::kFormatViolation,
+          "WAL segment " + path.string() + " is format v" +
+              std::to_string(header.format_version) + "; this build reads v" +
+              std::to_string(kWalFormatVersion) +
+              " only (drain the service on the build that wrote it)");
+    }
+    if (!whole || header.base_index != base) {
       // An unreadable header means the whole segment is untrustworthy
       // (created but never secured). Nothing in it can be replayed;
       // leave the file for a writer at this base to overwrite.
@@ -280,73 +444,73 @@ std::vector<WalRecord> scan_wal(const std::string& dir,
       SYBIL_METRIC_COUNT("service.wal.torn_tails", 1);
       continue;
     }
-    if (expected_shard != kWalAnyShard && header.format_version >= 2 &&
-        header.shard_id != expected_shard) {
+    if (expected_shard != kWalAnyShard && header.shard_id != expected_shard) {
       throw SnapshotError(
           SnapshotErrorCode::kFormatViolation,
           "WAL segment " + path.string() + " belongs to shard " +
               std::to_string(header.shard_id) + ", not shard " +
               std::to_string(expected_shard));
     }
-    std::uint64_t valid = 0;  // records validated in this segment
-    bool tail_bad = false;
-    for (;;) {
+    report.last_stamp = header.clock;
+    std::size_t at = kWalHeaderSize;
+    std::uint64_t expected = base;
+    while (at < size) {
+      const std::optional<FrameHeader> h = frame_at(data, at, size, expected);
+      if (!h) break;
+      const std::size_t crc_at = at + kFrameHeaderBytes + h->body_bytes;
       std::uint32_t crc = 0;
-      RecordDisk rec{};
-      const std::size_t got_crc = reader->read(&crc, sizeof(crc));
-      if (got_crc == 0) break;  // clean end of segment
-      const std::size_t got_rec =
-          got_crc == sizeof(crc) ? reader->read(&rec, sizeof(rec)) : 0;
-      if (got_rec != sizeof(rec) || payload_crc(rec) != crc ||
-          rec.index != base + valid) {
-        tail_bad = true;
+      std::memcpy(&crc, data + crc_at, sizeof(crc));
+      if (crc != io::crc32({reinterpret_cast<const std::byte*>(data + at),
+                            crc_at - at})) {
         break;
       }
-      ++valid;
-      ++report.records_scanned;
-      if (rec.index >= from_index) {
-        WalRecord r;
-        r.index = rec.index;
-        r.seq = rec.seq;
-        r.event.type = static_cast<osn::EventType>(rec.type);
-        r.event.actor = rec.actor;
-        r.event.subject = rec.subject;
-        r.event.time = rec.time;
-        r.flags = rec.flags;
-        out.push_back(r);
+      if (!decode_frame(*h, data + at + kFrameHeaderBytes, frame)) {
+        throw SnapshotError(SnapshotErrorCode::kFormatViolation,
+                            "WAL segment " + path.string() + ": frame at " +
+                                std::to_string(at) +
+                                " passes its CRC but does not decode");
+      }
+      for (const WalRecord& r : frame) {
+        if (r.index < from_index) continue;
+        visit(r);
         ++report.records_returned;
       }
-      report.next_index = std::max(report.next_index, rec.index + 1);
+      report.records_scanned += h->count;
+      report.last_stamp = frame.back().stamp;
+      expected += h->count;
+      report.next_index = std::max(report.next_index, expected);
+      at = crc_at + kFrameCrcBytes;
     }
-    if (tail_bad) {
-      // Strict prefix semantics: nothing at or after the first bad
-      // record is trusted. Heal the file back to its last valid record
-      // so the next scan is clean.
-      std::error_code size_ec;
-      const auto file_size = fs::file_size(path, size_ec);
-      const std::uint64_t keep = kWalHeaderSize + valid * kRecordSize;
-      if (!size_ec && file_size > keep) {
-        const std::uint64_t dropped_bytes = file_size - keep;
-        // Whole bad records plus any partial trailing bytes count as
-        // one truncated record each.
-        report.records_truncated +=
-            (dropped_bytes + kRecordSize - 1) / kRecordSize;
-        try {
-          vfs->truncate(path.string(), keep);
-        } catch (const io::VfsError& e) {
-          if (io::is_fatal(e.kind())) throw;  // the process died mid-heal
-          throw SnapshotError(SnapshotErrorCode::kWriteFailed,
-                              "cannot heal WAL segment " + path.string());
-        }
-        ++report.torn_tails_healed;
-        SYBIL_METRIC_COUNT("service.wal.torn_tails", 1);
-        SYBIL_METRIC_COUNT("service.wal.truncated_records",
-                           (dropped_bytes + kRecordSize - 1) / kRecordSize);
+    if (at == size) continue;
+    // Strict prefix semantics: nothing at or after the first bad frame
+    // is trusted. Count what the dropped frames' headers claim, then
+    // heal the file back to its last whole frame so the next scan is
+    // clean.
+    std::uint64_t dropped = 0;
+    for (std::size_t k = at; k < size;) {
+      const std::optional<FrameHeader> h = frame_at(data, k, size, expected);
+      if (!h) {
+        ++dropped;  // an unreadable tail: at least one record
+        break;
       }
+      dropped += h->count;
+      expected += h->count;
+      k += kFrameHeaderBytes + h->body_bytes + kFrameCrcBytes;
     }
+    report.records_truncated += dropped;
+    try {
+      vfs->truncate(path.string(), at);
+    } catch (const io::VfsError& e) {
+      if (io::is_fatal(e.kind())) throw;  // the process died mid-heal
+      throw SnapshotError(SnapshotErrorCode::kWriteFailed,
+                          "cannot heal WAL segment " + path.string());
+    }
+    ++report.torn_tails_healed;
+    SYBIL_METRIC_COUNT("service.wal.torn_tails", 1);
+    SYBIL_METRIC_COUNT("service.wal.truncated_records", dropped);
   }
   SYBIL_METRIC_COUNT("service.wal.scanned_records", report.records_scanned);
-  return out;
+  return report;
 }
 
 std::uint64_t prune_wal(const std::string& dir, std::uint64_t index,

@@ -82,6 +82,32 @@ TEST(StreamDetector, CountersTrackEvents) {
 
 // Any finite time is a valid event time: the ledger's -1 defaults must
 // not read as "no send yet" when the sends themselves are negative.
+/// A stamp is the fleet's clock: it moves the watermark like an event
+/// time, even on a record that is itself rejected, and a detector fed
+/// no stamp keeps its own clock.
+TEST(StreamDetector, StampMovesTheWatermarkLikeAnEventTime) {
+  const osn::Event first{EventType::kRequestSent, 1, 2, 10.0};
+  const osn::Event self{EventType::kRequestSent, 3, 3, 99.0};  // rejected
+  const osn::Event late{EventType::kRequestSent, 4, 5, 40.0};
+  StreamDetector stamped;
+  stamped.ingest(first, 0, 10.0);
+  stamped.ingest(self, 1, 100.0);
+  stamped.ingest(late, 2, 100.0);
+  StreamDetector own;
+  own.ingest(first, 0);
+  own.ingest(self, 1);
+  own.ingest(late, 2);
+  EXPECT_EQ(stamped.applied_total(), 1u);  // t=10 released at low 52
+  EXPECT_EQ(stamped.buffered(), 0u);
+  EXPECT_EQ(stamped.deadletter_by_reason(StreamErrorCode::kSelfReferential),
+            1u);
+  EXPECT_EQ(stamped.deadletter_by_reason(StreamErrorCode::kTimeRegression),
+            1u);
+  EXPECT_EQ(own.applied_total(), 0u);  // low is -8: both stay buffered
+  EXPECT_EQ(own.buffered(), 2u);
+  EXPECT_EQ(own.deadletter_by_reason(StreamErrorCode::kTimeRegression), 0u);
+}
+
 TEST(StreamDetector, RatesAtNegativeTimesMatchPositiveOnes) {
   Feed det;
   det.sent(0, 1, -99.5);
@@ -1034,11 +1060,36 @@ TEST(StreamDetectorSweep, EvaluatedCounterCountsRecheckedAccounts) {
   EXPECT_EQ(det->sweep_flags(2.0), 1u);
   EXPECT_EQ(evaluated.value() - before, 14u);  // account 0 and friends 3..15
   // A link between two of account 0's first friends marks both
-  // endpoints and account 0, the watcher whose internal links grew.
+  // endpoints only: account 0's internal links grew, which raises its
+  // clustering and so can never flag it.
   det.friendship(1, 3, 2.1);
   before = evaluated.value();
   det->sweep_flags(2.2);
-  EXPECT_EQ(evaluated.value() - before, 3u);
+  EXPECT_EQ(evaluated.value() - before, 2u);
+  registry.set_enabled(was_enabled);
+}
+
+/// Closing triangles among the friends one account watches re-checks
+/// the new edges' endpoints and never the watcher: a clustering gain
+/// cannot satisfy clustering < clustering_max.
+TEST(StreamDetectorSweep, TriangleClosuresRecheckOnlyTheEndpoints) {
+  auto& registry = metrics::MetricsRegistry::instance();
+  const bool was_enabled = registry.enabled();
+  registry.set_enabled(true);  // the test counts; restored at the end
+  metrics::Counter& evaluated = registry.counter("stream.sweep.evaluated");
+  Feed det;
+  // Account 0 watches friends 1..6, with no links among them yet.
+  for (osn::NodeId v = 1; v <= 6; ++v) det.friendship(0, v, 0.5);
+  det->sweep_flags(1.0);
+  // Three disjoint closures: (1,2), (3,4) and (5,6) each close a
+  // triangle with account 0, whose internal links go from 0 to 3.
+  det.friendship(1, 2, 1.1);
+  det.friendship(3, 4, 1.2);
+  det.friendship(5, 6, 1.3);
+  EXPECT_DOUBLE_EQ(det->features(0).clustering_coefficient, 0.2);
+  const std::uint64_t before = evaluated.value();
+  det->sweep_flags(1.4);
+  EXPECT_EQ(evaluated.value() - before, 6u);
   registry.set_enabled(was_enabled);
 }
 #endif  // SYBIL_METRICS_COMPILED

@@ -2,7 +2,8 @@
 // payloads, WAL records) comes from this one function, so it is pinned
 // against the standard check value, a bitwise reference over every
 // length and alignment the sliced loop distinguishes, chunked
-// continuation, and the worked WAL records in docs/FORMATS.md §8.4.
+// continuation, and the records of the v1 WAL segment docs/FORMATS.md
+// once dissected (tests/io/wal_format_test.cpp keeps it, refused).
 // crc32_combine, which folds the stream-state encoder's chunk CRCs, is
 // pinned against crc32 of the concatenation over random splits, and by
 // associativity at lengths no buffer can hold.
@@ -85,7 +86,7 @@ TEST(Crc32, ContinuingFromASeedEqualsOneShot) {
   }
 }
 
-// The three 40-byte record bodies of the docs/FORMATS.md §8.4 hexdump;
+// The three 40-byte record bodies of that v1 segment;
 // each record's stored CRC (little-endian on disk) covers its body.
 TEST(Crc32, ReproducesTheWorkedWalRecords) {
   EXPECT_EQ(crc32(from_hex("0000000000000000000000000000000000000000"

@@ -3,7 +3,8 @@
 // io::FaultyVfs ops, and proof that those crashes land on every
 // durability boundary the service has —
 //
-//   * inside a WAL record write (a torn record, healed on recovery);
+//   * inside a WAL frame write (a torn frame, dropped whole and healed
+//     on recovery);
 //   * after a per-record append;
 //   * after a segment rotation (the new segment holds only its header);
 //   * before a checkpoint rename (the new generation never appears);
@@ -44,7 +45,7 @@ class ProcessCrash : public ::testing::Test {
   static void TearDownTestSuite() { ::unsetenv("SYBIL_IO_FSYNC"); }
 };
 
-constexpr std::uint64_t kRecordBytes = 44;
+constexpr std::uint64_t kSegmentHeaderBytes = 36;
 constexpr std::uint64_t kBlock = 8;
 
 std::string fresh_dir(const std::string& name) {
@@ -106,6 +107,11 @@ bool is_wal(const StorageOp& op) {
 bool is_ckpt(const StorageOp& op) {
   return op.path.find("/ckpt/") != std::string::npos;
 }
+/// A write of WAL frames (a segment header is a write of its own).
+bool is_frame_write(const StorageOp& op) {
+  return op.kind == StorageOp::Kind::kWrite && is_wal(op) &&
+         op.bytes != kSegmentHeaderBytes;
+}
 
 TEST_F(ProcessCrash, ReachesEveryFormerBoundary) {
   WorkloadOptions w;
@@ -135,15 +141,13 @@ TEST_F(ProcessCrash, ReachesEveryFormerBoundary) {
   }
   ASSERT_FALSE(base_flags.records.empty());
 
-  // Records the process had handed to the vfs before op k: WAL record
-  // writes are whole records (headers are a separate 24-byte write).
+  // Records the process had handed to the vfs before op k: each WAL
+  // write in the uninterrupted run is one frame, which leads with its
+  // record count (headers are a separate 36-byte write).
   const auto records_before = [&](std::size_t k) {
     std::uint64_t n = 0;
     for (std::size_t j = 0; j < k; ++j) {
-      if (ops[j].kind == StorageOp::Kind::kWrite && is_wal(ops[j]) &&
-          ops[j].bytes % kRecordBytes == 0) {
-        n += ops[j].bytes / kRecordBytes;
-      }
+      if (is_frame_write(ops[j])) n += ops[j].lead;
     }
     return n;
   };
@@ -154,7 +158,7 @@ TEST_F(ProcessCrash, ReachesEveryFormerBoundary) {
   };
 
   enum Boundary {
-    kTornRecord,
+    kTornFrame,
     kAfterAppend,
     kAfterRotation,
     kBeforeRename,
@@ -162,7 +166,7 @@ TEST_F(ProcessCrash, ReachesEveryFormerBoundary) {
     kAfterGroupCommit,
     kBoundaries
   };
-  const char* const kNames[] = {"torn record",       "after append",
+  const char* const kNames[] = {"torn frame",        "after append",
                                 "after rotation",    "before rename",
                                 "after rename",      "after group commit"};
   std::size_t reached[kBoundaries] = {};
@@ -172,10 +176,7 @@ TEST_F(ProcessCrash, ReachesEveryFormerBoundary) {
     const StorageOp& op = ops[k];
     const StorageOp* prev = k > 0 ? &ops[k - 1] : nullptr;
     std::vector<Boundary> at;
-    if (op.kind == StorageOp::Kind::kWrite && is_wal(op) &&
-        op.bytes % kRecordBytes == 0) {
-      at.push_back(kTornRecord);
-    }
+    if (is_frame_write(op)) at.push_back(kTornFrame);
     if (marks.after_append.count(k) != 0) at.push_back(kAfterAppend);
     // A non-first segment's directory fsync ends its rotation.
     if (prev != nullptr && prev->kind == StorageOp::Kind::kDirSync &&
@@ -213,7 +214,8 @@ TEST_F(ProcessCrash, ReachesEveryFormerBoundary) {
       SCOPED_TRACE(std::string(kNames[b]) + " at op " + std::to_string(k));
       ++reached[b];
       if (b == kAfterRotation && op.kind != StorageOp::Kind::kWrite) {
-        EXPECT_EQ(fs::file_size(prev->path), 24u) << "header only";
+        EXPECT_EQ(fs::file_size(prev->path), kSegmentHeaderBytes)
+            << "header only";
       } else if (b == kBeforeRename) {
         EXPECT_FALSE(fs::exists(op.path));
         EXPECT_TRUE(fs::exists(op.path + ".tmp"));
@@ -253,7 +255,7 @@ TEST_F(ProcessCrash, ReachesEveryFormerBoundary) {
   for (int b = 0; b < kBoundaries; ++b) {
     EXPECT_GT(reached[b], 0u) << "no crash point " << kNames[b];
   }
-  EXPECT_GT(torn_healed, 0u) << "no crash tore a WAL record";
+  EXPECT_GT(torn_healed, 0u) << "no crash tore a WAL frame";
 }
 
 }  // namespace

@@ -1,10 +1,9 @@
 // WAL group-commit suite:
 //
-//   * unit level: appends buffer in the segment's retained write buffer
-//     and land with ONE flush at WalWriter::commit(); commit reports
-//     the records it made durable, and a process crash at the commit
-//     keeps a strict prefix of the batch (all of it once the commit's
-//     write is done);
+//   * unit level: appends buffer in the writer's pending frame and land
+//     with ONE flush at WalWriter::commit(); commit reports the records
+//     it made durable, and a process crash at the commit keeps none of
+//     the batch's frame (all of it once the commit's write is done);
 //   * trajectory identity: driving a ShardRouter through offer_batch()
 //     produces byte-identical per-shard stats JSON and merged flags to
 //     the per-event offer() path with the same pump cadence;
@@ -73,8 +72,11 @@ std::string only_segment(const std::string& dir) {
   return found;
 }
 
-constexpr std::uint64_t kWalHeaderBytes = 24;
-constexpr std::uint64_t kWalRecordBytes = 44;
+constexpr std::uint64_t kWalHeaderBytes = 36;
+constexpr std::uint64_t kWalFrameBytes = 20;  // frame header + CRC
+// event_at(i) offered at seq i without a stamp: head byte, a one-byte
+// seq delta, time and ids, and a one-byte "previous stamp" code.
+constexpr std::uint64_t kWalRecordBytes = 19;
 
 TEST_F(GroupCommit, AppendsBufferUntilTheCommitFlush) {
   const std::string dir = fresh_dir("buffer");
@@ -87,14 +89,15 @@ TEST_F(GroupCommit, AppendsBufferUntilTheCommitFlush) {
   w.append(event_at(0), 0, 0);
   EXPECT_EQ(w.commit(), 1u);
   const std::string seg = only_segment(dir);
-  EXPECT_EQ(fs::file_size(seg), kWalHeaderBytes + kWalRecordBytes);
+  const std::uint64_t one = kWalHeaderBytes + kWalFrameBytes + kWalRecordBytes;
+  EXPECT_EQ(fs::file_size(seg), one);
 
-  // A batch: records stay in the write buffer, so the on-disk size
-  // must not move until commit() issues the single flush.
+  // A batch: records stay in the pending frame, so the on-disk size
+  // must not move until commit() seals it and issues the single flush.
   for (std::uint64_t i = 1; i <= 10; ++i) w.append(event_at(i), i, 0);
-  EXPECT_EQ(fs::file_size(seg), kWalHeaderBytes + kWalRecordBytes);
+  EXPECT_EQ(fs::file_size(seg), one);
   EXPECT_EQ(w.commit(), 10u);
-  EXPECT_EQ(fs::file_size(seg), kWalHeaderBytes + 11 * kWalRecordBytes);
+  EXPECT_EQ(fs::file_size(seg), one + kWalFrameBytes + 10 * kWalRecordBytes);
 
   // Every buffered record became exactly as durable as per-record
   // fsync would have made it.
@@ -107,7 +110,8 @@ TEST_F(GroupCommit, AppendsBufferUntilTheCommitFlush) {
 TEST_F(GroupCommit, CrashAtTheCommitKeepsAStrictPrefixOfTheGroup) {
   // The commit is one write then one fsync. A crash at the fsync keeps
   // the whole group (the write already handed it to the vfs); a crash
-  // at the write keeps a seeded strict prefix of it.
+  // at the write tears the group's one frame, which recovery drops
+  // whole: the strict prefix it keeps is empty.
   for (const std::uint64_t commit_op : {1u, 0u}) {
     const std::string dir = fresh_dir("commit_crash");
     io::FaultyVfs vfs(&crashtest::sweep_vfs());
@@ -127,7 +131,8 @@ TEST_F(GroupCommit, CrashAtTheCommitKeepsAStrictPrefixOfTheGroup) {
       EXPECT_EQ(kept, 5u);
       EXPECT_EQ(report.torn_tails_healed, 0u);
     } else {
-      EXPECT_LT(kept, 5u);
+      EXPECT_EQ(kept, 0u);
+      EXPECT_EQ(report.next_index, 0u);
     }
   }
 }

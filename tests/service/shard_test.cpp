@@ -24,7 +24,11 @@
 //   * a flush that fails midway: the drains run in the shard lanes, the
 //     commits in shard order, so a fault on shard 1 leaves shards 2-3
 //     drained but untouched on disk, and a retried flush ends exactly
-//     where an undisturbed one does.
+//     where an undisturbed one does;
+//   * one stream clock: a burst far behind an event no copy of it ever
+//     reaches is dead-lettered on 2 shards exactly as on 1, and a crash
+//     at every storage op (one shard's, or the whole fleet's) recovers
+//     the clock the re-driven copies are stamped with.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -153,6 +157,95 @@ std::vector<graph::NodeId> owned_ids(std::uint32_t target,
     if (shard_of(id, shards) == target) out.push_back(id);
   }
   return out;
+}
+
+/// The stream-clock probe: seq 0 is a request at t=100 between two
+/// accounts of shard 0; seqs 1-30 are requests at t~40 from one account
+/// of shard 1 to others of shard 1, so no copy of them reaches shard 0.
+/// With the 48 h window every one of them is a time regression against
+/// the stream, whatever shard holds it. `tail` in-order requests from
+/// the same sender follow at t>100, and they flag it.
+std::vector<osn::Event> late_burst_log(std::uint32_t shards, std::size_t tail) {
+  const std::vector<graph::NodeId> zero = owned_ids(0, shards, 2);
+  const std::vector<graph::NodeId> one = owned_ids(1, shards, 32);
+  std::vector<osn::Event> log;
+  log.push_back({osn::EventType::kRequestSent, zero[0], zero[1], 100.0});
+  for (std::size_t k = 0; k < 30; ++k) {
+    log.push_back({osn::EventType::kRequestSent, one[0], one[1 + k],
+                   40.0 + 0.005 * static_cast<double>(k)});
+  }
+  for (std::size_t j = 0; j < tail; ++j) {
+    log.push_back({osn::EventType::kRequestSent, one[0], one[1 + j % 31],
+                   100.0 + 0.01 * static_cast<double>(j + 1)});
+  }
+  return log;
+}
+
+TEST_F(Shard, LateBurstIsDeadLetteredOnEveryShardCount) {
+  const std::vector<osn::Event> log = late_burst_log(2, 0);
+  for (const std::uint32_t shards : {1u, 2u}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    ShardRouter router(make_router_options(
+        fresh_dir("late_burst_" + std::to_string(shards)), shards));
+    router.start();
+    router.offer_batch(log, 0);
+    router.flush(/*checkpoint=*/false);
+    router.sweep_flags(101.0);
+    EXPECT_TRUE(router.take_flagged().records.empty());
+    std::uint64_t regressions = 0;
+    std::uint64_t applied = 0;
+    for (std::uint32_t i = 0; i < shards; ++i) {
+      const core::StreamDetector& d = router.shard(i).detector();
+      regressions +=
+          d.deadletter_by_reason(core::StreamErrorCode::kTimeRegression);
+      applied += d.applied_total();
+    }
+    EXPECT_EQ(regressions, 30u);
+    EXPECT_EQ(applied, 1u);
+    EXPECT_TRUE(router.accounting_ok());
+  }
+}
+
+/// A shard taken down while the stream runs on for more than the 48 h
+/// window replays its missed copies after restart_shard() on a clock of
+/// its own: each copy is stamped with the stream clock at its seq, as
+/// in the uninterrupted run, not with the clock the stream has reached
+/// since — which would dead-letter all of them as time regressions.
+TEST_F(Shard, RestartedShardCatchesUpOnItsOwnClock) {
+  const std::vector<graph::NodeId> zero = owned_ids(0, 2, 2);
+  const std::vector<graph::NodeId> one = owned_ids(1, 2, 9);
+  std::vector<osn::Event> log;
+  for (std::size_t i = 0; i < 1200; ++i) {
+    const double t = 0.1 * static_cast<double>(i);
+    if (i % 2 == 0) {
+      log.push_back({osn::EventType::kRequestSent, zero[0], zero[1], t});
+    } else {
+      log.push_back({osn::EventType::kRequestSent, one[0],
+                     one[1 + (i / 2) % 8], t});
+    }
+  }
+  const auto run = [&](const std::string& dir, bool disturbed) {
+    ShardRouter router(make_router_options(dir, 2));
+    router.start();
+    if (disturbed) {
+      router.offer_batch(std::span(log).first(100), 0);
+      router.mark_down(1);  // its WAL holds seqs up to 99 (t=9.9)
+      router.offer_batch(std::span(log).subspan(100, 600), 100);  // to t=69.9
+      router.restart_shard(1);
+      EXPECT_EQ(router.next_seq(), 100u);
+    }
+    const std::uint64_t from = router.next_seq();
+    router.offer_batch(std::span(log).subspan(from), from);
+    router.flush(/*checkpoint=*/false);
+    return capture(router, 121.0);
+  };
+  const ShardedRun base = run(fresh_dir("catchup_base"), false);
+  const ShardedRun caught_up = run(fresh_dir("catchup_down"), true);
+  ASSERT_FALSE(base.flags.records.empty());
+  EXPECT_NE(base.shard_stats[1].find("\"time-regression\":0"),
+            std::string::npos);
+  EXPECT_EQ(caught_up.shard_stats, base.shard_stats);
+  expect_flags_equal(caught_up.flags, base.flags);
 }
 
 TEST_F(Shard, OwnerPlacementIsStableAndBalanced) {
@@ -655,6 +748,66 @@ TEST_F(ShardedRecovery, KillOneShardAtEveryBoundary) {
     }
     expect_flags_equal(run.flags, base.flags);
     if (::testing::Test::HasFailure()) FAIL() << "crash at op " << k;
+  }
+}
+
+/// The stream-clock probe under a crash at every storage op, of shard 1
+/// alone (it restarts behind the stream and catches up on a clock of
+/// its own) and of the whole fleet (a fresh router resumes the clock
+/// from the shard at the minimum frontier): each recovery dead-letters
+/// the same burst and ends byte-identical to the uninterrupted run.
+TEST_F(ShardedRecovery, LateBurstKillSweepRecoversTheStreamClock) {
+  const std::vector<osn::Event> log = late_burst_log(3, 120);
+  for (const std::uint32_t victim : {1u, kWholeFleet}) {
+    SCOPED_TRACE(victim == kWholeFleet ? "whole fleet" : "shard 1");
+    std::uint64_t ops = 0;
+    const ShardedRun base = run_baseline(log, fresh_dir("late_base"), 102.0,
+                                         victim, &ops);
+    ASSERT_EQ(base.flags.size(), 1u);
+    ASSERT_NE(base.shard_stats[1].find("\"time-regression\":30"),
+              std::string::npos)
+        << base.shard_stats[1];
+
+    const std::string dir = fresh_dir("late_sweep");
+    for (std::uint64_t k = 0; k < ops; ++k) {
+      fs::remove_all(dir);
+      io::FaultyVfs vfs(&crashtest::sweep_vfs());
+      crashtest::arm_crash(vfs, k);
+      auto router = std::make_unique<ShardRouter>(
+          sweep_router_options(dir, &vfs, victim));
+      bool crashed = false;
+      bool booted = false;
+      try {
+        router->start();
+        booted = true;
+        drive(*router, log, 0);
+      } catch (const io::VfsError& e) {
+        ASSERT_EQ(e.kind(), io::VfsFaultKind::kProcessCrash) << e.what();
+        crashed = true;
+      }
+      ASSERT_TRUE(crashed) << "op " << k << " never reached";
+
+      ShardedRun run;
+      if (booted && victim != kWholeFleet) {
+        router->mark_down(victim);
+        vfs.reboot();
+        router->restart_shard(victim);
+        drive(*router, log, router->next_seq());
+        run = capture(*router, 102.0);
+      } else {
+        router.reset();
+        ShardRouter rebooted(sweep_router_options(dir));
+        rebooted.start();
+        drive(rebooted, log, rebooted.next_seq());
+        run = capture(rebooted, 102.0);
+      }
+      for (std::uint32_t i = 0; i < 3; ++i) {
+        ASSERT_EQ(run.shard_stats[i], base.shard_stats[i])
+            << "crash at op " << k << ", shard " << i;
+      }
+      expect_flags_equal(run.flags, base.flags);
+      if (::testing::Test::HasFailure()) FAIL() << "crash at op " << k;
+    }
   }
 }
 

@@ -1,7 +1,8 @@
 // WAL unit suite: record round-trips, segment rotation at commits,
 // appends that never touch storage, torn-tail healing (both via a
-// process crash mid-record and via simulated torn writes), pruning, and
-// cold-start scans (docs/FORMATS.md §WAL).
+// process crash mid-frame and via simulated torn writes), pruning,
+// cold-start scans, the byte counter, the frozen v3 golden segment and
+// the refusal of v2 segments (docs/FORMATS.md §8).
 #include "service/wal.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,8 @@
 #include <filesystem>
 #include <string>
 
+#include "core/metrics/instrument.h"
+#include "core/metrics/metrics.h"
 #include "faults/process_faults.h"
 #include "io/error.h"
 #include "io/faulty_vfs.h"
@@ -117,8 +120,13 @@ TEST(Wal, HealsTornTailFromSimulatedPartialFlush) {
   opts.dir = dir;
   opts.fsync = WalFsync::kNever;
   {
+    // One frame per record (sync() seals whatever is pending), so a tear
+    // inside the last 39-byte frame costs exactly its one record.
     WalWriter w(opts, 0);
-    for (std::uint64_t i = 0; i < 10; ++i) w.append(event_at(i), i, 0);
+    for (std::uint64_t i = 0; i < 10; ++i) {
+      w.append(event_at(i), i, 0);
+      w.sync();
+    }
   }
   const std::string segment = only_segment(dir);
   const auto torn = faults::tear_file_tail(segment, /*seed=*/42,
@@ -126,7 +134,8 @@ TEST(Wal, HealsTornTailFromSimulatedPartialFlush) {
   ASSERT_GE(torn.bytes_torn, 1u);
   ASSERT_LE(torn.bytes_torn, 30u);
 
-  // Record 9 is torn (or bit-flipped); strict prefix keeps 0..8.
+  // Record 9's frame is torn (or bit-flipped) and dropped whole; strict
+  // prefix keeps 0..8.
   WalScanReport report;
   const auto records = scan_wal(dir, 0, report);
   ASSERT_EQ(records.size(), 9u);
@@ -161,8 +170,9 @@ TEST(Wal, ProcessCrashTearsRecordMidWrite) {
       w.append(event_at(i), i, 0);
       w.commit();
     }
-    // The next op is record 3's write: the process dies inside it, and
-    // the write persists a seeded strict prefix of the record.
+    // The next op is the write of record 3's frame: the process dies
+    // inside it, and the write persists a seeded strict prefix of the
+    // 39-byte frame (20 bytes of framing around a 19-byte record).
     w.append(event_at(3), 3, 0);
     crashtest::arm_crash(vfs, vfs.ops());
     try {
@@ -171,7 +181,7 @@ TEST(Wal, ProcessCrashTearsRecordMidWrite) {
     } catch (const io::VfsError& e) {
       EXPECT_EQ(e.kind(), io::VfsFaultKind::kProcessCrash);
       EXPECT_GT(e.bytes_written(), 0u) << "seed must keep a torn prefix";
-      EXPECT_LT(e.bytes_written(), 44u);
+      EXPECT_LT(e.bytes_written(), 39u);
     }
     EXPECT_TRUE(vfs.dead());
   }  // process death: the dead device takes no further bytes
@@ -256,6 +266,30 @@ TEST(Wal, PrunesFullyCoveredSegments) {
   EXPECT_TRUE(fs::exists(dir + "/wal-00000000000000000012.seg"));
 }
 
+TEST(Wal, SegmentHeaderKeepsTheClockOfPrunedRecords) {
+  const std::string dir = fresh_dir("clock");
+  WalOptions opts;
+  opts.dir = dir;
+  opts.segment_records = 4;
+  opts.fsync = WalFsync::kNever;
+  {
+    WalWriter w(opts, 0, /*clock=*/5.0);
+    for (std::uint64_t i = 0; i < 8; ++i) {
+      w.append(event_at(i), i, 0, 10.0 + static_cast<double>(i));
+      w.commit();  // rotates after records 3 and 7
+    }
+  }
+  WalScanReport report;
+  EXPECT_EQ(scan_wal(dir, 0, report).size(), 8u);
+  EXPECT_EQ(report.last_stamp, 17.0);
+  // Every record is pruned; the live segment's header still holds the
+  // stamp of record 7, the clock a writer at index 8 continues.
+  EXPECT_EQ(prune_wal(dir, 8), 2u);
+  EXPECT_TRUE(scan_wal(dir, 8, report).empty());
+  EXPECT_EQ(report.next_index, 8u);
+  EXPECT_EQ(report.last_stamp, 17.0);
+}
+
 TEST(Wal, ScanOfMissingDirectoryIsAColdStart) {
   WalScanReport report;
   const auto records =
@@ -264,6 +298,40 @@ TEST(Wal, ScanOfMissingDirectoryIsAColdStart) {
   EXPECT_EQ(report.next_index, 0u);
   EXPECT_EQ(report.segments_scanned, 0u);
 }
+
+#if SYBIL_METRICS_COMPILED
+/// service.wal.bytes counts what reaches the files — segment headers,
+/// frame headers, records and CRCs — so it equals their total size,
+/// across rotations and the frame the destructor seals.
+TEST(Wal, BytesCounterEqualsTheSegmentFiles) {
+  auto& registry = core::metrics::MetricsRegistry::instance();
+  const bool was_enabled = registry.enabled();
+  registry.set_enabled(true);  // the test counts; restored at the end
+  core::metrics::Counter& bytes = registry.counter("service.wal.bytes");
+  const std::uint64_t before = bytes.value();
+  const std::string dir = fresh_dir("bytes");
+  WalOptions opts;
+  opts.dir = dir;
+  opts.segment_records = 4;
+  opts.fsync = WalFsync::kNever;
+  {
+    WalWriter w(opts, 0);
+    for (std::uint64_t i = 0; i < 13; ++i) {
+      w.append(event_at(i), 2 * i, 0, 0.5 * static_cast<double>(i));
+      if (i < 10) w.commit();  // rotates at every fourth record
+    }
+    EXPECT_EQ(w.segments_opened(), 3u);
+  }
+  std::uint64_t on_disk = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    on_disk += fs::file_size(entry.path());
+  }
+  EXPECT_EQ(bytes.value() - before, on_disk);
+  WalScanReport report;
+  EXPECT_EQ(scan_wal(dir, 0, report).size(), 13u);
+  registry.set_enabled(was_enabled);
+}
+#endif  // SYBIL_METRICS_COMPILED
 
 TEST(Wal, ValidatesOptions) {
   WalOptions opts;

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -29,6 +30,9 @@ struct StorageOp {
   Kind kind = Kind::kOpen;
   std::string path;         // the file (rename: the destination)
   std::uint64_t bytes = 0;  // write size
+  /// A write's first four bytes, little-endian (0 when shorter): a WAL
+  /// frame leads with its record count.
+  std::uint32_t lead = 0;
 };
 
 class SweepVfs final : public io::Vfs {
@@ -68,7 +72,9 @@ class SweepVfs final : public io::Vfs {
     }
     void write(const void* buf, std::size_t n) override {
       inner_->write(buf, n);
-      owner_->note(StorageOp::Kind::kWrite, path_, n);
+      std::uint32_t lead = 0;
+      if (n >= sizeof(lead)) std::memcpy(&lead, buf, sizeof(lead));
+      owner_->note(StorageOp::Kind::kWrite, path_, n, lead);
     }
     void fsync() override { owner_->note(StorageOp::Kind::kFsync, path_); }
     void close() override { inner_->close(); }
@@ -80,8 +86,8 @@ class SweepVfs final : public io::Vfs {
   };
 
   void note(StorageOp::Kind kind, const std::string& path,
-            std::uint64_t bytes = 0) {
-    if (log_ != nullptr) log_->push_back({kind, path, bytes});
+            std::uint64_t bytes = 0, std::uint32_t lead = 0) {
+    if (log_ != nullptr) log_->push_back({kind, path, bytes, lead});
   }
 
   std::vector<StorageOp>* log_ = nullptr;
