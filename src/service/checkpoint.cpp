@@ -9,6 +9,7 @@
 #include "core/metrics/instrument.h"
 #include "io/container.h"
 #include "io/error.h"
+#include "service/wal.h"
 
 namespace sybil::service {
 
@@ -130,14 +131,9 @@ std::vector<std::pair<std::uint64_t, std::string>> list_checkpoints(
   if (!fs::exists(dir)) return out;
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.size() != 30 || name.rfind("ckpt-", 0) != 0 ||
-        name.substr(25) != ".sybs") {
-      continue;
-    }
-    const std::string digits = name.substr(5, 20);
-    if (digits.find_first_not_of("0123456789") != std::string::npos) continue;
-    out.emplace_back(std::stoull(digits), entry.path().string());
+    const auto position = parse_state_file_name(
+        entry.path().filename().string(), "ckpt-", ".sybs");
+    if (position) out.emplace_back(*position, entry.path().string());
   }
   if (ec) {
     throw SnapshotError(SnapshotErrorCode::kOpenFailed,

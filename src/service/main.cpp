@@ -34,7 +34,8 @@ namespace {
 
 using namespace sybil;
 
-constexpr const char* kUsage = R"(usage: sybil_service [options]
+/// printf format of the usage text; usage() fills in the defaults.
+constexpr const char kUsage[] = R"(usage: sybil_service [options]
 
 Sharded detection service driver (synthetic workload).
 
@@ -47,9 +48,9 @@ options:
   --hours H             stream span in simulated hours (default 96)
   --burst-senders K     sybil-like hot senders (default 8)
   --fsync MODE          WAL durability: always|never (default always)
-  --segment-records R   WAL records per segment (default 4096)
-  --checkpoint-every C  checkpoint cadence in WAL records, 0 = manual only
-                        (default 10000)
+  --segment-records R   WAL records per segment (default %llu)
+  --checkpoint-every C  grid of positions where a generation may be cut;
+                        0 = explicit only (default %llu)
   --no-final-checkpoint skip the checkpoint inside the final flush
   --verify-single       run N shards then 1 shard; fail unless the merged
                         FlagBatches are byte-identical
@@ -69,16 +70,27 @@ struct CliOptions {
   std::string dir = "./sybil-service-state";
   service::WorkloadOptions workload{};
   service::WalFsync fsync = service::WalFsync::kEveryAppend;
-  std::uint64_t segment_records = 4096;
-  std::uint64_t checkpoint_every = 10000;
+  std::uint64_t segment_records = service::ServiceOptions{}.wal_segment_records;
+  std::uint64_t checkpoint_every = service::ServiceOptions{}.checkpoint_every;
   bool final_checkpoint = true;
   bool verify_single = false;
   bool stats = false;
 };
 
+/// The usage text, with the service library's defaults.
+std::string usage() {
+  const CliOptions defaults;
+  char text[sizeof(kUsage) + 64];
+  std::snprintf(text, sizeof(text), kUsage,
+                static_cast<unsigned long long>(defaults.segment_records),
+                static_cast<unsigned long long>(defaults.checkpoint_every));
+  return text;
+}
+
 /// The operator-facing failure: one error line, the usage text, exit 2.
 [[noreturn]] void usage_error(const std::string& what) {
-  std::fprintf(stderr, "sybil_service: %s\n%s", what.c_str(), kUsage);
+  std::fprintf(stderr, "sybil_service: %s\n%s", what.c_str(),
+               usage().c_str());
   std::exit(2);
 }
 
@@ -295,7 +307,7 @@ int run_scenario(const std::string& path, const std::string& dir,
 int main(int argc, char** argv) {
   CliOptions cli;
   if (!take_flag(argc, argv, "--help", 0).empty()) {
-    std::fputs(kUsage, stdout);
+    std::fputs(usage().c_str(), stdout);
     return 0;
   }
   if (const auto v = take_flag(argc, argv, "--shards", 1); !v.empty()) {

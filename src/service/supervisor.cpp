@@ -352,6 +352,9 @@ RecoveryReport ServiceSupervisor::start() {
       replay_from = state.replay_from;
       position = state.wal_position;
       replay_starts_[position] = replay_from;
+      newest_position_ = position;
+      newest_state_bytes_ =
+          state.stream_state.size() + state.defense_state.size();
       break;
     } catch (const io::SnapshotError&) {
       reset_state();  // a partial restore must not leak into a fallback
@@ -644,7 +647,13 @@ void ServiceSupervisor::publish_metrics() {
 
 void ServiceSupervisor::maybe_checkpoint() {
   if (options_.checkpoint_every == 0) return;
-  if (wal_->next_index() % options_.checkpoint_every == 0) checkpoint_now();
+  const std::uint64_t position = wal_->next_index();
+  if (position % options_.checkpoint_every != 0) return;
+  // records * kMinRecordBytes * kCheckpointLogShare >= state bytes, in a
+  // form that cannot overflow.
+  constexpr std::uint64_t kPrice = kMinRecordBytes * kCheckpointLogShare;
+  const std::uint64_t needed = (newest_state_bytes_ + kPrice - 1) / kPrice;
+  if (position - newest_position_ >= needed) checkpoint_now();
 }
 
 void ServiceSupervisor::checkpoint_now() {
@@ -674,6 +683,7 @@ void ServiceSupervisor::checkpoint_now() {
   // The detector's state is encoded inside the commit, straight into
   // the container image, on the parallel layer.
   const core::StreamStateEncoder stream(detector_);
+  const std::uint64_t state_bytes = stream.size() + state.defense_state.size();
 
   const std::string ckpt_dir = options_.dir + "/ckpt";
   // A checkpoint must never claim a position past the durable WAL, so
@@ -695,6 +705,8 @@ void ServiceSupervisor::checkpoint_now() {
   }
   replay_starts_[position] = replay_from;
   newest_save_ = save_mark();
+  newest_position_ = position;
+  newest_state_bytes_ = state_bytes;
   // Retention, then WAL pruning up to the oldest replay start among the
   // *retained* generations — the fallback path must always find the
   // records it would replay. One this supervisor neither wrote nor

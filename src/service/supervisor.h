@@ -93,6 +93,13 @@ inline constexpr std::uint64_t kExplicitSeqLimit = std::uint64_t{1} << 63;
 /// writer's retained write buffer, so nothing is copied.
 inline constexpr std::uint64_t kStorageBufferRecords = 4096;
 
+/// The size trigger's share: a grid point cuts a generation once the log
+/// since the newest one is at least 1/kCheckpointLogShare of its state
+/// (ServiceOptions::checkpoint_every). Recovery replays at most that
+/// generation's state bytes / (kCheckpointLogShare * kMinRecordBytes)
+/// records plus one grid step.
+inline constexpr std::uint64_t kCheckpointLogShare = 5;
+
 /// Thrown by offer() when the disk-fault window outlives the bounded
 /// degraded-mode buffer: the loud, typed end of graceful degradation.
 /// The offer was NOT logged; the supervisor remains usable (still
@@ -133,10 +140,18 @@ struct ServiceOptions {
   std::uint32_t shard_count = 1;
   WalFsync wal_fsync = WalFsync::kEveryAppend;
   std::uint64_t wal_segment_records = 4096;
-  /// Take a checkpoint whenever the WAL reaches a multiple of this many
-  /// records (0 = only explicit checkpoint_now()/flush() calls).
-  /// Index-based, not counter-based, so an uninterrupted run and a
-  /// recovered run checkpoint at the same stream positions.
+  /// The grid of WAL positions where a generation may be cut (0 = only
+  /// explicit checkpoint_now()/flush() calls). At a multiple of this
+  /// many records one is cut only when the records logged since the
+  /// newest generation, priced at kMinRecordBytes each, reach
+  /// 1/kCheckpointLogShare of that generation's state bytes (its
+  /// stream plus defense sections): small state saves at every grid
+  /// point, large state only once the log behind it has grown. Both
+  /// inputs are a function of stream position and the newest
+  /// generation, so a run recovered from generation g cuts the same
+  /// later generations as the uninterrupted run. A fallback past a
+  /// corrupt generation may cut different ones; flags and stats_json
+  /// are identical either way.
   std::uint64_t checkpoint_every = 10000;
   /// Checkpoint generations kept on disk (the corrupt-latest fallback
   /// depth); older generations, and WAL segments wholly below every
@@ -475,6 +490,11 @@ class ServiceSupervisor {
   };
   SaveMark save_mark() const;
   std::optional<SaveMark> newest_save_;
+  /// WAL position and state bytes of the newest generation this
+  /// supervisor wrote or loaded ((0, 0) before any): the size trigger's
+  /// inputs (maybe_checkpoint).
+  std::uint64_t newest_position_ = 0;
+  std::uint64_t newest_state_bytes_ = 0;
 };
 
 }  // namespace sybil::service

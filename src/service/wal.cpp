@@ -1,6 +1,7 @@
 #include "service/wal.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -52,8 +53,7 @@ constexpr std::size_t kFrameCrcBytes = 4;
 static_assert(sizeof(FrameHeader) == kFrameHeaderBytes);
 
 // Record: head byte, [raw type], varint seq delta (1-10 bytes), time,
-// actor, subject, [stamp code, [raw stamp]].
-constexpr std::size_t kMinRecordBytes = 1 + 1 + 8 + 4 + 4;
+// actor, subject, [stamp code, [raw stamp]]; kMinRecordBytes in wal.h.
 constexpr std::size_t kMaxRecordBytes = 1 + 1 + 10 + 8 + 4 + 4 + 1 + 8;
 constexpr unsigned kTypeBits = 3;
 constexpr unsigned kTypeEscape = (1u << kTypeBits) - 1;  // raw byte follows
@@ -175,14 +175,9 @@ std::vector<std::pair<std::uint64_t, fs::path>> list_segments(
   std::vector<std::pair<std::uint64_t, fs::path>> out;
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.size() != 28 || name.rfind("wal-", 0) != 0 ||
-        name.substr(24) != ".seg") {
-      continue;
-    }
-    const std::string digits = name.substr(4, 20);
-    if (digits.find_first_not_of("0123456789") != std::string::npos) continue;
-    out.emplace_back(std::stoull(digits), entry.path());
+    const auto base =
+        parse_state_file_name(entry.path().filename().string(), "wal-", ".seg");
+    if (base) out.emplace_back(*base, entry.path());
   }
   if (ec) {
     throw SnapshotError(SnapshotErrorCode::kOpenFailed,
@@ -193,6 +188,24 @@ std::vector<std::pair<std::uint64_t, fs::path>> list_segments(
 }
 
 }  // namespace
+
+std::optional<std::uint64_t> parse_state_file_name(std::string_view name,
+                                                   std::string_view prefix,
+                                                   std::string_view suffix) {
+  constexpr std::size_t kDigits = 20;
+  if (name.size() != prefix.size() + kDigits + suffix.size() ||
+      !name.starts_with(prefix) || !name.ends_with(suffix)) {
+    return std::nullopt;
+  }
+  // from_chars takes digits only (no sign, no space) and reports a
+  // value past 2^64 - 1 instead of throwing as std::stoull does.
+  const char* first = name.data() + prefix.size();
+  const char* last = first + kDigits;
+  std::uint64_t v = 0;
+  const auto [at, ec] = std::from_chars(first, last, v);
+  if (ec != std::errc() || at != last) return std::nullopt;
+  return v;
+}
 
 void WalOptions::validate() const {
   if (dir.empty()) {

@@ -52,7 +52,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "io/vfs.h"
@@ -66,6 +68,11 @@ enum class WalFsync : std::uint32_t {
   kEveryAppend = 0,  // every commit() with records pending fsyncs
   kNever = 2,        // flush at rotation only
 };
+
+/// The smallest encoded record: head byte, 1-byte seq delta, time,
+/// actor and subject, the clock bit set. The supervisor prices the log
+/// behind a checkpoint at this many bytes per record.
+inline constexpr std::size_t kMinRecordBytes = 1 + 1 + 8 + 4 + 4;
 
 struct WalOptions {
   std::string dir;  // segment directory; created if absent
@@ -237,6 +244,14 @@ WalScanReport scan_wal(const std::string& dir, std::uint64_t from_index,
                        const std::function<void(const WalRecord&)>& visit,
                        std::uint32_t expected_shard = kWalAnyShard,
                        io::Vfs* vfs = nullptr);
+
+/// The position a state file's name carries: `prefix`, 20 decimal
+/// digits, `suffix` ("wal-<base>.seg", "ckpt-<position>.sybs"). Any
+/// other name is nullopt, 20 digits past 2^64 - 1 included: the service
+/// never writes such a name, so its listings skip it.
+std::optional<std::uint64_t> parse_state_file_name(std::string_view name,
+                                                   std::string_view prefix,
+                                                   std::string_view suffix);
 
 /// Deletes segments whose entire record range lies below `index` (every
 /// retained checkpoint replays from at or above it). Returns segments

@@ -23,7 +23,12 @@
 //     on part of the history; WAL retention keeps what every retained
 //     generation replays, including ones an earlier process wrote;
 //   * checkpoint retention deletes exactly the pruned generations, and
-//     through the service's vfs.
+//     through the service's vfs;
+//   * state-file names past 2^64 - 1 are skipped, never thrown on;
+//   * the size-triggered cadence: small state cuts at every grid point,
+//     large state skips grid points by the rule; a restart cuts the
+//     uninterrupted run's later generations; the replayed suffix stays
+//     within the newest generation's state bound.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -746,6 +751,193 @@ TEST_F(ServiceRecovery, CheckpointPruningGoesThroughTheVfs) {
     EXPECT_EQ(retained[i].second,
               vfs.committed[pruned.size() + i]);
   }
+}
+
+// A state root may hold names the service never writes. Twenty digits
+// past 2^64 - 1 in a generation's or a segment's name are skipped like
+// any other foreign name: start(), checkpoint pruning and WAL pruning
+// all list them, and none of them throws.
+TEST_F(ServiceRecovery, OverflowingStateFileNamesAreSkipped) {
+  const std::vector<osn::Event> log = build_log(37);
+  const RunResult base = run_baseline(log, fresh_dir("stray_base"));
+
+  const std::string dir = fresh_dir("stray");
+  const std::string stray_ckpt = dir + "/ckpt/ckpt-99999999999999999999.sybs";
+  const std::string stray_wal = dir + "/wal/wal-99999999999999999999.seg";
+  fs::create_directories(dir + "/ckpt");
+  fs::create_directories(dir + "/wal");
+  std::FILE* f = std::fopen(stray_ckpt.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fclose(f);
+  fs::copy_file(stray_ckpt, stray_wal);
+
+  const std::uint64_t crash = log.size() / 2;
+  {
+    ServiceSupervisor s(make_options(dir));
+    EXPECT_TRUE(s.start().cold_start);
+    drive_until(s, log, 0, 0, crash);
+  }
+  ServiceSupervisor recovered(make_options(dir));
+  const RecoveryReport report = recovered.start();
+  EXPECT_FALSE(report.cold_start);
+  EXPECT_EQ(report.generations_discarded, 0u);
+  drive(recovered, log, report.next_index, report.checkpoint_position);
+  EXPECT_EQ(recovered.stats_json(), base.stats);
+  expect_flags_equal(recovered.take_flagged(), base.flags);
+  EXPECT_TRUE(fs::exists(stray_ckpt));
+  EXPECT_TRUE(fs::exists(stray_wal));
+  for (const auto& [position, path] : list_checkpoints(dir + "/ckpt")) {
+    EXPECT_LE(position, log.size()) << path;
+  }
+}
+
+// ---- Size-triggered cadence (ServiceOptions::checkpoint_every) ----
+
+/// Stream-plus-defense bytes of the generation at `path`: the size
+/// trigger's price of that generation.
+std::uint64_t state_bytes(const std::string& path) {
+  const ServiceCheckpointState state = load_service_checkpoint(path);
+  return state.stream_state.size() + state.defense_state.size();
+}
+
+/// The first grid point past `position` where the trigger fires for a
+/// generation of `bytes` state.
+std::uint64_t next_cut(std::uint64_t position, std::uint64_t bytes,
+                       std::uint64_t every) {
+  std::uint64_t q = (position / every + 1) * every;
+  while ((q - position) * kMinRecordBytes * kCheckpointLogShare < bytes) {
+    q += every;
+  }
+  return q;
+}
+
+/// make_options with every generation kept. `watermark` sets how much
+/// state the detector holds: at 500 h every event stays in flight, so a
+/// generation stores almost nothing; at 0.25 h events are applied and
+/// the state grows with the accounts seen.
+ServiceOptions cadence_options(const std::string& dir, double watermark,
+                               std::uint64_t every) {
+  ServiceOptions o = make_options(dir);
+  o.checkpoint_every = every;
+  o.checkpoint_retain = 1000;
+  o.detector.ingest.watermark_hours = watermark;
+  return o;
+}
+
+/// The grid positions the run cut, each checked against the rule: the
+/// next generation is the first grid point where the records since the
+/// previous one, at kMinRecordBytes each, reach a fifth of its state.
+std::vector<std::uint64_t> checked_cuts(const std::string& dir,
+                                        std::uint64_t every) {
+  std::vector<std::uint64_t> cuts;
+  std::uint64_t position = 0;
+  std::uint64_t bytes = 0;
+  for (const auto& [p, path] : list_checkpoints(dir + "/ckpt")) {
+    EXPECT_EQ(p, next_cut(position, bytes, every)) << "after " << position;
+    cuts.push_back(p);
+    position = p;
+    bytes = state_bytes(path);
+  }
+  return cuts;
+}
+
+TEST_F(ServiceRecovery, SmallStateCutsEveryGridPointLargeStateSkips) {
+  const std::vector<osn::Event> log = disordered_log(41, 0.0);
+  constexpr std::uint64_t kEvery = 32;
+  const std::uint64_t grid_points = log.size() / kEvery;
+
+  const std::string small = fresh_dir("cadence_small");
+  {
+    ServiceSupervisor s(cadence_options(small, 500.0, kEvery));
+    s.start();
+    drive_until(s, log, 0, 0, log.size());
+  }
+  const std::vector<std::uint64_t> every_point = checked_cuts(small, kEvery);
+  ASSERT_EQ(every_point.size(), grid_points);
+  for (std::size_t i = 0; i < every_point.size(); ++i) {
+    EXPECT_EQ(every_point[i], (i + 1) * kEvery);
+  }
+
+  const std::string large = fresh_dir("cadence_large");
+  {
+    ServiceSupervisor s(cadence_options(large, 0.25, kEvery));
+    s.start();
+    drive_until(s, log, 0, 0, log.size());
+  }
+  const std::vector<std::uint64_t> skipping = checked_cuts(large, kEvery);
+  ASSERT_GE(skipping.size(), 2u);
+  EXPECT_LT(skipping.size(), grid_points / 2);
+  EXPECT_GT(skipping.back() - skipping[skipping.size() - 2], kEvery);
+}
+
+// A supervisor killed after generation g and restarted from it cuts its
+// later generations at the same positions as the uninterrupted run, and
+// ends on the same flags and accounting.
+TEST_F(ServiceRecovery, RestartCutsTheSameGenerationsAsTheUninterruptedRun) {
+  const std::vector<osn::Event> log = disordered_log(43, 0.0);
+  constexpr std::uint64_t kEvery = 16;
+
+  const std::string control_dir = fresh_dir("cadence_control");
+  RunResult control;
+  {
+    ServiceSupervisor s(cadence_options(control_dir, 0.25, kEvery));
+    s.start();
+    drive(s, log, 0);
+    control.stats = s.stats_json();
+    control.flags = s.take_flagged();
+  }
+  const auto control_generations = list_checkpoints(control_dir + "/ckpt");
+  ASSERT_GE(control_generations.size(), 4u);
+
+  for (const std::size_t g : {std::size_t{1}, control_generations.size() / 2}) {
+    const std::uint64_t position = control_generations[g].first;
+    SCOPED_TRACE("killed after generation " + std::to_string(position));
+    const std::string dir = fresh_dir("cadence_restart");
+    {
+      ServiceSupervisor victim(cadence_options(dir, 0.25, kEvery));
+      victim.start();
+      drive_until(victim, log, 0, 0, position + 3);
+    }  // process death: no flush
+    ServiceSupervisor recovered(cadence_options(dir, 0.25, kEvery));
+    const RecoveryReport report = recovered.start();
+    ASSERT_EQ(report.checkpoint_position, position);
+    drive(recovered, log, report.next_index, report.checkpoint_position);
+    EXPECT_EQ(recovered.stats_json(), control.stats);
+    expect_flags_equal(recovered.take_flagged(), control.flags);
+    const auto generations = list_checkpoints(dir + "/ckpt");
+    ASSERT_EQ(generations.size(), control_generations.size());
+    for (std::size_t i = 0; i < generations.size(); ++i) {
+      EXPECT_EQ(generations[i].first, control_generations[i].first) << i;
+    }
+  }
+}
+
+// Whenever a run stops, the suffix a restart replays is bounded by the
+// newest generation's state: state_bytes / (5 * 18) records, plus one
+// grid step the next grid point may lie beyond that.
+TEST_F(ServiceRecovery, ReplayedSuffixIsBoundedByTheNewestGenerationsState) {
+  const std::vector<osn::Event> log = disordered_log(47, 0.0);
+  constexpr std::uint64_t kEvery = 16;
+  std::uint64_t longest = 0;
+  for (std::uint64_t stop = 100; stop <= log.size(); stop += 53) {
+    SCOPED_TRACE("stopped at " + std::to_string(stop));
+    const std::string dir = fresh_dir("cadence_bound");
+    {
+      ServiceSupervisor s(cadence_options(dir, 0.25, kEvery));
+      s.start();
+      drive_until(s, log, 0, 0, stop);
+    }
+    ServiceSupervisor recovered(cadence_options(dir, 0.25, kEvery));
+    const RecoveryReport report = recovered.start();
+    ASSERT_FALSE(report.cold_start);
+    const std::uint64_t bytes = state_bytes(report.checkpoint_file);
+    EXPECT_LE(report.records_replayed,
+              bytes / (kCheckpointLogShare * kMinRecordBytes) + kEvery);
+    EXPECT_EQ(report.records_replayed, stop - report.checkpoint_position);
+    longest = std::max(longest, report.records_replayed);
+  }
+  // The bound bites: the suffix outgrows the grid step.
+  EXPECT_GT(longest, 4 * kEvery);
 }
 
 }  // namespace
