@@ -1,6 +1,9 @@
 #include "runner.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -419,9 +422,23 @@ CrashRecoveryRun run_crash_recovery(const osn::EventLog& log,
   // Deliberately misaligned with crash_every so crashes land between
   // checkpoints and every recovery exercises real WAL-suffix replay.
   service_opts.checkpoint_every = crash_every / 2 + 1;
+  // A root of its own per call (process id and a per-process counter),
+  // removed however the call ends: concurrent runs, in one process or
+  // several, never share or delete each other's state.
+  static std::atomic<std::uint64_t> runs{0};
   const std::string root =
-      (fs::temp_directory_path() / "sybil_bench_crash").string();
+      (fs::temp_directory_path() /
+       ("sybil_bench_crash-" + std::to_string(::getpid()) + "-" +
+        std::to_string(runs.fetch_add(1))))
+          .string();
   fs::remove_all(root);
+  struct RemoveOnExit {
+    const std::string& dir;
+    ~RemoveOnExit() {
+      std::error_code ec;
+      fs::remove_all(dir, ec);
+    }
+  } remove_on_exit{root};
 
   // Both passes run through an N-way router (one shard is the
   // standalone service), every kill takes the whole fleet down, and
@@ -479,7 +496,6 @@ CrashRecoveryRun run_crash_recovery(const osn::EventLog& log,
       ++run.crashes;
     }
   }
-  fs::remove_all(root);
 
   if (run.recovered_flagged != run.clean_flagged ||
       run.recovered_precision != run.clean_precision ||

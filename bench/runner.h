@@ -201,9 +201,11 @@ struct CrashRecoveryRun {
   double recovered_recall = 0.0;
 };
 
-/// Runs both passes in throwaway state directories under the system
-/// temp dir. Deterministic in (log, options, crash_every, shards)
-/// apart from the wall-clock latency fields.
+/// Runs both passes in throwaway state directories under a root of the
+/// call's own in the system temp dir, removed when the call returns or
+/// throws, so concurrent calls are independent. Deterministic in (log,
+/// options, crash_every, shards) apart from the wall-clock latency
+/// fields.
 CrashRecoveryRun run_crash_recovery(const osn::EventLog& log,
                                     const std::vector<bool>& is_sybil,
                                     const core::DetectorOptions& options,

@@ -266,9 +266,11 @@ void ShardRouter::checkpoint_now() {
 }
 
 void ShardRouter::flush(bool checkpoint) {
-  // The drains do no I/O, so they run in the shard lanes; the commits
-  // and checkpoints then run in ascending shard order, the same storage
-  // ops in the same order as flushing one shard after another.
+  // The drains write nothing (at most they read a recovery's records
+  // back from their own shard's WAL), so they run in the shard lanes;
+  // the commits and checkpoints then run in ascending shard order, the
+  // same storage ops in the same order as flushing one shard after
+  // another.
   fan_out([](ServiceSupervisor& s) { return s.drain_to_end(); });
   for (auto& s : shards_) {
     if (s) s->flush(checkpoint);

@@ -262,6 +262,7 @@ void ServiceSupervisor::reset_state() {
     scorer_ = std::make_unique<DefenseScorer>(options_.detector);
   }
   queue_.clear();
+  cursor_.reset();
   tier_ = core::ServiceTier::kFull;
   counters_ = {};
   next_seq_ = 0;
@@ -367,14 +368,24 @@ RecoveryReport ServiceSupervisor::start() {
   // did not store; the rest replay through apply(), which re-counts them
   // as the live offers did. The WAL must hold all of them: indices ascend
   // strictly, so the first index and the count below the position rule
-  // out any gap. No fallback: an older generation needs a superset. The
-  // scan hands records over as it decodes them, so the log is never
-  // held twice; a throw drops whatever was restored or replayed.
+  // out any gap below it, and each replayed record must follow the last.
+  // No fallback: an older generation needs a superset. The scan hands
+  // records over as it decodes them, and the admitted ones stay in the
+  // WAL: pump() reads them back through a cursor, so the log is never
+  // held in memory. A throw drops whatever was restored or replayed.
   std::optional<std::uint64_t> first;
   std::uint64_t below = 0;
   bool rebuilt = false;
-  // Runs once every record below the position is queued: checks the
-  // coverage, then hands the detector the ones it held.
+  // The checkpoint's queue is the last `queued` admitted records below
+  // the position (a pumped count above admitted wraps past any size);
+  // the detector pumped the ones before them and re-buffers those it
+  // still held. `held` trails the scan by that many, handing the
+  // detector each record that falls out of it.
+  const std::uint64_t queued = counters_.admitted - counters_.pumped;
+  std::deque<Queued> held;
+  std::optional<std::uint64_t> cursor_begin;
+  // Runs once every record below the position is seen: checks the
+  // coverage and where the queue starts.
   const auto rebuild = [&] {
     rebuilt = true;
     if ((first && *first != replay_from) || below != position - replay_from) {
@@ -385,17 +396,12 @@ RecoveryReport ServiceSupervisor::start() {
               std::to_string(position) + " (first record " +
               (first ? std::to_string(*first) : "none") + ")");
     }
-    // The queue is the last admitted - pumped of those (a pumped count
-    // above admitted wraps past any size); the detector pumped the ones
-    // before it and re-buffers those it still held.
-    const std::uint64_t queued = counters_.admitted - counters_.pumped;
-    if (queue_.size() < queued) {
+    if (held.size() < queued) {
       throw io::SnapshotError(io::SnapshotErrorCode::kFormatViolation,
                               "checkpoint queue outruns its WAL records");
     }
-    for (; queue_.size() > queued; queue_.pop_front()) {
-      detector_.restore_buffered(queue_.front().event, queue_.front().index);
-    }
+    if (!held.empty()) cursor_begin = held.front().index;
+    held = {};
   };
   WalScanReport scan;
   try {
@@ -406,12 +412,24 @@ RecoveryReport ServiceSupervisor::start() {
           if (r.index < position) {
             ++below;
             if (!r.shed()) {  // counted in the checkpoint
-              queue_.push_back({r.index, r.seq, r.event, r.stamp});
+              held.push_back({r.index, r.seq, r.event, r.stamp});
+              if (held.size() > queued) {
+                detector_.restore_buffered(held.front().event,
+                                           held.front().index);
+                held.pop_front();
+              }
             }
             return;
           }
           if (!rebuilt) rebuild();
-          apply(r);
+          if (r.index != position + report.records_replayed) {
+            throw io::SnapshotError(
+                io::SnapshotErrorCode::kTruncated,
+                "WAL " + wal_dir + " skips from record " +
+                    std::to_string(position + report.records_replayed) +
+                    " to " + std::to_string(r.index));
+          }
+          if (apply(r) == kAdmitted && !cursor_begin) cursor_begin = r.index;
           ++report.records_replayed;
         },
         options_.shard_id, options_.vfs);
@@ -437,6 +455,13 @@ RecoveryReport ServiceSupervisor::start() {
   wal_opts.shard_id = options_.shard_id;
   wal_opts.vfs = options_.vfs;
   wal_ = std::make_unique<WalWriter>(wal_opts, next, clock_);
+  // Every admitted, unpumped record is in [cursor_begin, next), which
+  // the writer, appending from `next` on, never touches.
+  if (cursor_begin) {
+    cursor_.emplace(wal_dir, *cursor_begin, next,
+                    counters_.admitted - counters_.pumped, options_.shard_id,
+                    options_.vfs);
+  }
 
   report.next_index = next;
   report.next_seq = next_seq_;
@@ -444,14 +469,14 @@ RecoveryReport ServiceSupervisor::start() {
   SYBIL_SERVICE_METRIC(recoveries.add(1));
   if (report.cold_start) SYBIL_SERVICE_METRIC(cold_starts.add(1));
   SYBIL_SERVICE_METRIC(replayed_records.add(report.records_replayed));
-  SYBIL_SERVICE_METRIC(queue_depth.set(static_cast<double>(queue_.size())));
+  SYBIL_SERVICE_METRIC(queue_depth.set(static_cast<double>(queue_depth())));
   SYBIL_SERVICE_METRIC(tier.set(static_cast<std::uint32_t>(tier_)));
   return report;
 }
 
 void ServiceSupervisor::update_tier() {
   const auto& o = options_.detector.overload;
-  const std::size_t depth = queue_.size();
+  const std::uint64_t depth = queue_depth();
   core::ServiceTier next = tier_;
   if (depth >= o.sweep_only_watermark) {
     next = core::ServiceTier::kSweepOnly;
@@ -484,7 +509,7 @@ bool ServiceSupervisor::offer(const osn::Event& e, std::uint64_t seq,
   // The verdict, as the record's flags: bans are never shed.
   std::uint32_t flags = tier_bits(tier_);
   if (e.type != osn::EventType::kAccountBanned) {
-    if (queue_.size() >= options_.detector.overload.queue_capacity) {
+    if (queue_depth() >= options_.detector.overload.queue_capacity) {
       flags |= WalRecordFlags::kShed | WalRecordFlags::kCapacity;
     } else if (tier_ == core::ServiceTier::kSweepOnly ||
                (tier_ == core::ServiceTier::kShedLowPriority &&
@@ -513,8 +538,9 @@ bool ServiceSupervisor::offer(const osn::Event& e, std::uint64_t seq,
         storage_buffered.set(static_cast<double>(wal_->unsynced_records())));
   }
   const Verdict verdict = apply(WalRecord{index, seq, e, flags, stamp});
+  if (verdict == kAdmitted) queue_.push_back({index, seq, e, stamp});
   SYBIL_SERVICE_METRIC(shed[verdict].add(1));  // live offers only
-  SYBIL_SERVICE_METRIC(queue_depth.set(static_cast<double>(queue_.size())));
+  SYBIL_SERVICE_METRIC(queue_depth.set(static_cast<double>(queue_depth())));
   maybe_checkpoint();
   return verdict == kAdmitted;
 }
@@ -540,7 +566,6 @@ ServiceSupervisor::Verdict ServiceSupervisor::apply(const WalRecord& r) {
   clock_ = r.stamp;
   tier_ = tier_from_flags(r.flags);
   if (!r.shed()) {
-    queue_.push_back({r.index, r.seq, r.event, r.stamp});
     ++counters_.admitted;
     return kAdmitted;
   }
@@ -559,30 +584,46 @@ ServiceSupervisor::Verdict ServiceSupervisor::apply(const WalRecord& r) {
 template <typename More>
 std::size_t ServiceSupervisor::drain(More more) {
   std::size_t n = 0;
-  while (!queue_.empty() && more(queue_.front(), n)) {
-    const Queued r = queue_.front();
-    queue_.pop_front();
+  const auto ingest = [&](std::uint64_t index, const osn::Event& e,
+                          graph::Time stamp) {
     ++counters_.pumped;
     ++n;
-    detector_.ingest(r.event, r.index, r.stamp);
-    if (scorer_ != nullptr) scorer_->observe(r.event);
+    detector_.ingest(e, index, stamp);
+    if (scorer_ != nullptr) scorer_->observe(e);
+  };
+  // Recovered records were logged before every live offer: the cursor
+  // drains first, and a head it stops at stops the drain.
+  for (;;) {
+    if (cursor_) {
+      const WalRecord& r = cursor_->head();
+      if (!more(r.seq, n)) break;
+      ingest(r.index, r.event, r.stamp);
+      cursor_->pop();
+      if (cursor_->pending() == 0) cursor_.reset();
+    } else if (!queue_.empty() && more(queue_.front().seq, n)) {
+      const Queued r = queue_.front();
+      queue_.pop_front();
+      ingest(r.index, r.event, r.stamp);
+    } else {
+      break;
+    }
   }
-  SYBIL_SERVICE_METRIC(queue_depth.set(static_cast<double>(queue_.size())));
+  SYBIL_SERVICE_METRIC(queue_depth.set(static_cast<double>(queue_depth())));
   publish_metrics();
   return n;
 }
 
 std::size_t ServiceSupervisor::pump(std::size_t max_events) {
   require_started("pump");
-  return drain([max_events](const Queued&, std::size_t n) {
+  return drain([max_events](std::uint64_t, std::size_t n) {
     return max_events == 0 || n < max_events;
   });
 }
 
 std::size_t ServiceSupervisor::pump_through(std::uint64_t seq_bound) {
   require_started("pump_through");
-  return drain([seq_bound](const Queued& head, std::size_t) {
-    return head.seq < kExplicitSeqLimit && head.seq <= seq_bound;
+  return drain([seq_bound](std::uint64_t seq, std::size_t) {
+    return seq < kExplicitSeqLimit && seq <= seq_bound;
   });
 }
 
@@ -668,9 +709,11 @@ void ServiceSupervisor::checkpoint_now() {
     return;
   }
   const std::uint64_t position = wal_->next_index();
+  const std::uint64_t queue_head = cursor_          ? cursor_->head().index
+                                   : queue_.empty() ? position
+                                                    : queue_.front().index;
   const std::uint64_t replay_from =
-      std::min(queue_.empty() ? position : queue_.front().index,
-               detector_.oldest_buffered_seq());
+      std::min(queue_head, detector_.oldest_buffered_seq());
   ServiceCheckpointState state;
   state.wal_position = position;
   state.replay_from = replay_from;
@@ -772,7 +815,7 @@ bool ServiceSupervisor::retry_storage_now() {
 
 bool ServiceSupervisor::accounting_ok() const noexcept {
   const ServiceCounters& c = counters_;
-  if (c.offered != c.shed_total() + queue_.size() + detector_.events_in()) {
+  if (c.offered != c.shed_total() + queue_depth() + detector_.events_in()) {
     return false;
   }
   if (c.admitted != c.offered - c.shed_total()) return false;
@@ -784,7 +827,7 @@ bool ServiceSupervisor::accounting_ok() const noexcept {
 
 IngestTotals ServiceSupervisor::ingest_totals() const {
   IngestTotals t;
-  t.queued = queue_.size();
+  t.queued = queue_depth();
   t.applied = detector_.applied_total();
   t.deduped = detector_.deduped_total();
   t.deadlettered = detector_.deadletter_total();

@@ -17,11 +17,13 @@
 // in-flight events, plus the WAL position and the replay start — the
 // smallest WAL index still queued or buffered in the detector.
 // Recovery (start()) loads the newest valid checkpoint generation —
-// falling back past corrupt ones — rebuilds the queue and the
-// detector's reorder buffer from the admitted WAL records between the
-// replay start and the position, and replays the WAL suffix through
-// the same apply step a live offer runs after its append, re-executing
-// recorded admission verdicts.
+// falling back past corrupt ones — rebuilds the detector's reorder
+// buffer from the admitted WAL records between the replay start and the
+// position, and replays the WAL suffix through the same apply step a
+// live offer runs after its append, re-executing recorded admission
+// verdicts. The admitted records left unpumped (the checkpoint's queue
+// and the replayed suffix) are not copied: pump() reads them back from
+// the WAL through a WalCursor, ahead of any live offer.
 // The recovered service is byte-identical to one that never crashed:
 // same verdicts, same features, same accounting JSON (tested with a
 // process crash at every storage op; docs/ROBUSTNESS.md §Recovery
@@ -270,7 +272,10 @@ class ServiceSupervisor {
   std::uint64_t commit();
 
   /// Drains up to `max_events` queued events (0 = all) into the
-  /// detector. Returns how many were pumped.
+  /// detector, a recovery's records (read back from the WAL) before
+  /// live offers. Returns how many were pumped. Throws
+  /// io::SnapshotError when a recovered record no longer reads back
+  /// (WalCursor): it stays unpumped and accounting_ok() holds.
   std::size_t pump(std::size_t max_events = 0);
 
   /// Drains queued events while their explicit transport seq is <=
@@ -289,7 +294,10 @@ class ServiceSupervisor {
   std::size_t sweep_flags(graph::Time now);
 
   /// Takes an incremental checkpoint at the current WAL position and
-  /// prunes old generations / covered WAL segments.
+  /// prunes old generations / covered WAL segments. The replay start
+  /// is the oldest record still queued or buffered; while a recovery's
+  /// records are pending, reading the head one back can throw like
+  /// pump().
   void checkpoint_now();
 
   /// End of stream: drain_to_end(), commit() — throwing the fault's
@@ -299,8 +307,9 @@ class ServiceSupervisor {
   /// can keep ingesting.
   void flush(bool checkpoint = true);
 
-  /// flush()'s first half, which does no I/O: pumps the whole queue and
-  /// drains the detector's reorder buffer. ShardRouter::flush runs it in
+  /// flush()'s first half, which writes nothing: pumps the whole queue
+  /// (reading a recovery's records back from the WAL) and drains the
+  /// detector's reorder buffer. ShardRouter::flush runs it in
   /// the shards' parallel lanes before flushing each shard in order;
   /// a second call finds nothing left. Returns how many were pumped.
   std::size_t drain_to_end();
@@ -318,7 +327,12 @@ class ServiceSupervisor {
   core::FlagBatch take_flagged();
 
   core::ServiceTier tier() const noexcept { return tier_; }
-  std::size_t queue_depth() const noexcept { return queue_.size(); }
+  /// Admitted records not yet pumped: the recovered ones still in the
+  /// WAL cursor plus the live offers queued behind them. Every
+  /// watermark, the capacity check and the accounting count this.
+  std::uint64_t queue_depth() const noexcept {
+    return (cursor_ ? cursor_->pending() : 0) + queue_.size();
+  }
 
   // ---- Storage-degraded mode (see file comment) ----
 
@@ -410,17 +424,19 @@ class ServiceSupervisor {
 
   void require_started(const char* what) const;
   void reset_state();
-  /// Everything a logged record does to the service — counters, the
-  /// redelivery frontier, the clock, the queue and the tier it was
-  /// decided under.
+  /// Everything a logged record does to the service's counters, the
+  /// redelivery frontier, the clock and the tier it was decided under.
   /// offer() calls it right after the WAL append and start() for each
-  /// replayed record, so recovery runs the live code. Registry metrics
-  /// are the caller's (live offers only).
+  /// replayed record, so recovery runs the live code. Queueing an
+  /// admitted record (offer: queue_; start: the WAL cursor) and
+  /// registry metrics (live offers only) are the caller's.
   Verdict apply(const WalRecord& r);
   void update_tier();
   void maybe_checkpoint();
-  /// Pops queued records into the detector while `more` holds for the
-  /// queue head (pump and pump_through).
+  /// Pops queued records — the cursor's, then queue_'s — into the
+  /// detector while `more(head seq, pumped so far)` holds (pump and
+  /// pump_through). A cursor read that fails throws io::SnapshotError
+  /// with the failing record unpumped.
   template <typename More>
   std::size_t drain(More more);
   /// Runs one storage action (a WAL sync or a checkpoint save). A
@@ -439,14 +455,19 @@ class ServiceSupervisor {
   std::unique_ptr<DefenseScorer> scorer_;
   std::unique_ptr<Metrics> metrics_;
   std::unique_ptr<WalWriter> wal_;
-  /// An admitted record waiting for pump(): a WalRecord less its flags,
-  /// 48 bytes rather than 56 — a cold start queues the whole log.
+  /// A live offer admitted and waiting for pump(): a WalRecord less
+  /// its flags, 48 bytes rather than 56.
   struct Queued {
     std::uint64_t index;
     std::uint64_t seq;
     osn::Event event;
     graph::Time stamp;
   };
+  /// The admitted records a recovery left unpumped, read back from the
+  /// WAL as pump() drains them (null once drained): a restart never
+  /// holds the log it replays. They precede everything in queue_, which
+  /// holds only offers made since start().
+  std::optional<WalCursor> cursor_;
   std::deque<Queued> queue_;
   core::ServiceTier tier_ = core::ServiceTier::kFull;
   bool started_ = false;

@@ -84,9 +84,11 @@ graph::Time implied_stamp(graph::Time prev, graph::Time time) noexcept {
 /// Reads the whole file through `f` into `buf`, sized from `hint` (the
 /// file's size as listed): segments are small (a few frames past
 /// segment_records records), and an in-memory image lets every length
-/// field be checked against the bytes actually present.
+/// field be checked against the bytes actually present. A read that
+/// ends below `hint` throws SnapshotError(kTruncated): the bytes it
+/// missed are durable, so the caller must neither heal nor skip them.
 void read_all(io::VfsFile& f, std::uintmax_t hint,
-              std::vector<unsigned char>& buf) {
+              std::vector<unsigned char>& buf, const std::string& path) {
   std::size_t n = 0;
   buf.resize(static_cast<std::size_t>(hint) + 1);  // + 1 reaches EOF
   for (;;) {
@@ -96,6 +98,11 @@ void read_all(io::VfsFile& f, std::uintmax_t hint,
     n += got;
   }
   buf.resize(n);
+  if (n < hint) {
+    throw SnapshotError(SnapshotErrorCode::kTruncated,
+                        "WAL segment " + path + ": read " + std::to_string(n) +
+                            " of its " + std::to_string(hint) + " bytes");
+  }
 }
 
 /// The frame header at `at`, if it is plausible: it starts the record
@@ -185,6 +192,92 @@ std::vector<std::pair<std::uint64_t, fs::path>> list_segments(
   }
   std::sort(out.begin(), out.end());
   return out;
+}
+
+/// Reads segment `path` (listed at `base`) whole into `image` and
+/// checks its header. Returns the header's clock, or nullopt when the
+/// header is torn or names another base: nothing in the segment can be
+/// replayed. Throws SnapshotError when the file cannot be opened or
+/// reads short, for a segment of another format version, and for one
+/// whose header names a shard other than `expected_shard`.
+std::optional<graph::Time> load_segment(io::Vfs& vfs, const fs::path& path,
+                                        std::uint64_t base,
+                                        std::uint32_t expected_shard,
+                                        std::vector<unsigned char>& image) {
+  std::unique_ptr<io::VfsFile> f;
+  try {
+    f = vfs.open(path.string(), io::VfsMode::kRead);
+  } catch (const io::VfsError&) {
+    throw SnapshotError(SnapshotErrorCode::kOpenFailed,
+                        "cannot open WAL segment " + path.string());
+  }
+  std::error_code size_ec;
+  const std::uintmax_t listed = fs::file_size(path, size_ec);
+  read_all(*f, size_ec ? 0 : listed, image, path.string());
+  const unsigned char* const data = image.data();
+  const std::size_t size = image.size();
+  SegmentHeader header{};
+  std::memcpy(&header, data, std::min(size, sizeof(header)));
+  std::uint32_t header_crc = 0;
+  if (size >= kWalHeaderSize) {
+    std::memcpy(&header_crc, data + sizeof(header), sizeof(header_crc));
+  }
+  const bool ours = size >= 12 && header.magic == kWalMagic &&
+                    header.endian_tag == kWalEndianTag;
+  const bool older = ours && size >= kV2HeaderSize &&
+                     header.header_size == kV2HeaderSize &&
+                     header.format_version < kWalFormatVersion;
+  const bool whole =
+      ours && size >= kWalHeaderSize && header.header_size == kWalHeaderSize &&
+      header_crc == io::crc32({reinterpret_cast<const std::byte*>(data),
+                               sizeof(header)});
+  if (older || (whole && header.format_version != kWalFormatVersion)) {
+    throw SnapshotError(
+        SnapshotErrorCode::kFormatViolation,
+        "WAL segment " + path.string() + " is format v" +
+            std::to_string(header.format_version) + "; this build reads v" +
+            std::to_string(kWalFormatVersion) +
+            " only (drain the service on the build that wrote it)");
+  }
+  if (!whole || header.base_index != base) return std::nullopt;
+  if (expected_shard != kWalAnyShard && header.shard_id != expected_shard) {
+    throw SnapshotError(SnapshotErrorCode::kFormatViolation,
+                        "WAL segment " + path.string() + " belongs to shard " +
+                            std::to_string(header.shard_id) + ", not shard " +
+                            std::to_string(expected_shard));
+  }
+  return header.clock;
+}
+
+/// The frame reader: decodes the frame at `at` of a loaded segment
+/// image into `frame` and moves `at` and `expected` (the index the
+/// frame must start at) past it. Returns false, moving nothing, at the
+/// end of the image and at a frame that fails its bounds or its CRC.
+/// Throws SnapshotError(kFormatViolation) for a frame whose CRC holds
+/// but whose records do not decode.
+bool read_frame(const std::vector<unsigned char>& image, std::size_t& at,
+                std::uint64_t& expected, std::vector<WalRecord>& frame,
+                const std::string& path) {
+  const unsigned char* const data = image.data();
+  const std::optional<FrameHeader> h =
+      frame_at(data, at, image.size(), expected);
+  if (!h) return false;
+  const std::size_t crc_at = at + kFrameHeaderBytes + h->body_bytes;
+  std::uint32_t crc = 0;
+  std::memcpy(&crc, data + crc_at, sizeof(crc));
+  if (crc != io::crc32({reinterpret_cast<const std::byte*>(data + at),
+                        crc_at - at})) {
+    return false;
+  }
+  if (!decode_frame(*h, data + at + kFrameHeaderBytes, frame)) {
+    throw SnapshotError(SnapshotErrorCode::kFormatViolation,
+                        "WAL segment " + path + ": frame at " +
+                            std::to_string(at) +
+                            " passes its CRC but does not decode");
+  }
+  expected += h->count;
+  at = crc_at + kFrameCrcBytes;
+  return true;
 }
 
 }  // namespace
@@ -413,43 +506,9 @@ WalScanReport scan_wal(const std::string& dir, std::uint64_t from_index,
       continue;
     }
     ++report.segments_scanned;
-    std::unique_ptr<io::VfsFile> f;
-    try {
-      f = vfs->open(path.string(), io::VfsMode::kRead);
-    } catch (const io::VfsError&) {
-      throw SnapshotError(SnapshotErrorCode::kOpenFailed,
-                          "cannot open WAL segment " + path.string());
-    }
-    std::error_code size_ec;
-    const std::uintmax_t listed = fs::file_size(path, size_ec);
-    read_all(*f, size_ec ? 0 : listed, image);
-    const unsigned char* const data = image.data();
-    const std::size_t size = image.size();
-    SegmentHeader header{};
-    std::memcpy(&header, data, std::min(size, sizeof(header)));
-    std::uint32_t header_crc = 0;
-    if (size >= kWalHeaderSize) {
-      std::memcpy(&header_crc, data + sizeof(header), sizeof(header_crc));
-    }
-    const bool ours = size >= 12 && header.magic == kWalMagic &&
-                      header.endian_tag == kWalEndianTag;
-    const bool older = ours && size >= kV2HeaderSize &&
-                       header.header_size == kV2HeaderSize &&
-                       header.format_version < kWalFormatVersion;
-    const bool whole =
-        ours && size >= kWalHeaderSize &&
-        header.header_size == kWalHeaderSize &&
-        header_crc == io::crc32({reinterpret_cast<const std::byte*>(data),
-                                 sizeof(header)});
-    if (older || (whole && header.format_version != kWalFormatVersion)) {
-      throw SnapshotError(
-          SnapshotErrorCode::kFormatViolation,
-          "WAL segment " + path.string() + " is format v" +
-              std::to_string(header.format_version) + "; this build reads v" +
-              std::to_string(kWalFormatVersion) +
-              " only (drain the service on the build that wrote it)");
-    }
-    if (!whole || header.base_index != base) {
+    const std::optional<graph::Time> clock =
+        load_segment(*vfs, path, base, expected_shard, image);
+    if (!clock) {
       // An unreadable header means the whole segment is untrustworthy
       // (created but never secured). Nothing in it can be replayed;
       // leave the file for a writer at this base to overwrite.
@@ -457,43 +516,22 @@ WalScanReport scan_wal(const std::string& dir, std::uint64_t from_index,
       SYBIL_METRIC_COUNT("service.wal.torn_tails", 1);
       continue;
     }
-    if (expected_shard != kWalAnyShard && header.shard_id != expected_shard) {
-      throw SnapshotError(
-          SnapshotErrorCode::kFormatViolation,
-          "WAL segment " + path.string() + " belongs to shard " +
-              std::to_string(header.shard_id) + ", not shard " +
-              std::to_string(expected_shard));
-    }
-    report.last_stamp = header.clock;
+    report.last_stamp = *clock;
     std::size_t at = kWalHeaderSize;
     std::uint64_t expected = base;
-    while (at < size) {
-      const std::optional<FrameHeader> h = frame_at(data, at, size, expected);
-      if (!h) break;
-      const std::size_t crc_at = at + kFrameHeaderBytes + h->body_bytes;
-      std::uint32_t crc = 0;
-      std::memcpy(&crc, data + crc_at, sizeof(crc));
-      if (crc != io::crc32({reinterpret_cast<const std::byte*>(data + at),
-                            crc_at - at})) {
-        break;
-      }
-      if (!decode_frame(*h, data + at + kFrameHeaderBytes, frame)) {
-        throw SnapshotError(SnapshotErrorCode::kFormatViolation,
-                            "WAL segment " + path.string() + ": frame at " +
-                                std::to_string(at) +
-                                " passes its CRC but does not decode");
-      }
+    const std::string name = path.string();
+    while (read_frame(image, at, expected, frame, name)) {
       for (const WalRecord& r : frame) {
         if (r.index < from_index) continue;
         visit(r);
         ++report.records_returned;
       }
-      report.records_scanned += h->count;
+      report.records_scanned += frame.size();
       report.last_stamp = frame.back().stamp;
-      expected += h->count;
       report.next_index = std::max(report.next_index, expected);
-      at = crc_at + kFrameCrcBytes;
     }
+    const unsigned char* const data = image.data();
+    const std::size_t size = image.size();
     if (at == size) continue;
     // Strict prefix semantics: nothing at or after the first bad frame
     // is trusted. Count what the dropped frames' headers claim, then
@@ -524,6 +562,78 @@ WalScanReport scan_wal(const std::string& dir, std::uint64_t from_index,
   }
   SYBIL_METRIC_COUNT("service.wal.scanned_records", report.records_scanned);
   return report;
+}
+
+WalCursor::WalCursor(const std::string& dir, std::uint64_t begin,
+                     std::uint64_t end, std::uint64_t pending,
+                     std::uint32_t expected_shard, io::Vfs* vfs)
+    : dir_(dir),
+      vfs_(vfs != nullptr ? vfs : io::default_vfs()),
+      shard_(expected_shard),
+      begin_(begin),
+      pending_(pending),
+      expected_(begin) {
+  for (auto& [base, path] : list_segments(dir)) {
+    if (base >= end) break;
+    // Keep the segment holding `begin` (the last one based at or below
+    // it) and everything after.
+    if (base <= begin) segments_.clear();
+    segments_.emplace_back(base, path.string());
+  }
+}
+
+const WalRecord& WalCursor::head() {
+  for (;;) {
+    for (; frame_at_ < frame_.size(); ++frame_at_) {
+      const WalRecord& r = frame_[frame_at_];
+      if (!r.shed() && r.index >= begin_) return r;
+    }
+    advance();
+  }
+}
+
+void WalCursor::advance() {
+  // Cleared first, so a frame that throws leaves nothing behind to pop.
+  frame_.clear();
+  frame_at_ = 0;
+  if (at_ < image_.size()) {
+    const std::string& path = segments_[next_segment_ - 1].second;
+    if (!read_frame(image_, at_, expected_, frame_, path)) {
+      throw SnapshotError(SnapshotErrorCode::kChecksumMismatch,
+                          "WAL segment " + path + ": frame at " +
+                              std::to_string(at_) +
+                              " no longer passes its checks");
+    }
+    return;
+  }
+  // The next segment must start where the last one ended (the first
+  // one, at or below `begin`).
+  const auto ends_early = [this](const std::string& why) {
+    return SnapshotError(
+        SnapshotErrorCode::kTruncated,
+        "WAL " + dir_ + " " + why + " at record " +
+            std::to_string(expected_) + " with " + std::to_string(pending_) +
+            " admitted record(s) from " + std::to_string(begin_) +
+            " still unread");
+  };
+  if (next_segment_ == segments_.size()) throw ends_early("ends");
+  const auto& [base, path] = segments_[next_segment_];
+  if (next_segment_ == 0 ? base > begin_ : base != expected_) {
+    throw ends_early("skips to segment " + std::to_string(base));
+  }
+  try {
+    if (!load_segment(*vfs_, path, base, shard_, image_)) {
+      throw SnapshotError(SnapshotErrorCode::kChecksumMismatch,
+                          "WAL segment " + path +
+                              ": header no longer whole");
+    }
+  } catch (...) {
+    image_.clear();  // stand where we stood: the next call re-reads
+    throw;
+  }
+  ++next_segment_;
+  at_ = kWalHeaderSize;
+  expected_ = base;
 }
 
 std::uint64_t prune_wal(const std::string& dir, std::uint64_t index,

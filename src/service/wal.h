@@ -5,7 +5,9 @@
 // verdict, so recovery can re-execute recorded decisions instead of
 // re-deciding them: replay reconstructs the exact accounting (applied /
 // deduped / dead-lettered / shed counters) of the uninterrupted run,
-// not merely the same detector state.
+// not merely the same detector state. Recovery scans the log once
+// (scan_wal) and reads the admitted records it left unpumped back
+// through a WalCursor as they are drained, so it never holds the log.
 //
 // On-disk layout (docs/FORMATS.md §8 has the byte-level spec and a
 // worked hexdump). A segment file "wal-<base>.seg" is a 36-byte header
@@ -55,6 +57,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "io/vfs.h"
@@ -244,6 +247,65 @@ WalScanReport scan_wal(const std::string& dir, std::uint64_t from_index,
                        const std::function<void(const WalRecord&)>& visit,
                        std::uint32_t expected_shard = kWalAnyShard,
                        io::Vfs* vfs = nullptr);
+
+/// A read-only cursor over the admitted (non-shed) records of the log
+/// range [begin, end): recovery's queue, read back from the WAL as it
+/// is drained instead of held in memory (ServiceSupervisor::start). It
+/// holds one segment image and one decoded frame at a time, reads only
+/// segments whose base is below `end` — the base of the segment a
+/// WalWriter resumed at, which it therefore never opens — and never
+/// truncates anything. The range was validated when it was scanned, so
+/// every deviation is corruption or loss since then and throws
+/// io::SnapshotError: a frame that no longer passes its bounds or CRC
+/// (kChecksumMismatch) or does not decode (kFormatViolation), a segment
+/// header that is no longer whole (kChecksumMismatch), a segment that
+/// can no longer be opened (kOpenFailed), and a short read or a range
+/// that skips an index or ends before `pending` admitted records
+/// (kTruncated). It never skips a record silently. After a
+/// throw the cursor stands where it stood, so a retry throws again.
+class WalCursor {
+ public:
+  /// Lists the segments; reads nothing yet. `pending` is how many
+  /// admitted records [begin, end) holds (at least 1).
+  WalCursor(const std::string& dir, std::uint64_t begin, std::uint64_t end,
+            std::uint64_t pending, std::uint32_t expected_shard,
+            io::Vfs* vfs = nullptr);
+
+  /// Admitted records not yet popped.
+  std::uint64_t pending() const noexcept { return pending_; }
+
+  /// The next admitted record, decoding frames (and reading segments)
+  /// up to it. Requires pending() > 0. The reference stays valid until
+  /// the next pop().
+  const WalRecord& head();
+
+  /// Moves past head(). Requires that head() returned since the last pop.
+  void pop() noexcept {
+    ++frame_at_;
+    --pending_;
+  }
+
+ private:
+  /// Decodes the next frame, reading the next segment first when the
+  /// current one is exhausted.
+  void advance();
+
+  std::string dir_;
+  io::Vfs* vfs_;
+  std::uint32_t shard_;
+  std::uint64_t begin_;
+  std::uint64_t pending_;
+  /// Segments below `end` from the one holding `begin` on, by base.
+  std::vector<std::pair<std::uint64_t, std::string>> segments_;
+  std::size_t next_segment_ = 0;
+  /// The current segment's image, the offset of its next frame, and
+  /// the index that frame must start at.
+  std::vector<unsigned char> image_;
+  std::size_t at_ = 0;
+  std::uint64_t expected_ = 0;
+  std::vector<WalRecord> frame_;
+  std::size_t frame_at_ = 0;
+};
 
 /// The position a state file's name carries: `prefix`, 20 decimal
 /// digits, `suffix` ("wal-<base>.seg", "ckpt-<position>.sybs"). Any

@@ -1,7 +1,8 @@
 // Overload-control suite: degradation-tier transitions with
 // hysteresis, the bans-are-never-shed rule, capacity shedding, the
 // flag-sweep-only tier's sweep path, WAL replay of every verdict kind,
-// option validation, and the accounting identity
+// option validation, a recovered backlog that sheds as the live one
+// did, and the accounting identity
 //
 //   offered == shed + queued + applied + deduped + dead-lettered
 //              + buffered
@@ -224,6 +225,62 @@ TEST_F(ServiceOverload, ColdStartReplaysEveryVerdictKind) {
   // the registry's shed rows count live offers.
   EXPECT_EQ(shed_metrics(), before_start);
   registry.reset();
+}
+
+TEST_F(ServiceOverload, RecoveredBacklogShedsLikeTheUninterruptedRun) {
+  // A restart leaves the unpumped records in the WAL, read back by
+  // pump() through a cursor, not in the queue. They still count toward
+  // the watermarks and the capacity bound: offers made after start()
+  // and before any pump shed exactly as they do on a supervisor that
+  // never stopped.
+  const std::string dir = fresh_dir("cursor_backlog");
+  ServiceSupervisor live(tiny_options(fresh_dir("cursor_backlog_live")));
+  live.start();
+  double t = 0.0;
+  std::vector<osn::Event> head;
+  for (int i = 0; i < 5; ++i) head.push_back(request_at(t += 0.01));
+  {
+    ServiceSupervisor s(tiny_options(dir));
+    s.start();
+    for (const osn::Event& e : head) s.offer(e);
+  }  // stopped with five records queued
+  for (const osn::Event& e : head) live.offer(e);
+  ServiceSupervisor r(tiny_options(dir));
+  r.start();
+  EXPECT_EQ(r.queue_depth(), 5u);
+  EXPECT_EQ(r.tier(), live.tier());
+  EXPECT_ACCOUNTED(r);
+
+  // Low-priority sheds at depth 5, a request lifts it to 6 (sweep-only),
+  // then bans past capacity and a capacity shed; a partial pump in the
+  // middle drains the recovered records first.
+  std::vector<osn::Event> tail = {
+      osn::Event{osn::EventType::kAccountCreated, 9, 9, t += 0.01},
+      request_at(t += 0.01),
+      request_at(t += 0.01),
+      ban_of(20, t += 0.01),
+      ban_of(21, t += 0.01),
+      request_at(t += 0.01),
+  };
+  const auto offer_both = [&](const osn::Event& e) {
+    EXPECT_EQ(r.offer(e), live.offer(e));
+    EXPECT_EQ(r.tier(), live.tier());
+    EXPECT_EQ(r.queue_depth(), live.queue_depth());
+    EXPECT_ACCOUNTED(r);
+  };
+  for (const osn::Event& e : tail) offer_both(e);
+  EXPECT_EQ(r.pump(3), live.pump(3));
+  EXPECT_EQ(r.queue_depth(), live.queue_depth());
+  for (graph::NodeId who = 22; who < 26; ++who) offer_both(ban_of(who, t));
+  offer_both(request_at(t += 0.01));  // past capacity
+  EXPECT_EQ(r.stats_json(), live.stats_json());
+  EXPECT_GE(r.counters().shed_low_priority, 1u);
+  EXPECT_GE(r.counters().shed_sweep_only, 1u);
+  EXPECT_GE(r.counters().shed_capacity, 1u);
+  r.flush();
+  live.flush();
+  EXPECT_EQ(r.stats_json(), live.stats_json());
+  EXPECT_ACCOUNTED(r);
 }
 
 TEST_F(ServiceOverload, StatsJsonCarriesShedBreakdownAndTier) {

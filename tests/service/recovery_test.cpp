@@ -28,12 +28,19 @@
 //   * the size-triggered cadence: small state cuts at every grid point,
 //     large state skips grid points by the rule; a restart cuts the
 //     uninterrupted run's later generations; the replayed suffix stays
-//     within the newest generation's state bound.
+//     within the newest generation's state bound;
+//   * the recovered queue is a WAL range pump() reads back: pumping it
+//     in any step size equals one pump, a checkpoint cut with it half
+//     drained recovers identically, damage to it since start() throws
+//     typed from pump() with the accounting intact, and a log with a
+//     hole above the position is refused at start().
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <functional>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -938,6 +945,214 @@ TEST_F(ServiceRecovery, ReplayedSuffixIsBoundedByTheNewestGenerationsState) {
   }
   // The bound bites: the suffix outgrows the grid step.
   EXPECT_GT(longest, 4 * kEvery);
+}
+
+
+/// Copies a stopped run's state root, so each variant recovers from the
+/// same bytes (a recovery writes to the root it runs on).
+std::string copy_root(const std::string& from, const std::string& name) {
+  const std::string to = fresh_dir(name);
+  fs::copy(from, to, fs::copy_options::recursive);
+  return to;
+}
+
+/// Runs the 500-account log to record `stop` and stops there, unflushed:
+/// the newest generation holds a queue, the suffix behind it more
+/// admitted records, and a restart reads all of them back through its
+/// WAL cursor.
+std::string stopped_root(const std::vector<osn::Event>& log,
+                         const ServiceOptions& options, std::uint64_t stop) {
+  ServiceSupervisor s(options);
+  s.start();
+  drive_until(s, log, 0, 0, stop);
+  const ServiceCheckpointState ckpt = load_service_checkpoint(
+      list_checkpoints(options.dir + "/ckpt").back().second);
+  EXPECT_GT(ckpt.counters.admitted, ckpt.counters.pumped)
+      << "the newest generation holds no queue";
+  EXPECT_LT(ckpt.wal_position, stop) << "no suffix behind the generation";
+  return options.dir;
+}
+
+// Pumping the recovered records in steps of 1, 7 or 4096 — across the
+// checkpoint's queue, the replayed suffix and the live offers queued
+// behind them — lands on the state one pump(0) does.
+TEST_F(ServiceRecovery, PumpStepsAcrossTheCursorMatchOnePump) {
+  const std::vector<osn::Event> log = build_log(7);
+  constexpr std::uint64_t kStop = 300;
+  constexpr std::uint64_t kLive = 40;
+  const std::string root =
+      stopped_root(log, make_options(fresh_dir("cursor_steps")), kStop);
+  RunResult one;
+  for (const std::size_t step : {std::size_t{0}, std::size_t{1},
+                                 std::size_t{7}, std::size_t{4096}}) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    ServiceSupervisor s(make_options(
+        copy_root(root, "cursor_steps_" + std::to_string(step))));
+    const RecoveryReport report = s.start();
+    ASSERT_EQ(report.next_index, kStop);
+    // The stop left the service in its sweep-only tier, which sheds
+    // all but bans: the live offers are bans, so they queue.
+    const std::uint64_t recovered = s.queue_depth();
+    for (std::uint64_t i = kStop; i < kStop + kLive; ++i) {
+      const auto who = static_cast<graph::NodeId>(i - kStop + 400);
+      s.offer({osn::EventType::kAccountBanned, who, who, log[i].time}, i);
+      s.commit();
+    }
+    std::uint64_t depth = s.queue_depth();
+    EXPECT_GT(depth, recovered);  // live offers queued behind the cursor
+    while (depth > 0) {
+      const std::size_t n = s.pump(step);
+      EXPECT_EQ(n, step == 0 ? depth : std::min<std::uint64_t>(step, depth));
+      depth -= n;
+      ASSERT_EQ(s.queue_depth(), depth);
+      ASSERT_TRUE(s.accounting_ok());
+    }
+    drive(s, log, kStop + kLive, kStop + kLive);
+    const std::string stats = s.stats_json();
+    const core::FlagBatch flags = s.take_flagged();
+    if (step == 0) {
+      one.stats = stats;
+      one.flags = flags;
+      ASSERT_FALSE(one.flags.records.empty());
+      continue;
+    }
+    EXPECT_EQ(stats, one.stats);
+    expect_flags_equal(flags, one.flags);
+  }
+}
+
+// Two checkpoints cut while the cursor is half drained — the second
+// prunes the WAL below its replay start, which the cursor's head sets —
+// then a kill: the restart recovers exactly what the process that kept
+// running holds.
+TEST_F(ServiceRecovery, CheckpointWithTheCursorHalfDrainedRecoversIdentically) {
+  const std::vector<osn::Event> log = build_log(7);
+  constexpr std::uint64_t kStop = 700;
+  constexpr std::uint64_t kLive = 8;
+  const auto options = [](const std::string& dir) {
+    ServiceOptions o = make_options(dir);
+    // No reorder window: pumped events leave the detector's buffer at
+    // once, so the queue head is the replay start, and with one
+    // generation kept the second checkpoint prunes the WAL below it.
+    o.detector.ingest.watermark_hours = 0.0;
+    o.checkpoint_retain = 1;
+    return o;
+  };
+  const std::string root =
+      stopped_root(log, options(fresh_dir("cursor_ckpt")), kStop);
+  const auto cut_two = [&log](ServiceSupervisor& s, const std::string& dir) {
+    s.start();
+    const std::uint64_t depth = s.queue_depth();
+    ASSERT_GT(depth, 4u);
+    s.pump(depth / 4);
+    s.checkpoint_now();
+    s.pump(depth / 4);
+    for (std::uint64_t i = kStop; i < kStop + kLive; ++i) {
+      s.offer(log[i], i);
+      s.commit();
+    }
+    s.checkpoint_now();
+    const ServiceCheckpointState newest = load_service_checkpoint(
+        list_checkpoints(dir + "/ckpt").back().second);
+    EXPECT_EQ(newest.counters.admitted - newest.counters.pumped,
+              s.queue_depth());
+  };
+  RunResult kept;
+  {
+    const std::string dir = copy_root(root, "cursor_ckpt_kept");
+    ServiceSupervisor s(options(dir));
+    cut_two(s, dir);
+    drive(s, log, kStop + kLive, kStop);
+    kept.stats = s.stats_json();
+    kept.flags = s.take_flagged();
+  }
+  {
+    ServiceSupervisor s(options(root));
+    cut_two(s, root);
+    EXPECT_FALSE(fs::exists(root + "/wal/wal-00000000000000000000.seg"))
+        << "the second checkpoint pruned nothing";
+  }  // killed with the cursor half drained
+  ServiceSupervisor recovered(options(root));
+  const RecoveryReport report = recovered.start();
+  EXPECT_FALSE(report.cold_start);
+  EXPECT_EQ(report.next_index, kStop + kLive);
+  EXPECT_TRUE(recovered.accounting_ok());
+  drive(recovered, log, kStop + kLive, kStop);
+  EXPECT_EQ(recovered.stats_json(), kept.stats);
+  expect_flags_equal(recovered.take_flagged(), kept.flags);
+}
+
+// The script's recovered queue, records 2-5, 7, 9 and 11, is read back
+// from two-record segments. Damage to the segment holding 8 and 9 after
+// start() makes pump() throw typed once 2-7 are pumped, and again on a
+// retry: nothing is skipped and the accounting identity holds.
+TEST_F(ServiceRecovery, CursorDamagedAfterStartThrowsTypedFromPump) {
+  const std::string segment = "/wal/wal-00000000000000000008.seg";
+  const auto flip = [](const std::string& path, std::uint64_t at) {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(static_cast<std::streamoff>(at));
+    const char c = static_cast<char>(f.get() ^ 0x5A);
+    f.seekp(static_cast<std::streamoff>(at));
+    f.put(c);
+  };
+  struct Case {
+    const char* what;
+    std::function<void(const std::string&)> damage;
+    io::SnapshotErrorCode code;
+  };
+  const std::vector<Case> cases = {
+      {"frame byte flipped",
+       [&](const std::string& path) { flip(path, 36 + 16 + 2); },
+       io::SnapshotErrorCode::kChecksumMismatch},
+      {"header byte flipped", [&](const std::string& path) { flip(path, 20); },
+       io::SnapshotErrorCode::kChecksumMismatch},
+      {"segment removed",
+       [](const std::string& path) { ASSERT_TRUE(fs::remove(path)); },
+       io::SnapshotErrorCode::kOpenFailed},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    const std::string dir = fresh_dir("cursor_damaged");
+    {
+      ServiceSupervisor s(tiny_options(dir));
+      s.start();
+      offer_script(s);
+    }
+    ServiceSupervisor recovered(tiny_options(dir));
+    recovered.start();
+    ASSERT_EQ(recovered.queue_depth(), 7u);
+    c.damage(dir + segment);
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      try {
+        recovered.pump();
+        ADD_FAILURE() << "pumped past a damaged segment";
+      } catch (const io::SnapshotError& e) {
+        EXPECT_EQ(e.code(), c.code) << e.what();
+      }
+      EXPECT_EQ(recovered.queue_depth(), 2u);  // records 9 and 11
+      EXPECT_EQ(recovered.counters().pumped, 7u);  // 0-1 before, 2-7 now
+      EXPECT_TRUE(recovered.accounting_ok());
+    }
+  }
+}
+
+// Records at and past the position must follow one another: a segment
+// lost above it is a hole start() refuses, as it refuses one below.
+TEST_F(ServiceRecovery, WalHoleAbovePositionIsRefused) {
+  const std::string dir = fresh_dir("hole_above");
+  {
+    ServiceSupervisor s(tiny_options(dir));
+    s.start();
+    offer_script(s);
+    for (std::uint64_t seq = 12; seq < 16; ++seq) {
+      const auto who = static_cast<graph::NodeId>(50 + seq);
+      s.offer({osn::EventType::kAccountBanned, who, who, 1.0}, seq);
+      s.commit();
+    }
+  }
+  ASSERT_TRUE(fs::remove(dir + "/wal/wal-00000000000000000012.seg"));
+  ServiceSupervisor recovered(tiny_options(dir));
+  expect_start_refused(recovered);
 }
 
 }  // namespace

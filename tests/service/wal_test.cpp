@@ -2,13 +2,21 @@
 // appends that never touch storage, torn-tail healing (both via a
 // process crash mid-frame and via simulated torn writes), pruning,
 // cold-start scans, the byte counter, the frozen v3 golden segment and
-// the refusal of v2 segments (docs/FORMATS.md §8).
+// the refusal of v2 segments (docs/FORMATS.md §8); short reads that
+// fail typed and heal nothing; the read-only cursor recovery drains its
+// queue through, and its typed refusals.
 #include "service/wal.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <functional>
+#include <iterator>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "core/metrics/instrument.h"
 #include "core/metrics/metrics.h"
@@ -342,6 +350,218 @@ TEST(Wal, ValidatesOptions) {
   opts.segment_records = 1;
   EXPECT_NO_THROW(opts.validate());
 }
+
+std::vector<char> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void flip_byte(const std::string& path, std::uint64_t at) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekg(static_cast<std::streamoff>(at));
+  const char c = static_cast<char>(f.get() ^ 0x5A);
+  f.seekp(static_cast<std::streamoff>(at));
+  f.put(c);
+}
+
+/// Reads through the real filesystem but reports end-of-file after
+/// `limit` bytes of every file it opens for reading, as a device or a
+/// racing truncation could; every other op passes straight through.
+class ShortReadVfs final : public io::Vfs {
+ public:
+  explicit ShortReadVfs(std::size_t limit) : limit_(limit) {}
+
+  std::unique_ptr<io::VfsFile> open(const std::string& path,
+                                    io::VfsMode mode) override {
+    auto inner = io::real_vfs().open(path, mode);
+    if (mode != io::VfsMode::kRead) return inner;
+    return std::make_unique<File>(std::move(inner), limit_);
+  }
+  void rename(const std::string& from, const std::string& to) override {
+    io::real_vfs().rename(from, to);
+  }
+  bool remove(const std::string& path) noexcept override {
+    return io::real_vfs().remove(path);
+  }
+  void truncate(const std::string& path, std::uint64_t size) override {
+    io::real_vfs().truncate(path, size);
+  }
+  void sync_parent_dir(const std::string& path) override {
+    io::real_vfs().sync_parent_dir(path);
+  }
+
+ private:
+  class File final : public io::VfsFile {
+   public:
+    File(std::unique_ptr<io::VfsFile> inner, std::size_t left)
+        : inner_(std::move(inner)), left_(left) {}
+    std::size_t read(void* buf, std::size_t n) override {
+      const std::size_t got = inner_->read(buf, std::min(n, left_));
+      left_ -= got;
+      return got;
+    }
+    void write(const void* buf, std::size_t n) override {
+      inner_->write(buf, n);
+    }
+    void fsync() override { inner_->fsync(); }
+    void close() override { inner_->close(); }
+
+   private:
+    std::unique_ptr<io::VfsFile> inner_;
+    std::size_t left_;
+  };
+  std::size_t limit_;
+};
+
+void expect_snapshot_error(const std::function<void()>& f,
+                           io::SnapshotErrorCode code) {
+  try {
+    f();
+    ADD_FAILURE() << "no SnapshotError";
+  } catch (const io::SnapshotError& e) {
+    EXPECT_EQ(e.code(), code) << e.what();
+  }
+}
+
+// A segment that reads short of its listed size is refused typed, at
+// the header and mid-frame alike. Healing it would truncate durable
+// frames the read merely missed, so the file stays byte-for-byte.
+TEST(Wal, ShortReadFailsTypedAndHealsNothing) {
+  const std::string dir = fresh_dir("short_read");
+  WalOptions opts;
+  opts.dir = dir;
+  opts.fsync = WalFsync::kNever;
+  {
+    WalWriter w(opts, 0);
+    for (std::uint64_t i = 0; i < 20; ++i) {
+      w.append(event_at(i), i, 0);
+      if (i % 5 == 4) w.sync();  // four frames
+    }
+  }
+  const std::string segment = only_segment(dir);
+  const std::vector<char> before = file_bytes(segment);
+  for (const std::size_t limit : {std::size_t{0}, std::size_t{20},
+                                  before.size() / 2, before.size() - 1}) {
+    SCOPED_TRACE("reads end after " + std::to_string(limit) + " bytes");
+    ShortReadVfs vfs(limit);
+    expect_snapshot_error(
+        [&] {
+          WalScanReport report;
+          scan_wal(dir, 0, report, kWalAnyShard, &vfs);
+        },
+        io::SnapshotErrorCode::kTruncated);
+    expect_snapshot_error(
+        [&] {
+          WalCursor cursor(dir, 0, 20, 20, kWalAnyShard, &vfs);
+          cursor.head();
+        },
+        io::SnapshotErrorCode::kTruncated);
+    EXPECT_EQ(file_bytes(segment), before);
+  }
+  ShortReadVfs whole(before.size());
+  WalScanReport report;
+  EXPECT_EQ(scan_wal(dir, 0, report, kWalAnyShard, &whole).size(), 20u);
+  EXPECT_EQ(report.torn_tails_healed, 0u);
+}
+
+/// 30 records in 4-record segments, one frame per two records; every
+/// third record shed.
+void write_cursor_log(const std::string& dir) {
+  WalOptions opts;
+  opts.dir = dir;
+  opts.fsync = WalFsync::kNever;
+  opts.segment_records = 4;
+  WalWriter w(opts, 0);
+  for (std::uint64_t i = 0; i < 30; ++i) {
+    w.append(event_at(i), 100 + i, i % 3 == 2 ? WalRecordFlags::kShed : 0u,
+             static_cast<graph::Time>(i));
+    if (i % 2 == 1) w.sync();
+  }
+}
+
+// The cursor yields exactly the admitted records of [begin, end), in
+// order, across frames and segments, and reads nothing it need not.
+TEST(Wal, CursorYieldsTheAdmittedRecordsOfItsRange) {
+  const std::string dir = fresh_dir("cursor_range");
+  write_cursor_log(dir);
+  for (const std::uint64_t begin : {0u, 3u, 4u, 13u}) {
+    SCOPED_TRACE("begin " + std::to_string(begin));
+    std::vector<std::uint64_t> want;
+    for (std::uint64_t i = begin; i < 30; ++i) {
+      if (i % 3 != 2) want.push_back(i);
+    }
+    WalCursor cursor(dir, begin, 30, want.size(), kWalAnyShard);
+    std::vector<std::uint64_t> got;
+    while (cursor.pending() > 0) {
+      const WalRecord& r = cursor.head();
+      EXPECT_EQ(r.seq, 100 + r.index);
+      EXPECT_EQ(r.stamp, static_cast<graph::Time>(r.index));
+      EXPECT_FALSE(r.shed());
+      got.push_back(r.index);
+      cursor.pop();
+    }
+    EXPECT_EQ(got, want);
+  }
+  // Stopping short of the range's end: nothing past the last pending
+  // record is read, so a corrupt tail beyond it goes unnoticed.
+  flip_byte(dir + "/wal-00000000000000000028.seg", 40);
+  WalCursor early(dir, 0, 30, 3, kWalAnyShard);
+  for (const std::uint64_t want : {0u, 1u, 3u}) {
+    EXPECT_EQ(early.head().index, want);
+    early.pop();
+  }
+}
+
+// Corruption, a lost segment and a range that ends early throw typed,
+// from where the cursor stands, and throw again on retry.
+TEST(Wal, CursorRefusesWhatNoLongerMatchesTheScan) {
+  struct Case {
+    const char* what;
+    std::function<void(const std::string&)> damage;
+    io::SnapshotErrorCode code;
+    std::uint64_t pending;
+  };
+  const std::vector<Case> cases = {
+      {"frame byte flipped",
+       [](const std::string& d) {
+         flip_byte(d + "/wal-00000000000000000008.seg", 36 + 16 + 3);
+       },
+       io::SnapshotErrorCode::kChecksumMismatch, 20},
+      {"header byte flipped",
+       [](const std::string& d) {
+         flip_byte(d + "/wal-00000000000000000008.seg", 20);
+       },
+       io::SnapshotErrorCode::kChecksumMismatch, 20},
+      {"segment lost",
+       [](const std::string& d) {
+         fs::remove(d + "/wal-00000000000000000008.seg");
+       },
+       io::SnapshotErrorCode::kTruncated, 20},
+      {"range ends early", [](const std::string&) {},
+       io::SnapshotErrorCode::kTruncated, 21},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    const std::string dir = fresh_dir("cursor_refuses");
+    write_cursor_log(dir);
+    c.damage(dir);
+    WalCursor cursor(dir, 0, 30, c.pending, kWalAnyShard);
+    std::uint64_t popped = 0;
+    const auto drain = [&] {
+      while (cursor.pending() > 0) {
+        cursor.head();
+        cursor.pop();
+        ++popped;
+      }
+    };
+    expect_snapshot_error(drain, c.code);
+    const std::uint64_t stood = popped;
+    expect_snapshot_error(drain, c.code);
+    EXPECT_EQ(popped, stood);
+    EXPECT_EQ(cursor.pending(), c.pending - stood);
+  }
+}
+
 
 }  // namespace
 }  // namespace sybil::service
