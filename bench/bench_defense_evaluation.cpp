@@ -23,6 +23,8 @@
 #include "bench_common.h"
 #include "chaos/manifest.h"
 #include "chaos/orchestrator.h"
+#include "core/metrics/metrics.h"
+#include "io/error.h"
 #include "runner.h"
 
 namespace {
@@ -172,6 +174,23 @@ int main(int argc, char** argv) {
   if (argc > 3) {
     cfg.campaign_hours =
         bench::parse_hours(argv[0], kUsage, argv[3], "campaign hours");
+  }
+
+  // A bad --load-graph fails typed (one stderr line, exit 2) before the
+  // synthetic battery runs. This check records no metrics: the wild
+  // battery loads the file again (milliseconds) where the metrics dump
+  // reports it.
+  if (!load_path.empty()) {
+    auto& registry = core::metrics::MetricsRegistry::instance();
+    const bool metrics_on = core::metrics::metrics_enabled();
+    registry.set_enabled(false);
+    try {
+      bench::load_scenario(load_path);
+    } catch (const io::SnapshotError& e) {
+      std::fprintf(stderr, "bench_defense_evaluation: %s\n", e.what());
+      return 2;
+    }
+    registry.set_enabled(metrics_on);
   }
 
   bench::BatteryOptions options;

@@ -134,18 +134,6 @@ void BM_GraphSnapshotLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_GraphSnapshotLoad);
 
-void BM_CsrSnapshotLoad(benchmark::State& state) {
-  const std::string path = snapshot_path("sybil_bench_csr.snap");
-  io::save_csr_snapshot(shared_csr(), path);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(io::load_csr_snapshot(path));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(shared_csr().edge_count()));
-  std::remove(path.c_str());
-}
-BENCHMARK(BM_CsrSnapshotLoad);
-
 void BM_ConnectedComponents(benchmark::State& state) {
   const auto& csr = shared_csr();
   for (auto _ : state) {

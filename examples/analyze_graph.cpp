@@ -14,10 +14,15 @@
 // snapshot (io::save_graph_snapshot) — detected by the container magic,
 // no flag needed. Binary is the full-fidelity, checksummed format; see
 // docs/FORMATS.md. Sybil id file: one node id per line; '#' comments.
+//
+// An input it cannot use (a missing or corrupt file, an id that is not
+// a node of the graph) fails with one "analyze_graph: <what>" line on
+// stderr and exit status 2.
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "attack/campaign.h"
@@ -28,14 +33,24 @@
 
 namespace {
 
+/// Reads the id file: each line that is not empty or a '#' comment must
+/// be one whole decimal token no larger than NodeId's range.
 std::vector<sybil::osn::NodeId> load_ids(const std::string& path) {
   std::ifstream is(path);
-  if (!is) throw std::runtime_error("cannot open: " + path);
+  if (!is) throw std::runtime_error("cannot open sybil id file " + path);
   std::vector<sybil::osn::NodeId> ids;
   std::string line;
-  while (std::getline(is, line)) {
+  for (std::size_t line_no = 1; std::getline(is, line); ++line_no) {
+    if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty() || line[0] == '#') continue;
-    ids.push_back(static_cast<sybil::osn::NodeId>(std::stoul(line)));
+    sybil::osn::NodeId id = 0;
+    const char* end = line.data() + line.size();
+    const auto [ptr, ec] = std::from_chars(line.data(), end, id);
+    if (ec != std::errc{} || ptr != end) {
+      throw std::invalid_argument(path + " line " + std::to_string(line_no) +
+                                  ": \"" + line + "\" is not a node id");
+    }
+    ids.push_back(id);
   }
   return ids;
 }
@@ -70,34 +85,22 @@ int write_demo(const std::string& dir) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int analyze(const std::string& edges_path, const std::string& ids_path) {
   using namespace sybil;
-  if (argc == 3 && std::strcmp(argv[1], "--demo") == 0) {
-    return write_demo(argv[2]);
+  const graph::TimestampedGraph g = is_snapshot(edges_path)
+                                        ? io::load_graph_snapshot(edges_path)
+                                        : graph::load_edge_list(edges_path);
+  const auto sybil_ids = load_ids(ids_path);
+  for (auto s : sybil_ids) {
+    if (s >= g.node_count()) {
+      throw std::out_of_range("sybil id " + std::to_string(s) +
+                              " is not a node of the " +
+                              std::to_string(g.node_count()) + "-node graph");
+    }
   }
-  if (argc != 3) {
-    std::fprintf(stderr,
-                 "usage: %s <edges.txt|edges.snap> <sybil_ids.txt>\n"
-                 "       %s --demo <output_dir>\n",
-                 argv[0], argv[0]);
-    return 2;
-  }
-
-  const graph::TimestampedGraph g = is_snapshot(argv[1])
-                                        ? io::load_graph_snapshot(argv[1])
-                                        : graph::load_edge_list(argv[1]);
-  const auto sybil_ids = load_ids(argv[2]);
   std::printf("Loaded %u nodes, %llu edges, %zu Sybil ids\n", g.node_count(),
               static_cast<unsigned long long>(g.edge_count()),
               sybil_ids.size());
-  for (auto s : sybil_ids) {
-    if (s >= g.node_count()) {
-      std::fprintf(stderr, "sybil id %u out of range\n", s);
-      return 2;
-    }
-  }
 
   const core::TopologyAnalyzer topo(g, sybil_ids);
   std::printf("\nSybil edges:   %llu\n",
@@ -135,4 +138,23 @@ int main(int argc, char** argv) {
               above, comps.size(),
               above == comps.size() ? "is NOT" : "may be");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const bool demo = argc == 3 && std::strcmp(argv[1], "--demo") == 0;
+  if (argc != 3) {
+    std::fprintf(stderr,
+                 "usage: %s <edges.txt|edges.snap> <sybil_ids.txt>\n"
+                 "       %s --demo <output_dir>\n",
+                 argv[0], argv[0]);
+    return 2;
+  }
+  try {
+    return demo ? write_demo(argv[2]) : analyze(argv[1], argv[2]);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "analyze_graph: %s\n", e.what());
+    return 2;
+  }
 }

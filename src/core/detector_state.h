@@ -32,8 +32,7 @@
 //
 // Uses the header-only ByteWriter/ByteReader and typed SnapshotError
 // from src/io, plus the ledger codec that sits next to RequestLedger in
-// sybil_osn (osn/ledger.h) — the same encoding the simulator checkpoint
-// writes.
+// sybil_osn (osn/ledger.h).
 #pragma once
 
 #include <cstddef>

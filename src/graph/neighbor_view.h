@@ -9,10 +9,9 @@
 // adjacency scan.
 //
 // NeighborView collapses the pair: it takes one CSR snapshot whose rows
-// are chronological (CsrGraph::from preserves insertion order, and the
-// io layer's CSR snapshots round-trip that order) and builds a sorted
-// twin of the targets array over the *same* offsets, once, in
-// parallel. Algorithms then ask for whichever ordering they
+// are chronological (CsrGraph::from preserves insertion order) and
+// builds a sorted twin of the targets array over the *same* offsets,
+// once, in parallel. Algorithms then ask for whichever ordering they
 // need:
 //
 //   chronological(u)  row as ingested (first-k prefixes, replay)

@@ -1,6 +1,6 @@
 // Versioned binary container: the on-disk envelope every snapshot in
-// this tree shares (graph snapshots, ML dataset snapshots, simulator
-// checkpoints, bench scenarios).
+// this tree shares (graph snapshots, bench defense scenarios, service
+// checkpoints).
 //
 // Layout (all integers little-endian on the writing machine; the header
 // carries an endianness tag so a foreign-endian file is rejected rather
@@ -40,9 +40,9 @@ namespace sybil::io {
 /// reader rejects anything else with kWrongPayload.
 enum class PayloadKind : std::uint32_t {
   kTimestampedGraph = 1,
-  kCsrGraph = 2,
-  kDataset = 3,
-  kSimulatorCheckpoint = 4,
+  // 2, 3 and 4 (CSR snapshot, ML dataset, simulator checkpoint) are
+  // retired and never reused, so such a file still fails kWrongPayload
+  // (docs/FORMATS.md §1.4).
   kDefenseScenario = 5,
   kServiceCheckpoint = 6,
 };

@@ -1,7 +1,7 @@
 // Typed error taxonomy for persistence code.
 //
 // Every loader in the tree — the binary container (io/container.h), the
-// snapshot payload decoders, the simulator checkpoint reader and the
+// snapshot payload decoders, the service checkpoint reader and the
 // plain-text edge-list parser (graph/io.h) — reports failure through
 // SnapshotError, so callers can branch on *why* a file was rejected
 // (retry on kOpenFailed, regenerate on kChecksumMismatch, upgrade on
@@ -47,7 +47,7 @@ constexpr const char* to_string(SnapshotErrorCode code) noexcept {
   return "unknown";
 }
 
-/// Thrown by every loader/saver in io/, osn/checkpoint and graph/io.
+/// Thrown by every loader/saver in io/, service/ and graph/io.
 /// Derives from std::runtime_error so pre-existing catch sites keep
 /// working; new code should catch SnapshotError and inspect code().
 class SnapshotError : public std::runtime_error {

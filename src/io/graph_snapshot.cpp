@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/metrics/instrument.h"
+#include "graph/csr.h"
 #include "io/container.h"
 
 namespace sybil::io {
@@ -12,14 +13,12 @@ namespace {
 
 using graph::NodeId;
 
-// Section ids shared by the graph payloads (docs/FORMATS.md).
+// Section ids (docs/FORMATS.md §2).
 constexpr std::uint32_t kSecMeta = 1;      // u64 node_count, u64 half_edges
 constexpr std::uint32_t kSecDegrees = 2;   // u32[n] adjacency list lengths
 constexpr std::uint32_t kSecNbrNode = 3;   // u32[half_edges] neighbor ids
 constexpr std::uint32_t kSecNbrTime = 4;   // f64[half_edges] timestamps
 constexpr std::uint32_t kSecNbrWeak = 5;   // u8[half_edges] weak-tie flags
-constexpr std::uint32_t kSecOffsets = 6;   // u64[n+1] CSR offsets
-constexpr std::uint32_t kSecTargets = 7;   // u32[m] CSR targets
 
 struct GraphMeta {
   std::uint64_t node_count;
@@ -102,32 +101,6 @@ graph::TimestampedGraph load_graph_snapshot(const std::string& path) {
   auto g = graph::TimestampedGraph::from_adjacency(std::move(adj));
   require_simple_graph(g);
   return g;
-}
-
-void save_csr_snapshot(const graph::CsrGraph& g, const std::string& path) {
-  SYBIL_METRIC_SCOPED_TIMER(span, "io.csr.save");
-  ContainerWriter writer(PayloadKind::kCsrGraph);
-  const std::uint64_t meta[2] = {g.node_count(), g.targets().size()};
-  writer.add_pod_section<std::uint64_t>(kSecMeta, meta);
-  writer.add_pod_section<std::uint64_t>(kSecOffsets, g.offsets());
-  writer.add_pod_section<NodeId>(kSecTargets, g.targets());
-  writer.commit(path);
-}
-
-graph::CsrGraph load_csr_snapshot(const std::string& path) {
-  SYBIL_METRIC_SCOPED_TIMER(span, "io.csr.load");
-  const ContainerReader reader(path, PayloadKind::kCsrGraph);
-  const GraphMeta meta = read_meta(reader);
-  const auto offsets = reader.pod_section<std::uint64_t>(kSecOffsets);
-  const auto targets = reader.pod_section<NodeId>(kSecTargets);
-  if (offsets.size() != meta.node_count + 1 ||
-      targets.size() != meta.half_edges) {
-    throw SnapshotError(SnapshotErrorCode::kMalformedSection,
-                        "csr sections inconsistent with meta counts");
-  }
-  require_simple_graph(offsets, targets);
-  return graph::CsrGraph::from_rows({offsets.begin(), offsets.end()},
-                                    {targets.begin(), targets.end()});
 }
 
 void require_simple_graph(std::span<const std::uint64_t> offsets,

@@ -1,14 +1,10 @@
-// Binary graph snapshots over the io container (docs/FORMATS.md §Graph).
+// Binary graph snapshot over the io container (docs/FORMATS.md §2): a
+// TimestampedGraph at full fidelity — per-node adjacency lists with
+// neighbor ids, edge-creation timestamps and weak-tie flags, in
+// insertion order (which the temporal analyses rely on and which a text
+// edge list cannot represent losslessly).
 //
-// Two payloads:
-//   - TimestampedGraph: full fidelity — per-node adjacency lists with
-//     neighbor ids, edge-creation timestamps and weak-tie flags, in
-//     insertion order (which the temporal analyses rely on and which a
-//     text edge list cannot represent losslessly);
-//   - CsrGraph: the structure-only CSR arrays, copied out of the mapped
-//     file in two memcpys.
-//
-// Both loaders reject truncated, bit-flipped, misdeclared or
+// The loader rejects truncated, bit-flipped, misdeclared or
 // future-versioned files, and rows that are not a simple undirected
 // graph, with typed SnapshotErrors — there is no partially loaded
 // state.
@@ -18,7 +14,6 @@
 #include <span>
 #include <string>
 
-#include "graph/csr.h"
 #include "graph/graph.h"
 
 namespace sybil::io {
@@ -26,11 +21,8 @@ namespace sybil::io {
 /// Atomically writes `path` (temp file + rename).
 void save_graph_snapshot(const graph::TimestampedGraph& g,
                          const std::string& path);
-void save_csr_snapshot(const graph::CsrGraph& g, const std::string& path);
 
 graph::TimestampedGraph load_graph_snapshot(const std::string& path);
-
-graph::CsrGraph load_csr_snapshot(const std::string& path);
 
 /// The adjacency check every loader of stored rows runs: throws
 /// SnapshotError(kFormatViolation) with graph::simple_graph_defect()'s

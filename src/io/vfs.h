@@ -1,6 +1,6 @@
 // Injectable storage abstraction (in the spirit of SQLite's test VFS):
 // every durable write in this tree — WAL segments, checkpoint
-// containers, graph/dataset snapshots — and every WAL read performs its
+// containers, graph snapshots — and every WAL read performs its
 // file I/O through a `Vfs`, so tests can substitute a deterministic
 // fault-injecting implementation (io/faulty_vfs.h) and prove that
 // ENOSPC, EIO, short writes, and power loss at any point leave every

@@ -17,17 +17,6 @@ void Dataset::add(std::span<const double> row, int label) {
   labels_.push_back(label);
 }
 
-Dataset Dataset::from_raw(std::size_t feature_count,
-                          std::vector<double> data, std::vector<int> labels) {
-  if (data.size() != labels.size() * feature_count) {
-    throw std::invalid_argument("dataset: raw size mismatch");
-  }
-  Dataset out(feature_count);
-  out.data_ = std::move(data);
-  out.labels_ = std::move(labels);
-  return out;
-}
-
 std::size_t Dataset::count_label(int label) const noexcept {
   return static_cast<std::size_t>(
       std::count(labels_.begin(), labels_.end(), label));

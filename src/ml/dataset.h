@@ -1,7 +1,8 @@
 // Labeled dataset container for the classifier stack.
 //
 // Rows are feature vectors (the paper uses 4 behavioral features);
-// labels are binary: +1 = Sybil, -1 = normal.
+// labels are binary: +1 = Sybil, -1 = normal. In memory only: every
+// bench rebuilds its dataset from the simulation it runs.
 #pragma once
 
 #include <cstdint>
@@ -34,17 +35,6 @@ class Dataset {
   int label(std::size_t i) const { return labels_.at(i); }
 
   std::size_t count_label(int label) const noexcept;
-
-  /// Raw row-major feature storage and labels (what the binary snapshot
-  /// writer serializes; see io/dataset_snapshot.h).
-  std::span<const double> raw_data() const noexcept { return data_; }
-  std::span<const int> raw_labels() const noexcept { return labels_; }
-
-  /// Direct restore for snapshot loading. Preconditions (validated by
-  /// the loader): data.size() == labels.size() * feature_count, every
-  /// label is +1 or -1.
-  static Dataset from_raw(std::size_t feature_count,
-                          std::vector<double> data, std::vector<int> labels);
 
   /// Subset by row indices.
   Dataset subset(std::span<const std::size_t> indices) const;

@@ -83,8 +83,7 @@ class RequestLedger {
   graph::Time last_send_ = -1.0;
 };
 
-/// The ledger's checkpoint encoding, shared by the simulator checkpoint
-/// (osn/checkpoint.cpp) and the stream-detector state
+/// The ledger's checkpoint encoding in the stream-detector state
 /// (core/detector_state.cpp): the fields for_each_field visits, in
 /// that order, packed, through any writer with a write<T>() (io::
 /// ByteWriter or io::SliceWriter). read_ledger throws io::SnapshotError

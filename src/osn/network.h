@@ -77,11 +77,6 @@ class Network {
   std::vector<NodeId> ids_of_kind(AccountKind kind) const;
 
  private:
-  // Serializes/restores the full private state (including the pending
-  // heap's exact array order, which re-pushing could perturb for tied
-  // respond_at values). See osn/checkpoint.cpp.
-  friend struct CheckpointAccess;
-
   struct Pending {
     Time respond_at;
     NodeId from;

@@ -16,13 +16,6 @@ GroundTruthSimulator::GroundTruthSimulator(GroundTruthConfig config)
   rebuild_popularity_index();
 }
 
-GroundTruthSimulator::GroundTruthSimulator(GroundTruthConfig config,
-                                           RestoreTag)
-    : config_(std::move(config)), rng_(config_.seed) {
-  // Checkpoint restore: CheckpointAccess overwrites every member
-  // (including rng_) before the simulator is handed out.
-}
-
 void GroundTruthSimulator::populate() {
   const auto add_normals = [&](std::uint32_t count,
                                std::vector<NodeId>* track) {
@@ -75,7 +68,6 @@ void GroundTruthSimulator::rebuild_popularity_index() {
                                  config_.sybil.target_bias);
   }
   popularity_ = std::make_unique<stats::AliasSampler>(weights);
-  popularity_weights_ = std::move(weights);
 }
 
 NodeId GroundTruthSimulator::pick_stranger(NodeId self) {
@@ -216,7 +208,7 @@ void GroundTruthSimulator::run() {
   SYBIL_METRIC_SCOPED_TIMER(span, "osn.run");
   SYBIL_METRIC_GAUGE_SET("osn.accounts", net_.account_count());
   const auto hours = static_cast<std::uint64_t>(config_.sim_hours);
-  for (std::uint64_t h = hours_done_; h < hours; ++h) {
+  for (std::uint64_t h = 0; h < hours; ++h) {
     if (h >= next_rebuild_) {
       rebuild_popularity_index();
       next_rebuild_ =
@@ -225,13 +217,8 @@ void GroundTruthSimulator::run() {
                          config_.popularity_rebuild_hours));
     }
     hour_step(static_cast<Time>(h));
-    // Advance the progress cursor BEFORE the hook fires: a checkpoint
-    // saved from the hook records hour h as done, so a resumed run
-    // re-enters the loop at h+1 rather than replaying hour h.
-    hours_done_ = h + 1;
     if (hour_hook_) hour_hook_(static_cast<Time>(h) + 1.0, net_);
   }
-  hours_done_ = hours;
   // Drain any stragglers past the window end.
   net_.process_responses(config_.sim_hours + 1e9,
                          [this](NodeId target, NodeId requester,

@@ -65,16 +65,10 @@ class GroundTruthSimulator {
   using HourHook = std::function<void(Time end_of_hour, Network&)>;
   void set_hour_hook(HourHook hook) { hour_hook_ = std::move(hook); }
 
-  /// Runs (or, on a checkpoint-restored simulator, resumes) the window
-  /// from hours_completed() to config().sim_hours. Throws if the window
-  /// already finished. A hook that saves a checkpoint mid-run (see
-  /// osn/checkpoint.h) observes hours_completed() already advanced past
-  /// the hour it fires after, so load+run continues at the next hour.
+  /// Runs the window from hour 0 to config().sim_hours. Throws if
+  /// called a second time.
   void run();
 
-  /// Simulated hours completed so far (equals config().sim_hours once
-  /// run() returns; non-zero on a simulator restored mid-window).
-  std::uint64_t hours_completed() const noexcept { return hours_done_; }
   bool finished() const noexcept { return finished_; }
 
   const Network& network() const noexcept { return net_; }
@@ -91,13 +85,6 @@ class GroundTruthSimulator {
   const GroundTruthConfig& config() const noexcept { return config_; }
 
  private:
-  // Serializes/restores the full private state for crash-safe resume
-  // (osn/checkpoint.cpp). Restored simulators are built with the
-  // RestoreTag ctor, which skips populate()/seed_friendships().
-  friend struct CheckpointAccess;
-  struct RestoreTag {};
-  GroundTruthSimulator(GroundTruthConfig config, RestoreTag);
-
   void populate();
   void seed_friendships();
   void rebuild_popularity_index();
@@ -115,16 +102,10 @@ class GroundTruthSimulator {
   std::vector<NodeId> subject_normals_;
   std::vector<NodeId> subject_sybils_;
   std::vector<Time> sybil_ban_at_;  // parallel to subject_sybils_
-  /// Weights captured at the last popularity rebuild. Kept so a resumed
-  /// run can rebuild the *same* sampler the uninterrupted run was using
-  /// (rebuilding from the current graph would reflect edges added since
-  /// the last scheduled rebuild and diverge).
-  std::vector<double> popularity_weights_;
   std::unique_ptr<stats::AliasSampler> popularity_;
   HourHook hour_hook_;
-  std::uint64_t hours_done_ = 0;
   std::uint64_t next_rebuild_ = 0;
-  bool running_ = false;  // transient reentrancy guard, not checkpointed
+  bool running_ = false;  // reentrancy guard
   bool finished_ = false;
 };
 

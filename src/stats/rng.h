@@ -57,16 +57,9 @@ class Rng {
   /// from this generator's stream, so distinct forks are decorrelated.
   Rng fork() noexcept;
 
-  /// Full 256-bit stream state, for checkpointing: from_state(state())
-  /// continues the exact output sequence (osn/checkpoint relies on this
-  /// for deterministic simulator resume).
+  /// Full 256-bit stream state (the detector-state codec records it).
   std::array<std::uint64_t, 4> state() const noexcept {
     return {s_[0], s_[1], s_[2], s_[3]};
-  }
-  static Rng from_state(const std::array<std::uint64_t, 4>& s) noexcept {
-    Rng rng(0);
-    for (int i = 0; i < 4; ++i) rng.s_[i] = s[i];
-    return rng;
   }
 
  private:

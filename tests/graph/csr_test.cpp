@@ -79,6 +79,20 @@ TEST(Csr, IsolatedNodes) {
   EXPECT_TRUE(csr.neighbors(5).empty());
 }
 
+TEST(Csr, CopyOwnsItsArrays) {
+  // A copy is a copy: clearing the original leaves it whole.
+  TimestampedGraph g(4);
+  g.add_edge(0, 1, 1.0);
+  g.add_edge(1, 2, 2.5);
+  g.add_edge(0, 3, 3.0);
+  CsrGraph original = CsrGraph::from(g);
+  const CsrGraph copy = original;
+  original = CsrGraph();
+  EXPECT_EQ(copy.node_count(), 4u);
+  EXPECT_EQ(copy.degree(0), 2u);
+  EXPECT_EQ(copy.neighbors(1).size(), 2u);
+}
+
 TEST(SimpleGraphDefect, NamesEachDefect) {
   const auto defect = [](std::vector<std::uint64_t> offsets,
                          std::vector<NodeId> targets) {

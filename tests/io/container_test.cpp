@@ -17,6 +17,9 @@
 namespace sybil::io {
 namespace {
 
+/// The envelope does not depend on what it holds; any live kind will do.
+constexpr PayloadKind kKind = PayloadKind::kServiceCheckpoint;
+
 std::vector<std::byte> payload_of(std::initializer_list<std::uint8_t> v) {
   std::vector<std::byte> out;
   for (auto b : v) out.push_back(std::byte{b});
@@ -25,7 +28,7 @@ std::vector<std::byte> payload_of(std::initializer_list<std::uint8_t> v) {
 
 /// A small two-section container image used by every corruption test.
 std::vector<std::byte> sample_image() {
-  ContainerWriter writer(PayloadKind::kDataset);
+  ContainerWriter writer(kKind);
   writer.add_section(1, payload_of({1, 2, 3, 4, 5}));
   const std::vector<std::uint64_t> values = {42, 7, 0xdeadbeef};
   writer.add_pod_section<std::uint64_t>(2, values);
@@ -44,12 +47,12 @@ SnapshotErrorCode code_of(const std::function<void()>& fn) {
 
 SnapshotErrorCode open_code(std::vector<std::byte> image) {
   return code_of([image = std::move(image)]() mutable {
-    ContainerReader reader(std::move(image), PayloadKind::kDataset);
+    ContainerReader reader(std::move(image), kKind);
   });
 }
 
 TEST(Container, RoundTripsSectionsInMemory) {
-  const ContainerReader reader(sample_image(), PayloadKind::kDataset);
+  const ContainerReader reader(sample_image(), kKind);
   EXPECT_EQ(reader.format_version(), kFormatVersion);
   EXPECT_TRUE(reader.has_section(1));
   EXPECT_TRUE(reader.has_section(2));
@@ -66,14 +69,14 @@ TEST(Container, RoundTripsSectionsInMemory) {
 
 TEST(Container, CommitThenOpenBothIoPaths) {
   const std::string path = ::testing::TempDir() + "/container_rt.snap";
-  ContainerWriter writer(PayloadKind::kDataset);
+  ContainerWriter writer(kKind);
   writer.add_section(9, payload_of({0xab, 0xcd}));
   writer.commit(path);
 
   // The two ways into a reader: the committed file, mapped, and the
   // same image in memory.
-  const ContainerReader from_file(path, PayloadKind::kDataset);
-  const ContainerReader from_image(writer.serialize(), PayloadKind::kDataset);
+  const ContainerReader from_file(path, kKind);
+  const ContainerReader from_image(writer.serialize(), kKind);
   for (const ContainerReader* reader : {&from_file, &from_image}) {
     const auto bytes = reader->section(9);
     ASSERT_EQ(bytes.size(), 2u);
@@ -86,21 +89,20 @@ TEST(Container, CommitThenOpenBothIoPaths) {
 
 TEST(Container, CommitReplacesExistingFileAtomically) {
   const std::string path = ::testing::TempDir() + "/container_replace.snap";
-  ContainerWriter first(PayloadKind::kDataset);
+  ContainerWriter first(kKind);
   first.add_section(1, payload_of({1}));
   first.commit(path);
-  ContainerWriter second(PayloadKind::kDataset);
+  ContainerWriter second(kKind);
   second.add_section(1, payload_of({2, 2}));
   second.commit(path);
-  const ContainerReader reader(path, PayloadKind::kDataset);
+  const ContainerReader reader(path, kKind);
   EXPECT_EQ(reader.section(1).size(), 2u);
   std::remove(path.c_str());
 }
 
 TEST(Container, MissingFileIsOpenFailed) {
   EXPECT_EQ(code_of([] {
-              ContainerReader r("/nonexistent/sybil.snap",
-                                PayloadKind::kDataset);
+              ContainerReader r("/nonexistent/sybil.snap", kKind);
             }),
             SnapshotErrorCode::kOpenFailed);
 }
@@ -152,7 +154,8 @@ TEST(Container, RejectsFutureFormatVersion) {
 
 TEST(Container, RejectsWrongPayloadKind) {
   EXPECT_EQ(code_of([] {
-              ContainerReader r(sample_image(), PayloadKind::kCsrGraph);
+              ContainerReader r(sample_image(),
+                                PayloadKind::kTimestampedGraph);
             }),
             SnapshotErrorCode::kWrongPayload);
 }
@@ -164,20 +167,20 @@ TEST(Container, RejectsDeclaredSizeMismatch) {
 }
 
 TEST(Container, MissingSectionIsTypedError) {
-  const ContainerReader reader(sample_image(), PayloadKind::kDataset);
+  const ContainerReader reader(sample_image(), kKind);
   EXPECT_EQ(code_of([&] { reader.section(77); }),
             SnapshotErrorCode::kMalformedSection);
 }
 
 TEST(Container, PodSectionRejectsLengthMismatch) {
-  const ContainerReader reader(sample_image(), PayloadKind::kDataset);
+  const ContainerReader reader(sample_image(), kKind);
   // Section 1 holds 5 bytes: not a multiple of sizeof(uint64_t).
   EXPECT_EQ(code_of([&] { reader.pod_section<std::uint64_t>(1); }),
             SnapshotErrorCode::kMalformedSection);
 }
 
 TEST(Container, WriterRejectsDuplicateSectionId) {
-  ContainerWriter writer(PayloadKind::kDataset);
+  ContainerWriter writer(kKind);
   writer.add_section(1, payload_of({1}));
   EXPECT_EQ(code_of([&] { writer.add_section(1, payload_of({2})); }),
             SnapshotErrorCode::kFormatViolation);
@@ -222,7 +225,7 @@ TEST(Container, SliceWriterRefusesOverrunAndUnderrun) {
 // the one a byte-vector section with the same bytes produces, and the
 // fill's CRC lands in the section table.
 TEST(Container, SizedSectionMatchesItsByteVector) {
-  ContainerWriter sized(PayloadKind::kDataset);
+  ContainerWriter sized(kKind);
   sized.add_section(1, payload_of({1, 2, 3, 4, 5}));
   sized.add_section(
       2, SectionWriter{24, [](std::span<std::byte> out) {
@@ -239,12 +242,12 @@ TEST(Container, SizedSectionMatchesItsByteVector) {
 // file, and the target keeps its previous contents.
 TEST(Container, FailingFillCommitsNothing) {
   const std::string path = ::testing::TempDir() + "/sybil_container_fill.snap";
-  ContainerWriter good(PayloadKind::kDataset);
+  ContainerWriter good(kKind);
   good.add_section(1, payload_of({9}));
   good.commit(path, SyncMode::kNever);
   FaultyVfs vfs;
   const std::uint64_t ops_before = vfs.ops();
-  ContainerWriter bad(PayloadKind::kDataset);
+  ContainerWriter bad(kKind);
   bad.add_section(1, SectionWriter{4, [](std::span<std::byte> out) {
                                      SliceWriter w(out);
                                      w.write(std::uint16_t{1});  // 2 of 4
@@ -254,7 +257,7 @@ TEST(Container, FailingFillCommitsNothing) {
             SnapshotErrorCode::kFormatViolation);
   EXPECT_EQ(vfs.ops(), ops_before);
   EXPECT_FALSE(std::ifstream(path + ".tmp").good());
-  const ContainerReader reader(path, PayloadKind::kDataset);
+  const ContainerReader reader(path, kKind);
   EXPECT_EQ(reader.section(1).size(), 1u);
   std::remove(path.c_str());
 }
@@ -278,7 +281,7 @@ TEST(Container, FsyncKnobGovernsEnvSyncCommits) {
       ::setenv("SYBIL_IO_FSYNC", knob, 1);
     }
     FaultyVfs vfs;
-    ContainerWriter writer(PayloadKind::kDataset);
+    ContainerWriter writer(kKind);
     writer.add_section(1, payload_of({1, 2, 3}));
     writer.commit(path, sync, &vfs);
     return vfs.fsyncs();

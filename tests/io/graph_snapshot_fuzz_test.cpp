@@ -1,9 +1,10 @@
-// Decoder fuzzing of the graph and CSR snapshot loaders past the
-// container's CRCs. Every byte of every section of the committed
-// goldens is flipped (three masks), and every section is cut to each
-// shorter length; each mutation is rewrapped in a well-formed container
-// so its CRCs pass and the bytes reach the decoder. Every input must
-// either throw io::SnapshotError or load a graph that passes the shared
+// Decoder fuzzing of the graph snapshot and defense scenario loaders
+// past the container's CRCs. Every byte of every section of a source
+// file (the committed graph golden, a small scenario written in-test)
+// is flipped (three masks), and every section is cut to each shorter
+// length; each mutation is rewrapped in a well-formed container so its
+// CRCs pass and the bytes reach the decoder. Every input must either
+// throw io::SnapshotError or load a graph that passes the shared
 // adjacency check (graph::simple_graph_defect). Under the asan-io
 // preset an overread or an abort fails the test too.
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include "io/container.h"
 #include "io/error.h"
 #include "io/graph_snapshot.h"
+#include "runner.h"
 #include "support/container_sections.h"
 
 namespace sybil::io {
@@ -58,13 +60,13 @@ struct Tally {
   int refused = 0;
 };
 
-/// Runs every mutation of the golden `name` through `load`, which
-/// returns normally only for an input that loaded (and checks it).
+/// Runs every mutation of the container at `source` through `load`,
+/// which returns normally only for an input that loaded (and checks it).
 template <typename Load>
-Tally fuzz_golden(const char* name, PayloadKind kind, Load load) {
-  const std::string path = ::testing::TempDir() + "/fuzz_" + name;
+Tally fuzz_file(const std::string& source, PayloadKind kind, Load load) {
+  const std::string path = source + ".fuzz";
   Tally tally;
-  for_each_mutation(iotest::read_sections(golden(name), kind),
+  for_each_mutation(iotest::read_sections(source, kind),
                     [&](const iotest::Sections& mutated) {
                       iotest::write_sections(mutated, kind, path);
                       try {
@@ -79,8 +81,8 @@ Tally fuzz_golden(const char* name, PayloadKind kind, Load load) {
 }
 
 TEST(GraphSnapshotFuzz, MutatedSectionsLoadSimpleOrThrowTyped) {
-  const Tally tally = fuzz_golden("graph_v1.snap", PayloadKind::kTimestampedGraph,
-              [](const std::string& path) {
+  const Tally tally = fuzz_file(golden("graph_v1.snap"),
+              PayloadKind::kTimestampedGraph, [](const std::string& path) {
                 const graph::TimestampedGraph g = load_graph_snapshot(path);
                 std::vector<std::uint64_t> offsets;
                 std::vector<graph::NodeId> targets;
@@ -93,12 +95,31 @@ TEST(GraphSnapshotFuzz, MutatedSectionsLoadSimpleOrThrowTyped) {
   EXPECT_GT(tally.refused, 0);
 }
 
-TEST(GraphSnapshotFuzz, MutatedCsrSectionsLoadSimpleOrThrowTyped) {
-  const Tally tally = fuzz_golden("csr_v1.snap", PayloadKind::kCsrGraph,
+TEST(GraphSnapshotFuzz, MutatedScenarioLoadsSimpleInRangeOrThrowsTyped) {
+  bench::DefenseScenario s;
+  s.name = "fuzz";
+  s.g = graph::CsrGraph::from_edges(
+      6, std::vector<std::pair<graph::NodeId, graph::NodeId>>{
+             {0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {0, 3}});
+  s.is_sybil = {false, false, false, true, true, true};
+  s.honest_seeds = {0, 1};
+  s.eval_sample = {0, 2, 3, 5};
+  const std::string source = ::testing::TempDir() + "/fuzz_scenario.snap";
+  bench::save_scenario(s, source);
+  const Tally tally = fuzz_file(source, PayloadKind::kDefenseScenario,
               [](const std::string& path) {
-                const graph::CsrGraph g = load_csr_snapshot(path);
-                expect_simple(g.offsets(), g.targets());
+                const bench::DefenseScenario got = bench::load_scenario(path);
+                const graph::NodeId n = got.g.node_count();
+                expect_simple(got.g.offsets(), got.g.targets());
+                EXPECT_EQ(got.is_sybil.size(), n);
+                for (const auto& ids : {got.honest_seeds, got.eval_sample}) {
+                  for (const graph::NodeId v : ids) EXPECT_LT(v, n);
+                }
               });
+  std::remove(source.c_str());
+  // Both outcomes occur: a flipped label or name byte still loads, a
+  // flipped count or neighbour id does not.
+  EXPECT_GT(tally.loaded, 0);
   EXPECT_GT(tally.refused, 0);
 }
 

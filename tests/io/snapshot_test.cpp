@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <sstream>
 #include <string>
@@ -14,8 +15,8 @@
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "io/container.h"
-#include "io/dataset_snapshot.h"
-#include "ml/dataset.h"
+#include "runner.h"
+#include "service/checkpoint.h"
 #include "stats/rng.h"
 #include "support/container_sections.h"
 #include "support/non_simple_rows.h"
@@ -111,11 +112,10 @@ TEST(GraphSnapshot, SaveIsByteStable) {
 }
 
 TEST(GraphSnapshot, RejectsWrongPayloadKind) {
-  const std::string path = temp_path("dataset_as_graph.snap");
-  ml::Dataset data(2);
-  const double row[] = {1.0, 2.0};
-  data.add(row, ml::kSybilLabel);
-  save_dataset_snapshot(data, path);
+  const std::string path = temp_path("scenario_as_graph.snap");
+  ContainerWriter writer(PayloadKind::kDefenseScenario);
+  writer.add_section(1, std::vector<std::byte>(8));
+  writer.commit(path, SyncMode::kNever);
   try {
     load_graph_snapshot(path);
     FAIL() << "expected kWrongPayload";
@@ -125,68 +125,8 @@ TEST(GraphSnapshot, RejectsWrongPayloadKind) {
   std::remove(path.c_str());
 }
 
-// The mapped load and a read() of the same bytes into memory (the path
-// taken where mmap fails) see the same sections, and the loaded graph
-// equals the saved one row for row.
-TEST(CsrSnapshot, MmapAndStreamLoadsAgree) {
-  stats::Rng rng(9);
-  const graph::TimestampedGraph g = graph::osn_like_graph(
-      {.nodes = 400, .mean_links = 10.0, .triadic_closure = 0.2,
-       .pa_beta = 1.0},
-      rng);
-  const graph::CsrGraph csr = graph::CsrGraph::from(g);
-  const std::string path = temp_path("csr_rt.snap");
-  save_csr_snapshot(csr, path);
-
-  const iotest::Sections mapped =
-      iotest::read_sections(path, PayloadKind::kCsrGraph);
-  std::ifstream in(path, std::ios::binary);
-  const std::string raw((std::istreambuf_iterator<char>(in)), {});
-  in.close();
-  const auto* first = reinterpret_cast<const std::byte*>(raw.data());
-  const ContainerReader streamed(
-      std::vector<std::byte>(first, first + raw.size()),
-      PayloadKind::kCsrGraph);
-  ASSERT_FALSE(mapped.empty());
-  for (const auto& [id, bytes] : mapped) {
-    const auto got = streamed.section(id);
-    EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), got.begin(),
-                           got.end()))
-        << "section " << id;
-  }
-
-  const graph::CsrGraph loaded = load_csr_snapshot(path);
-  std::remove(path.c_str());
-  ASSERT_EQ(loaded.node_count(), csr.node_count());
-  ASSERT_EQ(loaded.edge_count(), csr.edge_count());
-  for (graph::NodeId u = 0; u < csr.node_count(); ++u) {
-    const auto expect = csr.neighbors(u);
-    const auto got = loaded.neighbors(u);
-    ASSERT_TRUE(std::equal(expect.begin(), expect.end(), got.begin(),
-                           got.end()))
-        << "node " << u;
-  }
-}
-
-TEST(CsrSnapshot, ViewOutlivesLoadCall) {
-  // The loaded graph owns its arrays: it outlives its file, and a copy
-  // of it is a copy.
-  const std::string path = temp_path("csr_view.snap");
-  save_csr_snapshot(graph::CsrGraph::from(tiny_graph()), path);
-  graph::CsrGraph loaded = load_csr_snapshot(path);
-  std::remove(path.c_str());  // unlink: the graph must still be valid
-  EXPECT_EQ(loaded.node_count(), 4u);
-  EXPECT_EQ(loaded.degree(0), 2u);
-  EXPECT_EQ(loaded.neighbors(1).size(), 2u);
-  const graph::CsrGraph copy = loaded;
-  loaded = graph::CsrGraph();
-  EXPECT_EQ(copy.node_count(), 4u);
-  EXPECT_EQ(copy.degree(0), 2u);
-  EXPECT_EQ(copy.neighbors(1).size(), 2u);
-}
-
-// Rows that are not a simple undirected graph are refused by both
-// graph loaders, through the one adjacency check.
+// Rows that are not a simple undirected graph are refused through the
+// one adjacency check.
 TEST(GraphSnapshot, RefusesRowsThatAreNotASimpleGraph) {
   const std::string path = temp_path("graph_not_simple.snap");
   const auto save = [&](const graphtest::Rows& rows) {
@@ -201,71 +141,6 @@ TEST(GraphSnapshot, RefusesRowsThatAreNotASimpleGraph) {
   }
   save(graphtest::simple_rows());  // the control
   EXPECT_EQ(load_graph_snapshot(path).edge_count(), 2u);
-  std::remove(path.c_str());
-}
-
-TEST(CsrSnapshot, RefusesRowsThatAreNotASimpleGraph) {
-  const std::string path = temp_path("csr_not_simple.snap");
-  const auto save = [&](const graphtest::Rows& rows) {
-    save_csr_snapshot(graphtest::csr_of(rows), path);
-  };
-  for (const auto& [defect, rows] : graphtest::non_simple_rows()) {
-    SCOPED_TRACE(defect);
-    save(rows);
-    graphtest::expect_format_violation([&] { load_csr_snapshot(path); });
-  }
-  save(graphtest::simple_rows());  // the control
-  EXPECT_EQ(load_csr_snapshot(path).edge_count(), 2u);
-  std::remove(path.c_str());
-}
-
-TEST(DatasetSnapshot, RoundTripsBitExact) {
-  ml::Dataset data(3);
-  const double r0[] = {1.5, -2.0, 1e-300};
-  const double r1[] = {0.0, 4.25, -0.0};
-  data.add(r0, ml::kSybilLabel);
-  data.add(r1, ml::kNormalLabel);
-
-  const std::string path = temp_path("dataset_rt.snap");
-  save_dataset_snapshot(data, path);
-  const ml::Dataset loaded = load_dataset_snapshot(path);
-  std::remove(path.c_str());
-
-  ASSERT_EQ(loaded.size(), data.size());
-  ASSERT_EQ(loaded.feature_count(), data.feature_count());
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    EXPECT_EQ(loaded.label(i), data.label(i));
-    const auto expect = data.row(i);
-    const auto got = loaded.row(i);
-    for (std::size_t j = 0; j < expect.size(); ++j) {
-      EXPECT_EQ(expect[j], got[j]);  // bit-exact, not approximately
-    }
-  }
-}
-
-TEST(DatasetSnapshot, RejectsBitFlippedLabel) {
-  ml::Dataset data(1);
-  const double row[] = {1.0};
-  data.add(row, ml::kSybilLabel);
-  const std::string path = temp_path("dataset_flip.snap");
-  save_dataset_snapshot(data, path);
-
-  // Flip one byte in the middle of the file and expect a checksum
-  // rejection (never a dataset with a garbage label).
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)), {});
-  in.close();
-  bytes[bytes.size() / 2] ^= 0x10;
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.close();
-
-  try {
-    load_dataset_snapshot(path);
-    FAIL() << "expected a typed SnapshotError";
-  } catch (const SnapshotError& e) {
-    EXPECT_EQ(e.code(), SnapshotErrorCode::kChecksumMismatch);
-  }
   std::remove(path.c_str());
 }
 
@@ -296,26 +171,53 @@ TEST(GoldenFiles, GraphV1BytesAreFrozen) {
   std::remove(fresh.c_str());
 }
 
-TEST(GoldenFiles, CsrV1Loads) {
-  const graph::CsrGraph csr = load_csr_snapshot(golden("csr_v1.snap"));
-  EXPECT_EQ(csr.node_count(), 4u);
-  EXPECT_EQ(csr.edge_count(), 3u);
-  EXPECT_TRUE(csr.has_edge(0, 1));
-  EXPECT_TRUE(csr.has_edge(1, 2));
-  EXPECT_TRUE(csr.has_edge(0, 3));
-  EXPECT_FALSE(csr.has_edge(2, 3));
+// The mapped load of a file and a read() of the same bytes into memory
+// (ContainerReader's two constructors) see the same sections.
+TEST(GoldenFiles, MmapAndStreamLoadsAgree) {
+  const std::string path = golden("graph_v1.snap");
+  const iotest::Sections mapped =
+      iotest::read_sections(path, PayloadKind::kTimestampedGraph);
+  std::ifstream in(path, std::ios::binary);
+  const std::string raw((std::istreambuf_iterator<char>(in)), {});
+  const auto* first = reinterpret_cast<const std::byte*>(raw.data());
+  const ContainerReader streamed(
+      std::vector<std::byte>(first, first + raw.size()),
+      PayloadKind::kTimestampedGraph);
+  ASSERT_FALSE(mapped.empty());
+  for (const auto& [id, bytes] : mapped) {
+    const auto got = streamed.section(id);
+    EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), got.begin(),
+                           got.end()))
+        << "section " << id;
+  }
 }
 
-TEST(GoldenFiles, DatasetV1Loads) {
-  const ml::Dataset data = load_dataset_snapshot(golden("dataset_v1.snap"));
-  ASSERT_EQ(data.size(), 2u);
-  ASSERT_EQ(data.feature_count(), 2u);
-  EXPECT_EQ(data.label(0), ml::kSybilLabel);
-  EXPECT_EQ(data.label(1), ml::kNormalLabel);
-  EXPECT_EQ(data.row(0)[0], 1.5);
-  EXPECT_EQ(data.row(0)[1], -2.0);
-  EXPECT_EQ(data.row(1)[0], 0.25);
-  EXPECT_EQ(data.row(1)[1], 4.0);
+// Kinds 2, 3 and 4 belonged to retired formats (docs/FORMATS.md §1.4).
+// They stay reserved: a file stamped with one is refused by every live
+// loader as the wrong payload, never misread.
+TEST(RetiredKinds, RefusedByEveryLoader) {
+  const std::string path = temp_path("retired_kind.snap");
+  const std::function<void()> loaders[] = {
+      [&] { load_graph_snapshot(path); },
+      [&] { bench::load_scenario(path); },
+      [&] { service::load_service_checkpoint(path); },
+  };
+  for (const std::uint32_t kind : {2u, 3u, 4u}) {
+    ContainerWriter writer(static_cast<PayloadKind>(kind));
+    writer.add_section(1, std::vector<std::byte>(16));
+    writer.commit(path, SyncMode::kNever);
+    for (std::size_t i = 0; i < std::size(loaders); ++i) {
+      SCOPED_TRACE("kind " + std::to_string(kind) + ", loader " +
+                   std::to_string(i));
+      try {
+        loaders[i]();
+        ADD_FAILURE() << "expected kWrongPayload";
+      } catch (const SnapshotError& e) {
+        EXPECT_EQ(e.code(), SnapshotErrorCode::kWrongPayload);
+      }
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(GoldenFiles, TruncatedGoldenIsRejected) {

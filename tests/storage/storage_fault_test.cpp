@@ -199,7 +199,7 @@ TEST_F(StorageEnospcSweep, ContainerCommitNeverTearsTheTarget) {
   const std::string dir = fresh_dir("container");
   const std::string target = dir + "/data.sybc";
 
-  io::ContainerWriter w(io::PayloadKind::kDataset);
+  io::ContainerWriter w(io::PayloadKind::kServiceCheckpoint);
   w.add_section(1, std::vector<std::byte>(300, std::byte{0xAB}));
   w.add_section(2, std::vector<std::byte>(77, std::byte{0x01}));
   w.add_section(7, std::vector<std::byte>(512, std::byte{0xFE}));
