@@ -605,7 +605,8 @@ void BM_DefenseRefresh(benchmark::State& state) {
   const auto n = scorer->graph().node_count();
   const OneWorker one_worker;
   for (auto _ : state) {
-    // Admit exactly one genuinely new edge, so the refresh recomputes.
+    // Admit exactly one genuinely new edge, so the refresh snapshots the
+    // rows and the read below recomputes.
     for (const std::uint64_t before = scorer->edges_observed();
          scorer->edges_observed() == before;) {
       const auto [u, v] = defense_bench_arrival(k++, n);

@@ -96,8 +96,8 @@ struct OverloadOptions {
 /// `enabled == false` the service's FlagBatch and stats_json stay
 /// byte-identical to builds that predate the tier. When on, supervisors
 /// maintain a rolling graph from pumped accept/seed events and publish
-/// SybilRank (recomputed at each flag sweep after a graph change) and
-/// per-edge clustering scores as a *second signal* alongside the
+/// SybilRank (of the graph at the last flag sweep, ranked when read) and
+/// clustering scores as a *second signal* alongside the
 /// threshold verdicts (annotation columns; never gating who is
 /// flagged).
 struct DefenseOptions {

@@ -29,7 +29,7 @@ constexpr std::size_t kNeighborBytes = 13;
 DefenseScorer::DefenseScorer(const core::DetectorOptions& options)
     : max_account_id_(options.ingest.max_account_id),
       seeds_(options.defense.seeds) {
-  // Seeds exist from the start, so every recompute hands each its trust
+  // Seeds exist from the start, so every pull hands each its trust
   // share, as the batch kernel does over the same graph.
   if (!seeds_.empty()) {
     graph_.ensure_nodes(*std::max_element(seeds_.begin(), seeds_.end()) + 1);
@@ -59,14 +59,21 @@ void DefenseScorer::refresh() {
   // Edges are only ever added: the same edge count and no new node
   // mean the graph the scores came from.
   const bool changed = graph_.edge_count() != ranked_edges_ ||
-                       rank_scores_.size() != graph_.node_count();
+                       graph_.node_count() != ranked_nodes_;
   if (!seeds_.empty() && changed) {
+    // The graph grows on after this sweep; the pull must see it as is.
     graph::compact_rows(graph_, offsets_, targets_);
-    rank_.rounds_total_ += detect::sybilrank_pull(
-        offsets_, targets_, seeds_, 0, rank_scores_, workspace_);
-    ++rank_.full_recomputes_;
+    rank_stale_ = true;
   }
   ranked_edges_ = graph_.edge_count();
+  ranked_nodes_ = graph_.node_count();
+}
+
+void DefenseScorer::pull() const {
+  rank_.rounds_total_ += detect::sybilrank_pull(
+      offsets_, targets_, seeds_, 0, rank_scores_, workspace_);
+  ++rank_.full_recomputes_;
+  rank_stale_ = false;
 }
 
 double DefenseScorer::clustering_score(graph::NodeId u) const {
@@ -91,6 +98,7 @@ double DefenseScorer::clustering_score(graph::NodeId u) const {
 }
 
 std::vector<std::byte> DefenseScorer::serialize() const {
+  const std::vector<double>& scores = rank_scores();
   io::ByteWriter w;
   w.write(kScorerStateVersion);
   w.write(edges_observed_);
@@ -111,8 +119,8 @@ std::vector<std::byte> DefenseScorer::serialize() const {
     }
   }
   w.write(ranked_edges_);
-  w.write(static_cast<std::uint64_t>(rank_scores_.size()));
-  for (const double x : rank_scores_) w.write(x);
+  w.write(static_cast<std::uint64_t>(scores.size()));
+  for (const double x : scores) w.write(x);
   w.write(rank_.full_recomputes_);
   w.write(rank_.rounds_total_);
   return std::move(w).take();
@@ -154,11 +162,14 @@ void DefenseScorer::restore(const std::vector<std::byte>& bytes) {
     malformed("defense-scorer ranked edge count exceeds the graph");
   }
 
-  // Scores cover the nodes the graph had at the last recompute.
+  // Scores cover the nodes the graph had at the last pull, which saw
+  // the last refresh's graph; they are current, not pending.
   const auto score_count = r.read_count(sizeof(double));
   if (score_count > n) malformed("defense-scorer score count implausible");
   rank_scores_.resize(score_count);
   for (double& x : rank_scores_) x = r.read<double>();
+  ranked_nodes_ = static_cast<graph::NodeId>(score_count);
+  rank_stale_ = false;
   rank_.full_recomputes_ = r.read<std::uint64_t>();
   rank_.rounds_total_ = r.read<std::uint64_t>();
   if (!r.exhausted()) malformed("trailing bytes after defense-scorer state");

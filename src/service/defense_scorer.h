@@ -7,18 +7,22 @@
 // from the edge-bearing kinds (accepted requests, seeded friendships),
 // and derives two defenses from it:
 //
-//   SybilRank    recomputed in full by refresh() at each flag sweep that
-//                follows a graph change: graph::compact_rows() writes
-//                the rows into reused CSR buffers and
+//   SybilRank    snapshotted at each flag sweep that follows a graph
+//                change: refresh() has graph::compact_rows() write the
+//                rows into reused CSR buffers and marks the scores
+//                stale. The first read after that (rank_score(),
+//                rank_scores(), serialize()) runs
 //                detect::sybilrank_pull(), the batch kernel itself,
-//                runs over them, so the scores equal sybilrank_scores()
-//                on the same graph bit for bit
+//                over the snapshot, so the scores equal
+//                sybilrank_scores() on the graph as it was at the last
+//                refresh, bit for bit, however late they are read; a
+//                sweep whose scores nobody reads costs one row copy
 //   clustering   computed from u's rows when clustering_score(u) is
 //                read, with the batch kernel's expression over the same
 //                exact link count, so it equals local_clustering_all()
 //
-// Its state is the graph, the last recompute's scores and the edge
-// count at the last refresh; nothing else is kept per edge.
+// Its state is the graph, the last pull's scores and the edge count at
+// the last refresh; nothing else is kept per edge.
 //
 // Scores are a *second signal*: take_flagged() annotates the threshold
 // detector's FlagRecords with them (defense_rank / defense_clustering
@@ -28,10 +32,13 @@
 // Determinism: the scorer sees exactly the pumped event sequence, which
 // WAL replay reproduces exactly; duplicate edges and out-of-bound ids
 // are skipped deterministically; the rank kernel is bit-stable for any
-// thread count (inside a shard lane its parallel_for runs inline) and
-// clustering is single-threaded. Checkpoints carry the graph and the
-// last refresh's scores (serialize()/restore()), so a recovered shard
-// scores byte-identically to one that never crashed.
+// thread count (a pull runs on the reader's thread: inline inside a
+// shard lane, on the pool from take_flagged()) and clustering is
+// single-threaded. The reads are const but may run the pending pull, so
+// one scorer is not safe to read from two threads at once. Checkpoints
+// carry the graph and the last refresh's scores (serialize()/restore()),
+// so a recovered shard scores byte-identically to one that never
+// crashed.
 // Caveat: enabling `defense` on a service whose WAL was already pruned
 // would lose the pre-checkpoint edges, so the supervisor refuses to
 // start there — enable the tier from the service's birth.
@@ -60,9 +67,9 @@ class DefenseScorer {
   /// Refresh counters of the rank tier (stats_json's rank_* fields).
   class RankCounters {
    public:
-    /// Refreshes that recomputed the scores.
+    /// Pulls run: one per refreshed graph whose scores were read.
     std::uint64_t full_recomputes() const noexcept { return full_recomputes_; }
-    /// Pull rounds across those recomputes.
+    /// Pull rounds across those pulls.
     std::uint64_t rounds_total() const noexcept { return rounds_total_; }
 
    private:
@@ -71,20 +78,23 @@ class DefenseScorer {
     std::uint64_t rounds_total_ = 0;
   };
 
-  /// Sweep-tier refresh: recomputes the rank scores over the whole
-  /// graph. Skipped, exactly, when no edge and no node joined since the
-  /// last refresh (edges are only ever added, so an equal edge count is
-  /// an equal graph). Clustering needs no refresh — it is derived when
-  /// read.
+  /// Sweep-tier refresh: snapshots the graph's rows for the rank pull
+  /// the next read runs. Skipped, exactly, when no edge and no node
+  /// joined since the last refresh (edges are only ever added, so an
+  /// equal edge count is an equal graph). Clustering needs no refresh —
+  /// it is derived when read.
   void refresh();
 
   /// Degree-normalized SybilRank trust (0.0 before the first refresh,
   /// for unknown nodes, and when no seeds are configured).
   double rank_score(graph::NodeId u) const {
-    return u < rank_scores_.size() ? rank_scores_[u] : 0.0;
+    const std::vector<double>& scores = rank_scores();
+    return u < scores.size() ? scores[u] : 0.0;
   }
-  /// The scores of the last recompute, one per node the graph had then.
-  const std::vector<double>& rank_scores() const noexcept {
+  /// The scores of the graph at the last refresh, one per node it had
+  /// then; runs the pull that refresh left pending.
+  const std::vector<double>& rank_scores() const {
+    if (rank_stale_) pull();
     return rank_scores_;
   }
 
@@ -102,22 +112,29 @@ class DefenseScorer {
   std::uint64_t refreshes() const noexcept { return refreshes_; }
 
   /// Byte-exact state blob for the service checkpoint's defense
-  /// section; restore() rebuilds an identical scorer.
+  /// section (it runs a pending pull first); restore() rebuilds an
+  /// identical scorer.
   std::vector<std::byte> serialize() const;
   void restore(const std::vector<std::byte>& bytes);
 
  private:
+  /// Ranks the rows the last changed refresh compacted.
+  void pull() const;
+
   std::uint32_t max_account_id_;
   std::vector<graph::NodeId> seeds_;
   graph::TimestampedGraph graph_;
-  // The rank tier: CSR and kernel buffers kept across refreshes, the
-  // scores of the last recompute and the edge count at the last refresh.
+  // The rank tier: the rows of the last changed refresh in CSR buffers
+  // kept across refreshes, the graph size at the last refresh, and the
+  // lazily pulled scores, stale while a pull over those rows is pending.
   std::vector<std::uint64_t> offsets_;
   std::vector<graph::NodeId> targets_;
-  detect::SybilRankWorkspace workspace_;
-  std::vector<double> rank_scores_;
   std::uint64_t ranked_edges_ = 0;
-  RankCounters rank_;
+  graph::NodeId ranked_nodes_ = 0;
+  mutable detect::SybilRankWorkspace workspace_;
+  mutable std::vector<double> rank_scores_;
+  mutable bool rank_stale_ = false;
+  mutable RankCounters rank_;
   std::uint64_t edges_observed_ = 0;
   std::uint64_t ignored_ = 0;
   std::uint64_t refreshes_ = 0;

@@ -632,9 +632,11 @@ std::size_t ServiceSupervisor::sweep_flags(graph::Time now) {
   ++counters_.sweeps;
   const std::size_t n = detector_.sweep_flags(now);
   counters_.sweep_flagged += n;
-  // Defense refresh rides the sweep cadence: scores fold in everything
-  // pumped before this sweep, a pure function of the event prefix —
-  // what keeps N-shard and 1-shard annotations identical.
+  // Defense refresh rides the sweep cadence: it snapshots the graph of
+  // everything pumped before this sweep, and the scores take_flagged()
+  // reads are pulled from that snapshot — a pure function of the event
+  // prefix, however late they are read, which keeps N-shard and 1-shard
+  // annotations identical.
   if (scorer_ != nullptr) scorer_->refresh();
   SYBIL_SERVICE_METRIC(sweeps.add(1));
   return n;
@@ -644,6 +646,9 @@ core::FlagBatch ServiceSupervisor::take_flagged() {
   core::FlagBatch batch = detector_.take_flagged();
   if (!batch.records.empty()) newest_save_.reset();
   if (scorer_ != nullptr) {
+    // The first rank_score() runs the pull the last changed sweep left
+    // pending, on this thread: a sweep with no batch to annotate
+    // never pays for one.
     for (core::FlagRecord& r : batch.records) {
       r.defense_scored = true;
       r.defense_rank = scorer_->rank_score(r.account);

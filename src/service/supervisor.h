@@ -408,7 +408,8 @@ class ServiceSupervisor {
   /// perfbench's checkpoint.realtime_state_bytes metric reads it
   /// (ROADMAP item 9 removes it, after item 10's benchmark change).
   core::RealTimeDetector& realtime() noexcept { return realtime_; }
-  /// The defense tier's scorer, or nullptr when the tier is off.
+  /// The defense tier's scorer, or nullptr when the tier is off. Its
+  /// rank reads may run a pending pull; read it from one thread.
   const DefenseScorer* defense() const noexcept { return scorer_.get(); }
 
  private:
@@ -451,7 +452,9 @@ class ServiceSupervisor {
   /// Built from options and never mutated; see realtime().
   core::RealTimeDetector realtime_;
   /// Built iff options_.detector.defense.enabled; observes every pumped
-  /// event, refreshes at every flag sweep, state rides in checkpoints.
+  /// event, snapshots its graph at every flag sweep, ranks it when
+  /// take_flagged() or a checkpoint reads the scores; state rides in
+  /// checkpoints.
   std::unique_ptr<DefenseScorer> scorer_;
   std::unique_ptr<Metrics> metrics_;
   std::unique_ptr<WalWriter> wal_;

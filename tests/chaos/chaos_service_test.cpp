@@ -42,6 +42,7 @@
 #include "faults/fault_schedule.h"
 #include "service/router.h"
 #include "service/workload.h"
+#include "support/temp_path.h"
 
 namespace sybil::chaos {
 namespace {
@@ -66,9 +67,7 @@ using ChaosScenario = ChaosBase;
 using ScenarioKillSweep = ChaosBase;
 
 std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/sybil_chaos_" + name;
-  fs::remove_all(dir);
-  return dir;
+  return testsupport::fresh_temp_path("sybil_chaos_", name);
 }
 
 std::string golden_path() {

@@ -17,6 +17,9 @@
 //   * N-vs-1 shard identity with the tier on — edge events broadcast,
 //     so every shard scores the same graph and merged annotated flags
 //     match a single shard's, across thread counts;
+//   * rank on read: a caller that takes flags only every third sweep,
+//     after more events were pumped, still reads the scores of the
+//     graph at the last sweep;
 //   * the defense metric family: per-shard rows sum exactly into the
 //     aggregate twins and match the scorers' ground truth.
 //
@@ -32,6 +35,8 @@
 
 #include "core/metrics/metrics.h"
 #include "core/parallel.h"
+#include "detectors/sybilrank.h"
+#include "graph/csr.h"
 #include "io/error.h"
 #include "io/faulty_vfs.h"
 #include "osn/network.h"
@@ -41,6 +46,7 @@
 #include "service/workload.h"
 #include "stats/rng.h"
 #include "support/crash_vfs.h"
+#include "support/temp_path.h"
 
 namespace sybil::service {
 namespace {
@@ -56,9 +62,7 @@ class DefenseService : public ::testing::Test {
 };
 
 std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/sybil_def_" + name;
-  fs::remove_all(dir);
-  return dir;
+  return testsupport::fresh_temp_path("sybil_def_", name);
 }
 
 /// Same 500-account ground-truth log as the recovery suite: seeded
@@ -453,6 +457,68 @@ TEST_F(DefenseService, MergedAnnotatedFlagsMatchSingleShardAcrossThreads) {
   expect_flags_equal(four_1, one_1);
   expect_flags_equal(one_8, one_1);
   expect_flags_equal(four_8, one_1);
+}
+
+// The sweep snapshots the scorer's graph and the first take_flagged()
+// after it pulls the scores. A caller that takes flags only every third
+// sweep, 25 pumped events after it, must read the same bits as one that
+// takes them at the sweep: the reference scores over exactly the events
+// pumped before the last sweep. Sweeps whose scores nobody read run no
+// pull.
+TEST_F(DefenseService, LateTakeFlaggedScoresTheLastSweepsGraph) {
+  WorkloadOptions w = defense_workload(41);
+  w.accounts = 200;
+  w.events = 3000;
+  w.burst_senders = 6;
+  const std::vector<osn::Event> log = synthetic_workload(w);
+
+  for (int threads : {1, 8}) {
+    core::set_thread_count(threads);
+    // Shed-free, no checkpoints (a checkpoint reads the scores too), and
+    // a short watermark so flags appear while the stream runs.
+    ServiceOptions opts =
+        make_router_options(fresh_dir("late_reader"), 1).shard;
+    opts.checkpoint_every = 0;
+    opts.detector.ingest.watermark_hours = 0.25;
+    ServiceSupervisor s(opts);
+    s.start();
+    std::uint64_t sweeps = 0, swept_prefix = 0, scored_batches = 0;
+    for (std::uint64_t i = 0; i < log.size(); ++i) {
+      s.offer(log[i], i);
+      s.commit();
+      s.pump();
+      if (i % 50 == 49) {
+        s.sweep_flags(log[i].time);
+        ++sweeps;
+        swept_prefix = i + 1;
+      }
+      if (sweeps % 3 != 0 || i % 50 != 24 || sweeps == 0) continue;
+      const core::FlagBatch batch = s.take_flagged();
+      if (batch.records.empty()) continue;
+      ++scored_batches;
+      DefenseScorer at_sweep(opts.detector);
+      for (std::uint64_t k = 0; k < swept_prefix; ++k) {
+        at_sweep.observe(log[k]);
+      }
+      const std::vector<double> want =
+          detect::sybilrank_scores(graph::CsrGraph::from(at_sweep.graph()),
+                                   kSeeds);
+      for (const core::FlagRecord& r : batch) {
+        ASSERT_TRUE(r.defense_scored);
+        ASSERT_EQ(r.defense_rank, r.account < want.size() ? want[r.account]
+                                                           : 0.0)
+            << "threads " << threads << " sweep " << sweeps << " account "
+            << r.account;
+      }
+    }
+    EXPECT_GE(scored_batches, 3u) << "threads " << threads;
+    const DefenseScorer* scorer = s.defense();
+    ASSERT_NE(scorer, nullptr);
+    EXPECT_EQ(scorer->refreshes(), sweeps);
+    EXPECT_LE(scorer->rank().full_recomputes(), scored_batches)
+        << "only the reads ran pulls";
+  }
+  core::set_thread_count(0);
 }
 
 #if SYBIL_METRICS_COMPILED

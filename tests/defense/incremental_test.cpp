@@ -8,6 +8,10 @@
 //   * a refresh after every single edge, and the auto iteration depth
 //     following the node count across a power of two;
 //   * a refresh over an unchanged graph skips the recompute, exactly;
+//   * rank on read: a refresh only snapshots the rows, so scores read
+//     after more edges and nodes arrived are still the batch kernel's
+//     over the graph at the refresh, unread refreshes run no pull, and
+//     pulls never outnumber the refreshes that saw a change;
 //   * the scorer's drain-time clustering_score() vs
 //     local_clustering_all(), bit-exact for every node (integer link
 //     counts, same expression), and on hand-computed cases;
@@ -292,6 +296,114 @@ TEST(IncrementalRank, EmptySeedsYieldAllZeroWithoutThrowing) {
   scorer.refresh();
   for (NodeId u = 0; u < 8; ++u) EXPECT_EQ(scorer.rank_score(u), 0.0);
   EXPECT_EQ(scorer.rank().full_recomputes(), 0u) << "the rank tier is off";
+}
+
+// A refresh snapshots the graph; its scores are pulled when first read.
+// Read late — after more edges and new nodes arrived — they are still
+// the batch kernel's over the graph as it was at the refresh, which a
+// second scorer fed only that prefix rebuilds.
+TEST(RankOnRead, LateReadScoresTheGraphAtTheLastRefresh) {
+  for (int threads : {1, 8}) {
+    core::set_thread_count(threads);
+    for (const auto& [name, base] : regimes()) {
+      const std::string what = name + "/threads" + std::to_string(threads);
+      const std::vector<Arrival> edges = edges_of(base);
+      const std::size_t prefix = edges.size() / 2;
+      DefenseScorer late(scorer_options());
+      DefenseScorer at_refresh(scorer_options());
+      for (std::size_t i = 0; i < prefix; ++i) {
+        observe(late, edges[i]);
+        observe(at_refresh, edges[i]);
+      }
+      late.refresh();
+      const NodeId nodes_then = late.graph().node_count();
+      for (std::size_t i = prefix; i < edges.size(); ++i) {
+        observe(late, edges[i]);
+      }
+      const NodeId grown = late.graph().node_count() + 5;
+      observe(late, {0, grown, 1e6});  // new nodes past the old range
+      ASSERT_GT(late.graph().node_count(), nodes_then) << what;
+      ASSERT_EQ(late.rank().full_recomputes(), 0u) << what;
+
+      expect_bitwise_equal(
+          late.rank_scores(),
+          sybilrank_scores(graph::CsrGraph::from(at_refresh.graph()), kSeeds),
+          what);
+      expect_bitwise_equal(late.rank_scores(),
+                           reference_rank(at_refresh.graph()),
+                           what + "/reference");
+      EXPECT_EQ(late.rank_score(grown), 0.0) << what << ": joined later";
+      EXPECT_EQ(late.rank().full_recomputes(), 1u) << what;
+    }
+  }
+  core::set_thread_count(0);
+}
+
+TEST(RankOnRead, UnreadRefreshesRunNoPull) {
+  stats::Rng rng(221);
+  const std::vector<Arrival> edges =
+      edges_of(graph::erdos_renyi(200, 0.03, rng));
+  ASSERT_GT(edges.size(), 5u * 40u);
+  DefenseScorer scorer(scorer_options());
+  for (std::size_t r = 0; r < 5; ++r) {
+    for (std::size_t i = 40 * r; i < 40 * (r + 1); ++i) {
+      observe(scorer, edges[i]);
+    }
+    scorer.refresh();
+  }
+  EXPECT_EQ(scorer.refreshes(), 5u);
+  EXPECT_EQ(scorer.rank().full_recomputes(), 0u) << "nothing was read";
+  EXPECT_EQ(scorer.rank().rounds_total(), 0u);
+
+  const std::vector<double> scores = scorer.rank_scores();
+  EXPECT_EQ(scorer.rank().full_recomputes(), 1u);
+  const double v = scorer.graph().node_count();
+  EXPECT_EQ(scorer.rank().rounds_total(),
+            static_cast<std::uint64_t>(std::ceil(std::log2(v))));
+  // Further reads of the same snapshot reuse its scores.
+  scorer.rank_score(0);
+  scorer.serialize();
+  EXPECT_EQ(scorer.rank().full_recomputes(), 1u);
+  expect_bitwise_equal(scorer.rank_scores(), scores, "reread");
+}
+
+// A random interleaving of edges, refreshes and reads: a pull runs only
+// for a changed refresh whose scores were read before the next changed
+// refresh replaced its snapshot, so pulls never outnumber the refreshes
+// that saw a change.
+TEST(RankOnRead, PullsNeverExceedChangedRefreshes) {
+  stats::Rng rng(223);
+  DefenseScorer scorer(scorer_options());
+  std::uint64_t changed_refreshes = 0, read_snapshots = 0;
+  std::uint64_t edges_then = 0;
+  NodeId nodes_then = 0;
+  bool pending = false;
+  for (int step = 0; step < 3000; ++step) {
+    const std::uint64_t op = rng.uniform_index(10);
+    if (op < 6) {
+      observe(scorer, {static_cast<NodeId>(rng.uniform_index(150)),
+                       static_cast<NodeId>(rng.uniform_index(150)),
+                       static_cast<double>(step)});
+    } else if (op < 8) {
+      const bool changed = scorer.graph().edge_count() != edges_then ||
+                           scorer.graph().node_count() != nodes_then;
+      scorer.refresh();
+      edges_then = scorer.graph().edge_count();
+      nodes_then = scorer.graph().node_count();
+      if (changed) {
+        ++changed_refreshes;
+        pending = true;
+      }
+    } else {
+      scorer.rank_score(static_cast<NodeId>(rng.uniform_index(150)));
+      if (pending) ++read_snapshots;
+      pending = false;
+    }
+    ASSERT_EQ(scorer.rank().full_recomputes(), read_snapshots) << step;
+    ASSERT_LE(scorer.rank().full_recomputes(), changed_refreshes) << step;
+  }
+  EXPECT_GT(read_snapshots, 0u);
+  EXPECT_LT(read_snapshots, changed_refreshes) << "some snapshots unread";
 }
 
 TEST(IncrementalClustering, HandComputedCases) {

@@ -8,6 +8,7 @@
 #include "graph/generators.h"
 #include "io/error.h"
 #include "stats/rng.h"
+#include "support/temp_path.h"
 
 namespace sybil::graph {
 namespace {
@@ -104,7 +105,8 @@ TEST(GraphIo, MissingFileIsOpenFailed) {
 TEST(GraphIo, FileRoundTrip) {
   stats::Rng rng(2);
   const auto g = erdos_renyi(50, 0.1, rng);
-  const std::string path = ::testing::TempDir() + "/sybil_io_test.edges";
+  const std::string path =
+      testsupport::fresh_temp_path("sybil_io_", "test.edges");
   save_edge_list(g, path);
   const auto loaded = load_edge_list(path);
   EXPECT_EQ(loaded.edge_count(), g.edge_count());

@@ -13,6 +13,7 @@
 
 #include "io/crc32.h"
 #include "io/faulty_vfs.h"
+#include "support/temp_path.h"
 
 namespace sybil::io {
 namespace {
@@ -68,7 +69,8 @@ TEST(Container, RoundTripsSectionsInMemory) {
 }
 
 TEST(Container, CommitThenOpenBothIoPaths) {
-  const std::string path = ::testing::TempDir() + "/container_rt.snap";
+  const std::string path =
+      testsupport::fresh_temp_path("container_", "rt.snap");
   ContainerWriter writer(kKind);
   writer.add_section(9, payload_of({0xab, 0xcd}));
   writer.commit(path);
@@ -88,7 +90,8 @@ TEST(Container, CommitThenOpenBothIoPaths) {
 }
 
 TEST(Container, CommitReplacesExistingFileAtomically) {
-  const std::string path = ::testing::TempDir() + "/container_replace.snap";
+  const std::string path =
+      testsupport::fresh_temp_path("container_", "replace.snap");
   ContainerWriter first(kKind);
   first.add_section(1, payload_of({1}));
   first.commit(path);
@@ -241,7 +244,8 @@ TEST(Container, SizedSectionMatchesItsByteVector) {
 // A fill that throws aborts the commit before any storage op: no temp
 // file, and the target keeps its previous contents.
 TEST(Container, FailingFillCommitsNothing) {
-  const std::string path = ::testing::TempDir() + "/sybil_container_fill.snap";
+  const std::string path =
+      testsupport::fresh_temp_path("sybil_container_", "fill.snap");
   ContainerWriter good(kKind);
   good.add_section(1, payload_of({9}));
   good.commit(path, SyncMode::kNever);
@@ -272,7 +276,7 @@ TEST(Container, FsyncKnobGovernsEnvSyncCommits) {
   const char* prior = std::getenv("SYBIL_IO_FSYNC");
   const std::string saved = prior == nullptr ? "" : prior;
   const std::string path =
-      ::testing::TempDir() + "/sybil_container_fsync.sybs";
+      testsupport::fresh_temp_path("sybil_container_", "fsync.sybs");
 
   const auto commits_with = [&](const char* knob, SyncMode sync) {
     if (knob == nullptr) {

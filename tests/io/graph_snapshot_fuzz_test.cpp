@@ -22,6 +22,7 @@
 #include "io/graph_snapshot.h"
 #include "runner.h"
 #include "support/container_sections.h"
+#include "support/temp_path.h"
 
 namespace sybil::io {
 namespace {
@@ -104,7 +105,8 @@ TEST(GraphSnapshotFuzz, MutatedScenarioLoadsSimpleInRangeOrThrowsTyped) {
   s.is_sybil = {false, false, false, true, true, true};
   s.honest_seeds = {0, 1};
   s.eval_sample = {0, 2, 3, 5};
-  const std::string source = ::testing::TempDir() + "/fuzz_scenario.snap";
+  const std::string source =
+      testsupport::fresh_temp_path("fuzz_", "scenario.snap");
   bench::save_scenario(s, source);
   const Tally tally = fuzz_file(source, PayloadKind::kDefenseScenario,
               [](const std::string& path) {

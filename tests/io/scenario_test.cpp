@@ -13,13 +13,14 @@
 #include "io/graph_snapshot.h"
 #include "stats/rng.h"
 #include "support/non_simple_rows.h"
+#include "support/temp_path.h"
 
 namespace sybil::bench {
 namespace {
 
 TEST(ScenarioSnapshot, RoundTripsEverything) {
   const DefenseScenario original = synthetic_scenario(400, 60, 20, 5);
-  const std::string path = ::testing::TempDir() + "/scenario_rt.snap";
+  const std::string path = testsupport::fresh_temp_path("scenario_", "rt.snap");
   save_scenario(original, path);
   const DefenseScenario loaded = load_scenario(path);
   std::remove(path.c_str());
@@ -40,7 +41,8 @@ TEST(ScenarioSnapshot, RoundTripsEverything) {
 
 TEST(ScenarioSnapshot, LoadedGraphSurvivesUnlink) {
   const DefenseScenario original = synthetic_scenario(200, 30, 10, 6);
-  const std::string path = ::testing::TempDir() + "/scenario_unlink.snap";
+  const std::string path =
+      testsupport::fresh_temp_path("scenario_", "unlink.snap");
   save_scenario(original, path);
   const DefenseScenario loaded = load_scenario(path);
   std::remove(path.c_str());
@@ -53,7 +55,8 @@ TEST(ScenarioSnapshot, LoadedGraphSurvivesUnlink) {
 }
 
 TEST(ScenarioSnapshot, RejectsNonScenarioFile) {
-  const std::string path = ::testing::TempDir() + "/scenario_kind.snap";
+  const std::string path =
+      testsupport::fresh_temp_path("scenario_", "kind.snap");
   // A graph snapshot is a valid container of the WRONG payload kind.
   stats::Rng rng(3);
   const auto g = graph::osn_like_graph(
@@ -71,7 +74,8 @@ TEST(ScenarioSnapshot, RejectsNonScenarioFile) {
 }
 
 TEST(ScenarioSnapshot, RefusesRowsThatAreNotASimpleGraph) {
-  const std::string path = ::testing::TempDir() + "/scenario_rows.snap";
+  const std::string path =
+      testsupport::fresh_temp_path("scenario_", "rows.snap");
   DefenseScenario s;
   s.name = "rows";
   s.is_sybil = {false, false, true};

@@ -38,6 +38,7 @@
 #include "osn/events.h"
 #include "service/checkpoint.h"
 #include "service/defense_scorer.h"
+#include "support/temp_path.h"
 
 namespace sybil::service {
 namespace {
@@ -128,13 +129,16 @@ TEST(ServiceCheckpoint, GoldenCheckpointV8Loads) {
   EXPECT_EQ(scorer.clustering_score(1), 0.0);
   EXPECT_EQ(scorer.clustering_score(2), 1.0 / 3);
   EXPECT_EQ(scorer.clustering_score(3), 1.0);
-  // Edge 0-2 arrived after the refresh, so the next one recomputes.
+  // Edge 0-2 arrived after the refresh, so the next one recomputes
+  // once its scores are read.
   scorer.refresh();
+  scorer.rank_scores();
   EXPECT_EQ(scorer.rank().full_recomputes(), 2u);
 }
 
 TEST(ServiceCheckpoint, GoldenCheckpointV8BytesAreFrozen) {
-  const std::string fresh = ::testing::TempDir() + "/sybil_ckpt_v8_fresh.sybs";
+  const std::string fresh =
+      testsupport::fresh_temp_path("sybil_ckpt_", "v8_fresh.sybs");
   save_service_checkpoint(fresh, golden_state());
   std::ifstream fa(golden("service_ckpt_v8.sybs"), std::ios::binary);
   std::ifstream fb(fresh, std::ios::binary);
@@ -207,7 +211,8 @@ bool loads(const std::string& path, const std::string& bytes) {
 TEST(ServiceCheckpointFuzz, EveryByteFlipLoadsOrThrowsTyped) {
   const std::string bytes = read_file(golden("service_ckpt_v8.sybs"));
   ASSERT_FALSE(bytes.empty());
-  const std::string path = ::testing::TempDir() + "/sybil_ckpt_flip.sybs";
+  const std::string path =
+      testsupport::fresh_temp_path("sybil_ckpt_", "flip.sybs");
   std::mt19937_64 rng(0x5EEDu);
   std::size_t refused = 0;
   for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
@@ -228,7 +233,8 @@ TEST(ServiceCheckpointFuzz, EveryByteFlipLoadsOrThrowsTyped) {
 
 TEST(ServiceCheckpointFuzz, EveryTruncationThrowsTyped) {
   const std::string bytes = read_file(golden("service_ckpt_v8.sybs"));
-  const std::string path = ::testing::TempDir() + "/sybil_ckpt_cut.sybs";
+  const std::string path =
+      testsupport::fresh_temp_path("sybil_ckpt_", "cut.sybs");
   for (std::size_t len = 0; len < bytes.size(); ++len) {
     SCOPED_TRACE("length " + std::to_string(len));
     EXPECT_FALSE(loads(path, bytes.substr(0, len)));
@@ -250,7 +256,7 @@ std::string golden_regrown(bool grow_meta, const std::string& name) {
     writer.add_section(id, std::move(payload));
   }
   const std::string path =
-      ::testing::TempDir() + "/sybil_ckpt_edited_" + name + ".sybs";
+      testsupport::fresh_temp_path("sybil_ckpt_edited_", name + ".sybs");
   writer.commit(path);
   return path;
 }
@@ -265,7 +271,8 @@ TEST(ServiceCheckpoint, CheckpointLoadRejectsTrailingMetaBytes) {
 }
 
 TEST(ServiceCheckpoint, CheckpointLoadRejectsTierAboveSweepOnly) {
-  const std::string path = ::testing::TempDir() + "/sybil_ckpt_tier.sybs";
+  const std::string path =
+      testsupport::fresh_temp_path("sybil_ckpt_", "tier.sybs");
   constexpr auto kTop =
       static_cast<std::uint32_t>(core::ServiceTier::kSweepOnly);
   ServiceCheckpointState state = golden_state();
@@ -281,7 +288,8 @@ TEST(ServiceCheckpoint, CheckpointLoadRejectsTierAboveSweepOnly) {
 
 // The queue can never start past the WAL position it was taken at.
 TEST(ServiceCheckpoint, CheckpointLoadRejectsReplayFromPastWalPosition) {
-  const std::string path = ::testing::TempDir() + "/sybil_ckpt_replay.sybs";
+  const std::string path =
+      testsupport::fresh_temp_path("sybil_ckpt_", "replay.sybs");
   ServiceCheckpointState state = golden_state();
   state.replay_from = state.wal_position;  // an empty queue: still loads
   save_service_checkpoint(path, std::move(state));

@@ -20,12 +20,13 @@
 #include "stats/rng.h"
 #include "support/container_sections.h"
 #include "support/non_simple_rows.h"
+#include "support/temp_path.h"
 
 namespace sybil::io {
 namespace {
 
 std::string temp_path(const char* name) {
-  return ::testing::TempDir() + "/" + name;
+  return testsupport::fresh_temp_path("", name);
 }
 
 void expect_identical(const graph::TimestampedGraph& a,

@@ -18,6 +18,7 @@
 
 #include "io/error.h"
 #include "service/wal.h"
+#include "support/temp_path.h"
 
 namespace sybil::service {
 namespace {
@@ -34,8 +35,7 @@ std::vector<char> read_file(const std::string& path) {
 }
 
 std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/sybil_walfmt_" + name;
-  fs::remove_all(dir);
+  const std::string dir = testsupport::fresh_temp_path("sybil_walfmt_", name);
   fs::create_directories(dir);
   return dir;
 }

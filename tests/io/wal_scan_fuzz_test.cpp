@@ -22,6 +22,7 @@
 
 #include "io/error.h"
 #include "service/wal.h"
+#include "support/temp_path.h"
 
 namespace sybil::service {
 namespace {
@@ -72,8 +73,7 @@ std::vector<WalRecord> golden_records() {
 
 Golden load_golden(const std::string& name) {
   Golden g;
-  g.dir = ::testing::TempDir() + "/sybil_walfuzz_" + name;
-  fs::remove_all(g.dir);
+  g.dir = testsupport::fresh_temp_path("sybil_walfuzz_", name);
   fs::create_directories(g.dir);
   g.segment = g.dir + "/wal-00000000000000000000.seg";
   std::ifstream in(std::string(SYBIL_TEST_DATA_DIR) + "/wal_v3_fuzz.seg",

@@ -29,6 +29,7 @@
 #include "service/supervisor.h"
 #include "service/workload.h"
 #include "support/crash_vfs.h"
+#include "support/temp_path.h"
 
 namespace sybil::service {
 namespace {
@@ -49,9 +50,7 @@ constexpr std::uint64_t kSegmentHeaderBytes = 36;
 constexpr std::uint64_t kBlock = 8;
 
 std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/sybil_reach_" + name;
-  fs::remove_all(dir);
-  return dir;
+  return testsupport::fresh_temp_path("sybil_reach_", name);
 }
 
 ServiceOptions make_options(const std::string& dir, io::Vfs* vfs) {

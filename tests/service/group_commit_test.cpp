@@ -31,6 +31,7 @@
 #include "service/wal.h"
 #include "service/workload.h"
 #include "support/crash_vfs.h"
+#include "support/temp_path.h"
 
 namespace sybil::service {
 namespace {
@@ -48,9 +49,7 @@ class GroupCommit : public ::testing::Test {
 using GroupCommitRecovery = GroupCommit;
 
 std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/sybil_gc_" + name;
-  fs::remove_all(dir);
-  return dir;
+  return testsupport::fresh_temp_path("sybil_gc_", name);
 }
 
 osn::Event event_at(std::uint64_t i) {

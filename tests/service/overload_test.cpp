@@ -18,6 +18,7 @@
 
 #include "core/metrics/metrics.h"
 #include "service/supervisor.h"
+#include "support/temp_path.h"
 
 namespace sybil::service {
 namespace {
@@ -31,9 +32,7 @@ class ServiceOverload : public ::testing::Test {
 };
 
 std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/sybil_ovl_" + name;
-  fs::remove_all(dir);
-  return dir;
+  return testsupport::fresh_temp_path("sybil_ovl_", name);
 }
 
 /// Tiny watermarks so every tier is reachable by hand:

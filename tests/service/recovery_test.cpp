@@ -56,6 +56,7 @@
 #include "service/supervisor.h"
 #include "stats/rng.h"
 #include "support/crash_vfs.h"
+#include "support/temp_path.h"
 
 namespace sybil::service {
 namespace {
@@ -68,9 +69,7 @@ namespace fs = std::filesystem;
 using ServiceRecovery = ::testing::Test;
 
 std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/sybil_svc_" + name;
-  fs::remove_all(dir);
-  return dir;
+  return testsupport::fresh_temp_path("sybil_svc_", name);
 }
 
 /// A 500-account logged network exercising every event type: seeded

@@ -49,6 +49,7 @@
 #include "service/wal.h"
 #include "service/workload.h"
 #include "support/crash_vfs.h"
+#include "support/temp_path.h"
 
 namespace sybil::service {
 namespace {
@@ -69,9 +70,7 @@ class Shard : public ::testing::Test {
 using ShardedRecovery = Shard;
 
 std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/sybil_shard_" + name;
-  fs::remove_all(dir);
-  return dir;
+  return testsupport::fresh_temp_path("sybil_shard_", name);
 }
 
 /// Shed-free shard template with the relaxed rule the synthetic burst

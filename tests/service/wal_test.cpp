@@ -25,6 +25,7 @@
 #include "io/faulty_vfs.h"
 #include "osn/events.h"
 #include "support/crash_vfs.h"
+#include "support/temp_path.h"
 
 namespace sybil::service {
 namespace {
@@ -32,9 +33,7 @@ namespace {
 namespace fs = std::filesystem;
 
 std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/sybil_wal_" + name;
-  fs::remove_all(dir);
-  return dir;
+  return testsupport::fresh_temp_path("sybil_wal_", name);
 }
 
 osn::Event event_at(std::uint64_t i) {

@@ -36,6 +36,7 @@
 #include "service/checkpoint.h"
 #include "service/supervisor.h"
 #include "service/workload.h"
+#include "support/temp_path.h"
 
 namespace sybil::service {
 namespace {
@@ -43,8 +44,7 @@ namespace {
 namespace fs = std::filesystem;
 
 std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/sybil_stor_" + name;
-  fs::remove_all(dir);
+  const std::string dir = testsupport::fresh_temp_path("sybil_stor_", name);
   fs::create_directories(dir);
   return dir;
 }

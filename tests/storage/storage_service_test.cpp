@@ -40,6 +40,7 @@
 #include "service/supervisor.h"
 #include "service/workload.h"
 #include "support/crash_vfs.h"
+#include "support/temp_path.h"
 
 namespace sybil::service {
 namespace {
@@ -53,8 +54,7 @@ class StorageDegraded : public ::testing::Test {
 };
 
 std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/sybil_deg_" + name;
-  fs::remove_all(dir);
+  const std::string dir = testsupport::fresh_temp_path("sybil_deg_", name);
   fs::create_directories(dir);
   return dir;
 }

@@ -30,6 +30,7 @@
 
 #include "io/faulty_vfs.h"
 #include "io/vfs.h"
+#include "support/temp_path.h"
 
 namespace sybil::io {
 namespace {
@@ -37,8 +38,7 @@ namespace {
 namespace fs = std::filesystem;
 
 std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/sybil_vfs_" + name;
-  fs::remove_all(dir);
+  const std::string dir = testsupport::fresh_temp_path("sybil_vfs_", name);
   fs::create_directories(dir);
   return dir;
 }
